@@ -56,6 +56,7 @@ from .verify import (
 
 __all__ = [
     "CONFIG_SCHEMA",
+    "FAMILY_SCHEMA",
     "main",
     "load_config",
     "family_to_dict",
@@ -164,6 +165,55 @@ CONFIG_SCHEMA = {
         },
     },
 }
+
+_ANCHOR_SCHEMA = {"type": "array", "minItems": 1, "maxItems": 2,
+                  "items": {"type": "integer"}}
+_SIDE_SCHEMA = {"type": "integer", "minimum": 1}
+
+# structure of a family file; run order and bounds are checked in code
+FAMILY_SCHEMA = {
+    "type": "object",
+    "required": ["format", "grid", "eta", "constant", "entries"],
+    "properties": {
+        "format": {"const": 1},
+        "grid": CONFIG_SCHEMA["properties"]["grid"],
+        "eta": {"type": "number"},
+        "constant": {"anyOf": [{"type": "number"}, {"const": "inf"}]},
+        "meta": {"type": "object"},
+        "entries": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["anchor", "side", "base_anchor", "base_side",
+                             "depth", "coefficient", "flags", "witness"],
+                "properties": {
+                    "anchor": _ANCHOR_SCHEMA,
+                    "side": _SIDE_SCHEMA,
+                    "base_anchor": _ANCHOR_SCHEMA,
+                    "base_side": _SIDE_SCHEMA,
+                    "depth": {"type": "integer", "minimum": 0},
+                    "coefficient": {"type": "number"},
+                    "flags": {"type": "array", "items": {"type": "string"}},
+                    "witness": {
+                        "type": "object",
+                        "required": ["anchor", "side", "count", "runs"],
+                        "properties": {
+                            "anchor": _ANCHOR_SCHEMA,
+                            "side": _SIDE_SCHEMA,
+                            "count": {"type": "integer", "minimum": 0},
+                            "runs": {"type": "array", "items": {
+                                "type": "array", "minItems": 2, "maxItems": 2,
+                                "items": {"type": "integer"}}},
+                        },
+                    },
+                },
+            },
+        },
+    },
+}
+# built once: jsonschema.validate re-checks the schema itself on every call,
+# which costs ten times the validation of a family file
+_FAMILY_VALIDATOR = jsonschema.Draft202012Validator(FAMILY_SCHEMA)
 
 
 # ---------------------------------------------------------------------------
@@ -275,29 +325,53 @@ def family_to_dict(family: SparseFamily) -> dict:
     }
 
 
+def _witness_mask(runs: list, cells: int, where: str) -> np.ndarray:
+    """Flat witness mask from row-major (start, length) runs, which must be
+    non-empty, inside the box, sorted and disjoint."""
+    flat = np.zeros(cells, dtype=bool)
+    end = 0
+    for start, length in runs:
+        start, length = int(start), int(length)
+        if length < 1:
+            raise ConfigError(f"{where}: empty witness run ({start}, {length})")
+        if start < 0 or start + length > cells:
+            raise ConfigError(f"{where}: witness run ({start}, {length}) lies "
+                              f"outside its {cells}-cell box")
+        if start < end:
+            raise ConfigError(f"{where}: witness run ({start}, {length}) is "
+                              f"unsorted or overlaps the run before it")
+        flat[start:start + length] = True
+        end = start + length
+    return flat
+
+
 def family_from_dict(d: dict) -> SparseFamily:
-    if d.get("format") != 1:
-        raise ConfigError(f"unsupported family format {d.get('format')!r}")
+    """Family from its JSON document; ConfigError on any malformed field."""
+    try:
+        _FAMILY_VALIDATOR.validate(d)
+    except jsonschema.ValidationError as exc:
+        where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
+        raise ConfigError(f"family invalid at {where}: {exc.message}") from exc
     g = d["grid"]
     grid = Grid(g["dim"], g["cells_per_side"], g.get("phys_side", 1.0))
     entries = []
-    for e in d["entries"]:
-        box = Cube(tuple(e["witness"]["anchor"]), e["witness"]["side"])
-        flat = np.zeros(box.side ** grid.dim, dtype=bool)
-        for start, length in e["witness"]["runs"]:
-            flat[start:start + length] = True
+    for i, e in enumerate(d["entries"]):
+        w = e["witness"]
+        box = _cube_from(w, grid)
+        flat = _witness_mask(w["runs"], box.cell_count, f"entry {i}")
         witness = CellSet(grid, box, flat.reshape((box.side,) * grid.dim))
-        if witness.count != e["witness"]["count"]:
+        if witness.count != w["count"]:
             raise ConfigError("witness run data inconsistent with stored count")
         entries.append(SparseEntry(
-            cube=Cube(tuple(e["anchor"]), e["side"]),
+            cube=_cube_from(e, grid),
             witness=witness,
             coefficient=e["coefficient"],
-            base_cube=Cube(tuple(e["base_anchor"]), e["base_side"]),
+            base_cube=_cube_from(
+                {"anchor": e["base_anchor"], "side": e["base_side"]}, grid),
             depth=e["depth"],
             flags=tuple(e["flags"]),
         ))
-    return SparseFamily(grid, d["eta"], entries, d["constant"],
+    return SparseFamily(grid, d["eta"], entries, float(d["constant"]),
                         meta=d.get("meta", {}))
 
 

@@ -7,10 +7,13 @@ optional integral-smoothness exponent.  The discrete operator is
     T(f char_S)(x) = sum over source cells y != x of K(x_c, y_c) f(y) h**dim
 
 with cell centers ``x_c, y_c``; the diagonal cell ``y = x`` is always
-skipped.  ``RestrictedTransform`` precomputes per-target prefix sums so
-box-restricted applications cost O(1) per (target, box) query; the sweep
-engines in :mod:`sparsedom.maximal` and the construction in
-:mod:`sparsedom.sparse` are built on top of it.
+skipped.  ``RestrictedTransform`` precomputes per-target prefix sums, read
+in two ways: ``apply_box`` gathers one table difference per (target, box)
+query, and in 1D ``prefix_windows`` hands out strided views of the table,
+so that a sweep reads whole families of truncated transforms with no
+per-query gather and no copy of the table.  The sweep engines in
+:mod:`sparsedom.maximal` and the construction in :mod:`sparsedom.sparse`
+are built on top of it.
 """
 
 from __future__ import annotations
@@ -192,10 +195,16 @@ class RestrictedTransform:
     """Box-restricted applications of one kernel to one function.
 
     Precomputes the dense weight matrix ``K(x_c, y_c) h**dim`` (diagonal
-    zeroed) and per-target prefix sums of its product with ``f``, so that
-    ``T(f char_B)(x)`` for any axis-aligned box ``B`` is a constant-time
-    table lookup.  Memory is quadratic in the cell count; intended for
-    desk-scale grids.
+    zeroed) and per-target prefix sums ``S`` of its product with ``f``, so
+    that ``T(f char_B)(x)`` for any axis-aligned box ``B`` is a difference
+    of table entries.  ``apply_box`` gathers those entries per query, at
+    O(1) each.  In 1D, ``prefix_windows`` returns a read-only strided view
+    of ``S`` whose rows follow a box that moves with its anchor; the
+    oscillation sweep of :mod:`sparsedom.sparse` reads all of a node's
+    truncated transforms through such views, so it does no per-query
+    gathers; its scratch is one (anchors x side) array of differences at a
+    time, never a copy of the table.  Table memory is quadratic in the
+    cell count; intended for desk-scale grids.
     """
 
     def __init__(self, kernel: Kernel, f: GridFunction):
@@ -235,6 +244,35 @@ class RestrictedTransform:
         if self.grid.dim == 1:
             return self._sat[:, -1].copy()
         return self._sat[:, -1, -1].reshape(self.grid.shape).copy()
+
+    def prefix_windows(self, row: int, row_step: int, col: int,
+                       col_step: int, count: int, side: int) -> np.ndarray:
+        """Read-only strided view of the 1D prefix table, with no copy.
+
+        ``V[i, j] = S[row + row_step i + j, col + col_step i]`` for ``i <
+        count`` and ``j < side``, where ``S[x, c] = T(f char_[0, c))(x)``.
+        Each step is 0 or 1, so the difference of two such views with
+        columns ``lo`` and ``hi`` is ``T(f char_[lo, hi))`` for a whole
+        family of boxes at once: row ``i`` holds one box, moving with ``i``
+        or not, at ``side`` consecutive targets that move with ``i`` or
+        not.  Raises ParameterError when the view would leave the table.
+        """
+        n = self._n
+        if self.grid.dim != 1:
+            raise ParameterError("prefix_windows reads the 1D table only")
+        if not (row_step in (0, 1) and col_step in (0, 1) and count >= 1
+                and side >= 1 and 0 <= row and 0 <= col
+                and row + row_step * (count - 1) + side <= n
+                and col + col_step * (count - 1) <= n):
+            raise ParameterError(
+                f"windows ({row}+{row_step}i+j, {col}+{col_step}i) for "
+                f"i < {count}, j < {side} leave the {n} x {n + 1} table")
+        rs, cs = self._sat.strides
+        view = np.ndarray((count, side), self._sat.dtype, buffer=self._sat,
+                          offset=row * rs + col * cs,
+                          strides=(row_step * rs + col_step * cs, rs))
+        view.flags.writeable = False
+        return view
 
     def apply_box(self, rows: np.ndarray, bounds) -> np.ndarray:
         """``T(f char_B)`` at flat target indices ``rows``.

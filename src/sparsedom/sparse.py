@@ -222,7 +222,8 @@ def _node_stats_1d(rt: RestrictedTransform, f: GridFunction, cube: Cube,
     cells = np.arange(qlo, qhi)
     (qs_lo, qs_hi), = qs.bounds()
 
-    t_vals = np.abs(rt.apply_box(cells, ((qs_lo, qs_hi),)))
+    outer = rt.apply_box(np.arange(n), ((qs_lo, qs_hi),))   # T(f char_{Q+})
+    t_vals = np.abs(outer[qlo:qhi])
 
     sat = f.power_sat(s)
     cm = grid.cell_measure
@@ -236,25 +237,67 @@ def _node_stats_1d(rt: RestrictedTransform, f: GridFunction, cube: Cube,
         avgs = ((sat[hi] - sat[lo]) * cm / (side * hw)) ** (1.0 / s)
         np.maximum(ms, sliding_window_view(avgs, side).max(axis=-1), out=ms)
 
+    # The anchor-a window of each side truncates Q+ to [a + d_lo, a + d_hi),
+    # and each bound reads prefix-table column clip(a + d, c_lo, c_hi), the
+    # bounds of Q+ clipped to the window as apply_box clips them.  Cut the
+    # anchors where a clip starts or stops binding and where windows start
+    # or stop sticking out of the grid.  On each piece every bound column is
+    # constant or moves one per anchor, so the windows of S[., lo(a)] and
+    # S[., hi(a)] are strided views of the table.  A window that sticks out
+    # reads the side cells at that edge of the grid instead, of which the
+    # cells in [a, a + side) are its own.  Cover cubes have sides under 2n,
+    # so no window is wider than the grid.
+    c_lo, c_hi = (int(c) for c in np.clip((qs_lo, qs_hi), 0, n))
+
+    def bound(c: int, row: int, step: int, k: int, side: int) -> np.ndarray:
+        return rt.prefix_windows(row, step, min(max(c, c_lo), c_hi),
+                                 int(c_lo <= c <= c_hi), k, side)
+
     osc = np.zeros(w)
     shift = (qs.side // cube.side - 1) // 2
     for side in range(1, max(1, (m + 1) // 2) + 1):
-        a = np.arange(qlo - side + 1, qhi)
-        cellmat = a[:, None] + np.arange(side)[None, :]
-        valid = (cellmat >= 0) & (cellmat < n)
-        rows = np.clip(cellmat, 0, n - 1)
-        t_on = rt.apply_box(rows, ((qs_lo, qs_hi),))
-        in_lo = np.maximum(a - shift * side, qs_lo)[:, None]
-        in_hi = np.minimum(a + (shift + 1) * side, qs_hi)[:, None]
-        trunc = t_on - rt.apply_box(rows, ((in_lo, in_hi),))
-        if np.iscomplexobj(trunc):
-            stat = np.array([oscillation(tv[vm], exact_cap)
-                             for tv, vm in zip(trunc, valid)])
-        else:
-            stat = (np.where(valid, trunc, -np.inf).max(axis=1)
-                    - np.where(valid, trunc, np.inf).min(axis=1))
+        a0 = qlo - side + 1
+        d_lo, d_hi = -shift * side, (shift + 1) * side
+        cuts = sorted({a0, qhi} | {c for c in (0, n - side + 1, c_lo - d_lo,
+                                               c_hi - d_lo + 1, c_lo - d_hi,
+                                               c_hi - d_hi + 1)
+                                   if a0 < c < qhi})
+        t_on = sliding_window_view(outer, side)
+        stat = np.empty(qhi - a0)
+        for p0, p1 in zip(cuts[:-1], cuts[1:]):
+            k = p1 - p0
+            step = int(0 <= p0 <= n - side)
+            row = min(max(p0, 0), n - side)
+            trunc = (bound(p0 + d_hi, row, step, k, side)
+                     - bound(p0 + d_lo, row, step, k, side))
+            # t_on - (S[hi] - S[lo]), rows broadcast when the cells stay put
+            np.subtract(t_on[row:row + (k if step else 1)], trunc, out=trunc)
+            a = np.arange(p0, p1)
+            first = row + step * np.arange(k)     # cell of column 0, per anchor
+            stat[p0 - a0:p1 - a0] = _row_oscillation(
+                trunc, np.maximum(a, 0) - first,
+                np.minimum(a + side, n) - first, exact_cap)
         np.maximum(osc, sliding_window_view(stat, side).max(axis=-1), out=osc)
     return cells[:, None], t_vals, ms, osc
+
+
+def _row_oscillation(x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                     exact_cap: int) -> np.ndarray:
+    """``oscillation(x[i, lo[i]:hi[i]])`` for every row of a C-contiguous
+    2D array, each slice non-empty."""
+    if np.iscomplexobj(x):
+        return np.array([oscillation(r[l:h], exact_cap)
+                         for r, l, h in zip(x, lo, hi)])
+    # one reduceat over the flat rows: even segments are the slices, odd
+    # ones span the gaps between them
+    base = np.arange(len(x)) * x.shape[1]
+    idx = np.empty(2 * len(x), dtype=np.intp)
+    idx[0::2] = base + lo
+    idx[1::2] = base + hi
+    idx = idx[:-1] if idx[-1] == x.size else idx
+    flat = x.ravel()
+    return (np.maximum.reduceat(flat, idx)[::2]
+            - np.minimum.reduceat(flat, idx)[::2])
 
 
 def _node_stats_2d(rt: RestrictedTransform, f: GridFunction, cube: Cube,
@@ -266,10 +309,16 @@ def _node_stats_2d(rt: RestrictedTransform, f: GridFunction, cube: Cube,
     m = cube.side
     g0, g1 = np.meshgrid(np.arange(q0l, q0h), np.arange(q1l, q1h), indexing="ij")
     cells = np.stack([g0.ravel(), g1.ravel()], axis=-1)
-    rows_flat = cells[:, 0] * n + cells[:, 1]
     (b0l, b0h), (b1l, b1h) = qs.bounds()
 
-    t_vals = np.abs(rt.apply_box(rows_flat, ((b0l, b0h), (b1l, b1h))))
+    # T(f char_{Q+}) once per node on the cells that side-`big` oscillation
+    # cubes reach: big - 1 past the node on each side of each axis
+    big = max(1, (m + 1) // 2)
+    e0 = np.clip(np.arange(q0l - big + 1, q0h + big - 1), 0, n - 1)
+    e1 = np.clip(np.arange(q1l - big + 1, q1h + big - 1), 0, n - 1)
+    outer = rt.apply_box(e0[:, None] * n + e1[None, :], ((b0l, b0h), (b1l, b1h)))
+
+    t_vals = np.abs(outer[big - 1:big - 1 + w0, big - 1:big - 1 + w1]).ravel()
 
     sat = f.power_sat(s)
     cm = grid.cell_measure
@@ -290,11 +339,13 @@ def _node_stats_2d(rt: RestrictedTransform, f: GridFunction, cube: Cube,
 
     osc = np.zeros((w0, w1))
     shift = (qs.side // cube.side - 1) // 2
-    for side in range(1, max(1, (m + 1) // 2) + 1):
+    for side in range(1, big + 1):
         a0 = np.arange(q0l - side + 1, q0h)
         a1 = np.arange(q1l - side + 1, q1h)
         off = np.arange(side)
         big0, big1 = len(a0), len(a1)
+        t_on_all = sliding_window_view(outer, (side, side))[
+            big - side:big - side + big0, big - side:big - side + big1]
         stat = np.empty((big0, big1))
         chunk = max(1, (1 << 21) // max(1, big1 * side * side))
         for i in range(0, big0, chunk):
@@ -304,7 +355,7 @@ def _node_stats_2d(rt: RestrictedTransform, f: GridFunction, cube: Cube,
             c1 = a1b + off[None, None, None, :]
             valid = (c0 >= 0) & (c0 < n) & (c1 >= 0) & (c1 < n)
             rows = np.clip(c0, 0, n - 1) * n + np.clip(c1, 0, n - 1)
-            t_on = rt.apply_box(rows, ((b0l, b0h), (b1l, b1h)))
+            t_on = t_on_all[i:i + chunk]
             bounds = ((np.maximum(a0b - shift * side, b0l),
                        np.minimum(a0b + (shift + 1) * side, b0h)),
                       (np.maximum(a1b - shift * side, b1l),

@@ -7,6 +7,7 @@ subprocess.  File outputs are held to byte-level determinism.
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -21,6 +22,7 @@ from sparsedom import (
     build_sparse_domination,
     make_kernel,
 )
+import sparsedom
 from sparsedom import cli
 from sparsedom.errors import ConfigError
 from sparsedom.inputs import make_input
@@ -156,6 +158,80 @@ def test_verify_rejects_grid_mismatch(tmp_path):
     assert cli.main(["verify", "--config", other, "--out", str(out)]) == 2
 
 
+def _set_runs(runs, count):
+    def mutate(doc):
+        doc["entries"][0]["witness"].update(runs=runs, count=count)
+    return mutate
+
+
+def _delete(*path):
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+    return mutate
+
+
+def _replace(value, *path):
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return mutate
+
+
+# Every case keeps the stored witness count consistent with the runs, so
+# only the run checks can reject the first five.  Witness boxes of the
+# 32-cell run below hold 16 cells; a start of -5 used to read cells 11-13.
+MALFORMED_FAMILIES = {
+    "negative_run": _set_runs([[-5, 3]], 3),
+    "empty_run": _set_runs([[0, 4], [6, 0]], 4),
+    "run_outside_box": _set_runs([[14, 5]], 2),
+    "unsorted_runs": _set_runs([[10, 2], [0, 2]], 4),
+    "overlapping_runs": _set_runs([[0, 4], [2, 4]], 6),
+    "missing_entry_key": _delete("entries", 0, "depth"),
+    "missing_witness": _delete("entries", 0, "witness"),
+    "missing_constant": _delete("constant"),
+    "side_as_string": _replace("16", "entries", 0, "side"),
+    "runs_not_pairs": _replace([[1, 2, 3]], "entries", 0, "witness", "runs"),
+    "run_start_float": _replace([[0.5, 2]], "entries", 0, "witness", "runs"),
+    "coefficient_null": _replace(None, "entries", 0, "coefficient"),
+    "grid_dim_three": _replace(3, "grid", "dim"),
+    "anchor_dim_mismatch": _replace([0, 0], "entries", 0, "anchor"),
+    "entries_not_list": _replace({"0": 1}, "entries"),
+    "wrong_format": _replace(2, "format"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FAMILIES))
+def test_verify_rejects_malformed_family(tmp_path, capsys, case):
+    cfg = write_config(tmp_path, grid={"dim": 1, "cells_per_side": 32})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+    doc = read_json(out / "family.json")
+    assert doc["entries"][0]["witness"]["side"] == 16
+    MALFORMED_FAMILIES[case](doc)
+    with pytest.raises(ConfigError):
+        cli.family_from_dict(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", "--config", cfg, "--out", str(out),
+                     "--family", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_verify_rejects_non_object_family(tmp_path):
+    cfg = write_config(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1, 2]")
+    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--family", str(bad)]) == 2
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -286,9 +362,14 @@ def test_exit_code_mapping():
 
 def test_console_script_runs(tmp_path):
     cfg = write_config(tmp_path, grid={"dim": 1, "cells_per_side": 32})
+    # the child imports the same package as this process, wherever pytest
+    # found it (PYTHONPATH or the pythonpath setting in pyproject.toml)
+    src = os.path.dirname(os.path.dirname(sparsedom.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-m", "sparsedom.cli", "run", "--config", cfg,
          "--out", str(tmp_path / "out")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert "domination: PASS" in proc.stdout
