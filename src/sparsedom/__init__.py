@@ -32,17 +32,10 @@ from .grid import (
     dyadic_children,
     orlicz_avg,
 )
-from .maximal import (
-    CubeSweepPolicy,
-    grand_truncated,
-    hl_maximal,
-    oscillation,
-    sharp_truncated,
-)
+from .maximal import hl_maximal, oscillation, sharp_truncated
 from .operators import (
     HormanderEstimate,
     Kernel,
-    ModulationFamily,
     RestrictedTransform,
     apply_restricted,
     dini_constant,
@@ -50,7 +43,6 @@ from .operators import (
     hormander_constant,
     kernel_names,
     make_kernel,
-    maximally_modulated,
     transpose_kernel,
 )
 from .sparse import (
@@ -63,9 +55,7 @@ from .sparse import (
     SparseFamily,
     build_sparse_domination,
     constant_from_records,
-    exceptional_set,
     local_cz_decomposition,
-    local_sparse_family,
     partition_cover,
     support_box,
 )

@@ -9,6 +9,8 @@ per side.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from .errors import DegenerateInputError, ParameterError
@@ -84,14 +86,20 @@ def make_input(grid: Grid, kind: str = "random", seed: int = 0,
 def load_input(path: str, grid: Grid) -> GridFunction:
     """Read cell values from a ``.npy`` array or a JSON nested list.
 
-    The array shape must match the grid window exactly.
+    The array shape must match the grid window exactly.  A file that does
+    not decode to a numeric array raises DegenerateInputError.
     """
-    if path.endswith(".npy"):
-        arr = np.load(path)
-    else:
-        import json
-        with open(path) as fh:
-            arr = np.asarray(json.load(fh), dtype=np.float64)
+    try:
+        if path.endswith(".npy"):
+            arr = np.load(path)
+        else:
+            with open(path) as fh:
+                arr = np.asarray(json.load(fh), dtype=np.float64)
+    except (ValueError, TypeError, EOFError) as exc:
+        raise DegenerateInputError(f"cannot read input file {path}: {exc}") from exc
+    if arr.dtype.kind not in "biufc":
+        raise DegenerateInputError(
+            f"input file {path} holds non-numeric values of type {arr.dtype}")
     if arr.shape != grid.shape:
         raise DegenerateInputError(
             f"input file shape {arr.shape} does not match grid shape {grid.shape}")

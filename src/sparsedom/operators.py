@@ -11,9 +11,10 @@ skipped.  ``RestrictedTransform`` precomputes per-target prefix sums, read
 in two ways: ``apply_box`` gathers one table difference per (target, box)
 query, and in 1D ``prefix_windows`` hands out strided views of the table,
 so that a sweep reads whole families of truncated transforms with no
-per-query gather and no copy of the table.  The sweep engines in
-:mod:`sparsedom.maximal` and the construction in :mod:`sparsedom.sparse`
-are built on top of it.
+per-query gather and no copy of the table.  The two cube-sweep engines
+of :mod:`sparsedom.maximal`, which the construction in
+:mod:`sparsedom.sparse` and the maximal functions share, read it in both
+ways.
 """
 
 from __future__ import annotations
@@ -29,11 +30,9 @@ from .grid import CellSet, Cube, Grid, GridFunction
 
 __all__ = [
     "Kernel",
-    "ModulationFamily",
     "RestrictedTransform",
     "apply_restricted",
     "transpose_kernel",
-    "maximally_modulated",
     "dini_constant",
     "dini_profile",
     "HormanderEstimate",
@@ -79,29 +78,6 @@ def transpose_kernel(kernel: Kernel) -> Kernel:
         modulus=None,
         hormander_r=None,
     )
-
-
-@dataclass(frozen=True)
-class ModulationFamily:
-    """Finite family of linear phases ``y -> exp(2 pi i xi . y)``."""
-
-    frequencies: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self) -> None:
-        freqs = tuple(
-            tuple(float(c) for c in (xi if isinstance(xi, (tuple, list, np.ndarray)) else (xi,)))
-            for xi in self.frequencies
-        )
-        if not freqs:
-            raise ParameterError("modulation family must contain at least one frequency")
-        dims = {len(xi) for xi in freqs}
-        if len(dims) != 1:
-            raise ParameterError("all frequencies must share one dimension")
-        object.__setattr__(self, "frequencies", freqs)
-
-    @property
-    def dim(self) -> int:
-        return len(self.frequencies[0])
 
 
 # ---------------------------------------------------------------------------
@@ -171,23 +147,6 @@ def apply_restricted(kernel: Kernel, f: GridFunction,
     return GridFunction(grid, out)
 
 
-def maximally_modulated(kernel: Kernel, f: GridFunction, family: ModulationFamily,
-                        targets: CellSet | Cube | None = None,
-                        source: CellSet | Cube | None = None) -> GridFunction:
-    """Pointwise max over the family of |T(modulated f)| on the targets."""
-    grid = f.grid
-    if family.dim != grid.dim:
-        raise ParameterError("modulation family dimension does not match grid")
-    centers = grid.cell_centers().reshape(grid.shape + (grid.dim,))
-    best = np.zeros(grid.shape)
-    for xi in family.frequencies:
-        phase = np.exp(2j * np.pi * np.tensordot(centers, np.asarray(xi), axes=([-1], [0])))
-        g = GridFunction(grid, f.values * phase)
-        out = apply_restricted(kernel, g, targets, source)
-        np.maximum(best, np.abs(out.values), out=best)
-    return GridFunction(grid, best)
-
-
 # ---------------------------------------------------------------------------
 # prefix-sum accelerated transform
 
@@ -199,8 +158,8 @@ class RestrictedTransform:
     that ``T(f char_B)(x)`` for any axis-aligned box ``B`` is a difference
     of table entries.  ``apply_box`` gathers those entries per query, at
     O(1) each.  In 1D, ``prefix_windows`` returns a read-only strided view
-    of ``S`` whose rows follow a box that moves with its anchor; the
-    oscillation sweep of :mod:`sparsedom.sparse` reads all of a node's
+    of ``S`` whose rows follow a box that moves with its anchor; the 1D
+    oscillation sweep of :mod:`sparsedom.maximal` reads all of its
     truncated transforms through such views, so it does no per-query
     gathers; its scratch is one (anchors x side) array of differences at a
     time, never a copy of the table.  Table memory is quadratic in the
@@ -473,9 +432,15 @@ def _make_holder_fn(delta: float, scale: float):
 
 def _log_wiggle(a: np.ndarray, k_terms: int = 40) -> np.ndarray:
     """Slowly oscillating sum with modulus ~ (1 + log(1/t))**-2 in its argument."""
+    # one scratch array for every term: three fresh temporaries per term
+    # made the kernel's cost depend on how the allocator's heap was left
     out = np.zeros_like(a, dtype=np.float64)
+    term = np.empty_like(out)
     for k in range(1, k_terms + 1):
-        out += np.sin((2.0**k) * a) / k**3
+        np.multiply(2.0**k, a, out=term)
+        np.sin(term, out=term)
+        term /= k**3
+        out += term
     return out
 
 

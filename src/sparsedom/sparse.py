@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     AlignmentError,
@@ -43,7 +42,7 @@ from .errors import (
     ParameterError,
 )
 from .grid import CellSet, Cube, Grid, GridFunction, avg_p, dilate, dyadic_children
-from .maximal import oscillation
+from .maximal import _oscillation_sweep, _power_average_sweep
 from .operators import Kernel, RestrictedTransform
 
 __all__ = [
@@ -54,9 +53,7 @@ __all__ = [
     "NodeRecord",
     "ConstantLedger",
     "DominationResult",
-    "exceptional_set",
     "local_cz_decomposition",
-    "local_sparse_family",
     "partition_cover",
     "build_sparse_domination",
     "support_box",
@@ -83,7 +80,6 @@ class PipelineConfig:
     a_fixed: float | None = None
     max_depth: int | None = None
     support: Cube | None = None
-    exact_cap: int = 4096
 
     def __post_init__(self) -> None:
         if self.alpha < 3 or self.alpha % 2 == 0:
@@ -212,168 +208,27 @@ class DominationResult:
 # ---------------------------------------------------------------------------
 # node statistics
 
-def _node_stats_1d(rt: RestrictedTransform, f: GridFunction, cube: Cube,
-                   qs: Cube, s: float, exact_cap: int):
+def _window_cells(clip) -> np.ndarray:
+    """Integer coordinates (k, dim) of the cells in per-axis bounds, row-major."""
+    axes = np.meshgrid(*[np.arange(lo, hi) for lo, hi in clip], indexing="ij")
+    return np.stack([a.ravel() for a in axes], axis=-1)
+
+
+def _node_stats(rt: RestrictedTransform, f: GridFunction, cube: Cube, qs: Cube,
+                s: float):
+    """Cells of the node's window part and, per cell, |T(f char_{Q+})| and
+    the power-average and oscillation maximal functions of f char_{Q+}."""
     grid = f.grid
-    n = grid.cells_per_side
-    (qlo, qhi), = cube.window_clip(grid)
-    w = qhi - qlo
-    m = cube.side
-    cells = np.arange(qlo, qhi)
-    (qs_lo, qs_hi), = qs.bounds()
-
-    outer = rt.apply_box(np.arange(n), ((qs_lo, qs_hi),))   # T(f char_{Q+})
-    t_vals = np.abs(outer[qlo:qhi])
-
-    sat = f.power_sat(s)
-    cm = grid.cell_measure
-    hw = grid.cell_width
-    ms = np.zeros(w)
-    for side in range(1, qs.side // 2 + qs.side % 2 + 1):
-        a = np.arange(qlo - side + 1, qhi)
-        lo = np.clip(np.maximum(a, qs_lo), 0, n)
-        hi = np.clip(np.minimum(a + side, qs_hi), 0, n)
-        hi = np.maximum(lo, hi)
-        avgs = ((sat[hi] - sat[lo]) * cm / (side * hw)) ** (1.0 / s)
-        np.maximum(ms, sliding_window_view(avgs, side).max(axis=-1), out=ms)
-
-    # The anchor-a window of each side truncates Q+ to [a + d_lo, a + d_hi),
-    # and each bound reads prefix-table column clip(a + d, c_lo, c_hi), the
-    # bounds of Q+ clipped to the window as apply_box clips them.  Cut the
-    # anchors where a clip starts or stops binding and where windows start
-    # or stop sticking out of the grid.  On each piece every bound column is
-    # constant or moves one per anchor, so the windows of S[., lo(a)] and
-    # S[., hi(a)] are strided views of the table.  A window that sticks out
-    # reads the side cells at that edge of the grid instead, of which the
-    # cells in [a, a + side) are its own.  Cover cubes have sides under 2n,
-    # so no window is wider than the grid.
-    c_lo, c_hi = (int(c) for c in np.clip((qs_lo, qs_hi), 0, n))
-
-    def bound(c: int, row: int, step: int, k: int, side: int) -> np.ndarray:
-        return rt.prefix_windows(row, step, min(max(c, c_lo), c_hi),
-                                 int(c_lo <= c <= c_hi), k, side)
-
-    osc = np.zeros(w)
-    shift = (qs.side // cube.side - 1) // 2
-    for side in range(1, max(1, (m + 1) // 2) + 1):
-        a0 = qlo - side + 1
-        d_lo, d_hi = -shift * side, (shift + 1) * side
-        cuts = sorted({a0, qhi} | {c for c in (0, n - side + 1, c_lo - d_lo,
-                                               c_hi - d_lo + 1, c_lo - d_hi,
-                                               c_hi - d_hi + 1)
-                                   if a0 < c < qhi})
-        t_on = sliding_window_view(outer, side)
-        stat = np.empty(qhi - a0)
-        for p0, p1 in zip(cuts[:-1], cuts[1:]):
-            k = p1 - p0
-            step = int(0 <= p0 <= n - side)
-            row = min(max(p0, 0), n - side)
-            trunc = (bound(p0 + d_hi, row, step, k, side)
-                     - bound(p0 + d_lo, row, step, k, side))
-            # t_on - (S[hi] - S[lo]), rows broadcast when the cells stay put
-            np.subtract(t_on[row:row + (k if step else 1)], trunc, out=trunc)
-            a = np.arange(p0, p1)
-            first = row + step * np.arange(k)     # cell of column 0, per anchor
-            stat[p0 - a0:p1 - a0] = _row_oscillation(
-                trunc, np.maximum(a, 0) - first,
-                np.minimum(a + side, n) - first, exact_cap)
-        np.maximum(osc, sliding_window_view(stat, side).max(axis=-1), out=osc)
-    return cells[:, None], t_vals, ms, osc
-
-
-def _row_oscillation(x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                     exact_cap: int) -> np.ndarray:
-    """``oscillation(x[i, lo[i]:hi[i]])`` for every row of a C-contiguous
-    2D array, each slice non-empty."""
-    if np.iscomplexobj(x):
-        return np.array([oscillation(r[l:h], exact_cap)
-                         for r, l, h in zip(x, lo, hi)])
-    # one reduceat over the flat rows: even segments are the slices, odd
-    # ones span the gaps between them
-    base = np.arange(len(x)) * x.shape[1]
-    idx = np.empty(2 * len(x), dtype=np.intp)
-    idx[0::2] = base + lo
-    idx[1::2] = base + hi
-    idx = idx[:-1] if idx[-1] == x.size else idx
-    flat = x.ravel()
-    return (np.maximum.reduceat(flat, idx)[::2]
-            - np.minimum.reduceat(flat, idx)[::2])
-
-
-def _node_stats_2d(rt: RestrictedTransform, f: GridFunction, cube: Cube,
-                   qs: Cube, s: float, exact_cap: int):
-    grid = f.grid
-    n = grid.cells_per_side
-    (q0l, q0h), (q1l, q1h) = cube.window_clip(grid)
-    w0, w1 = q0h - q0l, q1h - q1l
-    m = cube.side
-    g0, g1 = np.meshgrid(np.arange(q0l, q0h), np.arange(q1l, q1h), indexing="ij")
-    cells = np.stack([g0.ravel(), g1.ravel()], axis=-1)
-    (b0l, b0h), (b1l, b1h) = qs.bounds()
-
-    # T(f char_{Q+}) once per node on the cells that side-`big` oscillation
-    # cubes reach: big - 1 past the node on each side of each axis
-    big = max(1, (m + 1) // 2)
-    e0 = np.clip(np.arange(q0l - big + 1, q0h + big - 1), 0, n - 1)
-    e1 = np.clip(np.arange(q1l - big + 1, q1h + big - 1), 0, n - 1)
-    outer = rt.apply_box(e0[:, None] * n + e1[None, :], ((b0l, b0h), (b1l, b1h)))
-
-    t_vals = np.abs(outer[big - 1:big - 1 + w0, big - 1:big - 1 + w1]).ravel()
-
-    sat = f.power_sat(s)
-    cm = grid.cell_measure
-    hw = grid.cell_width
-    ms = np.zeros((w0, w1))
-    for side in range(1, qs.side // 2 + qs.side % 2 + 1):
-        a0 = np.arange(q0l - side + 1, q0h)
-        a1 = np.arange(q1l - side + 1, q1h)
-        lo0 = np.clip(np.maximum(a0, b0l), 0, n)
-        hi0 = np.maximum(lo0, np.clip(np.minimum(a0 + side, b0h), 0, n))
-        lo1 = np.clip(np.maximum(a1, b1l), 0, n)
-        hi1 = np.maximum(lo1, np.clip(np.minimum(a1 + side, b1h), 0, n))
-        sums = (sat[hi0[:, None], hi1[None, :]] - sat[lo0[:, None], hi1[None, :]]
-                - sat[hi0[:, None], lo1[None, :]] + sat[lo0[:, None], lo1[None, :]])
-        avgs = (sums * cm / (side * hw) ** 2) ** (1.0 / s)
-        tmp = sliding_window_view(avgs, side, axis=0).max(axis=-1)
-        np.maximum(ms, sliding_window_view(tmp, side, axis=1).max(axis=-1), out=ms)
-
-    osc = np.zeros((w0, w1))
-    shift = (qs.side // cube.side - 1) // 2
-    for side in range(1, big + 1):
-        a0 = np.arange(q0l - side + 1, q0h)
-        a1 = np.arange(q1l - side + 1, q1h)
-        off = np.arange(side)
-        big0, big1 = len(a0), len(a1)
-        t_on_all = sliding_window_view(outer, (side, side))[
-            big - side:big - side + big0, big - side:big - side + big1]
-        stat = np.empty((big0, big1))
-        chunk = max(1, (1 << 21) // max(1, big1 * side * side))
-        for i in range(0, big0, chunk):
-            a0b = a0[i:i + chunk][:, None, None, None]
-            a1b = a1[None, :, None, None]
-            c0 = a0b + off[None, None, :, None]
-            c1 = a1b + off[None, None, None, :]
-            valid = (c0 >= 0) & (c0 < n) & (c1 >= 0) & (c1 < n)
-            rows = np.clip(c0, 0, n - 1) * n + np.clip(c1, 0, n - 1)
-            t_on = t_on_all[i:i + chunk]
-            bounds = ((np.maximum(a0b - shift * side, b0l),
-                       np.minimum(a0b + (shift + 1) * side, b0h)),
-                      (np.maximum(a1b - shift * side, b1l),
-                       np.minimum(a1b + (shift + 1) * side, b1h)))
-            trunc = t_on - rt.apply_box(rows, bounds)
-            if np.iscomplexobj(trunc):
-                k = side * side
-                stat[i:i + chunk] = np.array([
-                    oscillation(tv[vm], exact_cap)
-                    for tv, vm in zip(trunc.reshape(-1, k), valid.reshape(-1, k))
-                ]).reshape(trunc.shape[:2])
-            else:
-                stat[i:i + chunk] = (
-                    np.where(valid, trunc, -np.inf).max(axis=(2, 3))
-                    - np.where(valid, trunc, np.inf).min(axis=(2, 3)))
-        tmp = sliding_window_view(stat, side, axis=0).max(axis=-1)
-        np.maximum(osc, sliding_window_view(tmp, side, axis=1).max(axis=-1), out=osc)
-    return cells, t_vals, ms.ravel(), osc.ravel()
+    clip = cube.window_clip(grid)
+    box = qs.window_clip(grid)
+    outer = rt.apply_box(np.arange(grid.n_cells), box).reshape(grid.shape)
+    t_vals = np.abs(outer[tuple(slice(lo, hi) for lo, hi in clip)]).ravel()
+    ms = _power_average_sweep(f, s, clip, box,
+                              range(1, qs.side // 2 + qs.side % 2 + 1))
+    osc = _oscillation_sweep(rt, outer, clip, box,
+                             range(1, max(1, (cube.side + 1) // 2) + 1),
+                             (qs.side // cube.side - 1) // 2)
+    return _window_cells(clip), t_vals, ms.ravel(), osc.ravel()
 
 
 def _order_threshold(vals: np.ndarray, k: int) -> float:
@@ -389,11 +244,21 @@ def _order_threshold(vals: np.ndarray, k: int) -> float:
 
 
 def _exceptional(rt: RestrictedTransform, f: GridFunction, cube: Cube,
-                 alpha: int, s: float, mode: str, c_fixed, a_fixed,
-                 exact_cap: int) -> ExceptionalSet:
+                 cfg: PipelineConfig) -> ExceptionalSet:
+    """Exceptional cells of one node cube.
+
+    A window cell of ``cube`` is exceptional when its transform value,
+    truncated power-average maximal value, or truncated oscillation
+    maximal value (all computed from ``f`` restricted to the alpha
+    dilation) strictly exceeds the corresponding threshold.  In quantile
+    mode the thresholds are per-statistic order statistics sized so the
+    exceptional set covers at most ``1/2**(dim+2)`` of the cube's cells;
+    in fixed mode they are ``c_fixed`` (power average) and ``a_fixed``
+    (transform and oscillation) times the node average.
+    """
     grid = f.grid
-    qs = dilate(cube, alpha)
-    avg = avg_p(f, qs, s)
+    qs = dilate(cube, cfg.alpha)
+    avg = avg_p(f, qs, cfg.s)
     flags: list[str] = []
     clip = cube.window_clip(grid)
     empty = CellSet.empty(grid)
@@ -406,23 +271,21 @@ def _exceptional(rt: RestrictedTransform, f: GridFunction, cube: Cube,
                               cube.cell_count // (3 * 2 ** (grid.dim + 2)),
                               (0, 0, 0), tuple(flags), empty)
 
-    stats = (_node_stats_1d if grid.dim == 1 else _node_stats_2d)(
-        rt, f, cube, qs, s, exact_cap)
-    cells, t_vals, ms_vals, osc_vals = stats
+    cells, t_vals, ms_vals, osc_vals = _node_stats(rt, f, cube, qs, cfg.s)
     allowed = cube.cell_count // (3 * 2 ** (grid.dim + 2))
-    if mode == "quantile":
+    if cfg.mode == "quantile":
         tau_t = _order_threshold(t_vals, allowed)
         tau_ms = _order_threshold(ms_vals, allowed)
         tau_osc = _order_threshold(osc_vals, allowed)
     else:
-        tau_ms = c_fixed * avg
-        tau_t = a_fixed * avg
-        tau_osc = a_fixed * avg
+        tau_ms = cfg.c_fixed * avg
+        tau_t = cfg.a_fixed * avg
+        tau_osc = cfg.a_fixed * avg
     ex_t = t_vals > tau_t
     ex_ms = ms_vals > tau_ms
     ex_osc = osc_vals > tau_osc
     union = ex_t | ex_ms | ex_osc
-    if mode == "fixed" and int(union.sum()) * 2 ** (grid.dim + 2) > cube.cell_count:
+    if cfg.mode == "fixed" and int(union.sum()) * 2 ** (grid.dim + 2) > cube.cell_count:
         flags.append("measure_violation")
 
     omega_mask = np.zeros(grid.shape, dtype=bool)
@@ -446,32 +309,6 @@ def _exceptional(rt: RestrictedTransform, f: GridFunction, cube: Cube,
         flags=tuple(flags),
         t_exceed=CellSet.from_window_mask(grid, t_mask),
     )
-
-
-def exceptional_set(kernel: Kernel, f: GridFunction, cube: Cube, alpha: int = 3,
-                    s: float = 1.0, mode: str = "quantile",
-                    c: float | None = None, a: float | None = None,
-                    transform: RestrictedTransform | None = None,
-                    exact_cap: int = 4096) -> ExceptionalSet:
-    """Exceptional cells of one node cube.
-
-    A window cell of ``cube`` is exceptional when its transform value,
-    truncated power-average maximal value, or truncated oscillation
-    maximal value (all computed from ``f`` restricted to the alpha
-    dilation) strictly exceeds the corresponding threshold.  In quantile
-    mode the thresholds are per-statistic order statistics sized so the
-    exceptional set covers at most ``1/2**(dim+2)`` of the cube's cells;
-    in fixed mode pass threshold-to-average ratios ``c`` (power average)
-    and ``a`` (transform and oscillation).
-    """
-    if alpha < 3 or alpha % 2 == 0:
-        raise ParameterError(f"alpha must be odd and >= 3, got {alpha}")
-    if mode not in ("quantile", "fixed"):
-        raise ParameterError(f"mode must be 'quantile' or 'fixed', got {mode!r}")
-    if mode == "fixed" and (c is None or a is None or c <= 0 or a <= 0):
-        raise ParameterError("fixed mode needs positive c and a")
-    rt = transform if transform is not None else RestrictedTransform(kernel, f)
-    return _exceptional(rt, f, cube, alpha, s, mode, c, a, exact_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -564,18 +401,10 @@ def _edge_direct(rt: RestrictedTransform, parent_dil: Cube, child_dil: Cube,
     clip = child.window_clip(grid)
     if clip is None:
         return 0.0
-    if grid.dim == 1:
-        (lo, hi), = clip
-        rows = np.arange(lo, hi)
-        outer = rt.apply_box(rows, parent_dil.bounds())
-        inner_b = child_dil.clip(parent_dil)
-        inner = rt.apply_box(rows, inner_b) if inner_b else 0.0
-    else:
-        g0, g1 = np.meshgrid(*[np.arange(lo, hi) for lo, hi in clip], indexing="ij")
-        rows = (g0 * grid.cells_per_side + g1).ravel()
-        outer = rt.apply_box(rows, parent_dil.bounds())
-        inner_b = child_dil.clip(parent_dil)
-        inner = rt.apply_box(rows, inner_b) if inner_b else 0.0
+    rows = rt.row_index(_window_cells(clip))
+    outer = rt.apply_box(rows, parent_dil.bounds())
+    inner_b = child_dil.clip(parent_dil)
+    inner = rt.apply_box(rows, inner_b) if inner_b else 0.0
     resid = float(np.abs(outer - inner).max())
     if avg > 0:
         return resid / avg
@@ -595,8 +424,7 @@ def _build_node(rt: RestrictedTransform, f: GridFunction, q: Cube, depth: int,
                 cfg: PipelineConfig, entries: list[SparseEntry],
                 records: list[NodeRecord]) -> NodeInfo:
     grid = f.grid
-    exc = _exceptional(rt, f, q, cfg.alpha, cfg.s, cfg.mode,
-                       cfg.c_fixed, cfg.a_fixed, cfg.exact_cap)
+    exc = _exceptional(rt, f, q, cfg)
     flags = list(exc.flags)
     children: list[Cube] = []
     if not exc.omega.is_empty():
@@ -643,26 +471,6 @@ def _build_node(rt: RestrictedTransform, f: GridFunction, q: Cube, depth: int,
             "coefficient": min(kappa, analytic),
         })
     return NodeInfo(a_ratio=exc.a_ratio, avg=exc.avg, t_exceed=exc.t_exceed)
-
-
-def local_sparse_family(kernel: Kernel, f: GridFunction, cube: Cube,
-                        config: PipelineConfig | None = None,
-                        transform: RestrictedTransform | None = None,
-                        ) -> tuple[list[SparseEntry], list[NodeRecord]]:
-    """Sparse entries of the recursion tree rooted at one cube.
-
-    The root must have a power-of-two side.  Witnesses of the returned
-    entries are pairwise disjoint and each holds at least half of its base
-    cube's cells.
-    """
-    cfg = config or PipelineConfig()
-    if cube.side & (cube.side - 1):
-        raise AlignmentError(f"root cube side must be a power of two, got {cube.side}")
-    rt = transform if transform is not None else RestrictedTransform(kernel, f)
-    entries: list[SparseEntry] = []
-    records: list[NodeRecord] = []
-    _build_node(rt, f, cube, 0, cfg, entries, records)
-    return entries, records
 
 
 def constant_from_records(records: list[NodeRecord]) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ParameterError, UndefinedRatioError
 from .grid import CellSet, Cube, Grid, GridFunction, avg_p
-from .maximal import CubeSweepPolicy, hl_maximal, sharp_truncated
+from .maximal import hl_maximal, sharp_truncated
 from .operators import Kernel, RestrictedTransform, apply_restricted, transpose_kernel
 from .sparse import SparseFamily
 
@@ -203,8 +203,7 @@ def sparse_lp_ratio(family: SparseFamily, f: GridFunction, r: float = 1.0,
 
 
 def wq_profile(kernel: Kernel, f: GridFunction, cube: Cube, q: float = 1.0,
-               lambdas: tuple = tuple(2.0**-j for j in range(1, 9)),
-               transform: RestrictedTransform | None = None) -> dict:
+               lambdas: tuple = tuple(2.0**-j for j in range(1, 9))) -> dict:
     """Weak-threshold profile of the restricted transform on one cube.
 
     For each level fraction ``lam``, psi(lam) is the
@@ -222,7 +221,7 @@ def wq_profile(kernel: Kernel, f: GridFunction, cube: Cube, q: float = 1.0,
     if avg == 0.0 or clip is None:
         return {"lambdas": list(lambdas), "psi": [0.0] * len(lambdas),
                 "avg": avg, "degenerate": True}
-    rt = transform if transform is not None else RestrictedTransform(kernel, f)
+    rt = RestrictedTransform(kernel, f)
     axes = np.meshgrid(*[np.arange(lo, hi) for lo, hi in clip], indexing="ij")
     cells = np.stack([a.ravel() for a in axes], axis=-1)
     tvals = np.abs(rt.apply_box(rt.row_index(cells), cube.bounds()))
@@ -272,8 +271,7 @@ def t1_testing_probe(kernel: Kernel, grid: Grid, cube: Cube | None = None,
 
 
 def sharp_vs_maximal(kernel: Kernel, f: GridFunction, rp: float = 1.0,
-                     alpha: int = 3,
-                     policy: CubeSweepPolicy | None = None) -> float:
+                     alpha: int = 3) -> float:
     """Largest cell ratio of the truncated-oscillation maximal function to
     the rp-power maximal function.
 
@@ -281,8 +279,8 @@ def sharp_vs_maximal(kernel: Kernel, f: GridFunction, rp: float = 1.0,
     negligible there; a substantial numerator over a vanishing denominator,
     or no usable cell at all, raises UndefinedRatioError.
     """
-    num = sharp_truncated(kernel, f, alpha=alpha, policy=policy).values
-    den = hl_maximal(f, rp, policy=policy).values
+    num = sharp_truncated(kernel, f, alpha=alpha).values
+    den = hl_maximal(f, rp).values
     usable = den > 0
     if np.any(~usable & (num > 1e-10)):
         cell = np.argwhere(~usable & (num > 1e-10))[0]

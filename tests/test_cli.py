@@ -232,6 +232,26 @@ def test_verify_rejects_non_object_family(tmp_path):
                      "--family", str(bad)]) == 2
 
 
+MALFORMED_INPUTS = {
+    "strings.json": lambda path: path.write_text('[["a", "b"]]'),
+    "truncated.json": lambda path: path.write_text("[1, 2"),
+    "bad.npy": lambda path: path.write_text("not an array"),
+    "text.npy": lambda path: np.save(path, np.array(["a", "b"])),
+    "empty.npy": lambda path: path.write_bytes(b""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_INPUTS))
+def test_run_rejects_malformed_input_file(tmp_path, capsys, name):
+    path = tmp_path / name
+    MALFORMED_INPUTS[name](path)
+    cfg = write_config(tmp_path, grid={"dim": 1, "cells_per_side": 2},
+                       input={"path": str(path)})
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

@@ -1,38 +1,40 @@
-"""Cube-sweep maximal functions against brute-force references."""
+"""Cube-sweep maximal functions against brute-force and gather-based
+references."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from sparsedom import (
     CellSet,
     Cube,
-    CubeSweepPolicy,
     Grid,
     GridFunction,
     ParameterError,
+    RestrictedTransform,
     apply_restricted,
     avg_p,
-    grand_truncated,
     hl_maximal,
     make_kernel,
     oscillation,
     sharp_truncated,
 )
+from sparsedom.inputs import INPUT_KINDS, make_input
+from sparsedom.maximal import _power_average_sweep
 
 
 def rng(seed):
     return np.random.Generator(np.random.Philox(seed))
 
 
-def all_cubes(grid, policy):
+def all_cubes(grid, sides=None):
+    """Every lattice cube of the given sides (default: all) that meets the
+    window."""
     n = grid.cells_per_side
-    for m in policy.sides(grid):
-        lo = 1 - m if policy.include_outside else 0
-        hi = n - 1 if policy.include_outside else n - m
-        anchors = [a for a in range(lo, hi + 1)
-                   if m == 1 or policy.stride == 1 or a % policy.stride == 0]
+    for m in sides or range(1, n + 1):
+        anchors = range(1 - m, n)
         if grid.dim == 1:
             for a in anchors:
                 yield Cube((a,), m)
@@ -42,10 +44,10 @@ def all_cubes(grid, policy):
                     yield Cube((a0, a1), m)
 
 
-def loop_hl(f, s, policy):
+def loop_hl(f, s, sides=None):
     grid = f.grid
     out = np.zeros(grid.shape)
-    for q in all_cubes(grid, policy):
+    for q in all_cubes(grid, sides):
         val = avg_p(f, q, s)
         clip = q.window_clip(grid)
         if clip is None:
@@ -55,11 +57,11 @@ def loop_hl(f, s, policy):
     return out
 
 
-def loop_truncated(kernel, f, alpha, policy, statistic):
+def loop_truncated(kernel, f, alpha):
     grid = f.grid
     full = apply_restricted(kernel, f).values
     out = np.zeros(grid.shape)
-    for q in all_cubes(grid, policy):
+    for q in all_cubes(grid):
         clip = q.window_clip(grid)
         if clip is None:
             continue
@@ -69,8 +71,7 @@ def loop_truncated(kernel, f, alpha, policy, statistic):
         trunc = full - inner
         sl = tuple(slice(lo, hi) for lo, hi in clip)
         vals = trunc[sl]
-        stat = oscillation(vals) if statistic == "osc" else float(np.abs(vals).max())
-        np.maximum(out[sl], stat, out=out[sl])
+        np.maximum(out[sl], oscillation(vals), out=out[sl])
     return out
 
 
@@ -95,7 +96,7 @@ def test_hl_matches_loop_1d(seed, s):
     grid = Grid(1, 16)
     f = GridFunction(grid, np.abs(rng(seed).normal(size=grid.shape)))
     got = hl_maximal(f, s).values
-    want = loop_hl(f, s, CubeSweepPolicy())
+    want = loop_hl(f, s)
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -103,22 +104,25 @@ def test_hl_matches_loop_2d():
     grid = Grid(2, 8)
     f = GridFunction(grid, np.abs(rng(5).normal(size=grid.shape)))
     got = hl_maximal(f, 1.0).values
-    want = loop_hl(f, 1.0, CubeSweepPolicy())
+    want = loop_hl(f, 1.0)
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_hl_matches_loop_with_policy():
+    # the node sweep's shape: a cell range, a source box and fewer sides
     grid = Grid(1, 16)
-    f = GridFunction(grid, np.abs(rng(9).normal(size=grid.shape)))
-    pol = CubeSweepPolicy(max_side=5, stride=3, include_outside=False)
-    np.testing.assert_allclose(hl_maximal(f, 1.0, pol).values,
-                               loop_hl(f, 1.0, pol), atol=1e-12)
+    vals = np.abs(rng(9).normal(size=grid.shape))
+    got = _power_average_sweep(GridFunction(grid, vals), 1.0, ((4, 12),),
+                               ((2, 14),), range(1, 6))
+    vals[:2] = vals[14:] = 0.0
+    want = loop_hl(GridFunction(grid, vals), 1.0, range(1, 6))[4:12]
+    np.testing.assert_allclose(got, want, atol=1e-12)
 
 
-def test_hl_dominates_abs_even_with_stride():
+def test_hl_dominates_abs():
     grid = Grid(1, 32)
     f = GridFunction(grid, rng(2).normal(size=grid.shape))
-    out = hl_maximal(f, 1.0, CubeSweepPolicy(stride=8))
+    out = hl_maximal(f, 1.0)
     assert np.all(out.values >= np.abs(f.values) - 1e-14)
 
 
@@ -154,13 +158,15 @@ def test_hl_monotone_in_exponent():
 
 
 def test_hl_monotone_in_sweep():
+    # fewer sides or a smaller source box can only lower the sweep
     grid = Grid(1, 16)
     f = GridFunction(grid, np.abs(rng(6).normal(size=grid.shape)))
-    small = hl_maximal(f, 1.0, CubeSweepPolicy(max_side=4)).values
-    large = hl_maximal(f, 1.0, CubeSweepPolicy(max_side=12)).values
-    inside = hl_maximal(f, 1.0, CubeSweepPolicy(include_outside=False)).values
+    window = grid.window_cube().bounds()
+    small = _power_average_sweep(f, 1.0, window, window, range(1, 5))
+    large = _power_average_sweep(f, 1.0, window, window, range(1, 13))
+    inside = _power_average_sweep(f, 1.0, window, ((3, 11),), range(1, 17))
     full = hl_maximal(f, 1.0).values
-    assert np.all(small <= large + 1e-14)
+    assert np.all(small <= large + 1e-14) and np.all(large <= full + 1e-14)
     assert np.all(inside <= full + 1e-14)
 
 
@@ -178,11 +184,7 @@ def test_weak_type_product_stable_under_refinement():
     assert products[1] == pytest.approx(products[0], rel=0.2)
 
 
-def test_policy_validation():
-    with pytest.raises(ParameterError):
-        CubeSweepPolicy(stride=0)
-    with pytest.raises(ParameterError):
-        CubeSweepPolicy(max_side=0)
+def test_hl_rejects_nonpositive_exponent():
     with pytest.raises(ParameterError):
         hl_maximal(GridFunction(Grid(1, 8), np.ones(8)), s=0.0)
 
@@ -214,16 +216,7 @@ def test_sharp_matches_loop_1d():
     f = GridFunction(grid, rng(7).normal(size=grid.shape))
     k = make_kernel("hilbert")
     got = sharp_truncated(k, f, alpha=3).values
-    want = loop_truncated(k, f, 3, CubeSweepPolicy(), "osc")
-    np.testing.assert_allclose(got, want, atol=1e-10)
-
-
-def test_grand_matches_loop_1d():
-    grid = Grid(1, 16)
-    f = GridFunction(grid, rng(8).normal(size=grid.shape))
-    k = make_kernel("hilbert")
-    got = grand_truncated(k, f, alpha=3).values
-    want = loop_truncated(k, f, 3, CubeSweepPolicy(), "sup")
+    want = loop_truncated(k, f, 3)
     np.testing.assert_allclose(got, want, atol=1e-10)
 
 
@@ -231,9 +224,8 @@ def test_sharp_matches_loop_2d():
     grid = Grid(2, 8)
     f = GridFunction(grid, rng(10).normal(size=grid.shape))
     k = make_kernel("riesz2d")
-    pol = CubeSweepPolicy(max_side=4)
-    got = sharp_truncated(k, f, alpha=3, policy=pol).values
-    want = loop_truncated(k, f, 3, pol, "osc")
+    got = sharp_truncated(k, f, alpha=3).values
+    want = loop_truncated(k, f, 3)
     np.testing.assert_allclose(got, want, atol=1e-10)
 
 
@@ -243,7 +235,7 @@ def test_sharp_complex_matches_loop():
     f = GridFunction(grid, g.normal(size=grid.shape) + 1j * g.normal(size=grid.shape))
     k = make_kernel("hilbert")
     got = sharp_truncated(k, f, alpha=3).values
-    want = loop_truncated(k, f, 3, CubeSweepPolicy(), "osc")
+    want = loop_truncated(k, f, 3)
     np.testing.assert_allclose(got, want, atol=1e-10)
 
 
@@ -254,15 +246,6 @@ def test_sharp_zero_kernel_vanishes():
     np.testing.assert_allclose(out.values, 0.0, atol=1e-15)
 
 
-def test_sharp_at_most_twice_grand_same_alpha():
-    grid = Grid(1, 32)
-    f = GridFunction(grid, rng(13).normal(size=grid.shape))
-    k = make_kernel("hilbert")
-    sharp = sharp_truncated(k, f, alpha=3).values
-    grand = grand_truncated(k, f, alpha=3).values
-    assert np.all(sharp <= 2.0 * grand + 1e-12)
-
-
 def test_sharp_rejects_even_dilation():
     grid = Grid(1, 8)
     f = GridFunction(grid, np.ones(8))
@@ -270,12 +253,147 @@ def test_sharp_rejects_even_dilation():
         sharp_truncated(make_kernel("hilbert"), f, alpha=2)
 
 
-def test_sharp_reuses_supplied_transform():
-    from sparsedom import RestrictedTransform
-    grid = Grid(1, 16)
-    f = GridFunction(grid, rng(14).normal(size=grid.shape))
-    k = make_kernel("hilbert")
-    rt = RestrictedTransform(k, f)
-    a = sharp_truncated(k, f, alpha=3, transform=rt).values
-    b = sharp_truncated(k, f, alpha=3).values
-    np.testing.assert_allclose(a, b, atol=0)
+# ---------------------------------------------------------------------------
+# gather-based references
+#
+# The sweeps once gathered every truncated transform through apply_box, one
+# query per (cell, cube), and every power average by fancy indexing over the
+# full anchor range.  That code is kept here as the reference.  The sweep
+# engines do the same floating-point operations in the same order, so the
+# maximal functions must equal it bitwise.
+
+
+def _anchor_range(n, m):
+    return np.arange(1 - m, n)
+
+
+def _propagate_max(vals, m, grid):
+    if grid.dim == 1:
+        return sliding_window_view(vals, m).max(axis=-1)
+    tmp = sliding_window_view(vals, m, axis=0).max(axis=-1)
+    return sliding_window_view(tmp, m, axis=1).max(axis=-1)
+
+
+def reference_box_avgs(f, s, m):
+    grid = f.grid
+    n = grid.cells_per_side
+    a = _anchor_range(n, m)
+    lo = np.clip(a, 0, n)
+    hi = np.clip(a + m, 0, n)
+    sat = f.power_sat(s)
+    if grid.dim == 1:
+        sums = sat[hi] - sat[lo]
+    else:
+        sums = (sat[hi[:, None], hi[None, :]] - sat[lo[:, None], hi[None, :]]
+                - sat[hi[:, None], lo[None, :]] + sat[lo[:, None], lo[None, :]])
+    integrals = sums * grid.cell_measure
+    return (integrals / (m * grid.cell_width) ** grid.dim) ** (1.0 / s)
+
+
+def reference_hl(f, s):
+    grid = f.grid
+    out = np.full(grid.shape, -np.inf)
+    for m in range(1, grid.cells_per_side + 1):
+        np.maximum(out, _propagate_max(reference_box_avgs(f, s, m), m, grid), out=out)
+    return out
+
+
+def _osc_stat(rows_vals, valid, cell_axes):
+    if np.iscomplexobj(rows_vals):
+        lead = rows_vals.shape[: rows_vals.ndim - len(cell_axes)]
+        k = int(np.prod(rows_vals.shape[len(lead):]))
+        return np.array([
+            oscillation(rv[vm])
+            for rv, vm in zip(rows_vals.reshape(-1, k), valid.reshape(-1, k))
+        ]).reshape(lead)
+    hi = np.where(valid, rows_vals, -np.inf).max(axis=cell_axes)
+    lo = np.where(valid, rows_vals, np.inf).min(axis=cell_axes)
+    return hi - lo
+
+
+def reference_stat_1d(rt, t_full, m, alpha, n):
+    a = _anchor_range(n, m)
+    shift = (alpha - 1) // 2 * m
+    cells = a[:, None] + np.arange(m)[None, :]
+    valid = (cells >= 0) & (cells < n)
+    rows = np.clip(cells, 0, n - 1)
+    inner = rt.apply_box(rows, ((a[:, None] - shift, a[:, None] - shift + alpha * m),))
+    return _osc_stat(t_full[rows] - inner, valid, (-1,))
+
+
+def reference_stat_2d(rt, t_full, m, alpha, n):
+    a = _anchor_range(n, m)
+    off = np.arange(m)
+    shift = (alpha - 1) // 2 * m
+    big = len(a)
+    stat = np.empty((big, big))
+    chunk = max(1, (1 << 22) // max(1, big * m * m))
+    for i0 in range(0, big, chunk):
+        a0 = a[i0:i0 + chunk][:, None, None, None]
+        a1 = a[None, :, None, None]
+        c0 = a0 + off[None, None, :, None]
+        c1 = a1 + off[None, None, None, :]
+        valid = (c0 >= 0) & (c0 < n) & (c1 >= 0) & (c1 < n)
+        rows = np.clip(c0, 0, n - 1) * n + np.clip(c1, 0, n - 1)
+        bounds = ((a0 - shift, a0 - shift + alpha * m),
+                  (a1 - shift, a1 - shift + alpha * m))
+        inner = rt.apply_box(rows, bounds)
+        stat[i0:i0 + chunk] = _osc_stat(t_full[rows] - inner, valid, (-2, -1))
+    return stat
+
+
+def reference_sharp(kernel, f, alpha):
+    grid = f.grid
+    n = grid.cells_per_side
+    rt = RestrictedTransform(kernel, f)
+    t_full = rt.full().ravel()
+    stat_fn = reference_stat_1d if grid.dim == 1 else reference_stat_2d
+    out = np.full(grid.shape, -np.inf)
+    for m in range(1, n + 1):
+        stat = stat_fn(rt, t_full, m, alpha, n)
+        np.maximum(out, _propagate_max(stat, m, grid), out=out)
+    return out
+
+
+def assert_matches_reference(kernel, f, alpha):
+    got = sharp_truncated(kernel, f, alpha=alpha).values
+    want = reference_sharp(kernel, f, alpha)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    for s in (1.0, 2.0):
+        got = hl_maximal(f, s).values
+        want = reference_hl(f, s)
+        # in 2D the inclusion-exclusion sums can come out as tiny negatives,
+        # whose square root is nan for s = 2; nan cells must match as well
+        assert got.dtype == want.dtype and np.array_equal(got, want,
+                                                          equal_nan=True)
+
+
+@pytest.mark.parametrize("alpha", [1, 3, 5])
+@pytest.mark.parametrize("kind", INPUT_KINDS)
+@pytest.mark.parametrize("kernel", ["hilbert", "holder", "dini_stress", "zero"])
+def test_1d_maximal_functions_match_gather_reference(kernel, kind, alpha):
+    grid = Grid(1, 64)
+    assert_matches_reference(make_kernel(kernel, grid),
+                             make_input(grid, kind, seed=11), alpha)
+
+
+def test_1d_maximal_functions_match_gather_reference_at_256():
+    grid = Grid(1, 256)
+    assert_matches_reference(make_kernel("dini_stress", grid),
+                             make_input(grid, "spikes", seed=5), 3)
+
+
+def test_1d_complex_maximal_functions_match_gather_reference():
+    grid = Grid(1, 32)
+    g = rng(17)
+    vals = np.zeros(32, dtype=complex)
+    vals[8:24] = g.normal(size=16) + 1j * g.normal(size=16)
+    assert_matches_reference(make_kernel("hilbert"), GridFunction(grid, vals), 3)
+
+
+@pytest.mark.parametrize("alpha", [3, 5])
+@pytest.mark.parametrize("n", [8, 16])
+def test_2d_maximal_functions_match_gather_reference(n, alpha):
+    grid = Grid(2, n)
+    assert_matches_reference(make_kernel("riesz2d", grid),
+                             make_input(grid, "random", seed=7), alpha)

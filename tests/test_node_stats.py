@@ -1,7 +1,7 @@
 """Node statistics against a gather-based reference.
 
-The builder reads truncated transforms as strided views of the prefix
-table (1D) and reads the outer transform once per node (2D).  The
+The node sweeps read truncated transforms as strided views of the prefix
+table (1D) and read the outer transform once per node (2D).  The
 reference below gathers every value through ``apply_box``, one query per
 (cell, box).  Both do the same floating-point operations in the same
 order, so every returned array must be bitwise equal, on every node the
@@ -47,7 +47,7 @@ def _ms_1d(f, qlo, qhi, qs, s):
     return ms
 
 
-def reference_stats_1d(rt, f, cube, qs, s, exact_cap):
+def reference_stats_1d(rt, f, cube, qs, s):
     n = f.grid.cells_per_side
     (qlo, qhi), = cube.window_clip(f.grid)
     m = cube.side
@@ -66,7 +66,7 @@ def reference_stats_1d(rt, f, cube, qs, s, exact_cap):
         in_hi = np.minimum(a + (shift + 1) * side, qs_hi)[:, None]
         trunc = t_on - rt.apply_box(rows, ((in_lo, in_hi),))
         if np.iscomplexobj(trunc):
-            stat = np.array([oscillation(tv[vm], exact_cap)
+            stat = np.array([oscillation(tv[vm])
                              for tv, vm in zip(trunc, valid)])
         else:
             stat = (np.where(valid, trunc, -np.inf).max(axis=1)
@@ -75,7 +75,7 @@ def reference_stats_1d(rt, f, cube, qs, s, exact_cap):
     return cells[:, None], t_vals, _ms_1d(f, qlo, qhi, qs, s), osc
 
 
-def reference_stats_2d(rt, f, cube, qs, s, exact_cap):
+def reference_stats_2d(rt, f, cube, qs, s):
     grid = f.grid
     n = grid.cells_per_side
     (q0l, q0h), (q1l, q1h) = cube.window_clip(grid)
@@ -120,7 +120,7 @@ def reference_stats_2d(rt, f, cube, qs, s, exact_cap):
         if np.iscomplexobj(trunc):
             k = side * side
             stat = np.array([
-                oscillation(tv[vm], exact_cap)
+                oscillation(tv[vm])
                 for tv, vm in zip(trunc.reshape(-1, k), valid.reshape(-1, k))
             ]).reshape(trunc.shape[:2])
         else:
@@ -138,20 +138,19 @@ def reference_stats_2d(rt, f, cube, qs, s, exact_cap):
 def compare_every_node(monkeypatch, kernel, f, cfg):
     """Run the pipeline with each node's statistics checked against the
     reference; return the node cubes seen."""
-    name = "_node_stats_1d" if f.grid.dim == 1 else "_node_stats_2d"
-    fast = getattr(sparse, name)
+    fast = sparse._node_stats
     reference = reference_stats_1d if f.grid.dim == 1 else reference_stats_2d
     seen = []
 
-    def checked(rt, f_, cube, qs, s, exact_cap):
-        got = fast(rt, f_, cube, qs, s, exact_cap)
-        want = reference(rt, f_, cube, qs, s, exact_cap)
+    def checked(rt, f_, cube, qs, s):
+        got = fast(rt, f_, cube, qs, s)
+        want = reference(rt, f_, cube, qs, s)
         for label, g, w in zip(("cells", "t_vals", "ms", "osc"), got, want):
             assert g.dtype == w.dtype and np.array_equal(g, w), (cube, label)
         seen.append(cube)
         return got
 
-    monkeypatch.setattr(sparse, name, checked)
+    monkeypatch.setattr(sparse, "_node_stats", checked)
     build_sparse_domination(kernel, f, cfg)
     assert seen
     return seen

@@ -13,7 +13,6 @@ from sparsedom import (
     Grid,
     GridFunction,
     Kernel,
-    ModulationFamily,
     NumericError,
     ParameterError,
     RestrictedTransform,
@@ -22,7 +21,6 @@ from sparsedom import (
     dini_profile,
     hormander_constant,
     make_kernel,
-    maximally_modulated,
     transpose_kernel,
 )
 
@@ -233,35 +231,6 @@ def test_restricted_transform_complex_values():
     rt = RestrictedTransform(make_kernel("hilbert"), f)
     direct = apply_restricted(make_kernel("hilbert"), f).values
     np.testing.assert_allclose(rt.full(), direct, atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# modulation
-
-def test_zero_frequency_reduces_to_plain_magnitude():
-    grid = Grid(1, 16)
-    f = GridFunction(grid, rng(2).normal(size=grid.shape))
-    k = make_kernel("hilbert")
-    fam = ModulationFamily(((0.0,),))
-    out = maximally_modulated(k, f, fam)
-    np.testing.assert_allclose(out.values, np.abs(apply_restricted(k, f).values),
-                               atol=1e-12)
-
-
-def test_larger_family_dominates_pointwise():
-    grid = Grid(1, 16)
-    f = GridFunction(grid, rng(4).normal(size=grid.shape))
-    k = make_kernel("hilbert")
-    small = maximally_modulated(k, f, ModulationFamily(((0.0,), (1.0,))))
-    large = maximally_modulated(k, f, ModulationFamily(((0.0,), (1.0,), (3.0,), (-2.0,))))
-    assert np.all(large.values >= small.values - 1e-15)
-
-
-def test_modulation_family_validation():
-    with pytest.raises(ParameterError):
-        ModulationFamily(())
-    with pytest.raises(ParameterError):
-        ModulationFamily(((0.0,), (0.0, 1.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,12 @@ from sparsedom import (
     build_sparse_domination,
     constant_from_records,
     dilate,
-    exceptional_set,
     local_cz_decomposition,
-    local_sparse_family,
     make_kernel,
     partition_cover,
     support_box,
 )
+from sparsedom import sparse
 
 
 def rng(seed):
@@ -48,6 +47,21 @@ def sparse_sum(family):
         sl = tuple(slice(lo, hi) for lo, hi in clip)
         out[sl] += e.coefficient
     return out
+
+
+def node_exceptional(kernel, f, cube, **config):
+    """Exceptional set of one node, as the pipeline computes it."""
+    return sparse._exceptional(RestrictedTransform(kernel, f), f, cube,
+                               PipelineConfig(**config))
+
+
+def local_family(kernel, f, root, config=PipelineConfig()):
+    """Entries and records of the recursion tree the pipeline grows from
+    one root cube."""
+    entries, records = [], []
+    sparse._build_node(RestrictedTransform(kernel, f), f, root, 0, config,
+                       entries, records)
+    return entries, records
 
 
 def witness_canvas(family):
@@ -76,7 +90,7 @@ def test_quantile_measure_bound(seed):
     g = rng(seed + 1)
     side = int(2 ** g.integers(2, 6))
     anchor = int(g.integers(-side // 2, 64 - side // 2))
-    exc = exceptional_set(k, f, Cube((anchor,), side), alpha=3)
+    exc = node_exceptional(k, f, Cube((anchor,), side), alpha=3)
     assert exc.omega.count * 2 ** (grid.dim + 2) <= side**grid.dim
     assert exc.omega.subset_of_cube(Cube((anchor,), side))
 
@@ -84,7 +98,7 @@ def test_quantile_measure_bound(seed):
 def test_quantile_thresholds_are_attained_values():
     grid = Grid(1, 32)
     f = supported_noise(grid, 3, 4, 28)
-    exc = exceptional_set(make_kernel("hilbert"), f, Cube((8,), 16), alpha=3)
+    exc = node_exceptional(make_kernel("hilbert"), f, Cube((8,), 16), alpha=3)
     assert exc.avg > 0
     assert exc.a_ratio >= 0 and exc.c_ratio > 0
     for cnt in exc.exceed_counts:
@@ -94,7 +108,7 @@ def test_quantile_thresholds_are_attained_values():
 def test_single_cell_node_self_certifies():
     grid = Grid(1, 16)
     f = supported_noise(grid, 1, 0, 16)
-    exc = exceptional_set(make_kernel("hilbert"), f, Cube((5,), 1), alpha=3)
+    exc = node_exceptional(make_kernel("hilbert"), f, Cube((5,), 1), alpha=3)
     assert exc.omega.is_empty()
     assert exc.a_ratio >= exc.max_t_ratio  # threshold is the max itself
 
@@ -102,7 +116,7 @@ def test_single_cell_node_self_certifies():
 def test_zero_average_node():
     grid = Grid(1, 32)
     f = supported_noise(grid, 2, 0, 4)
-    exc = exceptional_set(make_kernel("hilbert"), f, Cube((24,), 2), alpha=3)
+    exc = node_exceptional(make_kernel("hilbert"), f, Cube((24,), 2), alpha=3)
     assert "zero_average" in exc.flags
     assert exc.omega.is_empty() and exc.avg == 0.0
 
@@ -110,7 +124,7 @@ def test_zero_average_node():
 def test_out_of_window_node():
     grid = Grid(1, 32)
     f = supported_noise(grid, 2, 0, 32)
-    exc = exceptional_set(make_kernel("hilbert"), f, Cube((-64,), 8), alpha=3)
+    exc = node_exceptional(make_kernel("hilbert"), f, Cube((-64,), 8), alpha=3)
     assert "outside_window" in exc.flags
 
 
@@ -118,11 +132,11 @@ def test_fixed_mode_flags_violation():
     grid = Grid(1, 64)
     f = supported_noise(grid, 5, 0, 64)
     k = make_kernel("hilbert")
-    tight = exceptional_set(k, f, Cube((0,), 64), alpha=3, mode="fixed",
-                            c=1e-6, a=1e-6)
+    tight = node_exceptional(k, f, Cube((0,), 64), alpha=3, mode="fixed",
+                             c_fixed=1e-6, a_fixed=1e-6)
     assert "measure_violation" in tight.flags
-    loose = exceptional_set(k, f, Cube((0,), 64), alpha=3, mode="fixed",
-                            c=1e6, a=1e6)
+    loose = node_exceptional(k, f, Cube((0,), 64), alpha=3, mode="fixed",
+                             c_fixed=1e6, a_fixed=1e6)
     assert loose.omega.is_empty() and "measure_violation" not in loose.flags
 
 
@@ -131,11 +145,11 @@ def test_exceptional_set_validation():
     f = GridFunction(grid, np.ones(16))
     k = make_kernel("hilbert")
     with pytest.raises(ParameterError):
-        exceptional_set(k, f, Cube((0,), 4), alpha=2)
+        node_exceptional(k, f, Cube((0,), 4), alpha=2)
     with pytest.raises(ParameterError):
-        exceptional_set(k, f, Cube((0,), 4), mode="fixed")  # no c, a
+        node_exceptional(k, f, Cube((0,), 4), mode="fixed")  # no c, a
     with pytest.raises(ParameterError):
-        exceptional_set(k, f, Cube((0,), 4), mode="nope")
+        node_exceptional(k, f, Cube((0,), 4), mode="nope")
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +323,7 @@ def test_local_family_witnesses_partition_root():
     f = supported_noise(grid, 7, 8, 56)
     k = make_kernel("hilbert")
     root = Cube((16,), 32)
-    entries, records = local_sparse_family(k, f, root)
+    entries, records = local_family(k, f, root)
     total = sum(e.witness.count for e in entries)
     assert total == root.cell_count
     for e in entries:
@@ -324,7 +338,7 @@ def test_local_family_depth_halving():
     grid = Grid(1, 64)
     f = supported_noise(grid, 11, 0, 64)
     root = Cube((0,), 64)
-    entries, _ = local_sparse_family(make_kernel("hilbert"), f, root)
+    entries, _ = local_family(make_kernel("hilbert"), f, root)
     by_depth = {}
     for e in entries:
         by_depth.setdefault(e.depth, 0)
@@ -334,10 +348,13 @@ def test_local_family_depth_halving():
 
 
 def test_local_family_rejects_bad_root():
+    # the pipeline roots its local families at the support box and its ring
+    # cubes, which share the box's side, so that side must be a power of two
     grid = Grid(1, 16)
     f = GridFunction(grid, np.ones(16))
     with pytest.raises(AlignmentError):
-        local_sparse_family(make_kernel("hilbert"), f, Cube((0,), 12))
+        build_sparse_domination(make_kernel("hilbert"), f,
+                                PipelineConfig(support=Cube((0,), 12)))
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -350,7 +367,7 @@ def test_local_family_certifies_local_domination(seed):
     f = supported_noise(grid, seed, 8, 56)
     k = make_kernel("hilbert")
     root = Cube((16,), 32)
-    entries, records = local_sparse_family(k, f, root)
+    entries, records = local_family(k, f, root)
     c = constant_from_records(records)
     t_loc = apply_restricted(k, f, source=CellSet.from_cube(grid, dilate(root, 3)))
     stack = np.zeros(grid.shape)
@@ -495,12 +512,18 @@ def test_config_validation():
     with pytest.raises(ParameterError):
         PipelineConfig(alpha=4)
     with pytest.raises(ParameterError):
+        PipelineConfig(alpha=2)
+    with pytest.raises(ParameterError):
         PipelineConfig(alpha=1)
+    with pytest.raises(ParameterError):
+        PipelineConfig(mode="nope")
     with pytest.raises(ParameterError):
         PipelineConfig(s=0.0)
     with pytest.raises(ParameterError):
         PipelineConfig(mode="fixed")
     with pytest.raises(ParameterError):
         PipelineConfig(mode="fixed", c_fixed=-1.0, a_fixed=1.0)
+    with pytest.raises(ParameterError):
+        PipelineConfig(mode="fixed", c_fixed=1.0, a_fixed=0.0)
     with pytest.raises(ParameterError):
         PipelineConfig(max_depth=-1)
