@@ -4,20 +4,24 @@ A pure refactor must leave ``family.json``, ``family.txt`` and
 ``report.json`` byte-identical.  This script runs the corpus below in one
 process through ``sparsedom.cli.main`` and prints one line per data file,
 ``<sha256>  <config>/<file>``, then the sha256 of those lines.  Run it on
-both commits and compare the last line:
+both commits and compare the last line, or pass the expected final digest
+and let the exit code say whether it matched:
 
     python3 scripts/corpus_digest.py
+    python3 scripts/corpus_digest.py --expect SHA
 
 Corpus: hilbert, holder, dini_stress and zero on a 1D grid with N = 128,
 riesz2d and zero on a 2D grid with n = 16; every input kind; alpha 3 and
 5; quantile mode and fixed mode with c = 1.5, a = 1.0; input seed 13.
 Runs that exit 1 (a verification check failed) still write their data
-files and are digested too.  Any other exit code makes the script exit 1.
+files and are digested too.  Any other exit code, or a final digest other
+than the one given with ``--expect``, makes the script exit 1.
 The package is imported from the ``src`` directory next to this script.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -54,7 +58,11 @@ def corpus():
                     }
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--expect", metavar="SHA", default=None,
+                        help="exit 1 unless the final digest equals SHA")
+    args = parser.parse_args(argv)
     lines = []
     bad = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -75,9 +83,14 @@ def main() -> int:
                 lines.append(f"{digest}  {label}/{name}")
     for line in lines:
         print(line)
-    print(hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest())
+    final = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+    print(final)
     for line in bad:
         print(line, file=sys.stderr)
+    if args.expect is not None and final != args.expect:
+        print(f"digest {final} differs from the expected {args.expect}",
+              file=sys.stderr)
+        return 1
     return 1 if bad else 0
 
 

@@ -78,6 +78,9 @@ def _power_average_sweep(f: GridFunction, s: float, cells, box,
         for bits, odd in corners:
             term = sat[tuple(lo[d] if b else hi[d] for d, b in enumerate(bits))]
             sums = sums - term if odd else sums + term
+        # rounding leaves tiny negatives where |f|**s vanishes; their
+        # s-th root would be nan
+        np.maximum(sums, 0.0, out=sums)
         avgs = (sums * cm / (side * hw) ** dim) ** (1.0 / s)
         np.maximum(out, _max_over_cubes(avgs, side), out=out)
     return out

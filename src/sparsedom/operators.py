@@ -15,15 +15,30 @@ per-query gather and no copy of the table.  The two cube-sweep engines
 of :mod:`sparsedom.maximal`, which the construction in
 :mod:`sparsedom.sparse` and the maximal functions share, read it in both
 ways.
+
+Kernel sampling.  A kernel that declares ``translation_invariant`` is
+evaluated once per grid on the difference lattice: the offsets
+``x - y = k h`` with ``|k_d| <= n - 1`` on every axis, ``(2n - 1)**dim``
+values, the offset-0 value zeroed.  Both the prefix table and the direct
+``apply_restricted`` read ``K(x_c, y_c)`` from there by offset, so neither
+evaluates the kernel on all cell pairs.  This gives the same bits as the
+dense evaluation only when every cell-center difference
+``(i + 0.5)h - (j + 0.5)h`` equals ``(i - j)h`` exactly, which
+``_lattice_exact`` decides in O(1) from the binary expansion of ``h``
+(it holds for window lengths 1 and 3, not for 0.1 or pi).  On other grids,
+and for kernels without the flag, the kernel is evaluated densely on the
+cell pairs, as the one fallback path.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericError, ParameterError
 from .grid import CellSet, Cube, Grid, GridFunction
@@ -53,6 +68,16 @@ class Kernel:
     scale of the kernel.  ``hormander_r`` records the exponent for which
     the kernel is advertised to satisfy the integral smoothness condition
     (``math.inf`` for the classical sup-form).
+
+    ``translation_invariant`` promises that ``fn(x, y)`` reads its
+    arguments only through the coordinate differences
+    ``x[..., d] - y[..., d]`` as computed in floating point (or their
+    negatives), so that ``fn(x, y) == fn(x - y, 0)`` bit for bit.  The
+    operators then sample ``fn`` once on the difference lattice of the
+    grid instead of on every cell pair, where the grid's cell width makes
+    that exact (see the module docstring), and fall back to the dense
+    evaluation elsewhere.  A kernel that breaks the promise gets wrong
+    transforms, so leave the flag off when in doubt.
     """
 
     name: str
@@ -60,6 +85,7 @@ class Kernel:
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     modulus: Callable[[np.ndarray], np.ndarray] | None = None
     hormander_r: float | None = None
+    translation_invariant: bool = False
 
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.fn(x, y)
@@ -69,7 +95,8 @@ def transpose_kernel(kernel: Kernel) -> Kernel:
     """Swapped-argument kernel ``K*(x, y) = K(y, x)``.
 
     The declared modulus is dropped: regularity in the second argument is
-    a separate property and is not implied.
+    a separate property and is not implied.  Translation invariance is
+    kept: ``K(y - x)`` reads only the negated differences.
     """
     return Kernel(
         name=kernel.name + ".transpose",
@@ -77,27 +104,104 @@ def transpose_kernel(kernel: Kernel) -> Kernel:
         fn=lambda x, y, _f=kernel.fn: _f(y, x),
         modulus=None,
         hormander_r=None,
+        translation_invariant=kernel.translation_invariant,
     )
 
 
 # ---------------------------------------------------------------------------
-# direct restricted application
+# kernel sampling
 
 def _cell_center_coords(grid: Grid, cells: np.ndarray) -> np.ndarray:
     """Physical centers for integer cell coordinates of shape (k, dim)."""
     return (np.asarray(cells, dtype=np.float64) + 0.5) * grid.cell_width
 
 
-def _check_finite_pairs(block: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-                        kernel_name: str) -> None:
+def _raise_nonfinite(kernel_name: str, grid: Grid, x_cell, y_cell):
+    xs = _cell_center_coords(grid, x_cell)
+    ys = _cell_center_coords(grid, y_cell)
+    raise NumericError(
+        f"kernel {kernel_name!r} evaluated non-finite at x={tuple(xs)}, "
+        f"y={tuple(ys)}"
+    )
+
+
+def _lattice_exact(grid: Grid) -> bool:
+    """Whether every cell-center difference is an exact lattice offset.
+
+    With ``h = p 2**e``, ``p`` odd, every center ``(i + 0.5)h``, every
+    difference of two centers and every offset ``k h`` is an integer
+    multiple of ``2**(e - 1)`` of magnitude below ``2 n p``.  All of them
+    are exact doubles, so ``(i + 0.5)h - (j + 0.5)h == (i - j)h``, when
+    that integer fits the 53-bit significand and the multiples neither
+    underflow nor overflow.
+    """
+    p, den = float(grid.cell_width).as_integer_ratio()
+    e = 1 - den.bit_length()                              # den = 2**-e
+    if p == 0:                                            # h underflowed
+        return False
+    zeros = (p & -p).bit_length() - 1
+    p, e = p >> zeros, e + zeros
+    bits = p.bit_length() + (2 * grid.cells_per_side).bit_length()
+    return bits <= 53 and e - 1 >= -1074 and bits + e <= 1024
+
+
+def _offset_lattice(kernel: Kernel, grid: Grid) -> np.ndarray | None:
+    """``fn`` at every cell offset ``x - y = k h``, or None.
+
+    Returns a read-only ``(2n - 1,) * dim`` array indexed by ``k + n - 1``
+    on every axis, with the offset-0 entry zeroed, so that entry
+    ``x - y + n - 1`` equals the dense ``fn(x_c, y_c)`` bit for bit,
+    diagonal zeroed.  None unless the kernel declares translation
+    invariance and the grid passes ``_lattice_exact``.
+    """
+    if not (kernel.translation_invariant and _lattice_exact(grid)):
+        return None
+    n, dim = grid.cells_per_side, grid.dim
+    axis = np.arange(-(n - 1), n) * grid.cell_width
+    x = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lat = np.asarray(kernel.fn(x, np.zeros_like(x)), dtype=np.float64)
+    lat[(n - 1,) * dim] = 0.0
+    lat.flags.writeable = False
+    return lat
+
+
+def _kernel_block(kernel: Kernel, grid: Grid, lat: np.ndarray | None,
+                  t_cells: np.ndarray, s_cells: np.ndarray) -> np.ndarray:
+    """``K(x_c, y_c)`` for target cells x (rows) and source cells y, zero
+    where ``x = y``: read from the lattice by offset, or evaluated densely
+    when there is none.  Raises NumericError at a non-finite value."""
+    if lat is None:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            block = np.asarray(
+                kernel.fn(_cell_center_coords(grid, t_cells)[:, None, :],
+                          _cell_center_coords(grid, s_cells)[None, :, :]),
+                dtype=np.float64)
+        shape = (len(t_cells), len(s_cells))
+        if block.shape != shape or not block.flags.writeable:
+            block = np.broadcast_to(block, shape).copy()
+        # zero the diagonal in place: no second pair-sized array
+        if t_cells is s_cells:
+            np.fill_diagonal(block, 0.0)
+        else:
+            block[np.all(t_cells[:, None, :] == s_cells[None, :, :], axis=-1)] = 0.0
+    else:
+        # flat lattice index of an offset: its row-major code plus the
+        # code of the offset-0 entry
+        n = grid.cells_per_side
+        weights = (2 * n - 1) ** np.arange(grid.dim - 1, -1, -1)
+        idx = (t_cells @ weights)[:, None] - (s_cells @ weights)[None, :]
+        idx += (n - 1) * int(weights.sum())
+        block = np.take(lat, idx)
     bad = ~np.isfinite(block)
     if bad.any():
         i, j = np.argwhere(bad)[0]
-        raise NumericError(
-            f"kernel {kernel_name!r} evaluated non-finite at x={tuple(xs[i])}, "
-            f"y={tuple(ys[j])}"
-        )
+        _raise_nonfinite(kernel.name, grid, t_cells[i], s_cells[j])
+    return block
 
+
+# ---------------------------------------------------------------------------
+# direct restricted application
 
 def apply_restricted(kernel: Kernel, f: GridFunction,
                      targets: CellSet | Cube | None = None,
@@ -106,7 +210,9 @@ def apply_restricted(kernel: Kernel, f: GridFunction,
 
     Returns a grid function that is zero off the target cells.  Targets
     and sources outside the window are ignored (f vanishes there and no
-    output cells exist there).
+    output cells exist there).  Each chunk of targets is summed directly
+    with a matrix product; only the kernel sampling is shared with
+    ``RestrictedTransform``, not its table.
     """
     grid = f.grid
     if kernel.dim != grid.dim:
@@ -126,8 +232,7 @@ def apply_restricted(kernel: Kernel, f: GridFunction,
     if len(t_cells) == 0 or len(s_cells) == 0:
         return GridFunction(grid, out)
 
-    t_pts = _cell_center_coords(grid, t_cells)
-    s_pts = _cell_center_coords(grid, s_cells)
+    lat = _offset_lattice(kernel, grid)
     f_src = f.values[tuple(s_cells.T)]
 
     # chunk targets so the pair block stays modest
@@ -135,13 +240,7 @@ def apply_restricted(kernel: Kernel, f: GridFunction,
     results = np.empty(len(t_cells), dtype=out.dtype)
     for start in range(0, len(t_cells), chunk):
         sl = slice(start, min(start + chunk, len(t_cells)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            block = np.asarray(kernel.fn(t_pts[sl, None, :], s_pts[None, :, :]),
-                               dtype=np.float64)
-        same = np.all(t_cells[sl, None, :] == s_cells[None, :, :], axis=-1)
-        block = np.where(same, 0.0, block)
-        _check_finite_pairs(block, t_pts[sl], s_pts, kernel.name)
-        results[sl] = block @ f_src
+        results[sl] = _kernel_block(kernel, grid, lat, t_cells[sl], s_cells) @ f_src
     results *= grid.cell_measure
     out[tuple(t_cells.T)] = results
     return GridFunction(grid, out)
@@ -150,44 +249,87 @@ def apply_restricted(kernel: Kernel, f: GridFunction,
 # ---------------------------------------------------------------------------
 # prefix-sum accelerated transform
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+def _table_bytes(grid: Grid, is_complex: bool) -> int:
+    """Bytes ``RestrictedTransform`` holds at its peak, kernel temporaries
+    aside: the prefix table (``n**dim (n + 1)**dim`` entries) and the
+    weighted product it is summed from (``n**(2 dim)``), complex for a
+    complex input."""
+    n, dim = grid.cells_per_side, grid.dim
+    item = 16 if is_complex else 8
+    return (n**dim * (n + 1) ** dim + n ** (2 * dim)) * item
+
+
 class RestrictedTransform:
     """Box-restricted applications of one kernel to one function.
 
-    Precomputes the dense weight matrix ``K(x_c, y_c) h**dim`` (diagonal
-    zeroed) and per-target prefix sums ``S`` of its product with ``f``, so
-    that ``T(f char_B)(x)`` for any axis-aligned box ``B`` is a difference
-    of table entries.  ``apply_box`` gathers those entries per query, at
+    Precomputes the weights ``K(x_c, y_c) h**dim`` (diagonal zeroed) and
+    per-target prefix sums ``S`` of their product with ``f``, so that
+    ``T(f char_B)(x)`` for any axis-aligned box ``B`` is a difference of
+    table entries.  ``apply_box`` gathers those entries per query, at
     O(1) each.  In 1D, ``prefix_windows`` returns a read-only strided view
     of ``S`` whose rows follow a box that moves with its anchor; the 1D
     oscillation sweep of :mod:`sparsedom.maximal` reads all of its
     truncated transforms through such views, so it does no per-query
     gathers; its scratch is one (anchors x side) array of differences at a
-    time, never a copy of the table.  Table memory is quadratic in the
-    cell count; intended for desk-scale grids.
+    time, never a copy of the table.
+
+    For a translation-invariant kernel on an exact grid the weights are a
+    view of the scaled difference lattice, with no copy and no kernel
+    evaluation per pair; otherwise they are evaluated densely.  Memory is
+    quadratic in the cell count either way: the table and the product it
+    is summed from.  That estimate is checked against physical memory
+    before anything is allocated, and a grid that cannot fit raises
+    ParameterError.
     """
 
     def __init__(self, kernel: Kernel, f: GridFunction):
         grid = f.grid
         if kernel.dim != grid.dim:
             raise ParameterError(f"kernel dim {kernel.dim} != grid dim {grid.dim}")
+        need = _table_bytes(grid, f.is_complex)
+        have = _physical_memory()
+        if have is not None and need > have:
+            raise ParameterError(
+                f"the transform table of a {grid.dim}D grid with "
+                f"{grid.cells_per_side} cells per side needs about "
+                f"{need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB "
+                f"of physical memory")
         self.kernel = kernel
         self.f = f
         self.grid = grid
-        n = grid.cells_per_side
-        cells = np.argwhere(np.ones(grid.shape, dtype=bool))
-        pts = _cell_center_coords(grid, cells)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.asarray(kernel.fn(pts[:, None, :], pts[None, :, :]), dtype=np.float64)
-        np.fill_diagonal(w, 0.0)
-        _check_finite_pairs(w, pts, pts, kernel.name)
-        w *= grid.cell_measure
-        wf = w * f.values.ravel()[None, :]
-        if grid.dim == 1:
-            sat = np.zeros((n, n + 1), dtype=wf.dtype)
-            np.cumsum(wf, axis=1, out=sat[:, 1:])
+        n, dim = grid.cells_per_side, grid.dim
+        lat = _offset_lattice(kernel, grid)
+        if lat is None:
+            cells = np.argwhere(np.ones(grid.shape, dtype=bool))
+            w = _kernel_block(kernel, grid, None, cells, cells).reshape(grid.shape * 2)
         else:
-            sat = np.zeros((n * n, n + 1, n + 1), dtype=wf.dtype)
-            sat[:, 1:, 1:] = wf.reshape(n * n, n, n).cumsum(axis=1).cumsum(axis=2)
+            bad = ~np.isfinite(lat)
+            if bad.any():
+                # every offset k occurs, e.g. at x = max(k, 0), y = max(-k, 0)
+                k = np.argwhere(bad)[0] - (n - 1)
+                _raise_nonfinite(kernel.name, grid, np.maximum(k, 0), np.maximum(-k, 0))
+            # w[x, y] = lat[x - y + n - 1] on every axis: the windows of the
+            # reversed lattice with their target axes reversed back
+            rev = (slice(None, None, -1),) * dim
+            w = sliding_window_view(lat[rev], grid.shape)[rev]
+        # (K h**dim) f(y) in the dense order, laid out (targets, *source
+        # axes) as the table needs; the 2D row sums run in place
+        wf = np.multiply(w, grid.cell_measure, out=np.empty(w.shape, f.values.dtype))
+        del w                  # dense weights go before the table comes
+        wf *= f.values
+        wf = wf.reshape((n**dim,) + grid.shape)
+        for axis in range(1, dim):
+            np.cumsum(wf, axis=axis, out=wf)
+        sat = np.zeros((n**dim,) + (n + 1,) * dim, dtype=wf.dtype)
+        np.cumsum(wf, axis=dim, out=sat[(slice(None),) + (slice(1, None),) * dim])
         self._sat = sat
         self._n = n
 
@@ -469,13 +611,15 @@ def make_kernel(name: str, grid: Grid | None = None, **params) -> Kernel:
     proportional to (1 + log(1/t))**-2, summable but slower than any
     power), ``riesz2d`` (first-coordinate degree -2 kernel), ``zero``.
     The declared moduli are derived upper bounds, valid within the
-    working scale ``ref_scale`` (default: four window lengths).
+    working scale ``ref_scale`` (default: four window lengths).  Every
+    catalog kernel is of convolution type and declares
+    ``translation_invariant``.
     """
     scale = float(params.pop("ref_scale", 4.0 * (grid.phys_side if grid else 1.0)))
     if name == "hilbert":
         k = Kernel("hilbert", 1, _hilbert_fn,
                    modulus=lambda t: 2.0 * np.asarray(t, dtype=np.float64),
-                   hormander_r=math.inf)
+                   hormander_r=math.inf, translation_invariant=True)
     elif name == "holder":
         delta = float(params.pop("delta", 0.5))
         if not (0 < delta <= 1):
@@ -483,20 +627,20 @@ def make_kernel(name: str, grid: Grid | None = None, **params) -> Kernel:
         k = Kernel(f"holder[{delta}]", 1, _make_holder_fn(delta, scale),
                    modulus=lambda t, d=delta: (3.0 + 2.0 * np.pi)
                    * np.asarray(t, dtype=np.float64) ** d,
-                   hormander_r=math.inf)
+                   hormander_r=math.inf, translation_invariant=True)
     elif name == "dini_stress":
         k = Kernel("dini_stress", 1, _make_dini_stress_fn(scale),
                    modulus=lambda t: 8.0 / (1.0 + np.log(1.0 / np.clip(t, 1e-300, 1.0))) ** 2,
-                   hormander_r=math.inf)
+                   hormander_r=math.inf, translation_invariant=True)
     elif name == "riesz2d":
         k = Kernel("riesz2d", 2, _riesz2d_fn,
                    modulus=lambda t: 40.0 * np.asarray(t, dtype=np.float64),
-                   hormander_r=math.inf)
+                   hormander_r=math.inf, translation_invariant=True)
     elif name == "zero":
         dim = int(params.pop("dim", grid.dim if grid else 1))
         k = Kernel("zero", dim, lambda x, y: np.zeros(np.broadcast(x[..., 0], y[..., 0]).shape),
                    modulus=lambda t: np.zeros_like(np.asarray(t, dtype=np.float64)),
-                   hormander_r=math.inf)
+                   hormander_r=math.inf, translation_invariant=True)
     else:
         raise ParameterError(f"unknown kernel name {name!r}")
     if params:

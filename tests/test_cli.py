@@ -119,6 +119,17 @@ def test_run_honest_failure_exits_one(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_run_refuses_table_beyond_memory(tmp_path, capsys, monkeypatch):
+    # the estimate alone decides; nothing of the table's size is allocated
+    monkeypatch.setattr(sparsedom.operators, "_physical_memory", lambda: 2**16)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "GiB" in err and "physical memory" in err
+    assert "Traceback" not in err
+
+
 def test_out_dir_from_environment(tmp_path, monkeypatch):
     cfg = write_config(tmp_path)
     target = tmp_path / "env-out"

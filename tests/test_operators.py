@@ -1,6 +1,8 @@
 """Kernel application, transposition, and kernel statistics."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from sparsedom import (
     make_kernel,
     transpose_kernel,
 )
+from sparsedom import operators
 
 
 def loop_transform(kernel, f, target_mask, source_mask):
@@ -397,3 +400,199 @@ def test_zero_kernel_gives_zero_transform():
 def test_riesz2d_dimension():
     assert make_kernel("riesz2d").dim == 2
     assert make_kernel("hilbert").dim == 1
+
+
+# ---------------------------------------------------------------------------
+# difference-lattice sampling of translation-invariant kernels
+
+EXACT_SIDES = (1.0, 3.0)
+INEXACT_SIDES = (0.1, math.pi)
+LATTICE_CASES = (
+    [(1, n, k) for n in (64, 256) for k in ("hilbert", "holder", "dini_stress", "zero")]
+    + [(2, n, k) for n in (8, 16) for k in ("riesz2d", "zero")]
+)
+
+
+def _dense(kernel):
+    return dataclasses.replace(kernel, translation_invariant=False)
+
+
+def _counting(kernel):
+    """The kernel with an ``fn`` that records how many values it returned."""
+    seen = []
+
+    def fn(x, y):
+        out = kernel.fn(x, y)
+        seen.append(np.size(out))
+        return out
+
+    return dataclasses.replace(kernel, fn=fn), seen
+
+
+def _odd_cells(grid, g, box):
+    """A random non-box cell set inside ``box``, which may leave the window."""
+    return CellSet(grid, box, g.random((box.side,) * grid.dim) < 0.6)
+
+
+def test_catalog_kernels_declare_translation_invariance():
+    grid = Grid(1, 16)
+    for name in ("hilbert", "holder", "dini_stress", "riesz2d", "zero"):
+        k = make_kernel(name, grid)
+        assert k.translation_invariant
+        assert transpose_kernel(k).translation_invariant
+    assert not Kernel("plain", 1, lambda x, y: x[..., 0]).translation_invariant
+
+
+@pytest.mark.parametrize("phys_side", EXACT_SIDES + INEXACT_SIDES)
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("dim,n,name", LATTICE_CASES)
+def test_lattice_matches_dense_bitwise(dim, n, name, transpose, phys_side):
+    grid = Grid(dim, n, phys_side)
+    k = make_kernel(name, grid)
+    if transpose:
+        k = transpose_kernel(k)
+    assert operators._lattice_exact(grid) == (phys_side in EXACT_SIDES)
+    assert (operators._offset_lattice(k, grid) is None) == (phys_side in INEXACT_SIDES)
+    g = rng(n + dim)
+    f = GridFunction(grid, g.normal(size=grid.shape))
+    lat_rt, dense_rt = RestrictedTransform(k, f), RestrictedTransform(_dense(k), f)
+    assert np.array_equal(lat_rt.full(), dense_rt.full())
+    rows = np.arange(grid.n_cells)
+    for _ in range(4):
+        lo = g.integers(-n // 2, n, size=dim)
+        hi = lo + g.integers(1, n + 1, size=dim)
+        bounds = tuple(zip(lo, hi))
+        assert np.array_equal(lat_rt.apply_box(rows, bounds),
+                              dense_rt.apply_box(rows, bounds))
+    # non-box targets and sources; the source box sticks out of the window
+    targets = _odd_cells(grid, g, Cube((n // 4,) * dim, n // 2))
+    source = _odd_cells(grid, g, Cube((-n // 4,) * dim, n))
+    for t, s in ((None, None), (targets, source), (None, source), (targets, None)):
+        assert np.array_equal(apply_restricted(k, f, targets=t, source=s).values,
+                              apply_restricted(_dense(k), f, targets=t, source=s).values)
+
+
+@pytest.mark.parametrize("dim,n,name", [(1, 64, "hilbert"), (2, 8, "riesz2d")])
+def test_lattice_matches_dense_bitwise_complex(dim, n, name):
+    grid = Grid(dim, n)
+    k = make_kernel(name, grid)
+    g = rng(12)
+    f = GridFunction(grid, g.normal(size=grid.shape) + 1j * g.normal(size=grid.shape))
+    assert np.array_equal(RestrictedTransform(k, f).full(),
+                          RestrictedTransform(_dense(k), f).full())
+    assert np.array_equal(apply_restricted(k, f).values,
+                          apply_restricted(_dense(k), f).values)
+
+
+@pytest.mark.parametrize("dim,n,name", LATTICE_CASES)
+def test_lattice_sampling_equals_direct_kernel_values(dim, n, name):
+    grid = Grid(dim, n, 3.0)
+    k = make_kernel(name, grid)
+    cells = np.argwhere(np.ones(grid.shape, dtype=bool))
+    pts = (cells + 0.5) * grid.cell_width
+    with np.errstate(divide="ignore", invalid="ignore"):
+        direct = k.fn(pts[:, None, :], pts[None, :, :])
+    np.fill_diagonal(direct, 0.0)
+    lat = operators._offset_lattice(k, grid)
+    assert lat.shape == (2 * n - 1,) * dim
+    got = operators._kernel_block(k, grid, lat, cells, cells)
+    assert np.array_equal(got, direct)
+
+
+@pytest.mark.parametrize("dim,n,name", [(1, 256, "dini_stress"), (2, 16, "riesz2d")])
+def test_lattice_never_evaluates_all_pairs(dim, n, name):
+    grid = Grid(dim, n)
+    k, seen = _counting(make_kernel(name, grid))
+    f = GridFunction(grid, rng(4).normal(size=grid.shape))
+    RestrictedTransform(k, f)
+    apply_restricted(k, f)
+    apply_restricted(transpose_kernel(k), f, source=Cube((1,) * dim, n // 2))
+    # one lattice per use: the table, the direct transform, its transpose
+    assert seen == [(2 * n - 1) ** dim] * 3
+    # the dense fallback evaluates every pair
+    k, seen = _counting(make_kernel(name, Grid(dim, n, 0.1)))
+    RestrictedTransform(k, GridFunction(Grid(dim, n, 0.1), f.values))
+    assert seen == [n ** (2 * dim)]
+
+
+def test_lattice_exactness_condition_matches_brute_force():
+    sides = [1.0, 3.0, 0.5, 0.75, 5.0, 7.0, 1e-3, 0.1, 0.3, 1 / 3, math.pi,
+             math.e, 123456789.0, 2.0**40 + 1.0, 2.0**52 + 1.0, 2.0**-1000,
+             3 * 2.0**-1060, 1e300, 2.0**1000]
+    for phys_side in sides:
+        for n in (1, 2, 8, 64, 256, 1024):
+            grid = Grid(1, n, phys_side)
+            h = grid.cell_width
+            i = np.arange(n)
+            centers = (i + 0.5) * h
+            with np.errstate(over="ignore", invalid="ignore"):
+                exact = np.array_equal(centers[:, None] - centers[None, :],
+                                       (i[:, None] - i[None, :]) * h)
+            if operators._lattice_exact(grid):
+                assert exact, (phys_side, n)
+            elif n >= 64 and phys_side <= 2.0**100 and phys_side >= 2.0**-900:
+                # away from tiny grids and the ends of the exponent range
+                # the condition is also necessary
+                assert not exact, (phys_side, n)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_invariant_kernel_nonfinite_off_diagonal_names_real_pair(dim):
+    # infinite at the offset of one cell along the first axis
+    grid = Grid(dim, 4, phys_side=4.0)
+    bad = Kernel("bad_offset", dim,
+                 lambda x, y: 1.0 / (np.abs(x - y).sum(axis=-1) - 1.0) ** 2,
+                 translation_invariant=True)
+    f = GridFunction(grid, np.ones(grid.shape))
+    for call in (lambda: RestrictedTransform(bad, f),
+                 lambda: apply_restricted(bad, f),
+                 lambda: apply_restricted(bad, f, source=Cube((2,) * dim, 2))):
+        with pytest.raises(NumericError, match="x=.*y=") as err:
+            call()
+        xs, ys = re.search(r"x=\((.*)\), y=\((.*)\)", str(err.value)).groups()
+        x, y = (np.array([float(v) for v in re.findall(r"\d+\.\d+", c)]) for c in (xs, ys))
+        assert x.shape == y.shape == (dim,)
+        assert np.abs(x - y).sum() == 1.0                   # a pair at offset 1
+        assert np.all((x > 0) & (x < 4) & (y > 0) & (y < 4))  # both cell centers
+
+
+def test_undeclared_kernels_keep_their_results():
+    grid = Grid(1, 16, phys_side=2.0)
+    f = GridFunction(grid, rng(8).normal(size=grid.shape))
+    y_only = Kernel("y_only", 1, lambda x, y: np.sin(y[..., 0]) + 0.0 * x[..., 0])
+    assert operators._offset_lattice(y_only, grid) is None
+    want = loop_transform(y_only, f, np.ones(16, bool), np.ones(16, bool))
+    np.testing.assert_allclose(apply_restricted(y_only, f).values, want, atol=1e-12)
+    np.testing.assert_allclose(RestrictedTransform(y_only, f).full(), want, atol=1e-12)
+    bad = Kernel("bad", 1, lambda x, y: 1.0 / (x[..., 0] - y[..., 0] - 1.0))
+    with pytest.raises(NumericError, match="x=.*y="):
+        RestrictedTransform(bad, GridFunction(Grid(1, 4, phys_side=4.0), np.ones(4)))
+
+
+# ---------------------------------------------------------------------------
+# memory preflight
+
+def test_table_estimate_counts_table_and_product():
+    for grid, name in ((Grid(1, 32), "hilbert"), (Grid(2, 8), "riesz2d")):
+        k = make_kernel(name, grid)
+        rt = RestrictedTransform(k, GridFunction(grid, np.ones(grid.shape)))
+        product = 8 * grid.n_cells**2
+        assert operators._table_bytes(grid, False) == rt._sat.nbytes + product
+        assert operators._table_bytes(grid, True) == 2 * (rt._sat.nbytes + product)
+    # 2D n = 128: about 4.3 GB
+    assert operators._table_bytes(Grid(2, 128), False) == 128**2 * 129**2 * 8 + 128**4 * 8
+
+
+def test_table_refused_before_allocation(monkeypatch):
+    def untouchable(x, y):
+        pytest.fail("the kernel must not be evaluated for a refused table")
+
+    monkeypatch.setattr(operators, "_physical_memory", lambda: 2**20)
+    grid = Grid(1, 1024)
+    k = Kernel("untouchable", 1, untouchable, translation_invariant=True)
+    with pytest.raises(ParameterError, match="GiB"):
+        RestrictedTransform(k, GridFunction(grid, np.ones(grid.shape)))
+    # small tables still build; an unknown memory size checks nothing
+    RestrictedTransform(make_kernel("hilbert"), GridFunction(Grid(1, 64), np.ones(64)))
+    monkeypatch.setattr(operators, "_physical_memory", lambda: None)
+    RestrictedTransform(make_kernel("hilbert"), GridFunction(grid, np.ones(grid.shape)))
