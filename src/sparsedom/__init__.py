@@ -41,14 +41,12 @@ from .operators import (
     dini_constant,
     dini_profile,
     hormander_constant,
-    kernel_names,
     make_kernel,
     transpose_kernel,
 )
 from .sparse import (
     ConstantLedger,
     DominationResult,
-    ExceptionalSet,
     NodeRecord,
     PipelineConfig,
     SparseEntry,

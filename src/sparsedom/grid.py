@@ -380,14 +380,19 @@ class CellSet:
 # cube integrals and averages
 
 def cube_integral(f: GridFunction, cube: Cube, p: float = 1.0) -> float:
-    """Midpoint integral of ``|f|**p`` over the cube (window part only)."""
+    """Midpoint integral of ``|f|**p`` over the cube (window part only).
+
+    The 2D inclusion-exclusion sum of the prefix table can round to a tiny
+    negative where ``|f|**p`` vanishes; it is clamped at 0, as the power
+    sweeps of :mod:`sparsedom.maximal` do.
+    """
     if not (p > 0):
         raise ParameterError(f"exponent must be positive, got {p}")
     clip = cube.window_clip(f.grid)
     if clip is None:
         return 0.0
     sat = f.power_sat(p)
-    return float(_sat_rect_sum(sat, clip)) * f.grid.cell_measure
+    return max(float(_sat_rect_sum(sat, clip)), 0.0) * f.grid.cell_measure
 
 
 def avg_p(f: GridFunction, cube: Cube, p: float) -> float:

@@ -53,7 +53,6 @@ __all__ = [
     "HormanderEstimate",
     "hormander_constant",
     "make_kernel",
-    "kernel_names",
 ]
 
 
@@ -646,7 +645,3 @@ def make_kernel(name: str, grid: Grid | None = None, **params) -> Kernel:
     if params:
         raise ParameterError(f"unused kernel parameters for {name!r}: {sorted(params)}")
     return k
-
-
-def kernel_names() -> list[str]:
-    return ["hilbert", "holder", "dini_stress", "riesz2d", "zero"]

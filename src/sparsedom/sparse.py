@@ -14,12 +14,11 @@ in fixed mode the caller supplies threshold ratios and violations are
 flagged but not fatal.  A dyadic stopping time covers the exceptional set
 by subcubes carrying at most half their measure of it; the node keeps the
 complement as its witness and recurses into the subcubes.  Every edge of
-the recursion tree gets a certified coefficient bounding the transform of
-``f`` restricted to the parent dilation minus the child dilation, either
-through the threshold algebra or by direct evaluation, whichever is
-smaller.  The final constant is the maximum over node and edge
-coefficients, and the pointwise domination it certifies is checked
-verbatim by :func:`sparsedom.verify.check_domination`.
+the recursion tree gets its exact coefficient: the largest magnitude, on
+the child's cells, of the transform of ``f`` restricted to the parent
+dilation minus the child dilation.  The final constant is the maximum
+over node and edge coefficients, and the pointwise domination it
+certifies is checked verbatim by :func:`sparsedom.verify.check_domination`.
 
 Globalization covers the window by the support box plus rings of
 congruent cubes around it; every cover cube R satisfies
@@ -32,7 +31,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -47,7 +45,6 @@ from .operators import Kernel, RestrictedTransform
 
 __all__ = [
     "PipelineConfig",
-    "ExceptionalSet",
     "SparseEntry",
     "SparseFamily",
     "NodeRecord",
@@ -113,7 +110,6 @@ class ExceptionalSet:
     allowed_per_stat: int
     exceed_counts: tuple[int, int, int]
     flags: tuple[str, ...]
-    t_exceed: CellSet
 
 
 @dataclass(frozen=True)
@@ -145,12 +141,6 @@ class SparseFamily:
     entries: list[SparseEntry]
     constant: float
     meta: dict = field(default_factory=dict)
-
-
-class NodeInfo(NamedTuple):
-    a_ratio: float
-    avg: float
-    t_exceed: CellSet
 
 
 @dataclass
@@ -254,22 +244,25 @@ def _exceptional(rt: RestrictedTransform, f: GridFunction, cube: Cube,
     mode the thresholds are per-statistic order statistics sized so the
     exceptional set covers at most ``1/2**(dim+2)`` of the cube's cells;
     in fixed mode they are ``c_fixed`` (power average) and ``a_fixed``
-    (transform and oscillation) times the node average.
+    (transform and oscillation) times the node average.  Only the
+    transform threshold enters the node coefficient (``a_ratio``): a cell
+    outside the exceptional set has ``|T(f char_{Q+})| <= tau_t``.  The
+    other two thresholds only cut the exceptional set.
     """
     grid = f.grid
     qs = dilate(cube, cfg.alpha)
     avg = avg_p(f, qs, cfg.s)
     flags: list[str] = []
     clip = cube.window_clip(grid)
-    empty = CellSet.empty(grid)
     if clip is None or avg == 0.0:
         if avg == 0.0:
             flags.append("zero_average")
         if clip is None:
             flags.append("outside_window")
-        return ExceptionalSet(cube, empty, avg, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+        return ExceptionalSet(cube, CellSet.empty(grid), avg,
+                              0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
                               cube.cell_count // (3 * 2 ** (grid.dim + 2)),
-                              (0, 0, 0), tuple(flags), empty)
+                              (0, 0, 0), tuple(flags))
 
     cells, t_vals, ms_vals, osc_vals = _node_stats(rt, f, cube, qs, cfg.s)
     allowed = cube.cell_count // (3 * 2 ** (grid.dim + 2))
@@ -290,10 +283,6 @@ def _exceptional(rt: RestrictedTransform, f: GridFunction, cube: Cube,
 
     omega_mask = np.zeros(grid.shape, dtype=bool)
     omega_mask[tuple(cells[union].T)] = True
-    t_mask = np.zeros(grid.shape, dtype=bool)
-    t_mask[tuple(cells[ex_t].T)] = True
-    c_ratio = tau_ms / avg
-    a_ratio = max(tau_t, tau_osc) / avg
     return ExceptionalSet(
         cube=cube,
         omega=CellSet.from_window_mask(grid, omega_mask),
@@ -301,13 +290,12 @@ def _exceptional(rt: RestrictedTransform, f: GridFunction, cube: Cube,
         tau_t=tau_t,
         tau_ms=tau_ms,
         tau_osc=tau_osc,
-        c_ratio=c_ratio,
-        a_ratio=a_ratio,
+        c_ratio=tau_ms / avg,
+        a_ratio=tau_t / avg,
         max_t_ratio=float(t_vals.max()) / avg,
         allowed_per_stat=allowed,
         exceed_counts=(int(ex_t.sum()), int(ex_ms.sum()), int(ex_osc.sum())),
         flags=tuple(flags),
-        t_exceed=CellSet.from_window_mask(grid, t_mask),
     )
 
 
@@ -411,18 +399,9 @@ def _edge_direct(rt: RestrictedTransform, parent_dil: Cube, child_dil: Cube,
     return 0.0 if resid == 0.0 else math.inf
 
 
-def _analytic_edge_valid(witnessable: CellSet, omega: CellSet,
-                         child_t_exceed: CellSet, grid: Grid) -> bool:
-    """A certified chain step needs one window cell of the child outside
-    both the parent's exceptional set and the child's transform-exceed set."""
-    good = witnessable.window_mask() & ~omega.window_mask() \
-        & ~child_t_exceed.window_mask()
-    return bool(good.any())
-
-
 def _build_node(rt: RestrictedTransform, f: GridFunction, q: Cube, depth: int,
                 cfg: PipelineConfig, entries: list[SparseEntry],
-                records: list[NodeRecord]) -> NodeInfo:
+                records: list[NodeRecord]) -> None:
     grid = f.grid
     exc = _exceptional(rt, f, q, cfg)
     flags = list(exc.flags)
@@ -457,20 +436,10 @@ def _build_node(rt: RestrictedTransform, f: GridFunction, q: Cube, depth: int,
 
     parent_dil = dilate(q, cfg.alpha)
     for child in children:
-        info = _build_node(rt, f, child, depth + 1, cfg, entries, records)
-        child_dil = dilate(child, cfg.alpha)
-        kappa = _edge_direct(rt, parent_dil, child_dil, child, exc.avg, grid)
-        analytic = math.inf
-        if exc.avg > 0 and _analytic_edge_valid(
-                CellSet.from_cube(grid, child), exc.omega, info.t_exceed, grid):
-            analytic = 2.0 * exc.a_ratio + exc.c_ratio * info.a_ratio
-        record.edges.append({
-            "child": child,
-            "kappa": kappa,
-            "analytic": analytic,
-            "coefficient": min(kappa, analytic),
-        })
-    return NodeInfo(a_ratio=exc.a_ratio, avg=exc.avg, t_exceed=exc.t_exceed)
+        _build_node(rt, f, child, depth + 1, cfg, entries, records)
+        kappa = _edge_direct(rt, parent_dil, dilate(child, cfg.alpha), child,
+                             exc.avg, grid)
+        record.edges.append({"child": child, "coefficient": kappa})
 
 
 def constant_from_records(records: list[NodeRecord]) -> float:
@@ -537,10 +506,11 @@ def build_sparse_domination(kernel: Kernel, f: GridFunction,
     """Full pipeline: cover the window, recurse per cover cube, assemble
     the family and its certified constant.
 
-    The constant is the maximum of all node coefficients (transform and
-    oscillation thresholds in units of the node average, or exact
-    pointwise bounds where witnesses overlap exceptional cells) and all
-    edge coefficients; by the chain telescoping it certifies
+    The constant is the maximum of all node coefficients (the transform
+    threshold tau_t in units of the node average, or the pointwise maximum
+    of ``|T(f char_{Q+})|`` on the node where a witness overlaps the
+    exceptional set) and all exact edge coefficients; by the chain
+    telescoping it certifies
     ``|T f| <= constant * (sparse averaging operator)`` on every window
     cell whenever no honesty flag says otherwise.
     """

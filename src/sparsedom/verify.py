@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ParameterError, UndefinedRatioError
 from .grid import CellSet, Cube, Grid, GridFunction, avg_p
 from .maximal import hl_maximal, sharp_truncated
-from .operators import Kernel, RestrictedTransform, apply_restricted, transpose_kernel
+from .operators import Kernel, apply_restricted, transpose_kernel
 from .sparse import SparseFamily
 
 __all__ = [
@@ -221,10 +221,8 @@ def wq_profile(kernel: Kernel, f: GridFunction, cube: Cube, q: float = 1.0,
     if avg == 0.0 or clip is None:
         return {"lambdas": list(lambdas), "psi": [0.0] * len(lambdas),
                 "avg": avg, "degenerate": True}
-    rt = RestrictedTransform(kernel, f)
-    axes = np.meshgrid(*[np.arange(lo, hi) for lo, hi in clip], indexing="ij")
-    cells = np.stack([a.ravel() for a in axes], axis=-1)
-    tvals = np.abs(rt.apply_box(rt.row_index(cells), cube.bounds()))
+    tf = apply_restricted(kernel, f, targets=cube, source=cube)
+    tvals = np.abs(tf.values[tuple(slice(lo, hi) for lo, hi in clip)]).ravel()
     svals = np.sort(tvals)[::-1]
     psi = []
     for lam in lambdas:

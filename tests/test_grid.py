@@ -20,6 +20,7 @@ from sparsedom import (
     dyadic_children,
     orlicz_avg,
 )
+from sparsedom.inputs import make_input
 
 
 def grid1d(n=8, length=None):
@@ -184,6 +185,17 @@ def test_avg_p_holder_monotone(seed, p, q):
     cube = Cube((int(rng.integers(-4, 12)),), int(rng.integers(1, 9)))
     lo, hi = avg_p(f, cube, p), avg_p(f, cube, q)
     assert lo <= hi * (1 + 1e-12), f"avg_{p} > avg_{q} on {cube}"
+
+
+def test_2d_avg_is_nonnegative_real_where_f_vanishes():
+    # the inclusion-exclusion sum over this cube rounds below zero unclamped,
+    # and its square root was a complex number
+    f = make_input(Grid(2, 16), "random", seed=7)
+    cube = Cube((6, 12), 2)
+    for p in (1.0, 2.0):
+        got = avg_p(f, cube, p)
+        assert isinstance(got, float) and got >= 0.0
+    assert cube_integral(f, cube, 2.0) >= 0.0
 
 
 def test_avg_rejects_nonpositive_exponent():

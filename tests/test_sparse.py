@@ -25,6 +25,7 @@ from sparsedom import (
     support_box,
 )
 from sparsedom import sparse
+from sparsedom.inputs import INPUT_KINDS, make_input
 
 
 def rng(seed):
@@ -392,6 +393,78 @@ def test_local_family_odd_ring_side_flags_and_still_dominates():
     assert res.ledger.flag_counts.get("odd_leaf", 0) > 0
     tf = np.abs(apply_restricted(k, f).values)
     assert np.all(tf <= res.family.constant * sparse_sum(res.family) + 1e-10)
+
+
+# ---------------------------------------------------------------------------
+# chain inequality
+
+def analytic_edge_check(kernel, f, cfg):
+    """(valid edges, failures) of the source paper's chain step on every
+    edge of the built family.
+
+    The analytic edge bound is 2 a_Q + c_Q a_P in units of the parent
+    average, where a = max(tau_t, tau_osc) / avg and c = tau_ms / avg come
+    from the node statistics.  It holds on an edge whose child P has a
+    window cell outside the parent's exceptional set and outside the
+    child's transform-exceed set, and it must bound the exact edge
+    coefficient there; a node sweep that drops a cube the proof needs
+    lowers a threshold and breaks it.
+    """
+    res = build_sparse_domination(kernel, f, cfg)
+    rt = RestrictedTransform(kernel, f)
+    grid = f.grid
+    nodes = {}
+
+    def node(q):
+        if q not in nodes:
+            exc = sparse._exceptional(rt, f, q, cfg)
+            t_exceed = np.zeros(grid.shape, dtype=bool)
+            a = 0.0
+            if exc.avg > 0 and q.window_clip(grid) is not None:
+                cells, t_vals, _, _ = sparse._node_stats(
+                    rt, f, q, dilate(q, cfg.alpha), cfg.s)
+                t_exceed[tuple(cells[t_vals > exc.tau_t].T)] = True
+                a = max(exc.tau_t, exc.tau_osc) / exc.avg
+            nodes[q] = exc, t_exceed, a
+        return nodes[q]
+
+    valid, failures = 0, []
+    for rec in res.records:
+        if not rec.edges:
+            continue
+        exc, _, a_q = node(rec.cube)
+        for edge in rec.edges:
+            child = edge["child"]
+            _, child_t_exceed, a_p = node(child)
+            good = (CellSet.from_cube(grid, child).window_mask()
+                    & ~exc.omega.window_mask() & ~child_t_exceed)
+            if exc.avg == 0 or not good.any():
+                continue
+            valid += 1
+            analytic = 2.0 * a_q + exc.c_ratio * a_p
+            kappa = edge["coefficient"]
+            if analytic < kappa - 1e-9 * max(1.0, kappa):
+                failures.append((rec.cube, child, analytic, kappa))
+    return valid, failures
+
+
+@pytest.mark.parametrize("kname,dim,n", [
+    ("hilbert", 1, 128),
+    ("holder", 1, 128),
+    ("dini_stress", 1, 128),
+    ("riesz2d", 2, 16),
+])
+def test_analytic_chain_bound_dominates_exact_edges(kname, dim, n):
+    grid = Grid(dim, n)
+    k = make_kernel(kname, grid)
+    valid = 0
+    for kind in INPUT_KINDS:
+        for alpha in (3, 5):
+            got, failures = analytic_edge_check(
+                k, make_input(grid, kind, seed=13), PipelineConfig(alpha=alpha))
+            assert not failures, (kind, alpha, failures[:3])
+            valid += got
+    assert valid > 0
 
 
 # ---------------------------------------------------------------------------
