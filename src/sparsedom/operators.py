@@ -332,13 +332,6 @@ class RestrictedTransform:
         self._sat = sat
         self._n = n
 
-    def row_index(self, cells: np.ndarray) -> np.ndarray:
-        """Flat target indices for integer cell coordinates (k, dim)."""
-        cells = np.asarray(cells)
-        if self.grid.dim == 1:
-            return cells.reshape(-1)
-        return cells[..., 0] * self._n + cells[..., 1]
-
     def full(self) -> np.ndarray:
         """T(f) at every window cell, window-shaped array."""
         if self.grid.dim == 1:

@@ -13,12 +13,15 @@ exceptional set provably occupies at most ``1 / 2**(dim+2)`` of Q's cells;
 in fixed mode the caller supplies threshold ratios and violations are
 flagged but not fatal.  A dyadic stopping time covers the exceptional set
 by subcubes carrying at most half their measure of it; the node keeps the
-complement as its witness and recurses into the subcubes.  Every edge of
-the recursion tree gets its exact coefficient: the largest magnitude, on
-the child's cells, of the transform of ``f`` restricted to the parent
-dilation minus the child dilation.  The final constant is the maximum
-over node and edge coefficients, and the pointwise domination it
-certifies is checked verbatim by :func:`sparsedom.verify.check_domination`.
+complement as its witness and recurses into the subcubes.
+
+Every coefficient is read from the transforms the nodes already hold, in
+units of the node average: a node's is the largest ``|T(f char_{Q+})|``
+on its witness, an edge's the largest ``|T(f char_{Q+}) - T(f char_{P+})|``
+on the child P (whose transform counts as 0 where its average is 0).
+Telescoping along the tree bounds ``|T f|`` on every witness by the
+largest coefficient times the sparse sum; that constant is checked
+verbatim by :func:`sparsedom.verify.check_domination`.
 
 Globalization covers the window by the support box plus rings of
 congruent cubes around it; every cover cube R satisfies
@@ -28,15 +31,15 @@ the full transform there.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import (
     AlignmentError,
     DensityError,
+    NumericError,
     ParameterError,
 )
 from .grid import CellSet, Cube, Grid, GridFunction, avg_p, dilate, dyadic_children
@@ -66,8 +69,7 @@ class PipelineConfig:
     construction), ``"fixed"`` uses the given ``c_fixed`` and ``a_fixed``
     multiples of the node average and flags measure violations.
     ``max_depth`` caps recursion depth per cover cube; capped nodes keep
-    their whole cube as witness and fall back to pointwise transform
-    bounds.
+    their whole cube as witness, exceptional cells included.
     """
 
     alpha: int = 3
@@ -96,7 +98,9 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class ExceptionalSet:
-    """Exceptional cells of one node, with the thresholds that cut them."""
+    """Exceptional cells of one node, with the thresholds that cut them, and
+    ``T(f char_{Q+})`` at every window cell (None on a node skipped for a
+    zero average or no window cells)."""
 
     cube: Cube
     omega: CellSet
@@ -105,11 +109,10 @@ class ExceptionalSet:
     tau_ms: float
     tau_osc: float
     c_ratio: float
-    a_ratio: float
-    max_t_ratio: float
     allowed_per_stat: int
     exceed_counts: tuple[int, int, int]
     flags: tuple[str, ...]
+    transform: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -149,9 +152,7 @@ class NodeRecord:
     depth: int
     avg: float
     c_ratio: float
-    a_ratio: float
     a_effective: float
-    max_t_ratio: float
     omega_count: int
     witness_count: int
     flags: tuple[str, ...]
@@ -160,7 +161,10 @@ class NodeRecord:
 
 @dataclass
 class ConstantLedger:
-    """How the final constant was assembled, node by node."""
+    """How the final constant was assembled, node by node.
+
+    ``constant_source`` names the first node or edge term, in record order,
+    that attains the constant; it is None for zero input."""
 
     mode: str
     alpha: int
@@ -172,20 +176,10 @@ class ConstantLedger:
     max_depth_seen: int
     flag_counts: dict
     per_depth: list[dict]
+    constant_source: dict | None
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "alpha": self.alpha,
-            "s": self.s,
-            "eta": self.eta,
-            "final_c": self.final_c,
-            "n_nodes": self.n_nodes,
-            "n_edges": self.n_edges,
-            "max_depth_seen": self.max_depth_seen,
-            "flag_counts": dict(sorted(self.flag_counts.items())),
-            "per_depth": self.per_depth,
-        }
+        return {**asdict(self), "flag_counts": dict(sorted(self.flag_counts.items()))}
 
 
 @dataclass
@@ -198,27 +192,21 @@ class DominationResult:
 # ---------------------------------------------------------------------------
 # node statistics
 
-def _window_cells(clip) -> np.ndarray:
-    """Integer coordinates (k, dim) of the cells in per-axis bounds, row-major."""
-    axes = np.meshgrid(*[np.arange(lo, hi) for lo, hi in clip], indexing="ij")
-    return np.stack([a.ravel() for a in axes], axis=-1)
-
-
 def _node_stats(rt: RestrictedTransform, f: GridFunction, cube: Cube, qs: Cube,
                 s: float):
-    """Cells of the node's window part and, per cell, |T(f char_{Q+})| and
-    the power-average and oscillation maximal functions of f char_{Q+}."""
+    """T(f char_{Q+}) at every window cell (window-shaped, signed) and, on
+    the node's window cells in row-major order, the power-average and
+    oscillation maximal functions of f char_{Q+}."""
     grid = f.grid
     clip = cube.window_clip(grid)
     box = qs.window_clip(grid)
     outer = rt.apply_box(np.arange(grid.n_cells), box).reshape(grid.shape)
-    t_vals = np.abs(outer[tuple(slice(lo, hi) for lo, hi in clip)]).ravel()
     ms = _power_average_sweep(f, s, clip, box,
                               range(1, qs.side // 2 + qs.side % 2 + 1))
     osc = _oscillation_sweep(rt, outer, clip, box,
                              range(1, max(1, (cube.side + 1) // 2) + 1),
                              (qs.side // cube.side - 1) // 2)
-    return _window_cells(clip), t_vals, ms.ravel(), osc.ravel()
+    return outer, ms.ravel(), osc.ravel()
 
 
 def _order_threshold(vals: np.ndarray, k: int) -> float:
@@ -244,10 +232,8 @@ def _exceptional(rt: RestrictedTransform, f: GridFunction, cube: Cube,
     mode the thresholds are per-statistic order statistics sized so the
     exceptional set covers at most ``1/2**(dim+2)`` of the cube's cells;
     in fixed mode they are ``c_fixed`` (power average) and ``a_fixed``
-    (transform and oscillation) times the node average.  Only the
-    transform threshold enters the node coefficient (``a_ratio``): a cell
-    outside the exceptional set has ``|T(f char_{Q+})| <= tau_t``.  The
-    other two thresholds only cut the exceptional set.
+    (transform and oscillation) times the node average.  The thresholds
+    only cut the exceptional set; no coefficient is read from them.
     """
     grid = f.grid
     qs = dilate(cube, cfg.alpha)
@@ -260,11 +246,13 @@ def _exceptional(rt: RestrictedTransform, f: GridFunction, cube: Cube,
         if clip is None:
             flags.append("outside_window")
         return ExceptionalSet(cube, CellSet.empty(grid), avg,
-                              0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                              0.0, 0.0, 0.0, 0.0,
                               cube.cell_count // (3 * 2 ** (grid.dim + 2)),
-                              (0, 0, 0), tuple(flags))
+                              (0, 0, 0), tuple(flags), None)
 
-    cells, t_vals, ms_vals, osc_vals = _node_stats(rt, f, cube, qs, cfg.s)
+    outer, ms_vals, osc_vals = _node_stats(rt, f, cube, qs, cfg.s)
+    sl = tuple(slice(lo, hi) for lo, hi in clip)
+    t_vals = np.abs(outer[sl]).ravel()
     allowed = cube.cell_count // (3 * 2 ** (grid.dim + 2))
     if cfg.mode == "quantile":
         tau_t = _order_threshold(t_vals, allowed)
@@ -282,7 +270,7 @@ def _exceptional(rt: RestrictedTransform, f: GridFunction, cube: Cube,
         flags.append("measure_violation")
 
     omega_mask = np.zeros(grid.shape, dtype=bool)
-    omega_mask[tuple(cells[union].T)] = True
+    omega_mask[sl] = union.reshape(omega_mask[sl].shape)
     return ExceptionalSet(
         cube=cube,
         omega=CellSet.from_window_mask(grid, omega_mask),
@@ -291,11 +279,10 @@ def _exceptional(rt: RestrictedTransform, f: GridFunction, cube: Cube,
         tau_ms=tau_ms,
         tau_osc=tau_osc,
         c_ratio=tau_ms / avg,
-        a_ratio=tau_t / avg,
-        max_t_ratio=float(t_vals.max()) / avg,
         allowed_per_stat=allowed,
         exceed_counts=(int(ex_t.sum()), int(ex_ms.sum()), int(ex_osc.sum())),
         flags=tuple(flags),
+        transform=outer,
     )
 
 
@@ -381,27 +368,29 @@ def local_cz_decomposition(grid: Grid, cube: Cube, omega: CellSet,
 # ---------------------------------------------------------------------------
 # recursion
 
-def _edge_direct(rt: RestrictedTransform, parent_dil: Cube, child_dil: Cube,
-                 child: Cube, avg: float, grid: Grid) -> float:
-    """Exact edge coefficient: the largest transform magnitude on the
-    child's window cells with source parent-dilation minus child-dilation,
-    in units of the parent average."""
-    clip = child.window_clip(grid)
-    if clip is None:
-        return 0.0
-    rows = rt.row_index(_window_cells(clip))
-    outer = rt.apply_box(rows, parent_dil.bounds())
-    inner_b = child_dil.clip(parent_dil)
-    inner = rt.apply_box(rows, inner_b) if inner_b else 0.0
-    resid = float(np.abs(outer - inner).max())
-    if avg > 0:
-        return resid / avg
-    return 0.0 if resid == 0.0 else math.inf
+def _check_invariants(q: Cube, omega_count: int, children: list[Cube],
+                      witness: CellSet, dim: int) -> None:
+    """The source paper's counting invariants of one quantile-mode node,
+    in integer arithmetic: the exceptional set holds at most
+    ``1/2**(dim+2)`` of the cube, the selected children at most half, and
+    the witness at least half."""
+    cells = q.cell_count
+    selected = sum(c.cell_count for c in children)
+    for broken, what in (
+            (omega_count * 2 ** (dim + 2) > cells,
+             f"exceptional set holds {omega_count}, more than 1/2**{dim + 2}"),
+            (2 * selected > cells, f"children hold {selected}, more than half"),
+            (2 * witness.count < cells,
+             f"witness holds {witness.count}, less than half")):
+        if broken:
+            raise NumericError(f"node {q}: {what} of its {cells} cells")
 
 
 def _build_node(rt: RestrictedTransform, f: GridFunction, q: Cube, depth: int,
                 cfg: PipelineConfig, entries: list[SparseEntry],
-                records: list[NodeRecord]) -> None:
+                records: list[NodeRecord]) -> np.ndarray | None:
+    """Grow the recursion tree below ``q``; return ``T(f char_{Q+})`` at
+    every window cell, or None where it is taken as 0."""
     grid = f.grid
     exc = _exceptional(rt, f, q, cfg)
     flags = list(exc.flags)
@@ -414,32 +403,34 @@ def _build_node(rt: RestrictedTransform, f: GridFunction, q: Cube, depth: int,
                                                 allow_odd_leaf=True)
             flags.extend(st_flags)
     witness = CellSet.cube_minus_cubes(grid, q, children)
+    if cfg.mode == "quantile":
+        _check_invariants(q, exc.omega.count, children, witness, grid.dim)
 
-    # witness cells not cleared of exceptional cells fall back to the
-    # exact pointwise transform bound over the whole node
-    uncovered = witness.window_mask() & exc.omega.window_mask()
-    a_eff = exc.a_ratio
-    if uncovered.any():
+    in_witness = witness.window_mask()
+    if (in_witness & exc.omega.window_mask()).any():
         flags.append("witness_overlaps_exceptional")
-        a_eff = max(a_eff, exc.max_t_ratio)
+    a_eff = 0.0
+    if exc.transform is not None and in_witness.any():
+        a_eff = float(np.abs(exc.transform[in_witness]).max()) / exc.avg
 
     entry = SparseEntry(cube=dilate(q, cfg.alpha), witness=witness,
                         coefficient=exc.avg, base_cube=q, depth=depth,
                         flags=tuple(flags))
     entries.append(entry)
     record = NodeRecord(cube=q, depth=depth, avg=exc.avg, c_ratio=exc.c_ratio,
-                        a_ratio=exc.a_ratio, a_effective=a_eff,
-                        max_t_ratio=exc.max_t_ratio,
-                        omega_count=exc.omega.count,
+                        a_effective=a_eff, omega_count=exc.omega.count,
                         witness_count=witness.count, flags=tuple(flags))
     records.append(record)
 
-    parent_dil = dilate(q, cfg.alpha)
+    # a child holds an exceptional cell, so it has window cells, and a node
+    # with children has its transform
     for child in children:
-        _build_node(rt, f, child, depth + 1, cfg, entries, records)
-        kappa = _edge_direct(rt, parent_dil, dilate(child, cfg.alpha), child,
-                             exc.avg, grid)
-        record.edges.append({"child": child, "coefficient": kappa})
+        inner = _build_node(rt, f, child, depth + 1, cfg, entries, records)
+        sl = tuple(slice(lo, hi) for lo, hi in child.window_clip(grid))
+        resid = exc.transform[sl] if inner is None else exc.transform[sl] - inner[sl]
+        record.edges.append({"child": child,
+                             "coefficient": float(np.abs(resid).max()) / exc.avg})
+    return exc.transform
 
 
 def constant_from_records(records: list[NodeRecord]) -> float:
@@ -451,6 +442,10 @@ def constant_from_records(records: list[NodeRecord]) -> float:
         for e in rec.edges:
             best = max(best, e["coefficient"])
     return best
+
+
+def _cube_dict(cube: Cube) -> dict:
+    return {"anchor": list(cube.anchor), "side": cube.side}
 
 
 # ---------------------------------------------------------------------------
@@ -506,13 +501,13 @@ def build_sparse_domination(kernel: Kernel, f: GridFunction,
     """Full pipeline: cover the window, recurse per cover cube, assemble
     the family and its certified constant.
 
-    The constant is the maximum of all node coefficients (the transform
-    threshold tau_t in units of the node average, or the pointwise maximum
-    of ``|T(f char_{Q+})|`` on the node where a witness overlaps the
-    exceptional set) and all exact edge coefficients; by the chain
-    telescoping it certifies
-    ``|T f| <= constant * (sparse averaging operator)`` on every window
-    cell whenever no honesty flag says otherwise.
+    The constant is the maximum of all node coefficients (the largest
+    ``|T(f char_{Q+})|`` on the node's witness) and all edge coefficients
+    (the largest ``|T(f char_{Q+}) - T(f char_{P+})|`` on the child P),
+    each in units of the node average; by the chain telescoping it
+    certifies ``|T f| <= constant * (sparse averaging operator)`` on every
+    window cell.  The ledger's ``constant_source`` names the node and the
+    term that set it.
     """
     cfg = config or PipelineConfig()
     grid = f.grid
@@ -529,7 +524,7 @@ def build_sparse_domination(kernel: Kernel, f: GridFunction,
         family = SparseFamily(grid, eta, [entry], 0.0,
                               meta=_family_meta(kernel, cfg, None, ["zero_input"]))
         ledger = ConstantLedger(cfg.mode, cfg.alpha, cfg.s, eta, 0.0, 1, 0, 0,
-                                {"zero_input": 1}, [])
+                                {"zero_input": 1}, [], None)
         return DominationResult(family, ledger, [])
 
     cover = partition_cover(grid, supp, cfg.alpha)
@@ -540,6 +535,7 @@ def build_sparse_domination(kernel: Kernel, f: GridFunction,
         _build_node(rt, f, root, 0, cfg, entries, records)
 
     final_c = constant_from_records(records)
+    source = None
     n_edges = 0
     flag_counts: Counter = Counter()
     depth_agg: dict[int, dict] = {}
@@ -556,6 +552,13 @@ def build_sparse_domination(kernel: Kernel, f: GridFunction,
         if rec.edges:
             agg["max_edge"] = max(agg["max_edge"],
                                   max(e["coefficient"] for e in rec.edges))
+        # the first term in record order that attains the constant
+        for value, child in ([(rec.a_effective, None)]
+                             + [(e["coefficient"], e["child"]) for e in rec.edges]):
+            if source is None and value == final_c:
+                source = {"cube": _cube_dict(rec.cube), "depth": rec.depth,
+                          "term": "node" if child is None else "edge",
+                          "child": None if child is None else _cube_dict(child)}
 
     ledger = ConstantLedger(
         mode=cfg.mode, alpha=cfg.alpha, s=cfg.s, eta=eta, final_c=final_c,
@@ -563,6 +566,7 @@ def build_sparse_domination(kernel: Kernel, f: GridFunction,
         max_depth_seen=max((r.depth for r in records), default=0),
         flag_counts=dict(flag_counts),
         per_depth=[depth_agg[d] for d in sorted(depth_agg)],
+        constant_source=source,
     )
     family = SparseFamily(grid, eta, entries, final_c,
                           meta=_family_meta(kernel, cfg, supp, sorted(flag_counts)))

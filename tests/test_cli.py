@@ -23,8 +23,9 @@ from sparsedom import (
     make_kernel,
 )
 import sparsedom
-from sparsedom import cli
+from sparsedom import cli, sparse
 from sparsedom.errors import ConfigError
+from sparsedom.grid import dyadic_children
 from sparsedom.inputs import make_input
 
 
@@ -380,6 +381,28 @@ def test_numeric_failures_exit_three(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "build_sparse_domination", explode)
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+
+@pytest.mark.parametrize("broken,message", [
+    ("omega", "exceptional set holds"),
+    ("children", "children hold"),
+])
+def test_run_exits_three_on_broken_invariant(tmp_path, capsys, monkeypatch,
+                                             broken, message):
+    # thresholds that flag every cell, or a stopping time that selects
+    # every child, break a quantile-mode counting invariant of the builder
+    if broken == "omega":
+        monkeypatch.setattr(sparse, "_order_threshold", lambda vals, k: -1.0)
+    else:
+        monkeypatch.setattr(sparse, "_stopping_time",
+                            lambda grid, cube, *a, **k: (dyadic_children(cube), []))
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: node Cube(") and message in err
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
 
 
 def test_exit_code_mapping():

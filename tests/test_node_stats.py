@@ -51,9 +51,8 @@ def reference_stats_1d(rt, f, cube, qs, s):
     n = f.grid.cells_per_side
     (qlo, qhi), = cube.window_clip(f.grid)
     m = cube.side
-    cells = np.arange(qlo, qhi)
     (qs_lo, qs_hi), = qs.bounds()
-    t_vals = np.abs(rt.apply_box(cells, ((qs_lo, qs_hi),)))
+    outer = rt.apply_box(np.arange(n), ((qs_lo, qs_hi),))
     osc = np.zeros(qhi - qlo)
     shift = (qs.side // cube.side - 1) // 2
     for side in range(1, max(1, (m + 1) // 2) + 1):
@@ -72,7 +71,7 @@ def reference_stats_1d(rt, f, cube, qs, s):
             stat = (np.where(valid, trunc, -np.inf).max(axis=1)
                     - np.where(valid, trunc, np.inf).min(axis=1))
         np.maximum(osc, sliding_window_view(stat, side).max(axis=-1), out=osc)
-    return cells[:, None], t_vals, _ms_1d(f, qlo, qhi, qs, s), osc
+    return outer, _ms_1d(f, qlo, qhi, qs, s), osc
 
 
 def reference_stats_2d(rt, f, cube, qs, s):
@@ -81,11 +80,9 @@ def reference_stats_2d(rt, f, cube, qs, s):
     (q0l, q0h), (q1l, q1h) = cube.window_clip(grid)
     w0, w1 = q0h - q0l, q1h - q1l
     m = cube.side
-    g0, g1 = np.meshgrid(np.arange(q0l, q0h), np.arange(q1l, q1h), indexing="ij")
-    cells = np.stack([g0.ravel(), g1.ravel()], axis=-1)
     box = qs.bounds()
     (b0l, b0h), (b1l, b1h) = box
-    t_vals = np.abs(rt.apply_box(cells[:, 0] * n + cells[:, 1], box))
+    outer = rt.apply_box(np.arange(n * n), box).reshape(grid.shape)
 
     sat = f.power_sat(s)
     ms = np.zeros((w0, w1))
@@ -128,7 +125,7 @@ def reference_stats_2d(rt, f, cube, qs, s):
                     - np.where(valid, trunc, np.inf).min(axis=(2, 3)))
         tmp = sliding_window_view(stat, side, axis=0).max(axis=-1)
         np.maximum(osc, sliding_window_view(tmp, side, axis=1).max(axis=-1), out=osc)
-    return cells, t_vals, ms.ravel(), osc.ravel()
+    return outer, ms.ravel(), osc.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +142,7 @@ def compare_every_node(monkeypatch, kernel, f, cfg):
     def checked(rt, f_, cube, qs, s):
         got = fast(rt, f_, cube, qs, s)
         want = reference(rt, f_, cube, qs, s)
-        for label, g, w in zip(("cells", "t_vals", "ms", "osc"), got, want):
+        for label, g, w in zip(("outer", "ms", "osc"), got, want, strict=True):
             assert g.dtype == w.dtype and np.array_equal(g, w), (cube, label)
         seen.append(cube)
         return got

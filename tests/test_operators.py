@@ -212,7 +212,7 @@ def test_restricted_transform_agrees_2d():
     box = Cube((1, 3), 4)
     direct = apply_restricted(k, f, source=box).values
     cells = np.argwhere(np.ones(grid.shape, bool))
-    rows = rt.row_index(cells)
+    rows = cells[:, 0] * grid.cells_per_side + cells[:, 1]
     got = rt.apply_box(rows, ((1, 5), (3, 7))).reshape(grid.shape)
     np.testing.assert_allclose(got, direct, atol=1e-10)
 

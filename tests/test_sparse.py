@@ -101,7 +101,7 @@ def test_quantile_thresholds_are_attained_values():
     f = supported_noise(grid, 3, 4, 28)
     exc = node_exceptional(make_kernel("hilbert"), f, Cube((8,), 16), alpha=3)
     assert exc.avg > 0
-    assert exc.a_ratio >= 0 and exc.c_ratio > 0
+    assert exc.tau_t in np.abs(exc.transform[8:24]) and exc.c_ratio > 0
     for cnt in exc.exceed_counts:
         assert cnt <= exc.allowed_per_stat
 
@@ -109,9 +109,11 @@ def test_quantile_thresholds_are_attained_values():
 def test_single_cell_node_self_certifies():
     grid = Grid(1, 16)
     f = supported_noise(grid, 1, 0, 16)
-    exc = node_exceptional(make_kernel("hilbert"), f, Cube((5,), 1), alpha=3)
+    k = make_kernel("hilbert")
+    exc = node_exceptional(k, f, Cube((5,), 1), alpha=3)
     assert exc.omega.is_empty()
-    assert exc.a_ratio >= exc.max_t_ratio  # threshold is the max itself
+    _, (rec,) = local_family(k, f, Cube((5,), 1), PipelineConfig(alpha=3))
+    assert rec.a_effective == abs(exc.transform[5]) / exc.avg
 
 
 def test_zero_average_node():
@@ -420,10 +422,9 @@ def analytic_edge_check(kernel, f, cfg):
             exc = sparse._exceptional(rt, f, q, cfg)
             t_exceed = np.zeros(grid.shape, dtype=bool)
             a = 0.0
-            if exc.avg > 0 and q.window_clip(grid) is not None:
-                cells, t_vals, _, _ = sparse._node_stats(
-                    rt, f, q, dilate(q, cfg.alpha), cfg.s)
-                t_exceed[tuple(cells[t_vals > exc.tau_t].T)] = True
+            if exc.transform is not None:
+                sl = tuple(slice(lo, hi) for lo, hi in q.window_clip(grid))
+                t_exceed[sl] = np.abs(exc.transform[sl]) > exc.tau_t
                 a = max(exc.tau_t, exc.tau_osc) / exc.avg
             nodes[q] = exc, t_exceed, a
         return nodes[q]
@@ -465,6 +466,96 @@ def test_analytic_chain_bound_dominates_exact_edges(kname, dim, n):
             assert not failures, (kind, alpha, failures[:3])
             valid += got
     assert valid > 0
+
+
+# ---------------------------------------------------------------------------
+# coefficients against the verifier's independent path
+
+MODES = {
+    "quantile": dict(mode="quantile"),
+    "fixed": dict(mode="fixed", c_fixed=1.5, a_fixed=1.0),
+}
+
+
+def coefficient_cases(dim, complex_values):
+    """Inputs of every kind on a 1D (hilbert, N = 64) or 2D (riesz2d,
+    n = 16) grid, with a random phase when complex."""
+    grid = Grid(dim, 64 if dim == 1 else 16)
+    k = make_kernel("hilbert" if dim == 1 else "riesz2d", grid)
+    for seed, kind in enumerate(INPUT_KINDS):
+        f = make_input(grid, kind, seed=seed + 3)
+        if complex_values:
+            phase = np.exp(2j * np.pi * rng(seed).random(grid.shape))
+            f = GridFunction(grid, f.values * phase)
+        yield k, f
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+@pytest.mark.parametrize("complex_values", [False, True])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_coefficients_match_direct_transforms(dim, complex_values, mode):
+    # node: max |T(f char_{Q+})| on the witness / avg_Q; edge: max over the
+    # child P of |T(f char_{Q+}) - T(f char_{P+})| / avg_Q; both recomputed
+    # by direct summation, not from the prefix table.  They are compared
+    # times avg_Q: in 2D a cube where f vanishes can get a rounding-level
+    # average, and table rounding over it is not a relative error.
+    cfg = PipelineConfig(alpha=3, **MODES[mode])
+    n_edges = 0
+    for k, f in coefficient_cases(dim, complex_values):
+        res = build_sparse_domination(k, f, cfg)
+        grid = f.grid
+        for entry, rec in zip(res.family.entries, res.records):
+            assert entry.base_cube == rec.cube
+            outer = apply_restricted(k, f, source=dilate(rec.cube, 3)).values
+            witness = entry.witness.window_mask()
+            want = np.abs(outer[witness]).max() if witness.any() else 0.0
+            if rec.avg == 0:
+                assert rec.a_effective == 0.0 and not rec.edges
+                continue
+            assert np.isclose(rec.a_effective * rec.avg, want, rtol=1e-9,
+                              atol=1e-12), rec.cube
+            for edge in rec.edges:
+                child = edge["child"]
+                inner = apply_restricted(k, f, source=dilate(child, 3)).values
+                on_child = CellSet.from_cube(grid, child).window_mask()
+                want = np.abs(outer - inner)[on_child].max()
+                assert np.isclose(edge["coefficient"] * rec.avg, want,
+                                  rtol=1e-9, atol=1e-12), (rec.cube, child)
+                n_edges += 1
+    assert n_edges > 0
+
+
+def _cube_dict(cube):
+    return {"anchor": list(cube.anchor), "side": cube.side}
+
+
+@pytest.mark.parametrize("kname,dim,n", [
+    ("hilbert", 1, 64), ("zero", 1, 64), ("riesz2d", 2, 16)])
+def test_constant_source_is_first_largest_term(kname, dim, n):
+    grid = Grid(dim, n)
+    k = make_kernel(kname, grid)
+    seen = set()
+    for mode in sorted(MODES):
+        for kind in INPUT_KINDS:
+            res = build_sparse_domination(k, make_input(grid, kind, seed=13),
+                                          PipelineConfig(alpha=3, **MODES[mode]))
+            terms = []
+            for rec in res.records:
+                terms.append((rec.a_effective, rec, None))
+                terms += [(e["coefficient"], rec, e["child"]) for e in rec.edges]
+            # argmax returns the first of equal maxima
+            value, rec, child = terms[int(np.argmax([t[0] for t in terms]))]
+            assert value == res.family.constant
+            want = {"cube": _cube_dict(rec.cube), "depth": rec.depth,
+                    "term": "node" if child is None else "edge",
+                    "child": None if child is None else _cube_dict(child)}
+            assert res.ledger.constant_source == want
+            assert res.ledger.to_dict()["constant_source"] == want
+            seen.add(want["term"])
+    # the zero kernel ties every term at 0 and picks the first node
+    assert seen == ({"node"} if kname == "zero" else {"node", "edge"})
+    zero = build_sparse_domination(k, GridFunction.zero(grid))
+    assert zero.ledger.constant_source is None
 
 
 # ---------------------------------------------------------------------------
