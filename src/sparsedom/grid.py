@@ -203,22 +203,22 @@ def _build_sat(values: np.ndarray) -> np.ndarray:
     return sat
 
 
-def _sat_rect_sum(sat: np.ndarray, bounds: tuple[tuple[int, int], ...]) -> float:
-    """Sum of the underlying values over clipped integer bounds."""
-    if len(bounds) == 1:
-        (lo, hi), = bounds
-        n = sat.shape[0] - 1
-        lo, hi = max(lo, 0), min(hi, n)
-        if lo >= hi:
-            return 0.0
-        return sat[hi] - sat[lo]
-    (lo0, hi0), (lo1, hi1) = bounds
-    n0, n1 = sat.shape[0] - 1, sat.shape[1] - 1
-    lo0, hi0 = max(lo0, 0), min(hi0, n0)
-    lo1, hi1 = max(lo1, 0), min(hi1, n1)
-    if lo0 >= hi0 or lo1 >= hi1:
-        return 0.0
-    return sat[hi0, hi1] - sat[lo0, hi1] - sat[hi0, lo1] + sat[lo0, lo1]
+def _sat_box_sums(sat: np.ndarray, lo, hi) -> np.ndarray:
+    """Sums of the underlying values over the boxes ``[lo, hi)``, given per
+    axis as integer arrays inside the table that broadcast against each
+    other, clamped at 0.
+
+    Inclusion-exclusion over the corners, all-hi first: S[hi] - S[lo] in
+    1D, S[hi, hi] - S[lo, hi] - S[hi, lo] + S[lo, lo] in 2D; axis d of a
+    corner reads lo when bit d is set.  Where the values vanish, rounding
+    leaves tiny negatives (their s-th root would be nan), hence the clamp.
+    """
+    dim = len(lo)
+    sums = sat[tuple(hi)]
+    for c in range(1, 2**dim):
+        term = sat[tuple(lo[d] if c >> d & 1 else hi[d] for d in range(dim))]
+        sums = sums - term if bin(c).count("1") % 2 else sums + term
+    return np.maximum(sums, 0.0)
 
 
 class GridFunction:
@@ -226,7 +226,7 @@ class GridFunction:
 
     Values may be real or complex.  Instances are treated as immutable:
     prefix-sum tables of ``|f|**p`` are cached per exponent and reused by
-    every cube query, so mutating ``values`` after construction is not
+    every sweep, so mutating ``values`` after construction is not
     supported.
     """
 
@@ -382,17 +382,21 @@ class CellSet:
 def cube_integral(f: GridFunction, cube: Cube, p: float = 1.0) -> float:
     """Midpoint integral of ``|f|**p`` over the cube (window part only).
 
-    The 2D inclusion-exclusion sum of the prefix table can round to a tiny
-    negative where ``|f|**p`` vanishes; it is clamped at 0, as the power
-    sweeps of :mod:`sparsedom.maximal` do.
+    The cube's window cells are summed directly, not as a difference of
+    prefix sums: a difference loses the digits of a small cube after large
+    cells, and where ``f`` vanishes it leaves rounding instead of 0.  Every
+    coefficient of a family is an :func:`avg_p`, so the certificate reads
+    only these sums; the prefix tables (``GridFunction.power_sat``) serve
+    the maximal sweeps and the builder's node statistics, which only cut
+    exceptional sets.
     """
     if not (p > 0):
         raise ParameterError(f"exponent must be positive, got {p}")
     clip = cube.window_clip(f.grid)
     if clip is None:
         return 0.0
-    sat = f.power_sat(p)
-    return max(float(_sat_rect_sum(sat, clip)), 0.0) * f.grid.cell_measure
+    cells = f.values[tuple(slice(lo, hi) for lo, hi in clip)]
+    return float(np.sum(np.abs(cells) ** p)) * f.grid.cell_measure
 
 
 def avg_p(f: GridFunction, cube: Cube, p: float) -> float:

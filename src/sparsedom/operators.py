@@ -12,9 +12,9 @@ in two ways: ``apply_box`` gathers one table difference per (target, box)
 query, and in 1D ``prefix_windows`` hands out strided views of the table,
 so that a sweep reads whole families of truncated transforms with no
 per-query gather and no copy of the table.  The two cube-sweep engines
-of :mod:`sparsedom.maximal`, which the construction in
-:mod:`sparsedom.sparse` and the maximal functions share, read it in both
-ways.
+of :mod:`sparsedom.maximal` read it in both ways; the construction in
+:mod:`sparsedom.sparse` gathers through ``apply_box``, once per node and
+once per level of its dyadic pass.
 
 Kernel sampling.  A kernel that declares ``translation_invariant`` is
 evaluated once per grid on the difference lattice: the offsets
@@ -165,6 +165,15 @@ def _offset_lattice(kernel: Kernel, grid: Grid) -> np.ndarray | None:
     return lat
 
 
+def _lattice_weights(lat: np.ndarray, grid: Grid) -> np.ndarray:
+    """The kernel at every (target, source) cell pair as a read-only view of
+    the difference lattice, shape ``grid.shape * 2``, with no copy:
+    ``w[x, y] = lat[x - y + n - 1]`` on every axis, the windows of the
+    reversed lattice with their target axes reversed back."""
+    rev = (slice(None, None, -1),) * grid.dim
+    return sliding_window_view(lat[rev], grid.shape)[rev]
+
+
 def _kernel_block(kernel: Kernel, grid: Grid, lat: np.ndarray | None,
                   t_cells: np.ndarray, s_cells: np.ndarray) -> np.ndarray:
     """``K(x_c, y_c)`` for target cells x (rows) and source cells y, zero
@@ -185,13 +194,11 @@ def _kernel_block(kernel: Kernel, grid: Grid, lat: np.ndarray | None,
         else:
             block[np.all(t_cells[:, None, :] == s_cells[None, :, :], axis=-1)] = 0.0
     else:
-        # flat lattice index of an offset: its row-major code plus the
-        # code of the offset-0 entry
-        n = grid.cells_per_side
-        weights = (2 * n - 1) ** np.arange(grid.dim - 1, -1, -1)
-        idx = (t_cells @ weights)[:, None] - (s_cells @ weights)[None, :]
-        idx += (n - 1) * int(weights.sum())
-        block = np.take(lat, idx)
+        # gathered from the pair view, with no index array per pair
+        block = _lattice_weights(lat, grid)[
+            tuple(t[:, None] for t in t_cells.T) + tuple(s[None, :] for s in s_cells.T)]
+        if np.isfinite(lat).all():
+            return block
     bad = ~np.isfinite(block)
     if bad.any():
         i, j = np.argwhere(bad)[0]
@@ -315,10 +322,7 @@ class RestrictedTransform:
                 # every offset k occurs, e.g. at x = max(k, 0), y = max(-k, 0)
                 k = np.argwhere(bad)[0] - (n - 1)
                 _raise_nonfinite(kernel.name, grid, np.maximum(k, 0), np.maximum(-k, 0))
-            # w[x, y] = lat[x - y + n - 1] on every axis: the windows of the
-            # reversed lattice with their target axes reversed back
-            rev = (slice(None, None, -1),) * dim
-            w = sliding_window_view(lat[rev], grid.shape)[rev]
+            w = _lattice_weights(lat, grid)
         # (K h**dim) f(y) in the dense order, laid out (targets, *source
         # axes) as the table needs; the 2D row sums run in place
         wf = np.multiply(w, grid.cell_measure, out=np.empty(w.shape, f.values.dtype))

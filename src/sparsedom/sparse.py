@@ -4,8 +4,18 @@ The construction is local-to-global.  For one node cube Q with dilation
 Q+ = alpha Q, the node statistics on the window cells of Q are
 
 * the transform of ``f`` restricted to Q+,
-* a truncated power-average maximal function of ``f char_{Q+}``,
-* a truncated oscillation maximal function of the same restriction.
+* a dyadic power-average maximal function: at a cell, the largest
+  s-power average of ``f`` over P+ among the cubes P below Q that hold it
+  and that the stopping time can select,
+* a dyadic oscillation maximal function: over the same cubes, the largest
+  oscillation on P of ``T(f char_{Q+}) - T(f char_{P+})``.
+
+These are the only cubes the source paper's chain step reads the two
+statistics on; :func:`_node_stats` computes them in one pass per level,
+O(m log m) cells per node of side m in 1D.  The power averages there are
+differences of the prefix table ``GridFunction.power_sat``: they only cut
+the exceptional set, while every coefficient is an :func:`avg_p`, a
+direct sum.
 
 Cells where any statistic exceeds its threshold form the exceptional set.
 In quantile mode the thresholds are chosen as order statistics, so the
@@ -31,6 +41,7 @@ the full transform there.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 
@@ -42,8 +53,17 @@ from .errors import (
     NumericError,
     ParameterError,
 )
-from .grid import CellSet, Cube, Grid, GridFunction, avg_p, dilate, dyadic_children
-from .maximal import _oscillation_sweep, _power_average_sweep
+from .grid import (
+    CellSet,
+    Cube,
+    Grid,
+    GridFunction,
+    _sat_box_sums,
+    avg_p,
+    dilate,
+    dyadic_children,
+)
+from .maximal import oscillation
 from .operators import Kernel, RestrictedTransform
 
 __all__ = [
@@ -148,6 +168,10 @@ class SparseFamily:
 
 @dataclass
 class NodeRecord:
+    """One node of the recursion.  ``exceed_counts`` holds how many of its
+    window cells each statistic (transform, power average, oscillation)
+    made exceptional."""
+
     cube: Cube
     depth: int
     avg: float
@@ -155,6 +179,7 @@ class NodeRecord:
     a_effective: float
     omega_count: int
     witness_count: int
+    exceed_counts: tuple[int, int, int]
     flags: tuple[str, ...]
     edges: list[dict] = field(default_factory=list)
 
@@ -163,6 +188,9 @@ class NodeRecord:
 class ConstantLedger:
     """How the final constant was assembled, node by node.
 
+    ``per_depth`` aggregates the nodes of each depth; its
+    ``exceed_counts`` sums their cells made exceptional by the transform,
+    the power average and the oscillation, in that order.
     ``constant_source`` names the first node or edge term, in record order,
     that attains the constant; it is None for zero input."""
 
@@ -192,21 +220,88 @@ class DominationResult:
 # ---------------------------------------------------------------------------
 # node statistics
 
+def _levels(side: int):
+    """Sides of the cubes the stopping time can select below a node of
+    this side: halves while the side is even, then single cells (an odd
+    side above one is cut into cells)."""
+    while side > 1:
+        side = side // 2 if side % 2 == 0 else 1
+        yield side
+
+
 def _node_stats(rt: RestrictedTransform, f: GridFunction, cube: Cube, qs: Cube,
                 s: float):
     """T(f char_{Q+}) at every window cell (window-shaped, signed) and, on
-    the node's window cells in row-major order, the power-average and
-    oscillation maximal functions of f char_{Q+}."""
+    the node's window cells in row-major order, the two dyadic maximal
+    functions of f char_{Q+}.
+
+    At a cell x, each is the largest over the cubes P the stopping time can
+    select below Q with x in P (one per level of :func:`_levels`) of the
+    s-power average of f over P+ (normalized by the full measure of P+),
+    and of the oscillation over P's window cells of
+    ``T(f char_{Q+}) - T(f char_{P+})``.  Since P+ lies in Q+, f char_{Q+}
+    is f on P+.  The level cubes tile Q, so a cell takes its cube's value
+    on each level; per level, one ``apply_box`` gathers T(f char_{P+}) at
+    every window cell of Q.
+    """
     grid = f.grid
+    n, dim = grid.cells_per_side, grid.dim
+    alpha = qs.side // cube.side
+    shift = (alpha - 1) // 2
     clip = cube.window_clip(grid)
-    box = qs.window_clip(grid)
-    outer = rt.apply_box(np.arange(grid.n_cells), box).reshape(grid.shape)
-    ms = _power_average_sweep(f, s, clip, box,
-                              range(1, qs.side // 2 + qs.side % 2 + 1))
-    osc = _oscillation_sweep(rt, outer, clip, box,
-                             range(1, max(1, (cube.side + 1) // 2) + 1),
-                             (qs.side // cube.side - 1) // 2)
+    sl = tuple(slice(lo, hi) for lo, hi in clip)
+    outer = rt.apply_box(np.arange(grid.n_cells),
+                         qs.window_clip(grid)).reshape(grid.shape)
+    t_on = outer[sl]
+    rows = np.arange(grid.n_cells).reshape(grid.shape)[sl]
+    sat = f.power_sat(s)
+    ms = np.zeros(t_on.shape)
+    osc = np.zeros(t_on.shape)
+    for p in _levels(cube.side):
+        # per axis: where each level cube's run of window cells starts, its
+        # length, and the bounds of its dilate, shaped to broadcast
+        starts, counts, lo, hi = [], [], [], []
+        for d, ((c_lo, c_hi), a) in enumerate(zip(clip, cube.anchor)):
+            idx = (np.arange(c_lo, c_hi) - a) // p
+            first = np.flatnonzero(np.diff(idx, prepend=idx[0] - 1))
+            starts.append(first)
+            counts.append(np.diff(first, append=idx.size))
+            plo = a + (idx[first] - shift) * p
+            shape = (1,) * d + (-1,) + (1,) * (dim - 1 - d)
+            lo.append(plo.reshape(shape))
+            hi.append((plo + alpha * p).reshape(shape))
+
+        sums = _sat_box_sums(sat, [np.clip(v, 0, n) for v in lo],
+                             [np.clip(v, 0, n) for v in hi])
+        avgs = (sums * grid.cell_measure
+                / (alpha * p * grid.cell_width) ** dim) ** (1.0 / s)
+        np.maximum(ms, _repeat(avgs, counts), out=ms)
+
+        trunc = t_on - rt.apply_box(rows, tuple(
+            (np.repeat(l, c, axis=d), np.repeat(h, c, axis=d))
+            for d, (l, h, c) in enumerate(zip(lo, hi, counts))))
+        if np.iscomplexobj(trunc):
+            bounds = [list(zip(b, np.append(b[1:], trunc.shape[d])))
+                      for d, b in enumerate(starts)]
+            stat = np.array([
+                oscillation(trunc[tuple(slice(b0, b1) for b0, b1 in block)])
+                for block in itertools.product(*bounds)
+            ]).reshape([len(b) for b in starts])
+        else:
+            top, bottom = trunc, trunc
+            for d, b in enumerate(starts):
+                top = np.maximum.reduceat(top, b, axis=d)
+                bottom = np.minimum.reduceat(bottom, b, axis=d)
+            stat = top - bottom
+        np.maximum(osc, _repeat(stat, counts), out=osc)
     return outer, ms.ravel(), osc.ravel()
+
+
+def _repeat(vals: np.ndarray, counts) -> np.ndarray:
+    """Per-cube values spread over the cubes' runs of cells on every axis."""
+    for d, c in enumerate(counts):
+        vals = np.repeat(vals, c, axis=d)
+    return vals
 
 
 def _order_threshold(vals: np.ndarray, k: int) -> float:
@@ -226,10 +321,10 @@ def _exceptional(rt: RestrictedTransform, f: GridFunction, cube: Cube,
     """Exceptional cells of one node cube.
 
     A window cell of ``cube`` is exceptional when its transform value,
-    truncated power-average maximal value, or truncated oscillation
-    maximal value (all computed from ``f`` restricted to the alpha
-    dilation) strictly exceeds the corresponding threshold.  In quantile
-    mode the thresholds are per-statistic order statistics sized so the
+    dyadic power-average maximal value, or dyadic oscillation maximal value
+    (all computed from ``f`` restricted to the alpha dilation, see
+    :func:`_node_stats`) strictly exceeds the corresponding threshold.  In
+    quantile mode the thresholds are per-statistic order statistics sized so the
     exceptional set covers at most ``1/2**(dim+2)`` of the cube's cells;
     in fixed mode they are ``c_fixed`` (power average) and ``a_fixed``
     (transform and oscillation) times the node average.  The thresholds
@@ -419,7 +514,8 @@ def _build_node(rt: RestrictedTransform, f: GridFunction, q: Cube, depth: int,
     entries.append(entry)
     record = NodeRecord(cube=q, depth=depth, avg=exc.avg, c_ratio=exc.c_ratio,
                         a_effective=a_eff, omega_count=exc.omega.count,
-                        witness_count=witness.count, flags=tuple(flags))
+                        witness_count=witness.count,
+                        exceed_counts=exc.exceed_counts, flags=tuple(flags))
     records.append(record)
 
     # a child holds an exceptional cell, so it has window cells, and a node
@@ -545,8 +641,10 @@ def build_sparse_domination(kernel: Kernel, f: GridFunction,
             flag_counts[fl] += 1
         agg = depth_agg.setdefault(rec.depth, {
             "depth": rec.depth, "nodes": 0, "max_a": 0.0, "max_c": 0.0,
-            "max_edge": 0.0})
+            "max_edge": 0.0, "exceed_counts": [0, 0, 0]})
         agg["nodes"] += 1
+        agg["exceed_counts"] = [a + b for a, b in zip(agg["exceed_counts"],
+                                                      rec.exceed_counts)]
         agg["max_a"] = max(agg["max_a"], rec.a_effective)
         agg["max_c"] = max(agg["max_c"], rec.c_ratio)
         if rec.edges:

@@ -58,8 +58,14 @@ class SparsityReport:
 
 @dataclass
 class DominationReport:
+    """Outcome of :func:`check_domination`.  ``c_min`` is the smallest
+    constant under which the stacked coefficients dominate ``|T f|`` on the
+    cells where the stack is positive, so ``constant / c_min`` measures
+    how loose the certificate is."""
+
     passed: bool
     constant: float
+    c_min: float
     tol: float
     n_checked: int
     n_failures: int
@@ -70,6 +76,7 @@ class DominationReport:
         return {
             "passed": self.passed,
             "constant": self.constant,
+            "c_min": self.c_min,
             "tol": self.tol,
             "n_checked": self.n_checked,
             "n_failures": self.n_failures,
@@ -168,13 +175,17 @@ def check_domination(kernel: Kernel, f: GridFunction, family: SparseFamily,
     every window cell, using the family's stored coefficients.
 
     A cell with zero stacked coefficient and transform magnitude above
-    the tolerance is a failure with its location reported.
+    the tolerance is a failure with its location reported.  The report's
+    ``c_min`` is the largest ratio ``|T f| / stack`` over the cells with a
+    positive stack (0 when there are none).
     """
     c = family.constant if constant is None else constant
     tf = np.abs(apply_restricted(kernel, f).values)
     stack = _paint_coefficients(family, [e.coefficient for e in family.entries])
     margin = tf - c * stack
     bad = margin > tol
+    pos = stack > 0
+    c_min = float((tf[pos] / stack[pos]).max()) if pos.any() else 0.0
     failures = []
     for cell in np.argwhere(bad)[:10]:
         idx = tuple(int(v) for v in cell)
@@ -183,6 +194,7 @@ def check_domination(kernel: Kernel, f: GridFunction, family: SparseFamily,
     return DominationReport(
         passed=not bad.any(),
         constant=c,
+        c_min=c_min,
         tol=tol,
         n_checked=int(tf.size),
         n_failures=int(bad.sum()),

@@ -187,6 +187,15 @@ def test_avg_p_holder_monotone(seed, p, q):
     assert lo <= hi * (1 + 1e-12), f"avg_{p} > avg_{q} on {cube}"
 
 
+def test_avg_p_holder_monotone_on_a_small_cell_after_large_ones():
+    # a case the Hypothesis search above once found: as a difference of
+    # prefix sums, the p = 4 average of this cell lost its last ten digits
+    g = grid1d(16)
+    f = GridFunction(g, np.random.default_rng(1152).normal(size=16))
+    cube = Cube((6,), 1)
+    assert avg_p(f, cube, 1.0) <= avg_p(f, cube, 4.0) * (1 + 1e-12)
+
+
 def test_2d_avg_is_nonnegative_real_where_f_vanishes():
     # the inclusion-exclusion sum over this cube rounds below zero unclamped,
     # and its square root was a complex number

@@ -1,16 +1,18 @@
-"""Node statistics against a gather-based reference.
+"""Node statistics against a brute-force dyadic reference.
 
-The node sweeps read truncated transforms as strided views of the prefix
-table (1D) and read the outer transform once per node (2D).  The
-reference below gathers every value through ``apply_box``, one query per
-(cell, box).  Both do the same floating-point operations in the same
-order, so every returned array must be bitwise equal, on every node the
-pipeline visits.
+The builder reads its two node statistics on the cubes its stopping time
+can select below the node: dyadic halves while the side is even, single
+cells below an odd side.  It does so in one vectorized pass per level.
+The reference below walks those cubes one by one and gathers every
+truncated transform through ``apply_box``, one query per (cell, cube).
+Both do the same floating-point operations in the same order, so every
+returned array must be bitwise equal, on every node the pipeline visits.
 """
+
+import itertools
 
 import numpy as np
 import pytest
-from numpy.lib.stride_tricks import sliding_window_view
 
 from sparsedom import (
     Cube,
@@ -20,111 +22,78 @@ from sparsedom import (
     PipelineConfig,
     RestrictedTransform,
     build_sparse_domination,
+    dyadic_children,
+    hl_maximal,
     make_kernel,
 )
-from sparsedom import sparse
+from sparsedom import maximal, sparse
 from sparsedom.inputs import INPUT_KINDS, make_input
 from sparsedom.maximal import oscillation
 
 
 # ---------------------------------------------------------------------------
-# gather-based reference
+# brute-force dyadic reference
 
 
-def _ms_1d(f, qlo, qhi, qs, s):
+def selectable_cubes(grid, cube):
+    """Every cube the stopping time can select below ``cube`` that meets the
+    window, level by level: (side, cubes in row-major order)."""
+    levels = []
+    current = [cube]
+    while current[0].side > 1:
+        nxt = []
+        for q in current:
+            if q.side % 2 == 0:
+                nxt += dyadic_children(q)
+            else:
+                nxt += [Cube(tuple(q.anchor[d] + o[d] for d in range(grid.dim)), 1)
+                        for o in itertools.product(range(q.side), repeat=grid.dim)]
+        current = sorted((q for q in nxt if q.window_clip(grid) is not None),
+                         key=lambda q: q.anchor)
+        levels.append((current[0].side, current))
+    return levels
+
+
+def box_sum(sat, bounds):
+    """The prefix-table difference over clipped bounds, in the builder's
+    corner order."""
+    n = sat.shape[0] - 1
+    (lo0, hi0), *rest = [(min(max(lo, 0), n), min(max(hi, 0), n))
+                         for lo, hi in bounds]
+    if not rest:
+        return sat[hi0] - sat[lo0]
+    (lo1, hi1), = rest
+    return sat[hi0, hi1] - sat[lo0, hi1] - sat[hi0, lo1] + sat[lo0, lo1]
+
+
+def reference_stats(rt, f, cube, qs, s):
     grid = f.grid
-    n = grid.cells_per_side
-    (qs_lo, qs_hi), = qs.bounds()
+    alpha = qs.side // cube.side
+    clip = cube.window_clip(grid)
+    shape = tuple(hi - lo for lo, hi in clip)
+    outer = rt.apply_box(np.arange(grid.n_cells), qs.bounds()).reshape(grid.shape)
     sat = f.power_sat(s)
-    ms = np.zeros(qhi - qlo)
-    for side in range(1, qs.side // 2 + qs.side % 2 + 1):
-        a = np.arange(qlo - side + 1, qhi)
-        lo = np.clip(np.maximum(a, qs_lo), 0, n)
-        hi = np.maximum(lo, np.clip(np.minimum(a + side, qs_hi), 0, n))
-        avgs = ((sat[hi] - sat[lo]) * grid.cell_measure
-                / (side * grid.cell_width)) ** (1.0 / s)
-        np.maximum(ms, sliding_window_view(avgs, side).max(axis=-1), out=ms)
-    return ms
-
-
-def reference_stats_1d(rt, f, cube, qs, s):
-    n = f.grid.cells_per_side
-    (qlo, qhi), = cube.window_clip(f.grid)
-    m = cube.side
-    (qs_lo, qs_hi), = qs.bounds()
-    outer = rt.apply_box(np.arange(n), ((qs_lo, qs_hi),))
-    osc = np.zeros(qhi - qlo)
-    shift = (qs.side // cube.side - 1) // 2
-    for side in range(1, max(1, (m + 1) // 2) + 1):
-        a = np.arange(qlo - side + 1, qhi)
-        cellmat = a[:, None] + np.arange(side)[None, :]
-        valid = (cellmat >= 0) & (cellmat < n)
-        rows = np.clip(cellmat, 0, n - 1)
-        t_on = rt.apply_box(rows, ((qs_lo, qs_hi),))
-        in_lo = np.maximum(a - shift * side, qs_lo)[:, None]
-        in_hi = np.minimum(a + (shift + 1) * side, qs_hi)[:, None]
-        trunc = t_on - rt.apply_box(rows, ((in_lo, in_hi),))
-        if np.iscomplexobj(trunc):
-            stat = np.array([oscillation(tv[vm])
-                             for tv, vm in zip(trunc, valid)])
-        else:
-            stat = (np.where(valid, trunc, -np.inf).max(axis=1)
-                    - np.where(valid, trunc, np.inf).min(axis=1))
-        np.maximum(osc, sliding_window_view(stat, side).max(axis=-1), out=osc)
-    return outer, _ms_1d(f, qlo, qhi, qs, s), osc
-
-
-def reference_stats_2d(rt, f, cube, qs, s):
-    grid = f.grid
-    n = grid.cells_per_side
-    (q0l, q0h), (q1l, q1h) = cube.window_clip(grid)
-    w0, w1 = q0h - q0l, q1h - q1l
-    m = cube.side
-    box = qs.bounds()
-    (b0l, b0h), (b1l, b1h) = box
-    outer = rt.apply_box(np.arange(n * n), box).reshape(grid.shape)
-
-    sat = f.power_sat(s)
-    ms = np.zeros((w0, w1))
-    for side in range(1, qs.side // 2 + qs.side % 2 + 1):
-        a0 = np.arange(q0l - side + 1, q0h)
-        a1 = np.arange(q1l - side + 1, q1h)
-        lo0 = np.clip(np.maximum(a0, b0l), 0, n)
-        hi0 = np.maximum(lo0, np.clip(np.minimum(a0 + side, b0h), 0, n))
-        lo1 = np.clip(np.maximum(a1, b1l), 0, n)
-        hi1 = np.maximum(lo1, np.clip(np.minimum(a1 + side, b1h), 0, n))
-        sums = (sat[hi0[:, None], hi1[None, :]] - sat[lo0[:, None], hi1[None, :]]
-                - sat[hi0[:, None], lo1[None, :]] + sat[lo0[:, None], lo1[None, :]])
-        avgs = (sums * grid.cell_measure / (side * grid.cell_width) ** 2) ** (1.0 / s)
-        tmp = sliding_window_view(avgs, side, axis=0).max(axis=-1)
-        np.maximum(ms, sliding_window_view(tmp, side, axis=1).max(axis=-1), out=ms)
-
-    osc = np.zeros((w0, w1))
-    shift = (qs.side // cube.side - 1) // 2
-    for side in range(1, max(1, (m + 1) // 2) + 1):
-        a0 = np.arange(q0l - side + 1, q0h)[:, None, None, None]
-        a1 = np.arange(q1l - side + 1, q1h)[None, :, None, None]
-        c0 = a0 + np.arange(side)[None, None, :, None]
-        c1 = a1 + np.arange(side)[None, None, None, :]
-        valid = (c0 >= 0) & (c0 < n) & (c1 >= 0) & (c1 < n)
-        rows = np.clip(c0, 0, n - 1) * n + np.clip(c1, 0, n - 1)
-        t_on = rt.apply_box(rows, box)
-        inner = ((np.maximum(a0 - shift * side, b0l),
-                  np.minimum(a0 + (shift + 1) * side, b0h)),
-                 (np.maximum(a1 - shift * side, b1l),
-                  np.minimum(a1 + (shift + 1) * side, b1h)))
-        trunc = t_on - rt.apply_box(rows, inner)
-        if np.iscomplexobj(trunc):
-            k = side * side
-            stat = np.array([
-                oscillation(tv[vm])
-                for tv, vm in zip(trunc.reshape(-1, k), valid.reshape(-1, k))
-            ]).reshape(trunc.shape[:2])
-        else:
-            stat = (np.where(valid, trunc, -np.inf).max(axis=(2, 3))
-                    - np.where(valid, trunc, np.inf).min(axis=(2, 3)))
-        tmp = sliding_window_view(stat, side, axis=0).max(axis=-1)
-        np.maximum(osc, sliding_window_view(tmp, side, axis=1).max(axis=-1), out=osc)
+    ms = np.zeros(shape)
+    osc = np.zeros(shape)
+    for p, cubes in selectable_cubes(grid, cube):
+        dilates = [Cube(tuple(a - (alpha - 1) // 2 * p for a in q.anchor),
+                        alpha * p) for q in cubes]
+        sums = np.maximum(np.array([box_sum(sat, d.bounds()) for d in dilates]),
+                          0.0)
+        avgs = (sums * grid.cell_measure
+                / (alpha * p * grid.cell_width) ** grid.dim) ** (1.0 / s)
+        for q, d, avg in zip(cubes, dilates, avgs):
+            q_clip = q.window_clip(grid)
+            cells = list(itertools.product(*(range(lo, hi) for lo, hi in q_clip)))
+            trunc = np.array([
+                outer[c] - rt.apply_box(np.array(np.ravel_multi_index(c, grid.shape)),
+                                        d.bounds())
+                for c in cells])
+            stat = oscillation(trunc)
+            for c in cells:
+                local = tuple(x - lo for x, (lo, _) in zip(c, clip))
+                ms[local] = max(ms[local], avg)
+                osc[local] = max(osc[local], stat)
     return outer, ms.ravel(), osc.ravel()
 
 
@@ -136,12 +105,11 @@ def compare_every_node(monkeypatch, kernel, f, cfg):
     """Run the pipeline with each node's statistics checked against the
     reference; return the node cubes seen."""
     fast = sparse._node_stats
-    reference = reference_stats_1d if f.grid.dim == 1 else reference_stats_2d
     seen = []
 
     def checked(rt, f_, cube, qs, s):
         got = fast(rt, f_, cube, qs, s)
-        want = reference(rt, f_, cube, qs, s)
+        want = reference_stats(rt, f_, cube, qs, s)
         for label, g, w in zip(("outer", "ms", "osc"), got, want, strict=True):
             assert g.dtype == w.dtype and np.array_equal(g, w), (cube, label)
         seen.append(cube)
@@ -210,6 +178,23 @@ def test_2d_complex_input_and_ring_cubes_match_reference(monkeypatch):
     seen = compare_every_node(monkeypatch, make_kernel("riesz2d", grid),
                               GridFunction(grid, vals), PipelineConfig(alpha=5))
     assert any(min(c.anchor) < 0 for c in seen)
+
+
+def test_builder_sweeps_no_lattice_cube(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cube sweep ran")
+
+    # the engines, and the per-side helpers their bodies call, so that a
+    # caller holding its own reference to an engine is caught too
+    for name in ("_power_average_sweep", "_oscillation_sweep",
+                 "_max_over_cubes", "_row_oscillation"):
+        monkeypatch.setattr(maximal, name, refuse)
+    for grid, kname in ((Grid(1, 128), "hilbert"), (Grid(2, 16), "riesz2d")):
+        f = make_input(grid, "random", seed=13)
+        res = build_sparse_domination(make_kernel(kname, grid), f)
+        assert len(res.records) > 1
+        with pytest.raises(AssertionError):
+            hl_maximal(f)
 
 
 # ---------------------------------------------------------------------------

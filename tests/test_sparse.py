@@ -558,6 +558,30 @@ def test_constant_source_is_first_largest_term(kname, dim, n):
     assert zero.ledger.constant_source is None
 
 
+@pytest.mark.parametrize("kname,dim,n", [("hilbert", 1, 64), ("riesz2d", 2, 16)])
+def test_records_carry_exceed_counts_and_ledger_sums_them(kname, dim, n):
+    grid = Grid(dim, n)
+    k = make_kernel(kname, grid)
+    for mode in sorted(MODES):
+        cfg = PipelineConfig(alpha=3, **MODES[mode])
+        for kind in INPUT_KINDS:
+            f = make_input(grid, kind, seed=13)
+            rt = RestrictedTransform(k, f)
+            res = build_sparse_domination(k, f, cfg)
+            sums = {}
+            for rec in res.records:
+                exc = sparse._exceptional(rt, f, rec.cube, cfg)
+                assert rec.exceed_counts == exc.exceed_counts
+                # the exceptional set is the union of the three cuts
+                assert max(rec.exceed_counts) <= rec.omega_count
+                assert rec.omega_count <= sum(rec.exceed_counts)
+                acc = sums.setdefault(rec.depth, [0, 0, 0])
+                sums[rec.depth] = [a + b for a, b in zip(acc, rec.exceed_counts)]
+            got = [d["exceed_counts"] for d in res.ledger.to_dict()["per_depth"]]
+            assert got == [sums[d] for d in sorted(sums)]
+            assert any(sum(c) for c in got)
+
+
 # ---------------------------------------------------------------------------
 # full pipeline
 

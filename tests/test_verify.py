@@ -222,7 +222,28 @@ def test_check_domination_flags_uncovered_mass():
     assert not rep.passed
     assert rep.failures[0]["bound"] == 0.0
     assert rep.failures[0]["transform"] > 1e-10
+    assert rep.c_min == 0.0
     json.dumps(rep.to_dict())
+
+
+@pytest.mark.parametrize("kname,dim,n", [("hilbert", 1, 64), ("riesz2d", 2, 16)])
+def test_check_domination_c_min_matches_brute_force(kname, dim, n):
+    # the largest |T f| / stacked coefficient over the cells with a positive
+    # stack, stacked and divided cell by cell
+    grid = Grid(dim, n)
+    kernel = make_kernel(kname, grid)
+    f = supported_noise(grid, 5, n // 4, 3 * n // 4)
+    fam = build_sparse_domination(kernel, f).family
+    tf = np.abs(apply_restricted(kernel, f).values)
+    want = 0.0
+    for cell in np.ndindex(grid.shape):
+        stack = sum(e.coefficient for e in fam.entries if e.cube.contains_cell(cell))
+        if stack > 0:
+            want = max(want, tf[cell] / stack)
+    rep = check_domination(kernel, f, fam)
+    assert rep.c_min == want
+    assert 0.0 < rep.c_min <= rep.constant
+    assert rep.to_dict()["c_min"] == want
 
 
 # ---------------------------------------------------------------------------
