@@ -36,6 +36,7 @@ from .maximal import hl_maximal, oscillation, sharp_truncated
 from .operators import (
     HormanderEstimate,
     Kernel,
+    LatticeTransform,
     RestrictedTransform,
     apply_restricted,
     dini_constant,

@@ -19,10 +19,12 @@ containing it (a sliding max over anchors).
   times slower.  The 2D one gathers them through ``apply_box`` in chunks,
   since the strided reader exists for the 1D table only.
 
-The sparse construction does not sweep: it reads its two node statistics
-on the dyadic cubes below each node only, in one pass per level
-(:func:`sparsedom.sparse._node_stats`); it shares ``oscillation`` with the
-engines here.
+Both engines read the dense prefix table, so ``sharp_truncated`` holds
+memory quadratic in the cell count.  The sparse construction does not
+sweep: it reads its two node statistics on the dyadic cubes below each
+node only, in one pass per level (:func:`sparsedom.sparse._node_stats`),
+from FFT transforms where the kernel has a difference lattice; it shares
+``oscillation`` with the engines here.
 """
 
 from __future__ import annotations

@@ -7,22 +7,31 @@ optional integral-smoothness exponent.  The discrete operator is
     T(f char_S)(x) = sum over source cells y != x of K(x_c, y_c) f(y) h**dim
 
 with cell centers ``x_c, y_c``; the diagonal cell ``y = x`` is always
-skipped.  ``RestrictedTransform`` precomputes per-target prefix sums, read
-in two ways: ``apply_box`` gathers one table difference per (target, box)
-query, and in 1D ``prefix_windows`` hands out strided views of the table,
-so that a sweep reads whole families of truncated transforms with no
-per-query gather and no copy of the table.  The two cube-sweep engines
-of :mod:`sparsedom.maximal` read it in both ways; the construction in
-:mod:`sparsedom.sparse` gathers through ``apply_box``, once per node and
-once per level of its dyadic pass.
+skipped.  Three evaluators share the kernel sampling below:
+
+* ``apply_restricted`` sums each chunk of target rows directly, with a
+  matrix product; it is the verifier's path.
+* ``LatticeTransform`` serves the sparse construction of
+  :mod:`sparsedom.sparse` for a kernel with a difference lattice (below).
+  Its one method, ``dilate_transforms``, gives ``T(f char_{P+})`` on the
+  cells of every cube P of a block of congruent cubes, by one batched FFT
+  against a segment of the lattice; memory is linear in the cell count.
+* ``RestrictedTransform`` precomputes per-target prefix sums, quadratic in
+  the cell count, read in two ways: ``apply_box`` gathers one table
+  difference per (target, box) query, and in 1D ``prefix_windows`` hands
+  out strided views of the table, so that a sweep reads whole families of
+  truncated transforms with no per-query gather and no copy of the table.
+  The two cube-sweep engines of :mod:`sparsedom.maximal` read it in both
+  ways; the construction uses its ``dilate_transforms`` (one
+  ``apply_box``) only for a kernel without a lattice.
 
 Kernel sampling.  A kernel that declares ``translation_invariant`` is
 evaluated once per grid on the difference lattice: the offsets
 ``x - y = k h`` with ``|k_d| <= n - 1`` on every axis, ``(2n - 1)**dim``
-values, the offset-0 value zeroed.  Both the prefix table and the direct
-``apply_restricted`` read ``K(x_c, y_c)`` from there by offset, so neither
-evaluates the kernel on all cell pairs.  This gives the same bits as the
-dense evaluation only when every cell-center difference
+values, the offset-0 value zeroed.  The prefix table, the FFT transform
+and the direct ``apply_restricted`` read ``K(x_c, y_c)`` from there by
+offset, so none evaluates the kernel on all cell pairs.  This gives the
+same bits as the dense evaluation only when every cell-center difference
 ``(i + 0.5)h - (j + 0.5)h`` equals ``(i - j)h`` exactly, which
 ``_lattice_exact`` decides in O(1) from the binary expansion of ``h``
 (it holds for window lengths 1 and 3, not for 0.1 or pi).  On other grids,
@@ -45,6 +54,7 @@ from .grid import CellSet, Cube, Grid, GridFunction
 
 __all__ = [
     "Kernel",
+    "LatticeTransform",
     "RestrictedTransform",
     "apply_restricted",
     "transpose_kernel",
@@ -144,6 +154,12 @@ def _lattice_exact(grid: Grid) -> bool:
     return bits <= 53 and e - 1 >= -1074 and bits + e <= 1024
 
 
+def _samples_lattice(kernel: Kernel, grid: Grid) -> bool:
+    """Whether ``_offset_lattice`` gives a lattice, decided without
+    evaluating the kernel."""
+    return kernel.translation_invariant and _lattice_exact(grid)
+
+
 def _offset_lattice(kernel: Kernel, grid: Grid) -> np.ndarray | None:
     """``fn`` at every cell offset ``x - y = k h``, or None.
 
@@ -153,7 +169,7 @@ def _offset_lattice(kernel: Kernel, grid: Grid) -> np.ndarray | None:
     diagonal zeroed.  None unless the kernel declares translation
     invariance and the grid passes ``_lattice_exact``.
     """
-    if not (kernel.translation_invariant and _lattice_exact(grid)):
+    if not _samples_lattice(kernel, grid):
         return None
     n, dim = grid.cells_per_side, grid.dim
     axis = np.arange(-(n - 1), n) * grid.cell_width
@@ -163,6 +179,16 @@ def _offset_lattice(kernel: Kernel, grid: Grid) -> np.ndarray | None:
     lat[(n - 1,) * dim] = 0.0
     lat.flags.writeable = False
     return lat
+
+
+def _check_lattice_finite(kernel: Kernel, grid: Grid, lat: np.ndarray) -> None:
+    """Raise NumericError at the first non-finite lattice value, named by a
+    cell pair with that offset."""
+    bad = ~np.isfinite(lat)
+    if bad.any():
+        # every offset k occurs, e.g. at x = max(k, 0), y = max(-k, 0)
+        k = np.argwhere(bad)[0] - (grid.cells_per_side - 1)
+        _raise_nonfinite(kernel.name, grid, np.maximum(k, 0), np.maximum(-k, 0))
 
 
 def _lattice_weights(lat: np.ndarray, grid: Grid) -> np.ndarray:
@@ -209,6 +235,27 @@ def _kernel_block(kernel: Kernel, grid: Grid, lat: np.ndarray | None,
 # ---------------------------------------------------------------------------
 # direct restricted application
 
+# pair entries per kernel block of the direct sums
+_PAIR_CHUNK = 1 << 22
+
+
+def _restricted_sums(kernel: Kernel, grid: Grid, t_cells: np.ndarray,
+                     s_cells: np.ndarray, f_src: np.ndarray) -> np.ndarray:
+    """``h**dim sum_y K(x_c, y_c) f_src[y]`` at every target cell x, for
+    source values ``f_src`` of shape ``(sources,)`` or ``(sources, k)``
+    (k columns summed at once).  The kernel is sampled once; targets go in
+    chunks of at most ``_PAIR_CHUNK`` pairs, each one matrix product."""
+    lat = _offset_lattice(kernel, grid)
+    chunk = max(1, _PAIR_CHUNK // max(1, len(s_cells)))
+    out = np.empty((len(t_cells),) + f_src.shape[1:],
+                   dtype=np.result_type(f_src, np.float64))
+    for start in range(0, len(t_cells), chunk):
+        sl = slice(start, min(start + chunk, len(t_cells)))
+        out[sl] = _kernel_block(kernel, grid, lat, t_cells[sl], s_cells) @ f_src
+    out *= grid.cell_measure
+    return out
+
+
 def apply_restricted(kernel: Kernel, f: GridFunction,
                      targets: CellSet | Cube | None = None,
                      source: CellSet | Cube | None = None) -> GridFunction:
@@ -217,8 +264,8 @@ def apply_restricted(kernel: Kernel, f: GridFunction,
     Returns a grid function that is zero off the target cells.  Targets
     and sources outside the window are ignored (f vanishes there and no
     output cells exist there).  Each chunk of targets is summed directly
-    with a matrix product; only the kernel sampling is shared with
-    ``RestrictedTransform``, not its table.
+    with a matrix product; only the kernel sampling is shared with the
+    table and the FFT transform.
     """
     grid = f.grid
     if kernel.dim != grid.dim:
@@ -238,22 +285,13 @@ def apply_restricted(kernel: Kernel, f: GridFunction,
     if len(t_cells) == 0 or len(s_cells) == 0:
         return GridFunction(grid, out)
 
-    lat = _offset_lattice(kernel, grid)
-    f_src = f.values[tuple(s_cells.T)]
-
-    # chunk targets so the pair block stays modest
-    chunk = max(1, (1 << 22) // max(1, len(s_cells)))
-    results = np.empty(len(t_cells), dtype=out.dtype)
-    for start in range(0, len(t_cells), chunk):
-        sl = slice(start, min(start + chunk, len(t_cells)))
-        results[sl] = _kernel_block(kernel, grid, lat, t_cells[sl], s_cells) @ f_src
-    results *= grid.cell_measure
-    out[tuple(t_cells.T)] = results
+    out[tuple(t_cells.T)] = _restricted_sums(kernel, grid, t_cells, s_cells,
+                                             f.values[tuple(s_cells.T)])
     return GridFunction(grid, out)
 
 
 # ---------------------------------------------------------------------------
-# prefix-sum accelerated transform
+# memory preflight
 
 def _physical_memory() -> int | None:
     """Bytes of physical memory, or None where the platform does not say."""
@@ -261,6 +299,29 @@ def _physical_memory() -> int | None:
         return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, OSError, ValueError):
         return None
+
+
+def _resident_memory() -> int:
+    """Bytes this process holds resident now, or 0 where the platform does
+    not say (only Linux's ``/proc/self/statm`` is read)."""
+    try:
+        with open("/proc/self/statm") as fh:
+            pages = int(fh.read().split()[1])
+        return pages * os.sysconf("SC_PAGE_SIZE")
+    except (OSError, ValueError, IndexError):
+        return 0
+
+
+def _refuse_beyond_memory(what: str, need: int, held: int = 0) -> None:
+    """Raise ParameterError when ``need`` bytes on top of ``held`` exceed
+    physical memory; check nothing where its size is unknown."""
+    have = _physical_memory()
+    if have is not None and need + held > have:
+        also = (f" on top of the {held / 2**30:.1f} GiB this process holds"
+                if held else "")
+        raise ParameterError(
+            f"{what} needs about {need / 2**30:.1f} GiB{also}, more than the "
+            f"{have / 2**30:.1f} GiB of physical memory")
 
 
 def _table_bytes(grid: Grid, is_complex: bool) -> int:
@@ -273,6 +334,143 @@ def _table_bytes(grid: Grid, is_complex: bool) -> int:
     return (n**dim * (n + 1) ** dim + n ** (2 * dim)) * item
 
 
+def _lattice_run_bytes(grid: Grid, alpha: int, max_side: int,
+                       is_complex: bool) -> int:
+    """Bytes a ``run`` on a lattice kernel allocates at its peak, kernel
+    temporaries aside, for node cubes of side at most ``max_side`` (the
+    cover's ring cubes reach about 2n when the support is off-centre):
+
+    * the zero-padded f, ``n + (alpha + 1) max_side`` cells per axis;
+    * the largest ``dilate_transforms`` batch, ``(alpha + 1) max_side`` FFT
+      points per axis at three arrays (the padded source, its spectrum,
+      the inverse), and the cached kernel spectra, at most three more
+      (sides halve level by level and shrink threefold root by root);
+    * the difference lattice;
+    * the verifier's pair block, ``_PAIR_CHUNK`` pairs or all of them.
+
+    Complex for a complex input, but the lattice and the pair block."""
+    n, dim = grid.cells_per_side, grid.dim
+    item = 16 if is_complex else 8
+    cells = grid.n_cells
+    pair_rows = min(cells, max(1, _PAIR_CHUNK // cells))
+    return ((n + (alpha + 1) * max_side) ** dim * item
+            + 6 * ((alpha + 1) * max_side) ** dim * item
+            + (2 * n - 1) ** dim * 8
+            + pair_rows * cells * 8)
+
+
+# ---------------------------------------------------------------------------
+# transforms of f restricted to dilated cubes
+
+class LatticeTransform:
+    """Transforms of one function restricted to dilated cubes, by FFT
+    against the difference lattice of a translation-invariant kernel.
+
+    ``dilate_transforms`` gives ``T(f char_{P+})`` on the cells of every
+    cube P of a block of congruent cubes.  On P, the offsets to P+ satisfy
+    ``|k| <= (shift + 1) side - 1`` per axis, so the convolution of one
+    kernel segment with each cube's own source, a strided window of the
+    zero-padded f, gives it: one batched FFT of ``(2 shift + 2) side``
+    points per axis, circular but exact on P.  Offsets past ``n - 1`` are
+    left out of the segment: they pair window cells only with cells
+    outside the window, where f vanishes.  The lattice is sampled once,
+    and f padded once for the cubes of side at most ``max_side`` that meet
+    the window (a call beyond them raises ParameterError); each (side,
+    shift) gets one cached segment spectrum.
+
+    The values agree with the prefix table of ``RestrictedTransform`` to
+    rounding, not bit for bit.  Memory is linear in the cell count; the
+    estimate of a whole ``run`` at dilation ``alpha`` with nodes of side at
+    most ``max_side`` (see ``_lattice_run_bytes``), on top of what the
+    process holds resident now, is checked against physical memory before
+    anything is allocated, and a grid that cannot fit raises
+    ParameterError.
+    """
+
+    def __init__(self, kernel: Kernel, f: GridFunction, alpha: int,
+                 max_side: int):
+        grid = f.grid
+        if kernel.dim != grid.dim:
+            raise ParameterError(f"kernel dim {kernel.dim} != grid dim {grid.dim}")
+        if not _samples_lattice(kernel, grid):
+            raise ParameterError(
+                f"kernel {kernel.name!r} has no exact difference lattice on "
+                f"this grid")
+        n, dim = grid.cells_per_side, grid.dim
+        _refuse_beyond_memory(
+            f"a run on a {dim}D grid with {n} cells per side",
+            _lattice_run_bytes(grid, alpha, max_side, f.is_complex),
+            _resident_memory())
+        lat = _offset_lattice(kernel, grid)
+        _check_lattice_finite(kernel, grid, lat)
+        self.grid = grid
+        self._lat = lat
+        self._spectra: dict[tuple[int, int], np.ndarray] = {}
+        self._fft, self._ifft = ((np.fft.fftn, np.fft.ifftn) if f.is_complex
+                                 else (np.fft.rfftn, np.fft.irfftn))
+        # a cube meeting the window starts at most max_side - 1 cells
+        # before it, and its source reaches shift sides further
+        self._pad = (alpha + 1) // 2 * max_side
+        self._padded = np.pad(f.values, self._pad)
+
+    def _spectrum(self, side: int, shift: int) -> np.ndarray:
+        """Spectrum of the kernel segment ``K(k h) h**dim``, ``|k| <=
+        (shift + 1) side - 1``, laid out circularly on ``(2 shift + 2)
+        side`` points per axis."""
+        spec = self._spectra.get((side, shift))
+        if spec is None:
+            grid = self.grid
+            n, dim = grid.cells_per_side, grid.dim
+            size = (2 * shift + 2) * side
+            k = np.arange(-min((shift + 1) * side, n) + 1, min((shift + 1) * side, n))
+            seg = np.zeros((size,) * dim)
+            seg[np.ix_(*[k % size] * dim)] = self._lat[np.ix_(*[k + n - 1] * dim)]
+            seg *= grid.cell_measure
+            spec = self._fft(seg, seg.shape, tuple(range(dim)))
+            self._spectra[side, shift] = spec
+        return spec
+
+    def dilate_transforms(self, anchor, first, count, side: int,
+                          shift: int) -> np.ndarray:
+        """``T(f char_{P+})`` on the window cells of every cube P of a block.
+
+        The cubes have side ``side`` and anchors ``anchor[d] + side
+        (first[d] + k)`` for ``k < count[d]`` on every axis, so they tile a
+        box; P+ is P dilated by ``2 shift + 1``.  Returns the box's window
+        cells, as a box-shaped array in window order, each holding the
+        transform of its own cube's dilate.
+        """
+        n, dim = self.grid.cells_per_side, self.grid.dim
+        width = (2 * shift + 1) * side
+        size = width + side
+        box = [a + side * b for a, b in zip(anchor, first)]
+        # each cube's source window starts shift sides before it
+        need = max(max(shift * side - lo, lo + side * c + shift * side - n)
+                   for lo, c in zip(box, count))
+        if need > self._pad:
+            raise ParameterError(
+                f"cubes of side {side} at {box} reach past the padding of "
+                f"{self._pad} cells this transform was built for")
+        # every cube's source window, strided from the padded f, no copy
+        pf = self._padded
+        src = np.ndarray(tuple(count) + (width,) * dim, pf.dtype, buffer=pf,
+                         offset=sum((lo - shift * side + self._pad) * st
+                                    for lo, st in zip(box, pf.strides)),
+                         strides=tuple(side * st for st in pf.strides) + pf.strides)
+        axes = tuple(range(dim, 2 * dim))
+        shape = (size,) * dim
+        spec = self._fft(src, shape, axes)
+        spec *= self._spectrum(side, shift)
+        out = self._ifft(spec, shape, axes)
+        # the circular convolution is exact on the cube's own cells
+        out = out[(Ellipsis,) + (slice(shift * side, (shift + 1) * side),) * dim]
+        if dim > 1:
+            out = out.transpose([i for d in range(dim) for i in (d, dim + d)])
+        out = out.reshape([c * side for c in count])
+        return out[tuple(slice(max(-lo, 0), min(c * side, n - lo))
+                         for lo, c in zip(box, count))]
+
+
 class RestrictedTransform:
     """Box-restricted applications of one kernel to one function.
 
@@ -280,12 +478,14 @@ class RestrictedTransform:
     per-target prefix sums ``S`` of their product with ``f``, so that
     ``T(f char_B)(x)`` for any axis-aligned box ``B`` is a difference of
     table entries.  ``apply_box`` gathers those entries per query, at
-    O(1) each.  In 1D, ``prefix_windows`` returns a read-only strided view
-    of ``S`` whose rows follow a box that moves with its anchor; the 1D
-    oscillation sweep of :mod:`sparsedom.maximal` reads all of its
-    truncated transforms through such views, so it does no per-query
-    gathers; its scratch is one (anchors x side) array of differences at a
-    time, never a copy of the table.
+    O(1) each, and ``dilate_transforms`` (the contract of
+    ``LatticeTransform``'s) is one such gather.  In 1D, ``prefix_windows``
+    returns a read-only strided view of ``S`` whose rows follow a box that
+    moves with its anchor; the 1D oscillation sweep of
+    :mod:`sparsedom.maximal` reads all of its truncated transforms through
+    such views, so it does no per-query gathers; its scratch is one
+    (anchors x side) array of differences at a time, never a copy of the
+    table.
 
     For a translation-invariant kernel on an exact grid the weights are a
     view of the scaled difference lattice, with no copy and no kernel
@@ -300,14 +500,10 @@ class RestrictedTransform:
         grid = f.grid
         if kernel.dim != grid.dim:
             raise ParameterError(f"kernel dim {kernel.dim} != grid dim {grid.dim}")
-        need = _table_bytes(grid, f.is_complex)
-        have = _physical_memory()
-        if have is not None and need > have:
-            raise ParameterError(
-                f"the transform table of a {grid.dim}D grid with "
-                f"{grid.cells_per_side} cells per side needs about "
-                f"{need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB "
-                f"of physical memory")
+        _refuse_beyond_memory(
+            f"the transform table of a {grid.dim}D grid with "
+            f"{grid.cells_per_side} cells per side",
+            _table_bytes(grid, f.is_complex))
         self.kernel = kernel
         self.f = f
         self.grid = grid
@@ -317,11 +513,7 @@ class RestrictedTransform:
             cells = np.argwhere(np.ones(grid.shape, dtype=bool))
             w = _kernel_block(kernel, grid, None, cells, cells).reshape(grid.shape * 2)
         else:
-            bad = ~np.isfinite(lat)
-            if bad.any():
-                # every offset k occurs, e.g. at x = max(k, 0), y = max(-k, 0)
-                k = np.argwhere(bad)[0] - (n - 1)
-                _raise_nonfinite(kernel.name, grid, np.maximum(k, 0), np.maximum(-k, 0))
+            _check_lattice_finite(kernel, grid, lat)
             w = _lattice_weights(lat, grid)
         # (K h**dim) f(y) in the dense order, laid out (targets, *source
         # axes) as the table needs; the 2D row sums run in place
@@ -370,6 +562,24 @@ class RestrictedTransform:
                           strides=(row_step * rs + col_step * cs, rs))
         view.flags.writeable = False
         return view
+
+    def dilate_transforms(self, anchor, first, count, side: int,
+                          shift: int) -> np.ndarray:
+        """``T(f char_{P+})`` on the window cells of every cube P of a
+        block, as ``LatticeTransform.dilate_transforms``: one ``apply_box``
+        with each cell's own cube's dilate as its box."""
+        grid = self.grid
+        n, dim = grid.cells_per_side, grid.dim
+        cells, bounds = [], []
+        for d, (a, b, c) in enumerate(zip(anchor, first, count)):
+            x = np.arange(max(a + side * b, 0), min(a + side * (b + c), n))
+            lo = a + ((x - a) // side - shift) * side
+            shape = (1,) * d + (-1,) + (1,) * (dim - 1 - d)
+            cells.append(x)
+            bounds.append((lo.reshape(shape),
+                           (lo + (2 * shift + 1) * side).reshape(shape)))
+        rows = np.arange(grid.n_cells).reshape(grid.shape)[np.ix_(*cells)]
+        return self.apply_box(rows, tuple(bounds))
 
     def apply_box(self, rows: np.ndarray, bounds) -> np.ndarray:
         """``T(f char_B)`` at flat target indices ``rows``.

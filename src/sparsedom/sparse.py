@@ -17,6 +17,14 @@ differences of the prefix table ``GridFunction.power_sat``: they only cut
 the exceptional set, while every coefficient is an :func:`avg_p`, a
 direct sum.
 
+The transforms come from one ``dilate_transforms`` call for the node and
+one per level.  For a kernel with a difference lattice on the grid (every
+catalog kernel on an exact grid) that is a
+:class:`~sparsedom.operators.LatticeTransform`, one batched FFT per call,
+O(m log m) per level in 1D, with memory linear in the cell count; for any
+other kernel it is the dense prefix table of
+:class:`~sparsedom.operators.RestrictedTransform`, one gather per call.
+
 Cells where any statistic exceeds its threshold form the exceptional set.
 In quantile mode the thresholds are chosen as order statistics, so the
 exceptional set provably occupies at most ``1 / 2**(dim+2)`` of Q's cells;
@@ -64,7 +72,12 @@ from .grid import (
     dyadic_children,
 )
 from .maximal import oscillation
-from .operators import Kernel, RestrictedTransform
+from .operators import (
+    Kernel,
+    LatticeTransform,
+    RestrictedTransform,
+    _samples_lattice,
+)
 
 __all__ = [
     "PipelineConfig",
@@ -119,8 +132,8 @@ class PipelineConfig:
 @dataclass(frozen=True)
 class ExceptionalSet:
     """Exceptional cells of one node, with the thresholds that cut them, and
-    ``T(f char_{Q+})`` at every window cell (None on a node skipped for a
-    zero average or no window cells)."""
+    ``T(f char_{Q+})`` on the node's window cells, box-shaped (None on a
+    node skipped for a zero average or no window cells)."""
 
     cube: Cube
     omega: CellSet
@@ -229,11 +242,10 @@ def _levels(side: int):
         yield side
 
 
-def _node_stats(rt: RestrictedTransform, f: GridFunction, cube: Cube, qs: Cube,
-                s: float):
-    """T(f char_{Q+}) at every window cell (window-shaped, signed) and, on
-    the node's window cells in row-major order, the two dyadic maximal
-    functions of f char_{Q+}.
+def _node_stats(rt: LatticeTransform | RestrictedTransform, f: GridFunction,
+                cube: Cube, qs: Cube, s: float):
+    """On the node's window cells, box-shaped: T(f char_{Q+}) (signed) and
+    the two dyadic maximal functions of f char_{Q+}.
 
     At a cell x, each is the largest over the cubes P the stopping time can
     select below Q with x in P (one per level of :func:`_levels`) of the
@@ -241,19 +253,16 @@ def _node_stats(rt: RestrictedTransform, f: GridFunction, cube: Cube, qs: Cube,
     and of the oscillation over P's window cells of
     ``T(f char_{Q+}) - T(f char_{P+})``.  Since P+ lies in Q+, f char_{Q+}
     is f on P+.  The level cubes tile Q, so a cell takes its cube's value
-    on each level; per level, one ``apply_box`` gathers T(f char_{P+}) at
-    every window cell of Q.
+    on each level; one ``dilate_transforms`` call gives T(f char_{Q+}) and
+    one per level T(f char_{P+}) for every cube of the level.
     """
     grid = f.grid
     n, dim = grid.cells_per_side, grid.dim
     alpha = qs.side // cube.side
     shift = (alpha - 1) // 2
     clip = cube.window_clip(grid)
-    sl = tuple(slice(lo, hi) for lo, hi in clip)
-    outer = rt.apply_box(np.arange(grid.n_cells),
-                         qs.window_clip(grid)).reshape(grid.shape)
-    t_on = outer[sl]
-    rows = np.arange(grid.n_cells).reshape(grid.shape)[sl]
+    t_on = rt.dilate_transforms(cube.anchor, (0,) * dim, (1,) * dim,
+                                cube.side, shift)
     sat = f.power_sat(s)
     ms = np.zeros(t_on.shape)
     osc = np.zeros(t_on.shape)
@@ -277,9 +286,9 @@ def _node_stats(rt: RestrictedTransform, f: GridFunction, cube: Cube, qs: Cube,
                 / (alpha * p * grid.cell_width) ** dim) ** (1.0 / s)
         np.maximum(ms, _repeat(avgs, counts), out=ms)
 
-        trunc = t_on - rt.apply_box(rows, tuple(
-            (np.repeat(l, c, axis=d), np.repeat(h, c, axis=d))
-            for d, (l, h, c) in enumerate(zip(lo, hi, counts))))
+        trunc = t_on - rt.dilate_transforms(
+            cube.anchor, [(c_lo - a) // p for (c_lo, _), a in zip(clip, cube.anchor)],
+            [len(b) for b in starts], p, shift)
         if np.iscomplexobj(trunc):
             bounds = [list(zip(b, np.append(b[1:], trunc.shape[d])))
                       for d, b in enumerate(starts)]
@@ -294,7 +303,7 @@ def _node_stats(rt: RestrictedTransform, f: GridFunction, cube: Cube, qs: Cube,
                 bottom = np.minimum.reduceat(bottom, b, axis=d)
             stat = top - bottom
         np.maximum(osc, _repeat(stat, counts), out=osc)
-    return outer, ms.ravel(), osc.ravel()
+    return t_on, ms.ravel(), osc.ravel()
 
 
 def _repeat(vals: np.ndarray, counts) -> np.ndarray:
@@ -316,8 +325,8 @@ def _order_threshold(vals: np.ndarray, k: int) -> float:
     return float(np.partition(vals, vals.size - 1 - idx)[vals.size - 1 - idx])
 
 
-def _exceptional(rt: RestrictedTransform, f: GridFunction, cube: Cube,
-                 cfg: PipelineConfig) -> ExceptionalSet:
+def _exceptional(rt: LatticeTransform | RestrictedTransform, f: GridFunction,
+                 cube: Cube, cfg: PipelineConfig) -> ExceptionalSet:
     """Exceptional cells of one node cube.
 
     A window cell of ``cube`` is exceptional when its transform value,
@@ -347,7 +356,7 @@ def _exceptional(rt: RestrictedTransform, f: GridFunction, cube: Cube,
 
     outer, ms_vals, osc_vals = _node_stats(rt, f, cube, qs, cfg.s)
     sl = tuple(slice(lo, hi) for lo, hi in clip)
-    t_vals = np.abs(outer[sl]).ravel()
+    t_vals = np.abs(outer).ravel()
     allowed = cube.cell_count // (3 * 2 ** (grid.dim + 2))
     if cfg.mode == "quantile":
         tau_t = _order_threshold(t_vals, allowed)
@@ -365,7 +374,7 @@ def _exceptional(rt: RestrictedTransform, f: GridFunction, cube: Cube,
         flags.append("measure_violation")
 
     omega_mask = np.zeros(grid.shape, dtype=bool)
-    omega_mask[sl] = union.reshape(omega_mask[sl].shape)
+    omega_mask[sl] = union.reshape(outer.shape)
     return ExceptionalSet(
         cube=cube,
         omega=CellSet.from_window_mask(grid, omega_mask),
@@ -481,11 +490,12 @@ def _check_invariants(q: Cube, omega_count: int, children: list[Cube],
             raise NumericError(f"node {q}: {what} of its {cells} cells")
 
 
-def _build_node(rt: RestrictedTransform, f: GridFunction, q: Cube, depth: int,
-                cfg: PipelineConfig, entries: list[SparseEntry],
+def _build_node(rt: LatticeTransform | RestrictedTransform, f: GridFunction,
+                q: Cube, depth: int, cfg: PipelineConfig,
+                entries: list[SparseEntry],
                 records: list[NodeRecord]) -> np.ndarray | None:
-    """Grow the recursion tree below ``q``; return ``T(f char_{Q+})`` at
-    every window cell, or None where it is taken as 0."""
+    """Grow the recursion tree below ``q``; return ``T(f char_{Q+})`` on
+    its window cells, or None where it is taken as 0."""
     grid = f.grid
     exc = _exceptional(rt, f, q, cfg)
     flags = list(exc.flags)
@@ -505,8 +515,11 @@ def _build_node(rt: RestrictedTransform, f: GridFunction, q: Cube, depth: int,
     if (in_witness & exc.omega.window_mask()).any():
         flags.append("witness_overlaps_exceptional")
     a_eff = 0.0
-    if exc.transform is not None and in_witness.any():
-        a_eff = float(np.abs(exc.transform[in_witness]).max()) / exc.avg
+    if exc.transform is not None:
+        clip = q.window_clip(grid)
+        in_witness = in_witness[tuple(slice(lo, hi) for lo, hi in clip)]
+        if in_witness.any():
+            a_eff = float(np.abs(exc.transform[in_witness]).max()) / exc.avg
 
     entry = SparseEntry(cube=dilate(q, cfg.alpha), witness=witness,
                         coefficient=exc.avg, base_cube=q, depth=depth,
@@ -522,8 +535,9 @@ def _build_node(rt: RestrictedTransform, f: GridFunction, q: Cube, depth: int,
     # with children has its transform
     for child in children:
         inner = _build_node(rt, f, child, depth + 1, cfg, entries, records)
-        sl = tuple(slice(lo, hi) for lo, hi in child.window_clip(grid))
-        resid = exc.transform[sl] if inner is None else exc.transform[sl] - inner[sl]
+        sl = tuple(slice(lo - q_lo, hi - q_lo) for (lo, hi), (q_lo, _)
+                   in zip(child.window_clip(grid), clip))
+        resid = exc.transform[sl] if inner is None else exc.transform[sl] - inner
         record.edges.append({"child": child,
                              "coefficient": float(np.abs(resid).max()) / exc.avg})
     return exc.transform
@@ -592,6 +606,16 @@ def support_box(f: GridFunction) -> Cube | None:
     return Cube(anchor, side)
 
 
+def _transform(kernel: Kernel, f: GridFunction, alpha: int,
+               max_side: int) -> LatticeTransform | RestrictedTransform:
+    """The builder's transform backend for nodes of side at most
+    ``max_side``: FFT against the difference lattice where the kernel has
+    one on this grid, the prefix table otherwise."""
+    if _samples_lattice(kernel, f.grid):
+        return LatticeTransform(kernel, f, alpha, max_side)
+    return RestrictedTransform(kernel, f)
+
+
 def build_sparse_domination(kernel: Kernel, f: GridFunction,
                             config: PipelineConfig | None = None) -> DominationResult:
     """Full pipeline: cover the window, recurse per cover cube, assemble
@@ -624,7 +648,8 @@ def build_sparse_domination(kernel: Kernel, f: GridFunction,
         return DominationResult(family, ledger, [])
 
     cover = partition_cover(grid, supp, cfg.alpha)
-    rt = RestrictedTransform(kernel, f)
+    # children are smaller than their parents, so the roots are the largest
+    rt = _transform(kernel, f, cfg.alpha, max(c.side for c in cover))
     entries: list[SparseEntry] = []
     records: list[NodeRecord] = []
     for root in cover:

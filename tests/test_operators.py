@@ -2,7 +2,9 @@
 
 import dataclasses
 import math
+import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,17 +17,19 @@ from sparsedom import (
     Grid,
     GridFunction,
     Kernel,
+    LatticeTransform,
     NumericError,
     ParameterError,
     RestrictedTransform,
     apply_restricted,
+    check_domination,
     dini_constant,
     dini_profile,
     hormander_constant,
     make_kernel,
     transpose_kernel,
 )
-from sparsedom import operators
+from sparsedom import operators, sparse
 
 
 def loop_transform(kernel, f, target_mask, source_mask):
@@ -507,8 +511,12 @@ def test_lattice_never_evaluates_all_pairs(dim, n, name):
     RestrictedTransform(k, f)
     apply_restricted(k, f)
     apply_restricted(transpose_kernel(k), f, source=Cube((1,) * dim, n // 2))
-    # one lattice per use: the table, the direct transform, its transpose
-    assert seen == [(2 * n - 1) ** dim] * 3
+    fft = LatticeTransform(k, f, 3, n)
+    for side in (n, n // 2, 1):
+        fft.dilate_transforms((0,) * dim, (0,) * dim, (n // side,) * dim, side, 1)
+    # one lattice per use: the table, the direct transform, its transpose,
+    # the FFT transform over all its calls
+    assert seen == [(2 * n - 1) ** dim] * 4
     # the dense fallback evaluates every pair
     k, seen = _counting(make_kernel(name, Grid(dim, n, 0.1)))
     RestrictedTransform(k, GridFunction(Grid(dim, n, 0.1), f.values))
@@ -545,6 +553,7 @@ def test_invariant_kernel_nonfinite_off_diagonal_names_real_pair(dim):
                  translation_invariant=True)
     f = GridFunction(grid, np.ones(grid.shape))
     for call in (lambda: RestrictedTransform(bad, f),
+                 lambda: LatticeTransform(bad, f, 3, 4),
                  lambda: apply_restricted(bad, f),
                  lambda: apply_restricted(bad, f, source=Cube((2,) * dim, 2))):
         with pytest.raises(NumericError, match="x=.*y=") as err:
@@ -596,3 +605,167 @@ def test_table_refused_before_allocation(monkeypatch):
     RestrictedTransform(make_kernel("hilbert"), GridFunction(Grid(1, 64), np.ones(64)))
     monkeypatch.setattr(operators, "_physical_memory", lambda: None)
     RestrictedTransform(make_kernel("hilbert"), GridFunction(grid, np.ones(grid.shape)))
+
+
+def test_lattice_run_estimate_counts_padding_batch_lattice_and_pairs():
+    # 1D N = 64 at alpha 3, nodes of side N: padded f 5N, batch and spectra
+    # 6 arrays of 4N points, the lattice, all N**2 pairs in one block
+    want = 5 * 64 * 8 + 6 * 4 * 64 * 8 + 127 * 8 + 64 * 64 * 8
+    assert operators._lattice_run_bytes(Grid(1, 64), 3, 64, False) == want
+    complex_want = 5 * 64 * 16 + 6 * 4 * 64 * 16 + 127 * 8 + 64 * 64 * 8
+    assert operators._lattice_run_bytes(Grid(1, 64), 3, 64, True) == complex_want
+    # nodes of side 81 (a far ring of the cover): both terms grow with it
+    wide = (64 + 4 * 81) * 8 + 6 * 4 * 81 * 8 + 127 * 8 + 64 * 64 * 8
+    assert operators._lattice_run_bytes(Grid(1, 64), 3, 81, False) == wide
+    # 2D n = 128: about 48 MB, the verifier's pair block capped at 2**22
+    big = operators._lattice_run_bytes(Grid(2, 128), 3, 128, False)
+    assert big == (640**2 + 6 * 512**2 + 255**2 + 2**22) * 8
+    assert big < operators._table_bytes(Grid(2, 128), False) / 85
+    # the padded f is what the estimate says, and a node of side n, the
+    # largest call, stays inside its batch term
+    grid = Grid(2, 16)
+    f = GridFunction(grid, rng(2).normal(size=grid.shape))
+    fft = LatticeTransform(make_kernel("riesz2d", grid), f, 5, 16)
+    assert fft._padded.nbytes == (16 + 6 * 16) ** 2 * 8
+    tracemalloc.start()
+    try:
+        fft.dilate_transforms((0, 0), (0, 0), (1, 1), 16, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * (6 * 16) ** 2 * 8
+
+
+def test_lattice_run_estimate_holds_for_a_corner_support():
+    # one cell at the origin: the cover's last ring cubes have side 81,
+    # wider than the window, and the build pads f and runs FFTs for them
+    grid = Grid(2, 64)
+    vals = np.zeros(grid.shape)
+    vals[0, 0] = 1.0
+    f = GridFunction(grid, vals)
+    k = make_kernel("riesz2d", grid)
+    cfg = sparse.PipelineConfig(alpha=3)
+    side = max(c.side for c in sparse.partition_cover(grid, sparse.support_box(f), 3))
+    assert side == 81
+    need = operators._lattice_run_bytes(grid, 3, side, False)
+    pair_block = (operators._PAIR_CHUNK // grid.n_cells) * grid.n_cells * 8
+    tracemalloc.start()
+    try:
+        res = sparse.build_sparse_domination(k, f, cfg)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        assert check_domination(k, f, res.family).passed
+        run_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the build alone fits in the estimate without the verifier's block
+    assert build_peak <= need - pair_block
+    assert run_peak <= need
+
+
+def test_lattice_transform_refuses_cubes_beyond_its_padding():
+    grid = Grid(1, 32)
+    fft = LatticeTransform(make_kernel("hilbert"), GridFunction(grid, np.ones(32)), 3, 16)
+    fft.dilate_transforms((-15,), (0,), (1,), 16, 1)
+    fft.dilate_transforms((31,), (0,), (1,), 16, 1)
+    with pytest.raises(ParameterError, match="padding"):
+        fft.dilate_transforms((-31,), (0,), (1,), 32, 1)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                    reason="resident memory is read on Linux only")
+def test_resident_memory_is_current_not_peak(monkeypatch):
+    before = operators._resident_memory()
+    block = np.ones(2**22)                        # 32 MiB, every page touched
+    held = operators._resident_memory()
+    del block
+    after = operators._resident_memory()
+    assert held - before >= 2**24
+    assert held - after >= 2**24                  # a peak would not fall
+    # where the platform says nothing, nothing is counted
+    def no_file(*args, **kwargs):
+        raise OSError("no such file")
+
+    monkeypatch.setattr("builtins.open", no_file)
+    assert operators._resident_memory() == 0
+
+
+def test_lattice_transform_refused_before_sampling(monkeypatch):
+    def untouchable(x, y):
+        pytest.fail("the kernel must not be evaluated for a refused run")
+
+    grid = Grid(1, 1024)
+    f = GridFunction(grid, np.ones(grid.shape))
+    k = Kernel("untouchable", 1, untouchable, translation_invariant=True)
+    need = operators._lattice_run_bytes(grid, 3, 1024, False)
+    monkeypatch.setattr(operators, "_resident_memory", lambda: 2**20)
+    # what the process holds counts: one byte short refuses
+    monkeypatch.setattr(operators, "_physical_memory", lambda: need + 2**20 - 1)
+    with pytest.raises(ParameterError, match="GiB.*physical memory"):
+        LatticeTransform(k, f, 3, 1024)
+    monkeypatch.setattr(operators, "_physical_memory", lambda: need + 2**20)
+    LatticeTransform(make_kernel("hilbert"), f, 3, 1024)
+    # an unknown memory size checks nothing
+    monkeypatch.setattr(operators, "_physical_memory", lambda: None)
+    LatticeTransform(make_kernel("hilbert"), f, 3, 1024)
+
+
+def test_lattice_transform_needs_a_lattice():
+    f = GridFunction(Grid(1, 16, phys_side=0.1), np.ones(16))
+    with pytest.raises(ParameterError, match="difference lattice"):
+        LatticeTransform(make_kernel("hilbert"), f, 3, 16)
+    with pytest.raises(ParameterError, match="difference lattice"):
+        LatticeTransform(_dense(make_kernel("hilbert")),
+                         GridFunction(Grid(1, 16), np.ones(16)), 3, 16)
+    with pytest.raises(ParameterError, match="dim"):
+        LatticeTransform(make_kernel("riesz2d"), GridFunction(Grid(1, 16), np.ones(16)), 3, 16)
+
+
+# ---------------------------------------------------------------------------
+# FFT transforms against the prefix table
+
+GATE_GRIDS = ([(1, 512, k) for k in ("hilbert", "holder", "dini_stress", "zero")]
+              + [(2, 32, k) for k in ("riesz2d", "zero")])
+
+
+def _gate_nodes(n, dim):
+    """Node cubes: the window, inside it, sticking out on either side, an
+    odd-split side (levels 6, 3, then single cells) and one wider than the
+    window, as a far ring of the cover makes."""
+    sides_anchors = [(n, 0), (n // 2, n // 4), (n // 4, -n // 8),
+                     (n // 4, n - n // 8), (12, n // 2 - 5), (3 * n // 2, -n // 2)]
+    return [Cube((a,) * dim, m) for m, a in sides_anchors]
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+@pytest.mark.parametrize("alpha", [3, 5])
+@pytest.mark.parametrize("dim,n,name", GATE_GRIDS)
+def test_fft_dilate_transforms_match_table(dim, n, name, alpha, complex_values):
+    grid = Grid(dim, n)
+    g = rng(31 + n)
+    vals = g.normal(size=grid.shape)
+    if complex_values:
+        vals = vals + 1j * g.normal(size=grid.shape)
+    f = GridFunction(grid, vals)
+    k = make_kernel(name, grid)
+    nodes = _gate_nodes(n, dim)
+    fft = LatticeTransform(k, f, alpha, max(q.side for q in nodes))
+    table = RestrictedTransform(k, f)
+    shift = (alpha - 1) // 2
+    sides = set()
+    for q in nodes:
+        clip = q.window_clip(grid)
+        # the node's own dilate, then every level of cubes the stopping time
+        # can select below it, as the builder asks for them
+        blocks = [((0,) * dim, (1,) * dim, q.side)]
+        for p in sparse._levels(q.side):
+            first = [(lo - a) // p for (lo, _), a in zip(clip, q.anchor)]
+            last = [(hi - 1 - a) // p for (_, hi), a in zip(clip, q.anchor)]
+            blocks.append((first, [b - a + 1 for a, b in zip(first, last)], p))
+        for first, count, side in blocks:
+            got = fft.dilate_transforms(q.anchor, first, count, side, shift)
+            want = table.dilate_transforms(q.anchor, first, count, side, shift)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.shape == tuple(hi - lo for lo, hi in clip)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (q, side)
+            sides.add(side)
+    assert {1, 3, 6, n // 2, 3 * n // 2} <= sides

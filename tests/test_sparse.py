@@ -1,5 +1,7 @@
 """Exceptional sets, stopping time, cover, and the sparse pipeline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from sparsedom import (
     DensityError,
     Grid,
     GridFunction,
+    LatticeTransform,
     ParameterError,
     PipelineConfig,
     RestrictedTransform,
@@ -50,18 +53,25 @@ def sparse_sum(family):
     return out
 
 
+def builder_transform(kernel, f, config, max_side):
+    """The transform backend the pipeline picks for this kernel and grid,
+    for nodes of side at most ``max_side``."""
+    return sparse._transform(kernel, f, config.alpha, max_side)
+
+
 def node_exceptional(kernel, f, cube, **config):
     """Exceptional set of one node, as the pipeline computes it."""
-    return sparse._exceptional(RestrictedTransform(kernel, f), f, cube,
-                               PipelineConfig(**config))
+    cfg = PipelineConfig(**config)
+    return sparse._exceptional(builder_transform(kernel, f, cfg, cube.side),
+                               f, cube, cfg)
 
 
 def local_family(kernel, f, root, config=PipelineConfig()):
     """Entries and records of the recursion tree the pipeline grows from
     one root cube."""
     entries, records = [], []
-    sparse._build_node(RestrictedTransform(kernel, f), f, root, 0, config,
-                       entries, records)
+    sparse._build_node(builder_transform(kernel, f, config, root.side), f, root,
+                       0, config, entries, records)
     return entries, records
 
 
@@ -77,6 +87,25 @@ def witness_canvas(family):
                    for d in range(dim))
         canvas[sl] += e.witness.mask.astype(int)
     return canvas
+
+
+# ---------------------------------------------------------------------------
+# transform backend
+
+def test_builder_picks_fft_where_the_kernel_has_a_lattice():
+    for grid, names in ((Grid(1, 32), ("hilbert", "holder", "dini_stress", "zero")),
+                        (Grid(2, 8), ("riesz2d", "zero"))):
+        f = make_input(grid, "random", seed=2)
+        for name in names:
+            k = make_kernel(name, grid)
+            n = grid.cells_per_side
+            assert type(sparse._transform(k, f, 3, n)) is LatticeTransform
+            # no lattice: a kernel without the flag, or an inexact grid
+            plain = dataclasses.replace(k, translation_invariant=False)
+            assert type(sparse._transform(plain, f, 3, n)) is RestrictedTransform
+            inexact = Grid(grid.dim, n, 0.1)
+            g = GridFunction(inexact, f.values)
+            assert type(sparse._transform(k, g, 3, n)) is RestrictedTransform
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +130,7 @@ def test_quantile_thresholds_are_attained_values():
     f = supported_noise(grid, 3, 4, 28)
     exc = node_exceptional(make_kernel("hilbert"), f, Cube((8,), 16), alpha=3)
     assert exc.avg > 0
-    assert exc.tau_t in np.abs(exc.transform[8:24]) and exc.c_ratio > 0
+    assert exc.tau_t in np.abs(exc.transform) and exc.c_ratio > 0
     for cnt in exc.exceed_counts:
         assert cnt <= exc.allowed_per_stat
 
@@ -113,7 +142,7 @@ def test_single_cell_node_self_certifies():
     exc = node_exceptional(k, f, Cube((5,), 1), alpha=3)
     assert exc.omega.is_empty()
     _, (rec,) = local_family(k, f, Cube((5,), 1), PipelineConfig(alpha=3))
-    assert rec.a_effective == abs(exc.transform[5]) / exc.avg
+    assert rec.a_effective == abs(exc.transform[0]) / exc.avg
 
 
 def test_zero_average_node():
@@ -413,7 +442,7 @@ def analytic_edge_check(kernel, f, cfg):
     lowers a threshold and breaks it.
     """
     res = build_sparse_domination(kernel, f, cfg)
-    rt = RestrictedTransform(kernel, f)
+    rt = builder_transform(kernel, f, cfg, max(r.cube.side for r in res.records))
     grid = f.grid
     nodes = {}
 
@@ -424,7 +453,7 @@ def analytic_edge_check(kernel, f, cfg):
             a = 0.0
             if exc.transform is not None:
                 sl = tuple(slice(lo, hi) for lo, hi in q.window_clip(grid))
-                t_exceed[sl] = np.abs(exc.transform[sl]) > exc.tau_t
+                t_exceed[sl] = np.abs(exc.transform) > exc.tau_t
                 a = max(exc.tau_t, exc.tau_osc) / exc.avg
             nodes[q] = exc, t_exceed, a
         return nodes[q]
@@ -566,8 +595,8 @@ def test_records_carry_exceed_counts_and_ledger_sums_them(kname, dim, n):
         cfg = PipelineConfig(alpha=3, **MODES[mode])
         for kind in INPUT_KINDS:
             f = make_input(grid, kind, seed=13)
-            rt = RestrictedTransform(k, f)
             res = build_sparse_domination(k, f, cfg)
+            rt = builder_transform(k, f, cfg, max(r.cube.side for r in res.records))
             sums = {}
             for rec in res.records:
                 exc = sparse._exceptional(rt, f, rec.cube, cfg)

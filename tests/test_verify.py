@@ -5,6 +5,7 @@ Oracle values for the single-cube ratio and the weak profile are computed
 here by direct summation, independent of the prefix-sum machinery.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -342,6 +343,54 @@ def test_t1_probe_full_subset_matches_direct():
     direct = np.sum(np.abs(vals[4:12])) * grid.cell_measure / cube.measure(grid)
     assert full["stat"] == pytest.approx(direct, rel=1e-12)
     assert full["cells"] == 8
+
+
+def probe_one_transform_per_indicator(kernel, grid, cube, seed,
+                                      probs=(0.125, 0.25, 0.5, 0.75), draws=2):
+    """The probe's statistics with one direct transposed transform per
+    sampled indicator, drawn in the probe's order."""
+    base = CellSet.from_cube(grid, cube).window_mask()
+    gen = np.random.Generator(np.random.Philox(seed))
+    masks = [np.zeros(grid.shape, dtype=bool), base]
+    masks += [(gen.random(grid.shape) < prob) & base
+              for prob in probs for _ in range(draws)]
+    targets = CellSet.from_window_mask(grid, base)
+    stats = []
+    for mask in masks:
+        vals = apply_restricted(transpose_kernel(kernel),
+                                GridFunction(grid, mask.astype(float)),
+                                targets=targets).values
+        stats.append(float(np.sum(np.abs(vals[base])) * grid.cell_measure
+                           / cube.measure(grid)))
+    return stats
+
+
+@pytest.mark.parametrize("dim,n,name", [(1, 64, "hilbert"), (1, 128, "dini_stress"),
+                                        (2, 16, "riesz2d")])
+def test_t1_probe_matches_one_transform_per_indicator(dim, n, name):
+    grid = Grid(dim, n)
+    kernel = make_kernel(name, grid)
+    for cube in (grid.window_cube(), Cube((n // 4,) * dim, n // 2),
+                 Cube((-3,) * dim, 8)):
+        for seed in (0, 7):
+            got = [s["stat"] for s in t1_testing_probe(kernel, grid, cube, seed).samples]
+            want = probe_one_transform_per_indicator(kernel, grid, cube, seed)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_t1_probe_samples_the_lattice_once():
+    grid = Grid(1, 64)
+    kernel = make_kernel("dini_stress", grid)
+    seen = []
+
+    def fn(x, y):
+        out = kernel.fn(x, y)
+        seen.append(np.size(out))
+        return out
+
+    t1_testing_probe(dataclasses.replace(kernel, fn=fn), grid, seed=4)
+    # one lattice for all ten indicators
+    assert seen == [127]
 
 
 def test_t1_probe_seed_changes_random_subsets():
