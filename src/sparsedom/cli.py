@@ -17,6 +17,7 @@ violation, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -212,8 +213,10 @@ FAMILY_SCHEMA = {
     },
 }
 # built once: jsonschema.validate re-checks the schema itself on every call,
-# which costs ten times the validation of a family file
+# which costs ten times the validation of a family file and nearly all of
+# a config load
 _FAMILY_VALIDATOR = jsonschema.Draft202012Validator(FAMILY_SCHEMA)
+_CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +228,9 @@ def load_config(path: str) -> dict:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    # the error jsonschema.validate would raise
+    exc = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(cfg))
+    if exc is not None:
         where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError(f"config {path} invalid at {where}: {exc.message}") from exc
     return cfg
@@ -417,18 +420,34 @@ def _manifest(command: str, cfg: dict, args_seed, timings: dict,
     }
 
 
-def _verification_report(kernel, f, family, cfg) -> dict:
+@contextlib.contextmanager
+def _timed(timings: dict, key: str):
+    """Record the wall time of the block under ``timings[key]``."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[key] = time.perf_counter() - t0
+
+
+def _verification_report(kernel, f, family, cfg) -> tuple[dict, dict]:
+    """The verification report and the time of each of its checks."""
     vcfg = cfg.get("verify", {})
     tol = vcfg.get("tol", 1e-10)
     r = vcfg.get("ratio_r", 1.0)
     p = vcfg.get("ratio_p", 2.0)
-    sparsity = check_sparsity(family)
-    domination = check_domination(kernel, f, family, tol=tol)
-    audit = audit_coefficients(family, f)
-    try:
-        ratio = sparse_lp_ratio(family, f, r=r, p=p)
-    except UndefinedRatioError:
-        ratio = None
+    timings = {}
+    with _timed(timings, "sparsity_s"):
+        sparsity = check_sparsity(family)
+    with _timed(timings, "domination_s"):
+        domination = check_domination(kernel, f, family, tol=tol)
+    with _timed(timings, "audit_s"):
+        audit = audit_coefficients(family, f)
+    with _timed(timings, "lp_ratio_s"):
+        try:
+            ratio = sparse_lp_ratio(family, f, r=r, p=p)
+        except UndefinedRatioError:
+            ratio = None
     passed = sparsity.passed and domination.passed and audit <= 1e-9
     return {
         "passed": passed,
@@ -436,20 +455,19 @@ def _verification_report(kernel, f, family, cfg) -> dict:
         "domination": domination.to_dict(),
         "coefficient_audit_max_dev": audit,
         "lp_ratio": {"r": r, "p": p, "value": ratio},
-    }
+    }, timings
 
 
 def _run_once(cfg: dict, seed_override: int | None):
     grid = _grid_from(cfg)
     kernel = _kernel_from(cfg, grid)
     f = _input_from(cfg, grid, seed_override)
-    t0 = time.perf_counter()
-    result = build_sparse_domination(kernel, f, _pipeline_from(cfg))
-    build_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    report = _verification_report(kernel, f, result.family, cfg)
-    verify_s = time.perf_counter() - t0
-    return result, report, {"build_s": build_s, "verify_s": verify_s}
+    timings = {}
+    with _timed(timings, "build_s"):
+        result = build_sparse_domination(kernel, f, _pipeline_from(cfg))
+    with _timed(timings, "verify_s"):
+        report, checks = _verification_report(kernel, f, result.family, cfg)
+    return result, report, {**timings, **checks}
 
 
 def _print_report(report: dict) -> None:
@@ -510,11 +528,11 @@ def _cmd_verify(args) -> int:
         raise ConfigError("family grid does not match the configuration grid")
     kernel = _kernel_from(cfg, grid)
     f = _input_from(cfg, grid, args.seed)
-    report = _verification_report(kernel, f, family, cfg)
+    report, timings = _verification_report(kernel, f, family, cfg)
     files = {"verify_report.json": _write_file(
         os.path.join(out, "verify_report.json"), _json_bytes(report))}
     _write_file(os.path.join(out, "manifest.json"),
-                _json_bytes(_manifest("verify", cfg, args.seed, {}, files)))
+                _json_bytes(_manifest("verify", cfg, args.seed, timings, files)))
     _print_report(report)
     return 0 if report["passed"] else 1
 

@@ -9,8 +9,12 @@ optional integral-smoothness exponent.  The discrete operator is
 with cell centers ``x_c, y_c``; the diagonal cell ``y = x`` is always
 skipped.  Three evaluators share the kernel sampling below:
 
-* ``apply_restricted`` sums each chunk of target rows directly, with a
-  matrix product; it is the verifier's path.
+* ``apply_restricted`` sums each chunk of target rows directly, with
+  matrix products over fixed groups of targets.  It is the reference the
+  tests compare against, and the domination check's path for a kernel
+  without a lattice; for one with a lattice the check of
+  :mod:`sparsedom.verify` has its own FFT over the window and re-sums the
+  cells that decide its report through the same ``_restricted_sums``.
 * ``LatticeTransform`` serves the sparse construction of
   :mod:`sparsedom.sparse` for a kernel with a difference lattice (below).
   Its one method, ``dilate_transforms``, gives ``T(f char_{P+})`` on the
@@ -28,7 +32,7 @@ skipped.  Three evaluators share the kernel sampling below:
 Kernel sampling.  A kernel that declares ``translation_invariant`` is
 evaluated once per grid on the difference lattice: the offsets
 ``x - y = k h`` with ``|k_d| <= n - 1`` on every axis, ``(2n - 1)**dim``
-values, the offset-0 value zeroed.  The prefix table, the FFT transform
+values, the offset-0 value zeroed.  The prefix table, the FFT transforms
 and the direct ``apply_restricted`` read ``K(x_c, y_c)`` from there by
 offset, so none evaluates the kernel on all cell pairs.  This gives the
 same bits as the dense evaluation only when every cell-center difference
@@ -193,18 +197,21 @@ def _check_lattice_finite(kernel: Kernel, grid: Grid, lat: np.ndarray) -> None:
 
 def _lattice_weights(lat: np.ndarray, grid: Grid) -> np.ndarray:
     """The kernel at every (target, source) cell pair as a read-only view of
-    the difference lattice, shape ``grid.shape * 2``, with no copy:
-    ``w[x, y] = lat[x - y + n - 1]`` on every axis, the windows of the
-    reversed lattice with their target axes reversed back."""
+    the difference lattice, shape ``grid.shape * 2``, with no copy per
+    pair: ``w[x, y] = lat[x - y + n - 1]`` on every axis, the windows of
+    a reversed copy of the lattice with their target axes reversed back,
+    so that ``w[x]`` runs forward through memory."""
     rev = (slice(None, None, -1),) * grid.dim
-    return sliding_window_view(lat[rev], grid.shape)[rev]
+    return sliding_window_view(np.ascontiguousarray(lat[rev]), grid.shape)[rev]
 
 
 def _kernel_block(kernel: Kernel, grid: Grid, lat: np.ndarray | None,
                   t_cells: np.ndarray, s_cells: np.ndarray) -> np.ndarray:
     """``K(x_c, y_c)`` for target cells x (rows) and source cells y, zero
     where ``x = y``: read from the lattice by offset, or evaluated densely
-    when there is none.  Raises NumericError at a non-finite value."""
+    when there is none.  Sources are distinct window cells in window
+    order, as ``CellSet.window_cells`` lists them.  Raises NumericError at
+    a non-finite value."""
     if lat is None:
         with np.errstate(divide="ignore", invalid="ignore"):
             block = np.asarray(
@@ -220,9 +227,15 @@ def _kernel_block(kernel: Kernel, grid: Grid, lat: np.ndarray | None,
         else:
             block[np.all(t_cells[:, None, :] == s_cells[None, :, :], axis=-1)] = 0.0
     else:
-        # gathered from the pair view, with no index array per pair
-        block = _lattice_weights(lat, grid)[
-            tuple(t[:, None] for t in t_cells.T) + tuple(s[None, :] for s in s_cells.T)]
+        w = _lattice_weights(lat, grid)
+        if len(s_cells) == grid.n_cells:
+            # every window cell in window order: whole target rows of the
+            # pair view, copied window by window
+            block = w[tuple(t_cells.T)].reshape(len(t_cells), -1)
+        else:
+            # gathered from the pair view, with no index array per pair
+            block = w[tuple(t[:, None] for t in t_cells.T)
+                      + tuple(s[None, :] for s in s_cells.T)]
         if np.isfinite(lat).all():
             return block
     bad = ~np.isfinite(block)
@@ -237,23 +250,50 @@ def _kernel_block(kernel: Kernel, grid: Grid, lat: np.ndarray | None,
 
 # pair entries per kernel block of the direct sums
 _PAIR_CHUNK = 1 << 22
+# targets per matrix-vector product of the direct sums
+_SUM_GROUP = 4
 
 
 def _restricted_sums(kernel: Kernel, grid: Grid, t_cells: np.ndarray,
-                     s_cells: np.ndarray, f_src: np.ndarray) -> np.ndarray:
+                     s_cells: np.ndarray, f_src: np.ndarray,
+                     lat: np.ndarray | None = None) -> np.ndarray:
     """``h**dim sum_y K(x_c, y_c) f_src[y]`` at every target cell x, for
     source values ``f_src`` of shape ``(sources,)`` or ``(sources, k)``
-    (k columns summed at once).  The kernel is sampled once; targets go in
-    chunks of at most ``_PAIR_CHUNK`` pairs, each one matrix product."""
-    lat = _offset_lattice(kernel, grid)
-    chunk = max(1, _PAIR_CHUNK // max(1, len(s_cells)))
+    (k columns summed at once, one matrix product per chunk).  The kernel
+    is read from ``lat`` when the caller has sampled the difference
+    lattice, and sampled once otherwise; targets go in chunks of at most
+    ``_PAIR_CHUNK`` pairs.
+
+    A single column is summed by one matrix-vector product per group of
+    ``_SUM_GROUP`` consecutive targets of ``t_cells``: BLAS may round a
+    target's sum differently depending on which targets share its
+    product, so the groups are fixed, and re-summing whole groups
+    reproduces the sums of a larger call bit for bit."""
+    if lat is None:
+        lat = _offset_lattice(kernel, grid)
+    # whole groups per chunk
+    chunk = max(1, _PAIR_CHUNK // max(1, len(s_cells)) // _SUM_GROUP) * _SUM_GROUP
     out = np.empty((len(t_cells),) + f_src.shape[1:],
                    dtype=np.result_type(f_src, np.float64))
     for start in range(0, len(t_cells), chunk):
         sl = slice(start, min(start + chunk, len(t_cells)))
-        out[sl] = _kernel_block(kernel, grid, lat, t_cells[sl], s_cells) @ f_src
+        out[sl] = _block_sums(_kernel_block(kernel, grid, lat, t_cells[sl], s_cells),
+                              f_src)
     out *= grid.cell_measure
     return out
+
+
+def _block_sums(block: np.ndarray, f_src: np.ndarray) -> np.ndarray:
+    """``block @ f_src``; for one column, the whole groups of
+    ``_SUM_GROUP`` rows go as a stack of matrix-vector products, one per
+    group, then the tail."""
+    if f_src.ndim > 1:
+        return block @ f_src
+    g = _SUM_GROUP
+    whole = len(block) // g * g
+    return np.concatenate([
+        (block[:whole].reshape(-1, g, block.shape[1]) @ f_src).reshape(-1),
+        block[whole:] @ f_src])
 
 
 def apply_restricted(kernel: Kernel, f: GridFunction,
@@ -264,8 +304,8 @@ def apply_restricted(kernel: Kernel, f: GridFunction,
     Returns a grid function that is zero off the target cells.  Targets
     and sources outside the window are ignored (f vanishes there and no
     output cells exist there).  Each chunk of targets is summed directly
-    with a matrix product; only the kernel sampling is shared with the
-    table and the FFT transform.
+    with matrix products (see ``_restricted_sums``); only the kernel
+    sampling is shared with the table and the FFT transforms.
     """
     grid = f.grid
     if kernel.dim != grid.dim:
@@ -345,8 +385,11 @@ def _lattice_run_bytes(grid: Grid, alpha: int, max_side: int,
       points per axis at three arrays (the padded source, its spectrum,
       the inverse), and the cached kernel spectra, at most three more
       (sides halve level by level and shrink threefold root by root);
-    * the difference lattice;
-    * the verifier's pair block, ``_PAIR_CHUNK`` pairs or all of them.
+    * the difference lattice and its reversed copy;
+    * the verifier's FFT over the window, ``2n`` points per axis at three
+      complex arrays (the kernel spectrum, the spectrum of f, the inverse);
+    * the verifier's direct re-sum, a block of ``_PAIR_CHUNK`` pairs or all
+      of them, and its complex copy for a complex input.
 
     Complex for a complex input, but the lattice and the pair block."""
     n, dim = grid.cells_per_side, grid.dim
@@ -355,8 +398,9 @@ def _lattice_run_bytes(grid: Grid, alpha: int, max_side: int,
     pair_rows = min(cells, max(1, _PAIR_CHUNK // cells))
     return ((n + (alpha + 1) * max_side) ** dim * item
             + 6 * ((alpha + 1) * max_side) ** dim * item
-            + (2 * n - 1) ** dim * 8
-            + pair_rows * cells * 8)
+            + 2 * (2 * n - 1) ** dim * 8
+            + 3 * (2 * n) ** dim * 16
+            + pair_rows * cells * (8 + item if is_complex else 8))
 
 
 # ---------------------------------------------------------------------------
@@ -488,11 +532,11 @@ class RestrictedTransform:
     table.
 
     For a translation-invariant kernel on an exact grid the weights are a
-    view of the scaled difference lattice, with no copy and no kernel
-    evaluation per pair; otherwise they are evaluated densely.  Memory is
-    quadratic in the cell count either way: the table and the product it
-    is summed from.  That estimate is checked against physical memory
-    before anything is allocated, and a grid that cannot fit raises
+    view of a reversed copy of the difference lattice, with no copy and no
+    kernel evaluation per pair; otherwise they are evaluated densely.
+    Memory is quadratic in the cell count either way: the table and the
+    product it is summed from.  That estimate is checked against physical
+    memory before anything is allocated, and a grid that cannot fit raises
     ParameterError.
     """
 

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -356,6 +357,39 @@ def test_rejects_nested_unknown_keys(tmp_path):
     cfg = write_config(tmp_path, grid={"dim": 1, "cells_per_side": 64,
                                        "spacing": 0.1})
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("cfg", [
+    {"grid": {"dim": 1, "cells_per_side": 64}, "kernel": {"name": "hilbert"},
+     "bogus": 1},
+    {"grid": {"dim": 3, "cells_per_side": 64}, "kernel": {"name": "hilbert"}},
+    {"grid": {"dim": 1, "cells_per_side": "64", "spacing": 0.1}},
+    {"kernel": {"name": "hilbert"}, "pipeline": {"alpha": "3", "mode": 1}},
+    [],
+])
+def test_config_errors_are_those_of_jsonschema_validate(tmp_path, cfg):
+    # the validator is built once, and reports the error validate would
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(cfg, cli.CONFIG_SCHEMA)
+    with pytest.raises(ConfigError) as got:
+        cli.load_config(str(path))
+    where = "/".join(str(p) for p in want.value.absolute_path) or "<root>"
+    assert str(got.value) == f"config {path} invalid at {where}: {want.value.message}"
+
+
+def test_manifest_times_each_verification_check(tmp_path):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    checks = {"sparsity_s", "domination_s", "audit_s", "lp_ratio_s"}
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+    timings = read_json(out / "manifest.json")["timings"]
+    assert set(timings) == {"build_s", "verify_s"} | checks
+    assert all(timings[k] >= 0 for k in timings)
+    assert sum(timings[k] for k in checks) <= timings["verify_s"]
+    assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    assert set(read_json(out / "manifest.json")["timings"]) == checks
 
 
 def test_missing_config_file_exits_two(tmp_path):

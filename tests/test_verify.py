@@ -16,6 +16,7 @@ from sparsedom import (
     Cube,
     Grid,
     GridFunction,
+    NumericError,
     ParameterError,
     PipelineConfig,
     SparseEntry,
@@ -34,6 +35,9 @@ from sparsedom import (
     transpose_kernel,
     wq_profile,
 )
+from sparsedom import cli, operators, verify
+from sparsedom.inputs import INPUT_KINDS, make_input
+from sparsedom.operators import _offset_lattice, _stratified_indices
 
 
 def supported_noise(grid, seed, lo=4, hi=12):
@@ -245,6 +249,177 @@ def test_check_domination_c_min_matches_brute_force(kname, dim, n):
     assert rep.c_min == want
     assert 0.0 < rep.c_min <= rep.constant
     assert rep.to_dict()["c_min"] == want
+
+
+def direct_domination(kernel, f, family, constant, tol=1e-10):
+    """The domination report from the direct sum on every cell."""
+    tf = np.abs(apply_restricted(kernel, f).values)
+    stack = np.zeros(f.grid.shape)
+    for e in family.entries:
+        clip = e.cube.window_clip(f.grid)
+        if clip is not None:
+            stack[tuple(slice(lo, hi) for lo, hi in clip)] += e.coefficient
+    margin = tf - constant * stack
+    bad = margin > tol
+    pos = stack > 0
+    return {
+        "passed": not bad.any(),
+        "constant": constant,
+        "c_min": float((tf[pos] / stack[pos]).max()) if pos.any() else 0.0,
+        "tol": tol,
+        "n_checked": tf.size,
+        "n_failures": int(bad.sum()),
+        "worst_margin": float(margin.max()),
+        "failures": [{"cell": [int(v) for v in cell],
+                      "transform": float(tf[tuple(cell)]),
+                      "bound": float(constant * stack[tuple(cell)])}
+                     for cell in np.argwhere(bad)[:10]],
+    }
+
+
+def complex_input(grid, kind, seed):
+    f = make_input(grid, kind, seed=seed)
+    phase = np.exp(1j * np.arange(grid.n_cells).reshape(grid.shape))
+    return GridFunction(grid, f.values * phase)
+
+
+@pytest.mark.parametrize("kname,dim,n", [
+    ("hilbert", 1, 512), ("holder", 1, 512), ("dini_stress", 1, 512),
+    ("zero", 1, 512), ("riesz2d", 2, 32), ("zero", 2, 32)])
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_verifier_fft_matches_direct_sum(kname, dim, n, is_complex):
+    grid = Grid(dim, n)
+    kernel = make_kernel(kname, grid)
+    f = (complex_input if is_complex else make_input)(grid, "random", seed=3)
+    fast = verify._lattice_transform(_offset_lattice(kernel, grid), f)
+    direct = apply_restricted(kernel, f).values
+    assert fast.shape == grid.shape
+    assert np.abs(fast - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
+@pytest.mark.parametrize("kname,dim,n", [
+    ("hilbert", 1, 256), ("holder", 1, 128), ("dini_stress", 1, 128),
+    ("zero", 1, 64), ("riesz2d", 2, 16), ("riesz2d", 2, 32), ("zero", 2, 16)])
+def test_check_domination_report_equals_direct_sum(kname, dim, n):
+    # quantile and fixed-mode families, at their own constant and at
+    # constants small enough that many cells fail; every field must be
+    # exactly what the direct sum on every cell gives
+    grid = Grid(dim, n)
+    kernel = make_kernel(kname, grid)
+    modes = (PipelineConfig(),
+             PipelineConfig(mode="fixed", c_fixed=1.5, a_fixed=1.0))
+    inputs = [make_input(grid, kind, seed=11) for kind in INPUT_KINDS]
+    inputs.append(complex_input(grid, "random", 11))
+    failing = 0
+    for f in inputs:
+        for cfg in modes:
+            fam = build_sparse_domination(kernel, f, cfg).family
+            for scale in (1.0, 0.3, 0.02):
+                c = fam.constant * scale
+                want = direct_domination(kernel, f, fam, c)
+                assert check_domination(kernel, f, fam, constant=c).to_dict() == want
+                failing += not want["passed"]
+    if kname != "zero":
+        assert failing > 0
+
+
+def test_check_domination_exact_at_the_tolerance():
+    # a constant that puts one cell's margin at the tolerance, where the
+    # FFT and the direct sum disagree on whether it fails; the cell sets
+    # neither the largest margin nor the largest ratio, and no sampled cell
+    # shares its group of direct sums
+    grid = Grid(1, 1024)
+    kernel = make_kernel("hilbert", grid)
+    f = make_input(grid, "random", seed=5)
+    fam = build_sparse_domination(kernel, f).family
+    tf = np.abs(apply_restricted(kernel, f).values)
+    fast = np.abs(verify._lattice_transform(_offset_lattice(kernel, grid), f))
+    stack = verify._paint_coefficients(fam, [e.coefficient for e in fam.entries])
+    ratio = np.where(stack > 0, tf / np.where(stack > 0, stack, 1.0), 0.0)
+    g = operators._SUM_GROUP
+    sampled = set((_stratified_indices(grid.n_cells, 64) // g).tolist())
+    order = np.argsort(ratio)
+    cell = next(int(x) for x in order[len(order) // 2:]
+                if fast[x] != tf[x] and x // g not in sampled)
+    tol = 1e-10
+    c0 = (tf[cell] - tol) / stack[cell]
+    for step in range(-64, 65):
+        c = c0 + step * np.spacing(c0)
+        if (tf[cell] - c * stack[cell] > tol) != (fast[cell] - c * stack[cell] > tol):
+            break
+    else:
+        pytest.fail("no constant splits the FFT from the direct sum")
+    want = direct_domination(kernel, f, fam, c, tol)
+    assert check_domination(kernel, f, fam, constant=c, tol=tol).to_dict() == want
+
+
+def test_check_domination_exact_when_sums_round_by_group(monkeypatch):
+    # a BLAS whose rounding moves with the rows that share a product: the
+    # verifier re-sums whole groups, so it still reads the window's bits
+    exact = operators._block_sums
+
+    def by_group(block, f_src):
+        out = exact(block, f_src)
+        g = operators._SUM_GROUP
+        for i in range(0, len(block), g):
+            out[i:i + g] *= 1 + 2.0**-48 * (np.abs(block[i:i + g]).sum() % 1)
+        return out
+
+    monkeypatch.setattr(operators, "_block_sums", by_group)
+    for kname, dim, n in (("hilbert", 1, 256), ("riesz2d", 2, 32)):
+        grid = Grid(dim, n)
+        kernel = make_kernel(kname, grid)
+        f = make_input(grid, "random", seed=9)
+        fam = build_sparse_domination(kernel, f).family
+        for scale in (1.0, 0.3):
+            c = fam.constant * scale
+            want = direct_domination(kernel, f, fam, c)
+            assert check_domination(kernel, f, fam, constant=c).to_dict() == want
+
+
+def off_by(monkeypatch, cell, amount):
+    """Make the verifier's FFT wrong by ``amount`` at one flat cell index."""
+    exact = verify._lattice_transform
+
+    def wrong(lat, f):
+        out = exact(lat, f)
+        out.flat[cell] += amount
+        return out
+
+    monkeypatch.setattr(verify, "_lattice_transform", wrong)
+
+
+@pytest.mark.parametrize("where", ["anywhere", "sampled"])
+def test_check_domination_raises_when_fft_is_off(monkeypatch, where):
+    grid = Grid(1, 256)
+    kernel = make_kernel("hilbert", grid)
+    f = make_input(grid, "random", seed=2)
+    fam = build_sparse_domination(kernel, f).family
+    assert check_domination(kernel, f, fam).passed
+    scale = np.abs(apply_restricted(kernel, f).values).max()
+    if where == "anywhere":
+        # a large error makes its cell the worst margin, which is re-summed
+        off_by(monkeypatch, 3, 10 * scale)
+    else:
+        # a small one that decides nothing is caught by the fixed sample
+        off_by(monkeypatch, int(_stratified_indices(grid.n_cells, 64)[7]), 1e-9 * scale)
+    with pytest.raises(NumericError, match="off the direct sum"):
+        check_domination(kernel, f, fam)
+
+
+def test_cli_exits_three_when_fft_is_off(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"dim": 1, "cells_per_side": 64},
+                               "kernel": {"name": "hilbert"},
+                               "input": {"kind": "random", "seed": 7}}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    off_by(monkeypatch, 10, 1.0)
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: the verifier's FFT of T f is off the direct sum")
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
