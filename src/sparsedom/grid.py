@@ -15,8 +15,9 @@ Geometry conventions used throughout the package:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -88,15 +89,6 @@ class Grid:
 
     def window_cube(self) -> "Cube":
         return Cube((0,) * self.dim, self.cells_per_side)
-
-    def cell_centers(self) -> np.ndarray:
-        """Physical centers of all window cells, shape ``(n_cells, dim)``."""
-        h = self.cell_width
-        axis = (np.arange(self.cells_per_side) + 0.5) * h
-        if self.dim == 1:
-            return axis[:, None]
-        g0, g1 = np.meshgrid(axis, axis, indexing="ij")
-        return np.stack([g0.ravel(), g1.ravel()], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -181,12 +173,8 @@ def dyadic_children(cube: Cube) -> list[Cube]:
             f"cube side {cube.side} is odd, cannot split into half-side children"
         )
     half = cube.side // 2
-    offsets: Iterable[tuple[int, ...]]
-    if cube.dim == 1:
-        offsets = [(0,), (half,)]
-    else:
-        offsets = [(i * half, j * half) for i in (0, 1) for j in (0, 1)]
-    return [Cube(tuple(a + o for a, o in zip(cube.anchor, off)), half) for off in offsets]
+    return [Cube(tuple(a + o for a, o in zip(cube.anchor, off)), half)
+            for off in itertools.product((0, half), repeat=cube.dim)]
 
 
 # ---------------------------------------------------------------------------
@@ -194,31 +182,38 @@ def dyadic_children(cube: Cube) -> list[Cube]:
 
 def _build_sat(values: np.ndarray) -> np.ndarray:
     """Prefix-sum table with a zero border, one entry longer per axis."""
-    if values.ndim == 1:
-        sat = np.zeros(values.shape[0] + 1, dtype=values.dtype)
-        np.cumsum(values, out=sat[1:])
-        return sat
-    sat = np.zeros((values.shape[0] + 1, values.shape[1] + 1), dtype=values.dtype)
-    sat[1:, 1:] = values.cumsum(axis=0).cumsum(axis=1)
+    sat = np.zeros(tuple(k + 1 for k in values.shape), dtype=values.dtype)
+    inner = sat[(slice(1, None),) * values.ndim]
+    inner[...] = values
+    for axis in range(values.ndim):
+        np.cumsum(inner, axis=axis, out=inner)
     return sat
+
+
+def _corner_sums(read: Callable, lo, hi) -> np.ndarray:
+    """Inclusion-exclusion over the ``2**dim`` corners of the boxes ``[lo,
+    hi)``, all-hi first: S[hi] - S[lo] in 1D, S[hi, hi] - S[lo, hi] -
+    S[hi, lo] + S[lo, lo] in 2D; axis d of a corner reads lo when bit d is
+    set.  ``read`` maps a corner, a tuple of one bound per axis, to the
+    table entries there.  Every reader of a prefix table sums in this
+    order, so that their sums round alike.  The sums come out in C order
+    whatever the strides of what ``read`` returns.
+    """
+    dim = len(lo)
+    sums = read(tuple(hi))
+    for c in range(1, 2**dim):
+        term = read(tuple(lo[d] if c >> d & 1 else hi[d] for d in range(dim)))
+        sums = (np.subtract if bin(c).count("1") % 2 else np.add)(sums, term, order="C")
+    return sums
 
 
 def _sat_box_sums(sat: np.ndarray, lo, hi) -> np.ndarray:
     """Sums of the underlying values over the boxes ``[lo, hi)``, given per
     axis as integer arrays inside the table that broadcast against each
-    other, clamped at 0.
-
-    Inclusion-exclusion over the corners, all-hi first: S[hi] - S[lo] in
-    1D, S[hi, hi] - S[lo, hi] - S[hi, lo] + S[lo, lo] in 2D; axis d of a
-    corner reads lo when bit d is set.  Where the values vanish, rounding
-    leaves tiny negatives (their s-th root would be nan), hence the clamp.
+    other, in ``_corner_sums`` order, clamped at 0: where the values
+    vanish, rounding leaves tiny negatives (their s-th root would be nan).
     """
-    dim = len(lo)
-    sums = sat[tuple(hi)]
-    for c in range(1, 2**dim):
-        term = sat[tuple(lo[d] if c >> d & 1 else hi[d] for d in range(dim))]
-        sums = sums - term if bin(c).count("1") % 2 else sums + term
-    return np.maximum(sums, 0.0)
+    return np.maximum(_corner_sums(sat.__getitem__, lo, hi), 0.0)
 
 
 class GridFunction:

@@ -22,29 +22,30 @@ skipped.  Three evaluators share the kernel sampling below:
   against a segment of the lattice; memory is linear in the cell count.
 * ``RestrictedTransform`` precomputes per-target prefix sums, quadratic in
   the cell count, read in two ways: ``apply_box`` gathers one table
-  difference per (target, box) query, and in 1D ``prefix_windows`` hands
-  out strided views of the table, so that a sweep reads whole families of
-  truncated transforms with no per-query gather and no copy of the table.
-  The two cube-sweep engines of :mod:`sparsedom.maximal` read it in both
-  ways; the construction uses its ``dilate_transforms`` (one
+  difference per (target, box) query, and ``prefix_windows`` hands out
+  strided views of the table, in any dimension, so that a sweep reads whole
+  blocks of truncated transforms with no per-query gather and no copy of
+  the table.  The oscillation sweep of :mod:`sparsedom.maximal` reads it
+  through the views; the construction uses its ``dilate_transforms`` (one
   ``apply_box``) only for a kernel without a lattice.
 
 Kernel sampling.  A kernel that declares ``translation_invariant`` is
 evaluated once per grid on the difference lattice: the offsets
 ``x - y = k h`` with ``|k_d| <= n - 1`` on every axis, ``(2n - 1)**dim``
-values, the offset-0 value zeroed.  The prefix table, the FFT transforms
-and the direct ``apply_restricted`` read ``K(x_c, y_c)`` from there by
-offset, so none evaluates the kernel on all cell pairs.  This gives the
-same bits as the dense evaluation only when every cell-center difference
-``(i + 0.5)h - (j + 0.5)h`` equals ``(i - j)h`` exactly, which
-``_lattice_exact`` decides in O(1) from the binary expansion of ``h``
-(it holds for window lengths 1 and 3, not for 0.1 or pi).  On other grids,
-and for kernels without the flag, the kernel is evaluated densely on the
-cell pairs, as the one fallback path.
+values, the offset-0 value zeroed.  Its discrete operator is defined by
+these values: the prefix table, the FFT transforms and the direct
+``apply_restricted`` all read ``K(k h)`` by offset, so none evaluates the
+kernel on all cell pairs, on any grid.  Where the window length makes the
+cell-center differences ``(i + 0.5)h - (j + 0.5)h`` round away from
+``(i - j)h`` (0.1 or pi, unlike 1 or 3), the lattice values differ from
+those at the cell centers by that rounding, a few units in the last place
+of the offset.  Kernels without the flag are evaluated densely on the
+cell pairs, the one fallback path.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -54,7 +55,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericError, ParameterError
-from .grid import CellSet, Cube, Grid, GridFunction
+from .grid import CellSet, Cube, Grid, GridFunction, _corner_sums
 
 __all__ = [
     "Kernel",
@@ -82,15 +83,15 @@ class Kernel:
     the kernel is advertised to satisfy the integral smoothness condition
     (``math.inf`` for the classical sup-form).
 
-    ``translation_invariant`` promises that ``fn(x, y)`` reads its
-    arguments only through the coordinate differences
-    ``x[..., d] - y[..., d]`` as computed in floating point (or their
-    negatives), so that ``fn(x, y) == fn(x - y, 0)`` bit for bit.  The
-    operators then sample ``fn`` once on the difference lattice of the
-    grid instead of on every cell pair, where the grid's cell width makes
-    that exact (see the module docstring), and fall back to the dense
-    evaluation elsewhere.  A kernel that breaks the promise gets wrong
-    transforms, so leave the flag off when in doubt.
+    ``translation_invariant`` promises that ``fn(x, y)`` depends on its
+    arguments only through the coordinate differences ``x - y`` (or their
+    negatives).  The operators then define the kernel's discrete operator
+    by ``fn(k h, 0)`` at the lattice offsets ``k h`` and sample those once
+    per grid, on every grid, instead of evaluating ``fn`` on every pair of
+    cell centers (see the module docstring).  Where the cell-center
+    differences round exactly to ``k h`` the two agree bit for bit.  A
+    kernel that breaks the promise gets wrong transforms, so leave the
+    flag off when in doubt.
     """
 
     name: str
@@ -138,42 +139,15 @@ def _raise_nonfinite(kernel_name: str, grid: Grid, x_cell, y_cell):
     )
 
 
-def _lattice_exact(grid: Grid) -> bool:
-    """Whether every cell-center difference is an exact lattice offset.
-
-    With ``h = p 2**e``, ``p`` odd, every center ``(i + 0.5)h``, every
-    difference of two centers and every offset ``k h`` is an integer
-    multiple of ``2**(e - 1)`` of magnitude below ``2 n p``.  All of them
-    are exact doubles, so ``(i + 0.5)h - (j + 0.5)h == (i - j)h``, when
-    that integer fits the 53-bit significand and the multiples neither
-    underflow nor overflow.
-    """
-    p, den = float(grid.cell_width).as_integer_ratio()
-    e = 1 - den.bit_length()                              # den = 2**-e
-    if p == 0:                                            # h underflowed
-        return False
-    zeros = (p & -p).bit_length() - 1
-    p, e = p >> zeros, e + zeros
-    bits = p.bit_length() + (2 * grid.cells_per_side).bit_length()
-    return bits <= 53 and e - 1 >= -1074 and bits + e <= 1024
-
-
-def _samples_lattice(kernel: Kernel, grid: Grid) -> bool:
-    """Whether ``_offset_lattice`` gives a lattice, decided without
-    evaluating the kernel."""
-    return kernel.translation_invariant and _lattice_exact(grid)
-
-
 def _offset_lattice(kernel: Kernel, grid: Grid) -> np.ndarray | None:
     """``fn`` at every cell offset ``x - y = k h``, or None.
 
     Returns a read-only ``(2n - 1,) * dim`` array indexed by ``k + n - 1``
-    on every axis, with the offset-0 entry zeroed, so that entry
-    ``x - y + n - 1`` equals the dense ``fn(x_c, y_c)`` bit for bit,
-    diagonal zeroed.  None unless the kernel declares translation
-    invariance and the grid passes ``_lattice_exact``.
+    on every axis, with the offset-0 entry zeroed: the kernel at the pair
+    ``(x, y)`` is entry ``x - y + n - 1``.  None unless the kernel declares
+    translation invariance.
     """
-    if not _samples_lattice(kernel, grid):
+    if not kernel.translation_invariant:
         return None
     n, dim = grid.cells_per_side, grid.dim
     axis = np.arange(-(n - 1), n) * grid.cell_width
@@ -286,7 +260,14 @@ def _restricted_sums(kernel: Kernel, grid: Grid, t_cells: np.ndarray,
 def _block_sums(block: np.ndarray, f_src: np.ndarray) -> np.ndarray:
     """``block @ f_src``; for one column, the whole groups of
     ``_SUM_GROUP`` rows go as a stack of matrix-vector products, one per
-    group, then the tail."""
+    group, then the tail.  A complex ``f_src`` goes as its real and
+    imaginary parts, two real products, so that the real block is never
+    copied to complex."""
+    if np.iscomplexobj(f_src):
+        out = np.empty(block.shape[:1] + f_src.shape[1:], dtype=np.complex128)
+        out.real = _block_sums(block, np.ascontiguousarray(f_src.real))
+        out.imag = _block_sums(block, np.ascontiguousarray(f_src.imag))
+        return out
     if f_src.ndim > 1:
         return block @ f_src
     g = _SUM_GROUP
@@ -389,7 +370,8 @@ def _lattice_run_bytes(grid: Grid, alpha: int, max_side: int,
     * the verifier's FFT over the window, ``2n`` points per axis at three
       complex arrays (the kernel spectrum, the spectrum of f, the inverse);
     * the verifier's direct re-sum, a block of ``_PAIR_CHUNK`` pairs or all
-      of them, and its complex copy for a complex input.
+      of them (real also for a complex input: ``_block_sums`` multiplies it
+      by the two parts of f in turn).
 
     Complex for a complex input, but the lattice and the pair block."""
     n, dim = grid.cells_per_side, grid.dim
@@ -400,7 +382,7 @@ def _lattice_run_bytes(grid: Grid, alpha: int, max_side: int,
             + 6 * ((alpha + 1) * max_side) ** dim * item
             + 2 * (2 * n - 1) ** dim * 8
             + 3 * (2 * n) ** dim * 16
-            + pair_rows * cells * (8 + item if is_complex else 8))
+            + pair_rows * cells * 8)
 
 
 # ---------------------------------------------------------------------------
@@ -436,10 +418,10 @@ class LatticeTransform:
         grid = f.grid
         if kernel.dim != grid.dim:
             raise ParameterError(f"kernel dim {kernel.dim} != grid dim {grid.dim}")
-        if not _samples_lattice(kernel, grid):
+        if not kernel.translation_invariant:
             raise ParameterError(
-                f"kernel {kernel.name!r} has no exact difference lattice on "
-                f"this grid")
+                f"kernel {kernel.name!r} does not declare translation "
+                f"invariance, so it has no difference lattice")
         n, dim = grid.cells_per_side, grid.dim
         _refuse_beyond_memory(
             f"a run on a {dim}D grid with {n} cells per side",
@@ -521,19 +503,18 @@ class RestrictedTransform:
     Precomputes the weights ``K(x_c, y_c) h**dim`` (diagonal zeroed) and
     per-target prefix sums ``S`` of their product with ``f``, so that
     ``T(f char_B)(x)`` for any axis-aligned box ``B`` is a difference of
-    table entries.  ``apply_box`` gathers those entries per query, at
-    O(1) each, and ``dilate_transforms`` (the contract of
-    ``LatticeTransform``'s) is one such gather.  In 1D, ``prefix_windows``
-    returns a read-only strided view of ``S`` whose rows follow a box that
-    moves with its anchor; the 1D oscillation sweep of
-    :mod:`sparsedom.maximal` reads all of its truncated transforms through
-    such views, so it does no per-query gathers; its scratch is one
-    (anchors x side) array of differences at a time, never a copy of the
-    table.
+    table entries, summed over the box corners in ``_corner_sums`` order.
+    ``apply_box`` gathers those entries per query, at O(1) each, and
+    ``dilate_transforms`` (the contract of ``LatticeTransform``'s) is one
+    such gather.  ``prefix_windows`` returns a read-only strided view of
+    ``S`` whose targets and box follow an anchor block, per axis; the
+    oscillation sweep of :mod:`sparsedom.maximal` reads all of its
+    truncated transforms through such views, so it does no per-query
+    gathers and never copies the table.
 
-    For a translation-invariant kernel on an exact grid the weights are a
-    view of a reversed copy of the difference lattice, with no copy and no
-    kernel evaluation per pair; otherwise they are evaluated densely.
+    For a translation-invariant kernel the weights are a view of a
+    reversed copy of the difference lattice, with no copy and no kernel
+    evaluation per pair; otherwise they are evaluated densely.
     Memory is quadratic in the cell count either way: the table and the
     product it is summed from.  That estimate is checked against physical
     memory before anything is allocated, and a grid that cannot fit raises
@@ -569,43 +550,53 @@ class RestrictedTransform:
             np.cumsum(wf, axis=axis, out=wf)
         sat = np.zeros((n**dim,) + (n + 1,) * dim, dtype=wf.dtype)
         np.cumsum(wf, axis=dim, out=sat[(slice(None),) + (slice(1, None),) * dim])
+        sat.flags.writeable = False    # views of it are read-only too
         self._sat = sat
         self._n = n
+        # per-axis strides of the target cells, and with the columns'
+        self._row_strides = tuple(sat.strides[0] * n ** (dim - 1 - d)
+                                  for d in range(dim))
+        self._axis_strides = tuple(zip(self._row_strides, sat.strides[1:]))
 
     def full(self) -> np.ndarray:
         """T(f) at every window cell, window-shaped array."""
-        if self.grid.dim == 1:
-            return self._sat[:, -1].copy()
-        return self._sat[:, -1, -1].reshape(self.grid.shape).copy()
+        dim = self.grid.dim
+        return self._sat[(slice(None),) + (-1,) * dim].reshape(self.grid.shape).copy()
 
-    def prefix_windows(self, row: int, row_step: int, col: int,
-                       col_step: int, count: int, side: int) -> np.ndarray:
-        """Read-only strided view of the 1D prefix table, with no copy.
+    def prefix_windows(self, rows, row_steps, cols, col_steps, counts,
+                       side: int) -> np.ndarray:
+        """Read-only strided view of the prefix table, with no copy.
 
-        ``V[i, j] = S[row + row_step i + j, col + col_step i]`` for ``i <
-        count`` and ``j < side``, where ``S[x, c] = T(f char_[0, c))(x)``.
-        Each step is 0 or 1, so the difference of two such views with
-        columns ``lo`` and ``hi`` is ``T(f char_[lo, hi))`` for a whole
-        family of boxes at once: row ``i`` holds one box, moving with ``i``
-        or not, at ``side`` consecutive targets that move with ``i`` or
-        not.  Raises ParameterError when the view would leave the table.
+        ``S[x, c] = T(f char_B)(x)`` for the box ``B = [0, c_0) x ... x
+        [0, c_{dim-1})``.  Given per axis a row, row step, column, column
+        step and count, the view has shape ``counts + (side,) * dim`` and
+        holds ``V[i, j] = S[row + row_step i + j, col + col_step i]``, read
+        per axis, for ``i < counts`` and ``j < side``.  Each step is 0 or
+        1, so the inclusion-exclusion of such views over the corners of
+        ``[lo, hi)`` is ``T(f char_[lo, hi))`` for a whole block of boxes
+        at once: entry ``i`` holds one box, moving with ``i`` or not, at
+        the ``side**dim`` targets of a cube that moves with ``i`` or not.
+        Raises ParameterError when the view would leave the table.
         """
-        n = self._n
-        if self.grid.dim != 1:
-            raise ParameterError("prefix_windows reads the 1D table only")
-        if not (row_step in (0, 1) and col_step in (0, 1) and count >= 1
-                and side >= 1 and 0 <= row and 0 <= col
-                and row + row_step * (count - 1) + side <= n
-                and col + col_step * (count - 1) <= n):
+        n, dim = self._n, self.grid.dim
+        ok = side >= 1 and len(rows) == len(row_steps) == len(cols) \
+            == len(col_steps) == len(counts) == dim
+        offset, strides = 0, []
+        for r, r_step, c, c_step, k, (rs, cs) in zip(
+                rows, row_steps, cols, col_steps, counts, self._axis_strides):
+            ok = (ok and 0 <= r and r + r_step * (k - 1) + side <= n
+                  and 0 <= c and c + c_step * (k - 1) <= n and k >= 1
+                  and r_step in (0, 1) and c_step in (0, 1))
+            offset += r * rs + c * cs
+            strides.append(r_step * rs + c_step * cs)
+        if not ok:
             raise ParameterError(
-                f"windows ({row}+{row_step}i+j, {col}+{col_step}i) for "
-                f"i < {count}, j < {side} leave the {n} x {n + 1} table")
-        rs, cs = self._sat.strides
-        view = np.ndarray((count, side), self._sat.dtype, buffer=self._sat,
-                          offset=row * rs + col * cs,
-                          strides=(row_step * rs + col_step * cs, rs))
-        view.flags.writeable = False
-        return view
+                f"windows (rows {rows} + {row_steps} i + j, columns {cols} + "
+                f"{col_steps} i) for i < {counts}, j < {side} leave the "
+                f"{n}**{dim} x {n + 1}**{dim} table")
+        return np.ndarray((*counts, *(side,) * dim), self._sat.dtype,
+                          buffer=self._sat, offset=offset,
+                          strides=(*strides, *self._row_strides))
 
     def dilate_transforms(self, anchor, first, count, side: int,
                           shift: int) -> np.ndarray:
@@ -634,18 +625,10 @@ class RestrictedTransform:
         ``rows``.
         """
         n = self._n
-        if self.grid.dim == 1:
-            (lo, hi), = bounds
-            lo = np.clip(lo, 0, n)
-            hi = np.clip(hi, 0, n)
-            hi = np.maximum(lo, hi)
-            return self._sat[rows, hi] - self._sat[rows, lo]
-        (lo0, hi0), (lo1, hi1) = bounds
-        lo0 = np.clip(lo0, 0, n); hi0 = np.maximum(lo0, np.clip(hi0, 0, n))
-        lo1 = np.clip(lo1, 0, n); hi1 = np.maximum(lo1, np.clip(hi1, 0, n))
+        lo = [np.clip(b[0], 0, n) for b in bounds]
+        hi = [np.maximum(l, np.clip(b[1], 0, n)) for l, b in zip(lo, bounds)]
         s = self._sat
-        return (s[rows, hi0, hi1] - s[rows, lo0, hi1]
-                - s[rows, hi0, lo1] + s[rows, lo0, lo1])
+        return _corner_sums(lambda corner: s[(rows,) + corner], lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -717,14 +700,8 @@ def _annulus_centers(grid: Grid, outer: Cube, inner: Cube,
     max_c = inner.side // (outer.side // inner.side)  # keeps lattices aligned
     while count // (c**dim) > cell_cap and 2 * c <= max(1, max_c):
         c *= 2
-    axes = []
-    for a in outer.anchor:
-        axes.append(a + c * np.arange(outer.side // c) + c / 2.0)
-    if dim == 1:
-        coords = axes[0][:, None]
-    else:
-        g0, g1 = np.meshgrid(axes[0], axes[1], indexing="ij")
-        coords = np.stack([g0.ravel(), g1.ravel()], axis=-1)
+    axes = [a + c * np.arange(outer.side // c) + c / 2.0 for a in outer.anchor]
+    coords = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
     inside_inner = np.ones(len(coords), dtype=bool)
     for d in range(dim):
         lo, hi = inner.anchor[d], inner.anchor[d] + inner.side
@@ -764,9 +741,8 @@ def hormander_constant(kernel: Kernel, r: float, grid: Grid, k_max: int = 16,
     for s in sides:
         anchor_positions = sorted({max(0, min(n - s, round((i + 0.5) * n / 4) - s // 2))
                                    for i in range(4)})
-        cubes = ([Cube((a,), s) for a in anchor_positions] if grid.dim == 1 else
-                 [Cube((a0, a1), s) for a0 in anchor_positions for a1 in anchor_positions])
-        for q in cubes:
+        for anchor in itertools.product(anchor_positions, repeat=grid.dim):
+            q = Cube(anchor, s)
             n_cubes += 1
             half = Cube(tuple(a + s // 4 for a in q.anchor), s // 2)
             half_cells = np.argwhere(np.ones((half.side,) * grid.dim, dtype=bool))

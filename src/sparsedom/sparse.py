@@ -18,8 +18,8 @@ the exceptional set, while every coefficient is an :func:`avg_p`, a
 direct sum.
 
 The transforms come from one ``dilate_transforms`` call for the node and
-one per level.  For a kernel with a difference lattice on the grid (every
-catalog kernel on an exact grid) that is a
+one per level.  For a kernel with a difference lattice (every catalog
+kernel: those that declare translation invariance) that is a
 :class:`~sparsedom.operators.LatticeTransform`, one batched FFT per call,
 O(m log m) per level in 1D, with memory linear in the cell count; for any
 other kernel it is the dense prefix table of
@@ -76,7 +76,6 @@ from .operators import (
     Kernel,
     LatticeTransform,
     RestrictedTransform,
-    _samples_lattice,
 )
 
 __all__ = [
@@ -583,11 +582,9 @@ def partition_cover(grid: Grid, support: Cube, alpha: int) -> list[Cube]:
     core = support
     while not core.contains(grid.window_cube()):
         s = core.side
-        offsets = ((-s,), (s,)) if grid.dim == 1 else tuple(
-            (i * s, j * s) for i in (-1, 0, 1) for j in (-1, 0, 1)
-            if (i, j) != (0, 0))
-        for off in offsets:
-            cover.append(Cube(tuple(a + o for a, o in zip(core.anchor, off)), s))
+        for off in itertools.product((-s, 0, s), repeat=grid.dim):
+            if any(off):
+                cover.append(Cube(tuple(a + o for a, o in zip(core.anchor, off)), s))
         core = dilate(core, 3)
     return cover
 
@@ -609,9 +606,9 @@ def support_box(f: GridFunction) -> Cube | None:
 def _transform(kernel: Kernel, f: GridFunction, alpha: int,
                max_side: int) -> LatticeTransform | RestrictedTransform:
     """The builder's transform backend for nodes of side at most
-    ``max_side``: FFT against the difference lattice where the kernel has
-    one on this grid, the prefix table otherwise."""
-    if _samples_lattice(kernel, f.grid):
+    ``max_side``: FFT against the difference lattice where the kernel
+    declares translation invariance, the prefix table otherwise."""
+    if kernel.translation_invariant:
         return LatticeTransform(kernel, f, alpha, max_side)
     return RestrictedTransform(kernel, f)
 

@@ -21,6 +21,7 @@ from sparsedom import (
     oscillation,
     sharp_truncated,
 )
+from sparsedom import maximal
 from sparsedom.inputs import INPUT_KINDS, make_input
 from sparsedom.maximal import _power_average_sweep
 
@@ -398,6 +399,23 @@ def test_2d_maximal_functions_match_gather_reference(n, alpha):
     grid = Grid(2, n)
     assert_matches_reference(make_kernel("riesz2d", grid),
                              make_input(grid, "random", seed=7), alpha)
+
+
+@pytest.mark.parametrize("grid,name", [(Grid(1, 32), "hilbert"), (Grid(2, 8), "riesz2d")])
+def test_sweep_blocks_split_alike(monkeypatch, grid, name):
+    # blocks of one anchor row at a time give the same sums as whole runs
+    k, f = make_kernel(name, grid), make_input(grid, "random", seed=3)
+    want = sharp_truncated(k, f, alpha=3).values
+    monkeypatch.setattr(maximal, "_BLOCK_CELLS", 1)
+    assert np.array_equal(sharp_truncated(k, f, alpha=3).values, want)
+
+
+def test_2d_complex_maximal_functions_match_gather_reference():
+    grid = Grid(2, 8)
+    g = rng(19)
+    vals = np.zeros((8, 8), dtype=complex)
+    vals[2:7, 1:5] = g.normal(size=(5, 4)) + 1j * g.normal(size=(5, 4))
+    assert_matches_reference(make_kernel("riesz2d"), GridFunction(grid, vals), 3)
 
 
 def test_2d_power_maximal_has_no_nan_where_f_vanishes():

@@ -217,8 +217,8 @@ def test_builder_sweeps_no_lattice_cube(monkeypatch):
 
     # the engines, and the per-side helpers their bodies call, so that a
     # caller holding its own reference to an engine is caught too
-    for name in ("_power_average_sweep", "_oscillation_sweep",
-                 "_max_over_cubes", "_row_oscillation"):
+    for name in ("_power_average_sweep", "_oscillation_sweep", "_max_over_cubes",
+                 "_anchor_runs", "_truncated", "_window_oscillation"):
         monkeypatch.setattr(maximal, name, refuse)
     for grid, kname in ((Grid(1, 128), "hilbert"), (Grid(2, 16), "riesz2d")):
         f = make_input(grid, "random", seed=13)
@@ -232,21 +232,48 @@ def test_builder_sweeps_no_lattice_cube(monkeypatch):
 # strided windows of the prefix table
 
 
-def _box_windows(rt, row, row_step, lo, lo_step, hi, hi_step, count, side):
-    """apply_box at targets row + row_step i + j for the boxes
-    [lo + lo_step i, hi + hi_step i)."""
-    i = np.arange(count)[:, None]
-    rows = row + row_step * i + np.arange(side)[None, :]
-    return rt.apply_box(rows, ((lo + lo_step * i, hi + hi_step * i),))
+def _box_windows(rt, rows, row_steps, lo, hi, counts, side):
+    """apply_box at the targets ``row + row_step i + j`` per axis, for the
+    boxes ``[lo + lo_step i, hi + hi_step i)`` per axis, with lo and hi
+    given per axis as (column, step); shape ``counts + (side,) * dim``."""
+    dim = len(rows)
+    n = rt.grid.cells_per_side
+
+    def along(d, v):
+        return np.reshape(v, (1,) * d + (-1,) + (1,) * (2 * dim - d - 1))
+
+    cells = [along(d, r + st * np.arange(k)) + along(dim + d, np.arange(side))
+             for d, (r, st, k) in enumerate(zip(rows, row_steps, counts))]
+    flat = sum(c * n ** (dim - 1 - d) for d, c in enumerate(cells))
+    bounds = tuple((along(d, c0 + s0 * np.arange(k)), along(d, c1 + s1 * np.arange(k)))
+                   for d, ((c0, s0), (c1, s1), k) in enumerate(zip(lo, hi, counts)))
+    return rt.apply_box(flat, bounds)
+
+
+def _view_windows(rt, rows, row_steps, lo, hi, counts, side):
+    """The same from the corner views, summed as apply_box sums them."""
+    def corner(*pick):
+        return rt.prefix_windows(rows, row_steps, [c for c, _ in pick],
+                                 [s for _, s in pick], counts, side)
+
+    if len(rows) == 1:
+        return corner(hi[0]) - corner(lo[0])
+    return (corner(hi[0], hi[1]) - corner(lo[0], hi[1])
+            - corner(hi[0], lo[1]) + corner(lo[0], lo[1]))
+
+
+def _random_values(grid, complex_values, seed=4):
+    g = np.random.Generator(np.random.Philox(seed))
+    vals = g.normal(size=grid.shape)
+    return vals + (1j * g.normal(size=grid.shape) if complex_values else 0)
 
 
 @pytest.mark.parametrize("complex_values", [False, True])
 def test_prefix_windows_match_apply_box(complex_values):
     n = 32
     grid = Grid(1, n)
-    g = np.random.Generator(np.random.Philox(4))
-    vals = g.normal(size=n) + (1j * g.normal(size=n) if complex_values else 0)
-    rt = RestrictedTransform(make_kernel("hilbert", grid), GridFunction(grid, vals))
+    rt = RestrictedTransform(make_kernel("hilbert", grid),
+                             GridFunction(grid, _random_values(grid, complex_values)))
     cases = [
         # (row, row_step, count, side), (lo, lo_step), (hi, hi_step)
         ((0, 1, 20, 13), (2, 1), (9, 1)),       # box moves with its cells
@@ -256,35 +283,63 @@ def test_prefix_windows_match_apply_box(complex_values):
         ((0, 1, 1, n), (0, 0), (n, 0)),         # the whole window: T(f)
         ((10, 1, 5, 3), (7, 0), (7, 0)),        # empty boxes
     ]
-    for (row, row_step, count, side), (lo, lo_step), (hi, hi_step) in cases:
-        got = (rt.prefix_windows(row, row_step, hi, hi_step, count, side)
-               - rt.prefix_windows(row, row_step, lo, lo_step, count, side))
-        want = _box_windows(rt, row, row_step, lo, lo_step, hi, hi_step,
-                            count, side)
+    for (row, row_step, count, side), lo, hi in cases:
+        args = ((row,), (row_step,), (lo,), (hi,), (count,), side)
+        got, want = _view_windows(rt, *args), _box_windows(rt, *args)
+        assert got.shape == (count, side)
         assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert np.array_equal(rt.prefix_windows(0, 1, n, 0, 1, n)[0]
-                          - rt.prefix_windows(0, 1, 0, 0, 1, n)[0], rt.full())
+    assert np.array_equal(_view_windows(rt, (0,), (1,), ((0, 0),), ((n, 0),), (1,), n)[0],
+                          rt.full())
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_prefix_windows_match_apply_box_2d(complex_values):
+    n = 8
+    grid = Grid(2, n)
+    rt = RestrictedTransform(make_kernel("riesz2d", grid),
+                             GridFunction(grid, _random_values(grid, complex_values)))
+    cases = [
+        # per axis (row, row_step, count), per axis (lo, lo_step) and
+        # (hi, hi_step), side
+        (((0, 1, 3), (2, 0, 4)), ((1, 1), (0, 0)), ((5, 1), (n, 0)), 3),
+        (((5, 0, 4), (0, 1, 6)), ((0, 1), (1, 1)), ((4, 1), (3, 1)), 3),
+        (((0, 0, 2), (6, 0, 3)), ((0, 0), (2, 1)), ((3, 1), (n, 0)), 2),
+        (((1, 1, 6), (1, 1, 6)), ((0, 1), (0, 1)), ((2, 1), (2, 1)), 1),
+        (((2, 1, 3), (0, 0, 2)), ((4, 0), (3, 1)), ((4, 0), (7, 1)), 4),  # empty
+    ]
+    for axes, lo, hi, side in cases:
+        rows, row_steps, counts = zip(*axes)
+        args = (rows, row_steps, lo, hi, counts, side)
+        got, want = _view_windows(rt, *args), _box_windows(rt, *args)
+        assert got.shape == counts + (side, side)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    whole = _view_windows(rt, (0, 0), (1, 1), ((0, 0),) * 2, ((n, 0),) * 2, (1, 1), n)
+    assert np.array_equal(whole[0, 0], rt.full())
 
 
 def test_prefix_windows_are_read_only_views():
-    grid = Grid(1, 16)
-    rt = RestrictedTransform(make_kernel("hilbert", grid),
-                             make_input(grid, "random", seed=1))
-    view = rt.prefix_windows(2, 1, 3, 1, 4, 5)
-    assert not view.flags.writeable and not view.flags.owndata
-    with pytest.raises(ValueError):
-        view[0, 0] = 1.0
+    for grid, name in ((Grid(1, 16), "hilbert"), (Grid(2, 8), "riesz2d")):
+        rt = RestrictedTransform(make_kernel(name, grid),
+                                 make_input(grid, "random", seed=1))
+        dim = grid.dim
+        view = rt.prefix_windows((2,) * dim, (1,) * dim, (3,) * dim, (1,) * dim,
+                                 (4,) * dim, 3)
+        assert view.shape == (4,) * dim + (3,) * dim
+        assert not view.flags.writeable and not view.flags.owndata
+        with pytest.raises(ValueError):
+            view[(0,) * 2 * dim] = 1.0
 
 
 @pytest.mark.parametrize("args", [
-    (-1, 1, 0, 1, 4, 4),        # first row above the table
-    (0, 1, 0, 1, 10, 8),        # last window runs past row n - 1
-    (0, 0, 14, 1, 4, 4),        # column runs past n
-    (0, 1, -1, 0, 4, 4),        # negative column
-    (0, 2, 0, 1, 2, 4),         # steps are 0 or 1
-    (0, 1, 0, -1, 2, 4),
-    (0, 1, 0, 1, 0, 4),         # no windows
-    (0, 1, 0, 1, 4, 0),         # empty windows
+    ((-1,), (1,), (0,), (1,), (4,), 4),        # first row above the table
+    ((0,), (1,), (0,), (1,), (10,), 8),        # last window runs past row n - 1
+    ((0,), (0,), (14,), (1,), (4,), 4),        # column runs past n
+    ((0,), (1,), (-1,), (0,), (4,), 4),        # negative column
+    ((0,), (2,), (0,), (1,), (2,), 4),         # steps are 0 or 1
+    ((0,), (1,), (0,), (-1,), (2,), 4),
+    ((0,), (1,), (0,), (1,), (0,), 4),         # no windows
+    ((0,), (1,), (0,), (1,), (4,), 0),         # empty windows
+    ((0, 0), (1, 1), (0, 0), (1, 1), (1, 1), 1),  # two axes on a 1D table
 ])
 def test_prefix_windows_reject_views_off_the_table(args):
     rt = RestrictedTransform(make_kernel("hilbert"),
@@ -293,8 +348,16 @@ def test_prefix_windows_reject_views_off_the_table(args):
         rt.prefix_windows(*args)
 
 
-def test_prefix_windows_are_1d_only():
+@pytest.mark.parametrize("args", [
+    ((0, -1), (1, 1), (0, 0), (1, 1), (2, 2), 2),   # second axis above the table
+    ((0, 3), (1, 1), (0, 0), (1, 1), (2, 5), 2),    # second axis runs past row n - 1
+    ((0, 0), (1, 0), (0, 7), (1, 1), (2, 3), 2),    # second axis column past n
+    ((0, 0), (1, 0), (0, 0), (1, 2), (2, 2), 2),    # second axis steps 0 or 1
+    ((0, 0), (1, 1), (0, 0), (1, 1), (2, 0), 2),    # no windows on the second axis
+    ((0,), (1,), (0,), (1,), (2,), 2),              # one axis on a 2D table
+])
+def test_prefix_windows_reject_2d_views_off_the_table(args):
     rt = RestrictedTransform(make_kernel("riesz2d"),
-                             make_input(Grid(2, 4), "random", seed=1))
+                             make_input(Grid(2, 8), "random", seed=1))
     with pytest.raises(ParameterError):
-        rt.prefix_windows(0, 1, 0, 1, 1, 1)
+        rt.prefix_windows(*args)

@@ -100,12 +100,13 @@ def test_builder_picks_fft_where_the_kernel_has_a_lattice():
             k = make_kernel(name, grid)
             n = grid.cells_per_side
             assert type(sparse._transform(k, f, 3, n)) is LatticeTransform
-            # no lattice: a kernel without the flag, or an inexact grid
-            plain = dataclasses.replace(k, translation_invariant=False)
-            assert type(sparse._transform(plain, f, 3, n)) is RestrictedTransform
+            # the flag alone decides: a window whose center differences
+            # round off the lattice has one too, a kernel without it none
             inexact = Grid(grid.dim, n, 0.1)
             g = GridFunction(inexact, f.values)
-            assert type(sparse._transform(k, g, 3, n)) is RestrictedTransform
+            assert type(sparse._transform(k, g, 3, n)) is LatticeTransform
+            plain = dataclasses.replace(k, translation_invariant=False)
+            assert type(sparse._transform(plain, f, 3, n)) is RestrictedTransform
 
 
 # ---------------------------------------------------------------------------
