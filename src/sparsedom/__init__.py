@@ -36,8 +36,6 @@ from .maximal import hl_maximal, oscillation, sharp_truncated
 from .operators import (
     HormanderEstimate,
     Kernel,
-    LatticeTransform,
-    RestrictedTransform,
     apply_restricted,
     dini_constant,
     dini_profile,

@@ -22,6 +22,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -264,8 +265,7 @@ def _input_from(cfg: dict, grid: Grid, seed_override: int | None = None) -> Grid
 
 
 def _pipeline_from(cfg: dict) -> PipelineConfig:
-    p = dict(cfg.get("pipeline", {}))
-    return PipelineConfig(**p)
+    return PipelineConfig(**cfg.get("pipeline", {}))
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +355,17 @@ def family_from_dict(d: dict) -> SparseFamily:
     except jsonschema.ValidationError as exc:
         where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError(f"family invalid at {where}: {exc.message}") from exc
-    g = d["grid"]
-    grid = Grid(g["dim"], g["cells_per_side"], g.get("phys_side", 1.0))
+    # JSON reads NaN and the infinities as numbers, and a check compares
+    # NaN false; only the constant may be infinite
+    if not math.isfinite(d["eta"]) or math.isnan(float(d["constant"])):
+        raise ConfigError(f"family eta must be finite and constant not NaN, got "
+                          f"{d['eta']} and {d['constant']}")
+    grid = _grid_from(d)
     entries = []
     for i, e in enumerate(d["entries"]):
+        if not math.isfinite(e["coefficient"]):
+            raise ConfigError(
+                f"entry {i}: coefficient must be finite, got {e['coefficient']}")
         w = e["witness"]
         box = _cube_from(w, grid)
         flat = _witness_mask(w["runs"], box.cell_count, f"entry {i}")
@@ -436,9 +443,11 @@ def _verification_report(kernel, f, family, cfg) -> tuple[dict, dict]:
     tol = vcfg.get("tol", 1e-10)
     r = vcfg.get("ratio_r", 1.0)
     p = vcfg.get("ratio_p", 2.0)
+    # the builder's share for this config, not the one the family states
+    eta = 1.0 / (2.0 * _pipeline_from(cfg).alpha ** family.grid.dim)
     timings = {}
     with _timed(timings, "sparsity_s"):
-        sparsity = check_sparsity(family)
+        sparsity = check_sparsity(family, eta)
     with _timed(timings, "domination_s"):
         domination = check_domination(kernel, f, family, tol=tol)
     with _timed(timings, "audit_s"):
@@ -523,8 +532,7 @@ def _cmd_verify(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read family {family_path}: {exc}") from exc
     grid = _grid_from(cfg)
-    if (family.grid.dim, family.grid.cells_per_side, family.grid.phys_side) != (
-            grid.dim, grid.cells_per_side, grid.phys_side):
+    if family.grid != grid:
         raise ConfigError("family grid does not match the configuration grid")
     kernel = _kernel_from(cfg, grid)
     f = _input_from(cfg, grid, args.seed)
@@ -645,6 +653,8 @@ def _sweep_worker(payload) -> dict:
 
 
 def _cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = load_config(args.config)
     if "sweep" not in cfg:
         raise ConfigError("sweep command needs a 'sweep' section in the config")
@@ -653,8 +663,10 @@ def _cmd_sweep(args) -> int:
     out = _out_dir(args)
     payloads = [(cfg, axis, v, args.seed) for v in values]
     t0 = time.perf_counter()
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # no more workers than values: a fork pool starts all of them at once
+    workers = min(args.jobs, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_worker, payloads))
     else:
         rows = [_sweep_worker(p) for p in payloads]

@@ -261,9 +261,6 @@ class GridFunction:
             self._power_sats[key] = _build_sat(np.abs(self.values) ** key)
         return self._power_sats[key]
 
-    def abs_max(self) -> float:
-        return float(np.abs(self.values).max()) if self.values.size else 0.0
-
     def norm_lp(self, p: float) -> float:
         return float(
             (np.sum(np.abs(self.values) ** p) * self.grid.cell_measure) ** (1.0 / p)
@@ -351,8 +348,7 @@ class CellSet:
 
     def window_cells(self) -> np.ndarray:
         """Integer coordinates of member cells inside the window, shape (k, dim)."""
-        idx = np.argwhere(self.window_mask())
-        return idx
+        return np.argwhere(self.window_mask())
 
     def member_cells(self) -> np.ndarray:
         """Integer coordinates of all member cells (window or not), shape (k, dim)."""

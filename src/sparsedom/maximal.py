@@ -16,16 +16,13 @@ containing it (a sliding max over anchors).
   side it cuts the anchors of each axis into runs and reads each block of
   cubes, a product of runs, as strided views of the prefix table
   (``RestrictedTransform.prefix_windows``), with no gather per query and no
-  copy of the table.  Gathering the truncated transforms one query per
-  (cell, cube) through ``apply_box``, as this sweep once did, made it
-  several times slower in 1D and about three times slower in 2D.
+  copy of the table.
 
-Both engines read the dense prefix table, so ``sharp_truncated`` holds
+``sharp_truncated`` is the only user of that table, so it alone holds
 memory quadratic in the cell count.  The sparse construction does not
 sweep: it reads its two node statistics on the dyadic cubes below each
 node only, in one pass per level (:func:`sparsedom.sparse._node_stats`),
-from FFT transforms where the kernel has a difference lattice; it shares
-``oscillation`` with the engines here.
+and shares ``oscillation`` with the engines here.
 """
 
 from __future__ import annotations

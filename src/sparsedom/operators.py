@@ -16,18 +16,19 @@ skipped.  Three evaluators share the kernel sampling below:
   :mod:`sparsedom.verify` has its own FFT over the window and re-sums the
   cells that decide its report through the same ``_restricted_sums``.
 * ``LatticeTransform`` serves the sparse construction of
-  :mod:`sparsedom.sparse` for a kernel with a difference lattice (below).
-  Its one method, ``dilate_transforms``, gives ``T(f char_{P+})`` on the
-  cells of every cube P of a block of congruent cubes, by one batched FFT
-  against a segment of the lattice; memory is linear in the cell count.
+  :mod:`sparsedom.sparse` for every kernel.  Its one method,
+  ``dilate_transforms``, gives ``T(f char_{P+})`` on the cells of every
+  cube P of a block of congruent cubes: by one batched FFT against a
+  segment of the difference lattice (below) where the kernel has one, and
+  by direct sums through ``_restricted_sums``, cube by cube, where it has
+  none.  Memory is linear in the cell count either way.
 * ``RestrictedTransform`` precomputes per-target prefix sums, quadratic in
   the cell count, read in two ways: ``apply_box`` gathers one table
   difference per (target, box) query, and ``prefix_windows`` hands out
   strided views of the table, in any dimension, so that a sweep reads whole
   blocks of truncated transforms with no per-query gather and no copy of
-  the table.  The oscillation sweep of :mod:`sparsedom.maximal` reads it
-  through the views; the construction uses its ``dilate_transforms`` (one
-  ``apply_box``) only for a kernel without a lattice.
+  the table.  Only the oscillation sweep of :mod:`sparsedom.maximal`
+  builds it, and reads it through the views.
 
 Kernel sampling.  A kernel that declares ``translation_invariant`` is
 evaluated once per grid on the difference lattice: the offsets
@@ -40,7 +41,7 @@ cell-center differences ``(i + 0.5)h - (j + 0.5)h`` round away from
 ``(i - j)h`` (0.1 or pi, unlike 1 or 3), the lattice values differ from
 those at the cell centers by that rounding, a few units in the last place
 of the offset.  Kernels without the flag are evaluated densely on the
-cell pairs, the one fallback path.
+cell pairs they are summed over.
 """
 
 from __future__ import annotations
@@ -55,12 +56,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericError, ParameterError
-from .grid import CellSet, Cube, Grid, GridFunction, _corner_sums
+from .grid import CellSet, Cube, Grid, GridFunction, _corner_sums, dilate
 
 __all__ = [
     "Kernel",
-    "LatticeTransform",
-    "RestrictedTransform",
     "apply_restricted",
     "transpose_kernel",
     "dini_constant",
@@ -100,9 +99,6 @@ class Kernel:
     modulus: Callable[[np.ndarray], np.ndarray] | None = None
     hormander_r: float | None = None
     translation_invariant: bool = False
-
-    def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.fn(x, y)
 
 
 def transpose_kernel(kernel: Kernel) -> Kernel:
@@ -388,29 +384,35 @@ def _lattice_run_bytes(grid: Grid, alpha: int, max_side: int,
 # ---------------------------------------------------------------------------
 # transforms of f restricted to dilated cubes
 
+def _box_cells(clip) -> np.ndarray:
+    """The cells of a box of per-axis bounds, shape (k, dim), row-major."""
+    return (np.argwhere(np.ones([hi - lo for lo, hi in clip], dtype=bool))
+            + [lo for lo, _ in clip])
+
+
 class LatticeTransform:
-    """Transforms of one function restricted to dilated cubes, by FFT
-    against the difference lattice of a translation-invariant kernel.
+    """Transforms of one function restricted to dilated cubes, the sparse
+    construction's transform for every kernel.
 
     ``dilate_transforms`` gives ``T(f char_{P+})`` on the cells of every
-    cube P of a block of congruent cubes.  On P, the offsets to P+ satisfy
-    ``|k| <= (shift + 1) side - 1`` per axis, so the convolution of one
-    kernel segment with each cube's own source, a strided window of the
-    zero-padded f, gives it: one batched FFT of ``(2 shift + 2) side``
-    points per axis, circular but exact on P.  Offsets past ``n - 1`` are
-    left out of the segment: they pair window cells only with cells
-    outside the window, where f vanishes.  The lattice is sampled once,
-    and f padded once for the cubes of side at most ``max_side`` that meet
-    the window (a call beyond them raises ParameterError); each (side,
-    shift) gets one cached segment spectrum.
+    cube P of a block of congruent cubes.  With a difference lattice: on P
+    the offsets to P+ satisfy ``|k| <= (shift + 1) side - 1`` per axis, so
+    one batched FFT of ``(2 shift + 2) side`` points per axis, circular but
+    exact on P, convolves a kernel segment with each cube's own source, a
+    strided window of the zero-padded f.  Offsets past ``n - 1`` pair
+    window cells only with cells outside the window, where f vanishes, and
+    are left out.  The lattice is sampled once, each (side, shift) gets one
+    cached segment spectrum, and the values agree with the prefix table to
+    rounding.  Without a lattice each cube is summed directly by
+    ``_restricted_sums``, from P's window cells to P+'s: bit for bit
+    ``apply_restricted(kernel, f, targets=P, source=P+)``.
 
-    The values agree with the prefix table of ``RestrictedTransform`` to
-    rounding, not bit for bit.  Memory is linear in the cell count; the
-    estimate of a whole ``run`` at dilation ``alpha`` with nodes of side at
-    most ``max_side`` (see ``_lattice_run_bytes``), on top of what the
-    process holds resident now, is checked against physical memory before
-    anything is allocated, and a grid that cannot fit raises
-    ParameterError.
+    f is padded once for the cubes of side at most ``max_side`` that meet
+    the window; a call beyond them raises ParameterError.  Memory is linear
+    in the cell count; the estimate of a whole ``run`` (``_lattice_run_bytes``),
+    on top of what the process holds resident now, is checked against
+    physical memory before anything is allocated, and a grid that cannot
+    fit raises ParameterError.
     """
 
     def __init__(self, kernel: Kernel, f: GridFunction, alpha: int,
@@ -418,18 +420,17 @@ class LatticeTransform:
         grid = f.grid
         if kernel.dim != grid.dim:
             raise ParameterError(f"kernel dim {kernel.dim} != grid dim {grid.dim}")
-        if not kernel.translation_invariant:
-            raise ParameterError(
-                f"kernel {kernel.name!r} does not declare translation "
-                f"invariance, so it has no difference lattice")
         n, dim = grid.cells_per_side, grid.dim
         _refuse_beyond_memory(
             f"a run on a {dim}D grid with {n} cells per side",
             _lattice_run_bytes(grid, alpha, max_side, f.is_complex),
             _resident_memory())
         lat = _offset_lattice(kernel, grid)
-        _check_lattice_finite(kernel, grid, lat)
+        if lat is not None:
+            _check_lattice_finite(kernel, grid, lat)
+        self.kernel = kernel
         self.grid = grid
+        self._values = f.values
         self._lat = lat
         self._spectra: dict[tuple[int, int], np.ndarray] = {}
         self._fft, self._ifft = ((np.fft.fftn, np.fft.ifftn) if f.is_complex
@@ -477,6 +478,8 @@ class LatticeTransform:
             raise ParameterError(
                 f"cubes of side {side} at {box} reach past the padding of "
                 f"{self._pad} cells this transform was built for")
+        if self._lat is None:
+            return self._direct_transforms(box, count, side, shift)
         # every cube's source window, strided from the padded f, no copy
         pf = self._padded
         src = np.ndarray(tuple(count) + (width,) * dim, pf.dtype, buffer=pf,
@@ -496,6 +499,26 @@ class LatticeTransform:
         return out[tuple(slice(max(-lo, 0), min(c * side, n - lo))
                          for lo, c in zip(box, count))]
 
+    def _direct_transforms(self, box, count, side: int, shift: int) -> np.ndarray:
+        """``dilate_transforms`` without a lattice: each cube of the block
+        summed from its window cells to its dilate's, in the cell order of
+        ``CellSet.window_cells``."""
+        grid = self.grid
+        lows = [max(lo, 0) for lo in box]
+        out = np.zeros([min(lo + side * c, grid.cells_per_side) - at
+                        for lo, c, at in zip(box, count, lows)],
+                       dtype=np.result_type(self._values, np.float64))
+        for k in itertools.product(*map(range, count)):
+            cube = Cube(tuple(lo + side * i for lo, i in zip(box, k)), side)
+            clip = cube.window_clip(grid)
+            if clip is not None:
+                src = _box_cells(dilate(cube, 2 * shift + 1).window_clip(grid))
+                sums = _restricted_sums(self.kernel, grid, _box_cells(clip), src,
+                                        self._values[tuple(src.T)])
+                sl = tuple(slice(lo - at, hi - at) for (lo, hi), at in zip(clip, lows))
+                out[sl] = sums.reshape([hi - lo for lo, hi in clip])
+        return out
+
 
 class RestrictedTransform:
     """Box-restricted applications of one kernel to one function.
@@ -504,9 +527,8 @@ class RestrictedTransform:
     per-target prefix sums ``S`` of their product with ``f``, so that
     ``T(f char_B)(x)`` for any axis-aligned box ``B`` is a difference of
     table entries, summed over the box corners in ``_corner_sums`` order.
-    ``apply_box`` gathers those entries per query, at O(1) each, and
-    ``dilate_transforms`` (the contract of ``LatticeTransform``'s) is one
-    such gather.  ``prefix_windows`` returns a read-only strided view of
+    ``apply_box`` gathers those entries per query, at O(1) each.
+    ``prefix_windows`` returns a read-only strided view of
     ``S`` whose targets and box follow an anchor block, per axis; the
     oscillation sweep of :mod:`sparsedom.maximal` reads all of its
     truncated transforms through such views, so it does no per-query
@@ -529,8 +551,6 @@ class RestrictedTransform:
             f"the transform table of a {grid.dim}D grid with "
             f"{grid.cells_per_side} cells per side",
             _table_bytes(grid, f.is_complex))
-        self.kernel = kernel
-        self.f = f
         self.grid = grid
         n, dim = grid.cells_per_side, grid.dim
         lat = _offset_lattice(kernel, grid)
@@ -597,24 +617,6 @@ class RestrictedTransform:
         return np.ndarray((*counts, *(side,) * dim), self._sat.dtype,
                           buffer=self._sat, offset=offset,
                           strides=(*strides, *self._row_strides))
-
-    def dilate_transforms(self, anchor, first, count, side: int,
-                          shift: int) -> np.ndarray:
-        """``T(f char_{P+})`` on the window cells of every cube P of a
-        block, as ``LatticeTransform.dilate_transforms``: one ``apply_box``
-        with each cell's own cube's dilate as its box."""
-        grid = self.grid
-        n, dim = grid.cells_per_side, grid.dim
-        cells, bounds = [], []
-        for d, (a, b, c) in enumerate(zip(anchor, first, count)):
-            x = np.arange(max(a + side * b, 0), min(a + side * (b + c), n))
-            lo = a + ((x - a) // side - shift) * side
-            shape = (1,) * d + (-1,) + (1,) * (dim - 1 - d)
-            cells.append(x)
-            bounds.append((lo.reshape(shape),
-                           (lo + (2 * shift + 1) * side).reshape(shape)))
-        rows = np.arange(grid.n_cells).reshape(grid.shape)[np.ix_(*cells)]
-        return self.apply_box(rows, tuple(bounds))
 
     def apply_box(self, rows: np.ndarray, bounds) -> np.ndarray:
         """``T(f char_B)`` at flat target indices ``rows``.
@@ -840,6 +842,12 @@ def make_kernel(name: str, grid: Grid | None = None, **params) -> Kernel:
     working scale ``ref_scale`` (default: four window lengths).  Every
     catalog kernel is of convolution type and declares
     ``translation_invariant``.
+
+    ``dini_stress`` sums sin(2**k a) up to k = 40, which magnifies the
+    rounding of its offset up to 2**40 times: at window lengths 0.1 or pi
+    its lattice and cell-center values differ by up to 1.9e-7 relative, so
+    its results repeat bit for bit on one grid but agree only to about
+    seven digits across equivalent discretizations.
     """
     scale = float(params.pop("ref_scale", 4.0 * (grid.phys_side if grid else 1.0)))
     if name == "hilbert":

@@ -17,13 +17,12 @@ differences of the prefix table ``GridFunction.power_sat``: they only cut
 the exceptional set, while every coefficient is an :func:`avg_p`, a
 direct sum.
 
-The transforms come from one ``dilate_transforms`` call for the node and
-one per level.  For a kernel with a difference lattice (every catalog
-kernel: those that declare translation invariance) that is a
-:class:`~sparsedom.operators.LatticeTransform`, one batched FFT per call,
-O(m log m) per level in 1D, with memory linear in the cell count; for any
-other kernel it is the dense prefix table of
-:class:`~sparsedom.operators.RestrictedTransform`, one gather per call.
+The transforms come from one ``dilate_transforms`` call of
+:class:`~sparsedom.operators.LatticeTransform` for the node and one per
+level, with memory linear in the cell count for every kernel.  For a
+kernel with a difference lattice (every catalog kernel: those that
+declare translation invariance) a call is one batched FFT, O(m log m) per
+level in 1D; for any other kernel it sums each cube of the level directly.
 
 Cells where any statistic exceeds its threshold form the exceptional set.
 In quantile mode the thresholds are chosen as order statistics, so the
@@ -72,11 +71,7 @@ from .grid import (
     dyadic_children,
 )
 from .maximal import oscillation
-from .operators import (
-    Kernel,
-    LatticeTransform,
-    RestrictedTransform,
-)
+from .operators import Kernel, LatticeTransform
 
 __all__ = [
     "PipelineConfig",
@@ -241,7 +236,7 @@ def _levels(side: int):
         yield side
 
 
-def _node_stats(rt: LatticeTransform | RestrictedTransform, f: GridFunction,
+def _node_stats(rt: LatticeTransform, f: GridFunction,
                 cube: Cube, qs: Cube, s: float):
     """On the node's window cells, box-shaped: T(f char_{Q+}) (signed) and
     the two dyadic maximal functions of f char_{Q+}.
@@ -324,7 +319,7 @@ def _order_threshold(vals: np.ndarray, k: int) -> float:
     return float(np.partition(vals, vals.size - 1 - idx)[vals.size - 1 - idx])
 
 
-def _exceptional(rt: LatticeTransform | RestrictedTransform, f: GridFunction,
+def _exceptional(rt: LatticeTransform, f: GridFunction,
                  cube: Cube, cfg: PipelineConfig) -> ExceptionalSet:
     """Exceptional cells of one node cube.
 
@@ -427,13 +422,11 @@ def _stopping_time(grid: Grid, cube: Cube, omega: CellSet,
                 raise AlignmentError(
                     f"cube side {q.side} is odd; cannot run the dyadic stopping time")
             flags.append("odd_leaf")
-            inter = omega.window_mask()
             clip = q.window_clip(grid)
             if clip is not None:
                 sl = tuple(slice(lo, hi) for lo, hi in clip)
-                local = np.zeros(grid.shape, dtype=bool)
-                local[sl] = inter[sl]
-                for cell in np.argwhere(local):
+                cells = np.argwhere(omega.window_mask()[sl]) + [lo for lo, _ in clip]
+                for cell in cells:
                     selected.append(Cube(tuple(int(v) for v in cell), 1))
             return
         if is_root and _density_exceeds(count, q, grid.dim, lam):
@@ -489,7 +482,7 @@ def _check_invariants(q: Cube, omega_count: int, children: list[Cube],
             raise NumericError(f"node {q}: {what} of its {cells} cells")
 
 
-def _build_node(rt: LatticeTransform | RestrictedTransform, f: GridFunction,
+def _build_node(rt: LatticeTransform, f: GridFunction,
                 q: Cube, depth: int, cfg: PipelineConfig,
                 entries: list[SparseEntry],
                 records: list[NodeRecord]) -> np.ndarray | None:
@@ -603,16 +596,6 @@ def support_box(f: GridFunction) -> Cube | None:
     return Cube(anchor, side)
 
 
-def _transform(kernel: Kernel, f: GridFunction, alpha: int,
-               max_side: int) -> LatticeTransform | RestrictedTransform:
-    """The builder's transform backend for nodes of side at most
-    ``max_side``: FFT against the difference lattice where the kernel
-    declares translation invariance, the prefix table otherwise."""
-    if kernel.translation_invariant:
-        return LatticeTransform(kernel, f, alpha, max_side)
-    return RestrictedTransform(kernel, f)
-
-
 def build_sparse_domination(kernel: Kernel, f: GridFunction,
                             config: PipelineConfig | None = None) -> DominationResult:
     """Full pipeline: cover the window, recurse per cover cube, assemble
@@ -646,7 +629,7 @@ def build_sparse_domination(kernel: Kernel, f: GridFunction,
 
     cover = partition_cover(grid, supp, cfg.alpha)
     # children are smaller than their parents, so the roots are the largest
-    rt = _transform(kernel, f, cfg.alpha, max(c.side for c in cover))
+    rt = LatticeTransform(kernel, f, cfg.alpha, max(c.side for c in cover))
     entries: list[SparseEntry] = []
     records: list[NodeRecord] = []
     for root in cover:

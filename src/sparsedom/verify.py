@@ -173,13 +173,12 @@ def audit_coefficients(family: SparseFamily, f: GridFunction,
                        r: float | None = None) -> float:
     """Largest absolute gap between stored coefficients and freshly
     recomputed r-power averages of ``f`` (r defaults to the family's
-    build exponent)."""
+    build exponent); inf where a gap is NaN."""
     if r is None:
         r = float(family.meta.get("s", 1.0))
-    worst = 0.0
-    for e in family.entries:
-        worst = max(worst, abs(e.coefficient - avg_p(f, e.cube, r)))
-    return worst
+    gaps = [abs(e.coefficient - avg_p(f, e.cube, r)) for e in family.entries]
+    # max would drop a NaN
+    return math.inf if any(map(math.isnan, gaps)) else max(gaps, default=0.0)
 
 
 def _lattice_transform(lat: np.ndarray, f: GridFunction) -> np.ndarray:
@@ -205,12 +204,12 @@ def _lattice_transform(lat: np.ndarray, f: GridFunction) -> np.ndarray:
     return ifft(spec, shape, axes)[(slice(0, n),) * dim].copy()
 
 
-def _decisive_cells(tf: np.ndarray, stack: np.ndarray, c: float, tol: float,
-                    delta: float) -> np.ndarray:
+def _decisive_cells(tf: np.ndarray, stack: np.ndarray, bound: np.ndarray,
+                    tol: float, delta: float) -> np.ndarray:
     """Flat indices of the cells whose exact ``|T f|`` can set a field of
     the domination report, given ``tf`` within ``delta`` of it on every
-    cell: a fixed sample of 64 cells; every cell whose margin or ratio can
-    still be the largest; every cell whose margin is within ``delta`` of
+    cell and the report's ``bound``: a fixed sample of 64 cells; every cell
+    whose margin or ratio can still be the largest; every cell whose margin is within ``delta`` of
     ``tol``; and the first 10 cells out of bound beyond doubt.  The
     windows of the largest margin and ratio are a few ulps wider, for the
     rounding of the margins and ratios themselves.
@@ -220,7 +219,7 @@ def _decisive_cells(tf: np.ndarray, stack: np.ndarray, c: float, tol: float,
         # the kernel or f vanishes, so every FFT value is an exact 0
         return sample
     tf, stack = tf.ravel(), stack.ravel()
-    margin = tf - c * stack
+    margin = tf - bound.ravel()
     top = margin.max()
     picks = [
         sample,
@@ -238,7 +237,8 @@ def _decisive_cells(tf: np.ndarray, stack: np.ndarray, c: float, tol: float,
 
 
 def _window_magnitudes(kernel: Kernel, f: GridFunction, lat: np.ndarray,
-                       stack: np.ndarray, c: float, tol: float) -> np.ndarray:
+                       stack: np.ndarray, bound: np.ndarray,
+                       tol: float) -> np.ndarray:
     """``|T f|`` on the window for :func:`check_domination`: exact wherever
     it can decide the report, from the FFT elsewhere.
 
@@ -257,7 +257,7 @@ def _window_magnitudes(kernel: Kernel, f: GridFunction, lat: np.ndarray,
     delta = (16 * np.finfo(np.float64).eps * math.log2(points)
              * float(np.abs(lat).sum()) * grid.cell_measure
              * float(np.abs(f.values).max()))
-    picked = _decisive_cells(tf, stack, c, tol, delta)
+    picked = _decisive_cells(tf, stack, bound, tol, delta)
     g = _SUM_GROUP
     rows = (np.unique(picked // g)[:, None] * g + np.arange(g)).ravel()
     rows = rows[rows < tf.size]
@@ -281,9 +281,10 @@ def check_domination(kernel: Kernel, f: GridFunction, family: SparseFamily,
     """Pointwise check ``|T f| <= constant * (stacked coefficients)`` on
     every window cell, using the family's stored coefficients.
 
-    A cell with zero stacked coefficient and transform magnitude above
-    the tolerance is a failure with its location reported.  The report's
-    ``c_min`` is the largest ratio ``|T f| / stack`` over the cells with a
+    A cell with zero stacked coefficient is bounded by 0, whatever the
+    constant, so one with transform magnitude above the tolerance is a
+    failure with its location reported, as is a cell with a NaN margin.
+    The report's ``c_min`` is the largest ratio ``|T f| / stack`` over the cells with a
     positive stack (0 when there are none).
 
     For a kernel with a difference lattice ``|T f|`` comes from one FFT
@@ -298,20 +299,22 @@ def check_domination(kernel: Kernel, f: GridFunction, family: SparseFamily,
     if kernel.dim != grid.dim:
         raise ParameterError(f"kernel dim {kernel.dim} != grid dim {grid.dim}")
     stack = _paint_coefficients(family, [e.coefficient for e in family.entries])
+    # c * stack, but 0 where the stack is, also for c = inf
+    bound = np.multiply(c, stack, out=np.zeros_like(stack), where=stack != 0)
     lat = _offset_lattice(kernel, grid)
     if lat is None:
         tf = np.abs(apply_restricted(kernel, f).values)
     else:
-        tf = _window_magnitudes(kernel, f, lat, stack, c, tol)
-    margin = tf - c * stack
-    bad = margin > tol
+        tf = _window_magnitudes(kernel, f, lat, stack, bound, tol)
+    margin = tf - bound
+    bad = ~(margin <= tol)          # NaN too
     pos = stack > 0
     c_min = float((tf[pos] / stack[pos]).max()) if pos.any() else 0.0
     failures = []
     for cell in np.argwhere(bad)[:10]:
         idx = tuple(int(v) for v in cell)
         failures.append({"cell": list(idx), "transform": float(tf[idx]),
-                         "bound": float(c * stack[idx])})
+                         "bound": float(bound[idx])})
     return DominationReport(
         passed=not bad.any(),
         constant=c,

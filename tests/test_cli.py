@@ -195,6 +195,13 @@ def _replace(value, *path):
     return mutate
 
 
+def _every_coefficient(value):
+    def mutate(doc):
+        for e in doc["entries"]:
+            e["coefficient"] = value
+    return mutate
+
+
 # Every case keeps the stored witness count consistent with the runs, so
 # only the run checks can reject the first five.  Witness boxes of the
 # 32-cell run below hold 16 cells; a start of -5 used to read cells 11-13.
@@ -215,6 +222,12 @@ MALFORMED_FAMILIES = {
     "anchor_dim_mismatch": _replace([0, 0], "entries", 0, "anchor"),
     "entries_not_list": _replace({"0": 1}, "entries"),
     "wrong_format": _replace(2, "format"),
+    # JSON reads NaN and Infinity as numbers, and NaN compares false
+    "constant_nan": _replace(float("nan"), "constant"),
+    "coefficient_infinite": _replace(float("inf"), "entries", 0, "coefficient"),
+    "every_coefficient_nan": _every_coefficient(float("nan")),
+    "eta_nan": _replace(float("nan"), "eta"),
+    "eta_infinite": _replace(float("inf"), "eta"),
 }
 
 
@@ -235,6 +248,37 @@ def test_verify_rejects_malformed_family(tmp_path, capsys, case):
                      "--family", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_family_constant_may_be_infinite(tmp_path):
+    cfg = write_config(tmp_path, grid={"dim": 1, "cells_per_side": 32})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+    doc = read_json(out / "family.json")
+    for constant in ("inf", float("inf")):
+        doc["constant"] = constant
+        assert cli.family_from_dict(doc).constant == float("inf")
+
+
+def test_verify_checks_sparsity_against_the_config_eta(tmp_path, capsys):
+    # a family that states eta 0, with every witness cut to its first cell
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert read_json(out / "report.json")["sparsity"]["eta_required"] == 1 / 6
+    doc = read_json(out / "family.json")
+    doc["eta"] = 0
+    for e in doc["entries"]:
+        e["witness"].update(runs=[[e["witness"]["runs"][0][0], 1]], count=1)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["verify", "--config", cfg, "--out", str(out),
+                     "--family", str(bad)]) == 1
+    report = read_json(out / "verify_report.json")
+    assert report["sparsity"]["eta_required"] == 1 / 6
+    assert not report["sparsity"]["passed"]
+    assert report["domination"]["passed"]
+    assert "sparsity:   FAIL" in capsys.readouterr().out
 
 
 def test_verify_rejects_non_object_family(tmp_path):
@@ -287,6 +331,45 @@ def test_sweep_over_seed_axis(tmp_path):
     assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
     rows = read_json(out / "sweep.json")["rows"]
     assert len({r["constant"] for r in rows}) > 1
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    cfg = write_config(tmp_path, sweep={"axis": "seed", "values": [1]})
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--jobs", jobs]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--jobs" in err and "Traceback" not in err
+
+
+def test_sweep_starts_no_more_workers_than_values(tmp_path, monkeypatch):
+    started = []
+
+    class SerialPool:
+        """Records its size and maps in this process: a fork pool would
+        start every worker at the first submit."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    for values, jobs, want in (([1, 2], "64", [2]), ([1, 2, 3], "2", [2]),
+                               ([1], "8", [])):
+        started.clear()
+        cfg = write_config(tmp_path, sweep={"axis": "seed", "values": values})
+        assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"),
+                         "--jobs", jobs]) == 0
+        assert started == want
+        assert len(read_json(tmp_path / "o" / "sweep.json")["rows"]) == len(values)
 
 
 def test_sweep_requires_section(tmp_path):

@@ -13,7 +13,6 @@ from sparsedom import (
     Grid,
     GridFunction,
     ParameterError,
-    RestrictedTransform,
     apply_restricted,
     avg_p,
     hl_maximal,
@@ -24,6 +23,7 @@ from sparsedom import (
 from sparsedom import maximal
 from sparsedom.inputs import INPUT_KINDS, make_input
 from sparsedom.maximal import _power_average_sweep
+from sparsedom.operators import RestrictedTransform
 
 
 def rng(seed):

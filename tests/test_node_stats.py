@@ -3,23 +3,23 @@
 The builder reads its two node statistics on the cubes its stopping time
 can select below the node: dyadic halves while the side is even, single
 cells below an odd side.  It does so in one vectorized pass per level.
-The reference below walks those cubes one by one and gathers every
-truncated transform from the prefix table through ``apply_box``, one query
-per (cell, cube).
+The reference below walks those cubes one by one and computes every
+truncated transform by ``apply_restricted``, from the cube's window
+cells as targets to its dilate's as sources, one call per cube.
 
-Each comparison runs on both transform backends the builder can pick.  On
-the table backend (the same kernels with ``translation_invariant=False``)
-the builder and the reference do the same floating-point operations in
-the same order, so every returned array must be bitwise equal, on every
-node the pipeline visits.  On the FFT backend (the catalog kernels as
-they are) the transforms are FFT products, so each array must agree to
-1e-12 of its largest magnitude, or of the node average where that is
-larger: the reference's prefix differences themselves carry rounding at
-the scale of the node's sums, so where the true values cancel (a
-single-cell node whose two neighbours balance) it reads 1e-16, not 0.
+Each comparison runs on both paths of the builder's transform.  On the
+direct path (the same kernels with ``translation_invariant=False``) the
+builder and the reference do the same floating-point operations in the
+same order, so every returned array must be bitwise equal, on every node
+the pipeline visits.  On the FFT path (the catalog kernels as they are)
+the transforms are FFT products, so each array must agree to 1e-12 of its
+largest magnitude, or of the node average where that is larger: where the
+true values cancel (a single-cell node whose two neighbours balance) the
+FFT reads rounding at the scale of the node's sums, not 0.
 """
 
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
@@ -30,18 +30,18 @@ from sparsedom import (
     Grid,
     GridFunction,
     ParameterError,
-    LatticeTransform,
     PipelineConfig,
-    RestrictedTransform,
+    apply_restricted,
     avg_p,
     build_sparse_domination,
     dyadic_children,
     hl_maximal,
     make_kernel,
 )
-from sparsedom import maximal, sparse
+from sparsedom import maximal, operators, sparse
 from sparsedom.inputs import INPUT_KINDS, make_input
 from sparsedom.maximal import oscillation
+from sparsedom.operators import RestrictedTransform
 
 
 # ---------------------------------------------------------------------------
@@ -79,13 +79,13 @@ def box_sum(sat, bounds):
     return sat[hi0, hi1] - sat[lo0, hi1] - sat[hi0, lo1] + sat[lo0, lo1]
 
 
-def reference_stats(rt, f, cube, qs, s):
+def reference_stats(kernel, f, cube, qs, s):
     grid = f.grid
     alpha = qs.side // cube.side
     clip = cube.window_clip(grid)
     sl = tuple(slice(lo, hi) for lo, hi in clip)
     shape = tuple(hi - lo for lo, hi in clip)
-    outer = rt.apply_box(np.arange(grid.n_cells), qs.bounds()).reshape(grid.shape)
+    outer = apply_restricted(kernel, f, targets=cube, source=qs).values
     sat = f.power_sat(s)
     ms = np.zeros(shape)
     osc = np.zeros(shape)
@@ -97,17 +97,13 @@ def reference_stats(rt, f, cube, qs, s):
         avgs = (sums * grid.cell_measure
                 / (alpha * p * grid.cell_width) ** grid.dim) ** (1.0 / s)
         for q, d, avg in zip(cubes, dilates, avgs):
-            q_clip = q.window_clip(grid)
-            cells = list(itertools.product(*(range(lo, hi) for lo, hi in q_clip)))
-            trunc = np.array([
-                outer[c] - rt.apply_box(np.array(np.ravel_multi_index(c, grid.shape)),
-                                        d.bounds())
-                for c in cells])
-            stat = oscillation(trunc)
-            for c in cells:
-                local = tuple(x - lo for x, (lo, _) in zip(c, clip))
-                ms[local] = max(ms[local], avg)
-                osc[local] = max(osc[local], stat)
+            q_sl = tuple(slice(lo, hi) for lo, hi in q.window_clip(grid))
+            inner = apply_restricted(kernel, f, targets=q, source=d).values
+            stat = oscillation((outer[q_sl] - inner[q_sl]).ravel())
+            local = tuple(slice(a.start - lo, a.stop - lo)
+                          for a, (lo, _) in zip(q_sl, clip))
+            np.maximum(ms[local], avg, out=ms[local])
+            np.maximum(osc[local], stat, out=osc[local])
     return outer[sl], ms.ravel(), osc.ravel()
 
 
@@ -116,28 +112,28 @@ def reference_stats(rt, f, cube, qs, s):
 
 
 def compare_every_node(monkeypatch, kernel, f, cfg):
-    """Run the pipeline on each backend with each node's statistics checked
-    against the reference; return the node cubes seen."""
+    """Run the pipeline on each path of its transform with each node's
+    statistics checked against the reference; return the node cubes
+    seen."""
     fast = sparse._node_stats
     seen = []
-    table = RestrictedTransform(kernel, f)
-    for backend in ("table", "fft"):
-        if backend == "table":
+    # the reference samples each lattice once, not once per cube
+    monkeypatch.setattr(operators, "_offset_lattice",
+                        functools.lru_cache(operators._offset_lattice))
+    for path in ("direct", "fft"):
+        if path == "direct":
             run_kernel = dataclasses.replace(kernel, translation_invariant=False)
-            want_type = RestrictedTransform
         else:
             run_kernel = kernel
-            want_type = LatticeTransform
 
         def checked(rt, f_, cube, qs, s):
-            assert type(rt) is want_type
+            assert (rt._lat is None) == (path == "direct")
             got = fast(rt, f_, cube, qs, s)
-            want = reference_stats(rt if backend == "table" else table,
-                                   f_, cube, qs, s)
+            want = reference_stats(run_kernel, f_, cube, qs, s)
             for label, g, w in zip(("outer", "ms", "osc"), got, want, strict=True):
-                where = (backend, cube, label)
+                where = (path, cube, label)
                 assert g.dtype == w.dtype and g.shape == w.shape, where
-                if backend == "table":
+                if path == "direct":
                     assert np.array_equal(g, w), where
                 else:
                     scale = max(np.abs(w).max(), avg_p(f_, qs, s))

@@ -1,6 +1,7 @@
 """Kernel application, transposition, and kernel statistics."""
 
 import dataclasses
+import itertools
 import math
 import os
 import re
@@ -17,12 +18,11 @@ from sparsedom import (
     Grid,
     GridFunction,
     Kernel,
-    LatticeTransform,
     NumericError,
     ParameterError,
-    RestrictedTransform,
     apply_restricted,
     check_domination,
+    dilate,
     dini_constant,
     dini_profile,
     hormander_constant,
@@ -30,6 +30,7 @@ from sparsedom import (
     transpose_kernel,
 )
 from sparsedom import operators, sparse
+from sparsedom.operators import LatticeTransform, RestrictedTransform
 
 
 def loop_transform(kernel, f, target_mask, source_mask):
@@ -785,13 +786,31 @@ def test_lattice_transform_refused_before_sampling(monkeypatch):
     LatticeTransform(make_kernel("hilbert"), f, 3, 1024)
 
 
-def test_lattice_transform_needs_a_lattice():
+def test_lattice_transform_sums_directly_without_a_lattice():
     # the flag alone decides, also on a window of length 0.1
-    LatticeTransform(make_kernel("hilbert"),
-                     GridFunction(Grid(1, 16, phys_side=0.1), np.ones(16)), 3, 16)
-    with pytest.raises(ParameterError, match="difference lattice"):
-        LatticeTransform(_dense(make_kernel("hilbert")),
-                         GridFunction(Grid(1, 16), np.ones(16)), 3, 16)
+    fft = LatticeTransform(make_kernel("hilbert"),
+                           GridFunction(Grid(1, 16, phys_side=0.1), np.ones(16)), 3, 16)
+    assert fft._lat is not None
+    # without it each cube is the direct sum over its dilate, bit for bit,
+    # for real and complex f, in 1D and in 2D
+    for grid, name in ((Grid(1, 16), "hilbert"), (Grid(2, 8), "riesz2d")):
+        k = _dense(make_kernel(name, grid))
+        g = rng(3)
+        n, dim = grid.cells_per_side, grid.dim
+        for vals in (g.normal(size=grid.shape),
+                     g.normal(size=grid.shape) + 1j * g.normal(size=grid.shape)):
+            f = GridFunction(grid, vals)
+            direct = LatticeTransform(k, f, 3, 8)
+            assert direct._lat is None
+            # cubes of side 2 from -2 to n + 2 per axis: some stick out
+            got = direct.dilate_transforms((-2,) * dim, (0,) * dim,
+                                           (n // 2 + 2,) * dim, 2, 1)
+            assert got.dtype == vals.dtype and got.shape == grid.shape
+            for a in itertools.product(range(-2, n + 2, 2), repeat=dim):
+                cube = Cube(a, 2)
+                want = apply_restricted(k, f, targets=cube, source=dilate(cube, 3)).values
+                sl = tuple(slice(max(v, 0), v + 2) for v in a)
+                assert np.array_equal(got[sl], want[sl])
     with pytest.raises(ParameterError, match="dim"):
         LatticeTransform(make_kernel("riesz2d"), GridFunction(Grid(1, 16), np.ones(16)), 3, 16)
 
@@ -810,6 +829,22 @@ def _gate_nodes(n, dim):
     sides_anchors = [(n, 0), (n // 2, n // 4), (n // 4, -n // 8),
                      (n // 4, n - n // 8), (12, n // 2 - 5), (3 * n // 2, -n // 2)]
     return [Cube((a,) * dim, m) for m, a in sides_anchors]
+
+
+def _table_dilate_transforms(table, anchor, first, count, side, shift):
+    """``dilate_transforms`` from the prefix table: one ``apply_box`` with
+    each window cell of the block's box against its own cube's dilate."""
+    grid = table.grid
+    n, dim = grid.cells_per_side, grid.dim
+    cells, bounds = [], []
+    for d, (a, b, c) in enumerate(zip(anchor, first, count)):
+        x = np.arange(max(a + side * b, 0), min(a + side * (b + c), n))
+        lo = a + ((x - a) // side - shift) * side
+        shape = (1,) * d + (-1,) + (1,) * (dim - 1 - d)
+        cells.append(x)
+        bounds.append((lo.reshape(shape), (lo + (2 * shift + 1) * side).reshape(shape)))
+    rows = np.arange(grid.n_cells).reshape(grid.shape)[np.ix_(*cells)]
+    return table.apply_box(rows, tuple(bounds))
 
 
 @pytest.mark.parametrize("complex_values", [False, True])
@@ -839,7 +874,8 @@ def test_fft_dilate_transforms_match_table(dim, n, name, alpha, complex_values):
             blocks.append((first, [b - a + 1 for a, b in zip(first, last)], p))
         for first, count, side in blocks:
             got = fft.dilate_transforms(q.anchor, first, count, side, shift)
-            want = table.dilate_transforms(q.anchor, first, count, side, shift)
+            want = _table_dilate_transforms(table, q.anchor, first, count, side,
+                                            shift)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.shape == tuple(hi - lo for lo, hi in clip)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (q, side)

@@ -1,6 +1,7 @@
 """Exceptional sets, stopping time, cover, and the sparse pipeline."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,12 +15,12 @@ from sparsedom import (
     DensityError,
     Grid,
     GridFunction,
-    LatticeTransform,
+    Kernel,
     ParameterError,
     PipelineConfig,
-    RestrictedTransform,
     apply_restricted,
     build_sparse_domination,
+    check_domination,
     constant_from_records,
     dilate,
     local_cz_decomposition,
@@ -27,8 +28,9 @@ from sparsedom import (
     partition_cover,
     support_box,
 )
-from sparsedom import sparse
+from sparsedom import operators, sparse
 from sparsedom.inputs import INPUT_KINDS, make_input
+from sparsedom.operators import LatticeTransform
 
 
 def rng(seed):
@@ -54,9 +56,9 @@ def sparse_sum(family):
 
 
 def builder_transform(kernel, f, config, max_side):
-    """The transform backend the pipeline picks for this kernel and grid,
-    for nodes of side at most ``max_side``."""
-    return sparse._transform(kernel, f, config.alpha, max_side)
+    """The transform the pipeline builds for this kernel and grid, for
+    nodes of side at most ``max_side``."""
+    return LatticeTransform(kernel, f, config.alpha, max_side)
 
 
 def node_exceptional(kernel, f, cube, **config):
@@ -99,14 +101,89 @@ def test_builder_picks_fft_where_the_kernel_has_a_lattice():
         for name in names:
             k = make_kernel(name, grid)
             n = grid.cells_per_side
-            assert type(sparse._transform(k, f, 3, n)) is LatticeTransform
+            assert builder_transform(k, f, PipelineConfig(), n)._lat is not None
             # the flag alone decides: a window whose center differences
             # round off the lattice has one too, a kernel without it none
             inexact = Grid(grid.dim, n, 0.1)
             g = GridFunction(inexact, f.values)
-            assert type(sparse._transform(k, g, 3, n)) is LatticeTransform
+            assert builder_transform(k, g, PipelineConfig(), n)._lat is not None
             plain = dataclasses.replace(k, translation_invariant=False)
-            assert type(sparse._transform(plain, f, 3, n)) is RestrictedTransform
+            assert builder_transform(plain, f, PipelineConfig(), n)._lat is None
+
+
+def _no_table(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the prefix table was built")
+
+    monkeypatch.setattr(operators.RestrictedTransform, "__init__", refuse)
+
+
+def test_builder_never_builds_the_table(monkeypatch):
+    _no_table(monkeypatch)
+    for grid, name in ((Grid(1, 64), "hilbert"), (Grid(2, 16), "riesz2d")):
+        k = dataclasses.replace(make_kernel(name, grid), translation_invariant=False)
+        f = make_input(grid, "random", seed=3)
+        g = rng(grid.dim)
+        z = GridFunction(grid, g.normal(size=grid.shape) + 1j * g.normal(size=grid.shape))
+        for vals in (f, z):
+            res = build_sparse_domination(k, vals)
+            assert len(res.records) > 1 and res.family.constant > 0
+    with pytest.raises(AssertionError, match="prefix table"):
+        operators.RestrictedTransform(make_kernel("hilbert"), f)
+
+
+def test_builder_memory_is_linear_without_a_lattice():
+    # hilbert without the flag at 1D N = 1024: the table and its product
+    # would take 16.8 MB
+    grid = Grid(1, 1024)
+    k = dataclasses.replace(make_kernel("hilbert"), translation_invariant=False)
+    f = make_input(grid, "random", seed=7)
+    tracemalloc.start()
+    try:
+        build_sparse_domination(k, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < operators._table_bytes(grid, False)
+
+
+def _modulated(grid):
+    """A kernel that is no convolution: the Hilbert or first Riesz kernel
+    times 1 + sin(2 pi x_1) / 2, which depends on x and not only on x - y."""
+    def fn(x, y):
+        u = x - y
+        weight = 1.0 + 0.5 * np.sin(2.0 * np.pi * x[..., 0])
+        if grid.dim == 1:
+            return weight / u[..., 0]
+        return weight * u[..., 0] / ((u * u).sum(axis=-1)) ** 1.5
+
+    return Kernel(f"modulated{grid.dim}d", grid.dim, fn)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 128), (2, 16)])
+def test_non_convolution_kernel_end_to_end(monkeypatch, dim, n):
+    grid = Grid(dim, n)
+    k = _modulated(grid)
+    assert operators._offset_lattice(k, grid) is None
+    transforms = []
+    stats = sparse._node_stats
+
+    def recorded(rt, f_, cube, qs, s):
+        out = stats(rt, f_, cube, qs, s)
+        transforms.append((cube, qs, out[0]))
+        return out
+
+    monkeypatch.setattr(sparse, "_node_stats", recorded)
+    for kind in ("random", "spikes"):
+        f = make_input(grid, kind, seed=17)
+        transforms.clear()
+        res = build_sparse_domination(k, f)
+        assert check_domination(k, f, res.family).passed
+        assert len(transforms) > 1
+        for cube, qs, got in transforms:
+            want = apply_restricted(k, f, targets=cube, source=qs).values
+            clip = cube.window_clip(grid)
+            assert np.array_equal(got, want[tuple(slice(lo, hi) for lo, hi in clip)])
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,16 @@ def test_audit_coefficients_sees_tampering():
     assert audit_coefficients(fam, f) == pytest.approx(1.0)
 
 
+def test_audit_coefficients_reports_a_nan_gap_as_infinite():
+    # max(worst, nan) keeps worst, which once hid a NaN coefficient
+    grid = Grid(1, 16)
+    cube = Cube((4,), 4)
+    f = GridFunction.indicator(grid, cube)
+    fam = one_cube_family(grid, cube, coefficient=np.nan)
+    fam.entries.insert(0, one_cube_family(grid, cube).entries[0])
+    assert audit_coefficients(fam, f) == np.inf
+
+
 # ---------------------------------------------------------------------------
 # domination audit
 
@@ -231,6 +241,36 @@ def test_check_domination_flags_uncovered_mass():
     json.dumps(rep.to_dict())
 
 
+def test_check_domination_bounds_an_empty_stack_by_zero_for_any_constant():
+    # inf * 0 is NaN, which once let the uncovered cells through
+    grid = Grid(1, 16)
+    kernel = make_kernel("hilbert", grid)
+    f = GridFunction.indicator(grid, Cube((4,), 4))
+    fam = one_cube_family(grid, Cube((4,), 4))
+    tf = np.abs(apply_restricted(kernel, f).values)
+    uncovered = (tf > 1e-10) & ((np.arange(16) < 4) | (np.arange(16) >= 8))
+    rep = check_domination(kernel, f, fam, constant=np.inf)
+    assert not rep.passed
+    assert rep.n_failures == uncovered.sum() > 0
+    assert all(fl["bound"] == 0.0 for fl in rep.failures)
+    assert [fl["cell"] for fl in rep.failures] == [
+        [int(i)] for i in np.flatnonzero(uncovered)[:10]]
+
+
+def test_check_domination_counts_nan_margins_out_of_bound():
+    grid = Grid(1, 16)
+    f = GridFunction.indicator(grid, Cube((4,), 4))
+    for kernel in (make_kernel("hilbert", grid),
+                   dataclasses.replace(make_kernel("hilbert", grid),
+                                       translation_invariant=False)):
+        nan_coefficient = one_cube_family(grid, Cube((-8,), 32), coefficient=np.nan)
+        for fam, c in ((nan_coefficient, None),
+                       (one_cube_family(grid, Cube((-8,), 32)), np.nan)):
+            rep = check_domination(kernel, f, fam, constant=c)
+            assert not rep.passed
+            assert rep.n_failures == grid.n_cells
+
+
 @pytest.mark.parametrize("kname,dim,n", [("hilbert", 1, 64), ("riesz2d", 2, 16)])
 def test_check_domination_c_min_matches_brute_force(kname, dim, n):
     # the largest |T f| / stacked coefficient over the cells with a positive
@@ -259,8 +299,9 @@ def direct_domination(kernel, f, family, constant, tol=1e-10):
         clip = e.cube.window_clip(f.grid)
         if clip is not None:
             stack[tuple(slice(lo, hi) for lo, hi in clip)] += e.coefficient
-    margin = tf - constant * stack
-    bad = margin > tol
+    bound = np.where(stack != 0, constant * stack, 0.0)
+    margin = tf - bound
+    bad = ~(margin <= tol)
     pos = stack > 0
     return {
         "passed": not bad.any(),
@@ -272,7 +313,7 @@ def direct_domination(kernel, f, family, constant, tol=1e-10):
         "worst_margin": float(margin.max()),
         "failures": [{"cell": [int(v) for v in cell],
                       "transform": float(tf[tuple(cell)]),
-                      "bound": float(constant * stack[tuple(cell)])}
+                      "bound": float(bound[tuple(cell)])}
                      for cell in np.argwhere(bad)[:10]],
     }
 
