@@ -180,7 +180,7 @@ FAMILY_SCHEMA = {
         "format": {"const": 1},
         "grid": CONFIG_SCHEMA["properties"]["grid"],
         "eta": {"type": "number"},
-        "constant": {"anyOf": [{"type": "number"}, {"const": "inf"}]},
+        "constant": {"anyOf": [{"type": "number", "minimum": 0}, {"const": "inf"}]},
         "meta": {"type": "object"},
         "entries": {
             "type": "array",
@@ -194,7 +194,7 @@ FAMILY_SCHEMA = {
                     "base_anchor": _ANCHOR_SCHEMA,
                     "base_side": _SIDE_SCHEMA,
                     "depth": {"type": "integer", "minimum": 0},
-                    "coefficient": {"type": "number"},
+                    "coefficient": {"type": "number", "minimum": 0},
                     "flags": {"type": "array", "items": {"type": "string"}},
                     "witness": {
                         "type": "object",

@@ -12,11 +12,15 @@ containing it (a sliding max over anchors).
   window (f reads as zero there).  One body serves both dimensions.
 * ``_oscillation_sweep``: the oscillation, across the window cells of the
   cube P, of the transform of ``f`` minus the transform of ``f``
-  restricted to the dilate of P.  One body serves both dimensions too: per
-  side it cuts the anchors of each axis into runs and reads each block of
-  cubes, a product of runs, as strided views of the prefix table
-  (``RestrictedTransform.prefix_windows``), with no gather per query and no
-  copy of the table.
+  restricted to the dilate of P.  One body serves both dimensions too.
+  For real values, the corner cubes (those sticking out of the window on
+  every axis, most cubes of a large grid) come from one running max and
+  min per corner of the window (``_corner_oscillations``), shared by every
+  side.  Per side, every other cube, and for complex values every cube, is
+  read a block at a time: the anchors of each axis are cut into runs, and
+  each block, a product of runs, is a set of strided views of the prefix
+  table (``RestrictedTransform.prefix_windows``), with no gather per query
+  and no copy of the table.
 
 ``sharp_truncated`` is the only user of that table, so it alone holds
 memory quadratic in the cell count.  The sparse construction does not
@@ -166,30 +170,123 @@ def _window_oscillation(vals: np.ndarray, lo, hi) -> np.ndarray:
     return (big - small).reshape(lead)
 
 
+def _running(op, vals: np.ndarray, axis: int) -> None:
+    """``op.accumulate`` along ``axis``, in place, as one ``op`` per slab
+    across the other axes: numpy's accumulate runs one element at a time."""
+    vals = np.moveaxis(vals, axis, 0)
+    for i in range(1, len(vals)):
+        op(vals[i - 1, ...], vals[i, ...], out=vals[i, ...])
+
+
+def _corner_oscillations(rt: RestrictedTransform, outer: np.ndarray,
+                         shift: int) -> np.ndarray:
+    """Cell-wise max of the truncated oscillation over the corner cubes of
+    every side, the cubes that stick out of the window on every axis, for
+    real values.
+
+    Where a side-m cube sticks out low on an axis, its dilate's lower bound
+    clips to column 0 and its own cells are a prefix of the window; where
+    it sticks out high, the upper bound clips to column n and its cells
+    are a suffix.  Counted from that edge inward, its last own cell l and
+    its free bound column ``min(l + 1 + shift m, n)`` (from column n down
+    where it sticks out high) fix the cube.  So per corner of the window
+    (low or high on each axis), ``G = T f - box`` at every free column is
+    one table-shaped array for every side, and its running max and min
+    along the cell axes, from that corner inward, hold the oscillation of
+    every corner cube there: one gather per side.  The boxes are summed by
+    ``_corner_sums`` in ``_truncated``'s order, so the values are those of
+    the block path bit for bit.  ``G`` is built in even chunks of the first
+    axis' columns, at most ``_BLOCK_CELLS // 2`` cells each, since it and
+    its running max live together.
+    """
+    n, dim = rt.grid.cells_per_side, rt.grid.dim
+    osc = np.zeros(rt.grid.shape)
+    slab = n**dim * (n + 1) ** (dim - 1)    # cells per column of the first axis
+    chunks = -(-(n + 1) * slab // max(1, _BLOCK_CELLS // 2))
+    width = -(-(n + 1) // chunks)
+
+    def read(corner):
+        # cells first, as in the table, so that the sums and the running
+        # max and min go along whole rows of columns
+        cols, col_steps, counts = zip(*corner)
+        return rt.prefix_windows((0,) * dim, (0,) * dim, cols, col_steps, counts,
+                                 n).transpose(*range(dim, 2 * dim), *range(dim))
+
+    def along(v, d):
+        return v.reshape((1,) * d + (-1,) + (1,) * (dim - 1 - d))
+
+    cells = np.arange(n - 1)
+    for edges in itertools.product((False, True), repeat=dim):   # True: high
+        inward = tuple(slice(None, None, -1) if e else slice(None) for e in edges)
+        # per last own cell, the largest oscillation of a corner cube
+        best = np.zeros((len(cells),) * dim)
+        for k0 in range(0, n + 1, width):
+            free = [(k0, 1, min(width, n + 1 - k0))] + [(0, 1, n + 1)] * (dim - 1)
+            g = _corner_sums(read, [f if e else (0, 0, 1) for f, e in zip(free, edges)],
+                             [(n, 0, 1) if e else f for f, e in zip(free, edges)])
+            g = np.subtract(outer.reshape(outer.shape + (1,) * dim), g, out=g)[inward]
+            spread = g.copy()
+            for d in range(dim):
+                _running(np.maximum, spread, d)
+                _running(np.minimum, g, d)
+            np.subtract(spread, g, out=spread)
+            del g
+            for m in range(2, n + 1):
+                c = np.minimum(cells[:m - 1] + (1 + shift * m), n)
+                # the last cells whose first-axis column is in the chunk, a
+                # run: the columns rise with them (fall from n, if high)
+                i0, i1 = (np.searchsorted(c, (n - k0 - width, n - k0), side="right")
+                          if edges[0] else np.searchsorted(c, (k0, k0 + width)))
+                if i0 == i1:
+                    continue
+                cols = [n - c if e else c for e in edges]
+                cols[0] = cols[0][i0:i1] - k0
+                vals = spread[(along(cells[i0:i1], 0),
+                               *(along(cells[:m - 1], d) for d in range(1, dim)),
+                               *(along(col, d) for d, col in enumerate(cols)))]
+                at = best[(slice(i0, i1),) + (slice(m - 1),) * (dim - 1)]
+                np.maximum(at, vals, out=at)
+            del spread         # before the next chunk's two arrays come
+        # a corner cube covers the cells up to its last own cell on each axis
+        for d in range(dim):
+            _running(np.maximum, best[(slice(None),) * d + (slice(None, None, -1),)], d)
+        at = osc[inward][(slice(n - 1),) * dim]
+        np.maximum(at, best, out=at)
+    return osc
+
+
 def _oscillation_sweep(rt: RestrictedTransform, shift: int) -> np.ndarray:
     """Truncated-oscillation maximal function on the window.
 
     A side-m cube P anchored at a truncates the source to the window minus
     ``[a - shift m, a + (shift + 1) m)`` per axis, the dilate of P by
-    ``2 shift + 1``.  Per side, the anchors are a product of per-axis runs
-    (``_anchor_runs``), the runs of the first axis split so that no block
-    holds more than ``_BLOCK_CELLS`` cells; each block is read as strided
-    views of the table (``_truncated``).
+    ``2 shift + 1``.  For real values the corner cubes of every side come
+    first, from ``_corner_oscillations``.  Per side, the anchors are a
+    product of per-axis runs (``_anchor_runs``), the runs of the first axis
+    split so that no block holds more than ``_BLOCK_CELLS`` cells; each
+    block left, which for real values is every block with an anchor inside
+    the window on some axis, is read as strided views of the table
+    (``_truncated``).  A complex value set has no running diameter, so for
+    complex values the corner blocks are read too.
     """
     grid = rt.grid
     n, dim = grid.cells_per_side, grid.dim
     outer = rt.full()
-    osc = np.zeros(grid.shape)
+    real = outer.dtype.kind != "c"
+    osc = _corner_oscillations(rt, outer, shift) if real else np.zeros(grid.shape)
     for side in range(1, n + 1):
         a = np.arange(1 - side, n)
         # each anchor's own cells, counted from the first of its table rows
         # (its cells, or the side cells at the edge its cells stick out of)
         own_lo, own_hi = np.maximum(a - (n - side), 0), np.minimum(a, 0) + side
-        stat = np.empty((len(a),) * dim)
+        # skipped corner anchors keep 0, below every oscillation
+        stat = np.zeros((len(a),) * dim)
         runs = _anchor_runs(n, side, shift)
         per = max(1, _BLOCK_CELLS // (len(a) ** (dim - 1) * side**dim))
         split = [(b + c, min(per, k - c)) for b, k in runs for c in range(0, k, per)]
         for block in itertools.product(split, *[runs] * (dim - 1)):
+            if real and all(b + k <= 0 or b > n - side for b, k in block):
+                continue
             at = tuple(slice(b + side - 1, b + side - 1 + k) for b, k in block)
             stat[at] = _window_oscillation(_truncated(rt, outer, block, side, shift),
                                            [own_lo[i] for i in at],

@@ -250,6 +250,26 @@ def test_verify_rejects_malformed_family(tmp_path, capsys, case):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("mutate", [_replace(-1.0, "constant"),
+                                    _replace(-0.5, "entries", 0, "coefficient")],
+                         ids=["constant", "coefficient"])
+def test_verify_rejects_negative_family_numbers(tmp_path, capsys, mutate):
+    # a sparse bound has no negative constant or coefficient; such a family
+    # used to pass the reader and fail the domination check (exit 1)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+    doc = read_json(out / "family.json")
+    mutate(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", "--config", cfg, "--out", str(out),
+                     "--family", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_family_constant_may_be_infinite(tmp_path):
     cfg = write_config(tmp_path, grid={"dim": 1, "cells_per_side": 32})
     out = tmp_path / "out"

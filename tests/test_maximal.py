@@ -1,6 +1,8 @@
 """Cube-sweep maximal functions against brute-force and gather-based
 references."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -347,7 +349,9 @@ def reference_stat_2d(rt, t_full, m, alpha, n):
     return stat
 
 
-def reference_sharp(kernel, f, alpha):
+def reference_sharp(kernel, f, alpha, corners_only=False):
+    """The maximal function, or with ``corners_only`` its max over the
+    cubes that stick out of the window on every axis (0 elsewhere)."""
     grid = f.grid
     n = grid.cells_per_side
     rt = RestrictedTransform(kernel, f)
@@ -356,14 +360,40 @@ def reference_sharp(kernel, f, alpha):
     out = np.full(grid.shape, -np.inf)
     for m in range(1, n + 1):
         stat = stat_fn(rt, t_full, m, alpha, n)
+        if corners_only:
+            a = _anchor_range(n, m)
+            edge = (a < 0) | (a > n - m)
+            stat = np.where(edge if grid.dim == 1 else edge[:, None] & edge[None, :],
+                            stat, 0.0)
         np.maximum(out, _propagate_max(stat, m, grid), out=out)
     return out
+
+
+# inputs on a box against the window's first corner, which the corner
+# cubes there contain; even so, on these grids other cubes decide the
+# maximal function at most cells, so the corner pass is compared alone too
+CORNER_KINDS = ("corner", "corner-complex")
+
+
+def corner_input(grid, kind, seed):
+    g = rng(seed)
+    box = (slice(0, grid.cells_per_side // 4 + 1),) * grid.dim
+    vals = np.zeros(grid.shape, dtype=complex if kind == "corner-complex" else float)
+    vals[box] = g.normal(size=vals[box].shape)
+    if kind == "corner-complex":
+        vals[box] += 1j * g.normal(size=vals[box].shape)
+    return GridFunction(grid, vals)
 
 
 def assert_matches_reference(kernel, f, alpha):
     got = sharp_truncated(kernel, f, alpha=alpha).values
     want = reference_sharp(kernel, f, alpha)
     assert got.dtype == want.dtype and np.array_equal(got, want)
+    if not f.is_complex:
+        # the corner pass alone, which the maximal function may not show
+        rt = RestrictedTransform(kernel, f)
+        got = maximal._corner_oscillations(rt, rt.full(), (alpha - 1) // 2)
+        assert np.array_equal(got, reference_sharp(kernel, f, alpha, corners_only=True))
     for s in (1.0, 2.0):
         got = hl_maximal(f, s).values
         want = reference_hl(f, s)
@@ -371,12 +401,16 @@ def assert_matches_reference(kernel, f, alpha):
 
 
 @pytest.mark.parametrize("alpha", [1, 3, 5])
-@pytest.mark.parametrize("kind", INPUT_KINDS)
+@pytest.mark.parametrize("kind", INPUT_KINDS + CORNER_KINDS)
 @pytest.mark.parametrize("kernel", ["hilbert", "holder", "dini_stress", "zero"])
 def test_1d_maximal_functions_match_gather_reference(kernel, kind, alpha):
-    grid = Grid(1, 64)
-    assert_matches_reference(make_kernel(kernel, grid),
-                             make_input(grid, kind, seed=11), alpha)
+    if kind in CORNER_KINDS:
+        grid = Grid(1, 32)
+        f = corner_input(grid, kind, seed=11)
+    else:
+        grid = Grid(1, 64)
+        f = make_input(grid, kind, seed=11)
+    assert_matches_reference(make_kernel(kernel, grid), f, alpha)
 
 
 def test_1d_maximal_functions_match_gather_reference_at_256():
@@ -394,11 +428,15 @@ def test_1d_complex_maximal_functions_match_gather_reference():
 
 
 @pytest.mark.parametrize("alpha", [3, 5])
-@pytest.mark.parametrize("n", [8, 16])
-def test_2d_maximal_functions_match_gather_reference(n, alpha):
+@pytest.mark.parametrize("n,kind", [
+    pytest.param(8, "random", id="8"),
+    pytest.param(16, "random", id="16"),
+    *(pytest.param(8, kind, id=f"8-{kind}") for kind in CORNER_KINDS),
+])
+def test_2d_maximal_functions_match_gather_reference(n, kind, alpha):
     grid = Grid(2, n)
-    assert_matches_reference(make_kernel("riesz2d", grid),
-                             make_input(grid, "random", seed=7), alpha)
+    f = corner_input(grid, kind, seed=7) if kind in CORNER_KINDS else make_input(grid, kind, seed=7)
+    assert_matches_reference(make_kernel("riesz2d", grid), f, alpha)
 
 
 @pytest.mark.parametrize("grid,name", [(Grid(1, 32), "hilbert"), (Grid(2, 8), "riesz2d")])
@@ -408,6 +446,44 @@ def test_sweep_blocks_split_alike(monkeypatch, grid, name):
     want = sharp_truncated(k, f, alpha=3).values
     monkeypatch.setattr(maximal, "_BLOCK_CELLS", 1)
     assert np.array_equal(sharp_truncated(k, f, alpha=3).values, want)
+
+
+@pytest.mark.parametrize("grid,name", [(Grid(1, 32), "hilbert"), (Grid(2, 8), "riesz2d")])
+def test_corner_cubes_skip_the_block_path(monkeypatch, grid, name):
+    # a block of anchors that stick out of the window on every axis is read
+    # only for complex values, which have no running diameter
+    n = grid.cells_per_side
+    truncated, corner_blocks = maximal._truncated, []
+
+    def record(rt, outer, block, side, shift):
+        corner_blocks.append(all(b + k <= 0 or b > n - side for b, k in block))
+        return truncated(rt, outer, block, side, shift)
+
+    monkeypatch.setattr(maximal, "_truncated", record)
+    k, f = make_kernel(name, grid), make_input(grid, "random", seed=3)
+    sharp_truncated(k, f, alpha=3)
+    assert corner_blocks and not any(corner_blocks)
+    corner_blocks.clear()
+    sharp_truncated(k, GridFunction(grid, f.values * (1 + 1j)), alpha=3)
+    assert any(corner_blocks)
+
+
+@pytest.mark.parametrize("grid,name,bound", [
+    # reading every cube in blocks peaked at 1.21 MB and 24.8 MB; the corner
+    # pass may add two arrays of the table's n^d (n + 1)^d cells in 1D, and
+    # 1.2 MB in 2D, where the table is chunked
+    pytest.param(Grid(1, 256), "dini_stress", 1.21e6 + 2 * 256 * 257 * 8, id="1d-256"),
+    pytest.param(Grid(2, 32), "riesz2d", 26e6, id="2d-32"),
+])
+def test_sharp_truncated_memory_peak(grid, name, bound):
+    k, f = make_kernel(name, grid), make_input(grid, "spikes", seed=5)
+    tracemalloc.start()
+    try:
+        sharp_truncated(k, f, alpha=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 def test_2d_complex_maximal_functions_match_gather_reference():
