@@ -41,7 +41,8 @@ from .errors import (
 )
 from .grid import CellSet, Cube, Grid, GridFunction
 from .inputs import INPUT_KINDS, default_support, load_input, make_input
-from .operators import Kernel, dini_profile, hormander_constant, make_kernel
+from .operators import (Kernel, _refuse_beyond_memory, dini_profile,
+                        hormander_constant, make_kernel)
 from .sparse import (
     PipelineConfig,
     SparseEntry,
@@ -361,13 +362,15 @@ def family_from_dict(d: dict) -> SparseFamily:
         raise ConfigError(f"family eta must be finite and constant not NaN, got "
                           f"{d['eta']} and {d['constant']}")
     grid = _grid_from(d)
+    boxes = [_cube_from(e["witness"], grid) for e in d["entries"]]
+    _refuse_beyond_memory(f"the witness masks of {len(boxes)} entries",
+                          sum(box.cell_count for box in boxes))
     entries = []
-    for i, e in enumerate(d["entries"]):
+    for i, (e, box) in enumerate(zip(d["entries"], boxes)):
         if not math.isfinite(e["coefficient"]):
             raise ConfigError(
                 f"entry {i}: coefficient must be finite, got {e['coefficient']}")
         w = e["witness"]
-        box = _cube_from(w, grid)
         flat = _witness_mask(w["runs"], box.cell_count, f"entry {i}")
         witness = CellSet(grid, box, flat.reshape((box.side,) * grid.dim))
         if witness.count != w["count"]:

@@ -177,6 +177,14 @@ def dyadic_children(cube: Cube) -> list[Cube]:
             for off in itertools.product((0, half), repeat=cube.dim)]
 
 
+def _box_slices(clip, origin=None) -> tuple[slice, ...]:
+    """Slices that pick the integer bounds ``clip`` out of an array whose
+    entry 0 sits at cell ``origin`` (the window's, 0 on every axis, by
+    default)."""
+    origin = origin or (0,) * len(clip)
+    return tuple(slice(lo - a, hi - a) for (lo, hi), a in zip(clip, origin))
+
+
 # ---------------------------------------------------------------------------
 # summed-area tables
 
@@ -298,9 +306,6 @@ class CellSet:
 
     @classmethod
     def from_window_mask(cls, grid: Grid, mask: np.ndarray) -> "CellSet":
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != grid.shape:
-            raise ParameterError("window mask shape does not match grid")
         return cls(grid, grid.window_cube(), mask)
 
     @classmethod
@@ -309,10 +314,8 @@ class CellSet:
         out = cls.from_cube(grid, cube)
         for hole in holes:
             clip = cube.clip(hole)
-            if clip is None:
-                continue
-            sl = tuple(slice(lo - a, hi - a) for (lo, hi), a in zip(clip, cube.anchor))
-            out.mask[sl] = False
+            if clip is not None:
+                out.mask[_box_slices(clip, cube.anchor)] = False
         return out
 
     # -- measure and queries ------------------------------------------
@@ -330,25 +333,25 @@ class CellSet:
     def count_in(self, cube: Cube) -> int:
         """Number of member cells inside ``cube`` (exact integer)."""
         clip = self.box.clip(cube)
-        if clip is None:
-            return 0
-        sl = tuple(slice(lo - a, hi - a) for (lo, hi), a in zip(clip, self.box.anchor))
-        return int(self.mask[sl].sum())
+        return 0 if clip is None else int(
+            self.mask[_box_slices(clip, self.box.anchor)].sum())
 
     def window_mask(self) -> np.ndarray:
         """Membership restricted to the window, as a window-shaped array."""
         out = np.zeros(self.grid.shape, dtype=bool)
         clip = self.box.window_clip(self.grid)
-        if clip is None:
-            return out
-        src = tuple(slice(lo - a, hi - a) for (lo, hi), a in zip(clip, self.box.anchor))
-        dst = tuple(slice(lo, hi) for (lo, hi) in clip)
-        out[dst] = self.mask[src]
+        if clip is not None:
+            out[_box_slices(clip)] = self.mask[_box_slices(clip, self.box.anchor)]
         return out
 
     def window_cells(self) -> np.ndarray:
-        """Integer coordinates of member cells inside the window, shape (k, dim)."""
-        return np.argwhere(self.window_mask())
+        """Integer coordinates of member cells inside the window, shape (k, dim),
+        row-major."""
+        clip = self.box.window_clip(self.grid)
+        if clip is None:
+            return np.zeros((0, self.grid.dim), dtype=np.intp)
+        return (np.argwhere(self.mask[_box_slices(clip, self.box.anchor)])
+                + [lo for lo, _ in clip])
 
     def member_cells(self) -> np.ndarray:
         """Integer coordinates of all member cells (window or not), shape (k, dim)."""
@@ -360,11 +363,9 @@ class CellSet:
 
     def intersects(self, other: "CellSet") -> bool:
         clip = self.box.clip(other.box)
-        if clip is None:
-            return False
-        sl_a = tuple(slice(lo - a, hi - a) for (lo, hi), a in zip(clip, self.box.anchor))
-        sl_b = tuple(slice(lo - a, hi - a) for (lo, hi), a in zip(clip, other.box.anchor))
-        return bool(np.any(self.mask[sl_a] & other.mask[sl_b]))
+        return clip is not None and bool(np.any(
+            self.mask[_box_slices(clip, self.box.anchor)]
+            & other.mask[_box_slices(clip, other.box.anchor)]))
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +387,7 @@ def cube_integral(f: GridFunction, cube: Cube, p: float = 1.0) -> float:
     clip = cube.window_clip(f.grid)
     if clip is None:
         return 0.0
-    cells = f.values[tuple(slice(lo, hi) for lo, hi in clip)]
+    cells = f.values[_box_slices(clip)]
     return float(np.sum(np.abs(cells) ** p)) * f.grid.cell_measure
 
 
@@ -449,7 +450,7 @@ def orlicz_avg(f: GridFunction, cube: Cube, phi: YoungFunction,
     ``max(1, max|f| on the cube)`` and doubles until feasible.
     """
     clip = cube.window_clip(f.grid)
-    vals = np.abs(f.values[tuple(slice(lo, hi) for lo, hi in clip)]).ravel() if clip else np.array([])
+    vals = np.abs(f.values[_box_slices(clip)]).ravel() if clip else np.array([])
     vals = vals[vals > 0]
     if vals.size == 0:
         return 0.0

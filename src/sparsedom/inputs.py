@@ -14,7 +14,7 @@ import json
 import numpy as np
 
 from .errors import DegenerateInputError, ParameterError
-from .grid import Cube, Grid, GridFunction
+from .grid import Cube, Grid, GridFunction, _box_slices
 
 __all__ = ["INPUT_KINDS", "default_support", "make_input", "load_input"]
 
@@ -35,7 +35,7 @@ def _support_slices(grid: Grid, support: Cube):
     clip = support.window_clip(grid)
     if clip is None:
         raise ParameterError(f"support {support} has no window cells")
-    return tuple(slice(lo, hi) for lo, hi in clip)
+    return _box_slices(clip)
 
 
 def make_input(grid: Grid, kind: str = "random", seed: int = 0,

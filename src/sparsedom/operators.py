@@ -17,7 +17,8 @@ skipped.  Three evaluators share the kernel sampling below:
   cells that decide its report through the same ``_restricted_sums``.
 * ``LatticeTransform`` serves the sparse construction of
   :mod:`sparsedom.sparse` for every kernel.  Its one method,
-  ``dilate_transforms``, gives ``T(f char_{P+})`` on the cells of every
+  ``dilate_transforms(start, count, side)``, gives ``T(f char_{P+})``, P+
+  the dilate by the ``alpha`` it is built with, on the cells of every
   cube P of a block of congruent cubes: by one batched FFT against a
   segment of the difference lattice (below) where the kernel has one, and
   by direct sums through ``_restricted_sums``, cube by cube, where it has
@@ -56,7 +57,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericError, ParameterError
-from .grid import CellSet, Cube, Grid, GridFunction, _corner_sums, dilate
+from .grid import CellSet, Cube, Grid, GridFunction, _box_slices, _corner_sums, dilate
 
 __all__ = [
     "Kernel",
@@ -384,28 +385,24 @@ def _lattice_run_bytes(grid: Grid, alpha: int, max_side: int,
 # ---------------------------------------------------------------------------
 # transforms of f restricted to dilated cubes
 
-def _box_cells(clip) -> np.ndarray:
-    """The cells of a box of per-axis bounds, shape (k, dim), row-major."""
-    return (np.argwhere(np.ones([hi - lo for lo, hi in clip], dtype=bool))
-            + [lo for lo, _ in clip])
-
-
 class LatticeTransform:
     """Transforms of one function restricted to dilated cubes, the sparse
     construction's transform for every kernel.
 
     ``dilate_transforms`` gives ``T(f char_{P+})`` on the cells of every
-    cube P of a block of congruent cubes.  With a difference lattice: on P
-    the offsets to P+ satisfy ``|k| <= (shift + 1) side - 1`` per axis, so
-    one batched FFT of ``(2 shift + 2) side`` points per axis, circular but
-    exact on P, convolves a kernel segment with each cube's own source, a
-    strided window of the zero-padded f.  Offsets past ``n - 1`` pair
-    window cells only with cells outside the window, where f vanishes, and
-    are left out.  The lattice is sampled once, each (side, shift) gets one
-    cached segment spectrum, and the values agree with the prefix table to
-    rounding.  Without a lattice each cube is summed directly by
-    ``_restricted_sums``, from P's window cells to P+'s: bit for bit
-    ``apply_restricted(kernel, f, targets=P, source=P+)``.
+    cube P of a block of congruent cubes, with P+ the ``alpha`` dilate of P
+    for the ``alpha`` the transform is built with.  With a difference
+    lattice: on P the offsets to P+ satisfy ``|k| <= (shift + 1) side - 1``
+    per axis, ``shift = (alpha - 1) / 2``, so one batched FFT of ``(alpha +
+    1) side`` points per axis, circular but exact on P, convolves a kernel
+    segment with each cube's own source, a strided window of the
+    zero-padded f.  Offsets past ``n - 1`` pair window cells only with
+    cells outside the window, where f vanishes, and are left out.  The
+    lattice is sampled once, each side gets one cached segment spectrum,
+    and the values agree with the prefix table to rounding.  Without a
+    lattice each cube is summed directly by ``_restricted_sums``, from P's
+    window cells to P+'s: bit for bit ``apply_restricted(kernel, f,
+    targets=P, source=P+)``.
 
     f is padded once for the cubes of side at most ``max_side`` that meet
     the window; a call beyond them raises ParameterError.  Memory is linear
@@ -430,93 +427,93 @@ class LatticeTransform:
             _check_lattice_finite(kernel, grid, lat)
         self.kernel = kernel
         self.grid = grid
+        self.alpha = alpha
+        self._shift = (alpha - 1) // 2
         self._values = f.values
         self._lat = lat
-        self._spectra: dict[tuple[int, int], np.ndarray] = {}
+        self._spectra: dict[int, np.ndarray] = {}
         self._fft, self._ifft = ((np.fft.fftn, np.fft.ifftn) if f.is_complex
                                  else (np.fft.rfftn, np.fft.irfftn))
         # a cube meeting the window starts at most max_side - 1 cells
         # before it, and its source reaches shift sides further
-        self._pad = (alpha + 1) // 2 * max_side
+        self._pad = (self._shift + 1) * max_side
         self._padded = np.pad(f.values, self._pad)
 
-    def _spectrum(self, side: int, shift: int) -> np.ndarray:
+    def _spectrum(self, side: int) -> np.ndarray:
         """Spectrum of the kernel segment ``K(k h) h**dim``, ``|k| <=
-        (shift + 1) side - 1``, laid out circularly on ``(2 shift + 2)
-        side`` points per axis."""
-        spec = self._spectra.get((side, shift))
+        (shift + 1) side - 1``, laid out circularly on ``(alpha + 1) side``
+        points per axis."""
+        spec = self._spectra.get(side)
         if spec is None:
             grid = self.grid
             n, dim = grid.cells_per_side, grid.dim
-            size = (2 * shift + 2) * side
-            k = np.arange(-min((shift + 1) * side, n) + 1, min((shift + 1) * side, n))
+            reach = min((self._shift + 1) * side, n)
+            size = (self.alpha + 1) * side
+            k = np.arange(1 - reach, reach)
             seg = np.zeros((size,) * dim)
             seg[np.ix_(*[k % size] * dim)] = self._lat[np.ix_(*[k + n - 1] * dim)]
             seg *= grid.cell_measure
             spec = self._fft(seg, seg.shape, tuple(range(dim)))
-            self._spectra[side, shift] = spec
+            self._spectra[side] = spec
         return spec
 
-    def dilate_transforms(self, anchor, first, count, side: int,
-                          shift: int) -> np.ndarray:
+    def dilate_transforms(self, start, count, side: int) -> np.ndarray:
         """``T(f char_{P+})`` on the window cells of every cube P of a block.
 
-        The cubes have side ``side`` and anchors ``anchor[d] + side
-        (first[d] + k)`` for ``k < count[d]`` on every axis, so they tile a
-        box; P+ is P dilated by ``2 shift + 1``.  Returns the box's window
-        cells, as a box-shaped array in window order, each holding the
-        transform of its own cube's dilate.
+        The cubes have side ``side`` and anchors ``start[d] + side k`` for
+        ``k < count[d]`` on every axis, so they tile a box; P+ is P dilated
+        by ``alpha``.  Returns the box's window cells, as a box-shaped array
+        in window order, each holding the transform of its own cube's
+        dilate.
         """
         n, dim = self.grid.cells_per_side, self.grid.dim
-        width = (2 * shift + 1) * side
-        size = width + side
-        box = [a + side * b for a, b in zip(anchor, first)]
+        shift = self._shift
+        width = self.alpha * side
         # each cube's source window starts shift sides before it
         need = max(max(shift * side - lo, lo + side * c + shift * side - n)
-                   for lo, c in zip(box, count))
+                   for lo, c in zip(start, count))
         if need > self._pad:
             raise ParameterError(
-                f"cubes of side {side} at {box} reach past the padding of "
-                f"{self._pad} cells this transform was built for")
+                f"cubes of side {side} at {list(start)} reach past the padding "
+                f"of {self._pad} cells this transform was built for")
+        clip = [(max(lo, 0), min(lo + side * c, n)) for lo, c in zip(start, count)]
         if self._lat is None:
-            return self._direct_transforms(box, count, side, shift)
+            return self._direct_transforms(start, count, side, clip)
         # every cube's source window, strided from the padded f, no copy
         pf = self._padded
         src = np.ndarray(tuple(count) + (width,) * dim, pf.dtype, buffer=pf,
                          offset=sum((lo - shift * side + self._pad) * st
-                                    for lo, st in zip(box, pf.strides)),
+                                    for lo, st in zip(start, pf.strides)),
                          strides=tuple(side * st for st in pf.strides) + pf.strides)
         axes = tuple(range(dim, 2 * dim))
-        shape = (size,) * dim
+        shape = (width + side,) * dim
         spec = self._fft(src, shape, axes)
-        spec *= self._spectrum(side, shift)
+        spec *= self._spectrum(side)
         out = self._ifft(spec, shape, axes)
         # the circular convolution is exact on the cube's own cells
         out = out[(Ellipsis,) + (slice(shift * side, (shift + 1) * side),) * dim]
         if dim > 1:
             out = out.transpose([i for d in range(dim) for i in (d, dim + d)])
         out = out.reshape([c * side for c in count])
-        return out[tuple(slice(max(-lo, 0), min(c * side, n - lo))
-                         for lo, c in zip(box, count))]
+        return out[_box_slices(clip, start)]
 
-    def _direct_transforms(self, box, count, side: int, shift: int) -> np.ndarray:
-        """``dilate_transforms`` without a lattice: each cube of the block
-        summed from its window cells to its dilate's, in the cell order of
-        ``CellSet.window_cells``."""
+    def _direct_transforms(self, start, count, side: int, clip) -> np.ndarray:
+        """``dilate_transforms`` without a lattice, onto the block's window
+        ``clip``: each cube of the block summed from its window cells to
+        its dilate's, in the cell order of ``CellSet.window_cells``."""
         grid = self.grid
-        lows = [max(lo, 0) for lo in box]
-        out = np.zeros([min(lo + side * c, grid.cells_per_side) - at
-                        for lo, c, at in zip(box, count, lows)],
+        out = np.zeros([hi - lo for lo, hi in clip],
                        dtype=np.result_type(self._values, np.float64))
         for k in itertools.product(*map(range, count)):
-            cube = Cube(tuple(lo + side * i for lo, i in zip(box, k)), side)
-            clip = cube.window_clip(grid)
-            if clip is not None:
-                src = _box_cells(dilate(cube, 2 * shift + 1).window_clip(grid))
-                sums = _restricted_sums(self.kernel, grid, _box_cells(clip), src,
-                                        self._values[tuple(src.T)])
-                sl = tuple(slice(lo - at, hi - at) for (lo, hi), at in zip(clip, lows))
-                out[sl] = sums.reshape([hi - lo for lo, hi in clip])
+            cube = Cube(tuple(lo + side * i for lo, i in zip(start, k)), side)
+            cells = cube.window_clip(grid)
+            if cells is not None:
+                src = CellSet.from_cube(grid, dilate(cube, self.alpha)).window_cells()
+                sums = _restricted_sums(self.kernel, grid,
+                                        CellSet.from_cube(grid, cube).window_cells(),
+                                        src, self._values[tuple(src.T)])
+                out[_box_slices(cells, [lo for lo, _ in clip])] = sums.reshape(
+                    [hi - lo for lo, hi in cells])
         return out
 
 
@@ -734,6 +731,8 @@ def hormander_constant(kernel: Kernel, r: float, grid: Grid, k_max: int = 16,
     """
     if not (r >= 1):
         raise ParameterError(f"exponent r must be >= 1, got {r}")
+    if kernel.dim != grid.dim:
+        raise ParameterError(f"kernel dim {kernel.dim} != grid dim {grid.dim}")
     n = grid.cells_per_side
     sides = [s for s in (4 << i for i in range(32)) if s <= max(4, n // 4)]
     best_total = 0.0

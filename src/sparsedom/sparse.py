@@ -17,10 +17,10 @@ differences of the prefix table ``GridFunction.power_sat``: they only cut
 the exceptional set, while every coefficient is an :func:`avg_p`, a
 direct sum.
 
-The transforms come from one ``dilate_transforms`` call of
-:class:`~sparsedom.operators.LatticeTransform` for the node and one per
-level, with memory linear in the cell count for every kernel.  For a
-kernel with a difference lattice (every catalog kernel: those that
+The transforms come from one ``dilate_transforms(start, count, side)``
+call of :class:`~sparsedom.operators.LatticeTransform` for the node and
+one per level, with memory linear in the cell count for every kernel.
+For a kernel with a difference lattice (every catalog kernel: those that
 declare translation invariance) a call is one batched FFT, O(m log m) per
 level in 1D; for any other kernel it sums each cube of the level directly.
 
@@ -30,7 +30,9 @@ exceptional set provably occupies at most ``1 / 2**(dim+2)`` of Q's cells;
 in fixed mode the caller supplies threshold ratios and violations are
 flagged but not fatal.  A dyadic stopping time covers the exceptional set
 by subcubes carrying at most half their measure of it; the node keeps the
-complement as its witness and recurses into the subcubes.
+complement as its witness and recurses into the subcubes.  The exceptional
+set and the witness are cell sets boxed by the node cube, so a node's
+bookkeeping costs O(m**dim) cells, not a window-shaped array.
 
 Every coefficient is read from the transforms the nodes already hold, in
 units of the node average: a node's is the largest ``|T(f char_{Q+})|``
@@ -65,6 +67,7 @@ from .grid import (
     Cube,
     Grid,
     GridFunction,
+    _box_slices,
     _sat_box_sums,
     avg_p,
     dilate,
@@ -105,7 +108,6 @@ class PipelineConfig:
     c_fixed: float | None = None
     a_fixed: float | None = None
     max_depth: int | None = None
-    support: Cube | None = None
 
     def __post_init__(self) -> None:
         if self.alpha < 3 or self.alpha % 2 == 0:
@@ -236,8 +238,7 @@ def _levels(side: int):
         yield side
 
 
-def _node_stats(rt: LatticeTransform, f: GridFunction,
-                cube: Cube, qs: Cube, s: float):
+def _node_stats(rt: LatticeTransform, f: GridFunction, cube: Cube, s: float):
     """On the node's window cells, box-shaped: T(f char_{Q+}) (signed) and
     the two dyadic maximal functions of f char_{Q+}.
 
@@ -252,21 +253,22 @@ def _node_stats(rt: LatticeTransform, f: GridFunction,
     """
     grid = f.grid
     n, dim = grid.cells_per_side, grid.dim
-    alpha = qs.side // cube.side
+    alpha = rt.alpha
     shift = (alpha - 1) // 2
     clip = cube.window_clip(grid)
-    t_on = rt.dilate_transforms(cube.anchor, (0,) * dim, (1,) * dim,
-                                cube.side, shift)
+    t_on = rt.dilate_transforms(cube.anchor, (1,) * dim, cube.side)
     sat = f.power_sat(s)
     ms = np.zeros(t_on.shape)
     osc = np.zeros(t_on.shape)
     for p in _levels(cube.side):
-        # per axis: where each level cube's run of window cells starts, its
-        # length, and the bounds of its dilate, shaped to broadcast
-        starts, counts, lo, hi = [], [], [], []
+        # per axis: the anchor of the first level cube meeting the window,
+        # where each level cube's run of window cells starts, its length,
+        # and the bounds of its dilate, shaped to broadcast
+        start, starts, counts, lo, hi = [], [], [], [], []
         for d, ((c_lo, c_hi), a) in enumerate(zip(clip, cube.anchor)):
             idx = (np.arange(c_lo, c_hi) - a) // p
             first = np.flatnonzero(np.diff(idx, prepend=idx[0] - 1))
+            start.append(a + int(idx[0]) * p)
             starts.append(first)
             counts.append(np.diff(first, append=idx.size))
             plo = a + (idx[first] - shift) * p
@@ -280,9 +282,7 @@ def _node_stats(rt: LatticeTransform, f: GridFunction,
                 / (alpha * p * grid.cell_width) ** dim) ** (1.0 / s)
         np.maximum(ms, _repeat(avgs, counts), out=ms)
 
-        trunc = t_on - rt.dilate_transforms(
-            cube.anchor, [(c_lo - a) // p for (c_lo, _), a in zip(clip, cube.anchor)],
-            [len(b) for b in starts], p, shift)
+        trunc = t_on - rt.dilate_transforms(start, [len(b) for b in starts], p)
         if np.iscomplexobj(trunc):
             bounds = [list(zip(b, np.append(b[1:], trunc.shape[d])))
                       for d, b in enumerate(starts)]
@@ -334,24 +334,18 @@ def _exceptional(rt: LatticeTransform, f: GridFunction,
     only cut the exceptional set; no coefficient is read from them.
     """
     grid = f.grid
-    qs = dilate(cube, cfg.alpha)
-    avg = avg_p(f, qs, cfg.s)
-    flags: list[str] = []
+    avg = avg_p(f, dilate(cube, cfg.alpha), cfg.s)
+    allowed = cube.cell_count // (3 * 2 ** (grid.dim + 2))
+    omega = CellSet.empty(grid, cube)
     clip = cube.window_clip(grid)
-    if clip is None or avg == 0.0:
-        if avg == 0.0:
-            flags.append("zero_average")
-        if clip is None:
-            flags.append("outside_window")
-        return ExceptionalSet(cube, CellSet.empty(grid), avg,
-                              0.0, 0.0, 0.0, 0.0,
-                              cube.cell_count // (3 * 2 ** (grid.dim + 2)),
+    flags = [name for name, skip in (("zero_average", avg == 0.0),
+                                     ("outside_window", clip is None)) if skip]
+    if flags:
+        return ExceptionalSet(cube, omega, avg, 0.0, 0.0, 0.0, 0.0, allowed,
                               (0, 0, 0), tuple(flags), None)
 
-    outer, ms_vals, osc_vals = _node_stats(rt, f, cube, qs, cfg.s)
-    sl = tuple(slice(lo, hi) for lo, hi in clip)
+    outer, ms_vals, osc_vals = _node_stats(rt, f, cube, cfg.s)
     t_vals = np.abs(outer).ravel()
-    allowed = cube.cell_count // (3 * 2 ** (grid.dim + 2))
     if cfg.mode == "quantile":
         tau_t = _order_threshold(t_vals, allowed)
         tau_ms = _order_threshold(ms_vals, allowed)
@@ -367,11 +361,10 @@ def _exceptional(rt: LatticeTransform, f: GridFunction,
     if cfg.mode == "fixed" and int(union.sum()) * 2 ** (grid.dim + 2) > cube.cell_count:
         flags.append("measure_violation")
 
-    omega_mask = np.zeros(grid.shape, dtype=bool)
-    omega_mask[sl] = union.reshape(outer.shape)
+    omega.mask[_box_slices(clip, cube.anchor)] = union.reshape(outer.shape)
     return ExceptionalSet(
         cube=cube,
-        omega=CellSet.from_window_mask(grid, omega_mask),
+        omega=omega,
         avg=avg,
         tau_t=tau_t,
         tau_ms=tau_ms,
@@ -422,12 +415,10 @@ def _stopping_time(grid: Grid, cube: Cube, omega: CellSet,
                 raise AlignmentError(
                     f"cube side {q.side} is odd; cannot run the dyadic stopping time")
             flags.append("odd_leaf")
-            clip = q.window_clip(grid)
+            clip = q.clip(omega.box)
             if clip is not None:
-                sl = tuple(slice(lo, hi) for lo, hi in clip)
-                cells = np.argwhere(omega.window_mask()[sl]) + [lo for lo, _ in clip]
-                for cell in cells:
-                    selected.append(Cube(tuple(int(v) for v in cell), 1))
+                cells = np.argwhere(omega.mask[_box_slices(clip, omega.box.anchor)])
+                selected.extend(Cube(tuple(c), 1) for c in cells + [lo for lo, _ in clip])
             return
         if is_root and _density_exceeds(count, q, grid.dim, lam):
             flags.append("density_violation")
@@ -503,13 +494,12 @@ def _build_node(rt: LatticeTransform, f: GridFunction,
     if cfg.mode == "quantile":
         _check_invariants(q, exc.omega.count, children, witness, grid.dim)
 
-    in_witness = witness.window_mask()
-    if (in_witness & exc.omega.window_mask()).any():
+    if witness.intersects(exc.omega):
         flags.append("witness_overlaps_exceptional")
     a_eff = 0.0
     if exc.transform is not None:
         clip = q.window_clip(grid)
-        in_witness = in_witness[tuple(slice(lo, hi) for lo, hi in clip)]
+        in_witness = witness.mask[_box_slices(clip, q.anchor)]
         if in_witness.any():
             a_eff = float(np.abs(exc.transform[in_witness]).max()) / exc.avg
 
@@ -527,8 +517,7 @@ def _build_node(rt: LatticeTransform, f: GridFunction,
     # with children has its transform
     for child in children:
         inner = _build_node(rt, f, child, depth + 1, cfg, entries, records)
-        sl = tuple(slice(lo - q_lo, hi - q_lo) for (lo, hi), (q_lo, _)
-                   in zip(child.window_clip(grid), clip))
+        sl = _box_slices(child.window_clip(grid), [lo for lo, _ in clip])
         resid = exc.transform[sl] if inner is None else exc.transform[sl] - inner
         record.edges.append({"child": child,
                              "coefficient": float(np.abs(resid).max()) / exc.avg})
@@ -614,7 +603,7 @@ def build_sparse_domination(kernel: Kernel, f: GridFunction,
     if kernel.dim != grid.dim:
         raise ParameterError(f"kernel dim {kernel.dim} != grid dim {grid.dim}")
     eta = 1.0 / (2.0 * cfg.alpha**grid.dim)
-    supp = cfg.support if cfg.support is not None else support_box(f)
+    supp = support_box(f)
     if supp is None:
         window = grid.window_cube()
         entry = SparseEntry(cube=dilate(window, cfg.alpha),

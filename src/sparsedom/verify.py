@@ -21,13 +21,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError, ParameterError, UndefinedRatioError
-from .grid import CellSet, Cube, Grid, GridFunction, avg_p
+from .grid import CellSet, Cube, Grid, GridFunction, _box_slices, avg_p
 from .maximal import hl_maximal, sharp_truncated
 from .operators import (
     _SUM_GROUP,
     Kernel,
     _check_lattice_finite,
     _offset_lattice,
+    _refuse_beyond_memory,
     _restricted_sums,
     _stratified_indices,
     apply_restricted,
@@ -109,12 +110,14 @@ class ProbeResult:
 
 
 def check_sparsity(family: SparseFamily, eta: float | None = None) -> SparsityReport:
-    """Witness disjointness and witness-to-cube measure ratios.
+    """Witness disjointness, containment and witness-to-cube measure ratios.
 
     Paints every witness cell (window or not) onto one integer canvas;
-    any cell painted twice breaks disjointness.  Each witness must hold at
-    least ``eta`` (default: the family's declared value) of its dilated
-    cube's full geometric cell count.
+    any cell painted twice breaks disjointness.  Each witness must lie in
+    its dilated cube and hold at least ``eta`` (default: the family's
+    declared value) of the cube's full geometric cell count.  A canvas
+    larger than physical memory raises ParameterError before it is
+    allocated.
     """
     eta = family.eta if eta is None else eta
     entries = family.entries
@@ -124,25 +127,29 @@ def check_sparsity(family: SparseFamily, eta: float | None = None) -> SparsityRe
     los = [min(e.witness.box.anchor[d] for e in entries) for d in range(dim)]
     his = [max(e.witness.box.anchor[d] + e.witness.box.side for e in entries)
            for d in range(dim)]
-    canvas = np.zeros([h - l for h, l in zip(his, los)], dtype=np.int32)
+    shape = [h - l for h, l in zip(his, los)]
+    _refuse_beyond_memory(f"the sparsity canvas of {shape} cells",
+                          4 * math.prod(shape))
+    canvas = np.zeros(shape, dtype=np.int32)
     failures = []
     min_ratio = math.inf
     for i, e in enumerate(entries):
-        b = e.witness.box
-        sl = tuple(slice(b.anchor[d] - los[d], b.anchor[d] - los[d] + b.side)
-                   for d in range(dim))
-        canvas[sl] += e.witness.mask
+        canvas[_box_slices(e.witness.box.bounds(), los)] += e.witness.mask
         ratio = e.witness.count / e.cube.cell_count
         min_ratio = min(min_ratio, ratio)
         if ratio < eta - 1e-12:
             failures.append({"entry": i, "kind": "ratio", "ratio": ratio})
+        if not (e.cube.contains(e.witness.box)
+                or e.witness.count_in(e.cube) == e.witness.count):
+            failures.append({"entry": i, "kind": "outside_cube"})
     max_overlap = int(canvas.max())
     if max_overlap > 1:
         spot = np.argwhere(canvas == max_overlap)[0]
         failures.append({"kind": "overlap",
                          "cell": [int(v + l) for v, l in zip(spot, los)],
                          "count": max_overlap})
-    passed = max_overlap <= 1 and min_ratio >= eta - 1e-12
+    passed = (max_overlap <= 1 and min_ratio >= eta - 1e-12
+              and all(f["kind"] != "outside_cube" for f in failures))
     return SparsityReport(passed, eta, float(min_ratio), max_overlap,
                           len(entries), failures)
 
@@ -151,10 +158,8 @@ def _paint_coefficients(family: SparseFamily, coeffs) -> np.ndarray:
     out = np.zeros(family.grid.shape)
     for e, c in zip(family.entries, coeffs):
         clip = e.cube.window_clip(family.grid)
-        if clip is None:
-            continue
-        sl = tuple(slice(lo, hi) for lo, hi in clip)
-        out[sl] += c
+        if clip is not None:
+            out[_box_slices(clip)] += c
     return out
 
 
@@ -358,7 +363,7 @@ def wq_profile(kernel: Kernel, f: GridFunction, cube: Cube, q: float = 1.0,
         return {"lambdas": list(lambdas), "psi": [0.0] * len(lambdas),
                 "avg": avg, "degenerate": True}
     tf = apply_restricted(kernel, f, targets=cube, source=cube)
-    tvals = np.abs(tf.values[tuple(slice(lo, hi) for lo, hi in clip)]).ravel()
+    tvals = np.abs(tf.values[_box_slices(clip)]).ravel()
     svals = np.sort(tvals)[::-1]
     psi = []
     for lam in lambdas:
@@ -382,6 +387,8 @@ def t1_testing_probe(kernel: Kernel, grid: Grid, cube: Cube | None = None,
     all indicator columns at once.  Sampling uses a counter-based
     generator, so one seed always yields one answer.
     """
+    if kernel.dim != grid.dim:
+        raise ParameterError(f"kernel dim {kernel.dim} != grid dim {grid.dim}")
     cube = cube if cube is not None else grid.window_cube()
     base = CellSet.from_cube(grid, cube).window_mask()
     if not base.any():

@@ -24,7 +24,7 @@ from sparsedom import (
     make_kernel,
 )
 import sparsedom
-from sparsedom import cli, sparse
+from sparsedom import cli, operators, sparse
 from sparsedom.errors import ConfigError
 from sparsedom.grid import dyadic_children
 from sparsedom.inputs import make_input
@@ -270,6 +270,45 @@ def test_verify_rejects_negative_family_numbers(tmp_path, capsys, mutate):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def _verify_edited_family(tmp_path, mutate):
+    """Exit code of ``verify --family`` on a 1D hilbert N = 64 run's family
+    after ``mutate`` edits its document."""
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+    doc = read_json(out / "family.json")
+    mutate(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    return cli.main(["verify", "--config", cfg, "--out", str(out),
+                     "--family", str(bad)])
+
+
+def test_verify_fails_a_witness_outside_its_cube(tmp_path, capsys):
+    # the last witness, moved far off its cube with its count kept, used to
+    # pass every check
+    def move(doc):
+        assert doc["entries"][-1]["witness"]["anchor"] == [48]
+        doc["entries"][-1]["witness"]["anchor"] = [10**6]
+
+    assert _verify_edited_family(tmp_path, move) == 1
+    assert "sparsity:   FAIL" in capsys.readouterr().out
+    report = read_json(tmp_path / "out" / "verify_report.json")
+    assert [f["kind"] for f in report["sparsity"]["failures"]] == ["outside_cube"]
+
+
+@pytest.mark.parametrize("mutate", [_replace(10**12, "entries", 0, "witness", "side"),
+                                    _replace([10**12], "entries", -1, "witness", "anchor")],
+                         ids=["witness_side", "witness_anchor"])
+def test_verify_refuses_oversize_family_boxes(tmp_path, capsys, monkeypatch, mutate):
+    # a huge witness box (the reader's masks) or a far one (the sparsity
+    # canvas) used to end in a MemoryError traceback
+    monkeypatch.setattr(operators, "_physical_memory", lambda: 2**34)
+    assert _verify_edited_family(tmp_path, mutate) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "GiB" in err and "Traceback" not in err
+
+
 def test_family_constant_may_be_infinite(tmp_path):
     cfg = write_config(tmp_path, grid={"dim": 1, "cells_per_side": 32})
     out = tmp_path / "out"
@@ -434,6 +473,18 @@ def test_kernel_stats_without_modulus(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert cli.main(["kernel-stats", "--config", cfg, "--out", str(out)]) == 0
     assert read_json(out / "kernel_stats.json")["dini"] is None
+
+
+@pytest.mark.parametrize("command", ["kernel-stats", "t1-probe"])
+@pytest.mark.parametrize("dim,kernel", [(1, "riesz2d"), (2, "hilbert")])
+def test_kernel_grid_dim_mismatch_exits_two(tmp_path, capsys, command, dim, kernel):
+    # riesz2d on a line used to die with an IndexError traceback, hilbert
+    # on a plane to exit 3 with a non-finite kernel value
+    cfg = write_config(tmp_path, grid={"dim": dim, "cells_per_side": 16},
+                       kernel={"name": kernel})
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "dim" in err and "Traceback" not in err
 
 
 def test_t1_probe_deterministic_output(tmp_path):

@@ -34,6 +34,7 @@ from sparsedom import (
     apply_restricted,
     avg_p,
     build_sparse_domination,
+    dilate,
     dyadic_children,
     hl_maximal,
     make_kernel,
@@ -126,9 +127,10 @@ def compare_every_node(monkeypatch, kernel, f, cfg):
         else:
             run_kernel = kernel
 
-        def checked(rt, f_, cube, qs, s):
+        def checked(rt, f_, cube, s):
             assert (rt._lat is None) == (path == "direct")
-            got = fast(rt, f_, cube, qs, s)
+            got = fast(rt, f_, cube, s)
+            qs = dilate(cube, rt.alpha)
             want = reference_stats(run_kernel, f_, cube, qs, s)
             for label, g, w in zip(("outer", "ms", "osc"), got, want, strict=True):
                 where = (path, cube, label)

@@ -599,7 +599,7 @@ def test_lattice_never_evaluates_all_pairs(dim, n, name):
     apply_restricted(transpose_kernel(k), f, source=Cube((1,) * dim, n // 2))
     fft = LatticeTransform(k, f, 3, n)
     for side in (n, n // 2, 1):
-        fft.dilate_transforms((0,) * dim, (0,) * dim, (n // side,) * dim, side, 1)
+        fft.dilate_transforms((0,) * dim, (n // side,) * dim, side)
     # one lattice per use: the table, the direct transform, its transpose,
     # the FFT transform over all its calls
     assert seen == [(2 * n - 1) ** dim] * 4
@@ -704,7 +704,7 @@ def test_lattice_run_estimate_counts_padding_batch_lattice_and_pairs():
     assert fft._padded.nbytes == (16 + 6 * 16) ** 2 * 8
     tracemalloc.start()
     try:
-        fft.dilate_transforms((0, 0), (0, 0), (1, 1), 16, 2)
+        fft.dilate_transforms((0, 0), (1, 1), 16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -742,10 +742,10 @@ def test_lattice_run_estimate_holds_for_a_corner_support():
 def test_lattice_transform_refuses_cubes_beyond_its_padding():
     grid = Grid(1, 32)
     fft = LatticeTransform(make_kernel("hilbert"), GridFunction(grid, np.ones(32)), 3, 16)
-    fft.dilate_transforms((-15,), (0,), (1,), 16, 1)
-    fft.dilate_transforms((31,), (0,), (1,), 16, 1)
+    fft.dilate_transforms((-15,), (1,), 16)
+    fft.dilate_transforms((31,), (1,), 16)
     with pytest.raises(ParameterError, match="padding"):
-        fft.dilate_transforms((-31,), (0,), (1,), 32, 1)
+        fft.dilate_transforms((-31,), (1,), 32)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
@@ -803,8 +803,7 @@ def test_lattice_transform_sums_directly_without_a_lattice():
             direct = LatticeTransform(k, f, 3, 8)
             assert direct._lat is None
             # cubes of side 2 from -2 to n + 2 per axis: some stick out
-            got = direct.dilate_transforms((-2,) * dim, (0,) * dim,
-                                           (n // 2 + 2,) * dim, 2, 1)
+            got = direct.dilate_transforms((-2,) * dim, (n // 2 + 2,) * dim, 2)
             assert got.dtype == vals.dtype and got.shape == grid.shape
             for a in itertools.product(range(-2, n + 2, 2), repeat=dim):
                 cube = Cube(a, 2)
@@ -831,14 +830,14 @@ def _gate_nodes(n, dim):
     return [Cube((a,) * dim, m) for m, a in sides_anchors]
 
 
-def _table_dilate_transforms(table, anchor, first, count, side, shift):
+def _table_dilate_transforms(table, start, count, side, shift):
     """``dilate_transforms`` from the prefix table: one ``apply_box`` with
     each window cell of the block's box against its own cube's dilate."""
     grid = table.grid
     n, dim = grid.cells_per_side, grid.dim
     cells, bounds = [], []
-    for d, (a, b, c) in enumerate(zip(anchor, first, count)):
-        x = np.arange(max(a + side * b, 0), min(a + side * (b + c), n))
+    for d, (a, c) in enumerate(zip(start, count)):
+        x = np.arange(max(a, 0), min(a + side * c, n))
         lo = a + ((x - a) // side - shift) * side
         shape = (1,) * d + (-1,) + (1,) * (dim - 1 - d)
         cells.append(x)
@@ -867,15 +866,15 @@ def test_fft_dilate_transforms_match_table(dim, n, name, alpha, complex_values):
         clip = q.window_clip(grid)
         # the node's own dilate, then every level of cubes the stopping time
         # can select below it, as the builder asks for them
-        blocks = [((0,) * dim, (1,) * dim, q.side)]
+        blocks = [(q.anchor, (1,) * dim, q.side)]
         for p in sparse._levels(q.side):
             first = [(lo - a) // p for (lo, _), a in zip(clip, q.anchor)]
             last = [(hi - 1 - a) // p for (_, hi), a in zip(clip, q.anchor)]
-            blocks.append((first, [b - a + 1 for a, b in zip(first, last)], p))
-        for first, count, side in blocks:
-            got = fft.dilate_transforms(q.anchor, first, count, side, shift)
-            want = _table_dilate_transforms(table, q.anchor, first, count, side,
-                                            shift)
+            blocks.append(([a + p * b for a, b in zip(q.anchor, first)],
+                           [b - a + 1 for a, b in zip(first, last)], p))
+        for start, count, side in blocks:
+            got = fft.dilate_transforms(start, count, side)
+            want = _table_dilate_transforms(table, start, count, side, shift)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.shape == tuple(hi - lo for lo, hi in clip)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (q, side)

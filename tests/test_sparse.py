@@ -29,6 +29,7 @@ from sparsedom import (
     support_box,
 )
 from sparsedom import operators, sparse
+from sparsedom.cli import family_to_dict
 from sparsedom.inputs import INPUT_KINDS, make_input
 from sparsedom.operators import LatticeTransform
 
@@ -168,9 +169,9 @@ def test_non_convolution_kernel_end_to_end(monkeypatch, dim, n):
     transforms = []
     stats = sparse._node_stats
 
-    def recorded(rt, f_, cube, qs, s):
-        out = stats(rt, f_, cube, qs, s)
-        transforms.append((cube, qs, out[0]))
+    def recorded(rt, f_, cube, s):
+        out = stats(rt, f_, cube, s)
+        transforms.append((cube, dilate(cube, rt.alpha), out[0]))
         return out
 
     monkeypatch.setattr(sparse, "_node_stats", recorded)
@@ -457,16 +458,6 @@ def test_local_family_depth_halving():
         assert cells <= root.cell_count // 2**d
 
 
-def test_local_family_rejects_bad_root():
-    # the pipeline roots its local families at the support box and its ring
-    # cubes, which share the box's side, so that side must be a power of two
-    grid = Grid(1, 16)
-    f = GridFunction(grid, np.ones(16))
-    with pytest.raises(AlignmentError):
-        build_sparse_domination(make_kernel("hilbert"), f,
-                                PipelineConfig(support=Cube((0,), 12)))
-
-
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=10, deadline=None)
 def test_local_family_certifies_local_domination(seed):
@@ -493,15 +484,38 @@ def test_local_family_certifies_local_domination(seed):
 
 
 def test_local_family_odd_ring_side_flags_and_still_dominates():
-    # side-12 root forces an odd split at side 3
+    # support box (0,) of side 4: its side-12 ring forces an odd split at
+    # side 3
     grid = Grid(1, 64)
-    f = supported_noise(grid, 3, 0, 24)
+    f = supported_noise(grid, 3, 0, 4)
     k = make_kernel("hilbert")
-    cfg = PipelineConfig(alpha=3, support=Cube((0,), 4))
+    assert support_box(f) == Cube((0,), 4)
+    cfg = PipelineConfig(alpha=3)
     res = build_sparse_domination(k, f, cfg)
     assert res.ledger.flag_counts.get("odd_leaf", 0) > 0
     tf = np.abs(apply_restricted(k, f).values)
     assert np.all(tf <= res.family.constant * sparse_sum(res.family) + 1e-10)
+
+
+@pytest.mark.parametrize("dim,n,name,side", [(1, 64, "hilbert", 4), (2, 16, "riesz2d", 2)])
+def test_builder_keeps_node_sets_on_node_cubes(monkeypatch, dim, n, name, side):
+    # a support in the window's corner makes ring cubes outside the window,
+    # odd ring sides and children whose dilates miss the support; no node
+    # may hold a window-shaped set, and the family stays the same
+    grid = Grid(dim, n)
+    f = supported_noise(grid, 3, 0, side)
+    k = make_kernel(name, grid)
+    want = build_sparse_domination(k, f)
+
+    def window_shaped(*args):
+        raise AssertionError("a node made a window-shaped set")
+
+    monkeypatch.setattr(CellSet, "window_mask", window_shaped)
+    monkeypatch.setattr(CellSet, "from_window_mask", window_shaped)
+    got = build_sparse_domination(k, f)
+    assert {"odd_leaf", "zero_average", "outside_window"} <= set(got.ledger.flag_counts)
+    monkeypatch.undo()
+    assert family_to_dict(got.family) == family_to_dict(want.family)
 
 
 # ---------------------------------------------------------------------------

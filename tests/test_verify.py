@@ -105,6 +105,22 @@ def test_check_sparsity_detects_thin_witness():
     assert any(f.get("kind") == "ratio" for f in rep.failures)
 
 
+def test_check_sparsity_detects_witness_outside_its_cube():
+    # a witness moved off its cube keeps its count, so the ratio and the
+    # disjointness checks alone still passed it
+    grid = Grid(1, 64)
+    res = build_sparse_domination(make_kernel("hilbert"), supported_noise(grid, 3, 16, 48))
+    fam = res.family
+    assert check_sparsity(fam).passed
+    last = fam.entries[-1]
+    moved = CellSet(grid, Cube((10**4,), last.witness.box.side), last.witness.mask)
+    fam.entries[-1] = dataclasses.replace(last, witness=moved)
+    rep = check_sparsity(fam)
+    assert not rep.passed
+    assert rep.max_overlap == 1 and rep.min_ratio >= fam.eta
+    assert rep.failures == [{"entry": len(fam.entries) - 1, "kind": "outside_cube"}]
+
+
 def test_check_sparsity_counts_offwindow_cells():
     # witness box sticking out of the window: geometric count in the
     # denominator, painted cells still tracked without index errors
