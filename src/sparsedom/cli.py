@@ -256,7 +256,13 @@ def _cube_from(d: dict, grid: Grid) -> Cube:
 
 
 def _input_from(cfg: dict, grid: Grid, seed_override: int | None = None) -> GridFunction:
+    """The configured input, generated or loaded.  A grid whose real input
+    alone would not fit in physical memory is refused before anything is
+    generated or read (a file of the grid's shape holds at least that)."""
     section = cfg.get("input", {})
+    _refuse_beyond_memory(
+        f"the input on a {grid.dim}D grid with {grid.cells_per_side} cells per side",
+        grid.n_cells * 8)
     if "path" in section:
         return load_input(section["path"], grid)
     seed = seed_override if seed_override is not None else section.get("seed", 0)

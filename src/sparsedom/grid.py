@@ -177,6 +177,15 @@ def dyadic_children(cube: Cube) -> list[Cube]:
             for off in itertools.product((0, half), repeat=cube.dim)]
 
 
+def _levels(side: int):
+    """Sides of the cubes the dyadic stopping time can select below a cube
+    of this side: halves while the side is even, then single cells (an odd
+    side above one is cut into cells)."""
+    while side > 1:
+        side = side // 2 if side % 2 == 0 else 1
+        yield side
+
+
 def _box_slices(clip, origin=None) -> tuple[slice, ...]:
     """Slices that pick the integer bounds ``clip`` out of an array whose
     entry 0 sits at cell ``origin`` (the window's, 0 on every axis, by

@@ -57,7 +57,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericError, ParameterError
-from .grid import CellSet, Cube, Grid, GridFunction, _box_slices, _corner_sums, dilate
+from .grid import (CellSet, Cube, Grid, GridFunction, _box_slices, _corner_sums,
+                   _levels, dilate)
 
 __all__ = [
     "Kernel",
@@ -364,6 +365,9 @@ def _lattice_run_bytes(grid: Grid, alpha: int, max_side: int,
       the inverse), and the cached kernel spectra, at most three more
       (sides halve level by level and shrink threefold root by root);
     * the difference lattice and its reversed copy;
+    * the transforms a cover cube keeps for the nodes below it, one per
+      level and one for itself, on its window cells (the largest cover
+      cube has the most levels and window cells);
     * the verifier's FFT over the window, ``2n`` points per axis at three
       complex arrays (the kernel spectrum, the spectrum of f, the inverse);
     * the verifier's direct re-sum, a block of ``_PAIR_CHUNK`` pairs or all
@@ -375,8 +379,10 @@ def _lattice_run_bytes(grid: Grid, alpha: int, max_side: int,
     item = 16 if is_complex else 8
     cells = grid.n_cells
     pair_rows = min(cells, max(1, _PAIR_CHUNK // cells))
+    kept = len(list(_levels(max_side))) + 1
     return ((n + (alpha + 1) * max_side) ** dim * item
             + 6 * ((alpha + 1) * max_side) ** dim * item
+            + kept * min(max_side, n) ** dim * item
             + 2 * (2 * n - 1) ** dim * 8
             + 3 * (2 * n) ** dim * 16
             + pair_rows * cells * 8)

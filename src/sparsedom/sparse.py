@@ -11,18 +11,24 @@ Q+ = alpha Q, the node statistics on the window cells of Q are
   oscillation on P of ``T(f char_{Q+}) - T(f char_{P+})``.
 
 These are the only cubes the source paper's chain step reads the two
-statistics on; :func:`_node_stats` computes them in one pass per level,
-O(m log m) cells per node of side m in 1D.  The power averages there are
-differences of the prefix table ``GridFunction.power_sat``: they only cut
-the exceptional set, while every coefficient is an :func:`avg_p`, a
-direct sum.
+statistics on, and they are dyadic subcubes of the cover cube R the node
+grows from (or single cells of it), so their transforms and averages
+depend only on the cube, not on the node that asks.  :func:`_root_levels`
+computes them once per cover cube: one ``dilate_transforms(start, count,
+side)`` call of :class:`~sparsedom.operators.LatticeTransform` for R and
+one per level, kept on R's window cells, and the power averages of every
+level cube as differences of the prefix table ``GridFunction.power_sat``.
+Every node below R reads slices of these, and :func:`_node_stats` takes
+the oscillations in one pass per level, O(m log m) cells per node of side
+m in 1D.  The power averages only cut the exceptional set, while every
+coefficient is an :func:`avg_p`, a direct sum.
 
-The transforms come from one ``dilate_transforms(start, count, side)``
-call of :class:`~sparsedom.operators.LatticeTransform` for the node and
-one per level, with memory linear in the cell count for every kernel.
-For a kernel with a difference lattice (every catalog kernel: those that
-declare translation invariance) a call is one batched FFT, O(m log m) per
-level in 1D; for any other kernel it sums each cube of the level directly.
+Memory stays linear in the cell count for every kernel: R keeps one array
+of its window cells per level, freed when its recursion returns.  For a
+kernel with a difference lattice (every catalog kernel: those that declare
+translation invariance) a call is one batched FFT, O(m log m) per level in
+1D, and each cube of a batch gets the same bits as from a call of its own;
+for any other kernel it sums each cube of the level directly.
 
 Cells where any statistic exceeds its threshold form the exceptional set.
 In quantile mode the thresholds are chosen as order statistics, so the
@@ -53,6 +59,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,6 +75,7 @@ from .grid import (
     Grid,
     GridFunction,
     _box_slices,
+    _levels,
     _sat_box_sums,
     avg_p,
     dilate,
@@ -229,16 +237,84 @@ class DominationResult:
 # ---------------------------------------------------------------------------
 # node statistics
 
-def _levels(side: int):
-    """Sides of the cubes the stopping time can select below a node of
-    this side: halves while the side is even, then single cells (an odd
-    side above one is cut into cells)."""
-    while side > 1:
-        side = side // 2 if side % 2 == 0 else 1
-        yield side
+def _level_runs(lo: int, hi: int, anchor: int, p: int):
+    """The cells ``lo <= x < hi`` of one axis cut by the cubes of side ``p``
+    anchored at ``anchor + p k``: the anchor of the first cube meeting them,
+    and where each cube's run of those cells starts (counted from ``lo``)
+    and how many cells it holds."""
+    first = anchor + (lo - anchor) // p * p
+    cubes = first + p * np.arange((hi - 1 - first) // p + 1)
+    starts = np.maximum(cubes, lo) - lo
+    return first, starts, np.minimum(cubes + p, hi) - lo - starts
 
 
-def _node_stats(rt: LatticeTransform, f: GridFunction, cube: Cube, s: float):
+class _RootLevels(NamedTuple):
+    """What a cover cube R computes once for every node below it.
+
+    ``transforms[side]`` holds T(f char_{P+}) on R's window cells, box-shaped
+    from the cell ``origin``, each cell taking the transform of the cube P
+    of that side that holds it: R itself, or a level cube below R (one level
+    per :func:`_levels`).  ``averages[side]`` holds, for a level, the anchor
+    of its first cube meeting the window and the s-power average of f over
+    each cube's dilate (normalized by its full measure), one per cube.  The
+    arrays are read-only: a node's transform is a view into them.
+    """
+
+    origin: tuple[int, ...]
+    transforms: dict[int, np.ndarray]
+    averages: dict[int, tuple[list[int], np.ndarray]]
+
+
+def _frozen(values: np.ndarray) -> np.ndarray:
+    """A read-only copy that holds only these values, not a larger base."""
+    values = values.copy()
+    values.setflags(write=False)
+    return values
+
+
+def _root_levels(rt: LatticeTransform, f: GridFunction, root: Cube,
+                 s: float) -> _RootLevels | None:
+    """The level data of a cover cube, or None where it has no transform (a
+    zero average or no window cells).
+
+    Each node below R is a dyadic subcube of R (or a single cell of it), so
+    its side is R's or one of R's levels, and the cubes the stopping time
+    can select below it are level cubes of R.  One ``dilate_transforms``
+    call for R and one per level give every transform these nodes read.
+    """
+    grid = f.grid
+    n, dim = grid.cells_per_side, grid.dim
+    alpha = rt.alpha
+    shift = (alpha - 1) // 2
+    clip = root.window_clip(grid)
+    if clip is None or avg_p(f, dilate(root, alpha), s) == 0.0:
+        return None
+    sat = f.power_sat(s)
+    transforms = {root.side: _frozen(
+        rt.dilate_transforms(root.anchor, (1,) * dim, root.side))}
+    averages = {}
+    for p in _levels(root.side):
+        # per axis: the anchor of the first level cube meeting the window,
+        # the number of cubes, and the bounds of their dilates, shaped to
+        # broadcast
+        first, count, lo, hi = [], [], [], []
+        for d, ((c_lo, c_hi), a) in enumerate(zip(clip, root.anchor)):
+            anchor, starts, _ = _level_runs(c_lo, c_hi, a, p)
+            plo = anchor + (np.arange(starts.size) - shift) * p
+            shape = (1,) * d + (-1,) + (1,) * (dim - 1 - d)
+            first.append(anchor)
+            count.append(starts.size)
+            lo.append(np.clip(plo, 0, n).reshape(shape))
+            hi.append(np.clip(plo + alpha * p, 0, n).reshape(shape))
+        sums = _sat_box_sums(sat, lo, hi)
+        avgs = (sums * grid.cell_measure
+                / (alpha * p * grid.cell_width) ** dim) ** (1.0 / s)
+        averages[p] = (first, _frozen(avgs))
+        transforms[p] = _frozen(rt.dilate_transforms(first, count, p))
+    return _RootLevels(tuple(lo for lo, _ in clip), transforms, averages)
+
+
+def _node_stats(levels: _RootLevels, grid: Grid, cube: Cube):
     """On the node's window cells, box-shaped: T(f char_{Q+}) (signed) and
     the two dyadic maximal functions of f char_{Q+}.
 
@@ -248,41 +324,28 @@ def _node_stats(rt: LatticeTransform, f: GridFunction, cube: Cube, s: float):
     and of the oscillation over P's window cells of
     ``T(f char_{Q+}) - T(f char_{P+})``.  Since P+ lies in Q+, f char_{Q+}
     is f on P+.  The level cubes tile Q, so a cell takes its cube's value
-    on each level; one ``dilate_transforms`` call gives T(f char_{Q+}) and
-    one per level T(f char_{P+}) for every cube of the level.
+    on each level; every value is read from the cover cube's ``levels``.
     """
-    grid = f.grid
-    n, dim = grid.cells_per_side, grid.dim
-    alpha = rt.alpha
-    shift = (alpha - 1) // 2
     clip = cube.window_clip(grid)
-    t_on = rt.dilate_transforms(cube.anchor, (1,) * dim, cube.side)
-    sat = f.power_sat(s)
+    on = _box_slices(clip, levels.origin)
+    t_on = levels.transforms[cube.side][on]
     ms = np.zeros(t_on.shape)
     osc = np.zeros(t_on.shape)
     for p in _levels(cube.side):
-        # per axis: the anchor of the first level cube meeting the window,
-        # where each level cube's run of window cells starts, its length,
-        # and the bounds of its dilate, shaped to broadcast
-        start, starts, counts, lo, hi = [], [], [], [], []
-        for d, ((c_lo, c_hi), a) in enumerate(zip(clip, cube.anchor)):
-            idx = (np.arange(c_lo, c_hi) - a) // p
-            first = np.flatnonzero(np.diff(idx, prepend=idx[0] - 1))
-            start.append(a + int(idx[0]) * p)
-            starts.append(first)
-            counts.append(np.diff(first, append=idx.size))
-            plo = a + (idx[first] - shift) * p
-            shape = (1,) * d + (-1,) + (1,) * (dim - 1 - d)
-            lo.append(plo.reshape(shape))
-            hi.append((plo + alpha * p).reshape(shape))
+        # per axis: the node's level cubes among the cover cube's, and
+        # where each cube's run of the node's window cells starts and its
+        # length
+        first, avgs = levels.averages[p]
+        picks, starts, counts = [], [], []
+        for (lo, hi), a, a0 in zip(clip, cube.anchor, first):
+            anchor, b, c = _level_runs(lo, hi, a, p)
+            k = (anchor - a0) // p
+            picks.append(slice(k, k + b.size))
+            starts.append(b)
+            counts.append(c)
+        np.maximum(ms, _repeat(avgs[tuple(picks)], counts), out=ms)
 
-        sums = _sat_box_sums(sat, [np.clip(v, 0, n) for v in lo],
-                             [np.clip(v, 0, n) for v in hi])
-        avgs = (sums * grid.cell_measure
-                / (alpha * p * grid.cell_width) ** dim) ** (1.0 / s)
-        np.maximum(ms, _repeat(avgs, counts), out=ms)
-
-        trunc = t_on - rt.dilate_transforms(start, [len(b) for b in starts], p)
+        trunc = t_on - levels.transforms[p][on]
         if np.iscomplexobj(trunc):
             bounds = [list(zip(b, np.append(b[1:], trunc.shape[d])))
                       for d, b in enumerate(starts)]
@@ -319,7 +382,7 @@ def _order_threshold(vals: np.ndarray, k: int) -> float:
     return float(np.partition(vals, vals.size - 1 - idx)[vals.size - 1 - idx])
 
 
-def _exceptional(rt: LatticeTransform, f: GridFunction,
+def _exceptional(levels: _RootLevels | None, f: GridFunction,
                  cube: Cube, cfg: PipelineConfig) -> ExceptionalSet:
     """Exceptional cells of one node cube.
 
@@ -332,6 +395,8 @@ def _exceptional(rt: LatticeTransform, f: GridFunction,
     in fixed mode they are ``c_fixed`` (power average) and ``a_fixed``
     (transform and oscillation) times the node average.  The thresholds
     only cut the exceptional set; no coefficient is read from them.
+    ``levels`` are those of the cover cube the node grows from, None only
+    where that cube has no transform.
     """
     grid = f.grid
     avg = avg_p(f, dilate(cube, cfg.alpha), cfg.s)
@@ -344,7 +409,7 @@ def _exceptional(rt: LatticeTransform, f: GridFunction,
         return ExceptionalSet(cube, omega, avg, 0.0, 0.0, 0.0, 0.0, allowed,
                               (0, 0, 0), tuple(flags), None)
 
-    outer, ms_vals, osc_vals = _node_stats(rt, f, cube, cfg.s)
+    outer, ms_vals, osc_vals = _node_stats(levels, grid, cube)
     t_vals = np.abs(outer).ravel()
     if cfg.mode == "quantile":
         tau_t = _order_threshold(t_vals, allowed)
@@ -473,14 +538,16 @@ def _check_invariants(q: Cube, omega_count: int, children: list[Cube],
             raise NumericError(f"node {q}: {what} of its {cells} cells")
 
 
-def _build_node(rt: LatticeTransform, f: GridFunction,
+def _build_node(levels: _RootLevels | None, f: GridFunction,
                 q: Cube, depth: int, cfg: PipelineConfig,
                 entries: list[SparseEntry],
                 records: list[NodeRecord]) -> np.ndarray | None:
-    """Grow the recursion tree below ``q``; return ``T(f char_{Q+})`` on
-    its window cells, or None where it is taken as 0."""
+    """Grow the recursion tree below ``q``, reading every node's
+    statistics from ``levels``, those of the cover cube it grows from;
+    return ``T(f char_{Q+})`` on its window cells, or None where it is
+    taken as 0."""
     grid = f.grid
-    exc = _exceptional(rt, f, q, cfg)
+    exc = _exceptional(levels, f, q, cfg)
     flags = list(exc.flags)
     children: list[Cube] = []
     if not exc.omega.is_empty():
@@ -516,7 +583,7 @@ def _build_node(rt: LatticeTransform, f: GridFunction,
     # a child holds an exceptional cell, so it has window cells, and a node
     # with children has its transform
     for child in children:
-        inner = _build_node(rt, f, child, depth + 1, cfg, entries, records)
+        inner = _build_node(levels, f, child, depth + 1, cfg, entries, records)
         sl = _box_slices(child.window_clip(grid), [lo for lo, _ in clip])
         resid = exc.transform[sl] if inner is None else exc.transform[sl] - inner
         record.edges.append({"child": child,
@@ -622,7 +689,8 @@ def build_sparse_domination(kernel: Kernel, f: GridFunction,
     entries: list[SparseEntry] = []
     records: list[NodeRecord] = []
     for root in cover:
-        _build_node(rt, f, root, 0, cfg, entries, records)
+        _build_node(_root_levels(rt, f, root, cfg.s), f, root, 0, cfg,
+                    entries, records)
 
     final_c = constant_from_records(records)
     source = None

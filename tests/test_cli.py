@@ -132,6 +132,23 @@ def test_run_refuses_table_beyond_memory(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_run_refuses_input_beyond_memory(tmp_path, capsys, monkeypatch):
+    # 2D n = 2**20: the input alone would take 8 TiB; it is refused from the
+    # grid's size, before anything is generated
+    def untouchable(*args, **kwargs):
+        pytest.fail("the input must not be generated for a refused grid")
+
+    monkeypatch.setattr(sparsedom.operators, "_physical_memory", lambda: 2**30)
+    monkeypatch.setattr(cli, "make_input", untouchable)
+    cfg = write_config(tmp_path, grid={"dim": 2, "cells_per_side": 2**20},
+                       kernel={"name": "riesz2d"})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "8192.0 GiB" in err and "input" in err
+    assert "Traceback" not in err
+
+
 def test_out_dir_from_environment(tmp_path, monkeypatch):
     cfg = write_config(tmp_path)
     target = tmp_path / "env-out"

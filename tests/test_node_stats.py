@@ -117,6 +117,7 @@ def compare_every_node(monkeypatch, kernel, f, cfg):
     statistics checked against the reference; return the node cubes
     seen."""
     fast = sparse._node_stats
+    root_levels = sparse._root_levels
     seen = []
     # the reference samples each lattice once, not once per cube
     monkeypatch.setattr(operators, "_offset_lattice",
@@ -127,22 +128,27 @@ def compare_every_node(monkeypatch, kernel, f, cfg):
         else:
             run_kernel = kernel
 
-        def checked(rt, f_, cube, s):
+        def on_path(rt, f_, root, s):
             assert (rt._lat is None) == (path == "direct")
-            got = fast(rt, f_, cube, s)
-            qs = dilate(cube, rt.alpha)
-            want = reference_stats(run_kernel, f_, cube, qs, s)
+            assert rt.alpha == cfg.alpha and s == cfg.s
+            return root_levels(rt, f_, root, s)
+
+        def checked(levels, grid, cube):
+            got = fast(levels, grid, cube)
+            qs = dilate(cube, cfg.alpha)
+            want = reference_stats(run_kernel, f, cube, qs, cfg.s)
             for label, g, w in zip(("outer", "ms", "osc"), got, want, strict=True):
                 where = (path, cube, label)
                 assert g.dtype == w.dtype and g.shape == w.shape, where
                 if path == "direct":
                     assert np.array_equal(g, w), where
                 else:
-                    scale = max(np.abs(w).max(), avg_p(f_, qs, s))
+                    scale = max(np.abs(w).max(), avg_p(f, qs, cfg.s))
                     assert np.abs(g - w).max() <= 1e-12 * scale, where
             seen.append(cube)
             return got
 
+        monkeypatch.setattr(sparse, "_root_levels", on_path)
         monkeypatch.setattr(sparse, "_node_stats", checked)
         before = len(seen)
         build_sparse_domination(run_kernel, f, cfg)
@@ -207,6 +213,41 @@ def test_2d_complex_input_and_ring_cubes_match_reference(monkeypatch):
     seen = compare_every_node(monkeypatch, make_kernel("riesz2d", grid),
                               GridFunction(grid, vals), PipelineConfig(alpha=5))
     assert any(min(c.anchor) < 0 for c in seen)
+
+
+def test_level_runs_match_the_diff_form():
+    for lo, hi in itertools.combinations(range(-3, 20), 2):
+        cells = np.arange(lo, hi)
+        for anchor in range(-9, 8):
+            for p in (1, 2, 3, 4, 8):
+                idx = (cells - anchor) // p
+                starts = np.flatnonzero(np.diff(idx, prepend=idx[0] - 1))
+                first, got_starts, got_counts = sparse._level_runs(lo, hi, anchor, p)
+                assert first == anchor + int(idx[0]) * p
+                assert np.array_equal(got_starts, starts)
+                assert np.array_equal(got_counts, np.diff(starts, append=idx.size))
+
+
+@pytest.mark.parametrize("dim,n,name", [(1, 256, "hilbert"), (2, 32, "riesz2d")])
+def test_only_cover_cubes_call_the_transform(monkeypatch, dim, n, name):
+    grid = Grid(dim, n)
+    f = make_input(grid, "random", seed=7)
+    cfg = PipelineConfig(alpha=3)
+    cover = sparse.partition_cover(grid, sparse.support_box(f), cfg.alpha)
+    with_transform = [r for r in cover if r.window_clip(grid) is not None
+                      and avg_p(f, dilate(r, cfg.alpha), cfg.s) > 0]
+    calls = []
+    dilate_transforms = operators.LatticeTransform.dilate_transforms
+
+    def counted(self, start, count, side):
+        calls.append(side)
+        return dilate_transforms(self, start, count, side)
+
+    monkeypatch.setattr(operators.LatticeTransform, "dilate_transforms", counted)
+    res = build_sparse_domination(make_kernel(name, grid), f, cfg)
+    assert len(with_transform) > 1 and len(res.records) > 2 * len(cover)
+    assert len(calls) == sum(1 + len(list(sparse._levels(r.side)))
+                             for r in with_transform)
 
 
 def test_builder_sweeps_no_lattice_cube(monkeypatch):

@@ -30,6 +30,7 @@ from sparsedom import (
     transpose_kernel,
 )
 from sparsedom import operators, sparse
+from sparsedom.inputs import make_input
 from sparsedom.operators import LatticeTransform, RestrictedTransform
 
 
@@ -648,6 +649,30 @@ def test_undeclared_kernels_keep_their_results():
         RestrictedTransform(bad, GridFunction(Grid(1, 4, phys_side=4.0), np.ones(4)))
 
 
+@pytest.mark.parametrize("complex_values", [False, True])
+@pytest.mark.parametrize("dim,n,name", [(1, 64, "hilbert"), (2, 16, "riesz2d")])
+def test_batched_dilate_transforms_equal_single_cube_calls(dim, n, name,
+                                                           complex_values):
+    # a cover cube's level blocks hand their nodes these values, so the
+    # builder's output does not depend on whether a cube's transform came
+    # alone or in a block
+    grid = Grid(dim, n)
+    g = rng(37)
+    vals = g.normal(size=grid.shape)
+    if complex_values:
+        vals = vals + 1j * g.normal(size=grid.shape)
+    fft = LatticeTransform(make_kernel(name, grid), GridFunction(grid, vals), 3, n)
+    for side, start in ((1, 0), (2, 0), (3, -2), (4, -2), (6, -5), (8, 4)):
+        count = (n - start + side - 1) // side
+        block = fft.dilate_transforms((start,) * dim, (count,) * dim, side)
+        origin = (max(start, 0),) * dim
+        for k in itertools.product(range(count), repeat=dim):
+            cube = Cube(tuple(start + side * i for i in k), side)
+            one = fft.dilate_transforms(cube.anchor, (1,) * dim, side)
+            got = block[sparse._box_slices(cube.window_clip(grid), origin)]
+            assert got.dtype == one.dtype and got.tobytes() == one.tobytes(), cube
+
+
 # ---------------------------------------------------------------------------
 # memory preflight
 
@@ -679,23 +704,28 @@ def test_table_refused_before_allocation(monkeypatch):
 
 def test_lattice_run_estimate_counts_padding_batch_lattice_and_pairs():
     # 1D N = 64 at alpha 3, nodes of side N: padded f 5N, batch and spectra
-    # 6 arrays of 4N points, the lattice and its reversed copy, the
+    # 6 arrays of 4N points, a cover cube's 7 kept transforms (itself and
+    # levels 32 .. 1) on N cells, the lattice and its reversed copy, the
     # verifier's FFT at 3 complex arrays of 2N points, all N**2 pairs in
     # one real block (also for a complex input, whose parts it multiplies
     # in turn)
-    want = 5 * 64 * 8 + 6 * 4 * 64 * 8 + 2 * 127 * 8 + 3 * 128 * 16 + 64 * 64 * 8
-    assert operators._lattice_run_bytes(Grid(1, 64), 3, 64, False) == want
-    complex_want = (5 * 64 * 16 + 6 * 4 * 64 * 16 + 2 * 127 * 8 + 3 * 128 * 16
-                    + 64 * 64 * 8)
-    assert operators._lattice_run_bytes(Grid(1, 64), 3, 64, True) == complex_want
-    # nodes of side 81 (a far ring of the cover): both terms grow with it
-    wide = ((64 + 4 * 81) * 8 + 6 * 4 * 81 * 8 + 2 * 127 * 8 + 3 * 128 * 16
+    want = (5 * 64 * 8 + 6 * 4 * 64 * 8 + 7 * 64 * 8 + 2 * 127 * 8 + 3 * 128 * 16
             + 64 * 64 * 8)
+    assert operators._lattice_run_bytes(Grid(1, 64), 3, 64, False) == want
+    complex_want = (5 * 64 * 16 + 6 * 4 * 64 * 16 + 7 * 64 * 16 + 2 * 127 * 8
+                    + 3 * 128 * 16 + 64 * 64 * 8)
+    assert operators._lattice_run_bytes(Grid(1, 64), 3, 64, True) == complex_want
+    # nodes of side 81 (a far ring of the cover): the padding and the batch
+    # grow with it; it keeps 2 transforms (itself and single cells) on at
+    # most the N window cells
+    wide = ((64 + 4 * 81) * 8 + 6 * 4 * 81 * 8 + 2 * 64 * 8 + 2 * 127 * 8
+            + 3 * 128 * 16 + 64 * 64 * 8)
     assert operators._lattice_run_bytes(Grid(1, 64), 3, 81, False) == wide
-    # 2D n = 128: about 54 MB, the verifier's pair block capped at 2**22
+    # 2D n = 128: about 55 MB, the verifier's pair block capped at 2**22
     big = operators._lattice_run_bytes(Grid(2, 128), 3, 128, False)
-    assert big == (640**2 + 6 * 512**2 + 2 * 255**2 + 6 * 256**2 + 2**22) * 8
-    assert big < operators._table_bytes(Grid(2, 128), False) / 80
+    assert big == (640**2 + 6 * 512**2 + 8 * 128**2 + 2 * 255**2 + 6 * 256**2
+                   + 2**22) * 8
+    assert big < operators._table_bytes(Grid(2, 128), False) / 75
     # the padded f is what the estimate says, and a node of side n, the
     # largest call, stays inside its batch term
     grid = Grid(2, 16)
@@ -737,6 +767,35 @@ def test_lattice_run_estimate_holds_for_a_corner_support():
     # the build alone fits in the estimate without the verifier's terms
     assert build_peak <= need - verifier
     assert run_peak <= need
+
+
+@pytest.mark.parametrize("dim,n,name", [(1, 4096, "hilbert"), (2, 64, "riesz2d")])
+def test_lattice_run_estimate_holds_for_the_kept_levels(monkeypatch, dim, n, name):
+    # the default support makes rings of cover cubes, and each holds a
+    # transform per level on its window cells while its nodes recurse
+    grid = Grid(dim, n)
+    f = make_input(grid, "random", seed=7)
+    k = make_kernel(name, grid)
+    side = max(c.side for c in sparse.partition_cover(grid, sparse.support_box(f), 3))
+    kept_term = (len(list(sparse._levels(side))) + 1) * min(side, n) ** dim * 8
+    root_levels = sparse._root_levels
+    kept = []
+
+    def counted(*args):
+        levels = root_levels(*args)
+        kept.append(sum(t.nbytes for t in levels.transforms.values()))
+        return levels
+
+    monkeypatch.setattr(sparse, "_root_levels", counted)
+    tracemalloc.start()
+    try:
+        res = sparse.build_sparse_domination(k, f)
+        build_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(r.depth for r in res.records) > 1
+    assert len(kept) > 1 and max(kept) <= kept_term
+    assert build_peak <= operators._lattice_run_bytes(grid, 3, side, False)
 
 
 def test_lattice_transform_refuses_cubes_beyond_its_padding():

@@ -65,15 +65,16 @@ def builder_transform(kernel, f, config, max_side):
 def node_exceptional(kernel, f, cube, **config):
     """Exceptional set of one node, as the pipeline computes it."""
     cfg = PipelineConfig(**config)
-    return sparse._exceptional(builder_transform(kernel, f, cfg, cube.side),
-                               f, cube, cfg)
+    rt = builder_transform(kernel, f, cfg, cube.side)
+    return sparse._exceptional(sparse._root_levels(rt, f, cube, cfg.s), f, cube, cfg)
 
 
 def local_family(kernel, f, root, config=PipelineConfig()):
     """Entries and records of the recursion tree the pipeline grows from
     one root cube."""
     entries, records = [], []
-    sparse._build_node(builder_transform(kernel, f, config, root.side), f, root,
+    rt = builder_transform(kernel, f, config, root.side)
+    sparse._build_node(sparse._root_levels(rt, f, root, config.s), f, root,
                        0, config, entries, records)
     return entries, records
 
@@ -169,9 +170,9 @@ def test_non_convolution_kernel_end_to_end(monkeypatch, dim, n):
     transforms = []
     stats = sparse._node_stats
 
-    def recorded(rt, f_, cube, s):
-        out = stats(rt, f_, cube, s)
-        transforms.append((cube, dilate(cube, rt.alpha), out[0]))
+    def recorded(levels, grid_, cube):
+        out = stats(levels, grid_, cube)
+        transforms.append((cube, dilate(cube, PipelineConfig().alpha), out[0]))
         return out
 
     monkeypatch.setattr(sparse, "_node_stats", recorded)
@@ -540,7 +541,7 @@ def analytic_edge_check(kernel, f, cfg):
 
     def node(q):
         if q not in nodes:
-            exc = sparse._exceptional(rt, f, q, cfg)
+            exc = sparse._exceptional(sparse._root_levels(rt, f, q, cfg.s), f, q, cfg)
             t_exceed = np.zeros(grid.shape, dtype=bool)
             a = 0.0
             if exc.transform is not None:
@@ -691,7 +692,8 @@ def test_records_carry_exceed_counts_and_ledger_sums_them(kname, dim, n):
             rt = builder_transform(k, f, cfg, max(r.cube.side for r in res.records))
             sums = {}
             for rec in res.records:
-                exc = sparse._exceptional(rt, f, rec.cube, cfg)
+                levels = sparse._root_levels(rt, f, rec.cube, cfg.s)
+                exc = sparse._exceptional(levels, f, rec.cube, cfg)
                 assert rec.exceed_counts == exc.exceed_counts
                 # the exceptional set is the union of the three cuts
                 assert max(rec.exceed_counts) <= rec.omega_count
