@@ -90,7 +90,7 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "required": ["dim", "cells_per_side"],
             "properties": {
-                "dim": {"enum": [1, 2]},
+                "dim": {"type": "integer", "enum": [1, 2]},
                 "cells_per_side": {"type": "integer", "minimum": 2},
                 "phys_side": {"type": "number", "exclusiveMinimum": 0},
             },
@@ -214,11 +214,17 @@ FAMILY_SCHEMA = {
         },
     },
 }
+# JSON Schema counts 3.0 as an integer, but the grid, the seeds and the
+# dilation are used as Python ints, so an integer field takes ints only
+_StrictValidator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool)))
 # built once: jsonschema.validate re-checks the schema itself on every call,
 # which costs ten times the validation of a family file and nearly all of
 # a config load
-_FAMILY_VALIDATOR = jsonschema.Draft202012Validator(FAMILY_SCHEMA)
-_CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+_FAMILY_VALIDATOR = _StrictValidator(FAMILY_SCHEMA)
+_CONFIG_VALIDATOR = _StrictValidator(CONFIG_SCHEMA)
 
 
 # ---------------------------------------------------------------------------

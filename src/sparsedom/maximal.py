@@ -3,24 +3,32 @@
 ``hl_maximal`` and ``sharp_truncated`` are the cube maximal functions of
 the package: at every window cell, the largest statistic over every
 lattice cube of side 1..n that contains it, not just dyadic ones.  Each
-runs one sweep engine, which visits every cube meeting the window, side
-by side, and gives each cell the largest statistic over the cubes
-containing it (a sliding max over anchors).
+runs one sweep engine, which visits every cube meeting the window, and
+paints each cube's statistic onto its own cells through one reverse
+doubling table: the value goes to the 2^dim corners of the cube's
+doubling cover on its level (``_paint``), and one push-down at the end
+gives each cell the max over the cubes containing it (``_push_down``).
+That is O(2^dim) per cube and O(n^dim log^dim n) in all.
 
 * ``_power_average_sweep``: the s-power average of ``f`` over the cube,
   normalized by the full cube measure also for cubes sticking out of the
-  window (f reads as zero there).  One body serves both dimensions.
+  window (f reads as zero there), for a batch of sides per call.  One body
+  serves both dimensions.
 * ``_oscillation_sweep``: the oscillation, across the window cells of the
   cube P, of the transform of ``f`` minus the transform of ``f``
   restricted to the dilate of P.  One body serves both dimensions too.
-  For real values, the corner cubes (those sticking out of the window on
-  every axis, most cubes of a large grid) come from one running max and
-  min per corner of the window (``_corner_oscillations``), shared by every
-  side.  Per side, every other cube, and for complex values every cube, is
-  read a block at a time: the anchors of each axis are cut into runs, and
-  each block, a product of runs, is a set of strided views of the prefix
-  table (``RestrictedTransform.prefix_windows``), with no gather per query
-  and no copy of the table.
+  For real values, every cube whose dilate is clipped on every axis (its
+  low bound at column 0 or its high bound at column n), most cubes of a
+  large grid, is read from one table pass per corner type
+  (``_clipped_oscillations``): the transform minus the box sums at every
+  free column, with doubling levels of its max and min along the first
+  cell axis, so that each cube reads one entry per end there (and, in 2D,
+  its own cells along the second axis).  Every other cube, and for
+  complex values every cube, is read a block at a time: the anchors of
+  each axis are cut into runs, and each block, a product of runs, is a
+  set of strided views of the prefix table
+  (``RestrictedTransform.prefix_windows``), with no gather per query and
+  no copy of the table.
 
 ``sharp_truncated`` is the only user of that table, so it alone holds
 memory quadratic in the cell count.  The sparse construction does not
@@ -33,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 
 import numpy as np
 
@@ -47,56 +56,130 @@ __all__ = [
 ]
 
 
-def _max_over_cubes(vals: np.ndarray, side: int) -> np.ndarray:
-    """Cell-wise max over the anchors whose side-``side`` cube covers the
-    cell, for ``vals`` indexed by anchor from ``side - 1`` cells before
-    the first cell on every axis."""
-    for axis in range(vals.ndim):
-        # sliding_window_view(vals, side, axis=axis), built directly: the
-        # checks of the numpy helper cost more than the max at small sides
-        vals = np.ascontiguousarray(vals)
-        shape = list(vals.shape)
-        shape[axis] -= side - 1
-        vals = np.ndarray((*shape, side), vals.dtype, buffer=vals,
-                          strides=(*vals.strides, vals.strides[axis])).max(axis=-1)
-    return vals
+# cells per block of cubes that the oscillation sweep reads at once; the
+# table pass and the batches of cubes are sized from it too
+_BLOCK_CELLS = 1 << 21
+
+
+def _levels(n: int) -> int:
+    """Doubling levels of an axis of n cells: 2^k <= n for k < levels."""
+    return n.bit_length()
+
+
+def _cover(lo, hi, n: int):
+    """The doubling cover of boxes of cells ``[lo, hi)``, given per axis as
+    integer arrays of one shape: the flat index of each box's level tuple
+    k, where 2^k_d is the largest power of two within its length on axis
+    d, and the flat cell indices of its 2^dim corners, the first cells of
+    the 2^k-sided boxes flush with each of its ends, which cover it."""
+    level, corners = 0, [0]
+    for l, h in zip(lo, hi):
+        k = np.frexp(h - l)[1].astype(np.intp) - 1
+        level = level * _levels(n) + k
+        ends = (l, h - np.left_shift(1, k))
+        corners = [c * n + x for c in corners for x in ends]
+    return level, corners
+
+
+def _paint(table: np.ndarray, cover, vals: np.ndarray) -> None:
+    """Give each box of ``cover`` (``_cover``) its value in the reverse
+    doubling table: the max of every value at each corner's entry on the
+    box's level.  ``_push_down`` then gives every cell the max over the
+    boxes containing it."""
+    level, corners = cover
+    flat, cells = table.reshape(-1), table[(0,) * (table.ndim // 2)].size
+    for c in corners:
+        np.maximum.at(flat, level * cells + c, vals)
+
+
+def _push_down(table: np.ndarray) -> np.ndarray:
+    """Cell values of a reverse doubling table, shape ``(levels,) * dim +
+    (n,) * dim``: the entry at level k and cell x covers the cells [x, x +
+    2^k) per axis, so each level hands its entries down to its two halves
+    one axis at a time, in place."""
+    dim = table.ndim // 2
+    for _ in range(dim):
+        # the level axis first, its cell axis next
+        v = np.moveaxis(table, dim, 1)
+        for k in range(len(v) - 1, 0, -1):
+            h = 1 << (k - 1)
+            np.maximum(v[k - 1], v[k], out=v[k - 1])
+            np.maximum(v[k - 1, h:], v[k, :-h], out=v[k - 1, h:])
+        table = table[0]
+    return table
+
+
+def _side_groups(cubes: np.ndarray, cap: int):
+    """Cut the sides, indexed 0.. with ``cubes`` cubes each, into runs of
+    consecutive sides, as (first, stop), with at most ``cap`` cubes per
+    run unless one side has more; runs without a cube are left out."""
+    ends = np.cumsum(cubes)
+    j0 = 0
+    while j0 < len(ends):
+        before = ends[j0] - cubes[j0]
+        j1 = max(j0 + 1, int(np.searchsorted(ends, before + cap, side="right")))
+        if ends[j1 - 1] > before:
+            yield j0, j1
+        j0 = j1
+
+
+def _expand(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The anchors of runs given as (first anchor, count), run by run in
+    row-major order."""
+    first, count = first.ravel(), count.ravel()
+    start = np.cumsum(count) - count
+    return np.repeat(first - start, count) + np.arange(count.sum())
+
+
+def _grow(anchors: list, group: np.ndarray, first: np.ndarray, count: np.ndarray):
+    """Add an axis to tuples of anchors, given per axis with each tuple's
+    group: the tuple of group g becomes one tuple per anchor of the runs
+    ``(first[g], count[g])``, arrays of shape (groups, runs), in order."""
+    count = count[group]
+    per = count.sum(axis=1)
+    return ([np.repeat(a, per) for a in anchors] + [_expand(first[group], count)],
+            np.repeat(group, per))
 
 
 def _power_average_sweep(f: GridFunction, s: float) -> np.ndarray:
     """Power-average maximal function of ``f`` over every lattice cube
-    meeting the window."""
+    meeting the window, the averages of a batch of sides at a time."""
     grid = f.grid
     n, dim = grid.cells_per_side, grid.dim
     sat = f.power_sat(s)
-    # the anchors of each axis, broadcast to an outer grid
-    shapes = [(-1,) + (1,) * (dim - 1 - d) for d in range(dim)]
-    out = np.zeros(grid.shape)
-    for side in range(1, n + 1):
-        a = np.arange(1 - side, n)
-        lo, hi = np.maximum(a, 0), np.minimum(a + side, n)
-        sums = _sat_box_sums(sat, [lo.reshape(sh) for sh in shapes],
-                             [hi.reshape(sh) for sh in shapes])
-        avgs = (sums * grid.cell_measure
-                / (side * grid.cell_width) ** dim) ** (1.0 / s)
-        np.maximum(out, _max_over_cubes(avgs, side), out=out)
-    return out
-
-
-# cells per block of cubes that the oscillation sweep reads at once
-_BLOCK_CELLS = 1 << 21
+    table = np.zeros((_levels(n),) * dim + grid.shape)
+    sides = np.arange(1, n + 1)[:, None]
+    # up to 8192 cubes a batch: four times the table pass's, as no
+    # transform table shares the memory, and a batch costs about 0.1 ms
+    for j0, j1 in _side_groups((n + sides[:, 0] - 1) ** dim, max(1, _BLOCK_CELLS >> 8)):
+        m = sides[j0:j1]
+        anchors, side = [], np.arange(j1 - j0)
+        for _ in range(dim):
+            anchors, side = _grow(anchors, side, 1 - m, n + m - 1)
+        m = m[side, 0]
+        lo = [np.maximum(a, 0) for a in anchors]
+        hi = [np.minimum(a + m, n) for a in anchors]
+        # each side's measure in Python floats, as one side at a time had it
+        measure = np.array([(m_ * grid.cell_width) ** dim for m_ in range(j0 + 1, j1 + 1)])
+        avgs = (_sat_box_sums(sat, lo, hi) * grid.cell_measure
+                / measure[side]) ** (1.0 / s)
+        _paint(table, _cover(lo, hi, n), avgs)
+    return _push_down(table)
 
 
 def _anchor_runs(n: int, side: int, shift: int) -> list[tuple[int, int]]:
     """Cut the anchors of one axis into runs, as (first anchor, count), on
     which the table windows of ``_truncated`` are strided views.
 
-    Cuts go where a bound column starts or stops clipping and where the
-    windows start or stop sticking out of the grid.  They depend on n, the
-    side and the shift only, so every axis has the same runs.
+    Cuts go where a bound column starts or stops clipping (at column 0 or
+    n) and where the windows start or stop sticking out of the grid, so in
+    each run each bound is clipped at every anchor or at none.  They
+    depend on n, the side and the shift only, so every axis has the same
+    runs.
     """
     a0, d_lo, d_hi = 1 - side, -shift * side, (shift + 1) * side
-    cuts = sorted({a0, n} | {c for c in (0, n - side + 1, -d_lo, n - d_lo + 1,
-                                         -d_hi, n - d_hi + 1)
+    cuts = sorted({a0, n} | {c for c in (0, n - side + 1, 1 - d_lo, n - d_lo,
+                                         1 - d_hi, n - d_hi)
                              if a0 < c < n})
     return [(p0, p1 - p0) for p0, p1 in zip(cuts[:-1], cuts[1:])]
 
@@ -124,9 +207,9 @@ def _truncated(rt: RestrictedTransform, outer: np.ndarray, block, side: int,
         steps.append(int(0 <= a <= n - side))
         counts.append(k)
         c = a - shift * side
-        lo.append((min(max(c, 0), n), int(0 <= c <= n)))
+        lo.append((min(max(c, 0), n), int(0 < c < n)))
         c += (2 * shift + 1) * side
-        hi.append((min(max(c, 0), n), int(0 <= c <= n)))
+        hi.append((min(max(c, 0), n), int(0 < c < n)))
 
     def read(corner):
         cols, col_steps = zip(*corner)
@@ -170,89 +253,141 @@ def _window_oscillation(vals: np.ndarray, lo, hi) -> np.ndarray:
     return (big - small).reshape(lead)
 
 
-def _running(op, vals: np.ndarray, axis: int) -> None:
-    """``op.accumulate`` along ``axis``, in place, as one ``op`` per slab
-    across the other axes: numpy's accumulate runs one element at a time."""
-    vals = np.moveaxis(vals, axis, 0)
-    for i in range(1, len(vals)):
-        op(vals[i - 1, ...], vals[i, ...], out=vals[i, ...])
+def _clipped_runs(n: int, shift: int, high: bool, lengths, cols):
+    """The anchors on one axis, per side m = 1..n, of the side-m cubes
+    whose dilate is clipped there at column 0 or, with ``high``, only at
+    column n; whose own cells there number ``lengths[0]`` to ``lengths[1]
+    - 1``; and whose free bound column (the high one, clipped at n, or with
+    ``high`` the low one) is in ``[cols[0], cols[1])``.  Three runs per
+    side, for the cubes sticking out low, inside the window and sticking
+    out high: first anchors and counts, arrays of shape (n, 3)."""
+    m = np.arange(1, n + 1)[:, None]
+    (w0, w1), (c0, c1) = lengths, cols
+    if high:
+        first = np.maximum(np.maximum(shift * m + 1, n - (shift + 1) * m), c0 + shift * m)
+        last = np.minimum(n - 1, c1 - 1 + shift * m)
+    else:
+        first = np.maximum(1 - m, c0 - (shift + 1) * m)
+        last = np.minimum(shift * m, n - 1)
+        if c1 <= n:
+            last = np.minimum(last, c1 - 1 - (shift + 1) * m)
+    # own cells: a + m sticking out low, m inside, n - a sticking out high
+    inside = (w0 <= m) & (m < w1)
+    first = np.maximum(first, np.hstack([w0 - m, np.where(inside, 0, n),
+                                         np.maximum(n - w1 + 1, n - m + 1)]))
+    last = np.minimum(last, np.hstack([np.minimum(w1 - 1 - m, -1), n - m,
+                                       np.full_like(m, n - w0)]))
+    return first, np.maximum(last - first + 1, 0)
 
 
-def _corner_oscillations(rt: RestrictedTransform, outer: np.ndarray,
-                         shift: int) -> np.ndarray:
-    """Cell-wise max of the truncated oscillation over the corner cubes of
-    every side, the cubes that stick out of the window on every axis, for
-    real values.
+def _double(op, vals: np.ndarray, h: int) -> None:
+    """One doubling step along the first axis of a C-contiguous array, in
+    place: ``vals[x] = op(vals[x], vals[x + h])`` for every x with ``2 h``
+    cells from x to the axis' end.  Each input is read ahead of the output
+    in the same layout, so numpy needs no copy."""
+    last = max(len(vals) - 2 * h + 1, 0)
+    op(vals[:last], vals[h:h + last], out=vals[:last])
 
-    Where a side-m cube sticks out low on an axis, its dilate's lower bound
-    clips to column 0 and its own cells are a prefix of the window; where
-    it sticks out high, the upper bound clips to column n and its cells
-    are a suffix.  Counted from that edge inward, its last own cell l and
-    its free bound column ``min(l + 1 + shift m, n)`` (from column n down
-    where it sticks out high) fix the cube.  So per corner of the window
-    (low or high on each axis), ``G = T f - box`` at every free column is
-    one table-shaped array for every side, and its running max and min
-    along the cell axes, from that corner inward, hold the oscillation of
-    every corner cube there: one gather per side.  The boxes are summed by
-    ``_corner_sums`` in ``_truncated``'s order, so the values are those of
-    the block path bit for bit.  ``G`` is built in even chunks of the first
-    axis' columns, at most ``_BLOCK_CELLS // 2`` cells each, since it and
-    its running max live together.
+
+def _clipped_oscillations(rt: RestrictedTransform, outer: np.ndarray, shift: int,
+                          table: np.ndarray) -> None:
+    """Paint into ``table`` (``_paint``) the truncated oscillation of every
+    cube whose dilate is clipped on every axis, for real values.
+
+    Where a cube's dilate is clipped at column 0 on an axis, its box there
+    is ``[0, c)`` for its free column ``c = min(a + (shift + 1) m, n)``;
+    where it is clipped at column n only, the box is ``[c, n)`` for ``c = a
+    - shift m``.  Either way its own cells lie within the box.  So per
+    corner type (low or high on each axis), ``G = T f - box`` at every free
+    column is one table-shaped array for every side, summed by
+    ``_corner_sums`` in ``_truncated``'s order, so bit for bit the values
+    of the block path.  Doubling levels of its max and min along the first
+    cell axis, built in place one after the other, give a cube whose own
+    cells number 2^k to 2^(k+1) - 1 there its extremes over them from the
+    level-k entries at its two ends, at its free columns.  Along the other
+    cell axes each own cell is read (one ``reduceat`` per end): levels
+    nested over every axis would cost a pass over ``G`` per level tuple,
+    which in 2D is far more than the cubes read.
+
+    ``G`` is cells first and built in even chunks of the first axis'
+    columns, its rows cut to those the chunk's boxes can hold; it and its
+    max levels stay within ``_BLOCK_CELLS // 4`` cells.  Per level, the
+    cubes are generated from their runs of anchors per axis
+    (``_clipped_runs``) a batch of sides at a time, at most as many reads
+    per end as ``_BLOCK_CELLS >> 10`` cubes of side n make.
     """
     n, dim = rt.grid.cells_per_side, rt.grid.dim
-    osc = np.zeros(rt.grid.shape)
     slab = n**dim * (n + 1) ** (dim - 1)    # cells per column of the first axis
-    chunks = -(-(n + 1) * slab // max(1, _BLOCK_CELLS // 2))
+    chunks = -(-(n + 1) * slab // max(1, _BLOCK_CELLS // 8))
     width = -(-(n + 1) // chunks)
+    cap = max(1, _BLOCK_CELLS >> 10) * n ** (dim - 1)
+    sides = np.arange(1, n + 1)
 
     def read(corner):
-        # cells first, as in the table, so that the sums and the running
-        # max and min go along whole rows of columns
+        # cells first, as in the table, so that the doubling steps go along
+        # whole rows of columns
         cols, col_steps, counts = zip(*corner)
         return rt.prefix_windows((0,) * dim, (0,) * dim, cols, col_steps, counts,
                                  n).transpose(*range(dim, 2 * dim), *range(dim))
 
-    def along(v, d):
-        return v.reshape((1,) * d + (-1,) + (1,) * (dim - 1 - d))
-
-    cells = np.arange(n - 1)
     for edges in itertools.product((False, True), repeat=dim):   # True: high
-        inward = tuple(slice(None, None, -1) if e else slice(None) for e in edges)
-        # per last own cell, the largest oscillation of a corner cube
-        best = np.zeros((len(cells),) * dim)
-        for k0 in range(0, n + 1, width):
-            free = [(k0, 1, min(width, n + 1 - k0))] + [(0, 1, n + 1)] * (dim - 1)
-            g = _corner_sums(read, [f if e else (0, 0, 1) for f, e in zip(free, edges)],
+        rest = [_clipped_runs(n, shift, e, (1, n + 1), (0, n + 1)) for e in edges[1:]]
+        for c0 in range(0, n + 1, width):
+            c1 = min(c0 + width, n + 1)
+            runs = [_clipped_runs(n, shift, edges[0], (1 << k, 2 << k), (c0, c1))
+                    for k in range(_levels(n))]
+            if not any(count.any() for _, count in runs):
+                continue
+            # the rows a box of the chunk can hold: below its last column,
+            # or from its first one if high
+            r0, r1 = (c0, n) if edges[0] else (0, c1 - 1)
+            free = [(c0, 1, c1 - c0)] + [(0, 1, n + 1)] * (dim - 1)
+            g = _corner_sums(lambda corner: read(corner)[r0:r1],
+                             [f if e else (0, 0, 1) for f, e in zip(free, edges)],
                              [(n, 0, 1) if e else f for f, e in zip(free, edges)])
-            g = np.subtract(outer.reshape(outer.shape + (1,) * dim), g, out=g)[inward]
-            spread = g.copy()
-            for d in range(dim):
-                _running(np.maximum, spread, d)
-                _running(np.minimum, g, d)
-            np.subtract(spread, g, out=spread)
-            del g
-            for m in range(2, n + 1):
-                c = np.minimum(cells[:m - 1] + (1 + shift * m), n)
-                # the last cells whose first-axis column is in the chunk, a
-                # run: the columns rise with them (fall from n, if high)
-                i0, i1 = (np.searchsorted(c, (n - k0 - width, n - k0), side="right")
-                          if edges[0] else np.searchsorted(c, (k0, k0 + width)))
-                if i0 == i1:
-                    continue
-                cols = [n - c if e else c for e in edges]
-                cols[0] = cols[0][i0:i1] - k0
-                vals = spread[(along(cells[i0:i1], 0),
-                               *(along(cells[:m - 1], d) for d in range(1, dim)),
-                               *(along(col, d) for d, col in enumerate(cols)))]
-                at = best[(slice(i0, i1),) + (slice(m - 1),) * (dim - 1)]
-                np.maximum(at, vals, out=at)
-            del spread         # before the next chunk's two arrays come
-        # a corner cube covers the cells up to its last own cell on each axis
-        for d in range(dim):
-            _running(np.maximum, best[(slice(None),) * d + (slice(None, None, -1),)], d)
-        at = osc[inward][(slice(n - 1),) * dim]
-        np.maximum(at, best, out=at)
-    return osc
+            g = np.subtract(outer[r0:r1].reshape(g.shape[:dim] + (1,) * dim), g, out=g)
+            # rows by (cells past the first axis, columns), flat
+            small = g.reshape(r1 - r0, -1)
+            big = small.copy()
+            cols = g[(0,) * dim].size
+            for k, run in enumerate(runs):
+                if k:
+                    _double(np.maximum, big, 1 << (k - 1))
+                    _double(np.minimum, small, 1 << (k - 1))
+                per = [run, *rest]
+                reads = np.prod([count.sum(axis=1) for _, count in per], axis=0)
+                for j0, j1 in _side_groups(reads * sides ** (dim - 1), cap):
+                    anchors, side = [], np.arange(j1 - j0)
+                    for first, count in per:
+                        anchors, side = _grow(anchors, side, first[j0:j1], count[j0:j1])
+                    m = sides[j0 + side]
+                    lo = [np.maximum(a, 0) for a in anchors]
+                    hi = [np.minimum(a + m, n) for a in anchors]
+                    at = 0
+                    for d, (a, e) in enumerate(zip(anchors, edges)):
+                        c = a - shift * m if e else np.minimum(a + (shift + 1) * m, n)
+                        at = at * g.shape[dim + d] + (c - c0 if d == 0 else c)
+                    ends = (lo[0] - r0, hi[0] - r0 - (1 << k))
+                    if dim > 1:
+                        # each own cell past the first axis, cube by cube
+                        cells, cube = [], np.arange(len(m))
+                        for l, h in zip(lo[1:], hi[1:]):
+                            cells, cube = _grow(cells, cube, l[:, None], (h - l)[:, None])
+                        seg = np.flatnonzero(np.diff(cube, prepend=-1))
+                        at = at[cube] + np.ravel_multi_index(cells, (n,) * (dim - 1)) * cols
+                        ends = [x[cube] for x in ends]
+                    tops, bottoms = [], []
+                    for x in ends:
+                        i = x * small.shape[1] + at
+                        tops.append(big.ravel()[i])
+                        bottoms.append(small.ravel()[i])
+                    if dim > 1:
+                        tops = [np.maximum.reduceat(t, seg) for t in tops]
+                        bottoms = [np.minimum.reduceat(b, seg) for b in bottoms]
+                    vals = np.maximum(*tops)
+                    vals -= np.minimum(*bottoms)
+                    _paint(table, _cover(lo, hi, n), vals)
+            del g, small, big        # before the next chunk's arrays come
 
 
 def _oscillation_sweep(rt: RestrictedTransform, shift: int) -> np.ndarray:
@@ -260,39 +395,50 @@ def _oscillation_sweep(rt: RestrictedTransform, shift: int) -> np.ndarray:
 
     A side-m cube P anchored at a truncates the source to the window minus
     ``[a - shift m, a + (shift + 1) m)`` per axis, the dilate of P by
-    ``2 shift + 1``.  For real values the corner cubes of every side come
-    first, from ``_corner_oscillations``.  Per side, the anchors are a
-    product of per-axis runs (``_anchor_runs``), the runs of the first axis
-    split so that no block holds more than ``_BLOCK_CELLS`` cells; each
-    block left, which for real values is every block with an anchor inside
-    the window on some axis, is read as strided views of the table
-    (``_truncated``).  A complex value set has no running diameter, so for
-    complex values the corner blocks are read too.
+    ``2 shift + 1``.  For real values the table pass
+    (``_clipped_oscillations``) reads every cube whose dilate is clipped on
+    every axis, which takes in every cube of a side above ``(n - 2) / (2
+    shift + 1)``.  The other cubes, and for complex values (which have no
+    extremes to tabulate) every cube, are read per side a block at a time:
+    the anchors are a product of per-axis runs (``_anchor_runs``), the runs
+    of the first axis split so that no block holds more than
+    ``_BLOCK_CELLS`` cells, and each block is a set of strided views of the
+    table (``_truncated``), at O(m^dim) per cube.  Each oscillation is
+    painted onto its cube's own cells (``_paint``), and one push-down at
+    the end reads the cells off.
     """
     grid = rt.grid
     n, dim = grid.cells_per_side, grid.dim
     outer = rt.full()
     real = outer.dtype.kind != "c"
-    osc = _corner_oscillations(rt, outer, shift) if real else np.zeros(grid.shape)
-    for side in range(1, n + 1):
+    table = np.zeros((_levels(n),) * dim + grid.shape)
+    if real:
+        _clipped_oscillations(rt, outer, shift, table)
+    # for real values, only the sides with an anchor whose dilate has both
+    # bounds free on an axis, shift side < a < n - (shift + 1) side
+    for side in range(1, (n - 2) // (2 * shift + 1) + 1 if real else n + 1):
         a = np.arange(1 - side, n)
         # each anchor's own cells, counted from the first of its table rows
         # (its cells, or the side cells at the edge its cells stick out of)
         own_lo, own_hi = np.maximum(a - (n - side), 0), np.minimum(a, 0) + side
-        # skipped corner anchors keep 0, below every oscillation
         stat = np.zeros((len(a),) * dim)
+        read = np.zeros(stat.shape, dtype=bool)
         runs = _anchor_runs(n, side, shift)
         per = max(1, _BLOCK_CELLS // (len(a) ** (dim - 1) * side**dim))
         split = [(b + c, min(per, k - c)) for b, k in runs for c in range(0, k, per)]
         for block in itertools.product(split, *[runs] * (dim - 1)):
-            if real and all(b + k <= 0 or b > n - side for b, k in block):
+            if real and all(b <= shift * side or b >= n - (shift + 1) * side
+                            for b, _ in block):
                 continue
             at = tuple(slice(b + side - 1, b + side - 1 + k) for b, k in block)
             stat[at] = _window_oscillation(_truncated(rt, outer, block, side, shift),
                                            [own_lo[i] for i in at],
                                            [own_hi[i] for i in at])
-        np.maximum(osc, _max_over_cubes(stat, side), out=osc)
-    return osc
+            read[at] = True
+        cells = [np.broadcast_to(x.reshape((-1,) + (1,) * (dim - 1 - d)), stat.shape)[read]
+                 for x in (np.maximum(a, 0), np.minimum(a + side, n)) for d in range(dim)]
+        _paint(table, _cover(cells[:dim], cells[dim:], n), stat[read])
+    return _push_down(table)
 
 
 def hl_maximal(f: GridFunction, s: float = 1.0) -> GridFunction:
@@ -302,8 +448,8 @@ def hl_maximal(f: GridFunction, s: float = 1.0) -> GridFunction:
     ``avg_p(f, cube, s)``.  Averages of cubes sticking out of the window
     keep the full-cube normalization (the function is zero outside).
     """
-    if not (s > 0):
-        raise ParameterError(f"power average exponent must be positive, got {s}")
+    if not (0 < s < math.inf):
+        raise ParameterError(f"power average exponent must be finite and positive, got {s}")
     return GridFunction(f.grid, _power_average_sweep(f, s))
 
 
@@ -337,7 +483,8 @@ def sharp_truncated(kernel: Kernel, f: GridFunction,
     oscillation, across the window cells of Q, of the transform applied
     to ``f`` with the alpha-dilation of Q removed from the source.
     """
-    if alpha < 1 or alpha % 2 == 0:
-        raise ParameterError(f"dilation factor must be odd and >= 1, got {alpha}")
+    if (isinstance(alpha, bool) or not isinstance(alpha, numbers.Integral)
+            or alpha < 1 or alpha % 2 == 0):
+        raise ParameterError(f"dilation factor must be an odd int >= 1, got {alpha!r}")
     return GridFunction(f.grid, _oscillation_sweep(RestrictedTransform(kernel, f),
                                                    (alpha - 1) // 2))

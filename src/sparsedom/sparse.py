@@ -57,6 +57,7 @@ the full transform there.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
@@ -120,8 +121,8 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.alpha < 3 or self.alpha % 2 == 0:
             raise ParameterError(f"alpha must be odd and >= 3, got {self.alpha}")
-        if not (self.s > 0):
-            raise ParameterError(f"average exponent s must be positive, got {self.s}")
+        if not (0 < self.s < math.inf):
+            raise ParameterError(f"average exponent s must be finite and positive, got {self.s}")
         if self.mode not in ("quantile", "fixed"):
             raise ParameterError(f"mode must be 'quantile' or 'fixed', got {self.mode!r}")
         if self.mode == "fixed":

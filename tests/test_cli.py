@@ -578,6 +578,40 @@ def test_even_alpha_exits_two(tmp_path):
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+def _exits_two_with_an_error_line(tmp_path, capsys, cfg):
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    return err
+
+
+# JSON Schema counts 3.0 as an integer; these exited 1 with a TypeError, and
+# a float max_depth ran
+@pytest.mark.parametrize("section,key,value", [
+    ("pipeline", "alpha", 3.0),
+    ("grid", "cells_per_side", 64.0),
+    ("grid", "dim", 1.0),
+    ("input", "seed", 7.0),
+    ("pipeline", "max_depth", 1.0),
+])
+def test_integral_float_in_an_integer_field_exits_two(tmp_path, capsys, section, key, value):
+    cfg = read_json(write_config(tmp_path))
+    cfg[section][key] = value
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps(cfg))
+    err = _exits_two_with_an_error_line(tmp_path, capsys, str(path))
+    assert f"{section}/{key}" in err
+
+
+def test_infinite_exponent_exits_two(tmp_path, capsys):
+    # 1e400 parses to inf, which passed the schema and built a certificate
+    # on NaN power sums
+    path = tmp_path / "inf.json"
+    with open(write_config(tmp_path)) as fh:
+        path.write_text(fh.read().replace('"s": 1.0', '"s": 1e400'))
+    assert "inf" in _exits_two_with_an_error_line(tmp_path, capsys, str(path))
+
+
 def test_numeric_failures_exit_three(tmp_path, monkeypatch):
     cfg = write_config(tmp_path)
 

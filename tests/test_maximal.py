@@ -193,6 +193,13 @@ def test_hl_rejects_nonpositive_exponent():
         hl_maximal(GridFunction(Grid(1, 8), np.ones(8)), s=0.0)
 
 
+@pytest.mark.parametrize("s", [float("inf"), float("nan")])
+def test_hl_rejects_a_non_finite_exponent(s):
+    # s = inf gave all ones
+    with pytest.raises(ParameterError):
+        hl_maximal(GridFunction(Grid(1, 8), np.ones(8)), s=s)
+
+
 # ---------------------------------------------------------------------------
 # oscillation helper
 
@@ -255,6 +262,15 @@ def test_sharp_rejects_even_dilation():
     f = GridFunction(grid, np.ones(8))
     with pytest.raises(ParameterError):
         sharp_truncated(make_kernel("hilbert"), f, alpha=2)
+
+
+@pytest.mark.parametrize("alpha", [3.0, 3.5, True, "3"])
+def test_sharp_rejects_a_dilation_that_is_no_int(alpha):
+    # 3.0 failed deep in the sweep, 3.5 passed the odd check and True ran
+    # as alpha = 1
+    f = GridFunction(Grid(1, 8), np.ones(8))
+    with pytest.raises(ParameterError):
+        sharp_truncated(make_kernel("hilbert"), f, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +365,10 @@ def reference_stat_2d(rt, t_full, m, alpha, n):
     return stat
 
 
-def reference_sharp(kernel, f, alpha, corners_only=False):
-    """The maximal function, or with ``corners_only`` its max over the
-    cubes that stick out of the window on every axis (0 elsewhere)."""
+def reference_sharp(kernel, f, alpha, clipped_only=False):
+    """The maximal function, or with ``clipped_only`` its max over the
+    cubes whose dilate reaches past the window (its low bound at or below
+    0, or its high bound at or above n) on every axis (0 elsewhere)."""
     grid = f.grid
     n = grid.cells_per_side
     rt = RestrictedTransform(kernel, f)
@@ -360,18 +377,29 @@ def reference_sharp(kernel, f, alpha, corners_only=False):
     out = np.full(grid.shape, -np.inf)
     for m in range(1, n + 1):
         stat = stat_fn(rt, t_full, m, alpha, n)
-        if corners_only:
+        if clipped_only:
             a = _anchor_range(n, m)
-            edge = (a < 0) | (a > n - m)
-            stat = np.where(edge if grid.dim == 1 else edge[:, None] & edge[None, :],
+            shift = (alpha - 1) // 2 * m
+            clipped = (a - shift <= 0) | (a - shift + alpha * m >= n)
+            stat = np.where(clipped if grid.dim == 1 else clipped[:, None] & clipped[None, :],
                             stat, 0.0)
         np.maximum(out, _propagate_max(stat, m, grid), out=out)
     return out
 
 
+def table_pass(kernel, f, alpha):
+    """The clipped cubes' part of the maximal function, from the table pass
+    alone."""
+    grid = f.grid
+    rt = RestrictedTransform(kernel, f)
+    table = np.zeros((maximal._levels(grid.cells_per_side),) * grid.dim + grid.shape)
+    maximal._clipped_oscillations(rt, rt.full(), (alpha - 1) // 2, table)
+    return maximal._push_down(table)
+
+
 # inputs on a box against the window's first corner, which the corner
 # cubes there contain; even so, on these grids other cubes decide the
-# maximal function at most cells, so the corner pass is compared alone too
+# maximal function at most cells, so the table pass is compared alone too
 CORNER_KINDS = ("corner", "corner-complex")
 
 
@@ -390,17 +418,16 @@ def assert_matches_reference(kernel, f, alpha):
     want = reference_sharp(kernel, f, alpha)
     assert got.dtype == want.dtype and np.array_equal(got, want)
     if not f.is_complex:
-        # the corner pass alone, which the maximal function may not show
-        rt = RestrictedTransform(kernel, f)
-        got = maximal._corner_oscillations(rt, rt.full(), (alpha - 1) // 2)
-        assert np.array_equal(got, reference_sharp(kernel, f, alpha, corners_only=True))
+        # the table pass alone, which the maximal function may not show
+        assert np.array_equal(table_pass(kernel, f, alpha),
+                              reference_sharp(kernel, f, alpha, clipped_only=True))
     for s in (1.0, 2.0):
         got = hl_maximal(f, s).values
         want = reference_hl(f, s)
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("alpha", [1, 3, 5])
+@pytest.mark.parametrize("alpha", [1, 3, 5, 7])
 @pytest.mark.parametrize("kind", INPUT_KINDS + CORNER_KINDS)
 @pytest.mark.parametrize("kernel", ["hilbert", "holder", "dini_stress", "zero"])
 def test_1d_maximal_functions_match_gather_reference(kernel, kind, alpha):
@@ -449,27 +476,48 @@ def test_sweep_blocks_split_alike(monkeypatch, grid, name):
 
 
 @pytest.mark.parametrize("grid,name", [(Grid(1, 32), "hilbert"), (Grid(2, 8), "riesz2d")])
-def test_corner_cubes_skip_the_block_path(monkeypatch, grid, name):
-    # a block of anchors that stick out of the window on every axis is read
-    # only for complex values, which have no running diameter
-    n = grid.cells_per_side
-    truncated, corner_blocks = maximal._truncated, []
+def test_table_pass_chunks_split_alike(monkeypatch, grid, name):
+    # chunks of one column of the first axis, and batches of one side,
+    # give the same table pass as whole chunks
+    k, f = make_kernel(name, grid), make_input(grid, "random", seed=3)
+    want = table_pass(k, f, 3)
+    corner_sums, chunks = maximal._corner_sums, []
+
+    def record(*args):
+        chunks.append(1)
+        return corner_sums(*args)
+
+    monkeypatch.setattr(maximal, "_corner_sums", record)
+    monkeypatch.setattr(maximal, "_BLOCK_CELLS", 1)
+    assert np.array_equal(table_pass(k, f, 3), want)
+    # one chunk per column that some clipped cube has free, per corner type
+    assert len(chunks) > grid.cells_per_side
+
+
+@pytest.mark.parametrize("grid,name", [(Grid(1, 32), "hilbert"), (Grid(2, 8), "riesz2d")])
+def test_clipped_cubes_skip_the_block_path(monkeypatch, grid, name):
+    # for real values, a block is read only if on some axis its anchors'
+    # dilates have both bounds free; complex values have no extremes to
+    # tabulate, so every block is read
+    n, shift = grid.cells_per_side, 1
+    truncated, free_blocks = maximal._truncated, []
 
     def record(rt, outer, block, side, shift):
-        corner_blocks.append(all(b + k <= 0 or b > n - side for b, k in block))
+        free_blocks.append(any(shift * side < b and b + k - 1 < n - (shift + 1) * side
+                               for b, k in block))
         return truncated(rt, outer, block, side, shift)
 
     monkeypatch.setattr(maximal, "_truncated", record)
     k, f = make_kernel(name, grid), make_input(grid, "random", seed=3)
-    sharp_truncated(k, f, alpha=3)
-    assert corner_blocks and not any(corner_blocks)
-    corner_blocks.clear()
-    sharp_truncated(k, GridFunction(grid, f.values * (1 + 1j)), alpha=3)
-    assert any(corner_blocks)
+    sharp_truncated(k, f, alpha=2 * shift + 1)
+    assert free_blocks and all(free_blocks)
+    free_blocks.clear()
+    sharp_truncated(k, GridFunction(grid, f.values * (1 + 1j)), alpha=2 * shift + 1)
+    assert not all(free_blocks)
 
 
 @pytest.mark.parametrize("grid,name,bound", [
-    # reading every cube in blocks peaked at 1.21 MB and 24.8 MB; the corner
+    # reading every cube in blocks peaked at 1.21 MB and 24.8 MB; the table
     # pass may add two arrays of the table's n^d (n + 1)^d cells in 1D, and
     # 1.2 MB in 2D, where the table is chunked
     pytest.param(Grid(1, 256), "dini_stress", 1.21e6 + 2 * 256 * 257 * 8, id="1d-256"),

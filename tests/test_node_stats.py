@@ -256,9 +256,10 @@ def test_builder_sweeps_no_lattice_cube(monkeypatch):
 
     # the engines, and the per-side helpers their bodies call, so that a
     # caller holding its own reference to an engine is caught too
-    for name in ("_power_average_sweep", "_oscillation_sweep", "_max_over_cubes",
-                 "_anchor_runs", "_truncated", "_window_oscillation",
-                 "_corner_oscillations", "_running"):
+    for name in ("_power_average_sweep", "_oscillation_sweep", "_anchor_runs",
+                 "_truncated", "_window_oscillation", "_clipped_oscillations",
+                 "_clipped_runs", "_double", "_grow", "_expand", "_side_groups",
+                 "_cover", "_paint", "_push_down"):
         monkeypatch.setattr(maximal, name, refuse)
     for grid, kname in ((Grid(1, 128), "hilbert"), (Grid(2, 16), "riesz2d")):
         f = make_input(grid, "random", seed=13)

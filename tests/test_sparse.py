@@ -264,6 +264,13 @@ def test_exceptional_set_validation():
         node_exceptional(k, f, Cube((0,), 4), mode="nope")
 
 
+@pytest.mark.parametrize("s", [float("inf"), float("nan"), 0.0, -1.0])
+def test_pipeline_rejects_a_non_finite_or_non_positive_exponent(s):
+    # an infinite s made NaN power sums, and a certificate built on them
+    with pytest.raises(ParameterError):
+        PipelineConfig(s=s)
+
+
 # ---------------------------------------------------------------------------
 # stopping time
 
