@@ -27,6 +27,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import jsonschema
@@ -69,15 +70,14 @@ __all__ = [
 
 OUT_ENV_VAR = "SPARSEDOM_OUT"
 
+_ANCHOR_SCHEMA = {"type": "array", "minItems": 1, "maxItems": 2,
+                  "items": {"type": "integer"}}
+_SIDE_SCHEMA = {"type": "integer", "minimum": 1}
 _CUBE_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "required": ["anchor", "side"],
-    "properties": {
-        "anchor": {"type": "array", "minItems": 1, "maxItems": 2,
-                   "items": {"type": "integer"}},
-        "side": {"type": "integer", "minimum": 1},
-    },
+    "properties": {"anchor": _ANCHOR_SCHEMA, "side": _SIDE_SCHEMA},
 }
 
 CONFIG_SCHEMA = {
@@ -101,7 +101,8 @@ CONFIG_SCHEMA = {
             "required": ["name"],
             "properties": {
                 "name": {"type": "string"},
-                "params": {"type": "object"},
+                "params": {"type": "object",
+                           "additionalProperties": {"type": "number"}},
             },
         },
         "input": {
@@ -169,10 +170,6 @@ CONFIG_SCHEMA = {
     },
 }
 
-_ANCHOR_SCHEMA = {"type": "array", "minItems": 1, "maxItems": 2,
-                  "items": {"type": "integer"}}
-_SIDE_SCHEMA = {"type": "integer", "minimum": 1}
-
 # structure of a family file; run order and bounds are checked in code
 FAMILY_SCHEMA = {
     "type": "object",
@@ -181,8 +178,12 @@ FAMILY_SCHEMA = {
         "format": {"const": 1},
         "grid": CONFIG_SCHEMA["properties"]["grid"],
         "eta": {"type": "number"},
-        "constant": {"anyOf": [{"type": "number", "minimum": 0}, {"const": "inf"}]},
-        "meta": {"type": "object"},
+        # the one number that may be infinite
+        "constant": {"anyOf": [{"type": "number", "minimum": 0},
+                               {"enum": ["inf", math.inf]}]},
+        # the exponent the coefficient audit re-averages with
+        "meta": {"type": "object",
+                 "properties": {"s": {"type": "number", "exclusiveMinimum": 0}}},
         "entries": {
             "type": "array",
             "items": {
@@ -214,12 +215,26 @@ FAMILY_SCHEMA = {
         },
     },
 }
-# JSON Schema counts 3.0 as an integer, but the grid, the seeds and the
-# dilation are used as Python ints, so an integer field takes ints only
+
+
+def _is_number(_, v) -> bool:
+    """A finite float, or an int within the float range (Python compares
+    the two exactly, and NaN with nothing)."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
+
+
+# JSON reads NaN, Infinity and 1e400 as floats and any digit string as an
+# int, so every number, integers too, must be finite and fit in a float (a
+# bound such as "minimum" applies only to what the type checker calls a
+# number).  JSON Schema counts 3.0 as an integer, but the grid, the seeds
+# and the dilation are used as Python ints, so an integer field takes ints
+# only
 _StrictValidator = jsonschema.validators.extend(
     jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool)))
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine_many({
+        "number": _is_number,
+        "integer": lambda c, v: isinstance(v, int) and _is_number(c, v)}))
 # built once: jsonschema.validate re-checks the schema itself on every call,
 # which costs ten times the validation of a family file and nearly all of
 # a config load
@@ -311,6 +326,23 @@ def _write_file(path: str, data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _write_outputs(args, out: str, cfg: dict, timings: dict,
+                   data: dict[str, bytes]) -> None:
+    """Write a subcommand's data files, then the manifest: the single file
+    with a timestamp, holding the sha256 of each data file."""
+    files = {name: _write_file(os.path.join(out, name), blob)
+             for name, blob in data.items()}
+    _write_file(os.path.join(out, "manifest.json"), _json_bytes({
+        "command": args.command,
+        "version": __version__,
+        "created_utc": datetime.now(timezone.utc).isoformat(),
+        "config": cfg,
+        "seed_override": getattr(args, "seed", None),
+        "timings": timings,
+        "files": files,
+    }))
+
+
 def family_to_dict(family: SparseFamily) -> dict:
     g = family.grid
     entries = []
@@ -368,20 +400,12 @@ def family_from_dict(d: dict) -> SparseFamily:
     except jsonschema.ValidationError as exc:
         where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError(f"family invalid at {where}: {exc.message}") from exc
-    # JSON reads NaN and the infinities as numbers, and a check compares
-    # NaN false; only the constant may be infinite
-    if not math.isfinite(d["eta"]) or math.isnan(float(d["constant"])):
-        raise ConfigError(f"family eta must be finite and constant not NaN, got "
-                          f"{d['eta']} and {d['constant']}")
     grid = _grid_from(d)
     boxes = [_cube_from(e["witness"], grid) for e in d["entries"]]
     _refuse_beyond_memory(f"the witness masks of {len(boxes)} entries",
                           sum(box.cell_count for box in boxes))
     entries = []
     for i, (e, box) in enumerate(zip(d["entries"], boxes)):
-        if not math.isfinite(e["coefficient"]):
-            raise ConfigError(
-                f"entry {i}: coefficient must be finite, got {e['coefficient']}")
         w = e["witness"]
         flat = _witness_mask(w["runs"], box.cell_count, f"entry {i}")
         witness = CellSet(grid, box, flat.reshape((box.side,) * grid.dim))
@@ -429,19 +453,6 @@ def _out_dir(args) -> str:
     return out
 
 
-def _manifest(command: str, cfg: dict, args_seed, timings: dict,
-              files: dict) -> dict:
-    return {
-        "command": command,
-        "version": __version__,
-        "created_utc": datetime.now(timezone.utc).isoformat(),
-        "config": cfg,
-        "seed_override": args_seed,
-        "timings": timings,
-        "files": files,
-    }
-
-
 @contextlib.contextmanager
 def _timed(timings: dict, key: str):
     """Record the wall time of the block under ``timings[key]``."""
@@ -459,7 +470,7 @@ def _verification_report(kernel, f, family, cfg) -> tuple[dict, dict]:
     r = vcfg.get("ratio_r", 1.0)
     p = vcfg.get("ratio_p", 2.0)
     # the builder's share for this config, not the one the family states
-    eta = 1.0 / (2.0 * _pipeline_from(cfg).alpha ** family.grid.dim)
+    eta = _pipeline_from(cfg).eta(family.grid.dim)
     timings = {}
     with _timed(timings, "sparsity_s"):
         sparsity = check_sparsity(family, eta)
@@ -475,8 +486,8 @@ def _verification_report(kernel, f, family, cfg) -> tuple[dict, dict]:
     passed = sparsity.passed and domination.passed and audit <= 1e-9
     return {
         "passed": passed,
-        "sparsity": sparsity.to_dict(),
-        "domination": domination.to_dict(),
+        "sparsity": asdict(sparsity),
+        "domination": asdict(domination),
         "coefficient_audit_max_dev": audit,
         "lp_ratio": {"r": r, "p": p, "value": ratio},
     }, timings
@@ -519,17 +530,11 @@ def _cmd_run(args) -> int:
     out = _out_dir(args)
     result, report, timings = _run_once(cfg, args.seed)
     family = result.family
-    files = {}
-    files["family.json"] = _write_file(
-        os.path.join(out, "family.json"), _json_bytes(family_to_dict(family)))
-    files["family.txt"] = _write_file(
-        os.path.join(out, "family.txt"), family_to_text(family).encode())
-    report_doc = dict(report)
-    report_doc["ledger"] = result.ledger.to_dict()
-    files["report.json"] = _write_file(
-        os.path.join(out, "report.json"), _json_bytes(report_doc))
-    _write_file(os.path.join(out, "manifest.json"),
-                _json_bytes(_manifest("run", cfg, args.seed, timings, files)))
+    _write_outputs(args, out, cfg, timings, {
+        "family.json": _json_bytes(family_to_dict(family)),
+        "family.txt": family_to_text(family).encode(),
+        "report.json": _json_bytes({**report, "ledger": asdict(result.ledger)}),
+    })
     print(f"entries={len(family.entries)} constant={family.constant:.10g} "
           f"eta={family.eta:.6g}")
     _print_report(report)
@@ -552,10 +557,8 @@ def _cmd_verify(args) -> int:
     kernel = _kernel_from(cfg, grid)
     f = _input_from(cfg, grid, args.seed)
     report, timings = _verification_report(kernel, f, family, cfg)
-    files = {"verify_report.json": _write_file(
-        os.path.join(out, "verify_report.json"), _json_bytes(report))}
-    _write_file(os.path.join(out, "manifest.json"),
-                _json_bytes(_manifest("verify", cfg, args.seed, timings, files)))
+    _write_outputs(args, out, cfg, timings,
+                   {"verify_report.json": _json_bytes(report)})
     _print_report(report)
     return 0 if report["passed"] else 1
 
@@ -577,20 +580,10 @@ def _cmd_kernel_stats(args) -> int:
         "dim": grid.dim,
         "cells_per_side": grid.cells_per_side,
         "dini": dini,
-        "hormander": {
-            "r": r,
-            "value": horm.value,
-            "tail": horm.tail,
-            "k_max": horm.k_max,
-            "n_cubes": horm.n_cubes,
-            "coarsened": horm.coarsened,
-        },
+        "hormander": {"r": r, **asdict(horm)},
     }
-    timings = {"stats_s": time.perf_counter() - t0}
-    files = {"kernel_stats.json": _write_file(
-        os.path.join(out, "kernel_stats.json"), _json_bytes(stats))}
-    _write_file(os.path.join(out, "manifest.json"),
-                _json_bytes(_manifest("kernel-stats", cfg, None, timings, files)))
+    _write_outputs(args, out, cfg, {"stats_s": time.perf_counter() - t0},
+                   {"kernel_stats.json": _json_bytes(stats)})
     div = dini and dini["divergent"]
     dini_msg = "none" if dini is None else (
         "divergent" if div else f"{dini['value']:.6g}")
@@ -617,10 +610,7 @@ def _cmd_t1_probe(args) -> int:
         "value": probe.value,
         "samples": probe.samples,
     }
-    files = {"t1_probe.json": _write_file(
-        os.path.join(out, "t1_probe.json"), _json_bytes(doc))}
-    _write_file(os.path.join(out, "manifest.json"),
-                _json_bytes(_manifest("t1-probe", cfg, args.seed, {}, files)))
+    _write_outputs(args, out, cfg, {}, {"t1_probe.json": _json_bytes(doc)})
     print(f"testing-condition probe: max average {probe.value:.6g} "
           f"over {len(probe.samples)} subsets")
     return 0
@@ -690,13 +680,10 @@ def _cmd_sweep(args) -> int:
     writer = csv.DictWriter(buf, fieldnames=_SWEEP_COLUMNS, lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
-    files = {}
-    files["sweep.csv"] = _write_file(os.path.join(out, "sweep.csv"),
-                                     buf.getvalue().encode())
-    files["sweep.json"] = _write_file(os.path.join(out, "sweep.json"),
-                                      _json_bytes({"axis": axis, "rows": rows}))
-    _write_file(os.path.join(out, "manifest.json"),
-                _json_bytes(_manifest("sweep", cfg, args.seed, timings, files)))
+    _write_outputs(args, out, cfg, timings, {
+        "sweep.csv": buf.getvalue().encode(),
+        "sweep.json": _json_bytes({"axis": axis, "rows": rows}),
+    })
     ok = all(r["sparsity_passed"] and r["domination_passed"] for r in rows)
     for r in rows:
         print(f"{axis}={r['value']}: entries={r['n_entries']} "

@@ -10,6 +10,7 @@ per side.
 from __future__ import annotations
 
 import json
+import tokenize
 
 import numpy as np
 
@@ -91,11 +92,14 @@ def load_input(path: str, grid: Grid) -> GridFunction:
     """
     try:
         if path.endswith(".npy"):
-            arr = np.load(path)
+            # mapped, not read, until its shape is checked: the header may
+            # claim any size
+            arr = np.load(path, mmap_mode="r")
         else:
             with open(path) as fh:
                 arr = np.asarray(json.load(fh), dtype=np.float64)
-    except (ValueError, TypeError, EOFError) as exc:
+    # numpy parses a corrupt .npy header into any of these
+    except (ValueError, TypeError, EOFError, SyntaxError, tokenize.TokenError) as exc:
         raise DegenerateInputError(f"cannot read input file {path}: {exc}") from exc
     if arr.dtype.kind not in "biufc":
         raise DegenerateInputError(

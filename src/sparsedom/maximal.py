@@ -61,7 +61,7 @@ __all__ = [
 _BLOCK_CELLS = 1 << 21
 
 
-def _levels(n: int) -> int:
+def _doubling_levels(n: int) -> int:
     """Doubling levels of an axis of n cells: 2^k <= n for k < levels."""
     return n.bit_length()
 
@@ -75,7 +75,7 @@ def _cover(lo, hi, n: int):
     level, corners = 0, [0]
     for l, h in zip(lo, hi):
         k = np.frexp(h - l)[1].astype(np.intp) - 1
-        level = level * _levels(n) + k
+        level = level * _doubling_levels(n) + k
         ends = (l, h - np.left_shift(1, k))
         corners = [c * n + x for c in corners for x in ends]
     return level, corners
@@ -147,7 +147,7 @@ def _power_average_sweep(f: GridFunction, s: float) -> np.ndarray:
     grid = f.grid
     n, dim = grid.cells_per_side, grid.dim
     sat = f.power_sat(s)
-    table = np.zeros((_levels(n),) * dim + grid.shape)
+    table = np.zeros((_doubling_levels(n),) * dim + grid.shape)
     sides = np.arange(1, n + 1)[:, None]
     # up to 8192 cubes a batch: four times the table pass's, as no
     # transform table shares the memory, and a batch costs about 0.1 ms
@@ -335,7 +335,7 @@ def _clipped_oscillations(rt: RestrictedTransform, outer: np.ndarray, shift: int
         for c0 in range(0, n + 1, width):
             c1 = min(c0 + width, n + 1)
             runs = [_clipped_runs(n, shift, edges[0], (1 << k, 2 << k), (c0, c1))
-                    for k in range(_levels(n))]
+                    for k in range(_doubling_levels(n))]
             if not any(count.any() for _, count in runs):
                 continue
             # the rows a box of the chunk can hold: below its last column,
@@ -411,7 +411,7 @@ def _oscillation_sweep(rt: RestrictedTransform, shift: int) -> np.ndarray:
     n, dim = grid.cells_per_side, grid.dim
     outer = rt.full()
     real = outer.dtype.kind != "c"
-    table = np.zeros((_levels(n),) * dim + grid.shape)
+    table = np.zeros((_doubling_levels(n),) * dim + grid.shape)
     if real:
         _clipped_oscillations(rt, outer, shift, table)
     # for real values, only the sides with an anchor whose dilate has both

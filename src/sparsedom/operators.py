@@ -177,14 +177,16 @@ def _lattice_weights(lat: np.ndarray, grid: Grid) -> np.ndarray:
     return sliding_window_view(np.ascontiguousarray(lat[rev]), grid.shape)[rev]
 
 
-def _kernel_block(kernel: Kernel, grid: Grid, lat: np.ndarray | None,
-                  t_cells: np.ndarray, s_cells: np.ndarray) -> np.ndarray:
+def _kernel_block(kernel: Kernel, grid: Grid, pairs: np.ndarray | None,
+                  t_cells: np.ndarray, s_cells: np.ndarray,
+                  finite: bool = False) -> np.ndarray:
     """``K(x_c, y_c)`` for target cells x (rows) and source cells y, zero
-    where ``x = y``: read from the lattice by offset, or evaluated densely
-    when there is none.  Sources are distinct window cells in window
-    order, as ``CellSet.window_cells`` lists them.  Raises NumericError at
-    a non-finite value."""
-    if lat is None:
+    where ``x = y``: read from the lattice's pair view ``pairs``
+    (``_lattice_weights``), or evaluated densely when there is none.
+    Sources are distinct window cells in window order, as
+    ``CellSet.window_cells`` lists them.  Raises NumericError at a
+    non-finite value, unless ``finite`` says the whole lattice is."""
+    if pairs is None:
         with np.errstate(divide="ignore", invalid="ignore"):
             block = np.asarray(
                 kernel.fn(_cell_center_coords(grid, t_cells)[:, None, :],
@@ -199,16 +201,15 @@ def _kernel_block(kernel: Kernel, grid: Grid, lat: np.ndarray | None,
         else:
             block[np.all(t_cells[:, None, :] == s_cells[None, :, :], axis=-1)] = 0.0
     else:
-        w = _lattice_weights(lat, grid)
         if len(s_cells) == grid.n_cells:
             # every window cell in window order: whole target rows of the
             # pair view, copied window by window
-            block = w[tuple(t_cells.T)].reshape(len(t_cells), -1)
+            block = pairs[tuple(t_cells.T)].reshape(len(t_cells), -1)
         else:
             # gathered from the pair view, with no index array per pair
-            block = w[tuple(t[:, None] for t in t_cells.T)
-                      + tuple(s[None, :] for s in s_cells.T)]
-        if np.isfinite(lat).all():
+            block = pairs[tuple(t[:, None] for t in t_cells.T)
+                          + tuple(s[None, :] for s in s_cells.T)]
+        if finite:
             return block
     bad = ~np.isfinite(block)
     if bad.any():
@@ -243,14 +244,17 @@ def _restricted_sums(kernel: Kernel, grid: Grid, t_cells: np.ndarray,
     reproduces the sums of a larger call bit for bit."""
     if lat is None:
         lat = _offset_lattice(kernel, grid)
+    # the pair view and its finiteness once, for every chunk
+    pairs = None if lat is None else _lattice_weights(lat, grid)
+    finite = lat is not None and bool(np.isfinite(lat).all())
     # whole groups per chunk
     chunk = max(1, _PAIR_CHUNK // max(1, len(s_cells)) // _SUM_GROUP) * _SUM_GROUP
     out = np.empty((len(t_cells),) + f_src.shape[1:],
                    dtype=np.result_type(f_src, np.float64))
     for start in range(0, len(t_cells), chunk):
         sl = slice(start, min(start + chunk, len(t_cells)))
-        out[sl] = _block_sums(_kernel_block(kernel, grid, lat, t_cells[sl], s_cells),
-                              f_src)
+        out[sl] = _block_sums(
+            _kernel_block(kernel, grid, pairs, t_cells[sl], s_cells, finite), f_src)
     out *= grid.cell_measure
     return out
 

@@ -59,7 +59,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -132,6 +132,11 @@ class PipelineConfig:
                 raise ParameterError("fixed thresholds must be positive")
         if self.max_depth is not None and self.max_depth < 0:
             raise ParameterError(f"max_depth must be >= 0, got {self.max_depth}")
+
+    def eta(self, dim: int) -> float:
+        """The share of its cube's cells every witness of the family holds,
+        ``1 / (2 alpha**dim)``."""
+        return 1.0 / (2.0 * self.alpha**dim)
 
 
 @dataclass(frozen=True)
@@ -223,9 +228,6 @@ class ConstantLedger:
     flag_counts: dict
     per_depth: list[dict]
     constant_source: dict | None
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "flag_counts": dict(sorted(self.flag_counts.items()))}
 
 
 @dataclass
@@ -670,7 +672,7 @@ def build_sparse_domination(kernel: Kernel, f: GridFunction,
     grid = f.grid
     if kernel.dim != grid.dim:
         raise ParameterError(f"kernel dim {kernel.dim} != grid dim {grid.dim}")
-    eta = 1.0 / (2.0 * cfg.alpha**grid.dim)
+    eta = cfg.eta(grid.dim)
     supp = support_box(f)
     if supp is None:
         window = grid.window_cube()

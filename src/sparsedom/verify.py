@@ -60,16 +60,6 @@ class SparsityReport:
     n_entries: int
     failures: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "eta_required": self.eta_required,
-            "min_ratio": self.min_ratio,
-            "max_overlap": self.max_overlap,
-            "n_entries": self.n_entries,
-            "failures": self.failures,
-        }
-
 
 @dataclass
 class DominationReport:
@@ -87,26 +77,11 @@ class DominationReport:
     worst_margin: float
     failures: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "constant": self.constant,
-            "c_min": self.c_min,
-            "tol": self.tol,
-            "n_checked": self.n_checked,
-            "n_failures": self.n_failures,
-            "worst_margin": self.worst_margin,
-            "failures": self.failures,
-        }
-
 
 @dataclass
 class ProbeResult:
     value: float
     samples: list
-
-    def to_dict(self) -> dict:
-        return {"value": self.value, "samples": self.samples}
 
 
 def check_sparsity(family: SparseFamily, eta: float | None = None) -> SparsityReport:

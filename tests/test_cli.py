@@ -6,6 +6,7 @@ subprocess.  File outputs are held to byte-level determinism.
 """
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -245,6 +246,11 @@ MALFORMED_FAMILIES = {
     "every_coefficient_nan": _every_coefficient(float("nan")),
     "eta_nan": _replace(float("nan"), "eta"),
     "eta_infinite": _replace(float("inf"), "eta"),
+    # these exited 3 on "int too large to convert to float", or left main
+    # as a ValueError traceback from the coefficient audit
+    "coefficient_huge_int": _replace(10**400, "entries", 0, "coefficient"),
+    "side_huge_int": _replace(10**400, "entries", 0, "side"),
+    "meta_s_string": _replace("x", "meta", "s"),
 }
 
 
@@ -365,12 +371,25 @@ def test_verify_rejects_non_object_family(tmp_path):
                      "--family", str(bad)]) == 2
 
 
+def _npy_header(shape) -> bytes:
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": "<f8", "fortran_order": False, "shape": shape})
+    return buf.getvalue()
+
+
 MALFORMED_INPUTS = {
     "strings.json": lambda path: path.write_text('[["a", "b"]]'),
     "truncated.json": lambda path: path.write_text("[1, 2"),
     "bad.npy": lambda path: path.write_text("not an array"),
     "text.npy": lambda path: np.save(path, np.array(["a", "b"])),
     "empty.npy": lambda path: path.write_bytes(b""),
+    # numpy's header parse raised tokenize.TokenError, and a header
+    # claiming 2**40 values a MemoryError
+    "corrupt_header.npy": lambda path: path.write_bytes(
+        _npy_header((2,)).replace(b"(2,)", b"\x002,)") + bytes(16)),
+    "huge_header.npy": lambda path: path.write_bytes(
+        _npy_header((2**40,)) + bytes(16)),
 }
 
 
@@ -578,10 +597,13 @@ def test_even_alpha_exits_two(tmp_path):
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
-def _exits_two_with_an_error_line(tmp_path, capsys, cfg):
-    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+def _exits_two_with_an_error_line(tmp_path, capsys, cfg, *extra, command="run"):
+    capsys.readouterr()
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o"),
+                     *extra]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
     return err
 
 
@@ -610,6 +632,78 @@ def test_infinite_exponent_exits_two(tmp_path, capsys):
     with open(write_config(tmp_path)) as fh:
         path.write_text(fh.read().replace('"s": 1.0', '"s": 1e400'))
     assert "inf" in _exits_two_with_an_error_line(tmp_path, capsys, str(path))
+
+
+def _config_with_literal(tmp_path, literal, *path, **overrides):
+    """A config file whose field at ``path`` holds the JSON text ``literal``
+    verbatim, such as ``1e400``, which JSON reads as inf."""
+    cfg = read_json(write_config(tmp_path, **overrides))
+    node = cfg
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = "@literal@"
+    out = tmp_path / "literal.json"
+    out.write_text(json.dumps(cfg).replace('"@literal@"', literal))
+    return str(out)
+
+
+FIXED = {"alpha": 3, "s": 1.0, "mode": "fixed", "c_fixed": 1.5, "a_fixed": 1.0}
+
+
+# 1e400 reads as inf and NaN passes every bound, so each of these passed the
+# schema: an infinite tol verified every family (exit 0), an infinite
+# phys_side or amplitude exited 3, an infinite c_fixed exited 1, a NaN tol
+# failed every cell (exit 1), and a 400-digit amplitude exited 3 on "int
+# too large to convert to float"
+@pytest.mark.parametrize("literal,path,overrides", [
+    ("1e400", ("verify", "tol"), {}),
+    ("1e400", ("grid", "phys_side"), {}),
+    ("1e400", ("input", "amplitude"), {}),
+    ("1e400", ("pipeline", "c_fixed"), {"pipeline": FIXED}),
+    ("NaN", ("verify", "tol"), {}),
+    ("NaN", ("pipeline", "c_fixed"), {"pipeline": FIXED}),
+    ("1" + "0" * 400, ("input", "amplitude"), {}),
+], ids=["tol", "phys_side", "amplitude", "c_fixed", "tol-nan", "c_fixed-nan",
+        "amplitude-400-digits"])
+def test_non_finite_number_exits_two(tmp_path, capsys, literal, path, overrides):
+    cfg = _config_with_literal(tmp_path, literal, *path, **overrides)
+    _exits_two_with_an_error_line(tmp_path, capsys, cfg)
+
+
+def test_infinite_tol_verifies_no_family(tmp_path, capsys):
+    # a family of constant 0 fails its domination check under any finite
+    # tol, and used to pass under 1e400
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+    doc = read_json(out / "family.json")
+    doc["constant"] = 0
+    bad = tmp_path / "zero.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["verify", "--config", cfg, "--out", str(out),
+                     "--family", str(bad)]) == 1
+    tol = _config_with_literal(tmp_path, "1e400", "verify", "tol")
+    _exits_two_with_an_error_line(tmp_path, capsys, tol, "--family", str(bad),
+                                  command="verify")
+
+
+def test_infinite_sweep_value_exits_two(tmp_path, capsys):
+    # int(inf) for the N axis exited 3
+    cfg = _config_with_literal(tmp_path, "[1e400]", "sweep", "values",
+                               sweep={"axis": "N", "values": [32]})
+    _exits_two_with_an_error_line(tmp_path, capsys, cfg, command="sweep")
+
+
+# make_kernel calls float() or int() on these; a string raised ValueError,
+# which left main as a traceback
+@pytest.mark.parametrize("kernel", [
+    {"name": "holder", "params": {"delta": "x"}},
+    {"name": "hilbert", "params": {"ref_scale": "x"}},
+    {"name": "zero", "params": {"dim": "x"}},
+], ids=["delta", "ref_scale", "dim"])
+def test_string_kernel_parameter_exits_two(tmp_path, capsys, kernel):
+    cfg = write_config(tmp_path, kernel=kernel)
+    _exits_two_with_an_error_line(tmp_path, capsys, cfg)
 
 
 def test_numeric_failures_exit_three(tmp_path, monkeypatch):

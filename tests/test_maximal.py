@@ -392,7 +392,7 @@ def table_pass(kernel, f, alpha):
     alone."""
     grid = f.grid
     rt = RestrictedTransform(kernel, f)
-    table = np.zeros((maximal._levels(grid.cells_per_side),) * grid.dim + grid.shape)
+    table = np.zeros((maximal._doubling_levels(grid.cells_per_side),) * grid.dim + grid.shape)
     maximal._clipped_oscillations(rt, rt.full(), (alpha - 1) // 2, table)
     return maximal._push_down(table)
 

@@ -517,7 +517,8 @@ def test_lattice_matches_dense_bitwise(dim, n, name, transpose, phys_side):
         # ones, and every transform within that bound summed over |f|
         # h**dim, plus the rounding of two sums of N terms each
         bound, dense, cells = _center_rounding_bound(grid, _dense(k), modulus)
-        got = operators._kernel_block(k, grid, lat, cells, cells)
+        got = operators._kernel_block(k, grid, operators._lattice_weights(lat, grid),
+                                      cells, cells)
         assert np.all(np.abs(got - dense) <= bound)
         eps, N = np.finfo(float).eps, grid.n_cells
         slack = ((bound + 4 * N * eps * np.abs(dense)) @ np.abs(f.values.ravel())
@@ -586,7 +587,8 @@ def test_lattice_sampling_equals_direct_kernel_values(dim, n, name):
     np.fill_diagonal(direct, 0.0)
     lat = operators._offset_lattice(k, grid)
     assert lat.shape == (2 * n - 1,) * dim
-    got = operators._kernel_block(k, grid, lat, cells, cells)
+    got = operators._kernel_block(k, grid, operators._lattice_weights(lat, grid),
+                                  cells, cells)
     assert np.array_equal(got, direct)
 
 

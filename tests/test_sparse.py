@@ -679,7 +679,7 @@ def test_constant_source_is_first_largest_term(kname, dim, n):
                     "term": "node" if child is None else "edge",
                     "child": None if child is None else _cube_dict(child)}
             assert res.ledger.constant_source == want
-            assert res.ledger.to_dict()["constant_source"] == want
+            assert dataclasses.asdict(res.ledger)["constant_source"] == want
             seen.add(want["term"])
     # the zero kernel ties every term at 0 and picks the first node
     assert seen == ({"node"} if kname == "zero" else {"node", "edge"})
@@ -707,7 +707,7 @@ def test_records_carry_exceed_counts_and_ledger_sums_them(kname, dim, n):
                 assert rec.omega_count <= sum(rec.exceed_counts)
                 acc = sums.setdefault(rec.depth, [0, 0, 0])
                 sums[rec.depth] = [a + b for a, b in zip(acc, rec.exceed_counts)]
-            got = [d["exceed_counts"] for d in res.ledger.to_dict()["per_depth"]]
+            got = [d["exceed_counts"] for d in dataclasses.asdict(res.ledger)["per_depth"]]
             assert got == [sums[d] for d in sorted(sums)]
             assert any(sum(c) for c in got)
 

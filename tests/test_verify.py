@@ -135,7 +135,7 @@ def test_sparsity_report_is_json_ready():
     grid = Grid(1, 16)
     fam = one_cube_family(grid, Cube((4,), 4))
     fam.entries.append(fam.entries[0])
-    json.dumps(check_sparsity(fam).to_dict())
+    json.dumps(dataclasses.asdict(check_sparsity(fam)))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +254,7 @@ def test_check_domination_flags_uncovered_mass():
     assert rep.failures[0]["bound"] == 0.0
     assert rep.failures[0]["transform"] > 1e-10
     assert rep.c_min == 0.0
-    json.dumps(rep.to_dict())
+    json.dumps(dataclasses.asdict(rep))
 
 
 def test_check_domination_bounds_an_empty_stack_by_zero_for_any_constant():
@@ -304,7 +304,7 @@ def test_check_domination_c_min_matches_brute_force(kname, dim, n):
     rep = check_domination(kernel, f, fam)
     assert rep.c_min == want
     assert 0.0 < rep.c_min <= rep.constant
-    assert rep.to_dict()["c_min"] == want
+    assert dataclasses.asdict(rep)["c_min"] == want
 
 
 def direct_domination(kernel, f, family, constant, tol=1e-10):
@@ -374,7 +374,7 @@ def test_check_domination_report_equals_direct_sum(kname, dim, n):
             for scale in (1.0, 0.3, 0.02):
                 c = fam.constant * scale
                 want = direct_domination(kernel, f, fam, c)
-                assert check_domination(kernel, f, fam, constant=c).to_dict() == want
+                assert dataclasses.asdict(check_domination(kernel, f, fam, constant=c)) == want
                 failing += not want["passed"]
     if kname != "zero":
         assert failing > 0
@@ -407,7 +407,7 @@ def test_check_domination_exact_at_the_tolerance():
     else:
         pytest.fail("no constant splits the FFT from the direct sum")
     want = direct_domination(kernel, f, fam, c, tol)
-    assert check_domination(kernel, f, fam, constant=c, tol=tol).to_dict() == want
+    assert dataclasses.asdict(check_domination(kernel, f, fam, constant=c, tol=tol)) == want
 
 
 def test_check_domination_exact_when_sums_round_by_group(monkeypatch):
@@ -431,7 +431,7 @@ def test_check_domination_exact_when_sums_round_by_group(monkeypatch):
         for scale in (1.0, 0.3):
             c = fam.constant * scale
             want = direct_domination(kernel, f, fam, c)
-            assert check_domination(kernel, f, fam, constant=c).to_dict() == want
+            assert dataclasses.asdict(check_domination(kernel, f, fam, constant=c)) == want
 
 
 def off_by(monkeypatch, cell, amount):
