@@ -285,11 +285,48 @@ def _input_from(cfg: dict, grid: Grid, seed_override: int | None = None) -> Grid
         f"the input on a {grid.dim}D grid with {grid.cells_per_side} cells per side",
         grid.n_cells * 8)
     if "path" in section:
-        return load_input(section["path"], grid)
-    seed = seed_override if seed_override is not None else section.get("seed", 0)
-    support = _cube_from(section["support"], grid) if "support" in section else None
-    return make_input(grid, section.get("kind", "random"), seed=seed,
-                      support=support, amplitude=section.get("amplitude", 1.0))
+        f = load_input(section["path"], grid)
+        what = f"input {section['path']}"
+    else:
+        seed = seed_override if seed_override is not None else section.get("seed", 0)
+        support = _cube_from(section["support"], grid) if "support" in section else None
+        kind, amplitude = section.get("kind", "random"), section.get("amplitude", 1.0)
+        f = make_input(grid, kind, seed=seed, support=support, amplitude=amplitude)
+        what = f"input (kind {kind}, amplitude {amplitude:g})"
+    _refuse_overflowing_input(f, cfg, what)
+    return f
+
+
+def _refuse_overflowing_input(f: GridFunction, cfg: dict, what: str) -> None:
+    """Raise ConfigError when max |f| is so large that a number the run
+    computes could overflow.
+
+    Every catalog kernel has ``|K(x, y)| <= 2 / |x - y|**dim``, so on the
+    lattice ``|K(k h)| h**dim <= 2``.  With m = max |f| and n cells per
+    side, ``M = 2 m (2n)**(3 dim)`` then bounds |T f|, every sum of the
+    verifier's FFT over ``(2n)**dim`` points, and every value of the
+    sparse operator.  M, and the sum of ``M**q h**dim`` over the cells for
+    each exponent q the run raises values to (the average exponent
+    ``s``, ``verify.ratio_r`` and ``verify.ratio_p``), must stay finite.
+    """
+    m = float(np.abs(f.values).max())
+    if m == 0.0:
+        return
+    grid = f.grid
+    s = cfg.get("pipeline", {}).get("s", 1.0)
+    vcfg = cfg.get("verify", {})
+    exponents = (s, vcfg.get("ratio_r", 1.0), vcfg.get("ratio_p", 2.0))
+    top = math.log(sys.float_info.max)
+    grow = math.log(2.0) + 3 * grid.dim * math.log(2 * grid.cells_per_side)
+    room = top - math.log(grid.n_cells) - math.log(max(grid.cell_measure, 1.0))
+    largest = min(top, *(room / q for q in exponents)) - grow
+    if math.log(m) > largest:
+        raise ConfigError(
+            f"{what} has max |f| = {m:.3g}, more than {math.exp(largest):.3g}, the "
+            f"largest whose transform, norms and power averages stay finite on "
+            f"a {grid.dim}D grid with {grid.cells_per_side} cells per side at "
+            f"s = {s:g}, verify.ratio_r = {exponents[1]:g} and verify.ratio_p = "
+            f"{exponents[2]:g}")
 
 
 def _pipeline_from(cfg: dict) -> PipelineConfig:

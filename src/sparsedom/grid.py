@@ -144,7 +144,14 @@ class Cube:
         return tuple(out)
 
     def window_clip(self, grid: Grid) -> tuple[tuple[int, int], ...] | None:
-        return self.clip(grid.window_cube())
+        """``clip(grid.window_cube())``, without making the window cube."""
+        out = []
+        for a in self.anchor:
+            lo, hi = max(a, 0), min(a + self.side, grid.cells_per_side)
+            if lo >= hi:
+                return None
+            out.append((lo, hi))
+        return tuple(out)
 
 
 def dilate(cube: Cube, alpha: int) -> Cube:

@@ -19,10 +19,12 @@ skipped.  Three evaluators share the kernel sampling below:
   :mod:`sparsedom.sparse` for every kernel.  Its one method,
   ``dilate_transforms(start, count, side)``, gives ``T(f char_{P+})``, P+
   the dilate by the ``alpha`` it is built with, on the cells of every
-  cube P of a block of congruent cubes: by one batched FFT against a
-  segment of the difference lattice (below) where the kernel has one, and
-  by direct sums through ``_restricted_sums``, cube by cube, where it has
-  none.  Memory is linear in the cell count either way.
+  cube P of a block of congruent cubes.  Where the kernel has a
+  difference lattice (below) the block goes in slabs of bounded size, a
+  small side by direct sums against a block of lattice weights, a larger
+  one by batched FFTs against a segment of the lattice; where it has none,
+  by direct sums through ``_restricted_sums``, cube by cube.  Memory is
+  linear in the cell count either way.
 * ``RestrictedTransform`` precomputes per-target prefix sums, quadratic in
   the cell count, read in two ways: ``apply_box`` gathers one table
   difference per (target, box) query, and ``prefix_windows`` hands out
@@ -363,30 +365,32 @@ def _lattice_run_bytes(grid: Grid, alpha: int, max_side: int,
     temporaries aside, for node cubes of side at most ``max_side`` (the
     cover's ring cubes reach about 2n when the support is off-centre):
 
-    * the zero-padded f, ``n + (alpha + 1) max_side`` cells per axis;
-    * the largest ``dilate_transforms`` batch, ``(alpha + 1) max_side`` FFT
-      points per axis at three arrays (the padded source, its spectrum,
-      the inverse), and the cached kernel spectra, at most three more
-      (sides halve level by level and shrink threefold root by root);
+    * the largest ``dilate_transforms`` slab, one cube of ``(alpha + 1)
+      max_side`` FFT points per axis or ``_SLAB_CELLS`` points, at six
+      arrays (the slab's box of f, the FFT's padded copy of its sources,
+      their spectrum, the kernel segment's spectrum, the inverse, the
+      cubes' cells cut from it);
     * the difference lattice and its reversed copy;
-    * the transforms a cover cube keeps for the nodes below it, one per
-      level and one for itself, on its window cells (the largest cover
-      cube has the most levels and window cells);
+    * the level data the cover cubes of one side keep for the nodes below
+      them, on the window cells their core of three sides per axis meets
+      (the largest side has the most levels): a transform for the side
+      and one per level, and a running maximum of the power averages for
+      each side above one;
     * the verifier's FFT over the window, ``2n`` points per axis at three
       complex arrays (the kernel spectrum, the spectrum of f, the inverse);
     * the verifier's direct re-sum, a block of ``_PAIR_CHUNK`` pairs or all
       of them (real also for a complex input: ``_block_sums`` multiplies it
       by the two parts of f in turn).
 
-    Complex for a complex input, but the lattice and the pair block."""
+    Complex for a complex input, but the lattice, the maxima and the pair
+    block."""
     n, dim = grid.cells_per_side, grid.dim
     item = 16 if is_complex else 8
     cells = grid.n_cells
     pair_rows = min(cells, max(1, _PAIR_CHUNK // cells))
-    kept = len(list(_levels(max_side))) + 1
-    return ((n + (alpha + 1) * max_side) ** dim * item
-            + 6 * ((alpha + 1) * max_side) ** dim * item
-            + kept * min(max_side, n) ** dim * item
+    levels = len(list(_levels(max_side)))
+    return (6 * max(((alpha + 1) * max_side) ** dim, _SLAB_CELLS) * item
+            + ((levels + 1) * item + levels * 8) * min(3 * max_side, n) ** dim
             + 2 * (2 * n - 1) ** dim * 8
             + 3 * (2 * n) ** dim * 16
             + pair_rows * cells * 8)
@@ -395,6 +399,31 @@ def _lattice_run_bytes(grid: Grid, alpha: int, max_side: int,
 # ---------------------------------------------------------------------------
 # transforms of f restricted to dilated cubes
 
+# FFT points (or, for a level summed directly, source cells) per slab of
+# a ``dilate_transforms`` batch
+_SLAB_CELLS = 1 << 16
+# multiply-adds per cube, ``(alpha side)**dim * side**dim``, up to which a
+# level is summed directly instead of by FFT
+_DIRECT_MADDS = 4096
+
+
+def _slabs(count, per_cube: int, budget: int):
+    """Boxes of cubes that cut a box of ``count`` cubes per axis, each
+    holding at most ``budget`` cells at ``per_cube`` a cube, or one cube:
+    runs of whole first-axis rows, or where one row holds more, the same
+    cut along the next axis inside each row.  Yields (offset, count) per
+    axis, in C order."""
+    row = per_cube * math.prod(count[1:])
+    if row > budget and len(count) > 1:
+        for i in range(count[0]):
+            for at, sub in _slabs(count[1:], per_cube, budget):
+                yield (i, *at), (1, *sub)
+        return
+    step = max(1, budget // row)
+    for i in range(0, count[0], step):
+        yield (i,) + (0,) * (len(count) - 1), (min(step, count[0] - i), *count[1:])
+
+
 class LatticeTransform:
     """Transforms of one function restricted to dilated cubes, the sparse
     construction's transform for every kernel.
@@ -402,24 +431,37 @@ class LatticeTransform:
     ``dilate_transforms`` gives ``T(f char_{P+})`` on the cells of every
     cube P of a block of congruent cubes, with P+ the ``alpha`` dilate of P
     for the ``alpha`` the transform is built with.  With a difference
-    lattice: on P the offsets to P+ satisfy ``|k| <= (shift + 1) side - 1``
-    per axis, ``shift = (alpha - 1) / 2``, so one batched FFT of ``(alpha +
-    1) side`` points per axis, circular but exact on P, convolves a kernel
-    segment with each cube's own source, a strided window of the
-    zero-padded f.  Offsets past ``n - 1`` pair window cells only with
-    cells outside the window, where f vanishes, and are left out.  The
-    lattice is sampled once, each side gets one cached segment spectrum,
-    and the values agree with the prefix table to rounding.  Without a
-    lattice each cube is summed directly by ``_restricted_sums``, from P's
-    window cells to P+'s: bit for bit ``apply_restricted(kernel, f,
-    targets=P, source=P+)``.
+    lattice, a block is cut into slabs of cubes (``_slabs``) of at most
+    ``_SLAB_CELLS`` points or one cube, so that a block as wide as the
+    window holds no more memory at a time than one cube of ``max_side``
+    or one slab.  Each cube's source is a strided window of the slab's box
+    of f, zero outside the window, and
 
-    f is padded once for the cubes of side at most ``max_side`` that meet
-    the window; a call beyond them raises ParameterError.  Memory is linear
-    in the cell count; the estimate of a whole ``run`` (``_lattice_run_bytes``),
-    on top of what the process holds resident now, is checked against
-    physical memory before anything is allocated, and a grid that cannot
-    fit raises ParameterError.
+    * where a cube costs at most ``_DIRECT_MADDS`` multiply-adds,
+      ``(alpha side)**dim * side**dim`` (2D sides up to 4, 1D up to 32),
+      it is summed directly against the side's weight block, ``K((x - y)
+      h) h**dim`` for x in P and y in P+;
+    * otherwise the slab goes as one batched FFT: on P the offsets to P+
+      satisfy ``|k| <= (shift + 1) side - 1`` per axis, ``shift = (alpha -
+      1) / 2``, so ``(alpha + 1) side`` points per axis, circular but exact
+      on P, convolve the side's kernel segment with each cube's source.
+
+    Offsets past ``n - 1`` pair window cells only with cells outside the
+    window, where f vanishes, and are left out.  Either way each cube is
+    summed on its own, in an order that does not depend on the others, so
+    it gets the same bits from a call of its own as in a slab or a block
+    of any size; the values agree with the prefix table to rounding.  The
+    weight block and the segment's spectrum are made once per call.
+    Without a lattice each cube is summed directly by
+    ``_restricted_sums``, from P's window cells to P+'s: bit for bit
+    ``apply_restricted(kernel, f, targets=P, source=P+)``.
+
+    Cubes of side at most ``max_side`` that meet the window are served; a
+    call beyond them raises ParameterError.  Memory is linear in the cell
+    count; the estimate of a whole ``run`` (``_lattice_run_bytes``), on top
+    of what the process holds resident now, is checked against physical
+    memory before anything is allocated, and a grid that cannot fit raises
+    ParameterError.
     """
 
     def __init__(self, kernel: Kernel, f: GridFunction, alpha: int,
@@ -441,40 +483,55 @@ class LatticeTransform:
         self._shift = (alpha - 1) // 2
         self._values = f.values
         self._lat = lat
-        self._spectra: dict[int, np.ndarray] = {}
         self._fft, self._ifft = ((np.fft.fftn, np.fft.ifftn) if f.is_complex
                                  else (np.fft.rfftn, np.fft.irfftn))
         # a cube meeting the window starts at most max_side - 1 cells
         # before it, and its source reaches shift sides further
         self._pad = (self._shift + 1) * max_side
-        self._padded = np.pad(f.values, self._pad)
 
     def _spectrum(self, side: int) -> np.ndarray:
         """Spectrum of the kernel segment ``K(k h) h**dim``, ``|k| <=
         (shift + 1) side - 1``, laid out circularly on ``(alpha + 1) side``
         points per axis."""
-        spec = self._spectra.get(side)
-        if spec is None:
-            grid = self.grid
-            n, dim = grid.cells_per_side, grid.dim
-            reach = min((self._shift + 1) * side, n)
-            size = (self.alpha + 1) * side
-            k = np.arange(1 - reach, reach)
-            seg = np.zeros((size,) * dim)
-            seg[np.ix_(*[k % size] * dim)] = self._lat[np.ix_(*[k + n - 1] * dim)]
-            seg *= grid.cell_measure
-            spec = self._fft(seg, seg.shape, tuple(range(dim)))
-            self._spectra[side] = spec
-        return spec
+        grid = self.grid
+        n, dim = grid.cells_per_side, grid.dim
+        reach = min((self._shift + 1) * side, n)
+        size = (self.alpha + 1) * side
+        k = np.arange(1 - reach, reach)
+        seg = np.zeros((size,) * dim)
+        seg[np.ix_(*[k % size] * dim)] = self._lat[np.ix_(*[k + n - 1] * dim)]
+        seg *= grid.cell_measure
+        return self._fft(seg, seg.shape, tuple(range(dim)))
 
-    def dilate_transforms(self, start, count, side: int) -> np.ndarray:
+    def _weight_block(self, side: int) -> np.ndarray:
+        """``K((x - y) h) h**dim`` for the cells x of a cube of this side
+        (rows) and the cells y of its dilate (columns), both row-major, 0
+        where ``|x - y|`` passes ``n - 1`` on some axis."""
+        grid = self.grid
+        n, dim = grid.cells_per_side, grid.dim
+        width = self.alpha * side
+        k = np.arange(side)[:, None] - np.arange(width) + self._shift * side
+        inside = np.abs(k) <= n - 1
+        k = np.where(inside, k + n - 1, 0)
+        # per axis d, the cube's cells on axis d, the dilate's on dim + d
+        idx, ok = [], True
+        for d in range(dim):
+            shape = [1] * (2 * dim)
+            shape[d], shape[dim + d] = side, width
+            idx.append(k.reshape(shape))
+            ok = ok & inside.reshape(shape)
+        w = np.where(ok, self._lat[tuple(idx)], 0.0) * grid.cell_measure
+        return w.reshape(side**dim, width**dim)
+
+    def dilate_transforms(self, start, count, side: int,
+                          out: np.ndarray | None = None) -> np.ndarray:
         """``T(f char_{P+})`` on the window cells of every cube P of a block.
 
         The cubes have side ``side`` and anchors ``start[d] + side k`` for
         ``k < count[d]`` on every axis, so they tile a box; P+ is P dilated
         by ``alpha``.  Returns the box's window cells, as a box-shaped array
         in window order, each holding the transform of its own cube's
-        dilate.
+        dilate; written into ``out`` where given.
         """
         n, dim = self.grid.cells_per_side, self.grid.dim
         shift = self._shift
@@ -487,33 +544,84 @@ class LatticeTransform:
                 f"cubes of side {side} at {list(start)} reach past the padding "
                 f"of {self._pad} cells this transform was built for")
         clip = [(max(lo, 0), min(lo + side * c, n)) for lo, c in zip(start, count)]
+        if out is None:
+            out = np.empty([max(0, hi - lo) for lo, hi in clip], self._values.dtype)
         if self._lat is None:
-            return self._direct_transforms(start, count, side, clip)
-        # every cube's source window, strided from the padded f, no copy
-        pf = self._padded
-        src = np.ndarray(tuple(count) + (width,) * dim, pf.dtype, buffer=pf,
-                         offset=sum((lo - shift * side + self._pad) * st
-                                    for lo, st in zip(start, pf.strides)),
-                         strides=tuple(side * st for st in pf.strides) + pf.strides)
+            return self._direct_transforms(start, count, side, clip, out)
+        # the kernel segment the cubes are summed against, as a weight block
+        # or as a spectrum
+        if (width * side) ** dim <= _DIRECT_MADDS:
+            cubes, per_cube = self._summed, width**dim
+            segment = self._weight_block(side)
+        else:
+            cubes, per_cube = self._convolved, (width + side) ** dim
+            segment = self._spectrum(side)
+        origin = [lo for lo, _ in clip]
+        for at, sub in _slabs(count, per_cube, _SLAB_CELLS):
+            corner = [lo + side * a for lo, a in zip(start, at)]
+            box = [(max(c, lo), min(c + side * k, hi))
+                   for c, k, (lo, hi) in zip(corner, sub, clip)]
+            if any(lo >= hi for lo, hi in box):
+                continue
+            vals = cubes(segment, self._sources(corner, sub, side), side)
+            if dim > 1:
+                vals = vals.transpose([i for d in range(dim) for i in (d, dim + d)])
+            vals = vals.reshape([k * side for k in sub])
+            out[_box_slices(box, origin)] = vals[_box_slices(box, corner)]
+        return out
+
+    def _sources(self, corner, count, side: int) -> np.ndarray:
+        """Every cube's source window, strided with no copy from the box of
+        f they span, zero outside the window: shape ``count + (alpha side,)
+        * dim``."""
+        n = self.grid.cells_per_side
+        reach = self._shift * side
+        lo = [c - reach for c in corner]
+        hi = [c + side * k + reach for c, k in zip(corner, count)]
+        box = np.zeros([h - l for l, h in zip(lo, hi)], self._values.dtype)
+        inside = [(max(l, 0), min(h, n)) for l, h in zip(lo, hi)]
+        if all(a < b for a, b in inside):
+            box[_box_slices(inside, lo)] = self._values[_box_slices(inside)]
+        return np.lib.stride_tricks.as_strided(
+            box, tuple(count) + (self.alpha * side,) * box.ndim,
+            tuple(side * st for st in box.strides) + box.strides, writeable=False)
+
+    def _convolved(self, spectrum: np.ndarray, src: np.ndarray,
+                   side: int) -> np.ndarray:
+        """The transforms of the cubes whose sources ``src`` holds, by one
+        batched FFT against the kernel segment's ``spectrum``, shape
+        ``count + (side,) * dim``."""
+        dim = self.grid.dim
         axes = tuple(range(dim, 2 * dim))
-        shape = (width + side,) * dim
+        shape = ((self.alpha + 1) * side,) * dim
         spec = self._fft(src, shape, axes)
-        spec *= self._spectrum(side)
+        spec *= spectrum
         out = self._ifft(spec, shape, axes)
         # the circular convolution is exact on the cube's own cells
-        out = out[(Ellipsis,) + (slice(shift * side, (shift + 1) * side),) * dim]
-        if dim > 1:
-            out = out.transpose([i for d in range(dim) for i in (d, dim + d)])
-        out = out.reshape([c * side for c in count])
-        return out[_box_slices(clip, start)]
+        return out[(Ellipsis,) + (slice(self._shift * side, (self._shift + 1) * side),) * dim]
 
-    def _direct_transforms(self, start, count, side: int, clip) -> np.ndarray:
-        """``dilate_transforms`` without a lattice, onto the block's window
-        ``clip``: each cube of the block summed from its window cells to
-        its dilate's, in the cell order of ``CellSet.window_cells``."""
+    def _summed(self, weights: np.ndarray, src: np.ndarray, side: int) -> np.ndarray:
+        """The transforms of the cubes whose sources ``src`` holds, by
+        direct sums against the ``weights`` block, shape ``count + (side,)
+        * dim``.  ``einsum`` without ``optimize`` sums each target over its
+        sources in one loop of its own, whatever the number of cubes (a
+        BLAS product would not)."""
+        count = src.shape[:self.grid.dim]
+        src = src.reshape(-1, weights.shape[1])
+        if np.iscomplexobj(src):
+            out = np.empty((len(src), len(weights)), dtype=np.complex128)
+            out.real = np.einsum("cy,xy->cx", np.ascontiguousarray(src.real), weights)
+            out.imag = np.einsum("cy,xy->cx", np.ascontiguousarray(src.imag), weights)
+        else:
+            out = np.einsum("cy,xy->cx", src, weights)
+        return out.reshape(count + (side,) * self.grid.dim)
+
+    def _direct_transforms(self, start, count, side: int, clip,
+                           out: np.ndarray) -> np.ndarray:
+        """``dilate_transforms`` without a lattice, into ``out``, the block's
+        window ``clip``: each cube of the block summed from its window cells
+        to its dilate's, in the cell order of ``CellSet.window_cells``."""
         grid = self.grid
-        out = np.zeros([hi - lo for lo, hi in clip],
-                       dtype=np.result_type(self._values, np.float64))
         for k in itertools.product(*map(range, count)):
             cube = Cube(tuple(lo + side * i for lo, i in zip(start, k)), side)
             cells = cube.window_clip(grid)
@@ -880,7 +988,10 @@ def make_kernel(name: str, grid: Grid | None = None, **params) -> Kernel:
                    modulus=lambda t: 40.0 * np.asarray(t, dtype=np.float64),
                    hormander_r=math.inf, translation_invariant=True)
     elif name == "zero":
-        dim = int(params.pop("dim", grid.dim if grid else 1))
+        dim = params.pop("dim", grid.dim if grid else 1)
+        if isinstance(dim, bool) or not float(dim).is_integer():
+            raise ParameterError(f"zero kernel dim must be an integer, got {dim}")
+        dim = int(dim)
         k = Kernel("zero", dim, lambda x, y: np.zeros(np.broadcast(x[..., 0], y[..., 0]).shape),
                    modulus=lambda t: np.zeros_like(np.asarray(t, dtype=np.float64)),
                    hormander_r=math.inf, translation_invariant=True)

@@ -13,22 +13,29 @@ Q+ = alpha Q, the node statistics on the window cells of Q are
 These are the only cubes the source paper's chain step reads the two
 statistics on, and they are dyadic subcubes of the cover cube R the node
 grows from (or single cells of it), so their transforms and averages
-depend only on the cube, not on the node that asks.  :func:`_root_levels`
-computes them once per cover cube: one ``dilate_transforms(start, count,
-side)`` call of :class:`~sparsedom.operators.LatticeTransform` for R and
-one per level, kept on R's window cells, and the power averages of every
-level cube as differences of the prefix table ``GridFunction.power_sat``.
-Every node below R reads slices of these, and :func:`_node_stats` takes
-the oscillations in one pass per level, O(m log m) cells per node of side
-m in 1D.  The power averages only cut the exceptional set, while every
-coefficient is an :func:`avg_p`, a direct sum.
+depend only on the cube, not on the node that asks.  The cover cubes of
+one side (the support box and its first ring, then each further ring)
+share a lattice, and so do their levels, so :func:`_side_levels` computes
+these once per cover side: one ``dilate_transforms(start, count, side)``
+call of :class:`~sparsedom.operators.LatticeTransform` for the side and
+one per level, over the window cells the side's cover cubes meet, and the
+power averages of every level cube as differences of the prefix table
+``GridFunction.power_sat``, folded into one running maximum per side.
+Every node below reads slices of these: its power-average statistic is a
+slice of its side's running maximum, and :func:`_node_stats` takes the
+oscillations in one pass per level above single cells, O(m log m) cells
+per node of side m in 1D.  The power averages only cut the exceptional
+set, while every coefficient is an :func:`avg_p`, a direct sum.
 
-Memory stays linear in the cell count for every kernel: R keeps one array
-of its window cells per level, freed when its recursion returns.  For a
-kernel with a difference lattice (every catalog kernel: those that declare
-translation invariance) a call is one batched FFT, O(m log m) per level in
-1D, and each cube of a batch gets the same bits as from a call of its own;
-for any other kernel it sums each cube of the level directly.
+Memory stays linear in the cell count for every kernel: a cover side
+keeps one array of its window cells per level and one running maximum per
+side above one, in one block freed when its last cover cube is done.  For
+a kernel with a difference lattice (every catalog kernel: those that
+declare translation invariance) a call sums the small levels directly and
+the others by batched FFTs, O(m log m) per level in 1D, in slabs of
+bounded size, and each cube of a call gets the same bits as from a call
+of its own; for any other kernel it sums each cube of the level directly
+through the kernel.
 
 Cells where any statistic exceeds its threshold form the exceptional set.
 In quantile mode the thresholds are chosen as order statistics, so the
@@ -36,7 +43,9 @@ exceptional set provably occupies at most ``1 / 2**(dim+2)`` of Q's cells;
 in fixed mode the caller supplies threshold ratios and violations are
 flagged but not fatal.  A dyadic stopping time covers the exceptional set
 by subcubes carrying at most half their measure of it; the node keeps the
-complement as its witness and recurses into the subcubes.  The exceptional
+complement as its witness and recurses into the subcubes; it scans a
+level of subcubes at a time, counting the exceptional cells of every cube
+of a level by one reshape-sum of the node's mask.  The exceptional
 set and the witness are cell sets boxed by the node cube, so a node's
 bookkeeping costs O(m**dim) cells, not a window-shaped array.
 
@@ -80,7 +89,6 @@ from .grid import (
     _sat_box_sums,
     avg_p,
     dilate,
-    dyadic_children,
 )
 from .maximal import oscillation
 from .operators import Kernel, LatticeTransform
@@ -252,69 +260,100 @@ def _level_runs(lo: int, hi: int, anchor: int, p: int):
 
 
 class _RootLevels(NamedTuple):
-    """What a cover cube R computes once for every node below it.
+    """What the cover cubes of one side compute once for every node below
+    them.
 
-    ``transforms[side]`` holds T(f char_{P+}) on R's window cells, box-shaped
-    from the cell ``origin``, each cell taking the transform of the cube P
-    of that side that holds it: R itself, or a level cube below R (one level
-    per :func:`_levels`).  ``averages[side]`` holds, for a level, the anchor
-    of its first cube meeting the window and the s-power average of f over
-    each cube's dilate (normalized by its full measure), one per cube.  The
-    arrays are read-only: a node's transform is a view into them.
+    The cover cubes of a side share a lattice, and so do their levels, so
+    a level cube's data depend only on the cube, not on the cover cube or
+    the node that asks.  ``transforms[side]`` holds T(f char_{P+}) on the
+    window cells of the box the cover cubes meet, box-shaped from the cell
+    ``origin``, each cell taking the transform of the cube P of that side
+    that holds it: the cover side itself, or a level below it (one per
+    :func:`_levels`).  ``maxima[side]``, for every such side above one,
+    holds at each of those cells the largest s-power average of f over
+    P+ (normalized by its full measure) among the level cubes P below a
+    cube of that side that hold the cell.  The arrays are read-only: a
+    node's statistics are views into them.
     """
 
     origin: tuple[int, ...]
     transforms: dict[int, np.ndarray]
-    averages: dict[int, tuple[list[int], np.ndarray]]
+    maxima: dict[int, np.ndarray]
 
 
-def _frozen(values: np.ndarray) -> np.ndarray:
-    """A read-only copy that holds only these values, not a larger base."""
-    values = values.copy()
+def _read_only(values: np.ndarray) -> np.ndarray:
+    """``values``, made read-only."""
     values.setflags(write=False)
     return values
 
 
-def _root_levels(rt: LatticeTransform, f: GridFunction, root: Cube,
+def _side_levels(rt: LatticeTransform, f: GridFunction, cubes: list[Cube],
                  s: float) -> _RootLevels | None:
-    """The level data of a cover cube, or None where it has no transform (a
-    zero average or no window cells).
+    """The level data of cover cubes of one side, or None where none of
+    them has a transform (a zero average or no window cells).
 
-    Each node below R is a dyadic subcube of R (or a single cell of it), so
-    its side is R's or one of R's levels, and the cubes the stopping time
-    can select below it are level cubes of R.  One ``dilate_transforms``
-    call for R and one per level give every transform these nodes read.
+    Each node below a cover cube R is a dyadic subcube of R (or a single
+    cell of it), so its side is R's or one of R's levels, and the cubes the
+    stopping time can select below it are level cubes of R.  One
+    ``dilate_transforms`` call for the side and one per level, over the
+    window cells of the cubes with a transform, give every transform these
+    nodes read; the power averages of each level's cubes, as differences of
+    the prefix table ``GridFunction.power_sat``, are spread to their cells
+    and folded into the running maxima ``MS_q = max(averages of level p,
+    MS_p)``, p the first level below q.
     """
     grid = f.grid
     n, dim = grid.cells_per_side, grid.dim
     alpha = rt.alpha
     shift = (alpha - 1) // 2
-    clip = root.window_clip(grid)
-    if clip is None or avg_p(f, dilate(root, alpha), s) == 0.0:
+    clips = [clip for clip, cube in ((c.window_clip(grid), c) for c in cubes)
+             if clip is not None and avg_p(f, dilate(cube, alpha), s) != 0.0]
+    if not clips:
         return None
+    box = [(min(c[d][0] for c in clips), max(c[d][1] for c in clips))
+           for d in range(dim)]
+    sides = [cubes[0].side, *_levels(cubes[0].side)]
     sat = f.power_sat(s)
-    transforms = {root.side: _frozen(
-        rt.dilate_transforms(root.anchor, (1,) * dim, root.side))}
-    averages = {}
-    for p in _levels(root.side):
-        # per axis: the anchor of the first level cube meeting the window,
-        # the number of cubes, and the bounds of their dilates, shaped to
-        # broadcast
-        first, count, lo, hi = [], [], [], []
-        for d, ((c_lo, c_hi), a) in enumerate(zip(clip, root.anchor)):
-            anchor, starts, _ = _level_runs(c_lo, c_hi, a, p)
+    transforms, maxima = {}, {}
+    # one block holds every array below, so that it goes back to the system
+    # at once when the side is done (arrays of this size made one by one
+    # come from the heap, between the nodes' small allocations, and keep
+    # its pages held)
+    shape = tuple(hi - lo for lo, hi in box)
+    # in the order the loop takes them: the side's transforms, then each
+    # level's transforms and the maxima of the side above it
+    kinds = [f.values.dtype] + [f.values.dtype, np.dtype(np.float64)] * (len(sides) - 1)
+    block = np.empty(math.prod(shape) * sum(k.itemsize for k in kinds), np.uint8)
+    ends = np.cumsum([0] + [math.prod(shape) * k.itemsize for k in kinds])
+    arrays = iter(block[a:b].view(k).reshape(shape)
+                  for a, b, k in zip(ends[:-1], ends[1:], kinds))
+    for above, p in zip([None, *sides], sides):
+        # per axis: the anchor of the first cube of side p meeting the box,
+        # the number of cubes, the cells each holds, and the bounds of
+        # their dilates, shaped to broadcast
+        first, count, runs, lo, hi = [], [], [], [], []
+        for d, ((c_lo, c_hi), a) in enumerate(zip(box, cubes[0].anchor)):
+            anchor, starts, cells = _level_runs(c_lo, c_hi, a, p)
             plo = anchor + (np.arange(starts.size) - shift) * p
-            shape = (1,) * d + (-1,) + (1,) * (dim - 1 - d)
+            along = (1,) * d + (-1,) + (1,) * (dim - 1 - d)
             first.append(anchor)
             count.append(starts.size)
-            lo.append(np.clip(plo, 0, n).reshape(shape))
-            hi.append(np.clip(plo + alpha * p, 0, n).reshape(shape))
-        sums = _sat_box_sums(sat, lo, hi)
-        avgs = (sums * grid.cell_measure
-                / (alpha * p * grid.cell_width) ** dim) ** (1.0 / s)
-        averages[p] = (first, _frozen(avgs))
-        transforms[p] = _frozen(rt.dilate_transforms(first, count, p))
-    return _RootLevels(tuple(lo for lo, _ in clip), transforms, averages)
+            runs.append(cells)
+            lo.append(np.clip(plo, 0, n).reshape(along))
+            hi.append(np.clip(plo + alpha * p, 0, n).reshape(along))
+        transforms[p] = _read_only(rt.dilate_transforms(first, count, p, out=next(arrays)))
+        if above is not None:
+            sums = _sat_box_sums(sat, lo, hi)
+            avgs = (sums * grid.cell_measure
+                    / (alpha * p * grid.cell_width) ** dim) ** (1.0 / s)
+            maxima[above] = next(arrays)
+            maxima[above][...] = _repeat(avgs, runs)
+    # from the finest level up: each side's maxima take its first level's
+    for above, p in zip(sides[-2::-1], sides[:0:-1]):
+        if p in maxima:
+            np.maximum(maxima[above], maxima[p], out=maxima[above])
+        _read_only(maxima[above])
+    return _RootLevels(tuple(lo for lo, _ in box), transforms, maxima)
 
 
 def _node_stats(levels: _RootLevels, grid: Grid, cube: Cube):
@@ -327,27 +366,25 @@ def _node_stats(levels: _RootLevels, grid: Grid, cube: Cube):
     and of the oscillation over P's window cells of
     ``T(f char_{Q+}) - T(f char_{P+})``.  Since P+ lies in Q+, f char_{Q+}
     is f on P+.  The level cubes tile Q, so a cell takes its cube's value
-    on each level; every value is read from the cover cube's ``levels``.
+    on each level; the averages are a slice of the side's running maximum,
+    and a single cell, the last level, has no oscillation.
     """
     clip = cube.window_clip(grid)
     on = _box_slices(clip, levels.origin)
     t_on = levels.transforms[cube.side][on]
-    ms = np.zeros(t_on.shape)
     osc = np.zeros(t_on.shape)
+    if cube.side == 1:
+        return t_on, np.zeros(osc.size), osc.ravel()
     for p in _levels(cube.side):
-        # per axis: the node's level cubes among the cover cube's, and
-        # where each cube's run of the node's window cells starts and its
-        # length
-        first, avgs = levels.averages[p]
-        picks, starts, counts = [], [], []
-        for (lo, hi), a, a0 in zip(clip, cube.anchor, first):
-            anchor, b, c = _level_runs(lo, hi, a, p)
-            k = (anchor - a0) // p
-            picks.append(slice(k, k + b.size))
+        if p == 1:
+            break
+        # per axis: where each of the node's level cubes starts its run of
+        # the node's window cells, and the run's length
+        starts, counts = [], []
+        for (lo, hi), a in zip(clip, cube.anchor):
+            _, b, c = _level_runs(lo, hi, a, p)
             starts.append(b)
             counts.append(c)
-        np.maximum(ms, _repeat(avgs[tuple(picks)], counts), out=ms)
-
         trunc = t_on - levels.transforms[p][on]
         if np.iscomplexobj(trunc):
             bounds = [list(zip(b, np.append(b[1:], trunc.shape[d])))
@@ -363,7 +400,7 @@ def _node_stats(levels: _RootLevels, grid: Grid, cube: Cube):
                 bottom = np.minimum.reduceat(bottom, b, axis=d)
             stat = top - bottom
         np.maximum(osc, _repeat(stat, counts), out=osc)
-    return t_on, ms.ravel(), osc.ravel()
+    return t_on, levels.maxima[cube.side][on].ravel(), osc.ravel()
 
 
 def _repeat(vals: np.ndarray, counts) -> np.ndarray:
@@ -448,10 +485,13 @@ def _exceptional(levels: _RootLevels | None, f: GridFunction,
 # ---------------------------------------------------------------------------
 # stopping time
 
-def _density_exceeds(count: int, cube: Cube, dim: int, lam: float | None) -> bool:
+def _density_exceeds(count, cells: int, dim: int, lam: float | None):
+    """Whether ``count`` of ``cells`` cells exceed the threshold density,
+    ``1/2**(dim+1)`` in exact integer arithmetic by default; counts may
+    be an array."""
     if lam is None:
-        return count * 2 ** (dim + 1) > cube.cell_count
-    return count > lam * cube.cell_count
+        return count * 2 ** (dim + 1) > cells
+    return count > lam * cells
 
 
 def _stopping_time(grid: Grid, cube: Cube, omega: CellSet,
@@ -463,38 +503,75 @@ def _stopping_time(grid: Grid, cube: Cube, omega: CellSet,
     event flagged.  Odd sides above one cannot be halved: with
     ``allow_odd_leaf`` the residual exceptional cells are selected as
     single-cell cubes (flagged), otherwise that raises AlignmentError.
+
+    The cubes are scanned a level at a time: the counts of omega in every
+    cube of a level are reshape-sums of the mask, a cube is selected where
+    its parent was scanned and its count is dense, and scanned where it is
+    positive but not dense.  The selections come out in the order of a
+    depth-first scan that takes the children in lexicographic order (Z
+    order), each odd cube's cells in row-major order.
     """
-    selected: list[Cube] = []
-    flags: list[str] = []
+    dim, m = grid.dim, cube.side
+    if omega.box == cube:
+        mask = omega.mask
+    else:
+        mask = np.zeros((m,) * dim, dtype=bool)
+        clip = cube.clip(omega.box)
+        if clip is not None:
+            mask[_box_slices(clip, cube.anchor)] = omega.mask[
+                _box_slices(clip, omega.box.anchor)]
+    # the cubes below the side's odd part have it as side; counts[k] holds
+    # those of the 2**k cubes per axis of level k, side m / 2**k
+    odd = m // (m & -m)
+    levels = (m // odd).bit_length() - 1
+    counts = [_tile_sums(mask, odd)]
+    while len(counts) <= levels:
+        counts.append(_tile_sums(counts[-1], 2))
+    counts.reverse()
+    if counts[0].sum() == 0:
+        return [], []
+    if m == 1:
+        return [], ["density_violation"]
 
-    def recurse(q: Cube, is_root: bool) -> None:
-        count = omega.count_in(q)
-        if count == 0:
-            return
-        if not is_root and _density_exceeds(count, q, grid.dim, lam):
-            selected.append(q)
-            return
-        if q.side == 1:
-            if is_root:
-                flags.append("density_violation")
-            return
-        if q.side % 2 == 1:
-            if not allow_odd_leaf:
-                raise AlignmentError(
-                    f"cube side {q.side} is odd; cannot run the dyadic stopping time")
-            flags.append("odd_leaf")
-            clip = q.clip(omega.box)
-            if clip is not None:
-                cells = np.argwhere(omega.mask[_box_slices(clip, omega.box.anchor)])
-                selected.extend(Cube(tuple(c), 1) for c in cells + [lo for lo, _ in clip])
-            return
-        if is_root and _density_exceeds(count, q, grid.dim, lam):
-            flags.append("density_violation")
-        for child in dyadic_children(q):
-            recurse(child, False)
+    flags = []
+    picks = []          # (side, anchors relative to the cube, shape (k, dim))
+    scanned = np.ones((1,) * dim, dtype=bool)
+    if levels and _density_exceeds(int(counts[0].sum()), m**dim, dim, lam):
+        flags.append("density_violation")
+    for k in range(1, levels + 1):
+        scanned = _repeat(scanned, (2,) * dim)
+        positive = scanned & (counts[k] > 0)
+        chosen = positive & _density_exceeds(counts[k], (m >> k) ** dim, dim, lam)
+        picks.append((m >> k, np.argwhere(chosen) * (m >> k)))
+        scanned = positive & ~chosen
+        if not scanned.any():
+            break
+    if odd > 1 and scanned.any():
+        if not allow_odd_leaf:
+            raise AlignmentError(
+                f"cube side {odd} is odd; cannot run the dyadic stopping time")
+        flags.extend(["odd_leaf"] * int(scanned.sum()))
+        picks.append((1, np.argwhere(_repeat(scanned, (odd,) * dim) & mask)))
+    if not picks:
+        return [], flags
 
-    recurse(cube, True)
-    return selected, flags
+    sides = np.concatenate([np.full(len(a), side) for side, a in picks])
+    cells = np.concatenate([a for _, a in picks])
+    # the depth-first order: Z order of the odd cube holding the anchor (the
+    # bits of its indices interleaved, axis 0 the more significant), then
+    # row-major order inside it
+    odd_cube, inside = np.divmod(cells, odd)
+    bits = odd_cube[:, None, :] >> np.arange(levels - 1, -1, -1)[:, None] & 1
+    key = bits.reshape(len(cells), -1) @ (1 << np.arange(levels * dim - 1, -1, -1))
+    key = key * odd**dim + np.ravel_multi_index(inside.T, (odd,) * dim)
+    order = np.argsort(key, kind="stable")
+    anchors = (cells[order] + cube.anchor).tolist()
+    return [Cube(tuple(a), int(side)) for a, side in zip(anchors, sides[order])], flags
+
+
+def _tile_sums(a: np.ndarray, r: int) -> np.ndarray:
+    """Sums of a square array over its blocks of r entries per axis."""
+    return a.reshape((a.shape[0] // r, r) * a.ndim).sum(axis=tuple(range(1, 2 * a.ndim, 2)))
 
 
 def local_cz_decomposition(grid: Grid, cube: Cube, omega: CellSet,
@@ -513,7 +590,7 @@ def local_cz_decomposition(grid: Grid, cube: Cube, omega: CellSet,
         raise AlignmentError(f"cube side must be a power of two, got {cube.side}")
     if lam is not None and not (0 < lam < 1):
         raise ParameterError(f"density threshold must lie in (0, 1), got {lam}")
-    if _density_exceeds(omega.count_in(cube), cube, grid.dim, lam):
+    if _density_exceeds(omega.count_in(cube), cube.cell_count, grid.dim, lam):
         raise DensityError(
             f"exceptional set occupies more than the threshold share of {cube}")
     selected, _ = _stopping_time(grid, cube, omega, lam, allow_odd_leaf=False)
@@ -691,9 +768,13 @@ def build_sparse_domination(kernel: Kernel, f: GridFunction,
     rt = LatticeTransform(kernel, f, cfg.alpha, max(c.side for c in cover))
     entries: list[SparseEntry] = []
     records: list[NodeRecord] = []
-    for root in cover:
-        _build_node(_root_levels(rt, f, root, cfg.s), f, root, 0, cfg,
-                    entries, records)
+    # the cover cubes of one side come in a run and share their level data
+    for _, roots in itertools.groupby(cover, key=lambda c: c.side):
+        roots = list(roots)
+        levels = _side_levels(rt, f, roots, cfg.s)
+        for root in roots:
+            _build_node(levels, f, root, 0, cfg, entries, records)
+        del levels
 
     final_c = constant_from_records(records)
     source = None

@@ -670,6 +670,50 @@ def test_non_finite_number_exits_two(tmp_path, capsys, literal, path, overrides)
     _exits_two_with_an_error_line(tmp_path, capsys, cfg)
 
 
+# finite inputs whose transform or norms overflow: amplitude 1e300 exited
+# 0 with a nan norm ratio, 1e307 and a 1e306 cell exited 3 blaming the
+# verifier's FFT
+@pytest.mark.parametrize("amplitude", [1e300, 1e307])
+def test_overflowing_amplitude_exits_two(tmp_path, capsys, amplitude):
+    grid = {"dim": 1, "cells_per_side": 32}
+    cfg = write_config(tmp_path, grid=grid,
+                       input={"kind": "random", "seed": 7, "amplitude": amplitude})
+    err = _exits_two_with_an_error_line(tmp_path, capsys, cfg)
+    assert "input (kind random, amplitude" in err and "max |f|" in err
+    # verify reads its input the same way
+    safe = write_config(tmp_path, "safe.json", grid=grid)
+    assert cli.main(["run", "--config", safe, "--out", str(tmp_path / "o")]) == 0
+    err = _exits_two_with_an_error_line(tmp_path, capsys, cfg, command="verify")
+    assert "input (kind random, amplitude" in err
+
+
+def test_overflowing_input_file_exits_two(tmp_path, capsys):
+    vals = make_input(Grid(1, 32), "random", seed=7).values.copy()
+    vals[5] = 1e306
+    path = tmp_path / "f.npy"
+    np.save(path, vals)
+    cfg = write_config(tmp_path, grid={"dim": 1, "cells_per_side": 32},
+                       input={"path": str(path)})
+    err = _exits_two_with_an_error_line(tmp_path, capsys, cfg)
+    assert f"input {path} has max |f| = 1e+306" in err
+    # the bound scales with the grid and the exponents: large but safe
+    # amplitudes still run
+    vals[5] = 1e100
+    np.save(path, vals)
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
+    strict = write_config(tmp_path, "strict.json", grid={"dim": 1, "cells_per_side": 32},
+                          input={"path": str(path)}, verify={"ratio_p": 8})
+    assert "ratio_p = 8" in _exits_two_with_an_error_line(tmp_path, capsys, strict)
+
+
+def test_zero_kernel_with_a_fractional_dim_exits_two(tmp_path, capsys):
+    # make_kernel truncated 1.5 to 1, and the run passed on a 1D grid
+    cfg = write_config(tmp_path, kernel={"name": "zero", "params": {"dim": 1.5}})
+    assert "dim must be an integer" in _exits_two_with_an_error_line(tmp_path, capsys, cfg)
+    ok = write_config(tmp_path, "ok.json", kernel={"name": "zero", "params": {"dim": 1}})
+    assert cli.main(["run", "--config", ok, "--out", str(tmp_path / "ok")]) == 0
+
+
 def test_infinite_tol_verifies_no_family(tmp_path, capsys):
     # a family of constant 0 fails its domination check under any finite
     # tol, and used to pass under 1e400

@@ -117,7 +117,7 @@ def compare_every_node(monkeypatch, kernel, f, cfg):
     statistics checked against the reference; return the node cubes
     seen."""
     fast = sparse._node_stats
-    root_levels = sparse._root_levels
+    side_levels = sparse._side_levels
     seen = []
     # the reference samples each lattice once, not once per cube
     monkeypatch.setattr(operators, "_offset_lattice",
@@ -128,10 +128,10 @@ def compare_every_node(monkeypatch, kernel, f, cfg):
         else:
             run_kernel = kernel
 
-        def on_path(rt, f_, root, s):
+        def on_path(rt, f_, roots, s):
             assert (rt._lat is None) == (path == "direct")
             assert rt.alpha == cfg.alpha and s == cfg.s
-            return root_levels(rt, f_, root, s)
+            return side_levels(rt, f_, roots, s)
 
         def checked(levels, grid, cube):
             got = fast(levels, grid, cube)
@@ -148,7 +148,7 @@ def compare_every_node(monkeypatch, kernel, f, cfg):
             seen.append(cube)
             return got
 
-        monkeypatch.setattr(sparse, "_root_levels", on_path)
+        monkeypatch.setattr(sparse, "_side_levels", on_path)
         monkeypatch.setattr(sparse, "_node_stats", checked)
         before = len(seen)
         build_sparse_domination(run_kernel, f, cfg)
@@ -215,6 +215,57 @@ def test_2d_complex_input_and_ring_cubes_match_reference(monkeypatch):
     assert any(min(c.anchor) < 0 for c in seen)
 
 
+def assert_side_data_is_each_cubes_own(kernel, f, cfg):
+    """Each cover side's level data, on each of its cover cubes' window
+    cells, bit for bit the data of that cube alone; return the sides."""
+    grid = f.grid
+    cover = sparse.partition_cover(grid, sparse.support_box(f), cfg.alpha)
+    rt = operators.LatticeTransform(kernel, f, cfg.alpha, max(c.side for c in cover))
+    sides = []
+    for side, group in itertools.groupby(cover, key=lambda c: c.side):
+        group = list(group)
+        shared = sparse._side_levels(rt, f, group, cfg.s)
+        for cube in group:
+            own = sparse._side_levels(rt, f, [cube], cfg.s)
+            if own is None:
+                continue
+            on = sparse._box_slices(cube.window_clip(grid), shared.origin)
+            assert own.transforms.keys() == shared.transforms.keys()
+            assert own.maxima.keys() == shared.maxima.keys()
+            for mine, theirs in ((own.transforms, shared.transforms),
+                                 (own.maxima, shared.maxima)):
+                for p, values in mine.items():
+                    got = theirs[p][on]
+                    assert got.dtype == values.dtype and got.shape == values.shape
+                    assert got.tobytes() == values.tobytes(), (cube, p)
+        sides.append(side)
+    return sides
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+@pytest.mark.parametrize("dim,n,name,s", [(1, 64, "hilbert", 4), (2, 16, "riesz2d", 4)])
+def test_multi_ring_covers_match_reference(monkeypatch, dim, n, name, s,
+                                           complex_values):
+    # a support box of side s <= n/4 off the centre: the cover has the box
+    # and its first ring (side s), then rings of side 3s (and 9s in 1D),
+    # whose levels end in odd cubes and their odd leaves
+    grid = Grid(dim, n)
+    g = np.random.Generator(np.random.Philox(1))
+    vals = np.zeros(grid.shape, dtype=complex if complex_values else float)
+    box = (slice(n // 8, n // 8 + s),) * dim
+    vals[box] = g.random(vals[box].shape) + 0.25
+    if complex_values:
+        vals[box] = vals[box] * np.exp(2j * np.pi * g.random(vals[box].shape))
+    f = GridFunction(grid, vals)
+    k = make_kernel(name, grid)
+    cfg = PipelineConfig(alpha=3)
+    assert sparse.support_box(f).side == s
+    assert assert_side_data_is_each_cubes_own(k, f, cfg)[:2] == [s, 3 * s]
+    seen = compare_every_node(monkeypatch, k, f, cfg)
+    assert {s, 3 * s} <= {c.side for c in seen}
+    assert build_sparse_domination(k, f, cfg).ledger.flag_counts.get("odd_leaf", 0) > 0
+
+
 def test_level_runs_match_the_diff_form():
     for lo, hi in itertools.combinations(range(-3, 20), 2):
         cells = np.arange(lo, hi)
@@ -239,15 +290,17 @@ def test_only_cover_cubes_call_the_transform(monkeypatch, dim, n, name):
     calls = []
     dilate_transforms = operators.LatticeTransform.dilate_transforms
 
-    def counted(self, start, count, side):
+    def counted(self, start, count, side, **kwargs):
         calls.append(side)
-        return dilate_transforms(self, start, count, side)
+        return dilate_transforms(self, start, count, side, **kwargs)
 
     monkeypatch.setattr(operators.LatticeTransform, "dilate_transforms", counted)
     res = build_sparse_domination(make_kernel(name, grid), f, cfg)
     assert len(with_transform) > 1 and len(res.records) > 2 * len(cover)
-    assert len(calls) == sum(1 + len(list(sparse._levels(r.side)))
-                             for r in with_transform)
+    # one call for each side of the cover cubes with a transform, and one
+    # for each of its levels
+    assert len(calls) == sum(1 + len(list(sparse._levels(side)))
+                             for side in {r.side for r in with_transform})
 
 
 def test_builder_sweeps_no_lattice_cube(monkeypatch):

@@ -705,35 +705,34 @@ def test_table_refused_before_allocation(monkeypatch):
 
 
 def test_lattice_run_estimate_counts_padding_batch_lattice_and_pairs():
-    # 1D N = 64 at alpha 3, nodes of side N: padded f 5N, batch and spectra
-    # 6 arrays of 4N points, a cover cube's 7 kept transforms (itself and
-    # levels 32 .. 1) on N cells, the lattice and its reversed copy, the
-    # verifier's FFT at 3 complex arrays of 2N points, all N**2 pairs in
-    # one real block (also for a complex input, whose parts it multiplies
-    # in turn)
-    want = (5 * 64 * 8 + 6 * 4 * 64 * 8 + 7 * 64 * 8 + 2 * 127 * 8 + 3 * 128 * 16
+    # 1D N = 64 at alpha 3, nodes of side N: a slab of 6 arrays of 2**16
+    # points (more than one cube's 4N), a cover side's 7 kept transforms
+    # (itself and levels 32 .. 1)
+    # and 6 running maxima (sides 64 .. 2) on N cells, the lattice and its
+    # reversed copy, the verifier's FFT at 3 complex arrays of 2N points,
+    # all N**2 pairs in one real block (also for a complex input, whose
+    # parts it multiplies in turn)
+    want = (6 * 2**16 * 8 + (7 + 6) * 64 * 8 + 2 * 127 * 8 + 3 * 128 * 16
             + 64 * 64 * 8)
     assert operators._lattice_run_bytes(Grid(1, 64), 3, 64, False) == want
-    complex_want = (5 * 64 * 16 + 6 * 4 * 64 * 16 + 7 * 64 * 16 + 2 * 127 * 8
+    complex_want = (6 * 2**16 * 16 + 7 * 64 * 16 + 6 * 64 * 8 + 2 * 127 * 8
                     + 3 * 128 * 16 + 64 * 64 * 8)
     assert operators._lattice_run_bytes(Grid(1, 64), 3, 64, True) == complex_want
-    # nodes of side 81 (a far ring of the cover): the padding and the batch
-    # grow with it; it keeps 2 transforms (itself and single cells) on at
-    # most the N window cells
-    wide = ((64 + 4 * 81) * 8 + 6 * 4 * 81 * 8 + 2 * 64 * 8 + 2 * 127 * 8
-            + 3 * 128 * 16 + 64 * 64 * 8)
+    # nodes of side 81 (a far ring of the cover): one cube is still below
+    # the slab; it keeps 2 transforms (itself and single cells) and 1
+    # running maximum on at most the N window cells
+    wide = (6 * 2**16 * 8 + (2 + 1) * 64 * 8 + 2 * 127 * 8 + 3 * 128 * 16
+            + 64 * 64 * 8)
     assert operators._lattice_run_bytes(Grid(1, 64), 3, 81, False) == wide
-    # 2D n = 128: about 55 MB, the verifier's pair block capped at 2**22
+    # 2D n = 128: about 52 MB, the verifier's pair block capped at 2**22
     big = operators._lattice_run_bytes(Grid(2, 128), 3, 128, False)
-    assert big == (640**2 + 6 * 512**2 + 8 * 128**2 + 2 * 255**2 + 6 * 256**2
+    assert big == (6 * 512**2 + (8 + 7) * 128**2 + 2 * 255**2 + 6 * 256**2
                    + 2**22) * 8
     assert big < operators._table_bytes(Grid(2, 128), False) / 75
-    # the padded f is what the estimate says, and a node of side n, the
-    # largest call, stays inside its batch term
+    # a node of side n, the largest call, stays inside the slab term
     grid = Grid(2, 16)
     f = GridFunction(grid, rng(2).normal(size=grid.shape))
     fft = LatticeTransform(make_kernel("riesz2d", grid), f, 5, 16)
-    assert fft._padded.nbytes == (16 + 6 * 16) ** 2 * 8
     tracemalloc.start()
     try:
         fft.dilate_transforms((0, 0), (1, 1), 16)
@@ -773,22 +772,25 @@ def test_lattice_run_estimate_holds_for_a_corner_support():
 
 @pytest.mark.parametrize("dim,n,name", [(1, 4096, "hilbert"), (2, 64, "riesz2d")])
 def test_lattice_run_estimate_holds_for_the_kept_levels(monkeypatch, dim, n, name):
-    # the default support makes rings of cover cubes, and each holds a
-    # transform per level on its window cells while its nodes recurse
+    # the default support and its ring of cover cubes share a side, and
+    # hold a transform per level, and a running maximum for every side
+    # above one, on the window cells they meet while their nodes recurse
     grid = Grid(dim, n)
     f = make_input(grid, "random", seed=7)
     k = make_kernel(name, grid)
     side = max(c.side for c in sparse.partition_cover(grid, sparse.support_box(f), 3))
-    kept_term = (len(list(sparse._levels(side))) + 1) * min(side, n) ** dim * 8
-    root_levels = sparse._root_levels
+    levels = len(list(sparse._levels(side)))
+    kept_term = (2 * levels + 1) * min(3 * side, n) ** dim * 8
+    side_levels = sparse._side_levels
     kept = []
 
     def counted(*args):
-        levels = root_levels(*args)
-        kept.append(sum(t.nbytes for t in levels.transforms.values()))
-        return levels
+        data = side_levels(*args)
+        kept.append(sum(t.nbytes for t in data.transforms.values())
+                    + sum(m.nbytes for m in data.maxima.values()))
+        return data
 
-    monkeypatch.setattr(sparse, "_root_levels", counted)
+    monkeypatch.setattr(sparse, "_side_levels", counted)
     tracemalloc.start()
     try:
         res = sparse.build_sparse_domination(k, f)
@@ -796,7 +798,7 @@ def test_lattice_run_estimate_holds_for_the_kept_levels(monkeypatch, dim, n, nam
     finally:
         tracemalloc.stop()
     assert max(r.depth for r in res.records) > 1
-    assert len(kept) > 1 and max(kept) <= kept_term
+    assert len(kept) == 1 and max(kept) <= kept_term
     assert build_peak <= operators._lattice_run_bytes(grid, 3, side, False)
 
 

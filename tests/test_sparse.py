@@ -66,7 +66,7 @@ def node_exceptional(kernel, f, cube, **config):
     """Exceptional set of one node, as the pipeline computes it."""
     cfg = PipelineConfig(**config)
     rt = builder_transform(kernel, f, cfg, cube.side)
-    return sparse._exceptional(sparse._root_levels(rt, f, cube, cfg.s), f, cube, cfg)
+    return sparse._exceptional(sparse._side_levels(rt, f, [cube], cfg.s), f, cube, cfg)
 
 
 def local_family(kernel, f, root, config=PipelineConfig()):
@@ -74,7 +74,7 @@ def local_family(kernel, f, root, config=PipelineConfig()):
     one root cube."""
     entries, records = [], []
     rt = builder_transform(kernel, f, config, root.side)
-    sparse._build_node(sparse._root_levels(rt, f, root, config.s), f, root,
+    sparse._build_node(sparse._side_levels(rt, f, [root], config.s), f, root,
                        0, config, entries, records)
     return entries, records
 
@@ -548,7 +548,7 @@ def analytic_edge_check(kernel, f, cfg):
 
     def node(q):
         if q not in nodes:
-            exc = sparse._exceptional(sparse._root_levels(rt, f, q, cfg.s), f, q, cfg)
+            exc = sparse._exceptional(sparse._side_levels(rt, f, [q], cfg.s), f, q, cfg)
             t_exceed = np.zeros(grid.shape, dtype=bool)
             a = 0.0
             if exc.transform is not None:
@@ -699,7 +699,7 @@ def test_records_carry_exceed_counts_and_ledger_sums_them(kname, dim, n):
             rt = builder_transform(k, f, cfg, max(r.cube.side for r in res.records))
             sums = {}
             for rec in res.records:
-                levels = sparse._root_levels(rt, f, rec.cube, cfg.s)
+                levels = sparse._side_levels(rt, f, [rec.cube], cfg.s)
                 exc = sparse._exceptional(levels, f, rec.cube, cfg)
                 assert rec.exceed_counts == exc.exceed_counts
                 # the exceptional set is the union of the three cuts
