@@ -251,12 +251,26 @@ def load_config(path: str) -> dict:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    # the error jsonschema.validate would raise
+    return _validated(cfg, f"config {path}")
+
+
+def _validated(cfg: dict, what: str) -> dict:
+    """``cfg`` if it passes the config schema; otherwise the ConfigError of
+    the error jsonschema.validate would raise, naming ``what``."""
     exc = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(cfg))
     if exc is not None:
         where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config {path} invalid at {where}: {exc.message}") from exc
+        raise ConfigError(f"{what} invalid at {where}: {exc.message}") from exc
     return cfg
+
+
+def _seeded(cfg: dict, section: str, seed: int | None) -> dict:
+    """``cfg`` with ``--seed``, where given, as the seed of ``section``,
+    checked against the schema as the file was."""
+    if seed is None:
+        return cfg
+    cfg.setdefault(section, {})["seed"] = seed
+    return _validated(cfg, f"--seed {seed}: config")
 
 
 def _grid_from(cfg: dict) -> Grid:
@@ -276,7 +290,7 @@ def _cube_from(d: dict, grid: Grid) -> Cube:
     return Cube(tuple(d["anchor"]), d["side"])
 
 
-def _input_from(cfg: dict, grid: Grid, seed_override: int | None = None) -> GridFunction:
+def _input_from(cfg: dict, grid: Grid) -> GridFunction:
     """The configured input, generated or loaded.  A grid whose real input
     alone would not fit in physical memory is refused before anything is
     generated or read (a file of the grid's shape holds at least that)."""
@@ -288,10 +302,10 @@ def _input_from(cfg: dict, grid: Grid, seed_override: int | None = None) -> Grid
         f = load_input(section["path"], grid)
         what = f"input {section['path']}"
     else:
-        seed = seed_override if seed_override is not None else section.get("seed", 0)
         support = _cube_from(section["support"], grid) if "support" in section else None
         kind, amplitude = section.get("kind", "random"), section.get("amplitude", 1.0)
-        f = make_input(grid, kind, seed=seed, support=support, amplitude=amplitude)
+        f = make_input(grid, kind, seed=section.get("seed", 0), support=support,
+                       amplitude=amplitude)
         what = f"input (kind {kind}, amplitude {amplitude:g})"
     _refuse_overflowing_input(f, cfg, what)
     return f
@@ -530,10 +544,10 @@ def _verification_report(kernel, f, family, cfg) -> tuple[dict, dict]:
     }, timings
 
 
-def _run_once(cfg: dict, seed_override: int | None):
+def _run_once(cfg: dict):
     grid = _grid_from(cfg)
     kernel = _kernel_from(cfg, grid)
-    f = _input_from(cfg, grid, seed_override)
+    f = _input_from(cfg, grid)
     timings = {}
     with _timed(timings, "build_s"):
         result = build_sparse_domination(kernel, f, _pipeline_from(cfg))
@@ -563,9 +577,9 @@ def _print_report(report: dict) -> None:
 # subcommands
 
 def _cmd_run(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _seeded(load_config(args.config), "input", args.seed)
     out = _out_dir(args)
-    result, report, timings = _run_once(cfg, args.seed)
+    result, report, timings = _run_once(cfg)
     family = result.family
     _write_outputs(args, out, cfg, timings, {
         "family.json": _json_bytes(family_to_dict(family)),
@@ -580,7 +594,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _seeded(load_config(args.config), "input", args.seed)
     out = _out_dir(args)
     family_path = args.family or os.path.join(out, "family.json")
     try:
@@ -592,7 +606,7 @@ def _cmd_verify(args) -> int:
     if family.grid != grid:
         raise ConfigError("family grid does not match the configuration grid")
     kernel = _kernel_from(cfg, grid)
-    f = _input_from(cfg, grid, args.seed)
+    f = _input_from(cfg, grid)
     report, timings = _verification_report(kernel, f, family, cfg)
     _write_outputs(args, out, cfg, timings,
                    {"verify_report.json": _json_bytes(report)})
@@ -630,13 +644,13 @@ def _cmd_kernel_stats(args) -> int:
 
 
 def _cmd_t1_probe(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _seeded(load_config(args.config), "probe", args.seed)
     out = _out_dir(args)
     grid = _grid_from(cfg)
     kernel = _kernel_from(cfg, grid)
     pcfg = cfg.get("probe", {})
     cube = _cube_from(pcfg["cube"], grid) if "cube" in pcfg else default_support(grid)
-    seed = args.seed if args.seed is not None else pcfg.get("seed", 0)
+    seed = pcfg.get("seed", 0)
     probs = tuple(pcfg.get("probs", (0.125, 0.25, 0.5, 0.75)))
     probe = t1_testing_probe(kernel, grid, cube, seed=seed, probs=probs,
                              draws_per_prob=pcfg.get("draws_per_prob", 2))
@@ -658,24 +672,24 @@ _SWEEP_COLUMNS = ["axis", "value", "n_entries", "constant", "eta",
                   "domination_passed", "worst_margin", "lp_ratio"]
 
 
+# the config field each sweep axis sets
+_AXIS_FIELDS = {"N": ("grid", "cells_per_side"), "alpha": ("pipeline", "alpha"),
+                "s": ("pipeline", "s"), "max_depth": ("pipeline", "max_depth"),
+                "seed": ("input", "seed")}
+
+
 def _apply_axis(cfg: dict, axis: str, value) -> dict:
+    """A copy of ``cfg`` with the axis's field set to ``value``, checked
+    against the schema as the file was."""
     cfg = json.loads(json.dumps(cfg))
-    if axis == "N":
-        cfg["grid"]["cells_per_side"] = int(value)
-    elif axis == "alpha":
-        cfg.setdefault("pipeline", {})["alpha"] = int(value)
-    elif axis == "s":
-        cfg.setdefault("pipeline", {})["s"] = float(value)
-    elif axis == "max_depth":
-        cfg.setdefault("pipeline", {})["max_depth"] = int(value)
-    else:
-        cfg.setdefault("input", {})["seed"] = int(value)
-    return cfg
+    section, key = _AXIS_FIELDS[axis]
+    cfg.setdefault(section, {})[key] = value
+    return _validated(cfg, f"sweep value {value} of {axis}: config")
 
 
 def _sweep_worker(payload) -> dict:
-    cfg, axis, value, seed_override = payload
-    _, report, _ = _run_once(_apply_axis(cfg, axis, value), seed_override)
+    cfg, axis, value = payload
+    _, report, _ = _run_once(cfg)
     spar = report["sparsity"]
     dom = report["domination"]
     ratio = report["lp_ratio"]["value"]
@@ -697,13 +711,14 @@ def _sweep_worker(payload) -> dict:
 def _cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
-    cfg = load_config(args.config)
+    cfg = _seeded(load_config(args.config), "input", args.seed)
     if "sweep" not in cfg:
         raise ConfigError("sweep command needs a 'sweep' section in the config")
     axis = cfg["sweep"]["axis"]
     values = cfg["sweep"]["values"]
+    # every point is checked before any runs
+    payloads = [(_apply_axis(cfg, axis, v), axis, v) for v in values]
     out = _out_dir(args)
-    payloads = [(cfg, axis, v, args.seed) for v in values]
     t0 = time.perf_counter()
     # no more workers than values: a fork pool starts all of them at once
     workers = min(args.jobs, len(payloads))

@@ -16,6 +16,8 @@ Geometry conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
+import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -70,6 +72,17 @@ class Grid:
             )
         if not (self.phys_side > 0):
             raise ParameterError(f"phys_side must be positive, got {self.phys_side}")
+        # every integral scales by these, so each must be a positive normal
+        # float (Python's float power raises where it overflows)
+        try:
+            measures = (self.phys_side**self.dim, self.cell_measure)
+        except OverflowError:
+            measures = (math.inf,)
+        if not all(sys.float_info.min <= m < math.inf for m in measures):
+            raise ParameterError(
+                f"phys_side {self.phys_side} gives a window or cell measure "
+                f"beyond the normal float range on a {self.dim}D grid with "
+                f"{self.cells_per_side} cells per side")
 
     @property
     def cell_width(self) -> float:

@@ -131,12 +131,10 @@ def _cell_center_coords(grid: Grid, cells: np.ndarray) -> np.ndarray:
 
 
 def _raise_nonfinite(kernel_name: str, grid: Grid, x_cell, y_cell):
-    xs = _cell_center_coords(grid, x_cell)
-    ys = _cell_center_coords(grid, y_cell)
+    xs = tuple(float(v) for v in _cell_center_coords(grid, x_cell))
+    ys = tuple(float(v) for v in _cell_center_coords(grid, y_cell))
     raise NumericError(
-        f"kernel {kernel_name!r} evaluated non-finite at x={tuple(xs)}, "
-        f"y={tuple(ys)}"
-    )
+        f"kernel {kernel_name!r} evaluated non-finite at x={xs}, y={ys}")
 
 
 def _offset_lattice(kernel: Kernel, grid: Grid) -> np.ndarray | None:
@@ -145,7 +143,8 @@ def _offset_lattice(kernel: Kernel, grid: Grid) -> np.ndarray | None:
     Returns a read-only ``(2n - 1,) * dim`` array indexed by ``k + n - 1``
     on every axis, with the offset-0 entry zeroed: the kernel at the pair
     ``(x, y)`` is entry ``x - y + n - 1``.  None unless the kernel declares
-    translation invariance.
+    translation invariance.  A non-finite value raises NumericError, named
+    by a cell pair with its offset, so every lattice handed out is finite.
     """
     if not kernel.translation_invariant:
         return None
@@ -155,18 +154,13 @@ def _offset_lattice(kernel: Kernel, grid: Grid) -> np.ndarray | None:
     with np.errstate(divide="ignore", invalid="ignore"):
         lat = np.asarray(kernel.fn(x, np.zeros_like(x)), dtype=np.float64)
     lat[(n - 1,) * dim] = 0.0
-    lat.flags.writeable = False
-    return lat
-
-
-def _check_lattice_finite(kernel: Kernel, grid: Grid, lat: np.ndarray) -> None:
-    """Raise NumericError at the first non-finite lattice value, named by a
-    cell pair with that offset."""
     bad = ~np.isfinite(lat)
     if bad.any():
         # every offset k occurs, e.g. at x = max(k, 0), y = max(-k, 0)
-        k = np.argwhere(bad)[0] - (grid.cells_per_side - 1)
+        k = np.argwhere(bad)[0] - (n - 1)
         _raise_nonfinite(kernel.name, grid, np.maximum(k, 0), np.maximum(-k, 0))
+    lat.flags.writeable = False
+    return lat
 
 
 def _lattice_weights(lat: np.ndarray, grid: Grid) -> np.ndarray:
@@ -180,39 +174,34 @@ def _lattice_weights(lat: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def _kernel_block(kernel: Kernel, grid: Grid, pairs: np.ndarray | None,
-                  t_cells: np.ndarray, s_cells: np.ndarray,
-                  finite: bool = False) -> np.ndarray:
+                  t_cells: np.ndarray, s_cells: np.ndarray) -> np.ndarray:
     """``K(x_c, y_c)`` for target cells x (rows) and source cells y, zero
     where ``x = y``: read from the lattice's pair view ``pairs``
     (``_lattice_weights``), or evaluated densely when there is none.
     Sources are distinct window cells in window order, as
-    ``CellSet.window_cells`` lists them.  Raises NumericError at a
-    non-finite value, unless ``finite`` says the whole lattice is."""
-    if pairs is None:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            block = np.asarray(
-                kernel.fn(_cell_center_coords(grid, t_cells)[:, None, :],
-                          _cell_center_coords(grid, s_cells)[None, :, :]),
-                dtype=np.float64)
-        shape = (len(t_cells), len(s_cells))
-        if block.shape != shape or not block.flags.writeable:
-            block = np.broadcast_to(block, shape).copy()
-        # zero the diagonal in place: no second pair-sized array
-        if t_cells is s_cells:
-            np.fill_diagonal(block, 0.0)
-        else:
-            block[np.all(t_cells[:, None, :] == s_cells[None, :, :], axis=-1)] = 0.0
-    else:
+    ``CellSet.window_cells`` lists them.  A dense evaluation raises
+    NumericError at a non-finite value; a lattice is finite already."""
+    if pairs is not None:
         if len(s_cells) == grid.n_cells:
             # every window cell in window order: whole target rows of the
             # pair view, copied window by window
-            block = pairs[tuple(t_cells.T)].reshape(len(t_cells), -1)
-        else:
-            # gathered from the pair view, with no index array per pair
-            block = pairs[tuple(t[:, None] for t in t_cells.T)
-                          + tuple(s[None, :] for s in s_cells.T)]
-        if finite:
-            return block
+            return pairs[tuple(t_cells.T)].reshape(len(t_cells), -1)
+        # gathered from the pair view, with no index array per pair
+        return pairs[tuple(t[:, None] for t in t_cells.T)
+                     + tuple(s[None, :] for s in s_cells.T)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        block = np.asarray(
+            kernel.fn(_cell_center_coords(grid, t_cells)[:, None, :],
+                      _cell_center_coords(grid, s_cells)[None, :, :]),
+            dtype=np.float64)
+    shape = (len(t_cells), len(s_cells))
+    if block.shape != shape or not block.flags.writeable:
+        block = np.broadcast_to(block, shape).copy()
+    # zero the diagonal in place: no second pair-sized array
+    if t_cells is s_cells:
+        np.fill_diagonal(block, 0.0)
+    else:
+        block[np.all(t_cells[:, None, :] == s_cells[None, :, :], axis=-1)] = 0.0
     bad = ~np.isfinite(block)
     if bad.any():
         i, j = np.argwhere(bad)[0]
@@ -246,9 +235,8 @@ def _restricted_sums(kernel: Kernel, grid: Grid, t_cells: np.ndarray,
     reproduces the sums of a larger call bit for bit."""
     if lat is None:
         lat = _offset_lattice(kernel, grid)
-    # the pair view and its finiteness once, for every chunk
+    # the pair view once, for every chunk
     pairs = None if lat is None else _lattice_weights(lat, grid)
-    finite = lat is not None and bool(np.isfinite(lat).all())
     # whole groups per chunk
     chunk = max(1, _PAIR_CHUNK // max(1, len(s_cells)) // _SUM_GROUP) * _SUM_GROUP
     out = np.empty((len(t_cells),) + f_src.shape[1:],
@@ -256,7 +244,7 @@ def _restricted_sums(kernel: Kernel, grid: Grid, t_cells: np.ndarray,
     for start in range(0, len(t_cells), chunk):
         sl = slice(start, min(start + chunk, len(t_cells)))
         out[sl] = _block_sums(
-            _kernel_block(kernel, grid, pairs, t_cells[sl], s_cells, finite), f_src)
+            _kernel_block(kernel, grid, pairs, t_cells[sl], s_cells), f_src)
     out *= grid.cell_measure
     return out
 
@@ -351,9 +339,10 @@ def _refuse_beyond_memory(what: str, need: int, held: int = 0) -> None:
 
 def _table_bytes(grid: Grid, is_complex: bool) -> int:
     """Bytes ``RestrictedTransform`` holds at its peak, kernel temporaries
-    aside: the prefix table (``n**dim (n + 1)**dim`` entries) and the
-    weighted product it is summed from (``n**(2 dim)``), complex for a
-    complex input."""
+    aside, at most: the prefix table (``n**dim (n + 1)**dim`` entries,
+    complex for a complex input) and, for a kernel without a lattice, the
+    dense weights it is summed from (``n**(2 dim)``, counted at the table's
+    entry size)."""
     n, dim = grid.cells_per_side, grid.dim
     item = 16 if is_complex else 8
     return (n**dim * (n + 1) ** dim + n ** (2 * dim)) * item
@@ -396,6 +385,15 @@ def _lattice_run_bytes(grid: Grid, alpha: int, max_side: int,
             + pair_rows * cells * 8)
 
 
+def _refuse_run_beyond_memory(grid: Grid, alpha: int, max_side: int,
+                              is_complex: bool) -> None:
+    """Raise ParameterError when ``_lattice_run_bytes``, on top of what the
+    process holds resident now, exceeds physical memory."""
+    _refuse_beyond_memory(
+        f"a run on a {grid.dim}D grid with {grid.cells_per_side} cells per side",
+        _lattice_run_bytes(grid, alpha, max_side, is_complex), _resident_memory())
+
+
 # ---------------------------------------------------------------------------
 # transforms of f restricted to dilated cubes
 
@@ -433,9 +431,9 @@ class LatticeTransform:
     for the ``alpha`` the transform is built with.  With a difference
     lattice, a block is cut into slabs of cubes (``_slabs``) of at most
     ``_SLAB_CELLS`` points or one cube, so that a block as wide as the
-    window holds no more memory at a time than one cube of ``max_side``
-    or one slab.  Each cube's source is a strided window of the slab's box
-    of f, zero outside the window, and
+    window holds no more memory at a time than one cube or one slab.  Each
+    cube's source is a strided window of the slab's box of f, zero outside
+    the window, and
 
     * where a cube costs at most ``_DIRECT_MADDS`` multiply-adds,
       ``(alpha side)**dim * side**dim`` (2D sides up to 4, 1D up to 32),
@@ -456,38 +454,23 @@ class LatticeTransform:
     ``_restricted_sums``, from P's window cells to P+'s: bit for bit
     ``apply_restricted(kernel, f, targets=P, source=P+)``.
 
-    Cubes of side at most ``max_side`` that meet the window are served; a
-    call beyond them raises ParameterError.  Memory is linear in the cell
-    count; the estimate of a whole ``run`` (``_lattice_run_bytes``), on top
-    of what the process holds resident now, is checked against physical
-    memory before anything is allocated, and a grid that cannot fit raises
-    ParameterError.
+    Memory is linear in the cell count; the builder checks the estimate of
+    a whole ``run`` against physical memory before it builds this
+    (``_refuse_run_beyond_memory``).
     """
 
-    def __init__(self, kernel: Kernel, f: GridFunction, alpha: int,
-                 max_side: int):
+    def __init__(self, kernel: Kernel, f: GridFunction, alpha: int):
         grid = f.grid
         if kernel.dim != grid.dim:
             raise ParameterError(f"kernel dim {kernel.dim} != grid dim {grid.dim}")
-        n, dim = grid.cells_per_side, grid.dim
-        _refuse_beyond_memory(
-            f"a run on a {dim}D grid with {n} cells per side",
-            _lattice_run_bytes(grid, alpha, max_side, f.is_complex),
-            _resident_memory())
-        lat = _offset_lattice(kernel, grid)
-        if lat is not None:
-            _check_lattice_finite(kernel, grid, lat)
         self.kernel = kernel
         self.grid = grid
         self.alpha = alpha
         self._shift = (alpha - 1) // 2
         self._values = f.values
-        self._lat = lat
+        self._lat = _offset_lattice(kernel, grid)
         self._fft, self._ifft = ((np.fft.fftn, np.fft.ifftn) if f.is_complex
                                  else (np.fft.rfftn, np.fft.irfftn))
-        # a cube meeting the window starts at most max_side - 1 cells
-        # before it, and its source reaches shift sides further
-        self._pad = (self._shift + 1) * max_side
 
     def _spectrum(self, side: int) -> np.ndarray:
         """Spectrum of the kernel segment ``K(k h) h**dim``, ``|k| <=
@@ -534,15 +517,7 @@ class LatticeTransform:
         dilate; written into ``out`` where given.
         """
         n, dim = self.grid.cells_per_side, self.grid.dim
-        shift = self._shift
         width = self.alpha * side
-        # each cube's source window starts shift sides before it
-        need = max(max(shift * side - lo, lo + side * c + shift * side - n)
-                   for lo, c in zip(start, count))
-        if need > self._pad:
-            raise ParameterError(
-                f"cubes of side {side} at {list(start)} reach past the padding "
-                f"of {self._pad} cells this transform was built for")
         clip = [(max(lo, 0), min(lo + side * c, n)) for lo, c in zip(start, count)]
         if out is None:
             out = np.empty([max(0, hi - lo) for lo, hi in clip], self._values.dtype)
@@ -651,11 +626,12 @@ class RestrictedTransform:
 
     For a translation-invariant kernel the weights are a view of a
     reversed copy of the difference lattice, with no copy and no kernel
-    evaluation per pair; otherwise they are evaluated densely.
-    Memory is quadratic in the cell count either way: the table and the
-    product it is summed from.  That estimate is checked against physical
-    memory before anything is allocated, and a grid that cannot fit raises
-    ParameterError.
+    evaluation per pair; otherwise they are evaluated densely.  Their
+    product with f is written into the table and summed there in place.
+    Memory is quadratic in the cell count either way: the table, and for a
+    kernel without a lattice the dense weights.  That estimate is checked
+    against physical memory before anything is allocated, and a grid that
+    cannot fit raises ParameterError.
     """
 
     def __init__(self, kernel: Kernel, f: GridFunction):
@@ -673,18 +649,17 @@ class RestrictedTransform:
             cells = np.argwhere(np.ones(grid.shape, dtype=bool))
             w = _kernel_block(kernel, grid, None, cells, cells).reshape(grid.shape * 2)
         else:
-            _check_lattice_finite(kernel, grid, lat)
             w = _lattice_weights(lat, grid)
-        # (K h**dim) f(y) in the dense order, laid out (targets, *source
-        # axes) as the table needs; the 2D row sums run in place
-        wf = np.multiply(w, grid.cell_measure, out=np.empty(w.shape, f.values.dtype))
-        del w                  # dense weights go before the table comes
+        # (K h**dim) f(y) written past the table's zero border, laid out
+        # (*target axes, *source axes), and summed in place along each
+        # source axis
+        sat = np.zeros((n**dim,) + (n + 1,) * dim, dtype=f.values.dtype)
+        wf = sat.reshape(grid.shape + (n + 1,) * dim)[(slice(None),) * dim
+                                                      + (slice(1, None),) * dim]
+        np.multiply(w, grid.cell_measure, out=wf)
         wf *= f.values
-        wf = wf.reshape((n**dim,) + grid.shape)
-        for axis in range(1, dim):
+        for axis in range(dim, 2 * dim):
             np.cumsum(wf, axis=axis, out=wf)
-        sat = np.zeros((n**dim,) + (n + 1,) * dim, dtype=wf.dtype)
-        np.cumsum(wf, axis=dim, out=sat[(slice(None),) + (slice(1, None),) * dim])
         sat.flags.writeable = False    # views of it are read-only too
         self._sat = sat
         self._n = n

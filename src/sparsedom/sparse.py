@@ -28,14 +28,14 @@ per node of side m in 1D.  The power averages only cut the exceptional
 set, while every coefficient is an :func:`avg_p`, a direct sum.
 
 Memory stays linear in the cell count for every kernel: a cover side
-keeps one array of its window cells per level and one running maximum per
-side above one, in one block freed when its last cover cube is done.  For
-a kernel with a difference lattice (every catalog kernel: those that
-declare translation invariance) a call sums the small levels directly and
-the others by batched FFTs, O(m log m) per level in 1D, in slabs of
-bounded size, and each cube of a call gets the same bits as from a call
-of its own; for any other kernel it sums each cube of the level directly
-through the kernel.
+keeps two arrays on its window cells, the transforms of the side and of
+each level and the running maxima of every side above one, freed when its
+last cover cube is done.  For a kernel with a difference lattice (every
+catalog kernel: those that declare translation invariance) a call sums
+the small levels directly and the others by batched FFTs, O(m log m) per
+level in 1D, in slabs of bounded size, and each cube of a call gets the
+same bits as from a call of its own; for any other kernel it sums each
+cube of the level directly through the kernel.
 
 Cells where any statistic exceeds its threshold form the exceptional set.
 In quantile mode the thresholds are chosen as order statistics, so the
@@ -91,7 +91,7 @@ from .grid import (
     dilate,
 )
 from .maximal import oscillation
-from .operators import Kernel, LatticeTransform
+from .operators import Kernel, LatticeTransform, _refuse_run_beyond_memory
 
 __all__ = [
     "PipelineConfig",
@@ -259,36 +259,31 @@ def _level_runs(lo: int, hi: int, anchor: int, p: int):
     return first, starts, np.minimum(cubes + p, hi) - lo - starts
 
 
-class _RootLevels(NamedTuple):
+class _SideLevels(NamedTuple):
     """What the cover cubes of one side compute once for every node below
     them.
 
     The cover cubes of a side share a lattice, and so do their levels, so
     a level cube's data depend only on the cube, not on the cover cube or
-    the node that asks.  ``transforms[side]`` holds T(f char_{P+}) on the
+    the node that asks.  ``sides`` lists the cover side and then its
+    levels (:func:`_levels`).  ``transforms[i]`` holds T(f char_{P+}) on the
     window cells of the box the cover cubes meet, box-shaped from the cell
-    ``origin``, each cell taking the transform of the cube P of that side
-    that holds it: the cover side itself, or a level below it (one per
-    :func:`_levels`).  ``maxima[side]``, for every such side above one,
-    holds at each of those cells the largest s-power average of f over
-    P+ (normalized by its full measure) among the level cubes P below a
-    cube of that side that hold the cell.  The arrays are read-only: a
-    node's statistics are views into them.
+    ``origin``, each cell taking the transform of the cube P of side
+    ``sides[i]`` that holds it.  ``maxima[i]``, for every side but the
+    last, holds at each of those cells the largest s-power average of f
+    over P+ (normalized by its full measure) among the level cubes P below
+    a cube of side ``sides[i]`` that hold the cell.  Both arrays are
+    read-only: a node's statistics are views into them.
     """
 
     origin: tuple[int, ...]
-    transforms: dict[int, np.ndarray]
-    maxima: dict[int, np.ndarray]
-
-
-def _read_only(values: np.ndarray) -> np.ndarray:
-    """``values``, made read-only."""
-    values.setflags(write=False)
-    return values
+    sides: tuple[int, ...]
+    transforms: np.ndarray
+    maxima: np.ndarray
 
 
 def _side_levels(rt: LatticeTransform, f: GridFunction, cubes: list[Cube],
-                 s: float) -> _RootLevels | None:
+                 s: float) -> _SideLevels | None:
     """The level data of cover cubes of one side, or None where none of
     them has a transform (a zero average or no window cells).
 
@@ -312,22 +307,12 @@ def _side_levels(rt: LatticeTransform, f: GridFunction, cubes: list[Cube],
         return None
     box = [(min(c[d][0] for c in clips), max(c[d][1] for c in clips))
            for d in range(dim)]
-    sides = [cubes[0].side, *_levels(cubes[0].side)]
+    sides = (cubes[0].side, *_levels(cubes[0].side))
     sat = f.power_sat(s)
-    transforms, maxima = {}, {}
-    # one block holds every array below, so that it goes back to the system
-    # at once when the side is done (arrays of this size made one by one
-    # come from the heap, between the nodes' small allocations, and keep
-    # its pages held)
     shape = tuple(hi - lo for lo, hi in box)
-    # in the order the loop takes them: the side's transforms, then each
-    # level's transforms and the maxima of the side above it
-    kinds = [f.values.dtype] + [f.values.dtype, np.dtype(np.float64)] * (len(sides) - 1)
-    block = np.empty(math.prod(shape) * sum(k.itemsize for k in kinds), np.uint8)
-    ends = np.cumsum([0] + [math.prod(shape) * k.itemsize for k in kinds])
-    arrays = iter(block[a:b].view(k).reshape(shape)
-                  for a, b, k in zip(ends[:-1], ends[1:], kinds))
-    for above, p in zip([None, *sides], sides):
+    transforms = np.empty((len(sides),) + shape, f.values.dtype)
+    maxima = np.empty((len(sides) - 1,) + shape)
+    for i, p in enumerate(sides):
         # per axis: the anchor of the first cube of side p meeting the box,
         # the number of cubes, the cells each holds, and the bounds of
         # their dilates, shaped to broadcast
@@ -341,22 +326,21 @@ def _side_levels(rt: LatticeTransform, f: GridFunction, cubes: list[Cube],
             runs.append(cells)
             lo.append(np.clip(plo, 0, n).reshape(along))
             hi.append(np.clip(plo + alpha * p, 0, n).reshape(along))
-        transforms[p] = _read_only(rt.dilate_transforms(first, count, p, out=next(arrays)))
-        if above is not None:
+        rt.dilate_transforms(first, count, p, out=transforms[i])
+        if i:
             sums = _sat_box_sums(sat, lo, hi)
             avgs = (sums * grid.cell_measure
                     / (alpha * p * grid.cell_width) ** dim) ** (1.0 / s)
-            maxima[above] = next(arrays)
-            maxima[above][...] = _repeat(avgs, runs)
+            maxima[i - 1] = _repeat(avgs, runs)
     # from the finest level up: each side's maxima take its first level's
-    for above, p in zip(sides[-2::-1], sides[:0:-1]):
-        if p in maxima:
-            np.maximum(maxima[above], maxima[p], out=maxima[above])
-        _read_only(maxima[above])
-    return _RootLevels(tuple(lo for lo, _ in box), transforms, maxima)
+    for i in range(len(maxima) - 2, -1, -1):
+        np.maximum(maxima[i], maxima[i + 1], out=maxima[i])
+    transforms.flags.writeable = False
+    maxima.flags.writeable = False
+    return _SideLevels(tuple(lo for lo, _ in box), sides, transforms, maxima)
 
 
-def _node_stats(levels: _RootLevels, grid: Grid, cube: Cube):
+def _node_stats(levels: _SideLevels, grid: Grid, cube: Cube):
     """On the node's window cells, box-shaped: T(f char_{Q+}) (signed) and
     the two dyadic maximal functions of f char_{Q+}.
 
@@ -371,11 +355,12 @@ def _node_stats(levels: _RootLevels, grid: Grid, cube: Cube):
     """
     clip = cube.window_clip(grid)
     on = _box_slices(clip, levels.origin)
-    t_on = levels.transforms[cube.side][on]
+    at = levels.sides.index(cube.side)
+    t_on = levels.transforms[at][on]
     osc = np.zeros(t_on.shape)
     if cube.side == 1:
         return t_on, np.zeros(osc.size), osc.ravel()
-    for p in _levels(cube.side):
+    for i, p in enumerate(levels.sides[at + 1:], at + 1):
         if p == 1:
             break
         # per axis: where each of the node's level cubes starts its run of
@@ -385,7 +370,7 @@ def _node_stats(levels: _RootLevels, grid: Grid, cube: Cube):
             _, b, c = _level_runs(lo, hi, a, p)
             starts.append(b)
             counts.append(c)
-        trunc = t_on - levels.transforms[p][on]
+        trunc = t_on - levels.transforms[i][on]
         if np.iscomplexobj(trunc):
             bounds = [list(zip(b, np.append(b[1:], trunc.shape[d])))
                       for d, b in enumerate(starts)]
@@ -400,7 +385,7 @@ def _node_stats(levels: _RootLevels, grid: Grid, cube: Cube):
                 bottom = np.minimum.reduceat(bottom, b, axis=d)
             stat = top - bottom
         np.maximum(osc, _repeat(stat, counts), out=osc)
-    return t_on, levels.maxima[cube.side][on].ravel(), osc.ravel()
+    return t_on, levels.maxima[at][on].ravel(), osc.ravel()
 
 
 def _repeat(vals: np.ndarray, counts) -> np.ndarray:
@@ -422,7 +407,7 @@ def _order_threshold(vals: np.ndarray, k: int) -> float:
     return float(np.partition(vals, vals.size - 1 - idx)[vals.size - 1 - idx])
 
 
-def _exceptional(levels: _RootLevels | None, f: GridFunction,
+def _exceptional(levels: _SideLevels | None, f: GridFunction,
                  cube: Cube, cfg: PipelineConfig) -> ExceptionalSet:
     """Exceptional cells of one node cube.
 
@@ -618,7 +603,7 @@ def _check_invariants(q: Cube, omega_count: int, children: list[Cube],
             raise NumericError(f"node {q}: {what} of its {cells} cells")
 
 
-def _build_node(levels: _RootLevels | None, f: GridFunction,
+def _build_node(levels: _SideLevels | None, f: GridFunction,
                 q: Cube, depth: int, cfg: PipelineConfig,
                 entries: list[SparseEntry],
                 records: list[NodeRecord]) -> np.ndarray | None:
@@ -764,8 +749,11 @@ def build_sparse_domination(kernel: Kernel, f: GridFunction,
         return DominationResult(family, ledger, [])
 
     cover = partition_cover(grid, supp, cfg.alpha)
-    # children are smaller than their parents, so the roots are the largest
-    rt = LatticeTransform(kernel, f, cfg.alpha, max(c.side for c in cover))
+    # children are smaller than their parents, so the roots are the largest;
+    # refused before the kernel is sampled
+    _refuse_run_beyond_memory(grid, cfg.alpha, max(c.side for c in cover),
+                              f.is_complex)
+    rt = LatticeTransform(kernel, f, cfg.alpha)
     entries: list[SparseEntry] = []
     records: list[NodeRecord] = []
     # the cover cubes of one side come in a run and share their level data

@@ -26,7 +26,6 @@ from .maximal import hl_maximal, sharp_truncated
 from .operators import (
     _SUM_GROUP,
     Kernel,
-    _check_lattice_finite,
     _offset_lattice,
     _refuse_beyond_memory,
     _restricted_sums,
@@ -230,7 +229,6 @@ def _window_magnitudes(kernel: Kernel, f: GridFunction, lat: np.ndarray,
     from the FFT by more than ``delta`` raises NumericError.
     """
     grid = f.grid
-    _check_lattice_finite(kernel, grid, lat)
     fast = _lattice_transform(lat, f).ravel()
     tf = np.abs(fast)
     points = (2 * grid.cells_per_side) ** grid.dim

@@ -473,6 +473,37 @@ def test_sweep_requires_section(tmp_path):
                      "--out", str(tmp_path / "o")]) == 2
 
 
+def test_sweep_value_overrides_the_seed_flag(tmp_path):
+    # --seed 5 replaced every swept seed: three runs of seed 5, one constant
+    cfg = write_config(tmp_path, sweep={"axis": "seed", "values": [1, 2, 3]})
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out), "--seed", "5"]) == 0
+    rows = read_json(out / "sweep.json")["rows"]
+    assert [r["value"] for r in rows] == [1, 2, 3]
+    assert len({r["constant"] for r in rows}) == 3
+
+
+# int() truncated these, and the runs passed under the fractional label; a
+# negative s exited 2 blaming max |f|
+@pytest.mark.parametrize("axis,value,where", [
+    ("N", 64.5, "grid/cells_per_side"),
+    ("alpha", 3.7, "pipeline/alpha"),
+    ("max_depth", 3.7, "pipeline/max_depth"),
+    ("s", -2, "pipeline/s"),
+])
+def test_sweep_value_outside_the_schema_exits_two(tmp_path, capsys, monkeypatch,
+                                                  axis, value, where):
+    def untouchable(*args, **kwargs):
+        pytest.fail("no sweep point may run before every point is checked")
+
+    monkeypatch.setattr(cli, "build_sparse_domination", untouchable)
+    # the valid point comes first
+    first = {"N": 32, "alpha": 3, "max_depth": 3, "s": 1.0}[axis]
+    cfg = write_config(tmp_path, sweep={"axis": axis, "values": [first, value]})
+    err = _exits_two_with_an_error_line(tmp_path, capsys, cfg, command="sweep")
+    assert f"sweep value {value} of {axis}" in err and where in err
+
+
 # ---------------------------------------------------------------------------
 # kernel-stats and t1-probe
 
@@ -521,6 +552,18 @@ def test_kernel_grid_dim_mismatch_exits_two(tmp_path, capsys, command, dim, kern
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "dim" in err and "Traceback" not in err
+
+
+# a negative seed reached numpy's generator and left main as a traceback
+@pytest.mark.parametrize("command,where", [("run", "input/seed"),
+                                           ("verify", "input/seed"),
+                                           ("t1-probe", "probe/seed"),
+                                           ("sweep", "input/seed")])
+def test_negative_seed_flag_exits_two(tmp_path, capsys, command, where):
+    cfg = write_config(tmp_path, sweep={"axis": "N", "values": [32]})
+    err = _exits_two_with_an_error_line(tmp_path, capsys, cfg, "--seed", "-1",
+                                        command=command)
+    assert "--seed -1" in err and where in err
 
 
 def test_t1_probe_deterministic_output(tmp_path):
@@ -704,6 +747,21 @@ def test_overflowing_input_file_exits_two(tmp_path, capsys):
     strict = write_config(tmp_path, "strict.json", grid={"dim": 1, "cells_per_side": 32},
                           input={"path": str(path)}, verify={"ratio_p": 8})
     assert "ratio_p = 8" in _exits_two_with_an_error_line(tmp_path, capsys, strict)
+
+
+# 1e200 overflowed the cell measure's float power and exited 3 on "(34,
+# 'Numerical result out of range')"; 1e-200 underflowed it to 0 and exited
+# 3 blaming the kernel at two cells
+@pytest.mark.parametrize("phys_side", [1e200, 1e-200])
+def test_window_length_beyond_the_float_range_exits_two(tmp_path, capsys, phys_side):
+    cfg = write_config(tmp_path, grid={"dim": 2, "cells_per_side": 16,
+                                       "phys_side": phys_side},
+                       kernel={"name": "riesz2d"})
+    assert "phys_side" in _exits_two_with_an_error_line(tmp_path, capsys, cfg)
+    # in 1D both measures of a 1e-200 window are normal floats
+    ok = write_config(tmp_path, "ok.json", grid={"dim": 1, "cells_per_side": 16,
+                                                 "phys_side": 1e-200})
+    assert cli.main(["run", "--config", ok, "--out", str(tmp_path / "ok")]) == 0
 
 
 def test_zero_kernel_with_a_fractional_dim_exits_two(tmp_path, capsys):

@@ -215,12 +215,43 @@ def test_2d_complex_input_and_ring_cubes_match_reference(monkeypatch):
     assert any(min(c.anchor) < 0 for c in seen)
 
 
+@pytest.mark.parametrize("dim,n,name", [(1, 64, "hilbert"), (2, 16, "riesz2d")])
+def test_side_levels_are_read_only_and_node_transforms_view_them(monkeypatch,
+                                                                 dim, n, name):
+    grid = Grid(dim, n)
+    f = make_input(grid, "random", seed=5)
+    node_stats = sparse._node_stats
+    seen = []
+
+    def checked(levels, grid_, cube):
+        got = node_stats(levels, grid_, cube)
+        assert levels.transforms.shape[0] == len(levels.sides)
+        assert levels.maxima.shape[0] == len(levels.sides) - 1
+        assert not levels.transforms.flags.writeable
+        assert not levels.maxima.flags.writeable
+        outer, ms, _ = got
+        assert np.shares_memory(outer, levels.transforms)
+        with pytest.raises(ValueError, match="read-only"):
+            outer[...] = 0.0
+        if cube.side > 1:
+            at = levels.sides.index(cube.side)
+            on = sparse._box_slices(cube.window_clip(grid_), levels.origin)
+            assert ms.tobytes() == levels.maxima[at][on].tobytes()
+        seen.append(cube.side)
+        return got
+
+    monkeypatch.setattr(sparse, "_node_stats", checked)
+    build_sparse_domination(make_kernel(name, grid), f)
+    # nodes below the cover cubes read the same data
+    assert min(seen) < max(seen)
+
+
 def assert_side_data_is_each_cubes_own(kernel, f, cfg):
     """Each cover side's level data, on each of its cover cubes' window
     cells, bit for bit the data of that cube alone; return the sides."""
     grid = f.grid
     cover = sparse.partition_cover(grid, sparse.support_box(f), cfg.alpha)
-    rt = operators.LatticeTransform(kernel, f, cfg.alpha, max(c.side for c in cover))
+    rt = operators.LatticeTransform(kernel, f, cfg.alpha)
     sides = []
     for side, group in itertools.groupby(cover, key=lambda c: c.side):
         group = list(group)
@@ -230,14 +261,13 @@ def assert_side_data_is_each_cubes_own(kernel, f, cfg):
             if own is None:
                 continue
             on = sparse._box_slices(cube.window_clip(grid), shared.origin)
-            assert own.transforms.keys() == shared.transforms.keys()
-            assert own.maxima.keys() == shared.maxima.keys()
+            assert own.sides == shared.sides
             for mine, theirs in ((own.transforms, shared.transforms),
                                  (own.maxima, shared.maxima)):
-                for p, values in mine.items():
-                    got = theirs[p][on]
+                for i, values in enumerate(mine):
+                    got = theirs[i][on]
                     assert got.dtype == values.dtype and got.shape == values.shape
-                    assert got.tobytes() == values.tobytes(), (cube, p)
+                    assert got.tobytes() == values.tobytes(), (cube, own.sides[i])
         sides.append(side)
     return sides
 

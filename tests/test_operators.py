@@ -600,7 +600,7 @@ def test_lattice_never_evaluates_all_pairs(dim, n, name):
     RestrictedTransform(k, f)
     apply_restricted(k, f)
     apply_restricted(transpose_kernel(k), f, source=Cube((1,) * dim, n // 2))
-    fft = LatticeTransform(k, f, 3, n)
+    fft = LatticeTransform(k, f, 3)
     for side in (n, n // 2, 1):
         fft.dilate_transforms((0,) * dim, (n // side,) * dim, side)
     # one lattice per use: the table, the direct transform, its transpose,
@@ -626,7 +626,7 @@ def test_invariant_kernel_nonfinite_off_diagonal_names_real_pair(dim):
                  translation_invariant=True)
     f = GridFunction(grid, np.ones(grid.shape))
     for call in (lambda: RestrictedTransform(bad, f),
-                 lambda: LatticeTransform(bad, f, 3, 4),
+                 lambda: LatticeTransform(bad, f, 3),
                  lambda: apply_restricted(bad, f),
                  lambda: apply_restricted(bad, f, source=Cube((2,) * dim, 2))):
         with pytest.raises(NumericError, match="x=.*y=") as err:
@@ -663,7 +663,7 @@ def test_batched_dilate_transforms_equal_single_cube_calls(dim, n, name,
     vals = g.normal(size=grid.shape)
     if complex_values:
         vals = vals + 1j * g.normal(size=grid.shape)
-    fft = LatticeTransform(make_kernel(name, grid), GridFunction(grid, vals), 3, n)
+    fft = LatticeTransform(make_kernel(name, grid), GridFunction(grid, vals), 3)
     for side, start in ((1, 0), (2, 0), (3, -2), (4, -2), (6, -5), (8, 4)):
         count = (n - start + side - 1) // side
         block = fft.dilate_transforms((start,) * dim, (count,) * dim, side)
@@ -687,6 +687,27 @@ def test_table_estimate_counts_table_and_product():
         assert operators._table_bytes(grid, True) == 2 * (rt._sat.nbytes + product)
     # 2D n = 128: about 4.3 GB
     assert operators._table_bytes(Grid(2, 128), False) == 128**2 * 129**2 * 8 + 128**4 * 8
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+@pytest.mark.parametrize("dim,n,name", [(1, 1024, "hilbert"), (2, 32, "riesz2d")])
+def test_table_build_holds_only_the_table(dim, n, name, complex_values):
+    # K h**dim f is written into the table and summed there, so the build
+    # holds no product of n**(2 dim) entries (8 MB real here) beside it
+    grid = Grid(dim, n)
+    vals = rng(5).normal(size=grid.shape)
+    if complex_values:
+        vals = vals * (1 + 1j)
+    k = make_kernel(name, grid)
+    lat = operators._offset_lattice(k, grid)
+    tracemalloc.start()
+    try:
+        rt = RestrictedTransform(k, GridFunction(grid, vals))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the lattice, its reversed copy, and 1 MiB for numpy's ufunc buffers
+    assert peak <= rt._sat.nbytes + 2 * lat.nbytes + 2**20
 
 
 def test_table_refused_before_allocation(monkeypatch):
@@ -732,7 +753,7 @@ def test_lattice_run_estimate_counts_padding_batch_lattice_and_pairs():
     # a node of side n, the largest call, stays inside the slab term
     grid = Grid(2, 16)
     f = GridFunction(grid, rng(2).normal(size=grid.shape))
-    fft = LatticeTransform(make_kernel("riesz2d", grid), f, 5, 16)
+    fft = LatticeTransform(make_kernel("riesz2d", grid), f, 5)
     tracemalloc.start()
     try:
         fft.dilate_transforms((0, 0), (1, 1), 16)
@@ -786,8 +807,7 @@ def test_lattice_run_estimate_holds_for_the_kept_levels(monkeypatch, dim, n, nam
 
     def counted(*args):
         data = side_levels(*args)
-        kept.append(sum(t.nbytes for t in data.transforms.values())
-                    + sum(m.nbytes for m in data.maxima.values()))
+        kept.append(data.transforms.nbytes + data.maxima.nbytes)
         return data
 
     monkeypatch.setattr(sparse, "_side_levels", counted)
@@ -800,15 +820,6 @@ def test_lattice_run_estimate_holds_for_the_kept_levels(monkeypatch, dim, n, nam
     assert max(r.depth for r in res.records) > 1
     assert len(kept) == 1 and max(kept) <= kept_term
     assert build_peak <= operators._lattice_run_bytes(grid, 3, side, False)
-
-
-def test_lattice_transform_refuses_cubes_beyond_its_padding():
-    grid = Grid(1, 32)
-    fft = LatticeTransform(make_kernel("hilbert"), GridFunction(grid, np.ones(32)), 3, 16)
-    fft.dilate_transforms((-15,), (1,), 16)
-    fft.dilate_transforms((31,), (1,), 16)
-    with pytest.raises(ParameterError, match="padding"):
-        fft.dilate_transforms((-31,), (1,), 32)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
@@ -829,30 +840,31 @@ def test_resident_memory_is_current_not_peak(monkeypatch):
     assert operators._resident_memory() == 0
 
 
-def test_lattice_transform_refused_before_sampling(monkeypatch):
+def test_build_refused_before_sampling(monkeypatch):
     def untouchable(x, y):
         pytest.fail("the kernel must not be evaluated for a refused run")
 
     grid = Grid(1, 1024)
     f = GridFunction(grid, np.ones(grid.shape))
     k = Kernel("untouchable", 1, untouchable, translation_invariant=True)
+    # the support is the window, so the cover is the window alone
     need = operators._lattice_run_bytes(grid, 3, 1024, False)
     monkeypatch.setattr(operators, "_resident_memory", lambda: 2**20)
     # what the process holds counts: one byte short refuses
     monkeypatch.setattr(operators, "_physical_memory", lambda: need + 2**20 - 1)
     with pytest.raises(ParameterError, match="GiB.*physical memory"):
-        LatticeTransform(k, f, 3, 1024)
+        sparse.build_sparse_domination(k, f)
     monkeypatch.setattr(operators, "_physical_memory", lambda: need + 2**20)
-    LatticeTransform(make_kernel("hilbert"), f, 3, 1024)
+    sparse.build_sparse_domination(make_kernel("hilbert"), f)
     # an unknown memory size checks nothing
     monkeypatch.setattr(operators, "_physical_memory", lambda: None)
-    LatticeTransform(make_kernel("hilbert"), f, 3, 1024)
+    sparse.build_sparse_domination(make_kernel("hilbert"), f)
 
 
 def test_lattice_transform_sums_directly_without_a_lattice():
     # the flag alone decides, also on a window of length 0.1
     fft = LatticeTransform(make_kernel("hilbert"),
-                           GridFunction(Grid(1, 16, phys_side=0.1), np.ones(16)), 3, 16)
+                           GridFunction(Grid(1, 16, phys_side=0.1), np.ones(16)), 3)
     assert fft._lat is not None
     # without it each cube is the direct sum over its dilate, bit for bit,
     # for real and complex f, in 1D and in 2D
@@ -863,7 +875,7 @@ def test_lattice_transform_sums_directly_without_a_lattice():
         for vals in (g.normal(size=grid.shape),
                      g.normal(size=grid.shape) + 1j * g.normal(size=grid.shape)):
             f = GridFunction(grid, vals)
-            direct = LatticeTransform(k, f, 3, 8)
+            direct = LatticeTransform(k, f, 3)
             assert direct._lat is None
             # cubes of side 2 from -2 to n + 2 per axis: some stick out
             got = direct.dilate_transforms((-2,) * dim, (n // 2 + 2,) * dim, 2)
@@ -874,7 +886,7 @@ def test_lattice_transform_sums_directly_without_a_lattice():
                 sl = tuple(slice(max(v, 0), v + 2) for v in a)
                 assert np.array_equal(got[sl], want[sl])
     with pytest.raises(ParameterError, match="dim"):
-        LatticeTransform(make_kernel("riesz2d"), GridFunction(Grid(1, 16), np.ones(16)), 3, 16)
+        LatticeTransform(make_kernel("riesz2d"), GridFunction(Grid(1, 16), np.ones(16)), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -921,7 +933,7 @@ def test_fft_dilate_transforms_match_table(dim, n, name, alpha, complex_values):
     f = GridFunction(grid, vals)
     k = make_kernel(name, grid)
     nodes = _gate_nodes(n, dim)
-    fft = LatticeTransform(k, f, alpha, max(q.side for q in nodes))
+    fft = LatticeTransform(k, f, alpha)
     table = RestrictedTransform(k, f)
     shift = (alpha - 1) // 2
     sides = set()

@@ -56,16 +56,15 @@ def sparse_sum(family):
     return out
 
 
-def builder_transform(kernel, f, config, max_side):
-    """The transform the pipeline builds for this kernel and grid, for
-    nodes of side at most ``max_side``."""
-    return LatticeTransform(kernel, f, config.alpha, max_side)
+def builder_transform(kernel, f, config):
+    """The transform the pipeline builds for this kernel and grid."""
+    return LatticeTransform(kernel, f, config.alpha)
 
 
 def node_exceptional(kernel, f, cube, **config):
     """Exceptional set of one node, as the pipeline computes it."""
     cfg = PipelineConfig(**config)
-    rt = builder_transform(kernel, f, cfg, cube.side)
+    rt = builder_transform(kernel, f, cfg)
     return sparse._exceptional(sparse._side_levels(rt, f, [cube], cfg.s), f, cube, cfg)
 
 
@@ -73,7 +72,7 @@ def local_family(kernel, f, root, config=PipelineConfig()):
     """Entries and records of the recursion tree the pipeline grows from
     one root cube."""
     entries, records = [], []
-    rt = builder_transform(kernel, f, config, root.side)
+    rt = builder_transform(kernel, f, config)
     sparse._build_node(sparse._side_levels(rt, f, [root], config.s), f, root,
                        0, config, entries, records)
     return entries, records
@@ -103,14 +102,14 @@ def test_builder_picks_fft_where_the_kernel_has_a_lattice():
         for name in names:
             k = make_kernel(name, grid)
             n = grid.cells_per_side
-            assert builder_transform(k, f, PipelineConfig(), n)._lat is not None
+            assert builder_transform(k, f, PipelineConfig())._lat is not None
             # the flag alone decides: a window whose center differences
             # round off the lattice has one too, a kernel without it none
             inexact = Grid(grid.dim, n, 0.1)
             g = GridFunction(inexact, f.values)
-            assert builder_transform(k, g, PipelineConfig(), n)._lat is not None
+            assert builder_transform(k, g, PipelineConfig())._lat is not None
             plain = dataclasses.replace(k, translation_invariant=False)
-            assert builder_transform(plain, f, PipelineConfig(), n)._lat is None
+            assert builder_transform(plain, f, PipelineConfig())._lat is None
 
 
 def _no_table(monkeypatch):
@@ -542,7 +541,7 @@ def analytic_edge_check(kernel, f, cfg):
     lowers a threshold and breaks it.
     """
     res = build_sparse_domination(kernel, f, cfg)
-    rt = builder_transform(kernel, f, cfg, max(r.cube.side for r in res.records))
+    rt = builder_transform(kernel, f, cfg)
     grid = f.grid
     nodes = {}
 
@@ -696,7 +695,7 @@ def test_records_carry_exceed_counts_and_ledger_sums_them(kname, dim, n):
         for kind in INPUT_KINDS:
             f = make_input(grid, kind, seed=13)
             res = build_sparse_domination(k, f, cfg)
-            rt = builder_transform(k, f, cfg, max(r.cube.side for r in res.records))
+            rt = builder_transform(k, f, cfg)
             sums = {}
             for rec in res.records:
                 levels = sparse._side_levels(rt, f, [rec.cube], cfg.s)
