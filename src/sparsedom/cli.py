@@ -256,11 +256,18 @@ def load_config(path: str) -> dict:
 
 def _validated(cfg: dict, what: str) -> dict:
     """``cfg`` if it passes the config schema; otherwise the ConfigError of
-    the error jsonschema.validate would raise, naming ``what``."""
+    the error jsonschema.validate would raise, naming ``what``.  An input
+    read from ``input.path`` takes none of the fields of a generated one,
+    which it would silently ignore."""
     exc = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(cfg))
     if exc is not None:
         where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError(f"{what} invalid at {where}: {exc.message}") from exc
+    section = cfg.get("input", {})
+    for key in ("seed", "kind", "amplitude", "support"):
+        if key in section and "path" in section:
+            raise ConfigError(f"{what} invalid at input/{key}: the input is read "
+                              f"from input/path, which takes no {key}")
     return cfg
 
 

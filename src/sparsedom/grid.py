@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -365,13 +365,17 @@ class CellSet:
         return 0 if clip is None else int(
             self.mask[_box_slices(clip, self.box.anchor)].sum())
 
+    def mask_on(self, cube: Cube) -> np.ndarray:
+        """Membership restricted to ``cube``, as a cube-shaped array."""
+        out = np.zeros((cube.side,) * self.grid.dim, dtype=bool)
+        clip = cube.clip(self.box)
+        if clip is not None:
+            out[_box_slices(clip, cube.anchor)] = self.mask[_box_slices(clip, self.box.anchor)]
+        return out
+
     def window_mask(self) -> np.ndarray:
         """Membership restricted to the window, as a window-shaped array."""
-        out = np.zeros(self.grid.shape, dtype=bool)
-        clip = self.box.window_clip(self.grid)
-        if clip is not None:
-            out[_box_slices(clip)] = self.mask[_box_slices(clip, self.box.anchor)]
-        return out
+        return self.mask_on(self.grid.window_cube())
 
     def window_cells(self) -> np.ndarray:
         """Integer coordinates of member cells inside the window, shape (k, dim),
@@ -435,16 +439,15 @@ class YoungFunction:
     """Convex gauge profile for normalized Orlicz averages.
 
     ``fn`` must be vectorized, nonnegative, nondecreasing, convex, and
-    vanish at zero.  Those properties are spot-checked on a sample grid at
-    construction; a failed check raises ValidationError.
+    vanish at zero.  Those properties are spot-checked on 257 samples of
+    [0, 8] at construction; a failed check raises ValidationError.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     name: str = "young"
-    _sample_upper: float = field(default=8.0, repr=False)
 
     def __post_init__(self) -> None:
-        ts = np.linspace(0.0, self._sample_upper, 257)
+        ts = np.linspace(0.0, 8.0, 257)
         vals = np.asarray(self.fn(ts), dtype=np.float64)
         if vals.shape != ts.shape or not np.all(np.isfinite(vals)):
             raise ValidationError(f"gauge {self.name!r} must map samples to finite values")
@@ -469,13 +472,12 @@ class YoungFunction:
                    name=f"power[{p}]")
 
 
-def orlicz_avg(f: GridFunction, cube: Cube, phi: YoungFunction,
-               rel_tol: float = 1e-12) -> float:
+def orlicz_avg(f: GridFunction, cube: Cube, phi: YoungFunction) -> float:
     """Normalized gauge average: the smallest ``lam`` with
     ``(1/|Q|) * integral_Q phi(|f| / lam) <= 1``.
 
     Returns 0 when ``f`` vanishes on the cube.  Solved by bisection to a
-    relative tolerance of ``rel_tol``; the upper bracket starts at
+    relative tolerance of 1e-12; the upper bracket starts at
     ``max(1, max|f| on the cube)`` and doubles until feasible.
     """
     clip = cube.window_clip(f.grid)
@@ -498,7 +500,7 @@ def orlicz_avg(f: GridFunction, cube: Cube, phi: YoungFunction,
             raise ValidationError(f"gauge {phi.name!r} never becomes feasible")
     lo = 0.0
     for _ in range(200):
-        if hi - lo <= rel_tol * hi:
+        if hi - lo <= 1e-12 * hi:
             break
         mid = 0.5 * (lo + hi)
         if excess(mid) <= 0.0:

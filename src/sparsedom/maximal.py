@@ -453,12 +453,12 @@ def hl_maximal(f: GridFunction, s: float = 1.0) -> GridFunction:
     return GridFunction(f.grid, _power_average_sweep(f, s))
 
 
-def oscillation(values: np.ndarray, exact_cap: int = 4096) -> float:
+def oscillation(values: np.ndarray) -> float:
     """Diameter of a value set: max - min for real data, max pairwise
     distance for complex data.
 
-    The complex diameter is exact up to ``exact_cap`` values; beyond that
-    a deterministic 64-element stratified subset is used, which can only
+    The complex diameter is exact up to 4096 values; beyond that a
+    deterministic 64-element stratified subset is used, which can only
     under-report.
     """
     v = np.asarray(values).ravel()
@@ -466,7 +466,7 @@ def oscillation(values: np.ndarray, exact_cap: int = 4096) -> float:
         return 0.0
     if not np.iscomplexobj(v):
         return float(v.max() - v.min())
-    if v.size > exact_cap:
+    if v.size > 4096:
         v = v[_stratified_indices(v.size, 64)]
     best = 0.0
     for start in range(0, v.size, 512):

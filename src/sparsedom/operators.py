@@ -316,9 +316,10 @@ def _physical_memory() -> int | None:
 
 def _resident_memory() -> int:
     """Bytes this process holds resident now, or 0 where the platform does
-    not say (only Linux's ``/proc/self/statm`` is read)."""
+    not say (only Linux's ``/proc/self/statm`` is read, unbuffered: a text
+    file's buffers cost more than the read)."""
     try:
-        with open("/proc/self/statm") as fh:
+        with open("/proc/self/statm", "rb", buffering=0) as fh:
             pages = int(fh.read().split()[1])
         return pages * os.sysconf("SC_PAGE_SIZE")
     except (OSError, ValueError, IndexError):
@@ -337,15 +338,34 @@ def _refuse_beyond_memory(what: str, need: int, held: int = 0) -> None:
             f"{have / 2**30:.1f} GiB of physical memory")
 
 
-def _table_bytes(grid: Grid, is_complex: bool) -> int:
+def _table_bytes(grid: Grid, is_complex: bool, dense: bool) -> int:
     """Bytes ``RestrictedTransform`` holds at its peak, kernel temporaries
-    aside, at most: the prefix table (``n**dim (n + 1)**dim`` entries,
-    complex for a complex input) and, for a kernel without a lattice, the
-    dense weights it is summed from (``n**(2 dim)``, counted at the table's
-    entry size)."""
+    aside: the prefix table (``n**dim (n + 1)**dim`` entries, complex for a
+    complex input) and, for a ``dense`` kernel, one without a lattice, the
+    weights it is summed from (``n**(2 dim)``, counted at the table's entry
+    size), or else the lattice and its reversed copy."""
     n, dim = grid.cells_per_side, grid.dim
     item = 16 if is_complex else 8
-    return (n**dim * (n + 1) ** dim + n ** (2 * dim)) * item
+    if dense:
+        return (n**dim * (n + 1) ** dim + n ** (2 * dim)) * item
+    return n**dim * (n + 1) ** dim * item + 2 * (2 * n - 1) ** dim * 8
+
+
+def _domination_bytes(grid: Grid) -> int:
+    """Bytes the domination check of :mod:`sparsedom.verify` allocates at
+    its peak for a kernel with a lattice:
+
+    * the difference lattice and the reversed copy its pair view reads;
+    * its FFT over the window, ``2n`` points per axis at three complex
+      arrays (the kernel spectrum, the spectrum of f, the inverse);
+    * its direct re-sum, a block of ``_PAIR_CHUNK`` pairs or all of them
+      (real also for a complex input: ``_block_sums`` multiplies it by the
+      two parts of f in turn)."""
+    n, dim = grid.cells_per_side, grid.dim
+    cells = grid.n_cells
+    pair_rows = min(cells, max(1, _PAIR_CHUNK // cells))
+    return (2 * (2 * n - 1) ** dim * 8 + 3 * (2 * n) ** dim * 16
+            + pair_rows * cells * 8)
 
 
 def _lattice_run_bytes(grid: Grid, alpha: int, max_side: int,
@@ -359,30 +379,20 @@ def _lattice_run_bytes(grid: Grid, alpha: int, max_side: int,
       arrays (the slab's box of f, the FFT's padded copy of its sources,
       their spectrum, the kernel segment's spectrum, the inverse, the
       cubes' cells cut from it);
-    * the difference lattice and its reversed copy;
     * the level data the cover cubes of one side keep for the nodes below
       them, on the window cells their core of three sides per axis meets
       (the largest side has the most levels): a transform for the side
       and one per level, and a running maximum of the power averages for
-      each side above one;
-    * the verifier's FFT over the window, ``2n`` points per axis at three
-      complex arrays (the kernel spectrum, the spectrum of f, the inverse);
-    * the verifier's direct re-sum, a block of ``_PAIR_CHUNK`` pairs or all
-      of them (real also for a complex input: ``_block_sums`` multiplies it
-      by the two parts of f in turn).
-
-    Complex for a complex input, but the lattice, the maxima and the pair
-    block."""
+      each side above one, complex but the maxima for a complex input;
+    * the domination check's ``_domination_bytes``, whose lattice the
+      build samples too.
+    """
     n, dim = grid.cells_per_side, grid.dim
     item = 16 if is_complex else 8
-    cells = grid.n_cells
-    pair_rows = min(cells, max(1, _PAIR_CHUNK // cells))
     levels = len(list(_levels(max_side)))
     return (6 * max(((alpha + 1) * max_side) ** dim, _SLAB_CELLS) * item
             + ((levels + 1) * item + levels * 8) * min(3 * max_side, n) ** dim
-            + 2 * (2 * n - 1) ** dim * 8
-            + 3 * (2 * n) ** dim * 16
-            + pair_rows * cells * 8)
+            + _domination_bytes(grid))
 
 
 def _refuse_run_beyond_memory(grid: Grid, alpha: int, max_side: int,
@@ -641,7 +651,7 @@ class RestrictedTransform:
         _refuse_beyond_memory(
             f"the transform table of a {grid.dim}D grid with "
             f"{grid.cells_per_side} cells per side",
-            _table_bytes(grid, f.is_complex))
+            _table_bytes(grid, f.is_complex, not kernel.translation_invariant))
         self.grid = grid
         n, dim = grid.cells_per_side, grid.dim
         lat = _offset_lattice(kernel, grid)
@@ -726,17 +736,16 @@ class RestrictedTransform:
 # ---------------------------------------------------------------------------
 # kernel statistics
 
-def dini_profile(omega: Callable[[np.ndarray], np.ndarray], n_nodes: int = 4096,
-                 t_min: float = 2.0**-40) -> dict:
-    """Midpoint quadrature of ``integral_0^1 omega(t) dt / t`` in log scale.
+def dini_profile(omega: Callable[[np.ndarray], np.ndarray], n_nodes: int = 4096) -> dict:
+    """Midpoint quadrature of ``integral_0^1 omega(t) dt / t`` in log scale,
+    cut off below at ``t_min = 2**-40``.
 
     Returns value, node count, and a divergence flag.  Divergence is
     detected by cutoff growth: if shrinking the lower cutoff from
     ``sqrt(t_min)`` to ``t_min`` grows the integral by more than 10%, the
     tail is treated as non-summable and the value reported as inf.
     """
-    if not (0 < t_min < 1):
-        raise ParameterError(f"t_min must be in (0, 1), got {t_min}")
+    t_min = 2.0**-40
     s_max = -math.log(t_min)
     edges = np.linspace(0.0, s_max, n_nodes + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
@@ -758,9 +767,8 @@ def dini_profile(omega: Callable[[np.ndarray], np.ndarray], n_nodes: int = 4096,
     }
 
 
-def dini_constant(omega: Callable[[np.ndarray], np.ndarray], n_nodes: int = 4096,
-                  t_min: float = 2.0**-40) -> float:
-    return dini_profile(omega, n_nodes=n_nodes, t_min=t_min)["value"]
+def dini_constant(omega: Callable[[np.ndarray], np.ndarray], n_nodes: int = 4096) -> float:
+    return dini_profile(omega, n_nodes=n_nodes)["value"]
 
 
 @dataclass(frozen=True)
@@ -892,13 +900,14 @@ def _make_holder_fn(delta: float, scale: float):
     return fn
 
 
-def _log_wiggle(a: np.ndarray, k_terms: int = 40) -> np.ndarray:
-    """Slowly oscillating sum with modulus ~ (1 + log(1/t))**-2 in its argument."""
+def _log_wiggle(a: np.ndarray) -> np.ndarray:
+    """Slowly oscillating sum of ``sin(2**k a) / k**3``, k = 1..40, with
+    modulus ~ (1 + log(1/t))**-2 in its argument."""
     # one scratch array for every term: three fresh temporaries per term
     # made the kernel's cost depend on how the allocator's heap was left
     out = np.zeros_like(a, dtype=np.float64)
     term = np.empty_like(out)
-    for k in range(1, k_terms + 1):
+    for k in range(1, 41):
         np.multiply(2.0**k, a, out=term)
         np.sin(term, out=term)
         term /= k**3

@@ -41,9 +41,10 @@ Cells where any statistic exceeds its threshold form the exceptional set.
 In quantile mode the thresholds are chosen as order statistics, so the
 exceptional set provably occupies at most ``1 / 2**(dim+2)`` of Q's cells;
 in fixed mode the caller supplies threshold ratios and violations are
-flagged but not fatal.  A dyadic stopping time covers the exceptional set
-by subcubes carrying at most half their measure of it; the node keeps the
-complement as its witness and recurses into the subcubes; it scans a
+flagged but not fatal.  A dyadic stopping time selects the maximal
+subcubes where the exceptional set has density above ``1 / 2**(dim+1)``,
+so each carries at most half its measure of it; the node keeps the
+complement as its witness and recurses into the subcubes.  It scans a
 level of subcubes at a time, counting the exceptional cells of every cube
 of a level by one reshape-sum of the node's mask.  The exceptional
 set and the witness are cell sets boxed by the node cube, so a node's
@@ -73,12 +74,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    AlignmentError,
-    DensityError,
-    NumericError,
-    ParameterError,
-)
+from .errors import AlignmentError, DensityError, NumericError, ParameterError
 from .grid import (
     CellSet,
     Cube,
@@ -153,7 +149,6 @@ class ExceptionalSet:
     ``T(f char_{Q+})`` on the node's window cells, box-shaped (None on a
     node skipped for a zero average or no window cells)."""
 
-    cube: Cube
     omega: CellSet
     avg: float
     tau_t: float
@@ -180,8 +175,6 @@ class SparseEntry:
     def witness_runs(self) -> list[tuple[int, int]]:
         """Row-major (start, length) runs of the witness mask over its box."""
         flat = self.witness.mask.ravel()
-        if flat.size == 0:
-            return []
         edges = np.flatnonzero(np.diff(flat.astype(np.int8)))
         starts = np.concatenate(([0], edges + 1))
         ends = np.concatenate((edges + 1, [flat.size]))
@@ -209,7 +202,6 @@ class NodeRecord:
     c_ratio: float
     a_effective: float
     omega_count: int
-    witness_count: int
     exceed_counts: tuple[int, int, int]
     flags: tuple[str, ...]
     edges: list[dict] = field(default_factory=list)
@@ -396,13 +388,12 @@ def _repeat(vals: np.ndarray, counts) -> np.ndarray:
 
 
 def _order_threshold(vals: np.ndarray, k: int) -> float:
-    """The (k+1)-th largest value; the max when k is out of range.
+    """The (k+1)-th largest value of a non-empty array; the max when k is
+    out of range.
 
     Strictly exceeding the returned threshold is then possible for at
     most k cells.
     """
-    if vals.size == 0:
-        return 0.0
     idx = k if k < vals.size else 0
     return float(np.partition(vals, vals.size - 1 - idx)[vals.size - 1 - idx])
 
@@ -431,7 +422,7 @@ def _exceptional(levels: _SideLevels | None, f: GridFunction,
     flags = [name for name, skip in (("zero_average", avg == 0.0),
                                      ("outside_window", clip is None)) if skip]
     if flags:
-        return ExceptionalSet(cube, omega, avg, 0.0, 0.0, 0.0, 0.0, allowed,
+        return ExceptionalSet(omega, avg, 0.0, 0.0, 0.0, 0.0, allowed,
                               (0, 0, 0), tuple(flags), None)
 
     outer, ms_vals, osc_vals = _node_stats(levels, grid, cube)
@@ -453,7 +444,6 @@ def _exceptional(levels: _SideLevels | None, f: GridFunction,
 
     omega.mask[_box_slices(clip, cube.anchor)] = union.reshape(outer.shape)
     return ExceptionalSet(
-        cube=cube,
         omega=omega,
         avg=avg,
         tau_t=tau_t,
@@ -470,41 +460,31 @@ def _exceptional(levels: _SideLevels | None, f: GridFunction,
 # ---------------------------------------------------------------------------
 # stopping time
 
-def _density_exceeds(count, cells: int, dim: int, lam: float | None):
-    """Whether ``count`` of ``cells`` cells exceed the threshold density,
-    ``1/2**(dim+1)`` in exact integer arithmetic by default; counts may
-    be an array."""
-    if lam is None:
-        return count * 2 ** (dim + 1) > cells
-    return count > lam * cells
+def _density_exceeds(count, cells: int, dim: int):
+    """Whether ``count`` of ``cells`` cells exceed the density
+    ``1/2**(dim+1)``, in exact integer arithmetic; counts may be an
+    array."""
+    return count * 2 ** (dim + 1) > cells
 
 
-def _stopping_time(grid: Grid, cube: Cube, omega: CellSet,
-                   lam: float | None, allow_odd_leaf: bool):
-    """Maximal subcubes holding more than the threshold density of omega.
+def _stopping_time(cube: Cube, mask: np.ndarray):
+    """Maximal dyadic subcubes of ``cube`` where the exceptional cells,
+    ``mask`` on the cube's own cells, have density above ``1/2**(dim+1)``.
 
     Returns (selected cubes, flags).  A start cube already above the
     threshold is not selected; its children are scanned instead and the
-    event flagged.  Odd sides above one cannot be halved: with
-    ``allow_odd_leaf`` the residual exceptional cells are selected as
-    single-cell cubes (flagged), otherwise that raises AlignmentError.
+    event flagged.  Odd sides above one cannot be halved: the residual
+    exceptional cells of such a cube are selected as single-cell cubes,
+    and the cube flagged.
 
-    The cubes are scanned a level at a time: the counts of omega in every
-    cube of a level are reshape-sums of the mask, a cube is selected where
+    The cubes are scanned a level at a time: the counts of the mask in
+    every cube of a level are reshape-sums of it, a cube is selected where
     its parent was scanned and its count is dense, and scanned where it is
     positive but not dense.  The selections come out in the order of a
     depth-first scan that takes the children in lexicographic order (Z
     order), each odd cube's cells in row-major order.
     """
-    dim, m = grid.dim, cube.side
-    if omega.box == cube:
-        mask = omega.mask
-    else:
-        mask = np.zeros((m,) * dim, dtype=bool)
-        clip = cube.clip(omega.box)
-        if clip is not None:
-            mask[_box_slices(clip, cube.anchor)] = omega.mask[
-                _box_slices(clip, omega.box.anchor)]
+    dim, m = cube.dim, cube.side
     # the cubes below the side's odd part have it as side; counts[k] holds
     # those of the 2**k cubes per axis of level k, side m / 2**k
     odd = m // (m & -m)
@@ -519,26 +499,23 @@ def _stopping_time(grid: Grid, cube: Cube, omega: CellSet,
         return [], ["density_violation"]
 
     flags = []
-    picks = []          # (side, anchors relative to the cube, shape (k, dim))
+    # each level, or the odd cubes' cells, adds a pick: (side, anchors
+    # relative to the cube, shape (k, dim))
+    picks = []
     scanned = np.ones((1,) * dim, dtype=bool)
-    if levels and _density_exceeds(int(counts[0].sum()), m**dim, dim, lam):
+    if levels and _density_exceeds(int(counts[0].sum()), m**dim, dim):
         flags.append("density_violation")
     for k in range(1, levels + 1):
         scanned = _repeat(scanned, (2,) * dim)
         positive = scanned & (counts[k] > 0)
-        chosen = positive & _density_exceeds(counts[k], (m >> k) ** dim, dim, lam)
+        chosen = positive & _density_exceeds(counts[k], (m >> k) ** dim, dim)
         picks.append((m >> k, np.argwhere(chosen) * (m >> k)))
         scanned = positive & ~chosen
         if not scanned.any():
             break
     if odd > 1 and scanned.any():
-        if not allow_odd_leaf:
-            raise AlignmentError(
-                f"cube side {odd} is odd; cannot run the dyadic stopping time")
         flags.extend(["odd_leaf"] * int(scanned.sum()))
         picks.append((1, np.argwhere(_repeat(scanned, (odd,) * dim) & mask)))
-    if not picks:
-        return [], flags
 
     sides = np.concatenate([np.full(len(a), side) for side, a in picks])
     cells = np.concatenate([a for _, a in picks])
@@ -559,27 +536,24 @@ def _tile_sums(a: np.ndarray, r: int) -> np.ndarray:
     return a.reshape((a.shape[0] // r, r) * a.ndim).sum(axis=tuple(range(1, 2 * a.ndim, 2)))
 
 
-def local_cz_decomposition(grid: Grid, cube: Cube, omega: CellSet,
-                           lam: float | None = None) -> list[Cube]:
+def local_cz_decomposition(grid: Grid, cube: Cube, omega: CellSet) -> list[Cube]:
     """Dyadic stopping-time cover of an exceptional set inside a cube.
 
     Returns the maximal dyadic subcubes P of ``cube`` whose share of
-    ``omega`` strictly exceeds the density threshold (default
-    ``1/2**(dim+1)``, compared in exact integer arithmetic).  Their union
-    covers ``omega`` inside the cube, each P holds at most ``2**dim``
-    times the threshold density, and the total cell count is at most half
-    the cube's.  The cube side must be a power of two, and the cube
-    itself must not already exceed the threshold.
+    ``omega`` strictly exceeds ``1/2**(dim+1)``, compared in exact integer
+    arithmetic.  Their union covers ``omega`` inside the cube, each P holds
+    at most half its cells of ``omega``, and the total cell count is at
+    most half the cube's.  The cube side must be a power of two, and the
+    cube itself must not already exceed the threshold.  ``omega`` may be
+    boxed anywhere; only its cells inside the cube count.
     """
     if cube.side & (cube.side - 1):
         raise AlignmentError(f"cube side must be a power of two, got {cube.side}")
-    if lam is not None and not (0 < lam < 1):
-        raise ParameterError(f"density threshold must lie in (0, 1), got {lam}")
-    if _density_exceeds(omega.count_in(cube), cube.cell_count, grid.dim, lam):
+    mask = omega.mask_on(cube)
+    if _density_exceeds(int(mask.sum()), cube.cell_count, grid.dim):
         raise DensityError(
             f"exceptional set occupies more than the threshold share of {cube}")
-    selected, _ = _stopping_time(grid, cube, omega, lam, allow_odd_leaf=False)
-    return selected
+    return _stopping_time(cube, mask)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -619,8 +593,8 @@ def _build_node(levels: _SideLevels | None, f: GridFunction,
         if cfg.max_depth is not None and depth >= cfg.max_depth:
             flags.append("depth_capped")
         else:
-            children, st_flags = _stopping_time(grid, q, exc.omega, None,
-                                                allow_odd_leaf=True)
+            # the node's exceptional set is boxed by its cube
+            children, st_flags = _stopping_time(q, exc.omega.mask)
             flags.extend(st_flags)
     witness = CellSet.cube_minus_cubes(grid, q, children)
     if cfg.mode == "quantile":
@@ -641,7 +615,6 @@ def _build_node(levels: _SideLevels | None, f: GridFunction,
     entries.append(entry)
     record = NodeRecord(cube=q, depth=depth, avg=exc.avg, c_ratio=exc.c_ratio,
                         a_effective=a_eff, omega_count=exc.omega.count,
-                        witness_count=witness.count,
                         exceed_counts=exc.exceed_counts, flags=tuple(flags))
     records.append(record)
 

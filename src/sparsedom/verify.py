@@ -26,8 +26,10 @@ from .maximal import hl_maximal, sharp_truncated
 from .operators import (
     _SUM_GROUP,
     Kernel,
+    _domination_bytes,
     _offset_lattice,
     _refuse_beyond_memory,
+    _resident_memory,
     _restricted_sums,
     _stratified_indices,
     apply_restricted,
@@ -122,9 +124,7 @@ def check_sparsity(family: SparseFamily, eta: float | None = None) -> SparsityRe
         failures.append({"kind": "overlap",
                          "cell": [int(v + l) for v, l in zip(spot, los)],
                          "count": max_overlap})
-    passed = (max_overlap <= 1 and min_ratio >= eta - 1e-12
-              and all(f["kind"] != "outside_cube" for f in failures))
-    return SparsityReport(passed, eta, float(min_ratio), max_overlap,
+    return SparsityReport(not failures, eta, float(min_ratio), max_overlap,
                           len(entries), failures)
 
 
@@ -270,12 +270,19 @@ def check_domination(kernel: Kernel, f: GridFunction, family: SparseFamily,
     ``worst_margin``, ``n_failures`` or ``failures`` is re-summed
     directly, so the report is exactly that of the direct sum on every
     cell, which any other kernel gets.  An FFT value off the direct sum
-    beyond its rounding bound raises NumericError.
+    beyond its rounding bound raises NumericError.  Where the FFT and the
+    re-sum, on top of what the process holds, would exceed physical
+    memory, ParameterError is raised before the kernel is sampled.
     """
     c = family.constant if constant is None else constant
     grid = f.grid
     if kernel.dim != grid.dim:
         raise ParameterError(f"kernel dim {kernel.dim} != grid dim {grid.dim}")
+    if kernel.translation_invariant:
+        _refuse_beyond_memory(
+            f"the domination check of a {grid.dim}D grid with "
+            f"{grid.cells_per_side} cells per side",
+            _domination_bytes(grid), _resident_memory())
     stack = _paint_coefficients(family, [e.coefficient for e in family.entries])
     # c * stack, but 0 where the stack is, also for c = inf
     bound = np.multiply(c, stack, out=np.zeros_like(stack), where=stack != 0)

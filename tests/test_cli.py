@@ -25,7 +25,7 @@ from sparsedom import (
     make_kernel,
 )
 import sparsedom
-from sparsedom import cli, operators, sparse
+from sparsedom import cli, operators, sparse, verify
 from sparsedom.errors import ConfigError
 from sparsedom.grid import dyadic_children
 from sparsedom.inputs import make_input
@@ -332,6 +332,55 @@ def test_verify_refuses_oversize_family_boxes(tmp_path, capsys, monkeypatch, mut
     assert err.startswith("error:") and "GiB" in err and "Traceback" not in err
 
 
+def test_verify_rejects_a_witness_count_off_its_runs(tmp_path, capsys):
+    def recount(doc):
+        doc["entries"][0]["witness"]["count"] += 1
+
+    assert _verify_edited_family(tmp_path, recount) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: witness run data inconsistent with stored count")
+
+
+def test_verify_refuses_a_domination_check_beyond_memory(tmp_path, capsys, monkeypatch):
+    # 2D riesz2d n = 64 with 200 kB of physical memory: the input, the
+    # family's masks and the sparsity canvas fit, the domination check (35
+    # MB: its FFT alone takes 768 kB) does not; verify ran it and exited 0
+    cfg = write_config(tmp_path, grid={"dim": 2, "cells_per_side": 64},
+                       kernel={"name": "riesz2d"})
+    family = tmp_path / "o" / "family.json"
+    assert cli.main(["run", "--config", cfg, "--out", str(family.parent)]) == 0
+
+    def untouchable(*args, **kwargs):
+        pytest.fail("the lattice must not be sampled for a refused check")
+
+    monkeypatch.setattr(verify, "_offset_lattice", untouchable)
+    monkeypatch.setattr(verify, "_lattice_transform", untouchable)
+    monkeypatch.setattr(operators, "_physical_memory", lambda: 200_000)
+    err = _exits_two_with_an_error_line(tmp_path, capsys, cfg, "--family", str(family),
+                                        command="verify")
+    assert "the domination check of a 2D grid with 64 cells per side" in err
+    assert "physical memory" in err
+
+
+# an all-zero input: no overflow bound applies, and the norm ratio is
+# undefined, so the report holds none
+@pytest.mark.parametrize("dim,n,kernel", [(1, 32, "hilbert"), (2, 16, "riesz2d")])
+def test_zero_input_file_runs_and_verifies(tmp_path, dim, n, kernel):
+    path = tmp_path / "zero.npy"
+    np.save(path, np.zeros((n,) * dim))
+    cfg = write_config(tmp_path, grid={"dim": dim, "cells_per_side": n},
+                       kernel={"name": kernel}, input={"path": str(path)})
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert cli.main(["verify", "--config", cfg, "--out", str(out),
+                     "--family", str(out / "family.json")]) == 0
+    for name in ("report.json", "verify_report.json"):
+        report = read_json(out / name)
+        assert report["passed"] is True
+        assert report["domination"]["constant"] == 0.0
+        assert report["lp_ratio"]["value"] is None
+
+
 def test_family_constant_may_be_infinite(tmp_path):
     cfg = write_config(tmp_path, grid={"dim": 1, "cells_per_side": 32})
     out = tmp_path / "out"
@@ -402,6 +451,37 @@ def test_run_rejects_malformed_input_file(tmp_path, capsys, name):
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def _file_input_config(tmp_path, **fields):
+    """A 1D N = 32 config whose input is read from a saved random input,
+    with ``fields`` set in its input section too."""
+    path = tmp_path / "f.npy"
+    np.save(path, make_input(Grid(1, 32), "random", seed=7).values)
+    return write_config(tmp_path, grid={"dim": 1, "cells_per_side": 32},
+                        input={"path": str(path), **fields})
+
+
+# --seed 1 and --seed 2 wrote byte-identical families from one input file,
+# each manifest recording its seed
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_seed_flag_with_an_input_file_exits_two(tmp_path, capsys, command):
+    cfg = _file_input_config(tmp_path)
+    if command == "verify":
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    err = _exits_two_with_an_error_line(tmp_path, capsys, cfg, "--seed", "1",
+                                        command=command)
+    assert "--seed 1" in err and "input/seed" in err
+    # the probe's seed is its own
+    assert cli.main(["t1-probe", "--config", cfg, "--out", str(tmp_path / "p"),
+                     "--seed", "1"]) == 0
+
+
+# a generated input's fields next to input.path were ignored
+def test_generated_input_field_with_an_input_file_exits_two(tmp_path, capsys):
+    cfg = _file_input_config(tmp_path, kind="spikes", amplitude=5.0)
+    err = _exits_two_with_an_error_line(tmp_path, capsys, cfg)
+    assert f"config {cfg} invalid at input/kind" in err
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +582,20 @@ def test_sweep_value_outside_the_schema_exits_two(tmp_path, capsys, monkeypatch,
     cfg = write_config(tmp_path, sweep={"axis": axis, "values": [first, value]})
     err = _exits_two_with_an_error_line(tmp_path, capsys, cfg, command="sweep")
     assert f"sweep value {value} of {axis}" in err and where in err
+
+
+# a seed sweep over an input file repeated one run under each label
+def test_seed_sweep_over_an_input_file_exits_two(tmp_path, capsys, monkeypatch):
+    def untouchable(*args, **kwargs):
+        pytest.fail("no sweep point may run before every point is checked")
+
+    monkeypatch.setattr(cli, "build_sparse_domination", untouchable)
+    cfg = read_json(_file_input_config(tmp_path))
+    cfg["sweep"] = {"axis": "seed", "values": [1, 2]}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(cfg))
+    err = _exits_two_with_an_error_line(tmp_path, capsys, str(path), command="sweep")
+    assert "sweep value 1 of seed" in err and "input/seed" in err
 
 
 # ---------------------------------------------------------------------------
@@ -830,7 +924,7 @@ def test_run_exits_three_on_broken_invariant(tmp_path, capsys, monkeypatch,
         monkeypatch.setattr(sparse, "_order_threshold", lambda vals, k: -1.0)
     else:
         monkeypatch.setattr(sparse, "_stopping_time",
-                            lambda grid, cube, *a, **k: (dyadic_children(cube), []))
+                            lambda cube, mask: (dyadic_children(cube), []))
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
     assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 3

@@ -31,6 +31,7 @@ from sparsedom import (
 )
 from sparsedom import operators, sparse
 from sparsedom.inputs import make_input
+from sparsedom.maximal import sharp_truncated
 from sparsedom.operators import LatticeTransform, RestrictedTransform
 
 
@@ -294,11 +295,6 @@ def test_dini_of_catalog_kernels():
     assert math.isfinite(dini_constant(make_kernel("dini_stress", grid).modulus))
     hold = make_kernel("holder", grid, delta=0.5)
     assert dini_constant(hold.modulus) == pytest.approx(2.0 * (3.0 + 2.0 * np.pi), rel=0.01)
-
-
-def test_dini_rejects_bad_cutoff():
-    with pytest.raises(ParameterError):
-        dini_profile(lambda t: t, t_min=2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -679,14 +675,39 @@ def test_batched_dilate_transforms_equal_single_cube_calls(dim, n, name,
 # memory preflight
 
 def test_table_estimate_counts_table_and_product():
+    # the table and the lattice with its reversed copy, or without a
+    # lattice the dense weights
     for grid, name in ((Grid(1, 32), "hilbert"), (Grid(2, 8), "riesz2d")):
         k = make_kernel(name, grid)
         rt = RestrictedTransform(k, GridFunction(grid, np.ones(grid.shape)))
+        lattice = 2 * operators._offset_lattice(k, grid).nbytes
         product = 8 * grid.n_cells**2
-        assert operators._table_bytes(grid, False) == rt._sat.nbytes + product
-        assert operators._table_bytes(grid, True) == 2 * (rt._sat.nbytes + product)
-    # 2D n = 128: about 4.3 GB
-    assert operators._table_bytes(Grid(2, 128), False) == 128**2 * 129**2 * 8 + 128**4 * 8
+        assert operators._table_bytes(grid, False, False) == rt._sat.nbytes + lattice
+        assert operators._table_bytes(grid, True, False) == 2 * rt._sat.nbytes + lattice
+        assert operators._table_bytes(grid, False, True) == rt._sat.nbytes + product
+        assert operators._table_bytes(grid, True, True) == 2 * (rt._sat.nbytes + product)
+    # 2D n = 128: about 2.2 GB with a lattice, 4.3 GB without
+    assert operators._table_bytes(Grid(2, 128), False, False) == (
+        128**2 * 129**2 * 8 + 2 * 255**2 * 8)
+    assert operators._table_bytes(Grid(2, 128), False, True) == (
+        128**2 * 129**2 * 8 + 128**4 * 8)
+
+
+def test_table_estimate_counts_dense_weights_only_without_a_lattice(monkeypatch):
+    # 1D N = 1024 with physical memory at 1.5 times the table: the dense
+    # weights (8 MB more) refused a lattice kernel's sweep, which never
+    # builds them
+    def untouchable(x, y):
+        pytest.fail("the kernel must not be evaluated for a refused table")
+
+    grid = Grid(1, 1024)
+    f = make_input(grid, "random", seed=7)
+    monkeypatch.setattr(operators, "_physical_memory",
+                        lambda: 3 * 1024 * 1025 * 8 // 2)
+    assert sharp_truncated(make_kernel("hilbert", grid), f).values.shape == grid.shape
+    dense = Kernel("untouchable", 1, untouchable)
+    with pytest.raises(ParameterError, match="transform table.*GiB"):
+        sharp_truncated(dense, f)
 
 
 @pytest.mark.parametrize("complex_values", [False, True])
@@ -749,7 +770,7 @@ def test_lattice_run_estimate_counts_padding_batch_lattice_and_pairs():
     big = operators._lattice_run_bytes(Grid(2, 128), 3, 128, False)
     assert big == (6 * 512**2 + (8 + 7) * 128**2 + 2 * 255**2 + 6 * 256**2
                    + 2**22) * 8
-    assert big < operators._table_bytes(Grid(2, 128), False) / 75
+    assert big < operators._table_bytes(Grid(2, 128), False, True) / 75
     # a node of side n, the largest call, stays inside the slab term
     grid = Grid(2, 16)
     f = GridFunction(grid, rng(2).normal(size=grid.shape))

@@ -6,8 +6,7 @@ depth-first scan of the dyadic subcubes in lexicographic child order, one
 select the same cubes in the same order and raise the same flags, with
 the same multiplicity, on random exceptional sets of every density: in
 1D and 2D, on power-of-two sides, sides 3 * 2**j and odd sides, for
-empty sets and sets already dense at the start cube, with the default
-threshold and with a ``lam``.
+empty sets and sets already dense at the start cube.
 """
 
 import itertools
@@ -21,14 +20,14 @@ from sparsedom.errors import DensityError
 from sparsedom.grid import _box_slices
 
 
-def reference_stopping_time(grid, cube, omega, lam, allow_odd_leaf):
+def reference_stopping_time(grid, cube, omega):
     selected, flags = [], []
 
     def recurse(q, is_root):
         count = omega.count_in(q)
         if count == 0:
             return
-        if not is_root and sparse._density_exceeds(count, q.cell_count, grid.dim, lam):
+        if not is_root and sparse._density_exceeds(count, q.cell_count, grid.dim):
             selected.append(q)
             return
         if q.side == 1:
@@ -36,16 +35,13 @@ def reference_stopping_time(grid, cube, omega, lam, allow_odd_leaf):
                 flags.append("density_violation")
             return
         if q.side % 2 == 1:
-            if not allow_odd_leaf:
-                raise AlignmentError(
-                    f"cube side {q.side} is odd; cannot run the dyadic stopping time")
             flags.append("odd_leaf")
             clip = q.clip(omega.box)
             if clip is not None:
                 cells = np.argwhere(omega.mask[_box_slices(clip, omega.box.anchor)])
                 selected.extend(Cube(tuple(c), 1) for c in cells + [lo for lo, _ in clip])
             return
-        if is_root and sparse._density_exceeds(count, q.cell_count, grid.dim, lam):
+        if is_root and sparse._density_exceeds(count, q.cell_count, grid.dim):
             flags.append("density_violation")
         for child in dyadic_children(q):
             recurse(child, False)
@@ -58,14 +54,10 @@ def random_omega(grid, box, density, g):
     return CellSet(grid, box, g.random((box.side,) * grid.dim) < density)
 
 
-def assert_same(grid, cube, omega, lam, allow_odd_leaf=True):
-    try:
-        want = reference_stopping_time(grid, cube, omega, lam, allow_odd_leaf)
-    except AlignmentError as exc:
-        with pytest.raises(AlignmentError, match=str(exc)):
-            sparse._stopping_time(grid, cube, omega, lam, allow_odd_leaf)
-        return None
-    got = sparse._stopping_time(grid, cube, omega, lam, allow_odd_leaf)
+def assert_same(grid, cube, omega):
+    want = reference_stopping_time(grid, cube, omega)
+    # the stopping time scans a mask on the cube's own cells
+    got = sparse._stopping_time(cube, omega.mask_on(cube))
     assert got == want, (cube, omega.box)
     return want
 
@@ -76,8 +68,7 @@ DENSITIES = [0.0, 0.01, 0.05, 0.1, 0.2, 0.35, 0.6, 1.0]
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("lam", [None, 0.1, 0.3, 0.7])
-def test_matches_the_recursion_on_node_cubes(dim, lam):
+def test_matches_the_recursion_on_node_cubes(dim):
     grid = Grid(dim, 64)
     g = np.random.Generator(np.random.Philox(17 + dim))
     seen = {"density_violation": 0, "odd_leaf": 0, "selected": 0, "empty": 0}
@@ -92,7 +83,7 @@ def test_matches_the_recursion_on_node_cubes(dim, lam):
                 omega = random_omega(grid, cube, density, g)
                 if rep == 2 and side > 2:
                     omega.mask[(slice(side // 2, None),) * dim] = False
-                sel, flags = assert_same(grid, cube, omega, lam)
+                sel, flags = assert_same(grid, cube, omega)
                 seen["selected"] += bool(sel)
                 seen["empty"] += not sel and not flags
                 for fl in flags:
@@ -104,7 +95,8 @@ def test_matches_the_recursion_on_node_cubes(dim, lam):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_matches_the_recursion_on_sets_boxed_elsewhere(dim):
     # the set's box is the window, or a box that covers the cube only in
-    # part, as local_cz_decomposition may be given
+    # part, as local_cz_decomposition may be given; the cube's part of it
+    # is copied onto the cube
     grid = Grid(dim, 32)
     g = np.random.Generator(np.random.Philox(5 + dim))
     for side in (1, 2, 4, 8, 16, 32, 6, 12, 3):
@@ -113,37 +105,23 @@ def test_matches_the_recursion_on_sets_boxed_elsewhere(dim):
             for box in (grid.window_cube(),
                         Cube(tuple(a - side // 2 for a in cube.anchor), side),
                         Cube(tuple(a + side for a in cube.anchor), side)):
-                assert_same(grid, cube, random_omega(grid, box, density, g), None)
-                assert_same(grid, cube, random_omega(grid, box, density, g), 0.25)
-
-
-@pytest.mark.parametrize("dim", [1, 2])
-def test_odd_sides_raise_alike_without_odd_leaves(dim):
-    grid = Grid(dim, 64)
-    g = np.random.Generator(np.random.Philox(3))
-    raised = 0
-    for side in (3, 5, 6, 12, 24, 40, 8):
-        for density in (0.0, 0.02, 0.3):
-            cube = Cube((0,) * dim, side)
-            omega = random_omega(grid, cube, density, g)
-            raised += assert_same(grid, cube, omega, None, allow_odd_leaf=False) is None
-    assert raised > 0
+                assert_same(grid, cube, random_omega(grid, box, density, g))
+                assert_same(grid, cube, random_omega(grid, box, density, g))
 
 
 def test_root_density_violation_comes_first_and_once():
     grid = Grid(2, 16)
     cube = Cube((0, 0), 12)
     omega = CellSet.from_cube(grid, cube)
-    sel, flags = assert_same(grid, cube, omega, None)
+    sel, flags = assert_same(grid, cube, omega)
     # every child is dense, so the children are selected, the root flagged
     assert flags == ["density_violation"]
     assert sel == dyadic_children(cube)
     # a lone cell at the root, and an empty set
     one = Cube((3, 4), 1)
-    assert sparse._stopping_time(grid, one, CellSet.from_cube(grid, one), None,
-                                 True) == ([], ["density_violation"])
-    assert sparse._stopping_time(grid, cube, CellSet.empty(grid, cube), None,
-                                 True) == ([], [])
+    assert sparse._stopping_time(one, np.ones((1, 1), dtype=bool)) == (
+        [], ["density_violation"])
+    assert sparse._stopping_time(cube, np.zeros((12, 12), dtype=bool)) == ([], [])
 
 
 def test_odd_leaves_flag_once_per_odd_cube():
@@ -151,14 +129,13 @@ def test_odd_leaves_flag_once_per_odd_cube():
     cube = Cube((0,), 20)
     mask = np.zeros(20, dtype=bool)
     mask[[12, 1]] = True          # one cell, too sparse, in two odd cubes of side 5
-    sel, flags = assert_same(grid, cube, CellSet(grid, cube, mask), None)
+    sel, flags = assert_same(grid, cube, CellSet(grid, cube, mask))
     assert flags == ["odd_leaf", "odd_leaf"]
     assert sel == [Cube((1,), 1), Cube((12,), 1)]
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("lam", [None, 0.2, 0.45])
-def test_local_cz_decomposition_matches_the_recursion(dim, lam):
+def test_local_cz_decomposition_matches_the_recursion(dim):
     grid = Grid(dim, 32)
     g = np.random.Generator(np.random.Philox(41 + dim))
     checked = refused = 0
@@ -166,15 +143,15 @@ def test_local_cz_decomposition_matches_the_recursion(dim, lam):
         cube = Cube((32 - side,) * dim, side)
         omega = random_omega(grid, grid.window_cube(), density, g)
         count = omega.count_in(cube)
-        if sparse._density_exceeds(count, cube.cell_count, dim, lam):
+        if sparse._density_exceeds(count, cube.cell_count, dim):
             with pytest.raises(DensityError):
-                sparse.local_cz_decomposition(grid, cube, omega, lam)
+                sparse.local_cz_decomposition(grid, cube, omega)
             refused += 1
             continue
-        want, _ = reference_stopping_time(grid, cube, omega, lam, False)
-        assert sparse.local_cz_decomposition(grid, cube, omega, lam) == want
+        want, _ = reference_stopping_time(grid, cube, omega)
+        assert sparse.local_cz_decomposition(grid, cube, omega) == want
         checked += bool(want)
     assert checked > 0 and refused > 0
     with pytest.raises(AlignmentError):
         sparse.local_cz_decomposition(grid, Cube((0,) * dim, 12),
-                                      CellSet.empty(grid), lam)
+                                      CellSet.empty(grid))
