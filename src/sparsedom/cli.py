@@ -804,7 +804,7 @@ def _exit_code_for(exc: BaseException) -> int:
     if isinstance(exc, (NumericError, UndefinedRatioError, FloatingPointError,
                         OverflowError, ZeroDivisionError)):
         return 3
-    if isinstance(exc, (SparsedomError, OSError)):
+    if isinstance(exc, (SparsedomError, OSError, MemoryError)):
         return 2
     raise exc
 

@@ -46,8 +46,9 @@ import numbers
 import numpy as np
 
 from .errors import ParameterError
-from .grid import GridFunction, _corner_sums, _sat_box_sums
-from .operators import Kernel, RestrictedTransform, _stratified_indices
+from .grid import Grid, GridFunction, _corner_sums, _sat_box_sums
+from .operators import (Kernel, RestrictedTransform, _refuse_beyond_memory,
+                        _stratified_indices)
 
 __all__ = [
     "hl_maximal",
@@ -141,11 +142,23 @@ def _grow(anchors: list, group: np.ndarray, first: np.ndarray, count: np.ndarray
             np.repeat(group, per))
 
 
+def _sweep_bytes(grid: Grid) -> int:
+    """Bytes ``_power_average_sweep`` allocates at its peak: the reverse
+    doubling table, the prefix table of ``|f|**s`` and the powers it sums,
+    and 24 words per cube of its largest batch (anchors, bounds, averages,
+    cover corners), ``(2n - 1)**dim`` cubes or ``_BLOCK_CELLS >> 8``."""
+    n, dim = grid.cells_per_side, grid.dim
+    return 8 * (_doubling_levels(n) ** dim * n**dim + 2 * (n + 1) ** dim
+                + 24 * max((2 * n - 1) ** dim, _BLOCK_CELLS >> 8))
+
+
 def _power_average_sweep(f: GridFunction, s: float) -> np.ndarray:
     """Power-average maximal function of ``f`` over every lattice cube
     meeting the window, the averages of a batch of sides at a time."""
     grid = f.grid
     n, dim = grid.cells_per_side, grid.dim
+    _refuse_beyond_memory(f"the power-average sweep of a {dim}D grid with "
+                          f"{n} cells per side", _sweep_bytes(grid))
     sat = f.power_sat(s)
     table = np.zeros((_doubling_levels(n),) * dim + grid.shape)
     sides = np.arange(1, n + 1)[:, None]
@@ -447,6 +460,7 @@ def hl_maximal(f: GridFunction, s: float = 1.0) -> GridFunction:
     At each cell: the max over lattice cubes containing the cell of
     ``avg_p(f, cube, s)``.  Averages of cubes sticking out of the window
     keep the full-cube normalization (the function is zero outside).
+    A sweep beyond physical memory is refused up front (ParameterError).
     """
     if not (0 < s < math.inf):
         raise ParameterError(f"power average exponent must be finite and positive, got {s}")

@@ -59,8 +59,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericError, ParameterError
-from .grid import (CellSet, Cube, Grid, GridFunction, _box_slices, _corner_sums,
-                   _levels, dilate)
+from .grid import CellSet, Cube, Grid, GridFunction, _box_slices, _corner_sums, dilate
 
 __all__ = [
     "Kernel",
@@ -143,22 +142,26 @@ def _offset_lattice(kernel: Kernel, grid: Grid) -> np.ndarray | None:
     Returns a read-only ``(2n - 1,) * dim`` array indexed by ``k + n - 1``
     on every axis, with the offset-0 entry zeroed: the kernel at the pair
     ``(x, y)`` is entry ``x - y + n - 1``.  None unless the kernel declares
-    translation invariance.  A non-finite value raises NumericError, named
-    by a cell pair with its offset, so every lattice handed out is finite.
+    translation invariance.  It is filled from first-axis slabs of at most
+    ``_SLAB_CELLS`` offsets (or one row), so the kernel's temporaries are
+    slab-sized.  A non-finite value raises NumericError, named by a cell
+    pair with its offset, so every lattice handed out is finite.
     """
     if not kernel.translation_invariant:
         return None
     n, dim = grid.cells_per_side, grid.dim
     axis = np.arange(-(n - 1), n) * grid.cell_width
-    x = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lat = np.asarray(kernel.fn(x, np.zeros_like(x)), dtype=np.float64)
-    lat[(n - 1,) * dim] = 0.0
-    bad = ~np.isfinite(lat)
-    if bad.any():
-        # every offset k occurs, e.g. at x = max(k, 0), y = max(-k, 0)
-        k = np.argwhere(bad)[0] - (n - 1)
-        _raise_nonfinite(kernel.name, grid, np.maximum(k, 0), np.maximum(-k, 0))
+    lat = np.empty((2 * n - 1,) * dim)
+    rows = max(1, _SLAB_CELLS // len(axis) ** (dim - 1))
+    for i in range(0, len(axis), rows):
+        x = np.stack(np.meshgrid(axis[i:i + rows], *[axis] * (dim - 1), indexing="ij"), axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lat[i:i + rows] = kernel.fn(x, np.zeros_like(x))
+        lat[(n - 1,) * dim] = 0.0       # after every fill, so after its own slab's
+        if not np.isfinite(lat[i:i + rows]).all():
+            # every offset k occurs, e.g. at x = max(k, 0), y = max(-k, 0)
+            k = np.argwhere(~np.isfinite(lat[:i + rows]))[0] - (n - 1)
+            _raise_nonfinite(kernel.name, grid, np.maximum(k, 0), np.maximum(-k, 0))
     lat.flags.writeable = False
     return lat
 
@@ -326,16 +329,22 @@ def _resident_memory() -> int:
         return 0
 
 
-def _refuse_beyond_memory(what: str, need: int, held: int = 0) -> None:
-    """Raise ParameterError when ``need`` bytes on top of ``held`` exceed
-    physical memory; check nothing where its size is unknown."""
+def _size(nbytes: int) -> str:
+    """A byte count in the largest unit in which it is at least 1."""
+    k = min(max(0, (nbytes.bit_length() - 1) // 10), 4)
+    return f"{nbytes / 1024**k:.1f} {('B', 'KiB', 'MiB', 'GiB', 'TiB')[k]}"
+
+
+def _refuse_beyond_memory(what: str, need: int) -> None:
+    """Raise ParameterError when ``need`` bytes, on top of what the process
+    holds resident now, exceed physical memory; check nothing where its
+    size is unknown."""
     have = _physical_memory()
+    held = 0 if have is None else _resident_memory()
     if have is not None and need + held > have:
-        also = (f" on top of the {held / 2**30:.1f} GiB this process holds"
-                if held else "")
-        raise ParameterError(
-            f"{what} needs about {need / 2**30:.1f} GiB{also}, more than the "
-            f"{have / 2**30:.1f} GiB of physical memory")
+        also = f" on top of the {_size(held)} this process holds" if held else ""
+        raise ParameterError(f"{what} needs about {_size(need)}{also}, more than "
+                             f"the {_size(have)} of physical memory")
 
 
 def _table_bytes(grid: Grid, is_complex: bool, dense: bool) -> int:
@@ -351,64 +360,11 @@ def _table_bytes(grid: Grid, is_complex: bool, dense: bool) -> int:
     return n**dim * (n + 1) ** dim * item + 2 * (2 * n - 1) ** dim * 8
 
 
-def _domination_bytes(grid: Grid) -> int:
-    """Bytes the domination check of :mod:`sparsedom.verify` allocates at
-    its peak for a kernel with a lattice:
-
-    * the difference lattice and the reversed copy its pair view reads;
-    * its FFT over the window, ``2n`` points per axis at three complex
-      arrays (the kernel spectrum, the spectrum of f, the inverse);
-    * its direct re-sum, a block of ``_PAIR_CHUNK`` pairs or all of them
-      (real also for a complex input: ``_block_sums`` multiplies it by the
-      two parts of f in turn)."""
-    n, dim = grid.cells_per_side, grid.dim
-    cells = grid.n_cells
-    pair_rows = min(cells, max(1, _PAIR_CHUNK // cells))
-    return (2 * (2 * n - 1) ** dim * 8 + 3 * (2 * n) ** dim * 16
-            + pair_rows * cells * 8)
-
-
-def _lattice_run_bytes(grid: Grid, alpha: int, max_side: int,
-                       is_complex: bool) -> int:
-    """Bytes a ``run`` on a lattice kernel allocates at its peak, kernel
-    temporaries aside, for node cubes of side at most ``max_side`` (the
-    cover's ring cubes reach about 2n when the support is off-centre):
-
-    * the largest ``dilate_transforms`` slab, one cube of ``(alpha + 1)
-      max_side`` FFT points per axis or ``_SLAB_CELLS`` points, at six
-      arrays (the slab's box of f, the FFT's padded copy of its sources,
-      their spectrum, the kernel segment's spectrum, the inverse, the
-      cubes' cells cut from it);
-    * the level data the cover cubes of one side keep for the nodes below
-      them, on the window cells their core of three sides per axis meets
-      (the largest side has the most levels): a transform for the side
-      and one per level, and a running maximum of the power averages for
-      each side above one, complex but the maxima for a complex input;
-    * the domination check's ``_domination_bytes``, whose lattice the
-      build samples too.
-    """
-    n, dim = grid.cells_per_side, grid.dim
-    item = 16 if is_complex else 8
-    levels = len(list(_levels(max_side)))
-    return (6 * max(((alpha + 1) * max_side) ** dim, _SLAB_CELLS) * item
-            + ((levels + 1) * item + levels * 8) * min(3 * max_side, n) ** dim
-            + _domination_bytes(grid))
-
-
-def _refuse_run_beyond_memory(grid: Grid, alpha: int, max_side: int,
-                              is_complex: bool) -> None:
-    """Raise ParameterError when ``_lattice_run_bytes``, on top of what the
-    process holds resident now, exceeds physical memory."""
-    _refuse_beyond_memory(
-        f"a run on a {grid.dim}D grid with {grid.cells_per_side} cells per side",
-        _lattice_run_bytes(grid, alpha, max_side, is_complex), _resident_memory())
-
-
 # ---------------------------------------------------------------------------
 # transforms of f restricted to dilated cubes
 
-# FFT points (or, for a level summed directly, source cells) per slab of
-# a ``dilate_transforms`` batch
+# points per slab: FFT points (or source cells summed directly) of a
+# ``dilate_transforms`` batch, and offsets of the lattice's sampling
 _SLAB_CELLS = 1 << 16
 # multiply-adds per cube, ``(alpha side)**dim * side**dim``, up to which a
 # level is summed directly instead of by FFT
@@ -464,9 +420,9 @@ class LatticeTransform:
     ``_restricted_sums``, from P's window cells to P+'s: bit for bit
     ``apply_restricted(kernel, f, targets=P, source=P+)``.
 
-    Memory is linear in the cell count; the builder checks the estimate of
-    a whole ``run`` against physical memory before it builds this
-    (``_refuse_run_beyond_memory``).
+    Memory is linear in the cell count; the builder checks its estimate
+    against physical memory before it builds this
+    (:func:`sparsedom.sparse._build_bytes`).
     """
 
     def __init__(self, kernel: Kernel, f: GridFunction, alpha: int):

@@ -87,7 +87,8 @@ from .grid import (
     dilate,
 )
 from .maximal import oscillation
-from .operators import Kernel, LatticeTransform, _refuse_run_beyond_memory
+from .operators import (_PAIR_CHUNK, _SLAB_CELLS, _SUM_GROUP, Kernel, LatticeTransform,
+                        _refuse_beyond_memory)
 
 __all__ = [
     "PipelineConfig",
@@ -690,6 +691,28 @@ def support_box(f: GridFunction) -> Cube | None:
     return Cube(anchor, side)
 
 
+def _build_bytes(kernel: Kernel, f: GridFunction, alpha: int, max_side: int) -> int:
+    """Bytes :func:`build_sparse_domination` allocates at its peak, kernel
+    temporaries aside, for node cubes of side at most ``max_side`` (about
+    2n for the rings of an off-centre support): the lattice (without one,
+    a block of direct sums, ``_PAIR_CHUNK`` pairs or one group of targets);
+    the largest ``dilate_transforms`` slab, ``(alpha + 1) max_side`` FFT
+    points per axis or ``_SLAB_CELLS``, at six arrays (the box of f, the
+    padded sources, their spectrum, the segment's, the inverse, the cubes'
+    cells); one cover side's level data on the cells its cubes' core of
+    three sides per axis meets, a transform for the side and each level and
+    a real running maximum for each side above one; the prefix table of
+    ``|f|**s``."""
+    n, dim = f.grid.cells_per_side, f.grid.dim
+    item = 16 if f.is_complex else 8
+    levels = len(list(_levels(max_side)))
+    kernel_bytes = ((2 * n - 1) ** dim if kernel.translation_invariant
+                    else max(_PAIR_CHUNK, _SUM_GROUP * n**dim)) * 8
+    return (kernel_bytes + 6 * max(((alpha + 1) * max_side) ** dim, _SLAB_CELLS) * item
+            + ((levels + 1) * item + levels * 8) * min(3 * max_side, n) ** dim
+            + (n + 1) ** dim * 8)
+
+
 def build_sparse_domination(kernel: Kernel, f: GridFunction,
                             config: PipelineConfig | None = None) -> DominationResult:
     """Full pipeline: cover the window, recurse per cover cube, assemble
@@ -724,8 +747,9 @@ def build_sparse_domination(kernel: Kernel, f: GridFunction,
     cover = partition_cover(grid, supp, cfg.alpha)
     # children are smaller than their parents, so the roots are the largest;
     # refused before the kernel is sampled
-    _refuse_run_beyond_memory(grid, cfg.alpha, max(c.side for c in cover),
-                              f.is_complex)
+    _refuse_beyond_memory(
+        f"the build on a {grid.dim}D grid with {grid.cells_per_side} cells per side",
+        _build_bytes(kernel, f, cfg.alpha, max(c.side for c in cover)))
     rt = LatticeTransform(kernel, f, cfg.alpha)
     entries: list[SparseEntry] = []
     records: list[NodeRecord] = []

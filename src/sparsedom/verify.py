@@ -24,12 +24,11 @@ from .errors import NumericError, ParameterError, UndefinedRatioError
 from .grid import CellSet, Cube, Grid, GridFunction, _box_slices, avg_p
 from .maximal import hl_maximal, sharp_truncated
 from .operators import (
+    _PAIR_CHUNK,
     _SUM_GROUP,
     Kernel,
-    _domination_bytes,
     _offset_lattice,
     _refuse_beyond_memory,
-    _resident_memory,
     _restricted_sums,
     _stratified_indices,
     apply_restricted,
@@ -215,6 +214,18 @@ def _decisive_cells(tf: np.ndarray, stack: np.ndarray, bound: np.ndarray,
     return np.unique(np.concatenate(picks))
 
 
+def _domination_bytes(grid: Grid) -> int:
+    """Bytes :func:`check_domination` allocates at its peak for a kernel
+    with a lattice: the lattice and the reversed copy its pair view reads,
+    the FFT over the window (``2n`` points per axis, three complex arrays)
+    and the direct re-sum's block of whole groups of ``_SUM_GROUP`` targets
+    against every cell (real also for a complex input)."""
+    n, dim, cells = grid.cells_per_side, grid.dim, grid.n_cells
+    pair_rows = min(cells, max(1, _PAIR_CHUNK // cells // _SUM_GROUP) * _SUM_GROUP)
+    return (2 * (2 * n - 1) ** dim * 8 + 3 * (2 * n) ** dim * 16
+            + pair_rows * cells * 8)
+
+
 def _window_magnitudes(kernel: Kernel, f: GridFunction, lat: np.ndarray,
                        stack: np.ndarray, bound: np.ndarray,
                        tol: float) -> np.ndarray:
@@ -281,8 +292,7 @@ def check_domination(kernel: Kernel, f: GridFunction, family: SparseFamily,
     if kernel.translation_invariant:
         _refuse_beyond_memory(
             f"the domination check of a {grid.dim}D grid with "
-            f"{grid.cells_per_side} cells per side",
-            _domination_bytes(grid), _resident_memory())
+            f"{grid.cells_per_side} cells per side", _domination_bytes(grid))
     stack = _paint_coefficients(family, [e.coefficient for e in family.entries])
     # c * stack, but 0 where the stack is, also for c = inf
     bound = np.multiply(c, stack, out=np.zeros_like(stack), where=stack != 0)

@@ -123,13 +123,17 @@ def test_run_honest_failure_exits_one(tmp_path, capsys):
 
 
 def test_run_refuses_table_beyond_memory(tmp_path, capsys, monkeypatch):
-    # the estimate alone decides; nothing of the table's size is allocated
+    # the estimate alone decides; nothing of the table's size is allocated.
+    # With nothing resident the input (512 B) fits and the build (3 MiB)
+    # does not
     monkeypatch.setattr(sparsedom.operators, "_physical_memory", lambda: 2**16)
+    monkeypatch.setattr(sparsedom.operators, "_resident_memory", lambda: 0)
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
     assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "error:" in err and "GiB" in err and "physical memory" in err
+    assert "error: the build on a 1D grid with 64 cells per side needs about 3." in err
+    assert "MiB, more than the 64.0 KiB of physical memory" in err
     assert "Traceback" not in err
 
 
@@ -146,7 +150,7 @@ def test_run_refuses_input_beyond_memory(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
     assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "8192.0 GiB" in err and "input" in err
+    assert err.startswith("error:") and "8.0 TiB" in err and "input" in err
     assert "Traceback" not in err
 
 
@@ -356,6 +360,9 @@ def test_verify_refuses_a_domination_check_beyond_memory(tmp_path, capsys, monke
     monkeypatch.setattr(verify, "_offset_lattice", untouchable)
     monkeypatch.setattr(verify, "_lattice_transform", untouchable)
     monkeypatch.setattr(operators, "_physical_memory", lambda: 200_000)
+    # every check counts what the process holds; with nothing held the
+    # earlier checks fit
+    monkeypatch.setattr(operators, "_resident_memory", lambda: 0)
     err = _exits_two_with_an_error_line(tmp_path, capsys, cfg, "--family", str(family),
                                         command="verify")
     assert "the domination check of a 2D grid with 64 cells per side" in err
@@ -742,6 +749,26 @@ def _exits_two_with_an_error_line(tmp_path, capsys, cfg, *extra, command="run"):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     return err
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_memory_error_exits_two(tmp_path, capsys, monkeypatch, command):
+    # an allocation numpy cannot make is a grid too large for the machine,
+    # not a failed verification: it printed a traceback and exited 1
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 12.0 GiB for an array with shape "
+                          "(1610612736,) and data type float64")
+
+    cfg = write_config(tmp_path, grid={"dim": 1, "cells_per_side": 32})
+    extra = ()
+    if command == "verify":
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        extra = ("--family", str(tmp_path / "o" / "family.json"))
+        monkeypatch.setattr(cli, "check_domination", no_memory)
+    else:
+        monkeypatch.setattr(cli, "build_sparse_domination", no_memory)
+    err = _exits_two_with_an_error_line(tmp_path, capsys, cfg, *extra, command=command)
+    assert "Unable to allocate 12.0 GiB" in err
 
 
 # JSON Schema counts 3.0 as an integer; these exited 1 with a TypeError, and

@@ -22,7 +22,7 @@ from sparsedom import (
     oscillation,
     sharp_truncated,
 )
-from sparsedom import maximal
+from sparsedom import maximal, operators
 from sparsedom.inputs import INPUT_KINDS, make_input
 from sparsedom.maximal import _power_average_sweep
 from sparsedom.operators import RestrictedTransform
@@ -534,6 +534,40 @@ def test_sharp_truncated_memory_peak(grid, name, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_power_average_sweep_estimate_bounds_its_peak(n):
+    # the doubling table is 1.5, 8 and 40.5 MiB; the batches of cubes
+    # nearly double the peak at n = 256 (76.9 MiB traced here)
+    grid = Grid(2, n)
+    f = make_input(grid, "random", seed=7)
+    tracemalloc.start()
+    try:
+        hl_maximal(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= maximal._sweep_bytes(grid)
+
+
+def test_hl_maximal_refused_before_anything_window_sized(monkeypatch):
+    # 2D n = 1024 takes a 968 MiB doubling table, here refused with 1 GiB
+    # of physical memory; nothing of the window's 8 MiB is allocated first
+    grid = Grid(2, 1024)
+    f = GridFunction(grid, np.ones(grid.shape))
+    monkeypatch.setattr(operators, "_physical_memory", lambda: 2**30)
+    monkeypatch.setattr(operators, "_resident_memory", lambda: 0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match="power-average sweep of a 2D grid with "
+                           "1024 cells per side needs about 1.7 GiB, more than the 1.0 GiB"):
+            hl_maximal(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < grid.n_cells
+    assert not f._power_sats
 
 
 def test_2d_complex_maximal_functions_match_gather_reference():

@@ -29,7 +29,7 @@ from sparsedom import (
     make_kernel,
     transpose_kernel,
 )
-from sparsedom import operators, sparse
+from sparsedom import operators, sparse, verify
 from sparsedom.inputs import make_input
 from sparsedom.maximal import sharp_truncated
 from sparsedom.operators import LatticeTransform, RestrictedTransform
@@ -634,6 +634,61 @@ def test_invariant_kernel_nonfinite_off_diagonal_names_real_pair(dim):
         assert np.all((x > 0) & (x < 4) & (y > 0) & (y < 4))  # both cell centers
 
 
+def _one_shot_lattice(kernel, grid):
+    """The lattice from one call of ``fn`` on every offset at once."""
+    n, dim = grid.cells_per_side, grid.dim
+    axis = np.arange(-(n - 1), n) * grid.cell_width
+    x = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lat = np.asarray(kernel.fn(x, np.zeros_like(x)), dtype=np.float64)
+    lat[(n - 1,) * dim] = 0.0
+    return lat
+
+
+@pytest.mark.parametrize("phys_side", [0.1, 1.0, 3.0])
+@pytest.mark.parametrize("dim,n,name", [(1, 256, k) for k in ("hilbert", "holder", "dini_stress",
+                                                            "zero")]
+                         + [(2, 64, k) for k in ("riesz2d", "zero")])
+def test_slabbed_lattice_equals_one_shot_values(monkeypatch, dim, n, name, phys_side):
+    # slabs of 381 offsets: in 1D two uneven ones, in 2D 43 of three rows
+    # of 127 offsets (the last of one row)
+    grid = Grid(dim, n, phys_side)
+    k, seen = _counting(make_kernel(name, grid))
+    want = _one_shot_lattice(k, grid)
+    monkeypatch.setattr(operators, "_SLAB_CELLS", 381)
+    seen.clear()
+    got = operators._offset_lattice(k, grid)
+    assert len(seen) == (2 if dim == 1 else 43) and sum(seen) == want.size
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim,n", [(1, 256), (2, 64)])
+def test_nonfinite_offset_in_a_later_slab_names_the_same_pair(monkeypatch, dim, n):
+    # NaN at two offsets past the first slab: the first in C order names
+    # the pair, in slabs as in one call
+    grid = Grid(dim, n, float(n))                   # h = 1
+    late = [(n // 2 + 7, -3)[:dim], (n // 2 + 12, 5)[:dim]]
+
+    def fn(x, y):
+        u = x - y
+        with np.errstate(divide="ignore"):
+            out = 1.0 / np.abs(u).sum(axis=-1)
+        for k in late:
+            out[np.all(u == k, axis=-1)] = np.nan
+        return out
+
+    kernel = Kernel("late_nan", dim, fn, translation_invariant=True)
+    k = np.array(late[0])
+    x = tuple(float(v) + 0.5 for v in np.maximum(k, 0))
+    y = tuple(float(v) + 0.5 for v in np.maximum(-k, 0))
+    want = f"kernel 'late_nan' evaluated non-finite at x={x}, y={y}"
+    for slab in (operators._SLAB_CELLS, 381):
+        monkeypatch.setattr(operators, "_SLAB_CELLS", slab)
+        with pytest.raises(NumericError) as err:
+            operators._offset_lattice(kernel, grid)
+        assert str(err.value) == want
+
+
 def test_undeclared_kernels_keep_their_results():
     grid = Grid(1, 16, phys_side=2.0)
     f = GridFunction(grid, rng(8).normal(size=grid.shape))
@@ -702,11 +757,13 @@ def test_table_estimate_counts_dense_weights_only_without_a_lattice(monkeypatch)
 
     grid = Grid(1, 1024)
     f = make_input(grid, "random", seed=7)
+    # on top of 64 MiB held (every check counts what the process holds)
+    monkeypatch.setattr(operators, "_resident_memory", lambda: 2**26)
     monkeypatch.setattr(operators, "_physical_memory",
-                        lambda: 3 * 1024 * 1025 * 8 // 2)
+                        lambda: 2**26 + 3 * 1024 * 1025 * 8 // 2)
     assert sharp_truncated(make_kernel("hilbert", grid), f).values.shape == grid.shape
     dense = Kernel("untouchable", 1, untouchable)
-    with pytest.raises(ParameterError, match="transform table.*GiB"):
+    with pytest.raises(ParameterError, match="transform table.*16.0 MiB on top of the 64.0 MiB"):
         sharp_truncated(dense, f)
 
 
@@ -736,9 +793,10 @@ def test_table_refused_before_allocation(monkeypatch):
         pytest.fail("the kernel must not be evaluated for a refused table")
 
     monkeypatch.setattr(operators, "_physical_memory", lambda: 2**20)
+    monkeypatch.setattr(operators, "_resident_memory", lambda: 0)
     grid = Grid(1, 1024)
     k = Kernel("untouchable", 1, untouchable, translation_invariant=True)
-    with pytest.raises(ParameterError, match="GiB"):
+    with pytest.raises(ParameterError, match="needs about 8.0 MiB, more than the 1.0 MiB"):
         RestrictedTransform(k, GridFunction(grid, np.ones(grid.shape)))
     # small tables still build; an unknown memory size checks nothing
     RestrictedTransform(make_kernel("hilbert"), GridFunction(Grid(1, 64), np.ones(64)))
@@ -747,30 +805,42 @@ def test_table_refused_before_allocation(monkeypatch):
 
 
 def test_lattice_run_estimate_counts_padding_batch_lattice_and_pairs():
-    # 1D N = 64 at alpha 3, nodes of side N: a slab of 6 arrays of 2**16
-    # points (more than one cube's 4N), a cover side's 7 kept transforms
-    # (itself and levels 32 .. 1)
-    # and 6 running maxima (sides 64 .. 2) on N cells, the lattice and its
-    # reversed copy, the verifier's FFT at 3 complex arrays of 2N points,
-    # all N**2 pairs in one real block (also for a complex input, whose
-    # parts it multiplies in turn)
-    want = (6 * 2**16 * 8 + (7 + 6) * 64 * 8 + 2 * 127 * 8 + 3 * 128 * 16
-            + 64 * 64 * 8)
-    assert operators._lattice_run_bytes(Grid(1, 64), 3, 64, False) == want
-    complex_want = (6 * 2**16 * 16 + 7 * 64 * 16 + 6 * 64 * 8 + 2 * 127 * 8
-                    + 3 * 128 * 16 + 64 * 64 * 8)
-    assert operators._lattice_run_bytes(Grid(1, 64), 3, 64, True) == complex_want
+    # the build's estimate, 1D N = 64 at alpha 3, nodes of side N: the
+    # lattice, a slab of 6 arrays of 2**16 points (more than one cube's
+    # 4N), a cover side's 7 kept transforms (itself and levels 32 .. 1) and
+    # 6 running maxima (sides 64 .. 2) on N cells, the prefix table of
+    # |f|**s; the verifier's arrays are its own estimate's
+    def build_bytes(grid, side, is_complex=False, kernel=make_kernel("hilbert")):
+        f = GridFunction(grid, np.ones(grid.shape, complex if is_complex else float))
+        return sparse._build_bytes(kernel, f, 3, side)
+
+    want = (127 + 6 * 2**16 + (7 + 6) * 64 + 65) * 8
+    assert build_bytes(Grid(1, 64), 64) == want
+    complex_want = 127 * 8 + 6 * 2**16 * 16 + 7 * 64 * 16 + 6 * 64 * 8 + 65 * 8
+    assert build_bytes(Grid(1, 64), 64, True) == complex_want
     # nodes of side 81 (a far ring of the cover): one cube is still below
     # the slab; it keeps 2 transforms (itself and single cells) and 1
     # running maximum on at most the N window cells
-    wide = (6 * 2**16 * 8 + (2 + 1) * 64 * 8 + 2 * 127 * 8 + 3 * 128 * 16
-            + 64 * 64 * 8)
-    assert operators._lattice_run_bytes(Grid(1, 64), 3, 81, False) == wide
-    # 2D n = 128: about 52 MB, the verifier's pair block capped at 2**22
-    big = operators._lattice_run_bytes(Grid(2, 128), 3, 128, False)
-    assert big == (6 * 512**2 + (8 + 7) * 128**2 + 2 * 255**2 + 6 * 256**2
-                   + 2**22) * 8
+    wide = (127 + 6 * 2**16 + (2 + 1) * 64 + 65) * 8
+    assert build_bytes(Grid(1, 64), 81) == wide
+    # without a lattice, a block of 2**22 pairs of its direct sums instead
+    assert build_bytes(Grid(1, 64), 64, kernel=_dense(make_kernel("hilbert"))) == (
+        want + (2**22 - 127) * 8)
+    # 2D n = 128: about 15 MB
+    big = build_bytes(Grid(2, 128), 128, kernel=make_kernel("riesz2d"))
+    assert big == (255**2 + 6 * 512**2 + (8 + 7) * 128**2 + 129**2) * 8
     assert big < operators._table_bytes(Grid(2, 128), False, True) / 75
+    # the domination check's: the lattice and its reversed copy, its FFT at
+    # 3 complex arrays of 2n points per axis, and all N**2 pairs in one
+    # real block (also for a complex input, whose parts it multiplies in
+    # turn), at 2D n = 128 a block of 256 rows, 2**22 pairs
+    assert verify._domination_bytes(Grid(1, 64)) == (
+        2 * 127 * 8 + 3 * 128 * 16 + 64 * 64 * 8)
+    assert verify._domination_bytes(Grid(2, 128)) == (
+        2 * 255**2 * 8 + 3 * 256**2 * 16 + 2**22 * 8)
+    # at 2D n = 2048 a whole group of 4 rows against all 2**22 cells
+    assert verify._domination_bytes(Grid(2, 2048)) == (
+        2 * 4095**2 * 8 + 3 * 4096**2 * 16 + 4 * 2**22 * 8)
     # a node of side n, the largest call, stays inside the slab term
     grid = Grid(2, 16)
     f = GridFunction(grid, rng(2).normal(size=grid.shape))
@@ -784,39 +854,39 @@ def test_lattice_run_estimate_counts_padding_batch_lattice_and_pairs():
     assert peak <= 6 * (6 * 16) ** 2 * 8
 
 
+def _traced_peak(call):
+    """``call()`` and the peak of the memory it traced."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_lattice_run_estimate_holds_for_a_corner_support():
     # one cell at the origin: the cover's last ring cubes have side 81,
-    # wider than the window, and the build pads f and runs FFTs for them
+    # wider than the window, and the build pads f and runs FFTs for them;
+    # each phase stays inside its own estimate
     grid = Grid(2, 64)
     vals = np.zeros(grid.shape)
     vals[0, 0] = 1.0
     f = GridFunction(grid, vals)
     k = make_kernel("riesz2d", grid)
-    cfg = sparse.PipelineConfig(alpha=3)
     side = max(c.side for c in sparse.partition_cover(grid, sparse.support_box(f), 3))
     assert side == 81
-    need = operators._lattice_run_bytes(grid, 3, side, False)
-    # the verifier's terms: its FFT, the reversed lattice, the pair block
-    verifier = (3 * 128**2 * 16 + 127**2 * 8
-                + (operators._PAIR_CHUNK // grid.n_cells) * grid.n_cells * 8)
-    tracemalloc.start()
-    try:
-        res = sparse.build_sparse_domination(k, f, cfg)
-        build_peak = tracemalloc.get_traced_memory()[1]
-        assert check_domination(k, f, res.family).passed
-        run_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the build alone fits in the estimate without the verifier's terms
-    assert build_peak <= need - verifier
-    assert run_peak <= need
+    res, build_peak = _traced_peak(lambda: sparse.build_sparse_domination(k, f))
+    assert build_peak <= sparse._build_bytes(k, f, 3, side)
+    report, check_peak = _traced_peak(lambda: check_domination(k, f, res.family))
+    assert report.passed and check_peak <= verify._domination_bytes(grid)
 
 
-@pytest.mark.parametrize("dim,n,name", [(1, 4096, "hilbert"), (2, 64, "riesz2d")])
+@pytest.mark.parametrize("dim,n,name", [(1, 4096, "hilbert"), (2, 64, "riesz2d"),
+                                        (2, 128, "riesz2d")])
 def test_lattice_run_estimate_holds_for_the_kept_levels(monkeypatch, dim, n, name):
     # the default support and its ring of cover cubes share a side, and
     # hold a transform per level, and a running maximum for every side
-    # above one, on the window cells they meet while their nodes recurse
+    # above one, on the window cells they meet while their nodes recurse;
+    # the build and the check, traced apart, stay inside their estimates
     grid = Grid(dim, n)
     f = make_input(grid, "random", seed=7)
     k = make_kernel(name, grid)
@@ -832,15 +902,12 @@ def test_lattice_run_estimate_holds_for_the_kept_levels(monkeypatch, dim, n, nam
         return data
 
     monkeypatch.setattr(sparse, "_side_levels", counted)
-    tracemalloc.start()
-    try:
-        res = sparse.build_sparse_domination(k, f)
-        build_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    res, build_peak = _traced_peak(lambda: sparse.build_sparse_domination(k, f))
     assert max(r.depth for r in res.records) > 1
     assert len(kept) == 1 and max(kept) <= kept_term
-    assert build_peak <= operators._lattice_run_bytes(grid, 3, side, False)
+    assert build_peak <= sparse._build_bytes(k, f, 3, side)
+    report, check_peak = _traced_peak(lambda: check_domination(k, f, res.family))
+    assert report.passed and check_peak <= verify._domination_bytes(grid)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
@@ -869,17 +936,37 @@ def test_build_refused_before_sampling(monkeypatch):
     f = GridFunction(grid, np.ones(grid.shape))
     k = Kernel("untouchable", 1, untouchable, translation_invariant=True)
     # the support is the window, so the cover is the window alone
-    need = operators._lattice_run_bytes(grid, 3, 1024, False)
+    need = sparse._build_bytes(k, f, 3, 1024)
     monkeypatch.setattr(operators, "_resident_memory", lambda: 2**20)
     # what the process holds counts: one byte short refuses
     monkeypatch.setattr(operators, "_physical_memory", lambda: need + 2**20 - 1)
-    with pytest.raises(ParameterError, match="GiB.*physical memory"):
+    with pytest.raises(ParameterError, match=r"the build on a 1D grid with 1024 cells "
+                       r"per side needs about 3\.\d MiB on top of the 1\.0 MiB this "
+                       r"process holds, more than the 4\.\d MiB of physical memory"):
         sparse.build_sparse_domination(k, f)
     monkeypatch.setattr(operators, "_physical_memory", lambda: need + 2**20)
     sparse.build_sparse_domination(make_kernel("hilbert"), f)
     # an unknown memory size checks nothing
     monkeypatch.setattr(operators, "_physical_memory", lambda: None)
     sparse.build_sparse_domination(make_kernel("hilbert"), f)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                    reason="resident memory is read on Linux only")
+def test_refusals_name_every_size_in_a_unit_it_fills(monkeypatch):
+    # a small refusal read "needs about 0.0 GiB, more than the 0.0 GiB":
+    # 1D N = 1024, physical memory at 12.6 MB, the table 8.0 MiB
+    grid = Grid(1, 1024)
+    f = make_input(grid, "random", seed=7)
+    monkeypatch.setattr(operators, "_physical_memory", lambda: 12_600_000)
+    with pytest.raises(ParameterError) as err:
+        sharp_truncated(make_kernel("hilbert", grid), f)
+    sizes = re.findall(r"(\d+\.\d) (B|KiB|MiB|GiB|TiB)\b", str(err.value))
+    assert "needs about 8.0 MiB on top of the" in str(err.value)
+    assert "this process holds, more than the 12.0 MiB of physical memory" in str(err.value)
+    assert len(sizes) == 3 and all(float(v) >= 1 for v, _ in sizes)
+    assert [operators._size(b) for b in (0, 1023, 1024, 1536 * 2**20, 2**30, 2**52)] == [
+        "0.0 B", "1023.0 B", "1.0 KiB", "1.5 GiB", "1.0 GiB", "4096.0 TiB"]
 
 
 def test_lattice_transform_sums_directly_without_a_lattice():
