@@ -12,8 +12,8 @@ That is O(2^dim) per cube and O(n^dim log^dim n) in all.
 
 * ``_power_average_sweep``: the s-power average of ``f`` over the cube,
   normalized by the full cube measure also for cubes sticking out of the
-  window (f reads as zero there), for a batch of sides per call.  One body
-  serves both dimensions.
+  window (f reads as zero there), for a batch of cubes at a time (a run of
+  sides, or of anchors of one side).  One body serves both dimensions.
 * ``_oscillation_sweep``: the oscillation, across the window cells of the
   cube P, of the transform of ``f`` minus the transform of ``f``
   restricted to the dilate of P.  One body serves both dimensions too.
@@ -146,15 +146,18 @@ def _sweep_bytes(grid: Grid) -> int:
     """Bytes ``_power_average_sweep`` allocates at its peak: the reverse
     doubling table, the prefix table of ``|f|**s`` and the powers it sums,
     and 24 words per cube of its largest batch (anchors, bounds, averages,
-    cover corners), ``(2n - 1)**dim`` cubes or ``_BLOCK_CELLS >> 8``."""
+    cover corners), ``_BLOCK_CELLS >> 8`` or one row of the largest side,
+    ``(2n - 1)**(dim - 1)`` cubes."""
     n, dim = grid.cells_per_side, grid.dim
     return 8 * (_doubling_levels(n) ** dim * n**dim + 2 * (n + 1) ** dim
-                + 24 * max((2 * n - 1) ** dim, _BLOCK_CELLS >> 8))
+                + 24 * max((2 * n - 1) ** (dim - 1), _BLOCK_CELLS >> 8))
 
 
 def _power_average_sweep(f: GridFunction, s: float) -> np.ndarray:
     """Power-average maximal function of ``f`` over every lattice cube
-    meeting the window, the averages of a batch of sides at a time."""
+    meeting the window, the averages of a batch of cubes at a time: of a
+    run of sides, cut along the anchors of the first axis so that a batch
+    holds at most ``_BLOCK_CELLS >> 8`` cubes (or one row of one side)."""
     grid = f.grid
     n, dim = grid.cells_per_side, grid.dim
     _refuse_beyond_memory(f"the power-average sweep of a {dim}D grid with "
@@ -164,19 +167,29 @@ def _power_average_sweep(f: GridFunction, s: float) -> np.ndarray:
     sides = np.arange(1, n + 1)[:, None]
     # up to 8192 cubes a batch: four times the table pass's, as no
     # transform table shares the memory, and a batch costs about 0.1 ms
-    for j0, j1 in _side_groups((n + sides[:, 0] - 1) ** dim, max(1, _BLOCK_CELLS >> 8)):
+    cap = max(1, _BLOCK_CELLS >> 8)
+    for j0, j1 in _side_groups((n + sides[:, 0] - 1) ** dim, cap):
         m = sides[j0:j1]
-        anchors, side = [], np.arange(j1 - j0)
-        for _ in range(dim):
-            anchors, side = _grow(anchors, side, 1 - m, n + m - 1)
-        m = m[side, 0]
-        lo = [np.maximum(a, 0) for a in anchors]
-        hi = [np.minimum(a + m, n) for a in anchors]
+        # the most anchors a side of the run has per axis; a side with more
+        # cubes than the cap, alone in its run, is cut into runs of anchors
+        # of the first axis
+        rows = n + j1 - 1
+        if (n + j0) ** dim > cap:
+            rows = max(1, cap // rows ** (dim - 1))
         # each side's measure in Python floats, as one side at a time had it
         measure = np.array([(m_ * grid.cell_width) ** dim for m_ in range(j0 + 1, j1 + 1)])
-        avgs = (_sat_box_sums(sat, lo, hi) * grid.cell_measure
-                / measure[side]) ** (1.0 / s)
-        _paint(table, _cover(lo, hi, n), avgs)
+        first, count = 1 - m, n + m - 1
+        for r0 in range(0, n + j1 - 1, rows):
+            anchors, side = _grow([], np.arange(j1 - j0), first + r0,
+                                  np.minimum(count - r0, rows))
+            for _ in range(dim - 1):
+                anchors, side = _grow(anchors, side, first, count)
+            lo = [np.maximum(a, 0) for a in anchors]
+            cube_side = m[side, 0]
+            hi = [np.minimum(a + cube_side, n) for a in anchors]
+            avgs = (_sat_box_sums(sat, lo, hi) * grid.cell_measure
+                    / measure[side]) ** (1.0 / s)
+            _paint(table, _cover(lo, hi, n), avgs)
     return _push_down(table)
 
 

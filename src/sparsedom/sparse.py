@@ -21,21 +21,21 @@ call of :class:`~sparsedom.operators.LatticeTransform` for the side and
 one per level, over the window cells the side's cover cubes meet, and the
 power averages of every level cube as differences of the prefix table
 ``GridFunction.power_sat``, folded into one running maximum per side.
-Every node below reads slices of these: its power-average statistic is a
-slice of its side's running maximum, and :func:`_node_stats` takes the
+Every node below reads boxes of these: its power-average statistic is a
+box of its side's running maximum, and :func:`_node_stats` takes the
 oscillations in one pass per level above single cells, O(m log m) cells
 per node of side m in 1D.  The power averages only cut the exceptional
 set, while every coefficient is an :func:`avg_p`, a direct sum.
 
 Memory stays linear in the cell count for every kernel: a cover side
 keeps two arrays on its window cells, the transforms of the side and of
-each level and the running maxima of every side above one, freed when its
-last cover cube is done.  For a kernel with a difference lattice (every
-catalog kernel: those that declare translation invariance) a call sums
-the small levels directly and the others by batched FFTs, O(m log m) per
-level in 1D, in slabs of bounded size, and each cube of a call gets the
-same bits as from a call of its own; for any other kernel it sums each
-cube of the level directly through the kernel.
+each level and the running maxima of every side above one, freed when the
+pass below its cover cubes is done.  For a kernel with a difference
+lattice (every catalog kernel: those that declare translation invariance)
+a call sums the small levels directly and the others by batched FFTs,
+O(m log m) per level in 1D, in slabs of bounded size, and each cube of a
+call gets the same bits as from a call of its own; for any other kernel
+it sums each cube of the level directly through the kernel.
 
 Cells where any statistic exceeds its threshold form the exceptional set.
 In quantile mode the thresholds are chosen as order statistics, so the
@@ -44,16 +44,27 @@ in fixed mode the caller supplies threshold ratios and violations are
 flagged but not fatal.  A dyadic stopping time selects the maximal
 subcubes where the exceptional set has density above ``1 / 2**(dim+1)``,
 so each carries at most half its measure of it; the node keeps the
-complement as its witness and recurses into the subcubes.  It scans a
-level of subcubes at a time, counting the exceptional cells of every cube
-of a level by one reshape-sum of the node's mask.  The exceptional
-set and the witness are cell sets boxed by the node cube, so a node's
-bookkeeping costs O(m**dim) cells, not a window-shaped array.
+complement as its witness, and the subcubes are nodes of the next depth.
+The exceptional set and the witness are cell sets boxed by the node cube,
+so a node's bookkeeping costs O(m**dim) cells, not a window-shaped array.
 
-Every coefficient is read from the transforms the nodes already hold, in
-units of the node average: a node's is the largest ``|T(f char_{Q+})|``
-on its witness, an edge's the largest ``|T(f char_{Q+}) - T(f char_{P+})|``
-on the child P (whose transform counts as 0 where its average is 0).
+The trees below the cover cubes of one side grow a depth at a time
+(:func:`_side_pass`).  The nodes of a depth with a nonzero average and
+window cells are grouped by side and by where their window cells sit in
+the cube, and each group is grown in batches of at most ``_SLAB_CELLS``
+cube cells (or one node) by :func:`_node_batch`: its statistics are boxes
+of the level data stacked along a first axis, its thresholds one
+``np.partition`` per statistic, its stopping time one scan of the stacked
+masks a level of subcubes at a time by reshape-sums, and its witnesses,
+invariants and coefficients reductions over the stack.  Each node's path
+of child indices from its cover cube puts the records and entries in the
+depth-first preorder of the recursion, each node's edges in the order the
+stopping time selects its children.
+
+Every coefficient is read from the level data, in units of the node
+average: a node's is the largest ``|T(f char_{Q+})|`` on its witness, an
+edge's the largest ``|T(f char_{Q+}) - T(f char_{P+})|`` on the child P
+(whose transform counts as 0 where its average is 0).
 Telescoping along the tree bounds ``|T f|`` on every witness by the
 largest coefficient times the sparse sum; that constant is checked
 verbatim by :func:`sparsedom.verify.check_domination`.
@@ -66,6 +77,7 @@ the full transform there.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -142,24 +154,6 @@ class PipelineConfig:
         """The share of its cube's cells every witness of the family holds,
         ``1 / (2 alpha**dim)``."""
         return 1.0 / (2.0 * self.alpha**dim)
-
-
-@dataclass(frozen=True)
-class ExceptionalSet:
-    """Exceptional cells of one node, with the thresholds that cut them, and
-    ``T(f char_{Q+})`` on the node's window cells, box-shaped (None on a
-    node skipped for a zero average or no window cells)."""
-
-    omega: CellSet
-    avg: float
-    tau_t: float
-    tau_ms: float
-    tau_osc: float
-    c_ratio: float
-    allowed_per_stat: int
-    exceed_counts: tuple[int, int, int]
-    flags: tuple[str, ...]
-    transform: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -252,6 +246,18 @@ def _level_runs(lo: int, hi: int, anchor: int, p: int):
     return first, starts, np.minimum(cubes + p, hi) - lo - starts
 
 
+@functools.lru_cache(maxsize=4096)
+def _node_runs(offset: int, length: int, p: int):
+    """Where the cubes of side ``p`` anchored at a node's anchor start their
+    runs of the node's window cells on one axis, counted from the first of
+    them, and how many cells each holds, for window cells that start
+    ``offset`` cells past the anchor and number ``length``; read-only, and
+    cached, since the nodes of a build repeat a few of these."""
+    _, starts, counts = _level_runs(offset, offset + length, 0, p)
+    starts.flags.writeable = counts.flags.writeable = False
+    return starts, counts
+
+
 class _SideLevels(NamedTuple):
     """What the cover cubes of one side compute once for every node below
     them.
@@ -266,7 +272,7 @@ class _SideLevels(NamedTuple):
     last, holds at each of those cells the largest s-power average of f
     over P+ (normalized by its full measure) among the level cubes P below
     a cube of side ``sides[i]`` that hold the cell.  Both arrays are
-    read-only: a node's statistics are views into them.
+    read-only: a batch of nodes copies its statistics out of them.
     """
 
     origin: tuple[int, ...]
@@ -333,9 +339,29 @@ def _side_levels(rt: LatticeTransform, f: GridFunction, cubes: list[Cube],
     return _SideLevels(tuple(lo for lo, _ in box), sides, transforms, maxima)
 
 
-def _node_stats(levels: _SideLevels, grid: Grid, cube: Cube):
-    """On the node's window cells, box-shaped: T(f char_{Q+}) (signed) and
-    the two dyadic maximal functions of f char_{Q+}.
+def _box_cells(levels: _SideLevels, cubes: list[Cube], clip) -> np.ndarray:
+    """Flat indices into one level of a side's level data (``transforms``
+    or ``maxima`` of :class:`_SideLevels`) of the window cells of a batch of
+    cubes, box-shaped per cube and stacked along a first axis; ``clip`` is
+    the first cube's window cells, and every cube's sit alike in it."""
+    dim = len(clip)
+    # the level box is C-contiguous: a cell's index steps by these per axis
+    steps = [math.prod(levels.transforms.shape[2 + d:]) for d in range(dim)]
+    box = 0
+    for d, ((lo, hi), step) in enumerate(zip(clip, steps)):
+        box = box + np.arange(0, (hi - lo) * step, step).reshape((-1,) + (1,) * (dim - 1 - d))
+    # each cube's first window cell: the first cube's, moved as its anchor
+    first = sum((lo - o) * step for (lo, _), o, step in zip(clip, levels.origin, steps))
+    moved = [sum((a - b) * step for a, b, step in zip(c.anchor, cubes[0].anchor, steps))
+             for c in cubes]
+    return (np.array(moved) + first).reshape((-1,) + (1,) * dim) + box
+
+
+def _node_stats(levels: _SideLevels, grid: Grid, cubes: list[Cube]):
+    """On the window cells of a batch of node cubes of one side, all with
+    the same offsets of their window cells in the cube, stacked along a
+    first axis: T(f char_{Q+}) (signed, box-shaped) and, flattened per
+    node, the two dyadic maximal functions of f char_{Q+}.
 
     At a cell x, each is the largest over the cubes P the stopping time can
     select below Q with x in P (one per level of :func:`_levels`) of the
@@ -343,119 +369,114 @@ def _node_stats(levels: _SideLevels, grid: Grid, cube: Cube):
     and of the oscillation over P's window cells of
     ``T(f char_{Q+}) - T(f char_{P+})``.  Since P+ lies in Q+, f char_{Q+}
     is f on P+.  The level cubes tile Q, so a cell takes its cube's value
-    on each level; the averages are a slice of the side's running maximum,
-    and a single cell, the last level, has no oscillation.
+    on each level; the averages are boxes of the side's running maximum,
+    and a single cell, the last level, has no oscillation.  The nodes'
+    level cubes cut their window cells alike, so each level's oscillations
+    are one ``reduceat`` per axis over the stack (and for complex values a
+    diameter per level cube).
     """
-    clip = cube.window_clip(grid)
-    on = _box_slices(clip, levels.origin)
-    at = levels.sides.index(cube.side)
-    t_on = levels.transforms[at][on]
+    q, k = cubes[0], len(cubes)
+    clip = q.window_clip(grid)
+    shape = tuple(hi - lo for lo, hi in clip)
+    cells = _box_cells(levels, cubes, clip)
+    at = levels.sides.index(q.side)
+    t_on = levels.transforms[at].take(cells)
     osc = np.zeros(t_on.shape)
-    if cube.side == 1:
-        return t_on, np.zeros(osc.size), osc.ravel()
+    if q.side == 1:
+        return t_on, np.zeros((k, osc[0].size)), osc.reshape(k, -1)
     for i, p in enumerate(levels.sides[at + 1:], at + 1):
         if p == 1:
             break
-        # per axis: where each of the node's level cubes starts its run of
+        # per axis: where each of a node's level cubes starts its run of
         # the node's window cells, and the run's length
-        starts, counts = [], []
-        for (lo, hi), a in zip(clip, cube.anchor):
-            _, b, c = _level_runs(lo, hi, a, p)
-            starts.append(b)
-            counts.append(c)
-        trunc = t_on - levels.transforms[i][on]
-        if np.iscomplexobj(trunc):
-            bounds = [list(zip(b, np.append(b[1:], trunc.shape[d])))
-                      for d, b in enumerate(starts)]
+        runs, counts = zip(*(_node_runs(lo - a, hi - lo, p)
+                             for (lo, hi), a in zip(clip, q.anchor)))
+        trunc = levels.transforms[i].take(cells)
+        np.subtract(t_on, trunc, out=trunc)
+        if trunc.dtype.kind == "c":
+            bounds = [list(zip(b, np.append(b[1:], shape[d]))) for d, b in enumerate(runs)]
             stat = np.array([
-                oscillation(trunc[tuple(slice(b0, b1) for b0, b1 in block)])
-                for block in itertools.product(*bounds)
-            ]).reshape([len(b) for b in starts])
+                oscillation(node[tuple(slice(b0, b1) for b0, b1 in block)])
+                for node in trunc for block in itertools.product(*bounds)
+            ]).reshape((k, *(len(b) for b in runs)))
         else:
             top, bottom = trunc, trunc
-            for d, b in enumerate(starts):
+            for d, b in enumerate(runs, 1):
                 top = np.maximum.reduceat(top, b, axis=d)
                 bottom = np.minimum.reduceat(bottom, b, axis=d)
             stat = top - bottom
         np.maximum(osc, _repeat(stat, counts), out=osc)
-    return t_on, levels.maxima[at][on].ravel(), osc.ravel()
+    ms = levels.maxima[at].take(cells)
+    return t_on, ms.reshape(k, -1), osc.reshape(k, -1)
 
 
 def _repeat(vals: np.ndarray, counts) -> np.ndarray:
-    """Per-cube values spread over the cubes' runs of cells on every axis."""
-    for d, c in enumerate(counts):
+    """Per-cube values spread over the cubes' runs of cells on each of the
+    last ``len(counts)`` axes."""
+    for d, c in enumerate(counts, vals.ndim - len(counts)):
         vals = np.repeat(vals, c, axis=d)
     return vals
 
 
-def _order_threshold(vals: np.ndarray, k: int) -> float:
-    """The (k+1)-th largest value of a non-empty array; the max when k is
-    out of range.
+def _order_threshold(vals: np.ndarray, k: int) -> np.ndarray:
+    """The (k+1)-th largest value of each row of a 2D array with non-empty
+    rows; the max when k is out of range.
 
-    Strictly exceeding the returned threshold is then possible for at
-    most k cells.
+    Strictly exceeding a row's threshold is then possible for at most k of
+    its cells.
     """
-    idx = k if k < vals.size else 0
-    return float(np.partition(vals, vals.size - 1 - idx)[vals.size - 1 - idx])
+    size = vals.shape[1]
+    at = size - 1 - (k if k < size else 0)
+    return np.partition(vals, at, axis=1)[:, at]
 
 
-def _exceptional(levels: _SideLevels | None, f: GridFunction,
-                 cube: Cube, cfg: PipelineConfig) -> ExceptionalSet:
-    """Exceptional cells of one node cube.
+class _Exceptional(NamedTuple):
+    """The exceptional sets of a batch of nodes (:func:`_node_stats`) and
+    what cut them: ``transform`` T(f char_{Q+}) on their window cells,
+    box-shaped, and ``magnitude`` its modulus flattened per node; the
+    ``thresholds`` and the ``exceed_counts``, the cells each statistic
+    (transform, power average, oscillation) made exceptional, each of shape
+    (3, k); ``omega``, each node's exceptional cells on its cube's own
+    cells."""
 
-    A window cell of ``cube`` is exceptional when its transform value,
-    dyadic power-average maximal value, or dyadic oscillation maximal value
-    (all computed from ``f`` restricted to the alpha dilation, see
+    transform: np.ndarray
+    magnitude: np.ndarray
+    thresholds: np.ndarray
+    exceed_counts: np.ndarray
+    omega: np.ndarray
+
+
+def _exceptional(levels: _SideLevels, grid: Grid, cubes: list[Cube],
+                 avg: np.ndarray, cfg: PipelineConfig) -> _Exceptional:
+    """Exceptional cells of a batch of node cubes (as for
+    :func:`_node_stats`) whose averages ``avg`` are not 0.
+
+    A window cell of a cube is exceptional when its transform value, dyadic
+    power-average maximal value, or dyadic oscillation maximal value (all
+    computed from ``f`` restricted to the alpha dilation, see
     :func:`_node_stats`) strictly exceeds the corresponding threshold.  In
-    quantile mode the thresholds are per-statistic order statistics sized so the
-    exceptional set covers at most ``1/2**(dim+2)`` of the cube's cells;
-    in fixed mode they are ``c_fixed`` (power average) and ``a_fixed``
-    (transform and oscillation) times the node average.  The thresholds
-    only cut the exceptional set; no coefficient is read from them.
-    ``levels`` are those of the cover cube the node grows from, None only
-    where that cube has no transform.
+    quantile mode the thresholds are per-statistic order statistics sized
+    so the exceptional set covers at most ``1/2**(dim+2)`` of the cube's
+    cells; in fixed mode they are ``c_fixed`` (power average) and
+    ``a_fixed`` (transform and oscillation) times the node average.  The
+    thresholds only cut the exceptional set; no coefficient is read from
+    them.  ``levels`` are those of the cover cubes the nodes grow from.
     """
-    grid = f.grid
-    avg = avg_p(f, dilate(cube, cfg.alpha), cfg.s)
-    allowed = cube.cell_count // (3 * 2 ** (grid.dim + 2))
-    omega = CellSet.empty(grid, cube)
-    clip = cube.window_clip(grid)
-    flags = [name for name, skip in (("zero_average", avg == 0.0),
-                                     ("outside_window", clip is None)) if skip]
-    if flags:
-        return ExceptionalSet(omega, avg, 0.0, 0.0, 0.0, 0.0, allowed,
-                              (0, 0, 0), tuple(flags), None)
-
-    outer, ms_vals, osc_vals = _node_stats(levels, grid, cube)
-    t_vals = np.abs(outer).ravel()
+    q, k = cubes[0], len(cubes)
+    t_on, ms, osc = _node_stats(levels, grid, cubes)
+    magnitude = np.abs(t_on).reshape(k, -1)
+    stats = (magnitude, ms, osc)
     if cfg.mode == "quantile":
-        tau_t = _order_threshold(t_vals, allowed)
-        tau_ms = _order_threshold(ms_vals, allowed)
-        tau_osc = _order_threshold(osc_vals, allowed)
+        allowed = q.cell_count // (3 * 2 ** (grid.dim + 2))
+        thresholds = np.array([_order_threshold(v, allowed) for v in stats])
     else:
-        tau_ms = cfg.c_fixed * avg
-        tau_t = cfg.a_fixed * avg
-        tau_osc = cfg.a_fixed * avg
-    ex_t = t_vals > tau_t
-    ex_ms = ms_vals > tau_ms
-    ex_osc = osc_vals > tau_osc
-    union = ex_t | ex_ms | ex_osc
-    if cfg.mode == "fixed" and int(union.sum()) * 2 ** (grid.dim + 2) > cube.cell_count:
-        flags.append("measure_violation")
-
-    omega.mask[_box_slices(clip, cube.anchor)] = union.reshape(outer.shape)
-    return ExceptionalSet(
-        omega=omega,
-        avg=avg,
-        tau_t=tau_t,
-        tau_ms=tau_ms,
-        tau_osc=tau_osc,
-        c_ratio=tau_ms / avg,
-        allowed_per_stat=allowed,
-        exceed_counts=(int(ex_t.sum()), int(ex_ms.sum()), int(ex_osc.sum())),
-        flags=tuple(flags),
-        transform=outer,
-    )
+        thresholds = np.array([cfg.a_fixed * avg, cfg.c_fixed * avg, cfg.a_fixed * avg])
+    exceed = [v > tau[:, None] for v, tau in zip(stats, thresholds)]
+    omega = np.zeros((k,) + (q.side,) * grid.dim, dtype=bool)
+    omega[(slice(None), *_box_slices(q.window_clip(grid), q.anchor))] = (
+        (exceed[0] | exceed[1] | exceed[2]).reshape(t_on.shape))
+    return _Exceptional(t_on, magnitude, thresholds,
+                        np.array([e.sum(axis=1) for e in exceed]), omega)
 
 
 # ---------------------------------------------------------------------------
@@ -468,73 +489,77 @@ def _density_exceeds(count, cells: int, dim: int):
     return count * 2 ** (dim + 1) > cells
 
 
-def _stopping_time(cube: Cube, mask: np.ndarray):
-    """Maximal dyadic subcubes of ``cube`` where the exceptional cells,
-    ``mask`` on the cube's own cells, have density above ``1/2**(dim+1)``.
+def _stopping_time(masks: np.ndarray):
+    """Maximal dyadic subcubes of each of k cubes of side m where the
+    exceptional cells, ``masks[i]`` on cube i's own cells (shape ``(k,) +
+    (m,) * dim``), have density above ``1/2**(dim+1)``.
 
-    Returns (selected cubes, flags).  A start cube already above the
-    threshold is not selected; its children are scanned instead and the
-    event flagged.  Odd sides above one cannot be halved: the residual
-    exceptional cells of such a cube are selected as single-cell cubes,
-    and the cube flagged.
+    Returns (owner, anchors, sides, flags): for each selected cube the index
+    of its cube, its anchor relative to that cube and its side, and per
+    cube the list of its flags.  A start cube already above the threshold
+    is not selected; its children are scanned instead and the event
+    flagged.  Odd sides above one cannot be halved: the residual exceptional
+    cells of such a cube are selected as single-cell cubes, and the cube
+    flagged.
 
-    The cubes are scanned a level at a time: the counts of the mask in
-    every cube of a level are reshape-sums of it, a cube is selected where
+    The cubes are scanned a level at a time: the counts of the masks in
+    every cube of a level are reshape-sums of them, a cube is selected where
     its parent was scanned and its count is dense, and scanned where it is
-    positive but not dense.  The selections come out in the order of a
-    depth-first scan that takes the children in lexicographic order (Z
-    order), each odd cube's cells in row-major order.
+    positive but not dense.  The selections come out by cube and, within a
+    cube, in the order of a depth-first scan that takes the children in
+    lexicographic order (Z order), each odd cube's cells in row-major order.
     """
-    dim, m = cube.dim, cube.side
-    # the cubes below the side's odd part have it as side; counts[k] holds
-    # those of the 2**k cubes per axis of level k, side m / 2**k
+    k, m, dim = masks.shape[0], masks.shape[1], masks.ndim - 1
+    # the cubes below the side's odd part have it as side; counts[j] holds
+    # those of the 2**j cubes per axis of level j, side m / 2**j
     odd = m // (m & -m)
     levels = (m // odd).bit_length() - 1
-    counts = [_tile_sums(mask, odd)]
+    counts = [_tile_sums(masks, odd)]
     while len(counts) <= levels:
         counts.append(_tile_sums(counts[-1], 2))
     counts.reverse()
-    if counts[0].sum() == 0:
-        return [], []
-    if m == 1:
-        return [], ["density_violation"]
 
-    flags = []
-    # each level, or the odd cubes' cells, adds a pick: (side, anchors
-    # relative to the cube, shape (k, dim))
-    picks = []
-    scanned = np.ones((1,) * dim, dtype=bool)
-    if levels and _density_exceeds(int(counts[0].sum()), m**dim, dim):
-        flags.append("density_violation")
-    for k in range(1, levels + 1):
-        scanned = _repeat(scanned, (2,) * dim)
-        positive = scanned & (counts[k] > 0)
-        chosen = positive & _density_exceeds(counts[k], (m >> k) ** dim, dim)
-        picks.append((m >> k, np.argwhere(chosen) * (m >> k)))
-        scanned = positive & ~chosen
+    flags = [[] for _ in range(k)]
+    # each level, or the odd cubes' cells, adds a pick: (side, the indices
+    # of the cube and of the picked cubes per axis); the first is empty
+    picks = [(m, (np.zeros(0, dtype=np.intp),) * (1 + dim))]
+    scanned = counts[0] > 0
+    if levels or m == 1:
+        for i in (scanned & _density_exceeds(counts[0], m**dim, dim)).reshape(k).nonzero()[0]:
+            flags[i].append("density_violation")
+    for j in range(1, levels + 1):
+        scanned = _repeat(scanned, (2,) * dim) & (counts[j] > 0)
+        chosen = scanned & _density_exceeds(counts[j], (m >> j) ** dim, dim)
+        picks.append((m >> j, chosen.nonzero()))
+        scanned ^= chosen
         if not scanned.any():
             break
     if odd > 1 and scanned.any():
-        flags.extend(["odd_leaf"] * int(scanned.sum()))
-        picks.append((1, np.argwhere(_repeat(scanned, (odd,) * dim) & mask)))
+        for i, n in enumerate(scanned.reshape(k, -1).sum(axis=1).tolist()):
+            flags[i] += ["odd_leaf"] * n
+        picks.append((1, (_repeat(scanned, (odd,) * dim) & masks).nonzero()))
 
-    sides = np.concatenate([np.full(len(a), side) for side, a in picks])
-    cells = np.concatenate([a for _, a in picks])
-    # the depth-first order: Z order of the odd cube holding the anchor (the
-    # bits of its indices interleaved, axis 0 the more significant), then
-    # row-major order inside it
+    sides = np.concatenate([np.full(len(at[0]), side) for side, at in picks])
+    owner = np.concatenate([at[0] for _, at in picks])
+    cells = np.stack([np.concatenate([at[d] * side for side, at in picks])
+                      for d in range(1, 1 + dim)], axis=1)
+    # the depth-first order within a cube: Z order of the odd cube holding
+    # the anchor (the bits of its indices interleaved, axis 0 the more
+    # significant), then row-major order inside it
     odd_cube, inside = np.divmod(cells, odd)
     bits = odd_cube[:, None, :] >> np.arange(levels - 1, -1, -1)[:, None] & 1
-    key = bits.reshape(len(cells), -1) @ (1 << np.arange(levels * dim - 1, -1, -1))
-    key = key * odd**dim + np.ravel_multi_index(inside.T, (odd,) * dim)
+    key = bits.reshape(len(cells), levels * dim) @ (1 << np.arange(levels * dim - 1, -1, -1))
+    key = ((owner * 2 ** (levels * dim) + key) * odd**dim
+           + np.ravel_multi_index(inside.T, (odd,) * dim))
     order = np.argsort(key, kind="stable")
-    anchors = (cells[order] + cube.anchor).tolist()
-    return [Cube(tuple(a), int(side)) for a, side in zip(anchors, sides[order])], flags
+    return owner[order], cells[order], sides[order], flags
 
 
 def _tile_sums(a: np.ndarray, r: int) -> np.ndarray:
-    """Sums of a square array over its blocks of r entries per axis."""
-    return a.reshape((a.shape[0] // r, r) * a.ndim).sum(axis=tuple(range(1, 2 * a.ndim, 2)))
+    """Sums of a stack of square arrays (the first axis) over their blocks
+    of r entries per axis."""
+    blocks = (a.shape[1] // r, r) * (a.ndim - 1)
+    return a.reshape(a.shape[:1] + blocks).sum(axis=tuple(range(2, 2 * a.ndim, 2)))
 
 
 def local_cz_decomposition(grid: Grid, cube: Cube, omega: CellSet) -> list[Cube]:
@@ -554,80 +579,196 @@ def local_cz_decomposition(grid: Grid, cube: Cube, omega: CellSet) -> list[Cube]
     if _density_exceeds(int(mask.sum()), cube.cell_count, grid.dim):
         raise DensityError(
             f"exceptional set occupies more than the threshold share of {cube}")
-    return _stopping_time(cube, mask)[0]
+    _, cells, sides, _ = _stopping_time(mask[None])
+    return [Cube(tuple(a), side)
+            for a, side in zip((cells + cube.anchor).tolist(), sides.tolist())]
 
 
 # ---------------------------------------------------------------------------
-# recursion
+# the node pass, a depth at a time
 
-def _check_invariants(q: Cube, omega_count: int, children: list[Cube],
-                      witness: CellSet, dim: int) -> None:
-    """The source paper's counting invariants of one quantile-mode node,
-    in integer arithmetic: the exceptional set holds at most
-    ``1/2**(dim+2)`` of the cube, the selected children at most half, and
-    the witness at least half."""
-    cells = q.cell_count
-    selected = sum(c.cell_count for c in children)
-    for broken, what in (
-            (omega_count * 2 ** (dim + 2) > cells,
-             f"exceptional set holds {omega_count}, more than 1/2**{dim + 2}"),
-            (2 * selected > cells, f"children hold {selected}, more than half"),
-            (2 * witness.count < cells,
-             f"witness holds {witness.count}, less than half")):
-        if broken:
-            raise NumericError(f"node {q}: {what} of its {cells} cells")
+def _check_invariants(cubes: list[Cube], omega_count: np.ndarray, selected: np.ndarray,
+                      witness_count: np.ndarray, dim: int) -> None:
+    """The source paper's counting invariants of a batch of quantile-mode
+    nodes of one side, in integer arithmetic: the exceptional set holds at
+    most ``1/2**(dim+2)`` of the cube, the ``selected`` children at most
+    half, and the witness at least half.  The first node that breaks one
+    names the first it breaks."""
+    cells = cubes[0].cell_count
+    if (omega_count.max() * 2 ** (dim + 2) <= cells and 2 * selected.max() <= cells
+            and 2 * witness_count.min() >= cells):
+        return
+    for q, omega, children, witness in zip(cubes, omega_count.tolist(),
+                                           selected.tolist(), witness_count.tolist()):
+        for bad, what in (
+                (omega * 2 ** (dim + 2) > cells,
+                 f"exceptional set holds {omega}, more than 1/2**{dim + 2}"),
+                (2 * children > cells, f"children hold {children}, more than half"),
+                (2 * witness < cells, f"witness holds {witness}, less than half")):
+            if bad:
+                raise NumericError(f"node {q}: {what} of its {cells} cells")
 
 
-def _build_node(levels: _SideLevels | None, f: GridFunction,
-                q: Cube, depth: int, cfg: PipelineConfig,
-                entries: list[SparseEntry],
-                records: list[NodeRecord]) -> np.ndarray | None:
-    """Grow the recursion tree below ``q``, reading every node's
-    statistics from ``levels``, those of the cover cube it grows from;
-    return ``T(f char_{Q+})`` on its window cells, or None where it is
-    taken as 0."""
-    grid = f.grid
-    exc = _exceptional(levels, f, q, cfg)
-    flags = list(exc.flags)
-    children: list[Cube] = []
-    if not exc.omega.is_empty():
-        if cfg.max_depth is not None and depth >= cfg.max_depth:
-            flags.append("depth_capped")
-        else:
-            # the node's exceptional set is boxed by its cube
-            children, st_flags = _stopping_time(q, exc.omega.mask)
-            flags.extend(st_flags)
-    witness = CellSet.cube_minus_cubes(grid, q, children)
+class _Node(NamedTuple):
+    """A node of the pass: its cube, the indices of the children that lead
+    to it from its cover cube (a cover cube's index among those of its
+    side, then one child index per depth), and the record of its parent
+    (None for a cover cube), whose edge to it it fills."""
+
+    cube: Cube
+    path: tuple[int, ...]
+    parent: NodeRecord | None
+
+
+def _skipped_node(levels: _SideLevels | None, grid: Grid, node: _Node,
+                  avg: float, depth: int, cfg: PipelineConfig):
+    """The entry and record of a node with a zero average or no window
+    cells: no exceptional set, its whole cube as witness, and an edge from
+    its parent that counts its transform as 0."""
+    q = node.cube
+    clip = q.window_clip(grid)
+    flags = tuple(name for name, skip in (("zero_average", avg == 0.0),
+                                          ("outside_window", clip is None)) if skip)
+    if node.parent is not None:
+        # a child holds an exceptional cell, so it has window cells
+        parent = levels.transforms[levels.sides.index(node.parent.cube.side)]
+        node.parent.edges[node.path[-1]] = {
+            "child": q,
+            "coefficient": float(np.abs(parent[_box_slices(clip, levels.origin)]).max())
+                           / node.parent.avg}
+    return (SparseEntry(cube=dilate(q, cfg.alpha), witness=CellSet.from_cube(grid, q),
+                        coefficient=avg, base_cube=q, depth=depth, flags=flags),
+            NodeRecord(cube=q, depth=depth, avg=avg, c_ratio=0.0, a_effective=0.0,
+                       omega_count=0, exceed_counts=(0, 0, 0), flags=flags))
+
+
+def _node_batch(levels: _SideLevels, grid: Grid, nodes: list[_Node],
+                avg: list[float], depth: int, cfg: PipelineConfig, done: list):
+    """Grow a batch of nodes of one depth (as for :func:`_node_stats`) with
+    averages ``avg``, none 0: append (path, entry, record) of each to
+    ``done``, fill each node's edge from its parent, and return the
+    children.
+
+    The exceptional sets, stopping time, witnesses (the cube minus the
+    selected children), invariants, node coefficients (the largest
+    ``|T(f char_{Q+})|`` on the witness) and edge coefficients (the largest
+    ``|T(f char_{Q+}) - T(f char_{P+})|`` on the child P, both read from
+    the level data) of the whole batch are array operations over it."""
+    cubes = [node.cube for node in nodes]
+    q, k, dim = cubes[0], len(nodes), grid.dim
+    avg = np.array(avg)
+    exc = _exceptional(levels, grid, cubes, avg, cfg)
+    axes = tuple(range(1, dim + 1))
+    omega_count = exc.omega.sum(axis=axes)
+    flags = [[] for _ in nodes]
+    if cfg.mode == "fixed":
+        for i in np.flatnonzero(omega_count * 2 ** (dim + 2) > q.cell_count):
+            flags[i].append("measure_violation")
+    grow = omega_count.nonzero()[0]
+    if cfg.max_depth is not None and depth >= cfg.max_depth:
+        for i in grow:
+            flags[i].append("depth_capped")
+        grow = grow[:0]
+    owner, cells, sides = np.zeros(0, np.intp), np.zeros((0, dim), np.intp), np.zeros(0, np.intp)
+    if grow.size:
+        owner, cells, sides, grown_flags = _stopping_time(exc.omega[grow])
+        owner = grow[owner]
+        for i, more in zip(grow.tolist(), grown_flags):
+            flags[i] += more
+
+    witness = np.ones(exc.omega.shape, dtype=bool)
+    for p in set(sides.tolist()):
+        # the children of side p, as blocks of p cells per axis
+        of_side = sides == p
+        blocks = witness.reshape((k,) + (q.side // p, p) * dim)
+        blocks[(owner[of_side], *(x for d in range(dim)
+                                  for x in (cells[of_side, d] // p, slice(None))))] = False
     if cfg.mode == "quantile":
-        _check_invariants(q, exc.omega.count, children, witness, grid.dim)
+        selected = np.bincount(owner, sides**dim, k).astype(np.int64)
+        _check_invariants(cubes, omega_count, selected, witness.sum(axis=axes), dim)
+    overlaps = (exc.omega & witness).any(axis=axes)
+    clip = q.window_clip(grid)
+    # a node without witness cells in the window gets 0
+    in_witness = witness[(slice(None), *_box_slices(clip, q.anchor))].reshape(k, -1)
+    a_eff = np.where(in_witness, exc.magnitude, 0.0).max(axis=1) / avg
+    if depth:
+        # T(f char_{Q+}) of each node's parent, minus its own, on its cells
+        parents = [node.parent for node in nodes]
+        at = np.array([levels.sides.index(p.cube.side) for p in parents])
+        resid = levels.transforms.take(_box_cells(levels, cubes, clip)
+                                       + (at * levels.transforms[0].size).reshape(
+                                           (k,) + (1,) * dim))
+        np.subtract(resid, exc.transform, out=resid)
+        edge = (np.abs(resid).reshape(k, -1).max(axis=1)
+                / np.array([p.avg for p in parents])).tolist()
 
-    if witness.intersects(exc.omega):
-        flags.append("witness_overlaps_exceptional")
-    a_eff = 0.0
-    if exc.transform is not None:
-        clip = q.window_clip(grid)
-        in_witness = witness.mask[_box_slices(clip, q.anchor)]
-        if in_witness.any():
-            a_eff = float(np.abs(exc.transform[in_witness]).max()) / exc.avg
+    children = [Cube(tuple(a), side) for a, side in zip(
+        (cells + np.array([c.anchor for c in cubes])[owner]).tolist(), sides.tolist())]
+    first = np.searchsorted(owner, np.arange(k + 1)).tolist()
+    records = []
+    for i, (node, a, c_ratio, a_e, count, exceeded, overlap) in enumerate(zip(
+            nodes, avg.tolist(), (exc.thresholds[1] / avg).tolist(), a_eff.tolist(),
+            omega_count.tolist(), exc.exceed_counts.T.tolist(), overlaps.tolist())):
+        if overlap:
+            flags[i].append("witness_overlaps_exceptional")
+        entry = SparseEntry(cube=dilate(node.cube, cfg.alpha),
+                            witness=CellSet(grid, node.cube, witness[i]),
+                            coefficient=a, base_cube=node.cube, depth=depth,
+                            flags=tuple(flags[i]))
+        record = NodeRecord(cube=node.cube, depth=depth, avg=a, c_ratio=c_ratio,
+                            a_effective=a_e, omega_count=count,
+                            exceed_counts=tuple(exceeded), flags=tuple(flags[i]),
+                            edges=[None] * (first[i + 1] - first[i]))
+        records.append(record)
+        done.append((node.path, entry, record))
+        if depth:
+            node.parent.edges[node.path[-1]] = {"child": node.cube, "coefficient": edge[i]}
+    return [_Node(child, nodes[i].path + (j - first[i],), records[i])
+            for j, (child, i) in enumerate(zip(children, owner.tolist()))]
 
-    entry = SparseEntry(cube=dilate(q, cfg.alpha), witness=witness,
-                        coefficient=exc.avg, base_cube=q, depth=depth,
-                        flags=tuple(flags))
-    entries.append(entry)
-    record = NodeRecord(cube=q, depth=depth, avg=exc.avg, c_ratio=exc.c_ratio,
-                        a_effective=a_eff, omega_count=exc.omega.count,
-                        exceed_counts=exc.exceed_counts, flags=tuple(flags))
-    records.append(record)
 
-    # a child holds an exceptional cell, so it has window cells, and a node
-    # with children has its transform
-    for child in children:
-        inner = _build_node(levels, f, child, depth + 1, cfg, entries, records)
-        sl = _box_slices(child.window_clip(grid), [lo for lo, _ in clip])
-        resid = exc.transform[sl] if inner is None else exc.transform[sl] - inner
-        record.edges.append({"child": child,
-                             "coefficient": float(np.abs(resid).max()) / exc.avg})
-    return exc.transform
+def _side_pass(levels: _SideLevels | None, f: GridFunction, roots: list[Cube],
+               cfg: PipelineConfig) -> tuple[list[SparseEntry], list[NodeRecord]]:
+    """The entries and records of the recursion trees below the cover cubes
+    of one side, ``roots``, reading every node's statistics from their
+    ``levels``, in depth-first preorder (each node's children in
+    stopping-time order).
+
+    The trees grow a depth at a time.  Each node's coefficient is an
+    :func:`avg_p`, a direct sum; the nodes of one depth with a nonzero
+    average and window cells are grouped by side and by the offsets of
+    their window cells in the cube, and each group is grown in batches of
+    at most ``_SLAB_CELLS`` cube cells (or one node) by
+    :func:`_node_batch`.  A node's path of child indices from its root
+    gives the preorder.
+    """
+    grid = f.grid
+    done: list = []
+    frontier = [_Node(root, (i,), None) for i, root in enumerate(roots)]
+    depth = 0
+    while frontier:
+        groups: dict = {}
+        for node in frontier:
+            q = node.cube
+            avg = avg_p(f, dilate(q, cfg.alpha), cfg.s)
+            clip = q.window_clip(grid)
+            if avg == 0.0 or clip is None:
+                entry, record = _skipped_node(levels, grid, node, avg, depth, cfg)
+                done.append((node.path, entry, record))
+                continue
+            key = (q.side, tuple((lo - a, hi - lo) for (lo, hi), a in zip(clip, q.anchor)))
+            group = groups.setdefault(key, ([], []))
+            group[0].append(node)
+            group[1].append(avg)
+        frontier = []
+        for (side, _), (nodes, avgs) in groups.items():
+            per = max(1, _SLAB_CELLS // side**grid.dim)
+            for j in range(0, len(nodes), per):
+                frontier += _node_batch(levels, grid, nodes[j:j + per], avgs[j:j + per],
+                                        depth, cfg, done)
+        depth += 1
+    done.sort(key=lambda item: item[0])
+    return [entry for _, entry, _ in done], [record for _, _, record in done]
 
 
 def constant_from_records(records: list[NodeRecord]) -> float:
@@ -696,26 +837,35 @@ def _build_bytes(kernel: Kernel, f: GridFunction, alpha: int, max_side: int) -> 
     temporaries aside, for node cubes of side at most ``max_side`` (about
     2n for the rings of an off-centre support): the lattice (without one,
     a block of direct sums, ``_PAIR_CHUNK`` pairs or one group of targets);
-    the largest ``dilate_transforms`` slab, ``(alpha + 1) max_side`` FFT
-    points per axis or ``_SLAB_CELLS``, at six arrays (the box of f, the
-    padded sources, their spectrum, the segment's, the inverse, the cubes'
-    cells); one cover side's level data on the cells its cubes' core of
-    three sides per axis meets, a transform for the side and each level and
-    a real running maximum for each side above one; the prefix table of
-    ``|f|**s``."""
+    one cover side's level data on the cells its cubes' core of three sides
+    per axis meets, a transform for the side and each level and a real
+    running maximum for each side above one; the prefix table of
+    ``|f|**s``; and the larger of what computes the level data and what
+    reads it, which a side holds one after the other: the largest
+    ``dilate_transforms`` slab, ``(alpha + 1) max_side`` FFT points per
+    axis or ``_SLAB_CELLS``, at six arrays (the box of f, the padded
+    sources, their spectrum, the segment's, the inverse, the cubes' cells),
+    or the largest batch of the node pass, ``_SLAB_CELLS`` cells or one
+    node's but no more than the side's 3**dim cover cubes hold, at two
+    transform-sized arrays (the stacked transforms and a level's
+    truncations, or the parents' transforms) and eight words per cell (flat
+    indices, maxima, oscillations and their spread, magnitudes, a partition
+    copy, the masks)."""
     n, dim = f.grid.cells_per_side, f.grid.dim
     item = 16 if f.is_complex else 8
     levels = len(list(_levels(max_side)))
     kernel_bytes = ((2 * n - 1) ** dim if kernel.translation_invariant
                     else max(_PAIR_CHUNK, _SUM_GROUP * n**dim)) * 8
-    return (kernel_bytes + 6 * max(((alpha + 1) * max_side) ** dim, _SLAB_CELLS) * item
+    slab = 6 * max(((alpha + 1) * max_side) ** dim, _SLAB_CELLS) * item
+    batch = (2 * item + 64) * min(max(max_side**dim, _SLAB_CELLS), (3 * max_side) ** dim)
+    return (kernel_bytes + max(slab, batch)
             + ((levels + 1) * item + levels * 8) * min(3 * max_side, n) ** dim
             + (n + 1) ** dim * 8)
 
 
 def build_sparse_domination(kernel: Kernel, f: GridFunction,
                             config: PipelineConfig | None = None) -> DominationResult:
-    """Full pipeline: cover the window, recurse per cover cube, assemble
+    """Full pipeline: cover the window, grow the trees per cover side, assemble
     the family and its certified constant.
 
     The constant is the maximum of all node coefficients (the largest
@@ -757,8 +907,9 @@ def build_sparse_domination(kernel: Kernel, f: GridFunction,
     for _, roots in itertools.groupby(cover, key=lambda c: c.side):
         roots = list(roots)
         levels = _side_levels(rt, f, roots, cfg.s)
-        for root in roots:
-            _build_node(levels, f, root, 0, cfg, entries, records)
+        side_entries, side_records = _side_pass(levels, f, roots, cfg)
+        entries += side_entries
+        records += side_records
         del levels
 
     final_c = constant_from_records(records)

@@ -5,6 +5,7 @@ lists; one test exercises the installed console script through a real
 subprocess.  File outputs are held to byte-level determinism.
 """
 
+import argparse
 import hashlib
 import io
 import json
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from sparsedom import (
+    Cube,
     Grid,
     NumericError,
     ParameterError,
@@ -92,6 +94,41 @@ def test_run_seed_override_changes_family(tmp_path):
     cli.main(["run", "--config", cfg, "--out", str(a), "--seed", "1"])
     cli.main(["run", "--config", cfg, "--out", str(b), "--seed", "2"])
     assert (a / "family.json").read_bytes() != (b / "family.json").read_bytes()
+
+
+def test_main_builds_one_parser_and_parses_each_call_anew(tmp_path, monkeypatch):
+    # the parser is built once per process; an option given to one call
+    # must not reach the next
+    builds, parsed = [], []
+    build_parser, parse_args = cli.build_parser, argparse.ArgumentParser.parse_args
+
+    def counted():
+        builds.append(1)
+        return build_parser()
+
+    def recorded(self, *args, **kwargs):
+        ns = parse_args(self, *args, **kwargs)
+        parsed.append(vars(ns).copy())
+        return ns
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recorded)
+    cli._parser.cache_clear()
+    cfg = write_config(tmp_path)
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert cli.main(["run", "--config", cfg, "--out", str(a), "--seed", "5"]) == 0
+    assert cli.main(["verify", "--config", cfg, "--out", str(a), "--seed", "5",
+                     "--family", str(a / "family.json")]) == 0
+    assert cli.main(["run", "--config", cfg, "--out", str(b)]) == 0
+    # without --family, verify reads b's family: a's would fail on seed 7
+    assert cli.main(["verify", "--config", cfg, "--out", str(b)]) == 0
+    assert len(builds) == 1
+    assert [(p["command"], p["seed"], p.get("family")) for p in parsed] == [
+        ("run", 5, None), ("verify", 5, str(a / "family.json")),
+        ("run", None, None), ("verify", None, None)]
+    assert "family" not in parsed[2]
+    assert (a / "family.json").read_bytes() != (b / "family.json").read_bytes()
+    cli._parser.cache_clear()
 
 
 def test_run_family_json_round_trips(tmp_path):
@@ -947,11 +984,18 @@ def test_run_exits_three_on_broken_invariant(tmp_path, capsys, monkeypatch,
                                              broken, message):
     # thresholds that flag every cell, or a stopping time that selects
     # every child, break a quantile-mode counting invariant of the builder
+    def every_child(masks):
+        # each cube's dyadic children, as owners, relative anchors and sides
+        k, side, dim = len(masks), masks.shape[1], masks.ndim - 1
+        anchors = [c.anchor for c in dyadic_children(Cube((0,) * dim, side))]
+        return (np.repeat(np.arange(k), len(anchors)), np.tile(anchors, (k, 1)),
+                np.full(k * len(anchors), side // 2), [[] for _ in range(k)])
+
     if broken == "omega":
-        monkeypatch.setattr(sparse, "_order_threshold", lambda vals, k: -1.0)
+        monkeypatch.setattr(sparse, "_order_threshold",
+                            lambda vals, k: np.full(len(vals), -1.0))
     else:
-        monkeypatch.setattr(sparse, "_stopping_time",
-                            lambda cube, mask: (dyadic_children(cube), []))
+        monkeypatch.setattr(sparse, "_stopping_time", every_child)
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
     assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 3

@@ -133,19 +133,23 @@ def compare_every_node(monkeypatch, kernel, f, cfg):
             assert rt.alpha == cfg.alpha and s == cfg.s
             return side_levels(rt, f_, roots, s)
 
-        def checked(levels, grid, cube):
-            got = fast(levels, grid, cube)
-            qs = dilate(cube, cfg.alpha)
-            want = reference_stats(run_kernel, f, cube, qs, cfg.s)
-            for label, g, w in zip(("outer", "ms", "osc"), got, want, strict=True):
-                where = (path, cube, label)
-                assert g.dtype == w.dtype and g.shape == w.shape, where
-                if path == "direct":
-                    assert np.array_equal(g, w), where
-                else:
-                    scale = max(np.abs(w).max(), avg_p(f, qs, cfg.s))
-                    assert np.abs(g - w).max() <= 1e-12 * scale, where
-            seen.append(cube)
+        def checked(levels, grid, cubes):
+            got = fast(levels, grid, cubes)
+            # one row of each stack per node of the batch
+            assert all(len(g) == len(cubes) for g in got)
+            for i, cube in enumerate(cubes):
+                qs = dilate(cube, cfg.alpha)
+                want = reference_stats(run_kernel, f, cube, qs, cfg.s)
+                for label, g, w in zip(("outer", "ms", "osc"), got, want, strict=True):
+                    where = (path, cube, label)
+                    g = g[i]
+                    assert g.dtype == w.dtype and g.shape == w.shape, where
+                    if path == "direct":
+                        assert np.array_equal(g, w), where
+                    else:
+                        scale = max(np.abs(w).max(), avg_p(f, qs, cfg.s))
+                        assert np.abs(g - w).max() <= 1e-12 * scale, where
+                seen.append(cube)
             return got
 
         monkeypatch.setattr(sparse, "_side_levels", on_path)
@@ -216,28 +220,31 @@ def test_2d_complex_input_and_ring_cubes_match_reference(monkeypatch):
 
 
 @pytest.mark.parametrize("dim,n,name", [(1, 64, "hilbert"), (2, 16, "riesz2d")])
-def test_side_levels_are_read_only_and_node_transforms_view_them(monkeypatch,
-                                                                 dim, n, name):
+def test_side_levels_are_read_only_and_node_stacks_copy_them(monkeypatch, dim, n, name):
     grid = Grid(dim, n)
     f = make_input(grid, "random", seed=5)
     node_stats = sparse._node_stats
     seen = []
 
-    def checked(levels, grid_, cube):
-        got = node_stats(levels, grid_, cube)
+    def checked(levels, grid_, cubes):
+        got = node_stats(levels, grid_, cubes)
         assert levels.transforms.shape[0] == len(levels.sides)
         assert levels.maxima.shape[0] == len(levels.sides) - 1
         assert not levels.transforms.flags.writeable
         assert not levels.maxima.flags.writeable
-        outer, ms, _ = got
-        assert np.shares_memory(outer, levels.transforms)
         with pytest.raises(ValueError, match="read-only"):
-            outer[...] = 0.0
-        if cube.side > 1:
-            at = levels.sides.index(cube.side)
+            levels.transforms[...] = 0.0
+        outer, ms, _ = got
+        # each node's rows are the bits of the side's data on its cells,
+        # copied out of it
+        assert not np.shares_memory(outer, levels.transforms)
+        at = levels.sides.index(cubes[0].side)
+        for i, cube in enumerate(cubes):
             on = sparse._box_slices(cube.window_clip(grid_), levels.origin)
-            assert ms.tobytes() == levels.maxima[at][on].tobytes()
-        seen.append(cube.side)
+            assert outer[i].tobytes() == levels.transforms[at][on].tobytes()
+            if cube.side > 1:
+                assert ms[i].tobytes() == levels.maxima[at][on].tobytes()
+            seen.append(cube.side)
         return got
 
     monkeypatch.setattr(sparse, "_node_stats", checked)

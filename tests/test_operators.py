@@ -826,6 +826,11 @@ def test_lattice_run_estimate_counts_padding_batch_lattice_and_pairs():
     # without a lattice, a block of 2**22 pairs of its direct sums instead
     assert build_bytes(Grid(1, 64), 64, kernel=_dense(make_kernel("hilbert"))) == (
         want + (2**22 - 127) * 8)
+    # 1D N = 16384, nodes of side N: the node pass's batch, 2**16 cells but
+    # no more than the 3 cover cubes' 49152, at 2 transforms and 8 words a
+    # cell, outgrows the slab; 15 transforms and 14 maxima
+    assert build_bytes(Grid(1, 16384), 16384) == (
+        (32767 + 16385 + 29 * 16384) * 8 + 80 * 49152)
     # 2D n = 128: about 15 MB
     big = build_bytes(Grid(2, 128), 128, kernel=make_kernel("riesz2d"))
     assert big == (255**2 + 6 * 512**2 + (8 + 7) * 128**2 + 129**2) * 8
@@ -863,7 +868,7 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
-def test_lattice_run_estimate_holds_for_a_corner_support():
+def test_lattice_run_estimate_holds_for_a_corner_support(monkeypatch):
     # one cell at the origin: the cover's last ring cubes have side 81,
     # wider than the window, and the build pads f and runs FFTs for them;
     # each phase stays inside its own estimate
@@ -878,6 +883,22 @@ def test_lattice_run_estimate_holds_for_a_corner_support():
     assert build_peak <= sparse._build_bytes(k, f, 3, side)
     report, check_peak = _traced_peak(lambda: check_domination(k, f, res.family))
     assert report.passed and check_peak <= verify._domination_bytes(grid)
+    # spikes on the default support: each of the nine cover cubes is a
+    # batch of its own, and the largest group of the node pass, 13 nodes of
+    # side 8, comes at depth 1 (as large as any later, in nodes); the build
+    # stays inside its estimate
+    f = make_input(grid, "spikes", seed=15)
+    node_batch, batches = sparse._node_batch, []
+
+    def recorded(levels, grid_, nodes, *args):
+        batches.append((len(nodes), args[1], nodes[0].cube.side))
+        return node_batch(levels, grid_, nodes, *args)
+
+    monkeypatch.setattr(sparse, "_node_batch", recorded)
+    side = max(c.side for c in sparse.partition_cover(grid, sparse.support_box(f), 3))
+    _, build_peak = _traced_peak(lambda: sparse.build_sparse_domination(k, f))
+    assert max(nodes for nodes, _, _ in batches) == 13 and (13, 1, 8) in batches
+    assert build_peak <= sparse._build_bytes(k, f, 3, side)
 
 
 @pytest.mark.parametrize("dim,n,name", [(1, 4096, "hilbert"), (2, 64, "riesz2d"),

@@ -1,7 +1,9 @@
 """Exceptional sets, stopping time, cover, and the sparse pipeline."""
 
 import dataclasses
+import itertools
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from sparsedom import (
     ParameterError,
     PipelineConfig,
     apply_restricted,
+    avg_p,
     build_sparse_domination,
     check_domination,
     constant_from_records,
@@ -31,6 +34,7 @@ from sparsedom import (
 from sparsedom import operators, sparse
 from sparsedom.cli import family_to_dict
 from sparsedom.inputs import INPUT_KINDS, make_input
+from sparsedom.maximal import oscillation
 from sparsedom.operators import LatticeTransform
 
 
@@ -62,20 +66,29 @@ def builder_transform(kernel, f, config):
 
 
 def node_exceptional(kernel, f, cube, **config):
-    """Exceptional set of one node, as the pipeline computes it."""
+    """Exceptional set of one node with a nonzero average and window cells,
+    as the pipeline computes it: a batch of one node."""
     cfg = PipelineConfig(**config)
     rt = builder_transform(kernel, f, cfg)
-    return sparse._exceptional(sparse._side_levels(rt, f, [cube], cfg.s), f, cube, cfg)
+    avg = avg_p(f, dilate(cube, cfg.alpha), cfg.s)
+    assert avg > 0 and cube.window_clip(f.grid) is not None
+    exc = sparse._exceptional(sparse._side_levels(rt, f, [cube], cfg.s), f.grid,
+                              [cube], np.array([avg]), cfg)
+    tau_t, tau_ms, tau_osc = exc.thresholds[:, 0].tolist()
+    return SimpleNamespace(
+        omega=CellSet(f.grid, cube, exc.omega[0]), avg=avg, tau_t=tau_t,
+        tau_ms=tau_ms, tau_osc=tau_osc, c_ratio=tau_ms / avg,
+        allowed_per_stat=cube.cell_count // (3 * 2 ** (f.grid.dim + 2)),
+        exceed_counts=tuple(exc.exceed_counts[:, 0].tolist()),
+        transform=exc.transform[0])
 
 
 def local_family(kernel, f, root, config=PipelineConfig()):
     """Entries and records of the recursion tree the pipeline grows from
     one root cube."""
-    entries, records = [], []
     rt = builder_transform(kernel, f, config)
-    sparse._build_node(sparse._side_levels(rt, f, [root], config.s), f, root,
-                       0, config, entries, records)
-    return entries, records
+    return sparse._side_pass(sparse._side_levels(rt, f, [root], config.s), f, [root],
+                             config)
 
 
 def witness_canvas(family):
@@ -169,9 +182,10 @@ def test_non_convolution_kernel_end_to_end(monkeypatch, dim, n):
     transforms = []
     stats = sparse._node_stats
 
-    def recorded(levels, grid_, cube):
-        out = stats(levels, grid_, cube)
-        transforms.append((cube, dilate(cube, PipelineConfig().alpha), out[0]))
+    def recorded(levels, grid_, cubes):
+        out = stats(levels, grid_, cubes)
+        transforms.extend((cube, dilate(cube, PipelineConfig().alpha), t)
+                          for cube, t in zip(cubes, out[0], strict=True))
         return out
 
     monkeypatch.setattr(sparse, "_node_stats", recorded)
@@ -227,28 +241,29 @@ def test_single_cell_node_self_certifies():
 def test_zero_average_node():
     grid = Grid(1, 32)
     f = supported_noise(grid, 2, 0, 4)
-    exc = node_exceptional(make_kernel("hilbert"), f, Cube((24,), 2), alpha=3)
-    assert "zero_average" in exc.flags
-    assert exc.omega.is_empty() and exc.avg == 0.0
+    (entry,), (rec,) = local_family(make_kernel("hilbert"), f, Cube((24,), 2))
+    assert "zero_average" in rec.flags
+    assert rec.omega_count == 0 and rec.avg == 0.0 and not rec.edges
+    assert entry.witness.count == 2
 
 
 def test_out_of_window_node():
     grid = Grid(1, 32)
     f = supported_noise(grid, 2, 0, 32)
-    exc = node_exceptional(make_kernel("hilbert"), f, Cube((-64,), 8), alpha=3)
-    assert "outside_window" in exc.flags
+    _, (rec,) = local_family(make_kernel("hilbert"), f, Cube((-64,), 8))
+    assert "outside_window" in rec.flags and rec.omega_count == 0
 
 
 def test_fixed_mode_flags_violation():
     grid = Grid(1, 64)
     f = supported_noise(grid, 5, 0, 64)
     k = make_kernel("hilbert")
-    tight = node_exceptional(k, f, Cube((0,), 64), alpha=3, mode="fixed",
-                             c_fixed=1e-6, a_fixed=1e-6)
+    _, (tight, *_) = local_family(k, f, Cube((0,), 64), PipelineConfig(
+        alpha=3, mode="fixed", c_fixed=1e-6, a_fixed=1e-6))
     assert "measure_violation" in tight.flags
-    loose = node_exceptional(k, f, Cube((0,), 64), alpha=3, mode="fixed",
-                             c_fixed=1e6, a_fixed=1e6)
-    assert loose.omega.is_empty() and "measure_violation" not in loose.flags
+    _, (loose,) = local_family(k, f, Cube((0,), 64), PipelineConfig(
+        alpha=3, mode="fixed", c_fixed=1e6, a_fixed=1e6))
+    assert loose.omega_count == 0 and "measure_violation" not in loose.flags
 
 
 def test_exceptional_set_validation():
@@ -527,16 +542,15 @@ def analytic_edge_check(kernel, f, cfg):
     lowers a threshold and breaks it.
     """
     res = build_sparse_domination(kernel, f, cfg)
-    rt = builder_transform(kernel, f, cfg)
     grid = f.grid
     nodes = {}
 
     def node(q):
         if q not in nodes:
-            exc = sparse._exceptional(sparse._side_levels(rt, f, [q], cfg.s), f, q, cfg)
-            t_exceed = np.zeros(grid.shape, dtype=bool)
-            a = 0.0
-            if exc.transform is not None:
+            # a child with a zero average has no statistics, and a = 0
+            exc, t_exceed, a = None, np.zeros(grid.shape, dtype=bool), 0.0
+            if avg_p(f, dilate(q, cfg.alpha), cfg.s) > 0:
+                exc = node_exceptional(kernel, f, q, **dataclasses.asdict(cfg))
                 sl = tuple(slice(lo, hi) for lo, hi in q.window_clip(grid))
                 t_exceed[sl] = np.abs(exc.transform) > exc.tau_t
                 a = max(exc.tau_t, exc.tau_osc) / exc.avg
@@ -681,12 +695,14 @@ def test_records_carry_exceed_counts_and_ledger_sums_them(kname, dim, n):
         for kind in INPUT_KINDS:
             f = make_input(grid, kind, seed=13)
             res = build_sparse_domination(k, f, cfg)
-            rt = builder_transform(k, f, cfg)
             sums = {}
             for rec in res.records:
-                levels = sparse._side_levels(rt, f, [rec.cube], cfg.s)
-                exc = sparse._exceptional(levels, f, rec.cube, cfg)
-                assert rec.exceed_counts == exc.exceed_counts
+                # each node counts as in a batch of its own
+                if rec.avg > 0 and rec.cube.window_clip(grid) is not None:
+                    exc = node_exceptional(k, f, rec.cube, **dataclasses.asdict(cfg))
+                    assert rec.exceed_counts == exc.exceed_counts
+                else:
+                    assert rec.exceed_counts == (0, 0, 0)
                 # the exceptional set is the union of the three cuts
                 assert max(rec.exceed_counts) <= rec.omega_count
                 assert rec.omega_count <= sum(rec.exceed_counts)
@@ -830,3 +846,232 @@ def test_config_validation():
         PipelineConfig(mode="fixed", c_fixed=1.0, a_fixed=0.0)
     with pytest.raises(ParameterError):
         PipelineConfig(max_depth=-1)
+
+
+# ---------------------------------------------------------------------------
+# the depth-first recursion the node pass replaced, as a reference
+#
+# One node at a time: its statistics are slices of the side's level data,
+# its thresholds one order statistic each, its stopping time a stack of one
+# cube, and its edges are read after its children returned their
+# transforms.  The node pass must give every record and entry bit for bit.
+
+
+@dataclasses.dataclass(frozen=True)
+class ExceptionalSet:
+    omega: CellSet
+    avg: float
+    tau_t: float
+    tau_ms: float
+    tau_osc: float
+    c_ratio: float
+    exceed_counts: tuple[int, int, int]
+    flags: tuple[str, ...]
+    transform: np.ndarray | None
+
+
+def reference_node_stats(levels, grid, cube):
+    clip = cube.window_clip(grid)
+    on = sparse._box_slices(clip, levels.origin)
+    at = levels.sides.index(cube.side)
+    t_on = levels.transforms[at][on]
+    osc = np.zeros(t_on.shape)
+    if cube.side == 1:
+        return t_on, np.zeros(osc.size), osc.ravel()
+    for i, p in enumerate(levels.sides[at + 1:], at + 1):
+        if p == 1:
+            break
+        starts, counts = [], []
+        for (lo, hi), a in zip(clip, cube.anchor):
+            _, b, c = sparse._level_runs(lo, hi, a, p)
+            starts.append(b)
+            counts.append(c)
+        trunc = t_on - levels.transforms[i][on]
+        if np.iscomplexobj(trunc):
+            bounds = [list(zip(b, np.append(b[1:], trunc.shape[d])))
+                      for d, b in enumerate(starts)]
+            stat = np.array([
+                oscillation(trunc[tuple(slice(b0, b1) for b0, b1 in block)])
+                for block in itertools.product(*bounds)
+            ]).reshape([len(b) for b in starts])
+        else:
+            top, bottom = trunc, trunc
+            for d, b in enumerate(starts):
+                top = np.maximum.reduceat(top, b, axis=d)
+                bottom = np.minimum.reduceat(bottom, b, axis=d)
+            stat = top - bottom
+        for d, c in enumerate(counts):
+            stat = np.repeat(stat, c, axis=d)
+        np.maximum(osc, stat, out=osc)
+    return t_on, levels.maxima[at][on].ravel(), osc.ravel()
+
+
+def reference_threshold(vals, k):
+    idx = k if k < vals.size else 0
+    return float(np.partition(vals, vals.size - 1 - idx)[vals.size - 1 - idx])
+
+
+def reference_exceptional(levels, f, cube, cfg):
+    grid = f.grid
+    avg = avg_p(f, dilate(cube, cfg.alpha), cfg.s)
+    allowed = cube.cell_count // (3 * 2 ** (grid.dim + 2))
+    omega = CellSet.empty(grid, cube)
+    clip = cube.window_clip(grid)
+    flags = [name for name, skip in (("zero_average", avg == 0.0),
+                                     ("outside_window", clip is None)) if skip]
+    if flags:
+        return ExceptionalSet(omega, avg, 0.0, 0.0, 0.0, 0.0, (0, 0, 0), tuple(flags), None)
+    outer, ms_vals, osc_vals = reference_node_stats(levels, grid, cube)
+    t_vals = np.abs(outer).ravel()
+    if cfg.mode == "quantile":
+        tau_t = reference_threshold(t_vals, allowed)
+        tau_ms = reference_threshold(ms_vals, allowed)
+        tau_osc = reference_threshold(osc_vals, allowed)
+    else:
+        tau_ms = cfg.c_fixed * avg
+        tau_t = cfg.a_fixed * avg
+        tau_osc = cfg.a_fixed * avg
+    ex_t, ex_ms, ex_osc = t_vals > tau_t, ms_vals > tau_ms, osc_vals > tau_osc
+    union = ex_t | ex_ms | ex_osc
+    if cfg.mode == "fixed" and int(union.sum()) * 2 ** (grid.dim + 2) > cube.cell_count:
+        flags.append("measure_violation")
+    omega.mask[sparse._box_slices(clip, cube.anchor)] = union.reshape(outer.shape)
+    return ExceptionalSet(omega, avg, tau_t, tau_ms, tau_osc, tau_ms / avg,
+                          (int(ex_t.sum()), int(ex_ms.sum()), int(ex_osc.sum())),
+                          tuple(flags), outer)
+
+
+def reference_build_node(levels, f, q, depth, cfg, entries, records):
+    grid = f.grid
+    exc = reference_exceptional(levels, f, q, cfg)
+    flags = list(exc.flags)
+    children = []
+    if not exc.omega.is_empty():
+        if cfg.max_depth is not None and depth >= cfg.max_depth:
+            flags.append("depth_capped")
+        else:
+            _, cells, sides, (st_flags,) = sparse._stopping_time(exc.omega.mask[None])
+            children = [Cube(tuple(a), side) for a, side
+                        in zip((cells + q.anchor).tolist(), sides.tolist())]
+            flags.extend(st_flags)
+    witness = CellSet.cube_minus_cubes(grid, q, children)
+    if cfg.mode == "quantile":
+        cells = q.cell_count
+        selected = sum(c.cell_count for c in children)
+        assert exc.omega.count * 2 ** (grid.dim + 2) <= cells
+        assert 2 * selected <= cells and 2 * witness.count >= cells
+    if witness.intersects(exc.omega):
+        flags.append("witness_overlaps_exceptional")
+    a_eff = 0.0
+    if exc.transform is not None:
+        clip = q.window_clip(grid)
+        in_witness = witness.mask[sparse._box_slices(clip, q.anchor)]
+        if in_witness.any():
+            a_eff = float(np.abs(exc.transform[in_witness]).max()) / exc.avg
+    entries.append(sparse.SparseEntry(cube=dilate(q, cfg.alpha), witness=witness,
+                                      coefficient=exc.avg, base_cube=q, depth=depth,
+                                      flags=tuple(flags)))
+    record = sparse.NodeRecord(cube=q, depth=depth, avg=exc.avg, c_ratio=exc.c_ratio,
+                               a_effective=a_eff, omega_count=exc.omega.count,
+                               exceed_counts=exc.exceed_counts, flags=tuple(flags))
+    records.append(record)
+    for child in children:
+        inner = reference_build_node(levels, f, child, depth + 1, cfg, entries, records)
+        sl = sparse._box_slices(child.window_clip(grid), [lo for lo, _ in clip])
+        resid = exc.transform[sl] if inner is None else exc.transform[sl] - inner
+        record.edges.append({"child": child,
+                             "coefficient": float(np.abs(resid).max()) / exc.avg})
+    return exc.transform
+
+
+def reference_build(kernel, f, cfg):
+    """Entries and records of the recursion, cover cube by cover cube."""
+    grid = f.grid
+    cover = partition_cover(grid, support_box(f), cfg.alpha)
+    rt = builder_transform(kernel, f, cfg)
+    entries, records = [], []
+    for _, roots in itertools.groupby(cover, key=lambda c: c.side):
+        roots = list(roots)
+        levels = sparse._side_levels(rt, f, roots, cfg.s)
+        for root in roots:
+            reference_build_node(levels, f, root, 0, cfg, entries, records)
+    return entries, records
+
+
+def assert_same_as_reference(kernel, f, cfg):
+    """The node pass's records and entries are the recursion's, bit for
+    bit; return the records."""
+    want_entries, want_records = reference_build(kernel, f, cfg)
+    res = build_sparse_domination(kernel, f, cfg)
+    assert [repr(r) for r in res.records] == [repr(r) for r in want_records]
+    assert len(res.family.entries) == len(want_entries)
+    for got, want in zip(res.family.entries, want_entries):
+        assert (got.cube, got.base_cube, got.depth, got.flags, got.witness.box) == (
+            want.cube, want.base_cube, want.depth, want.flags, want.witness.box)
+        assert got.coefficient.hex() == want.coefficient.hex()
+        assert got.witness.mask.tobytes() == want.witness.mask.tobytes()
+    return res.records
+
+
+@pytest.mark.parametrize("max_depth", [None, 0, 1])
+@pytest.mark.parametrize("kname,dim,n", [
+    ("hilbert", 1, 64), ("holder", 1, 64), ("dini_stress", 1, 64), ("zero", 1, 64),
+    ("riesz2d", 2, 16), ("zero", 2, 16)])
+def test_node_pass_matches_the_recursion(kname, dim, n, max_depth):
+    grid = Grid(dim, n)
+    k = make_kernel(kname, grid)
+    seen = set()
+    for kind in INPUT_KINDS:
+        f = make_input(grid, kind, seed=13)
+        for alpha in (3, 5):
+            for mode in sorted(MODES):
+                cfg = PipelineConfig(alpha=alpha, max_depth=max_depth, **MODES[mode])
+                for rec in assert_same_as_reference(k, f, cfg):
+                    seen.update(rec.flags)
+    if max_depth == 0 and kname != "zero":
+        assert "depth_capped" in seen
+
+
+@pytest.mark.parametrize("dim,n,name", [(1, 64, "hilbert"), (2, 16, "riesz2d")])
+def test_node_pass_matches_the_recursion_on_complex_input(dim, n, name):
+    grid = Grid(dim, n)
+    g = rng(23)
+    vals = np.zeros(grid.shape, dtype=complex)
+    box = (slice(n // 4, 3 * n // 4),) * dim
+    vals[box] = g.normal(size=vals[box].shape) + 1j * g.normal(size=vals[box].shape)
+    for cfg in (PipelineConfig(alpha=3), PipelineConfig(alpha=5, **MODES["fixed"])):
+        assert len(assert_same_as_reference(make_kernel(name, grid),
+                                            GridFunction(grid, vals), cfg)) > 1
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+@pytest.mark.parametrize("dim,n,name,s", [(1, 128, "hilbert", 8), (1, 64, "hilbert", 4),
+                                          (2, 16, "riesz2d", 4)])
+def test_node_pass_matches_the_recursion_on_ring_cubes(dim, n, name, s, complex_values):
+    # a small off-centre support: rings of cover cubes outside the window,
+    # odd ring sides and their odd leaves
+    grid = Grid(dim, n)
+    g = rng(3)
+    vals = np.zeros(grid.shape, dtype=complex if complex_values else float)
+    box = (slice(n - 3 * s // 2, n - s // 2),) * dim if n == 128 else (
+        slice(n // 8, n // 8 + s),) * dim
+    vals[box] = g.random(vals[box].shape) + 0.25
+    if complex_values:
+        vals[box] = vals[box] * np.exp(2j * np.pi * g.random(vals[box].shape))
+    f = GridFunction(grid, vals)
+    flags = set()
+    for alpha in (3, 5, 7):
+        records = assert_same_as_reference(make_kernel(name, grid), f,
+                                           PipelineConfig(alpha=alpha))
+        assert any(min(r.cube.anchor) < 0 for r in records)
+        for rec in records:
+            flags.update(rec.flags)
+    assert {"outside_window", "zero_average"} & flags
+
+
+@pytest.mark.parametrize("dim,n", [(1, 128), (2, 16)])
+def test_node_pass_matches_the_recursion_without_a_lattice(dim, n):
+    grid = Grid(dim, n)
+    for kind in ("random", "spikes"):
+        assert_same_as_reference(_modulated(grid), make_input(grid, kind, seed=17),
+                                 PipelineConfig(alpha=3))

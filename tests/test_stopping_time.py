@@ -6,7 +6,8 @@ depth-first scan of the dyadic subcubes in lexicographic child order, one
 select the same cubes in the same order and raise the same flags, with
 the same multiplicity, on random exceptional sets of every density: in
 1D and 2D, on power-of-two sides, sides 3 * 2**j and odd sides, for
-empty sets and sets already dense at the start cube.
+empty sets and sets already dense at the start cube.  It scans a stack
+of cubes at once, and each cube of a stack gets what it gets alone.
 """
 
 import itertools
@@ -54,10 +55,18 @@ def random_omega(grid, box, density, g):
     return CellSet(grid, box, g.random((box.side,) * grid.dim) < density)
 
 
+def stopping_time(cube, mask):
+    """The stopping time of one cube, as (selected cubes, flags)."""
+    owner, cells, sides, (flags,) = sparse._stopping_time(mask[None])
+    assert not owner.any()
+    return [Cube(tuple(a), side)
+            for a, side in zip((cells + cube.anchor).tolist(), sides.tolist())], flags
+
+
 def assert_same(grid, cube, omega):
     want = reference_stopping_time(grid, cube, omega)
     # the stopping time scans a mask on the cube's own cells
-    got = sparse._stopping_time(cube, omega.mask_on(cube))
+    got = stopping_time(cube, omega.mask_on(cube))
     assert got == want, (cube, omega.box)
     return want
 
@@ -119,9 +128,8 @@ def test_root_density_violation_comes_first_and_once():
     assert sel == dyadic_children(cube)
     # a lone cell at the root, and an empty set
     one = Cube((3, 4), 1)
-    assert sparse._stopping_time(one, np.ones((1, 1), dtype=bool)) == (
-        [], ["density_violation"])
-    assert sparse._stopping_time(cube, np.zeros((12, 12), dtype=bool)) == ([], [])
+    assert stopping_time(one, np.ones((1, 1), dtype=bool)) == ([], ["density_violation"])
+    assert stopping_time(cube, np.zeros((12, 12), dtype=bool)) == ([], [])
 
 
 def test_odd_leaves_flag_once_per_odd_cube():
@@ -132,6 +140,27 @@ def test_odd_leaves_flag_once_per_odd_cube():
     sel, flags = assert_same(grid, cube, CellSet(grid, cube, mask))
     assert flags == ["odd_leaf", "odd_leaf"]
     assert sel == [Cube((1,), 1), Cube((12,), 1)]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_stack_of_cubes_scans_each_as_alone(dim):
+    # the builder scans the nodes of a batch in one call: each cube's
+    # selections and flags are those of a call of its own, and the
+    # selections come out by cube
+    g = np.random.Generator(np.random.Philox(61 + dim))
+    for side in SIDES[dim]:
+        masks = np.stack([g.random((side,) * dim) < density
+                          for density in DENSITIES for _ in range(2)])
+        owner, cells, sides, flags = sparse._stopping_time(masks)
+        assert np.all(np.diff(owner) >= 0)
+        for i, mask in enumerate(masks):
+            own = sparse._stopping_time(mask[None])
+            mine = owner == i
+            assert np.array_equal(cells[mine], own[1]), (side, i)
+            assert np.array_equal(sides[mine], own[2]), (side, i)
+            assert flags[i] == own[3][0], (side, i)
+    owner, cells, sides, flags = sparse._stopping_time(np.zeros((0,) + (8,) * dim, dtype=bool))
+    assert owner.size == sides.size == 0 and cells.shape == (0, dim) and flags == []
 
 
 @pytest.mark.parametrize("dim", [1, 2])
