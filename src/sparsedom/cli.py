@@ -26,10 +26,12 @@ import json
 import math
 import os
 import sys
+import textwrap
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from datetime import datetime, timezone
+from typing import Callable
 
 import jsonschema
 import numpy as np
@@ -43,7 +45,7 @@ from .errors import (
 )
 from .grid import CellSet, Cube, Grid, GridFunction
 from .inputs import INPUT_KINDS, default_support, load_input, make_input
-from .operators import (Kernel, _refuse_beyond_memory, dini_profile,
+from .operators import (_SLAB_CELLS, Kernel, _refuse_beyond_memory, dini_profile,
                         hormander_constant, make_kernel)
 from .sparse import (
     PipelineConfig,
@@ -64,7 +66,7 @@ __all__ = [
     "FAMILY_SCHEMA",
     "main",
     "load_config",
-    "family_to_dict",
+    "family_to_json",
     "family_from_dict",
     "family_to_text",
 ]
@@ -206,9 +208,8 @@ FAMILY_SCHEMA = {
                             "anchor": _ANCHOR_SCHEMA,
                             "side": _SIDE_SCHEMA,
                             "count": {"type": "integer", "minimum": 0},
-                            "runs": {"type": "array", "items": {
-                                "type": "array", "minItems": 2, "maxItems": 2,
-                                "items": {"type": "integer"}}},
+                            # checked as arrays by _witness_mask
+                            "runs": {"type": "array"},
                         },
                     },
                 },
@@ -386,11 +387,13 @@ def _write_file(path: str, data: bytes) -> str:
 
 
 def _write_outputs(args, out: str, cfg: dict, timings: dict,
-                   data: dict[str, bytes]) -> None:
-    """Write a subcommand's data files, then the manifest: the single file
+                   encode: Callable[[], dict[str, bytes]]) -> None:
+    """Write a subcommand's data files, ``encode()`` by name, timing the
+    encoding and writing as ``write_s``; then the manifest: the single file
     with a timestamp, holding the sha256 of each data file."""
-    files = {name: _write_file(os.path.join(out, name), blob)
-             for name, blob in data.items()}
+    with _timed(timings, "write_s"):
+        files = {name: _write_file(os.path.join(out, name), blob)
+                 for name, blob in encode().items()}
     _write_file(os.path.join(out, "manifest.json"), _json_bytes({
         "command": args.command,
         "version": __version__,
@@ -402,54 +405,134 @@ def _write_outputs(args, out: str, cfg: dict, timings: dict,
     }))
 
 
-def family_to_dict(family: SparseFamily) -> dict:
+def _json_number(x) -> str:
+    """``x`` as ``_json_bytes`` writes it: an int by its digits, a finite
+    float by its repr, a non-finite one as the name ``_json_safe`` quotes
+    (numpy scalars as the Python ones, whose repr numpy 2 does not share)."""
+    if isinstance(x, (float, np.floating)):
+        v = float(x)
+        return float.__repr__(v) if math.isfinite(v) else json.dumps(repr(v))
+    return str(int(x))
+
+
+def _entry_template(dim: int) -> str:
+    """One entry of ``family.json``, laid out by the ``json`` module as
+    ``_json_bytes`` lays it out in the entry list: ``%s`` for the rendered
+    coefficient, flags and runs, ``%d`` for every other field."""
+    ints = ["%d"] * dim
+    entry = {"anchor": ints, "side": "%d", "base_anchor": ints, "base_side": "%d",
+             "depth": "%d", "coefficient": "%s", "flags": "%s",
+             "witness": {"anchor": ints, "side": "%d", "count": "%d", "runs": "%s"}}
+    text = json.dumps(entry, sort_keys=True, indent=2)
+    return textwrap.indent(text, "    ").replace('"%d"', "%d").replace('"%s"', "%s")
+
+
+# one item of an entry's "runs" list, laid out as ``_json_bytes`` lays it out
+_RUN = "\n          [\n            %d,\n            %d\n          ]"
+
+
+def _entries_json(entries: list[SparseEntry], template: str) -> bytes:
+    """The entries in ``family.json``'s layout, joined by ``,\\n``.  The
+    witness runs of all of them come from one pass over their concatenated
+    row-major masks: a run starts where the mask changes or an entry
+    begins, and the runs of set cells are kept."""
+    masks = [e.witness.mask.ravel() for e in entries]
+    offsets = np.cumsum([0] + [m.size for m in masks])
+    flat = np.concatenate(masks)
+    begins = np.ones(flat.size, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=begins[1:])
+    begins[offsets[:-1]] = True
+    starts = np.flatnonzero(begins)
+    lengths = np.diff(starts, append=flat.size)
+    kept = flat[starts]
+    starts, lengths = starts[kept], lengths[kept]
+    owner = np.searchsorted(offsets, starts, side="right") - 1
+    pairs = np.stack([starts - offsets[owner], lengths], axis=1).ravel().tolist()
+    first = np.searchsorted(owner, np.arange(len(entries) + 1)).tolist()
+    counts = np.add.reduceat(flat, offsets[:-1], dtype=np.int64).tolist()
+    parts = []
+    for e, count, lo, hi in zip(entries, counts, first, first[1:]):
+        runs = ("[" + (_RUN + ",") * (hi - lo - 1) + _RUN + "\n        ]"
+                ) % tuple(pairs[2 * lo:2 * hi]) if hi > lo else "[]"
+        flags = ("[" + ",".join("\n        " + json.dumps(f) for f in e.flags)
+                 + "\n      ]") if e.flags else "[]"
+        parts.append(template % (
+            *e.cube.anchor, *e.base_cube.anchor, e.base_cube.side,
+            _json_number(e.coefficient), e.depth, flags, e.cube.side,
+            *e.witness.box.anchor, count, runs, e.witness.box.side))
+    return ",\n".join(parts).encode()
+
+
+def family_to_json(family: SparseFamily) -> bytes:
+    """The bytes of ``family.json``: what ``_json_bytes`` writes for the
+    family's document, rendered from the witness masks as arrays.  The
+    entries go in chunks of at most ``_SLAB_CELLS`` witness cells, or one
+    entry."""
     g = family.grid
-    entries = []
-    for e in family.entries:
-        entries.append({
-            "anchor": list(e.cube.anchor),
-            "side": e.cube.side,
-            "base_anchor": list(e.base_cube.anchor),
-            "base_side": e.base_cube.side,
-            "depth": e.depth,
-            "coefficient": e.coefficient,
-            "flags": list(e.flags),
-            "witness": {
-                "anchor": list(e.witness.box.anchor),
-                "side": e.witness.box.side,
-                "count": e.witness.count,
-                "runs": [list(r) for r in e.witness_runs()],
-            },
-        })
-    return {
+    head = _json_bytes({
         "format": 1,
         "grid": {"dim": g.dim, "cells_per_side": g.cells_per_side,
                  "phys_side": g.phys_side},
         "eta": family.eta,
         "constant": family.constant,
         "meta": family.meta,
-        "entries": entries,
-    }
+        "entries": [],
+    })
+    if not family.entries:
+        return head
+    template = _entry_template(g.dim)
+    chunks, chunk, cells = [], [], 0
+    for e in family.entries:
+        if chunk and cells + e.witness.mask.size > _SLAB_CELLS:
+            chunks.append(_entries_json(chunk, template))
+            chunk, cells = [], 0
+        chunk.append(e)
+        cells += e.witness.mask.size
+    chunks.append(_entries_json(chunk, template))
+    # only "constant" sorts before "entries", and a JSON string holds no
+    # raw newline, so the first such line is the top-level key
+    before, after = head.split(b'\n  "entries": []', 1)
+    return b"".join((before, b'\n  "entries": [\n', b",\n".join(chunks),
+                     b"\n  ]", after))
 
 
 def _witness_mask(runs: list, cells: int, where: str) -> np.ndarray:
     """Flat witness mask from row-major (start, length) runs, which must be
-    non-empty, inside the box, sorted and disjoint."""
-    flat = np.zeros(cells, dtype=bool)
-    end = 0
-    for start, length in runs:
-        start, length = int(start), int(length)
-        if length < 1:
-            raise ConfigError(f"{where}: empty witness run ({start}, {length})")
-        if start < 0 or start + length > cells:
-            raise ConfigError(f"{where}: witness run ({start}, {length}) lies "
-                              f"outside its {cells}-cell box")
-        if start < end:
-            raise ConfigError(f"{where}: witness run ({start}, {length}) is "
-                              f"unsorted or overlaps the run before it")
-        flat[start:start + length] = True
-        end = start + length
-    return flat
+    pairs of ints, non-empty, inside the box, sorted and disjoint; the
+    first run that is not is named."""
+    for j, run in enumerate(runs):
+        if not (type(run) is list and len(run) == 2
+                and type(run[0]) is int and type(run[1]) is int):
+            raise ConfigError(f"{where}: witness run {j} is not a pair of integers")
+    try:
+        start, length = np.asarray(runs, dtype=np.int64).reshape(-1, 2).T
+    except OverflowError as exc:
+        raise ConfigError(f"{where}: a witness run holds an integer beyond the "
+                          f"64-bit range") from exc
+    # cells - length and start + length can wrap only for an empty run or
+    # one outside the box; the first bad run is named, and every run before
+    # it is neither, so no wrapped value decides
+    empty = length < 1
+    outside = (start < 0) | (start > cells - length)
+    end = start + length
+    unsorted = np.zeros_like(empty)
+    np.less(start[1:], end[:-1], out=unsorted[1:])
+    bad = empty | outside | unsorted
+    if bad.any():
+        i = int(bad.argmax())
+        run = f"({start[i]}, {length[i]})"
+        if empty[i]:
+            raise ConfigError(f"{where}: empty witness run {run}")
+        if outside[i]:
+            raise ConfigError(f"{where}: witness run {run} lies outside its "
+                              f"{cells}-cell box")
+        raise ConfigError(f"{where}: witness run {run} is unsorted or overlaps "
+                          f"the run before it")
+    # the runs are disjoint, so the running sum, taken in place, is 0 or 1
+    step = np.zeros(cells + 1, dtype=np.int8)
+    step[start] = 1
+    step[end] -= 1
+    return np.cumsum(step, dtype=np.int8, out=step)[:-1].view(bool)
 
 
 def family_from_dict(d: dict) -> SparseFamily:
@@ -589,8 +672,8 @@ def _cmd_run(args) -> int:
     out = _out_dir(args)
     result, report, timings = _run_once(cfg)
     family = result.family
-    _write_outputs(args, out, cfg, timings, {
-        "family.json": _json_bytes(family_to_dict(family)),
+    _write_outputs(args, out, cfg, timings, lambda: {
+        "family.json": family_to_json(family),
         "family.txt": family_to_text(family).encode(),
         "report.json": _json_bytes({**report, "ledger": asdict(result.ledger)}),
     })
@@ -617,7 +700,7 @@ def _cmd_verify(args) -> int:
     f = _input_from(cfg, grid)
     report, timings = _verification_report(kernel, f, family, cfg)
     _write_outputs(args, out, cfg, timings,
-                   {"verify_report.json": _json_bytes(report)})
+                   lambda: {"verify_report.json": _json_bytes(report)})
     _print_report(report)
     return 0 if report["passed"] else 1
 
@@ -642,7 +725,7 @@ def _cmd_kernel_stats(args) -> int:
         "hormander": {"r": r, **asdict(horm)},
     }
     _write_outputs(args, out, cfg, {"stats_s": time.perf_counter() - t0},
-                   {"kernel_stats.json": _json_bytes(stats)})
+                   lambda: {"kernel_stats.json": _json_bytes(stats)})
     div = dini and dini["divergent"]
     dini_msg = "none" if dini is None else (
         "divergent" if div else f"{dini['value']:.6g}")
@@ -669,7 +752,7 @@ def _cmd_t1_probe(args) -> int:
         "value": probe.value,
         "samples": probe.samples,
     }
-    _write_outputs(args, out, cfg, {}, {"t1_probe.json": _json_bytes(doc)})
+    _write_outputs(args, out, cfg, {}, lambda: {"t1_probe.json": _json_bytes(doc)})
     print(f"testing-condition probe: max average {probe.value:.6g} "
           f"over {len(probe.samples)} subsets")
     return 0
@@ -740,7 +823,7 @@ def _cmd_sweep(args) -> int:
     writer = csv.DictWriter(buf, fieldnames=_SWEEP_COLUMNS, lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
-    _write_outputs(args, out, cfg, timings, {
+    _write_outputs(args, out, cfg, timings, lambda: {
         "sweep.csv": buf.getvalue().encode(),
         "sweep.json": _json_bytes({"axis": axis, "rows": rows}),
     })

@@ -167,14 +167,6 @@ class SparseEntry:
     depth: int
     flags: tuple[str, ...] = ()
 
-    def witness_runs(self) -> list[tuple[int, int]]:
-        """Row-major (start, length) runs of the witness mask over its box."""
-        flat = self.witness.mask.ravel()
-        edges = np.flatnonzero(np.diff(flat.astype(np.int8)))
-        starts = np.concatenate(([0], edges + 1))
-        ends = np.concatenate((edges + 1, [flat.size]))
-        return [(int(a), int(b - a)) for a, b in zip(starts, ends) if flat[a]]
-
 
 @dataclass
 class SparseFamily:

@@ -9,6 +9,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,10 +19,15 @@ import numpy as np
 import pytest
 
 from sparsedom import (
+    CellSet,
     Cube,
     Grid,
+    GridFunction,
     NumericError,
     ParameterError,
+    PipelineConfig,
+    SparseEntry,
+    SparseFamily,
     UndefinedRatioError,
     build_sparse_domination,
     make_kernel,
@@ -131,13 +137,128 @@ def test_main_builds_one_parser_and_parses_each_call_anew(tmp_path, monkeypatch)
     cli._parser.cache_clear()
 
 
+def witness_runs(entry):
+    """Row-major (start, length) runs of an entry's witness mask over its
+    box, one cell at a time."""
+    runs, start = [], None
+    for i, cell in enumerate(entry.witness.mask.ravel().tolist() + [False]):
+        if cell and start is None:
+            start = i
+        elif not cell and start is not None:
+            runs.append([start, i - start])
+            start = None
+    return runs
+
+
+def family_to_dict(family):
+    """The document of a family as the JSON module writes ``family.json``."""
+    g = family.grid
+    return {
+        "format": 1,
+        "grid": {"dim": g.dim, "cells_per_side": g.cells_per_side,
+                 "phys_side": g.phys_side},
+        "eta": family.eta,
+        "constant": family.constant,
+        "meta": family.meta,
+        "entries": [{
+            "anchor": list(e.cube.anchor),
+            "side": e.cube.side,
+            "base_anchor": list(e.base_cube.anchor),
+            "base_side": e.base_cube.side,
+            "depth": e.depth,
+            "coefficient": e.coefficient,
+            "flags": list(e.flags),
+            "witness": {
+                "anchor": list(e.witness.box.anchor),
+                "side": e.witness.box.side,
+                "count": e.witness.count,
+                "runs": witness_runs(e),
+            },
+        } for e in family.entries],
+    }
+
+
+def json_module_bytes(family) -> bytes:
+    return (json.dumps(cli._json_safe(family_to_dict(family)), sort_keys=True,
+                       indent=2, allow_nan=False) + "\n").encode()
+
+
+def _built(dim, n, kernel, kind="random", complex_phase=False, **pipeline):
+    grid = Grid(dim, n)
+    f = (GridFunction(grid, np.zeros(grid.shape)) if kind == "zero"
+         else make_input(grid, kind, seed=13))
+    if complex_phase:
+        phase = np.exp(2j * np.pi * np.random.default_rng(3).random(grid.shape))
+        f = GridFunction(grid, f.values * phase)
+    return build_sparse_domination(make_kernel(kernel, grid), f,
+                                   PipelineConfig(**pipeline)).family
+
+
+def _hand_made():
+    # an infinite constant and coefficient, a multi-flag entry, numpy
+    # scalars, an empty witness and a witness box off the window
+    grid = Grid(2, 8)
+    mask = np.zeros((4, 4), dtype=bool)
+    mask[0, 1:3] = mask[1, :] = mask[3, 3] = True
+    box = Cube((np.int64(-2), 6), np.int64(4))
+    return SparseFamily(grid, np.float64(1 / 18), [
+        SparseEntry(Cube((-4, -4), 12), CellSet(grid, box, mask), np.float64(0.1),
+                    box, np.int64(2), ("zero_average", "outside_window")),
+        SparseEntry(Cube((0, 0), 3), CellSet.empty(grid, Cube((1, 1), 1)), 0,
+                    Cube((1, 1), 1), 0),
+        SparseEntry(Cube((0, 0), 3), CellSet.from_cube(grid, Cube((1, 1), 1)), 1e300,
+                    Cube((1, 1), 1), 3, ("witness_overlaps_exceptional",)),
+        SparseEntry(Cube((0, 0), 3), CellSet.from_cube(grid, Cube((1, 1), 1)),
+                    np.float64(math.inf), Cube((1, 1), 1), 1),
+    ], math.inf, meta={"s": np.float64(1.5), "kernel": "riesz2d", "odd": [np.int64(3)]})
+
+
+FAMILIES = {
+    "1d-quantile": lambda: _built(1, 128, "hilbert"),
+    "1d-fixed": lambda: _built(1, 128, "dini_stress", "spikes", mode="fixed",
+                               c_fixed=1.5, a_fixed=1.0),
+    "1d-max-depth-0": lambda: _built(1, 128, "holder", "bump", max_depth=0),
+    "2d-quantile": lambda: _built(2, 32, "riesz2d"),
+    "2d-fixed": lambda: _built(2, 16, "riesz2d", "indicator", mode="fixed",
+                               c_fixed=1.5, a_fixed=1.0),
+    "2d-max-depth-0": lambda: _built(2, 16, "riesz2d", max_depth=0),
+    "1d-zero-input": lambda: _built(1, 32, "hilbert", "zero"),
+    "2d-zero-input": lambda: _built(2, 16, "riesz2d", "zero"),
+    "1d-complex": lambda: _built(1, 64, "hilbert", complex_phase=True),
+    "2d-complex": lambda: _built(2, 16, "riesz2d", complex_phase=True),
+    "hand-made": _hand_made,
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAMILIES))
+def test_family_json_is_the_json_module_layout(case):
+    family = FAMILIES[case]()
+    assert cli.family_to_json(family) == json_module_bytes(family)
+
+
+def test_family_json_cases_cover_what_they_name():
+    for case in ("1d-zero-input", "2d-zero-input"):
+        assert [e.flags for e in FAMILIES[case]().entries] == [("zero_input",)]
+    assert all(e.depth == 0 for e in FAMILIES["2d-max-depth-0"]().entries)
+    assert len(FAMILIES["2d-quantile"]().entries) > 1
+
+
+def test_family_json_writes_large_families_in_chunks(monkeypatch):
+    family = _built(2, 32, "riesz2d")
+    want = cli.family_to_json(family)
+    for cells in (1, 16, 100):
+        monkeypatch.setattr(cli, "_SLAB_CELLS", cells)
+        assert cli.family_to_json(family) == want
+
+
 def test_run_family_json_round_trips(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
     cli.main(["run", "--config", cfg, "--out", str(out)])
     doc = read_json(out / "family.json")
     family = cli.family_from_dict(doc)
-    assert cli.family_to_dict(family) == doc
+    assert family_to_dict(family) == doc
+    assert cli.family_to_json(family) == (out / "family.json").read_bytes()
     # and the stored family matches an in-process rebuild
     grid = Grid(1, 64)
     f = make_input(grid, "random", seed=7)
@@ -276,6 +397,10 @@ MALFORMED_FAMILIES = {
     "side_as_string": _replace("16", "entries", 0, "side"),
     "runs_not_pairs": _replace([[1, 2, 3]], "entries", 0, "witness", "runs"),
     "run_start_float": _replace([[0.5, 2]], "entries", 0, "witness", "runs"),
+    "run_start_bool": _set_runs([[True, 2]], 2),
+    "run_start_huge_int": _set_runs([[10**400, 2]], 2),
+    "run_as_object": _set_runs([{"start": 0, "length": 2}], 2),
+    "runs_not_list": _replace({"0": [0, 2]}, "entries", 0, "witness", "runs"),
     "coefficient_null": _replace(None, "entries", 0, "coefficient"),
     "grid_dim_three": _replace(3, "grid", "dim"),
     "anchor_dim_mismatch": _replace([0, 0], "entries", 0, "anchor"),
@@ -312,6 +437,61 @@ def test_verify_rejects_malformed_family(tmp_path, capsys, case):
                      "--family", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def _loop_witness_mask(runs, cells, where):
+    """The run checks one run at a time, in the reader's order."""
+    flat = np.zeros(cells, dtype=bool)
+    end = 0
+    for start, length in runs:
+        if length < 1:
+            raise ConfigError(f"{where}: empty witness run ({start}, {length})")
+        if start < 0 or start + length > cells:
+            raise ConfigError(f"{where}: witness run ({start}, {length}) lies "
+                              f"outside its {cells}-cell box")
+        if start < end:
+            raise ConfigError(f"{where}: witness run ({start}, {length}) is "
+                              f"unsorted or overlaps the run before it")
+        flat[start:start + length] = True
+        end = start + length
+    return flat
+
+
+def _outcome(read, runs):
+    try:
+        return read(runs, 6, "entry 3").tobytes()
+    except ConfigError as exc:
+        return str(exc)
+
+
+def test_witness_runs_are_checked_as_one_at_a_time():
+    # every list of at most two runs over a 6-cell box, 3000 random lists
+    # of three, and runs at the int64 limits: the same mask, or the same
+    # message naming the same first bad run
+    values = range(-2, 9)
+    one = [[a, n] for a in values for n in range(-1, 8)]
+    cases = [[]] + [[r] for r in one] + [[r, q] for r in one for q in one]
+    rng = np.random.default_rng(0)
+    cases += [[one[i] for i in rng.integers(len(one), size=3)] for _ in range(3000)]
+    big = [2**63 - 1, -2**63]
+    cases += [[[a, n]] for a in big + [0] for n in big + [2]]
+    cases += [[[0, 2], [a, n]] for a in big + [4] for n in big + [1]]
+    for runs in cases:
+        assert _outcome(cli._witness_mask, runs) == _outcome(_loop_witness_mask, runs), runs
+
+
+@pytest.mark.parametrize("runs,message", [
+    ([[0, 2], [True, 1]], "entry 3: witness run 1 is not a pair of integers"),
+    ([[0, 2], {"0": 1}], "entry 3: witness run 1 is not a pair of integers"),
+    ([[0, 2], [4, 1, 1]], "entry 3: witness run 1 is not a pair of integers"),
+    ([[0, 2], [4.0, 1]], "entry 3: witness run 1 is not a pair of integers"),
+    ([[0, 2], [2**63, 1]], "entry 3: a witness run holds an integer beyond the 64-bit range"),
+    ([[0, 2], [1, -10**400]], "entry 3: a witness run holds an integer beyond the 64-bit range"),
+])
+def test_witness_runs_that_are_not_int_pairs(runs, message):
+    with pytest.raises(ConfigError) as exc:
+        cli._witness_mask(runs, 6, "entry 3")
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("mutate", [_replace(-1.0, "constant"),
@@ -756,11 +936,11 @@ def test_manifest_times_each_verification_check(tmp_path):
     checks = {"sparsity_s", "domination_s", "audit_s", "lp_ratio_s"}
     assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
     timings = read_json(out / "manifest.json")["timings"]
-    assert set(timings) == {"build_s", "verify_s"} | checks
+    assert set(timings) == {"build_s", "verify_s", "write_s"} | checks
     assert all(timings[k] >= 0 for k in timings)
     assert sum(timings[k] for k in checks) <= timings["verify_s"]
     assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 0
-    assert set(read_json(out / "manifest.json")["timings"]) == checks
+    assert set(read_json(out / "manifest.json")["timings"]) == {"write_s"} | checks
 
 
 def test_missing_config_file_exits_two(tmp_path):

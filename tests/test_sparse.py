@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import tracemalloc
 from types import SimpleNamespace
 
@@ -32,7 +33,7 @@ from sparsedom import (
     support_box,
 )
 from sparsedom import operators, sparse
-from sparsedom.cli import family_to_dict
+from sparsedom.cli import family_from_dict, family_to_json
 from sparsedom.inputs import INPUT_KINDS, make_input
 from sparsedom.maximal import oscillation
 from sparsedom.operators import LatticeTransform
@@ -523,7 +524,7 @@ def test_builder_keeps_node_sets_on_node_cubes(monkeypatch, dim, n, name, side):
     got = build_sparse_domination(k, f)
     assert {"odd_leaf", "zero_average", "outside_window"} <= set(got.ledger.flag_counts)
     monkeypatch.undo()
-    assert family_to_dict(got.family) == family_to_dict(want.family)
+    assert family_to_json(got.family) == family_to_json(want.family)
 
 
 # ---------------------------------------------------------------------------
@@ -820,11 +821,11 @@ def test_witness_runs_round_trip():
     grid = Grid(1, 32)
     f = supported_noise(grid, 47, 4, 28)
     res = build_sparse_domination(make_kernel("hilbert"), f, PipelineConfig(alpha=3))
-    for e in res.family.entries:
-        rebuilt = np.zeros(e.witness.mask.size, dtype=bool)
-        for start, length in e.witness_runs():
-            rebuilt[start:start + length] = True
-        assert np.array_equal(rebuilt.reshape(e.witness.mask.shape), e.witness.mask)
+    back = family_from_dict(json.loads(family_to_json(res.family)))
+    assert len(back.entries) == len(res.family.entries)
+    for a, e in zip(back.entries, res.family.entries):
+        assert a.witness.box == e.witness.box
+        assert np.array_equal(a.witness.mask, e.witness.mask)
 
 
 def test_config_validation():
