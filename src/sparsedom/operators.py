@@ -16,15 +16,16 @@ skipped.  Three evaluators share the kernel sampling below:
   :mod:`sparsedom.verify` has its own FFT over the window and re-sums the
   cells that decide its report through the same ``_restricted_sums``.
 * ``LatticeTransform`` serves the sparse construction of
-  :mod:`sparsedom.sparse` for every kernel.  Its one method,
-  ``dilate_transforms(start, count, side)``, gives ``T(f char_{P+})``, P+
-  the dilate by the ``alpha`` it is built with, on the cells of every
-  cube P of a block of congruent cubes.  Where the kernel has a
-  difference lattice (below) the block goes in slabs of bounded size, a
+  :mod:`sparsedom.sparse` for every kernel.  ``full()`` gives ``T f`` on
+  the window, which the cover cubes read, and ``dilate_transforms(start,
+  count, side)`` gives ``T(f char_{P+})``, P+ the dilate by the ``alpha``
+  it is built with, on the cells of every cube P of a block of congruent
+  cubes.  Where the kernel has a difference lattice (below) ``full`` is
+  one FFT over the window and a block goes in slabs of bounded size, a
   small side by direct sums against a block of lattice weights, a larger
   one by batched FFTs against a segment of the lattice; where it has none,
-  by direct sums through ``_restricted_sums``, cube by cube.  Memory is
-  linear in the cell count either way.
+  both sum directly through ``_restricted_sums``, the block cube by cube.
+  Memory is linear in the cell count either way.
 * ``RestrictedTransform`` precomputes per-target prefix sums, quadratic in
   the cell count, read in two ways: ``apply_box`` gathers one table
   difference per (target, box) query, and ``prefix_windows`` hands out
@@ -392,9 +393,13 @@ class LatticeTransform:
     """Transforms of one function restricted to dilated cubes, the sparse
     construction's transform for every kernel.
 
-    ``dilate_transforms`` gives ``T(f char_{P+})`` on the cells of every
-    cube P of a block of congruent cubes, with P+ the ``alpha`` dilate of P
-    for the ``alpha`` the transform is built with.  With a difference
+    ``full`` gives ``T f`` on the window, from one circular FFT of ``2n``
+    points per axis, or without a lattice from direct sums; a cube R with
+    ``support(f) subset alpha R``, as every cover cube has, reads its
+    transform off it.  ``dilate_transforms`` gives ``T(f char_{P+})`` on
+    the cells of every cube P of a block of congruent cubes, with P+ the
+    ``alpha`` dilate of P for the ``alpha`` the transform is built with.
+    With a difference
     lattice, a block is cut into slabs of cubes (``_slabs``) of at most
     ``_SLAB_CELLS`` points or one cube, so that a block as wide as the
     window holds no more memory at a time than one cube or one slab.  Each
@@ -437,6 +442,37 @@ class LatticeTransform:
         self._lat = _offset_lattice(kernel, grid)
         self._fft, self._ifft = ((np.fft.fftn, np.fft.ifftn) if f.is_complex
                                  else (np.fft.rfftn, np.fft.irfftn))
+
+    def full(self) -> np.ndarray:
+        """``T f`` on every window cell, window-shaped.
+
+        With a lattice, one circular FFT of ``2n`` points per axis (``rfftn``
+        halves for real f): the window's offsets satisfy ``|k| <= n - 1``,
+        so no two wrap onto one point and the circular convolution is the
+        linear one on the window.  Without one, the direct sums of
+        ``_restricted_sums`` over the window, in slabs of whole groups of
+        targets with about ``_SLAB_CELLS`` pairs each, bit for bit
+        ``apply_restricted(kernel, f)``."""
+        grid = self.grid
+        n, dim = grid.cells_per_side, grid.dim
+        if self._lat is None:
+            cells = np.argwhere(np.ones(grid.shape, dtype=bool))
+            src = self._values.ravel()
+            out = np.empty(src.shape, src.dtype)
+            rows = max(1, _SLAB_CELLS // len(cells) // _SUM_GROUP) * _SUM_GROUP
+            for i in range(0, len(cells), rows):
+                out[i:i + rows] = _restricted_sums(self.kernel, grid, cells[i:i + rows],
+                                                   cells, src)
+            return out.reshape(grid.shape)
+        size, axes = (2 * n,) * dim, tuple(range(dim))
+        k = np.arange(1 - n, n) % (2 * n)
+        seg = np.zeros(size)
+        seg[np.ix_(*[k] * dim)] = self._lat
+        seg *= grid.cell_measure
+        spec = self._fft(seg, size, axes)
+        del seg
+        spec *= self._fft(self._values, size, axes)
+        return self._ifft(spec, size, axes)[(slice(0, n),) * dim].copy()
 
     def _spectrum(self, side: int) -> np.ndarray:
         """Spectrum of the kernel segment ``K(k h) h**dim``, ``|k| <=

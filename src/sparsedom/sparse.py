@@ -16,10 +16,13 @@ grows from (or single cells of it), so their transforms and averages
 depend only on the cube, not on the node that asks.  The cover cubes of
 one side (the support box and its first ring, then each further ring)
 share a lattice, and so do their levels, so :func:`_side_levels` computes
-these once per cover side: one ``dilate_transforms(start, count, side)``
-call of :class:`~sparsedom.operators.LatticeTransform` for the side and
-one per level, over the window cells the side's cover cubes meet, and the
-power averages of every level cube as differences of the prefix table
+these once per cover side, over the window cells the side's cover cubes
+meet: their own transforms as a box of T f from one FFT over the window
+(``LatticeTransform.full``; every cover cube R has ``support(f) subset
+alpha R``, so T(f char_{R+}) is T f there), one
+``dilate_transforms(start, count, side)`` call of
+:class:`~sparsedom.operators.LatticeTransform` per level, and the power
+averages of every level cube as differences of the prefix table
 ``GridFunction.power_sat``, folded into one running maximum per side.
 Every node below reads boxes of these: its power-average statistic is a
 box of its side's running maximum, and :func:`_node_stats` takes the
@@ -32,10 +35,12 @@ keeps two arrays on its window cells, the transforms of the side and of
 each level and the running maxima of every side above one, freed when the
 pass below its cover cubes is done.  For a kernel with a difference
 lattice (every catalog kernel: those that declare translation invariance)
-a call sums the small levels directly and the others by batched FFTs,
+the window transform is one FFT of ``2n`` points per axis, and a level
+call sums the small levels directly and the others by batched FFTs,
 O(m log m) per level in 1D, in slabs of bounded size, and each cube of a
 call gets the same bits as from a call of its own; for any other kernel
-it sums each cube of the level directly through the kernel.
+both sum directly through the kernel, the window as ``apply_restricted``
+does and a level cube by cube.
 
 Cells where any statistic exceeds its threshold form the exceptional set.
 In quantile mode the thresholds are chosen as order statistics, so the
@@ -72,7 +77,7 @@ verbatim by :func:`sparsedom.verify.check_domination`.
 Globalization covers the window by the support box plus rings of
 congruent cubes around it; every cover cube R satisfies
 ``support(f) subset alpha R``, so the local bound on R already controls
-the full transform there.
+the full transform there, and R's own transform is read off T f.
 """
 
 from __future__ import annotations
@@ -260,7 +265,8 @@ class _SideLevels(NamedTuple):
     levels (:func:`_levels`).  ``transforms[i]`` holds T(f char_{P+}) on the
     window cells of the box the cover cubes meet, box-shaped from the cell
     ``origin``, each cell taking the transform of the cube P of side
-    ``sides[i]`` that holds it.  ``maxima[i]``, for every side but the
+    ``sides[i]`` that holds it; ``transforms[0]`` is T f, which is that on
+    the cells of every cover cube.  ``maxima[i]``, for every side but the
     last, holds at each of those cells the largest s-power average of f
     over P+ (normalized by its full measure) among the level cubes P below
     a cube of side ``sides[i]`` that hold the cell.  Both arrays are
@@ -280,13 +286,16 @@ def _side_levels(rt: LatticeTransform, f: GridFunction, cubes: list[Cube],
 
     Each node below a cover cube R is a dyadic subcube of R (or a single
     cell of it), so its side is R's or one of R's levels, and the cubes the
-    stopping time can select below it are level cubes of R.  One
-    ``dilate_transforms`` call for the side and one per level, over the
-    window cells of the cubes with a transform, give every transform these
-    nodes read; the power averages of each level's cubes, as differences of
-    the prefix table ``GridFunction.power_sat``, are spread to their cells
-    and folded into the running maxima ``MS_q = max(averages of level p,
-    MS_p)``, p the first level below q.
+    stopping time can select below it are level cubes of R.  Every cover
+    cube has ``support(f) subset alpha R`` (:func:`partition_cover`), so
+    T(f char_{R+}) is T f, and the side's own transforms are a box of one
+    window transform (``LatticeTransform.full``).  One
+    ``dilate_transforms`` call per level, over the window cells of the
+    cubes with a transform, gives every other transform these nodes read;
+    the power averages of each level's cubes, as differences of the prefix
+    table ``GridFunction.power_sat``, are spread to their cells and folded
+    into the running maxima ``MS_q = max(averages of level p, MS_p)``, p
+    the first level below q.
     """
     grid = f.grid
     n, dim = grid.cells_per_side, grid.dim
@@ -299,11 +308,15 @@ def _side_levels(rt: LatticeTransform, f: GridFunction, cubes: list[Cube],
     box = [(min(c[d][0] for c in clips), max(c[d][1] for c in clips))
            for d in range(dim)]
     sides = (cubes[0].side, *_levels(cubes[0].side))
+    # before the level data, so that the FFT's arrays and theirs do not meet
+    window = rt.full()
     sat = f.power_sat(s)
     shape = tuple(hi - lo for lo, hi in box)
     transforms = np.empty((len(sides),) + shape, f.values.dtype)
     maxima = np.empty((len(sides) - 1,) + shape)
-    for i, p in enumerate(sides):
+    transforms[0] = window[_box_slices(box)]
+    del window
+    for i, p in enumerate(sides[1:], 1):
         # per axis: the anchor of the first cube of side p meeting the box,
         # the number of cubes, the cells each holds, and the bounds of
         # their dilates, shaped to broadcast
@@ -318,11 +331,10 @@ def _side_levels(rt: LatticeTransform, f: GridFunction, cubes: list[Cube],
             lo.append(np.clip(plo, 0, n).reshape(along))
             hi.append(np.clip(plo + alpha * p, 0, n).reshape(along))
         rt.dilate_transforms(first, count, p, out=transforms[i])
-        if i:
-            sums = _sat_box_sums(sat, lo, hi)
-            avgs = (sums * grid.cell_measure
-                    / (alpha * p * grid.cell_width) ** dim) ** (1.0 / s)
-            maxima[i - 1] = _repeat(avgs, runs)
+        sums = _sat_box_sums(sat, lo, hi)
+        avgs = (sums * grid.cell_measure
+                / (alpha * p * grid.cell_width) ** dim) ** (1.0 / s)
+        maxima[i - 1] = _repeat(avgs, runs)
     # from the finest level up: each side's maxima take its first level's
     for i in range(len(maxima) - 2, -1, -1):
         np.maximum(maxima[i], maxima[i + 1], out=maxima[i])
@@ -827,32 +839,44 @@ def support_box(f: GridFunction) -> Cube | None:
 def _build_bytes(kernel: Kernel, f: GridFunction, alpha: int, max_side: int) -> int:
     """Bytes :func:`build_sparse_domination` allocates at its peak, kernel
     temporaries aside, for node cubes of side at most ``max_side`` (about
-    2n for the rings of an off-centre support): the lattice (without one,
-    a block of direct sums, ``_PAIR_CHUNK`` pairs or one group of targets);
-    one cover side's level data on the cells its cubes' core of three sides
-    per axis meets, a transform for the side and each level and a real
-    running maximum for each side above one; the prefix table of
-    ``|f|**s``; and the larger of what computes the level data and what
-    reads it, which a side holds one after the other: the largest
-    ``dilate_transforms`` slab, ``(alpha + 1) max_side`` FFT points per
-    axis or ``_SLAB_CELLS``, at six arrays (the box of f, the padded
-    sources, their spectrum, the segment's, the inverse, the cubes' cells),
-    or the largest batch of the node pass, ``_SLAB_CELLS`` cells or one
-    node's but no more than the side's 3**dim cover cubes hold, at two
+    n for the rings of an off-centre support, up to about 2n near a
+    corner): the lattice (without one, a block of direct sums,
+    ``_PAIR_CHUNK`` pairs or one group of targets); the prefix table of
+    ``|f|**s``; and the larger of what a cover side holds one after the
+    other.  First its window transform, one FFT of ``2n`` points per axis:
+    the real kernel segment and three arrays at the entry size (``rfftn``
+    half-spectra for real f).  Then its level data on the cells its cubes'
+    core of three sides per axis meets, a transform for the side and each
+    level and a real running maximum for each side above one, with the
+    largest of the window transform it copies, what computes the levels and
+    what reads them: the largest ``dilate_transforms`` slab, of the first
+    level below the side, ``(alpha + 1)`` times that level's side in FFT
+    points per axis or ``_SLAB_CELLS``, at six arrays (the box of f, the
+    padded sources, their spectrum, the segment's, the inverse, the cubes'
+    cells); or the largest batch of the node pass, ``_SLAB_CELLS`` cells or
+    one node's but no more than the side's 3**dim cover cubes hold, at two
     transform-sized arrays (the stacked transforms and a level's
     truncations, or the parents' transforms) and eight words per cell (flat
     indices, maxima, oscillations and their spread, magnitudes, a partition
-    copy, the masks)."""
+    copy, the masks), and for complex f the pairwise block of
+    ``maximal.oscillation`` on the largest level cube of at most 4096 cells
+    (512 rows, or as many as the cube has cells, of complex differences
+    and their moduli)."""
     n, dim = f.grid.cells_per_side, f.grid.dim
     item = 16 if f.is_complex else 8
-    levels = len(list(_levels(max_side)))
+    levels = list(_levels(max_side))
     kernel_bytes = ((2 * n - 1) ** dim if kernel.translation_invariant
                     else max(_PAIR_CHUNK, _SUM_GROUP * n**dim)) * 8
-    slab = 6 * max(((alpha + 1) * max_side) ** dim, _SLAB_CELLS) * item
+    window = (8 + 3 * item) * (2 * n) ** dim if kernel.translation_invariant else 0
+    first = levels[0] if levels else 0
+    slab = 6 * max(((alpha + 1) * first) ** dim, _SLAB_CELLS) * item
     batch = (2 * item + 64) * min(max(max_side**dim, _SLAB_CELLS), (3 * max_side) ** dim)
-    return (kernel_bytes + max(slab, batch)
-            + ((levels + 1) * item + levels * 8) * min(3 * max_side, n) ** dim
-            + (n + 1) ** dim * 8)
+    if f.is_complex:
+        cells = min(first**dim, 4096)
+        batch += 24 * min(cells, 512) * cells
+    kept = ((len(levels) + 1) * item + len(levels) * 8) * min(3 * max_side, n) ** dim
+    return (kernel_bytes + (n + 1) ** dim * 8
+            + max(window, kept + max(n**dim * item, slab, batch)))
 
 
 def build_sparse_domination(kernel: Kernel, f: GridFunction,

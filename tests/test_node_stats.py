@@ -5,7 +5,10 @@ can select below the node: dyadic halves while the side is even, single
 cells below an odd side.  It does so in one vectorized pass per level.
 The reference below walks those cubes one by one and computes every
 truncated transform by ``apply_restricted``, from the cube's window
-cells as targets to its dilate's as sources, one call per cube.
+cells as targets to its dilate's as sources, one call per cube.  A cover
+cube's dilate holds the support of f, so the builder reads its transform
+off T f on the window, and the reference reads it off ``apply_restricted``
+over the whole window.
 
 Each comparison runs on both paths of the builder's transform.  On the
 direct path (the same kernels with ``translation_invariant=False``) the
@@ -21,6 +24,7 @@ FFT reads rounding at the scale of the node's sums, not 0.
 import dataclasses
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -80,13 +84,16 @@ def box_sum(sat, bounds):
     return sat[hi0, hi1] - sat[lo0, hi1] - sat[hi0, lo1] + sat[lo0, lo1]
 
 
-def reference_stats(kernel, f, cube, qs, s):
+def reference_stats(kernel, f, cube, qs, s, outer=None):
+    """The node statistics of ``cube`` with dilate ``qs``; ``outer`` is
+    T(f char_{qs}) on the window where the caller has it."""
     grid = f.grid
     alpha = qs.side // cube.side
     clip = cube.window_clip(grid)
     sl = tuple(slice(lo, hi) for lo, hi in clip)
     shape = tuple(hi - lo for lo, hi in clip)
-    outer = apply_restricted(kernel, f, targets=cube, source=qs).values
+    if outer is None:
+        outer = apply_restricted(kernel, f, targets=cube, source=qs).values
     sat = f.power_sat(s)
     ms = np.zeros(shape)
     osc = np.zeros(shape)
@@ -127,6 +134,8 @@ def compare_every_node(monkeypatch, kernel, f, cfg):
             run_kernel = dataclasses.replace(kernel, translation_invariant=False)
         else:
             run_kernel = kernel
+        cover = sparse.partition_cover(f.grid, sparse.support_box(f), cfg.alpha)
+        whole = apply_restricted(run_kernel, f).values
 
         def on_path(rt, f_, roots, s):
             assert (rt._lat is None) == (path == "direct")
@@ -139,7 +148,8 @@ def compare_every_node(monkeypatch, kernel, f, cfg):
             assert all(len(g) == len(cubes) for g in got)
             for i, cube in enumerate(cubes):
                 qs = dilate(cube, cfg.alpha)
-                want = reference_stats(run_kernel, f, cube, qs, cfg.s)
+                want = reference_stats(run_kernel, f, cube, qs, cfg.s,
+                                       whole if cube in cover else None)
                 for label, g, w in zip(("outer", "ms", "osc"), got, want, strict=True):
                     where = (path, cube, label)
                     g = g[i]
@@ -303,6 +313,63 @@ def test_multi_ring_covers_match_reference(monkeypatch, dim, n, name, s,
     assert build_sparse_domination(k, f, cfg).ledger.flag_counts.get("odd_leaf", 0) > 0
 
 
+@pytest.mark.parametrize("dim,n,name,where,complex_values", [
+    (1, 256, "hilbert", "centred", False),
+    (1, 256, "dini_stress", "centred", False),
+    (1, 256, "hilbert", "corner", True),
+    (1, 256, "dini_stress", "corner", False),
+    (2, 32, "riesz2d", "centred", True),
+    (2, 32, "riesz2d", "corner", False),
+])
+@pytest.mark.parametrize("lattice", [True, False])
+def test_cover_transforms_from_the_window_match_each_cubes_own(dim, n, name, where,
+                                                                complex_values, lattice):
+    # every cover cube R holds the support of f in alpha R, so its level-0
+    # transform, a box of T f on the window, is T(f char_{R+}): within the
+    # FFT rounding of the verifier's delta form (both FFTs) of the cube's
+    # own dilate_transforms, and without a lattice bit for bit
+    # apply_restricted over the window
+    grid = Grid(dim, n)
+    g = np.random.Generator(np.random.Philox(3))
+    if where == "centred":
+        vals = make_input(grid, "random", seed=5).values
+    else:
+        vals = np.zeros(grid.shape)
+        vals[(slice(0, 4),) * dim] = g.random((4,) * dim) + 0.25
+    if complex_values:
+        vals = vals * np.exp(2j * np.pi * g.random(grid.shape))
+    f = GridFunction(grid, vals)
+    kernel = make_kernel(name, grid)
+    lat = operators._offset_lattice(kernel, grid)
+    if not lattice:
+        kernel = dataclasses.replace(kernel, translation_invariant=False)
+    cover = sparse.partition_cover(grid, sparse.support_box(f), 3)
+    rt = operators.LatticeTransform(kernel, f, 3)
+    whole = apply_restricted(kernel, f).values
+    checked = []
+    for side, group in itertools.groupby(cover, key=lambda c: c.side):
+        group = list(group)
+        levels = sparse._side_levels(rt, f, group, 1.0)
+        points = max(2 * n, 4 * side) ** dim
+        delta = (2 * 16 * np.finfo(float).eps * math.log2(points) * np.abs(lat).sum()
+                 * grid.cell_measure * np.abs(vals).max())
+        for cube in group:
+            clip = cube.window_clip(grid)
+            if clip is None:
+                continue
+            got = levels.transforms[0][sparse._box_slices(clip, levels.origin)]
+            own = rt.dilate_transforms(cube.anchor, (1,) * dim, side)
+            assert got.dtype == own.dtype and got.shape == own.shape
+            assert np.abs(got - own).max() <= delta, (cube, np.abs(got - own).max(), delta)
+            if not lattice:
+                assert got.tobytes() == whole[sparse._box_slices(clip)].tobytes()
+            checked.append(side)
+    assert len(checked) > 2
+    if where == "corner":
+        # the ring sides outgrow the window
+        assert max(checked) > n
+
+
 def test_level_runs_match_the_diff_form():
     for lo, hi in itertools.combinations(range(-3, 20), 2):
         cells = np.arange(lo, hi)
@@ -324,20 +391,28 @@ def test_only_cover_cubes_call_the_transform(monkeypatch, dim, n, name):
     cover = sparse.partition_cover(grid, sparse.support_box(f), cfg.alpha)
     with_transform = [r for r in cover if r.window_clip(grid) is not None
                       and avg_p(f, dilate(r, cfg.alpha), cfg.s) > 0]
-    calls = []
+    calls, windows = [], []
     dilate_transforms = operators.LatticeTransform.dilate_transforms
+    full = operators.LatticeTransform.full
 
     def counted(self, start, count, side, **kwargs):
         calls.append(side)
         return dilate_transforms(self, start, count, side, **kwargs)
 
+    def counted_full(self):
+        windows.append(self)
+        return full(self)
+
     monkeypatch.setattr(operators.LatticeTransform, "dilate_transforms", counted)
+    monkeypatch.setattr(operators.LatticeTransform, "full", counted_full)
     res = build_sparse_domination(make_kernel(name, grid), f, cfg)
     assert len(with_transform) > 1 and len(res.records) > 2 * len(cover)
-    # one call for each side of the cover cubes with a transform, and one
-    # for each of its levels
-    assert len(calls) == sum(1 + len(list(sparse._levels(side)))
-                             for side in {r.side for r in with_transform})
+    # for each side of the cover cubes with a transform one window
+    # transform, which it reads its own transforms off, and one call for
+    # each of its levels
+    sides = {r.side for r in with_transform}
+    assert len(windows) == len(sides)
+    assert sorted(calls) == sorted(p for side in sides for p in sparse._levels(side))
 
 
 def test_builder_sweeps_no_lattice_cube(monkeypatch):

@@ -807,9 +807,10 @@ def test_table_refused_before_allocation(monkeypatch):
 def test_lattice_run_estimate_counts_padding_batch_lattice_and_pairs():
     # the build's estimate, 1D N = 64 at alpha 3, nodes of side N: the
     # lattice, a slab of 6 arrays of 2**16 points (more than one cube's
-    # 4N), a cover side's 7 kept transforms (itself and levels 32 .. 1) and
-    # 6 running maxima (sides 64 .. 2) on N cells, the prefix table of
-    # |f|**s; the verifier's arrays are its own estimate's
+    # 4 * 32 of the first level), a cover side's 7 kept transforms (itself
+    # and levels 32 .. 1) and 6 running maxima (sides 64 .. 2) on N cells,
+    # the prefix table of |f|**s; the verifier's arrays are its own
+    # estimate's
     def build_bytes(grid, side, is_complex=False, kernel=make_kernel("hilbert")):
         f = GridFunction(grid, np.ones(grid.shape, complex if is_complex else float))
         return sparse._build_bytes(kernel, f, 3, side)
@@ -831,10 +832,30 @@ def test_lattice_run_estimate_counts_padding_batch_lattice_and_pairs():
     # cell, outgrows the slab; 15 transforms and 14 maxima
     assert build_bytes(Grid(1, 16384), 16384) == (
         (32767 + 16385 + 29 * 16384) * 8 + 80 * 49152)
-    # 2D n = 128: about 15 MB
-    big = build_bytes(Grid(2, 128), 128, kernel=make_kernel("riesz2d"))
-    assert big == (255**2 + 6 * 512**2 + (8 + 7) * 128**2 + 129**2) * 8
-    assert big < operators._table_bytes(Grid(2, 128), False, True) / 75
+    # 2D n = 128, nodes of side n: the first level's slab, 6 arrays of
+    # (4 * 64)**2 = 2**16 points, is below the node pass's batch of 2**16
+    # cells at 10 words a cell; about 8 MB
+    riesz = make_kernel("riesz2d")
+    big = build_bytes(Grid(2, 128), 128, kernel=riesz)
+    assert big == (255**2 + (8 + 7) * 128**2 + 129**2) * 8 + 80 * 2**16
+    assert big < operators._table_bytes(Grid(2, 128), False, True) / 250
+    # at 2D n = 2048 the first level's slab, 6 arrays of (4 * 512)**2
+    # points, outgrows the batch, next to 11 transforms and 10 maxima
+    assert build_bytes(Grid(2, 2048), 1024, kernel=riesz) == (
+        (4095**2 + 6 * 2048**2 + 21 * 2048**2 + 2049**2) * 8)
+    # a complex f at 2D n = 128, nodes of side 64: the batch of 36864
+    # cells (the 9 cover cubes) at 2 complex transforms and 8 words a
+    # cell, and the pairwise block of an oscillation on a level cube of
+    # 32**2 cells, 512 rows of complex differences and their moduli
+    assert build_bytes(Grid(2, 128), 64, True, riesz) == (
+        (255**2 + 129**2 + 6 * 128**2) * 8 + 7 * 128**2 * 16
+        + 96 * 192**2 + 24 * 512 * 32**2)
+    # one cell in the corner of 2D n = 1024: the ring sides are odd (up to
+    # 729), so a side keeps 2 transforms and 1 maximum and its levels are
+    # single cells; the window transform, the kernel segment and 3 arrays
+    # of 2048**2 points, is the largest phase
+    assert build_bytes(Grid(2, 1024), 729, kernel=riesz) == (
+        (2047**2 + 1025**2) * 8 + (8 + 3 * 8) * 2048**2)
     # the domination check's: the lattice and its reversed copy, its FFT at
     # 3 complex arrays of 2n points per axis, and all N**2 pairs in one
     # real block (also for a complex input, whose parts it multiplies in
@@ -929,6 +950,34 @@ def test_lattice_run_estimate_holds_for_the_kept_levels(monkeypatch, dim, n, nam
     assert build_peak <= sparse._build_bytes(k, f, 3, side)
     report, check_peak = _traced_peak(lambda: check_domination(k, f, res.family))
     assert report.passed and check_peak <= verify._domination_bytes(grid)
+
+
+def test_lattice_run_estimate_holds_for_complex_node_batches(monkeypatch):
+    # a random phase on 2D riesz2d n = 128: the nodes of side 64 take the
+    # diameters of their level cubes' complex values, pairwise in blocks of
+    # 512 rows against up to 32**2 values; traced through each batch of the
+    # node pass, and over the whole build, the build stays inside its
+    # estimate
+    grid = Grid(2, 128)
+    vals = make_input(grid, "random", seed=7).values
+    f = GridFunction(grid, vals * np.exp(2j * np.pi * rng(7).random(grid.shape)))
+    k = make_kernel("riesz2d", grid)
+    side = max(c.side for c in sparse.partition_cover(grid, sparse.support_box(f), 3))
+    assert side == 64
+    node_batch, peaks = sparse._node_batch, []
+
+    def traced(*args):
+        tracemalloc.reset_peak()
+        out = node_batch(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return out
+
+    monkeypatch.setattr(sparse, "_node_batch", traced)
+    _, build_peak = _traced_peak(lambda: sparse.build_sparse_domination(k, f))
+    need = sparse._build_bytes(k, f, 3, side)
+    # the blocks of the first level's diameters alone are 12.6 MB
+    assert max(peaks) > 24 * 512 * 32**2
+    assert max(peaks) <= need and build_peak <= need
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),

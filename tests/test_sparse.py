@@ -61,19 +61,37 @@ def sparse_sum(family):
     return out
 
 
+def on_dilate(f, cube, alpha):
+    """f char_{alpha cube}.  The builder reads a cover cube R's transform
+    off T f, which is T(f char_{alpha R}) because every cover cube has
+    support(f) inside alpha R.  This function has its support inside
+    alpha cube, and it equals f on alpha P for every P inside the cube, so
+    no statistic below the cube changes."""
+    vals = np.zeros_like(f.values)
+    clip = dilate(cube, alpha).window_clip(f.grid)
+    if clip is not None:
+        on = tuple(slice(lo, hi) for lo, hi in clip)
+        vals[on] = f.values[on]
+    return GridFunction(f.grid, vals)
+
+
 def builder_transform(kernel, f, config):
     """The transform the pipeline builds for this kernel and grid."""
     return LatticeTransform(kernel, f, config.alpha)
 
 
-def node_exceptional(kernel, f, cube, **config):
+def node_exceptional(kernel, f, cube, root=None, **config):
     """Exceptional set of one node with a nonzero average and window cells,
-    as the pipeline computes it: a batch of one node."""
+    as the pipeline computes it: a batch of one node, read from the level
+    data of ``root``, the cube it grows from (by default itself), built on
+    f char_{alpha root}."""
     cfg = PipelineConfig(**config)
-    rt = builder_transform(kernel, f, cfg)
-    avg = avg_p(f, dilate(cube, cfg.alpha), cfg.s)
+    root = root or cube
+    g = on_dilate(f, root, cfg.alpha)
+    rt = builder_transform(kernel, g, cfg)
+    avg = avg_p(g, dilate(cube, cfg.alpha), cfg.s)
     assert avg > 0 and cube.window_clip(f.grid) is not None
-    exc = sparse._exceptional(sparse._side_levels(rt, f, [cube], cfg.s), f.grid,
+    exc = sparse._exceptional(sparse._side_levels(rt, g, [root], cfg.s), f.grid,
                               [cube], np.array([avg]), cfg)
     tau_t, tau_ms, tau_osc = exc.thresholds[:, 0].tolist()
     return SimpleNamespace(
@@ -84,12 +102,18 @@ def node_exceptional(kernel, f, cube, **config):
         transform=exc.transform[0])
 
 
+def root_of(cover, cube):
+    """The cover cube a node cube grows from: the cubes of a cover tile."""
+    return next(r for r in cover if r.contains(cube))
+
+
 def local_family(kernel, f, root, config=PipelineConfig()):
     """Entries and records of the recursion tree the pipeline grows from
-    one root cube."""
-    rt = builder_transform(kernel, f, config)
-    return sparse._side_pass(sparse._side_levels(rt, f, [root], config.s), f, [root],
-                             config)
+    one root cube, built on f char_{alpha root} (as :func:`on_dilate`)."""
+    g = on_dilate(f, root, config.alpha)
+    rt = builder_transform(kernel, g, config)
+    return sparse._side_pass(sparse._side_levels(rt, g, [root], config.s), g,
+                             [root], config)
 
 
 def witness_canvas(family):
@@ -544,6 +568,7 @@ def analytic_edge_check(kernel, f, cfg):
     """
     res = build_sparse_domination(kernel, f, cfg)
     grid = f.grid
+    cover = partition_cover(grid, support_box(f), cfg.alpha)
     nodes = {}
 
     def node(q):
@@ -551,7 +576,8 @@ def analytic_edge_check(kernel, f, cfg):
             # a child with a zero average has no statistics, and a = 0
             exc, t_exceed, a = None, np.zeros(grid.shape, dtype=bool), 0.0
             if avg_p(f, dilate(q, cfg.alpha), cfg.s) > 0:
-                exc = node_exceptional(kernel, f, q, **dataclasses.asdict(cfg))
+                exc = node_exceptional(kernel, f, q, root_of(cover, q),
+                                       **dataclasses.asdict(cfg))
                 sl = tuple(slice(lo, hi) for lo, hi in q.window_clip(grid))
                 t_exceed[sl] = np.abs(exc.transform) > exc.tau_t
                 a = max(exc.tau_t, exc.tau_osc) / exc.avg
@@ -696,11 +722,13 @@ def test_records_carry_exceed_counts_and_ledger_sums_them(kname, dim, n):
         for kind in INPUT_KINDS:
             f = make_input(grid, kind, seed=13)
             res = build_sparse_domination(k, f, cfg)
+            cover = partition_cover(grid, support_box(f), cfg.alpha)
             sums = {}
             for rec in res.records:
                 # each node counts as in a batch of its own
                 if rec.avg > 0 and rec.cube.window_clip(grid) is not None:
-                    exc = node_exceptional(k, f, rec.cube, **dataclasses.asdict(cfg))
+                    exc = node_exceptional(k, f, rec.cube, root_of(cover, rec.cube),
+                                           **dataclasses.asdict(cfg))
                     assert rec.exceed_counts == exc.exceed_counts
                 else:
                     assert rec.exceed_counts == (0, 0, 0)
