@@ -37,7 +37,6 @@ from .operators import (
     HormanderEstimate,
     Kernel,
     apply_restricted,
-    dini_constant,
     dini_profile,
     hormander_constant,
     make_kernel,

@@ -38,7 +38,7 @@ class UndefinedRatioError(SparsedomError, ZeroDivisionError):
 
 
 class NumericError(SparsedomError, ArithmeticError):
-    """A numeric evaluation produced a non-finite value."""
+    """A numeric evaluation failed: a non-finite value, an underflow or a broken invariant."""
 
 
 class ConfigError(SparsedomError, ValueError):

@@ -131,18 +131,9 @@ class Cube:
         """Half-open integer bounds ``[lo, hi)`` per axis."""
         return tuple((a, a + self.side) for a in self.anchor)
 
-    def contains_cell(self, cell: Sequence[int]) -> bool:
-        return all(a <= c < a + self.side for a, c in zip(self.anchor, cell))
-
     def contains(self, other: "Cube") -> bool:
         return all(
             a <= b and b + other.side <= a + self.side
-            for a, b in zip(self.anchor, other.anchor)
-        )
-
-    def intersects(self, other: "Cube") -> bool:
-        return all(
-            max(a, b) < min(a + self.side, b + other.side)
             for a, b in zip(self.anchor, other.anchor)
         )
 
@@ -277,16 +268,6 @@ class GridFunction:
         self.values = values
         self._power_sats: dict[float, np.ndarray] = {}
 
-    @classmethod
-    def zero(cls, grid: Grid) -> "GridFunction":
-        return cls(grid, np.zeros(grid.shape))
-
-    @classmethod
-    def indicator(cls, grid: Grid, cells: CellSet | Cube) -> "GridFunction":
-        if isinstance(cells, Cube):
-            cells = CellSet.from_cube(grid, cells)
-        return cls(grid, cells.window_mask().astype(np.float64))
-
     @property
     def is_complex(self) -> bool:
         return np.iscomplexobj(self.values)
@@ -325,17 +306,8 @@ class CellSet:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def empty(cls, grid: Grid, box: Cube | None = None) -> "CellSet":
-        box = box or grid.window_cube()
-        return cls(grid, box, np.zeros((box.side,) * grid.dim, dtype=bool))
-
-    @classmethod
     def from_cube(cls, grid: Grid, cube: Cube) -> "CellSet":
         return cls(grid, cube, np.ones((cube.side,) * grid.dim, dtype=bool))
-
-    @classmethod
-    def from_window_mask(cls, grid: Grid, mask: np.ndarray) -> "CellSet":
-        return cls(grid, grid.window_cube(), mask)
 
     @classmethod
     def cube_minus_cubes(cls, grid: Grid, cube: Cube, holes: Sequence[Cube]) -> "CellSet":
@@ -347,17 +319,11 @@ class CellSet:
                 out.mask[_box_slices(clip, cube.anchor)] = False
         return out
 
-    # -- measure and queries ------------------------------------------
+    # -- queries ------------------------------------------------------
 
     @property
     def count(self) -> int:
         return int(self.mask.sum())
-
-    def measure(self) -> float:
-        return self.count * self.grid.cell_measure
-
-    def is_empty(self) -> bool:
-        return not self.mask.any()
 
     def count_in(self, cube: Cube) -> int:
         """Number of member cells inside ``cube`` (exact integer)."""
@@ -385,14 +351,6 @@ class CellSet:
             return np.zeros((0, self.grid.dim), dtype=np.intp)
         return (np.argwhere(self.mask[_box_slices(clip, self.box.anchor)])
                 + [lo for lo, _ in clip])
-
-    def member_cells(self) -> np.ndarray:
-        """Integer coordinates of all member cells (window or not), shape (k, dim)."""
-        idx = np.argwhere(self.mask)
-        return idx + np.asarray(self.box.anchor)
-
-    def subset_of_cube(self, cube: Cube) -> bool:
-        return self.count_in(cube) == self.count
 
     def intersects(self, other: "CellSet") -> bool:
         clip = self.box.clip(other.box)

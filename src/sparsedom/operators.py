@@ -66,7 +66,6 @@ __all__ = [
     "Kernel",
     "apply_restricted",
     "transpose_kernel",
-    "dini_constant",
     "dini_profile",
     "HormanderEstimate",
     "hormander_constant",
@@ -120,6 +119,12 @@ def transpose_kernel(kernel: Kernel) -> Kernel:
         hormander_r=None,
         translation_invariant=kernel.translation_invariant,
     )
+
+
+def _check_dims(kernel: Kernel, grid: Grid) -> None:
+    """Raise ParameterError unless the kernel and the grid share a dimension."""
+    if kernel.dim != grid.dim:
+        raise ParameterError(f"kernel dim {kernel.dim} != grid dim {grid.dim}")
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +290,7 @@ def apply_restricted(kernel: Kernel, f: GridFunction,
     sampling is shared with the table and the FFT transforms.
     """
     grid = f.grid
-    if kernel.dim != grid.dim:
-        raise ParameterError(f"kernel dim {kernel.dim} != grid dim {grid.dim}")
+    _check_dims(kernel, grid)
     if targets is None:
         targets = grid.window_cube()
     if source is None:
@@ -432,8 +436,7 @@ class LatticeTransform:
 
     def __init__(self, kernel: Kernel, f: GridFunction, alpha: int):
         grid = f.grid
-        if kernel.dim != grid.dim:
-            raise ParameterError(f"kernel dim {kernel.dim} != grid dim {grid.dim}")
+        _check_dims(kernel, grid)
         self.kernel = kernel
         self.grid = grid
         self.alpha = alpha
@@ -638,8 +641,7 @@ class RestrictedTransform:
 
     def __init__(self, kernel: Kernel, f: GridFunction):
         grid = f.grid
-        if kernel.dim != grid.dim:
-            raise ParameterError(f"kernel dim {kernel.dim} != grid dim {grid.dim}")
+        _check_dims(kernel, grid)
         _refuse_beyond_memory(
             f"the transform table of a {grid.dim}D grid with "
             f"{grid.cells_per_side} cells per side",
@@ -759,8 +761,9 @@ def dini_profile(omega: Callable[[np.ndarray], np.ndarray], n_nodes: int = 4096)
     }
 
 
-def dini_constant(omega: Callable[[np.ndarray], np.ndarray], n_nodes: int = 4096) -> float:
-    return dini_profile(omega, n_nodes=n_nodes)["value"]
+# annuli per cube of ``hormander_constant``, and the cells above which one is coarsened
+_HORMANDER_K_MAX = 16
+_ANNULUS_CELL_CAP = 2**14
 
 
 @dataclass(frozen=True)
@@ -779,18 +782,17 @@ def _stratified_indices(n: int, k: int) -> np.ndarray:
     return np.unique(((np.arange(k) + 0.5) * n / k).astype(int))
 
 
-def _annulus_centers(grid: Grid, outer: Cube, inner: Cube,
-                     cell_cap: int) -> tuple[np.ndarray, float, bool]:
+def _annulus_centers(grid: Grid, outer: Cube, inner: Cube) -> tuple[np.ndarray, float, bool]:
     """Cell or supercell centers tiling ``outer minus inner`` exactly.
 
-    Coarsens to aligned supercells when the annulus exceeds ``cell_cap``
+    Coarsens to aligned supercells when the annulus exceeds ``_ANNULUS_CELL_CAP``
     cells; returns (centers, per-sample measure, coarsened flag).
     """
     dim = grid.dim
     count = outer.cell_count - inner.cell_count
     c = 1
     max_c = inner.side // (outer.side // inner.side)  # keeps lattices aligned
-    while count // (c**dim) > cell_cap and 2 * c <= max(1, max_c):
+    while count // (c**dim) > _ANNULUS_CELL_CAP and 2 * c <= max(1, max_c):
         c *= 2
     axes = [a + c * np.arange(outer.side // c) + c / 2.0 for a in outer.anchor]
     coords = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
@@ -808,25 +810,23 @@ def _even_dilate(cube: Cube, factor: int) -> Cube:
     return Cube(tuple(a - shift for a in cube.anchor), cube.side * factor)
 
 
-def hormander_constant(kernel: Kernel, r: float, grid: Grid, k_max: int = 16,
-                       cell_cap: int = 2**14) -> HormanderEstimate:
+def hormander_constant(kernel: Kernel, r: float, grid: Grid) -> HormanderEstimate:
     """Empirical integral-smoothness constant over a deterministic sample.
 
     For sampled cubes Q and cell pairs x, x' in the concentric half cube,
     sums ``|2^k Q|^(1/r') * ||K(x,.) - K(x',.)||_{L^r(annulus k)}`` over
-    k = 1..k_max and reports the maximum, together with the last annulus
-    term of the maximizing sum as a truncation tail estimate.
+    k = 1..``_HORMANDER_K_MAX`` and reports the maximum, together with the
+    last annulus term of the maximizing sum as a truncation tail estimate.
 
-    Annuli live in physical space and may extend far beyond the window;
-    beyond ``cell_cap`` cells they are integrated on an aligned supercell
+    Annuli live in physical space and may extend far beyond the window; beyond
+    ``_ANNULUS_CELL_CAP`` cells they are integrated on an aligned supercell
     lattice (midpoint rule), which is recorded in the ``coarsened`` flag.
     Sampled sides start at 4 so the half cube stays lattice-anchored.
     """
     if not (r >= 1):
         raise ParameterError(f"exponent r must be >= 1, got {r}")
-    if kernel.dim != grid.dim:
-        raise ParameterError(f"kernel dim {kernel.dim} != grid dim {grid.dim}")
-    n = grid.cells_per_side
+    _check_dims(kernel, grid)
+    n, k_max = grid.cells_per_side, _HORMANDER_K_MAX
     sides = [s for s in (4 << i for i in range(32)) if s <= max(4, n // 4)]
     best_total = 0.0
     best_tail = 0.0
@@ -850,7 +850,7 @@ def hormander_constant(kernel: Kernel, r: float, grid: Grid, k_max: int = 16,
             for k in range(1, k_max + 1):
                 outer = _even_dilate(q, 2**k)
                 inner = _even_dilate(q, 2 ** (k - 1)) if k > 1 else q
-                centers, meas, coarse = _annulus_centers(grid, outer, inner, cell_cap)
+                centers, meas, coarse = _annulus_centers(grid, outer, inner)
                 coarsened = coarsened or coarse
                 with np.errstate(divide="ignore", invalid="ignore"):
                     rows = np.asarray(kernel.fn(pts[:, None, :], centers[None, :, :]),

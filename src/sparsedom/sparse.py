@@ -69,7 +69,9 @@ stopping time selects its children.
 Every coefficient is read from the level data, in units of the node
 average: a node's is the largest ``|T(f char_{Q+})|`` on its witness, an
 edge's the largest ``|T(f char_{Q+}) - T(f char_{P+})|`` on the child P
-(whose transform counts as 0 where its average is 0).
+(whose transform counts as 0 where its average is 0).  An average is 0
+only where f vanishes on the node's dilate; one that underflows to 0 over
+a nonzero f raises NumericError (:func:`_skipped_node`).
 Telescoping along the tree bounds ``|T f|`` on every witness by the
 largest coefficient times the sparse sum; that constant is checked
 verbatim by :func:`sparsedom.verify.check_domination`.
@@ -105,7 +107,7 @@ from .grid import (
 )
 from .maximal import oscillation
 from .operators import (_PAIR_CHUNK, _SLAB_CELLS, _SUM_GROUP, Kernel, LatticeTransform,
-                        _refuse_beyond_memory)
+                        _check_dims, _refuse_beyond_memory)
 
 __all__ = [
     "PipelineConfig",
@@ -282,7 +284,7 @@ class _SideLevels(NamedTuple):
 def _side_levels(rt: LatticeTransform, f: GridFunction, cubes: list[Cube],
                  s: float) -> _SideLevels | None:
     """The level data of cover cubes of one side, or None where none of
-    them has a transform (a zero average or no window cells).
+    them has window cells; the builder passes those with a nonzero average.
 
     Each node below a cover cube R is a dyadic subcube of R (or a single
     cell of it), so its side is R's or one of R's levels, and the cubes the
@@ -301,8 +303,7 @@ def _side_levels(rt: LatticeTransform, f: GridFunction, cubes: list[Cube],
     n, dim = grid.cells_per_side, grid.dim
     alpha = rt.alpha
     shift = (alpha - 1) // 2
-    clips = [clip for clip, cube in ((c.window_clip(grid), c) for c in cubes)
-             if clip is not None and avg_p(f, dilate(cube, alpha), s) != 0.0]
+    clips = [clip for clip in (c.window_clip(grid) for c in cubes) if clip is not None]
     if not clips:
         return None
     box = [(min(c[d][0] for c in clips), max(c[d][1] for c in clips))
@@ -624,12 +625,19 @@ class _Node(NamedTuple):
     parent: NodeRecord | None
 
 
-def _skipped_node(levels: _SideLevels | None, grid: Grid, node: _Node,
+def _skipped_node(levels: _SideLevels | None, f: GridFunction, node: _Node,
                   avg: float, depth: int, cfg: PipelineConfig):
     """The entry and record of a node with a zero average or no window
     cells: no exceptional set, its whole cube as witness, and an edge from
-    its parent that counts its transform as 0."""
-    q = node.cube
+    its parent that counts its transform as 0.  An average of 0 is a zero
+    average only where f vanishes on the window cells of the node's dilate;
+    one that underflowed to 0 over a nonzero f raises NumericError."""
+    q, grid = node.cube, f.grid
+    if avg == 0.0:
+        plus = dilate(q, cfg.alpha).window_clip(grid)
+        if plus is not None and f.values[_box_slices(plus)].any():
+            raise NumericError(f"the s = {cfg.s} average of f over the dilate of node {q} "
+                               "underflows to 0, though f does not vanish there")
     clip = q.window_clip(grid)
     flags = tuple(name for name, skip in (("zero_average", avg == 0.0),
                                           ("outside_window", clip is None)) if skip)
@@ -731,12 +739,12 @@ def _node_batch(levels: _SideLevels, grid: Grid, nodes: list[_Node],
             for j, (child, i) in enumerate(zip(children, owner.tolist()))]
 
 
-def _side_pass(levels: _SideLevels | None, f: GridFunction, roots: list[Cube],
+def _side_pass(rt: LatticeTransform, f: GridFunction, roots: list[Cube],
                cfg: PipelineConfig) -> tuple[list[SparseEntry], list[NodeRecord]]:
     """The entries and records of the recursion trees below the cover cubes
-    of one side, ``roots``, reading every node's statistics from their
-    ``levels``, in depth-first preorder (each node's children in
-    stopping-time order).
+    of one side, ``roots``, reading every node's statistics from the level
+    data of those with a nonzero average (:func:`_side_levels`), in
+    depth-first preorder (each node's children in stopping-time order).
 
     The trees grow a depth at a time.  Each node's coefficient is an
     :func:`avg_p`, a direct sum; the nodes of one depth with a nonzero
@@ -747,17 +755,18 @@ def _side_pass(levels: _SideLevels | None, f: GridFunction, roots: list[Cube],
     gives the preorder.
     """
     grid = f.grid
+    averages = [avg_p(f, dilate(root, cfg.alpha), cfg.s) for root in roots]
+    levels = _side_levels(rt, f, [r for r, a in zip(roots, averages) if a != 0.0], cfg.s)
     done: list = []
     frontier = [_Node(root, (i,), None) for i, root in enumerate(roots)]
     depth = 0
     while frontier:
         groups: dict = {}
-        for node in frontier:
+        for node, avg in zip(frontier, averages):
             q = node.cube
-            avg = avg_p(f, dilate(q, cfg.alpha), cfg.s)
             clip = q.window_clip(grid)
             if avg == 0.0 or clip is None:
-                entry, record = _skipped_node(levels, grid, node, avg, depth, cfg)
+                entry, record = _skipped_node(levels, f, node, avg, depth, cfg)
                 done.append((node.path, entry, record))
                 continue
             key = (q.side, tuple((lo - a, hi - lo) for (lo, hi), a in zip(clip, q.anchor)))
@@ -770,6 +779,7 @@ def _side_pass(levels: _SideLevels | None, f: GridFunction, roots: list[Cube],
             for j in range(0, len(nodes), per):
                 frontier += _node_batch(levels, grid, nodes[j:j + per], avgs[j:j + per],
                                         depth, cfg, done)
+        averages = [avg_p(f, dilate(node.cube, cfg.alpha), cfg.s) for node in frontier]
         depth += 1
     done.sort(key=lambda item: item[0])
     return [entry for _, entry, _ in done], [record for _, _, record in done]
@@ -894,8 +904,7 @@ def build_sparse_domination(kernel: Kernel, f: GridFunction,
     """
     cfg = config or PipelineConfig()
     grid = f.grid
-    if kernel.dim != grid.dim:
-        raise ParameterError(f"kernel dim {kernel.dim} != grid dim {grid.dim}")
+    _check_dims(kernel, grid)
     eta = cfg.eta(grid.dim)
     supp = support_box(f)
     if supp is None:
@@ -921,12 +930,9 @@ def build_sparse_domination(kernel: Kernel, f: GridFunction,
     records: list[NodeRecord] = []
     # the cover cubes of one side come in a run and share their level data
     for _, roots in itertools.groupby(cover, key=lambda c: c.side):
-        roots = list(roots)
-        levels = _side_levels(rt, f, roots, cfg.s)
-        side_entries, side_records = _side_pass(levels, f, roots, cfg)
+        side_entries, side_records = _side_pass(rt, f, list(roots), cfg)
         entries += side_entries
         records += side_records
-        del levels
 
     final_c = constant_from_records(records)
     source = None

@@ -27,6 +27,7 @@ from .operators import (
     _PAIR_CHUNK,
     _SUM_GROUP,
     Kernel,
+    _check_dims,
     _offset_lattice,
     _refuse_beyond_memory,
     _restricted_sums,
@@ -147,14 +148,12 @@ def sparse_operator(family: SparseFamily, f: GridFunction,
     return GridFunction(family.grid, _paint_coefficients(family, coeffs))
 
 
-def audit_coefficients(family: SparseFamily, f: GridFunction,
-                       r: float | None = None) -> float:
+def audit_coefficients(family: SparseFamily, f: GridFunction) -> float:
     """Largest absolute gap between stored coefficients and freshly
-    recomputed r-power averages of ``f`` (r defaults to the family's
-    build exponent); inf where a gap is NaN."""
-    if r is None:
-        r = float(family.meta.get("s", 1.0))
-    gaps = [abs(e.coefficient - avg_p(f, e.cube, r)) for e in family.entries]
+    recomputed s-power averages of ``f``, s the family's build exponent (1
+    where it states none); inf where a gap is NaN."""
+    s = float(family.meta.get("s", 1.0))
+    gaps = [abs(e.coefficient - avg_p(f, e.cube, s)) for e in family.entries]
     # max would drop a NaN
     return math.inf if any(map(math.isnan, gaps)) else max(gaps, default=0.0)
 
@@ -214,15 +213,16 @@ def _decisive_cells(tf: np.ndarray, stack: np.ndarray, bound: np.ndarray,
     return np.unique(np.concatenate(picks))
 
 
-def _domination_bytes(grid: Grid) -> int:
+def _domination_bytes(grid: Grid, is_complex: bool) -> int:
     """Bytes :func:`check_domination` allocates at its peak for a kernel
     with a lattice: the lattice and the reversed copy its pair view reads,
-    the FFT over the window (``2n`` points per axis, three complex arrays)
-    and the direct re-sum's block of whole groups of ``_SUM_GROUP`` targets
-    against every cell (real also for a complex input)."""
+    the FFT over the window as :func:`sparsedom.sparse._build_bytes` counts
+    it, and the direct re-sum's block of whole groups of ``_SUM_GROUP``
+    targets against every cell (real also for a complex input)."""
     n, dim, cells = grid.cells_per_side, grid.dim, grid.n_cells
+    item = 16 if is_complex else 8
     pair_rows = min(cells, max(1, _PAIR_CHUNK // cells // _SUM_GROUP) * _SUM_GROUP)
-    return (2 * (2 * n - 1) ** dim * 8 + 3 * (2 * n) ** dim * 16
+    return (2 * (2 * n - 1) ** dim * 8 + (8 + 3 * item) * (2 * n) ** dim
             + pair_rows * cells * 8)
 
 
@@ -265,10 +265,9 @@ def _window_magnitudes(kernel: Kernel, f: GridFunction, lat: np.ndarray,
 
 
 def check_domination(kernel: Kernel, f: GridFunction, family: SparseFamily,
-                     constant: float | None = None,
                      tol: float = 1e-10) -> DominationReport:
     """Pointwise check ``|T f| <= constant * (stacked coefficients)`` on
-    every window cell, using the family's stored coefficients.
+    every window cell, using the family's stored constant and coefficients.
 
     A cell with zero stacked coefficient is bounded by 0, whatever the
     constant, so one with transform magnitude above the tolerance is a
@@ -285,17 +284,16 @@ def check_domination(kernel: Kernel, f: GridFunction, family: SparseFamily,
     re-sum, on top of what the process holds, would exceed physical
     memory, ParameterError is raised before the kernel is sampled.
     """
-    c = family.constant if constant is None else constant
     grid = f.grid
-    if kernel.dim != grid.dim:
-        raise ParameterError(f"kernel dim {kernel.dim} != grid dim {grid.dim}")
+    _check_dims(kernel, grid)
     if kernel.translation_invariant:
         _refuse_beyond_memory(
             f"the domination check of a {grid.dim}D grid with "
-            f"{grid.cells_per_side} cells per side", _domination_bytes(grid))
+            f"{grid.cells_per_side} cells per side",
+            _domination_bytes(grid, f.is_complex))
     stack = _paint_coefficients(family, [e.coefficient for e in family.entries])
-    # c * stack, but 0 where the stack is, also for c = inf
-    bound = np.multiply(c, stack, out=np.zeros_like(stack), where=stack != 0)
+    # constant * stack, but 0 where the stack is, also for an infinite constant
+    bound = np.multiply(family.constant, stack, out=np.zeros_like(stack), where=stack != 0)
     lat = _offset_lattice(kernel, grid)
     if lat is None:
         tf = np.abs(apply_restricted(kernel, f).values)
@@ -312,7 +310,7 @@ def check_domination(kernel: Kernel, f: GridFunction, family: SparseFamily,
                          "bound": float(bound[idx])})
     return DominationReport(
         passed=not bad.any(),
-        constant=c,
+        constant=family.constant,
         c_min=c_min,
         tol=tol,
         n_checked=int(tf.size),
@@ -377,8 +375,7 @@ def t1_testing_probe(kernel: Kernel, grid: Grid, cube: Cube | None = None,
     all indicator columns at once.  Sampling uses a counter-based
     generator, so one seed always yields one answer.
     """
-    if kernel.dim != grid.dim:
-        raise ParameterError(f"kernel dim {kernel.dim} != grid dim {grid.dim}")
+    _check_dims(kernel, grid)
     cube = cube if cube is not None else grid.window_cube()
     base = CellSet.from_cube(grid, cube).window_mask()
     if not base.any():

@@ -28,7 +28,7 @@ from sparsedom import (
     check_domination,
     check_sparsity,
     dilate,
-    dini_constant,
+    dini_profile,
     dyadic_children,
     local_cz_decomposition,
     make_kernel,
@@ -89,9 +89,9 @@ def test_criterion_01_end_to_end_hilbert_twenty_seeds(capfd):
 def test_criterion_02_modulus_kernels_and_closed_form_integrals(capfd):
     with criterion(capfd, "criterion 2: smoothness-modulus kernels pass end to end "
                    "at alpha=5; modulus integrals within 1% of closed forms"):
-        assert abs(dini_constant(lambda t: np.asarray(t, dtype=np.float64))
+        assert abs(dini_profile(lambda t: np.asarray(t, dtype=np.float64))["value"]
                    - 1.0) <= 0.01
-        assert abs(dini_constant(np.sqrt) - 2.0) / 2.0 <= 0.01
+        assert abs(dini_profile(np.sqrt)["value"] - 2.0) / 2.0 <= 0.01
         grid = Grid(1, 128)
         for name, params in (("holder", {"delta": 0.5}), ("dini_stress", {})):
             kernel = make_kernel(name, grid, **params)
@@ -132,7 +132,7 @@ def test_criterion_03_stopping_time_invariants_thousand_pairs(capfd):
                 canvas[sl] += 1
                 total += p.cell_count
             assert canvas.max() <= 1                          # disjoint
-            for cell in omega.member_cells():
+            for cell in omega.window_cells():
                 assert canvas[tuple(cell)] == 1               # coverage
             assert 2 * total <= cells                         # half-volume
             checked += 1
@@ -158,7 +158,7 @@ def test_criterion_04_ring_cover_containment_and_tiling(capfd):
                 assert dilate(q, alpha).contains(support)
             for i, a in enumerate(cover):
                 for b in cover[i + 1:]:
-                    assert not a.intersects(b)
+                    assert a.clip(b) is None
             lo = [min(q.anchor[d] for q in cover) for d in range(dim)]
             hi = [max(q.anchor[d] + q.side for q in cover) for d in range(dim)]
             canvas = np.zeros([h - l for h, l in zip(hi, lo)], dtype=np.int16)
@@ -224,7 +224,7 @@ def _random_half_sparse_family(grid, gen):
             anchor = tuple(int(gen.integers(0, n // side)) * side
                            for _ in range(grid.dim))
             cand = Cube(anchor, side)
-            if all(not cand.intersects(r) for r in roots):
+            if all(cand.clip(r) is None for r in roots):
                 roots.append(cand)
                 break
     for root in roots:

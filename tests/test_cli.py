@@ -204,7 +204,7 @@ def _hand_made():
     return SparseFamily(grid, np.float64(1 / 18), [
         SparseEntry(Cube((-4, -4), 12), CellSet(grid, box, mask), np.float64(0.1),
                     box, np.int64(2), ("zero_average", "outside_window")),
-        SparseEntry(Cube((0, 0), 3), CellSet.empty(grid, Cube((1, 1), 1)), 0,
+        SparseEntry(Cube((0, 0), 3), CellSet(grid, Cube((1, 1), 1), np.zeros((1, 1), bool)), 0,
                     Cube((1, 1), 1), 0),
         SparseEntry(Cube((0, 0), 3), CellSet.from_cube(grid, Cube((1, 1), 1)), 1e300,
                     Cube((1, 1), 1), 3, ("witness_overlaps_exceptional",)),
@@ -1181,6 +1181,24 @@ def test_run_exits_three_on_broken_invariant(tmp_path, capsys, monkeypatch,
     assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: node Cube(") and message in err
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("amplitude,s", [(1e-200, 2), (1.0, 1e-3)])
+def test_run_exits_three_where_an_average_underflows(tmp_path, capsys, amplitude, s):
+    # |f|**2 at amplitude 1e-200, or a mean below 1 to the power 1000,
+    # rounds a node's average over a nonzero f to 0; read as a zero
+    # average, the first certified the constant 0 and passed, and the
+    # second failed on every cell
+    cfg = write_config(tmp_path, grid={"dim": 1, "cells_per_side": 32},
+                       input={"kind": "random", "seed": 1, "amplitude": amplitude},
+                       pipeline={"s": s})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: the s = {s} average of f over the dilate of node Cube(")
+    assert "underflows to 0" in err and err.count("\n") == 1
     assert "Traceback" not in err
     assert list(out.iterdir()) == []
 

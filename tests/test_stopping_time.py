@@ -183,4 +183,5 @@ def test_local_cz_decomposition_matches_the_recursion(dim):
     assert checked > 0 and refused > 0
     with pytest.raises(AlignmentError):
         sparse.local_cz_decomposition(grid, Cube((0,) * dim, 12),
-                                      CellSet.empty(grid))
+                                      CellSet(grid, grid.window_cube(),
+                                              np.zeros(grid.shape, dtype=bool)))

@@ -49,6 +49,14 @@ def supported_noise(grid, seed, lo=4, hi=12):
     return GridFunction(grid, vals)
 
 
+def indicator(grid, cube):
+    return GridFunction(grid, CellSet.from_cube(grid, cube).window_mask().astype(float))
+
+
+def zero_input(grid):
+    return GridFunction(grid, np.zeros(grid.shape))
+
+
 def one_cube_family(grid, cube, coefficient=1.0, eta=1.0):
     entry = SparseEntry(cube=cube, witness=CellSet.from_cube(grid, cube),
                         coefficient=coefficient, base_cube=cube, depth=0)
@@ -88,7 +96,7 @@ def test_check_sparsity_detects_overlap():
     assert "overlap" in kinds
     # overlap location must be a cell both witnesses hold
     cell = next(f for f in rep.failures if f["kind"] == "overlap")["cell"]
-    assert cube.contains_cell(tuple(cell))
+    assert cube.contains(Cube(tuple(cell), 1))
 
 
 def test_check_sparsity_detects_thin_witness():
@@ -144,7 +152,7 @@ def test_sparsity_report_is_json_ready():
 def test_sparse_operator_single_cube_is_exact():
     grid = Grid(1, 16)
     cube = Cube((4,), 4)
-    f = GridFunction.indicator(grid, cube)
+    f = indicator(grid, cube)
     out = sparse_operator(one_cube_family(grid, cube), f, r=1.0)
     assert np.array_equal(out.values, f.values)
 
@@ -152,7 +160,7 @@ def test_sparse_operator_single_cube_is_exact():
 def test_sparse_operator_sums_nested_cubes():
     grid = Grid(1, 16)
     inner, outer = Cube((4,), 2), Cube((4,), 4)
-    f = GridFunction.indicator(grid, inner)
+    f = indicator(grid, inner)
     fam = one_cube_family(grid, outer)
     fam.entries.append(SparseEntry(cube=inner,
                                    witness=CellSet.from_cube(grid, inner),
@@ -167,7 +175,7 @@ def test_sparse_operator_sums_nested_cubes():
 def test_sparse_lp_ratio_single_cube_indicator_is_one():
     grid = Grid(2, 16)
     cube = Cube((4, 4), 8)
-    f = GridFunction.indicator(grid, cube)
+    f = indicator(grid, cube)
     ratio = sparse_lp_ratio(one_cube_family(grid, cube), f, r=1.0, p=2.0)
     assert ratio == pytest.approx(1.0, abs=1e-14)
 
@@ -176,13 +184,13 @@ def test_sparse_lp_ratio_zero_input_raises():
     grid = Grid(1, 8)
     fam = one_cube_family(grid, Cube((0,), 4))
     with pytest.raises(UndefinedRatioError):
-        sparse_lp_ratio(fam, GridFunction.zero(grid))
+        sparse_lp_ratio(fam, zero_input(grid))
 
 
 def test_sparse_lp_ratio_rejects_bad_exponent():
     grid = Grid(1, 8)
     fam = one_cube_family(grid, Cube((0,), 4))
-    f = GridFunction.indicator(grid, Cube((0,), 4))
+    f = indicator(grid, Cube((0,), 4))
     with pytest.raises(ParameterError):
         sparse_lp_ratio(fam, f, r=1.0, p=0.5)
 
@@ -198,7 +206,7 @@ def test_audit_coefficients_tight_on_pipeline_output():
 def test_audit_coefficients_sees_tampering():
     grid = Grid(1, 16)
     cube = Cube((4,), 4)
-    f = GridFunction.indicator(grid, cube)
+    f = indicator(grid, cube)
     fam = one_cube_family(grid, cube, coefficient=2.0)
     assert audit_coefficients(fam, f) == pytest.approx(1.0)
 
@@ -207,7 +215,7 @@ def test_audit_coefficients_reports_a_nan_gap_as_infinite():
     # max(worst, nan) keeps worst, which once hid a NaN coefficient
     grid = Grid(1, 16)
     cube = Cube((4,), 4)
-    f = GridFunction.indicator(grid, cube)
+    f = indicator(grid, cube)
     fam = one_cube_family(grid, cube, coefficient=np.nan)
     fam.entries.insert(0, one_cube_family(grid, cube).entries[0])
     assert audit_coefficients(fam, f) == np.inf
@@ -233,8 +241,8 @@ def test_check_domination_fails_when_constant_shrunk():
     kernel = make_kernel("hilbert", grid)
     f = supported_noise(grid, 5, 16, 48)
     res = build_sparse_domination(kernel, f)
-    rep = check_domination(kernel, f, res.family,
-                           constant=res.family.constant * 1e-3)
+    rep = check_domination(kernel, f, dataclasses.replace(
+        res.family, constant=res.family.constant * 1e-3))
     assert not rep.passed
     assert rep.n_failures > 0
     assert rep.failures, "failure locations must be reported"
@@ -246,7 +254,7 @@ def test_check_domination_flags_uncovered_mass():
     # nonzero transform against an all-zero stack must name the cell
     grid = Grid(1, 16)
     kernel = make_kernel("hilbert", grid)
-    f = GridFunction.indicator(grid, Cube((4,), 4))
+    f = indicator(grid, Cube((4,), 4))
     cube = Cube((4,), 4)
     fam = one_cube_family(grid, cube, coefficient=0.0)
     rep = check_domination(kernel, f, fam)
@@ -261,11 +269,11 @@ def test_check_domination_bounds_an_empty_stack_by_zero_for_any_constant():
     # inf * 0 is NaN, which once let the uncovered cells through
     grid = Grid(1, 16)
     kernel = make_kernel("hilbert", grid)
-    f = GridFunction.indicator(grid, Cube((4,), 4))
+    f = indicator(grid, Cube((4,), 4))
     fam = one_cube_family(grid, Cube((4,), 4))
     tf = np.abs(apply_restricted(kernel, f).values)
     uncovered = (tf > 1e-10) & ((np.arange(16) < 4) | (np.arange(16) >= 8))
-    rep = check_domination(kernel, f, fam, constant=np.inf)
+    rep = check_domination(kernel, f, dataclasses.replace(fam, constant=np.inf))
     assert not rep.passed
     assert rep.n_failures == uncovered.sum() > 0
     assert all(fl["bound"] == 0.0 for fl in rep.failures)
@@ -275,14 +283,14 @@ def test_check_domination_bounds_an_empty_stack_by_zero_for_any_constant():
 
 def test_check_domination_counts_nan_margins_out_of_bound():
     grid = Grid(1, 16)
-    f = GridFunction.indicator(grid, Cube((4,), 4))
+    f = indicator(grid, Cube((4,), 4))
     for kernel in (make_kernel("hilbert", grid),
                    dataclasses.replace(make_kernel("hilbert", grid),
                                        translation_invariant=False)):
         nan_coefficient = one_cube_family(grid, Cube((-8,), 32), coefficient=np.nan)
-        for fam, c in ((nan_coefficient, None),
-                       (one_cube_family(grid, Cube((-8,), 32)), np.nan)):
-            rep = check_domination(kernel, f, fam, constant=c)
+        for fam in (nan_coefficient, dataclasses.replace(
+                one_cube_family(grid, Cube((-8,), 32)), constant=np.nan)):
+            rep = check_domination(kernel, f, fam)
             assert not rep.passed
             assert rep.n_failures == grid.n_cells
 
@@ -298,7 +306,7 @@ def test_check_domination_c_min_matches_brute_force(kname, dim, n):
     tf = np.abs(apply_restricted(kernel, f).values)
     want = 0.0
     for cell in np.ndindex(grid.shape):
-        stack = sum(e.coefficient for e in fam.entries if e.cube.contains_cell(cell))
+        stack = sum(e.coefficient for e in fam.entries if e.cube.contains(Cube(cell, 1)))
         if stack > 0:
             want = max(want, tf[cell] / stack)
     rep = check_domination(kernel, f, fam)
@@ -374,7 +382,8 @@ def test_check_domination_report_equals_direct_sum(kname, dim, n):
             for scale in (1.0, 0.3, 0.02):
                 c = fam.constant * scale
                 want = direct_domination(kernel, f, fam, c)
-                assert dataclasses.asdict(check_domination(kernel, f, fam, constant=c)) == want
+                scaled = dataclasses.replace(fam, constant=c)
+                assert dataclasses.asdict(check_domination(kernel, f, scaled)) == want
                 failing += not want["passed"]
     if kname != "zero":
         assert failing > 0
@@ -407,7 +416,8 @@ def test_check_domination_exact_at_the_tolerance():
     else:
         pytest.fail("no constant splits the FFT from the direct sum")
     want = direct_domination(kernel, f, fam, c, tol)
-    assert dataclasses.asdict(check_domination(kernel, f, fam, constant=c, tol=tol)) == want
+    scaled = dataclasses.replace(fam, constant=c)
+    assert dataclasses.asdict(check_domination(kernel, f, scaled, tol=tol)) == want
 
 
 def test_check_domination_exact_when_sums_round_by_group(monkeypatch):
@@ -431,7 +441,8 @@ def test_check_domination_exact_when_sums_round_by_group(monkeypatch):
         for scale in (1.0, 0.3):
             c = fam.constant * scale
             want = direct_domination(kernel, f, fam, c)
-            assert dataclasses.asdict(check_domination(kernel, f, fam, constant=c)) == want
+            scaled = dataclasses.replace(fam, constant=c)
+            assert dataclasses.asdict(check_domination(kernel, f, scaled)) == want
 
 
 def off_by(monkeypatch, cell, amount):
@@ -522,7 +533,7 @@ def test_wq_profile_single_cell_cube_vanishes():
 def test_wq_profile_zero_average_degenerate():
     grid = Grid(1, 16)
     kernel = make_kernel("hilbert", grid)
-    f = GridFunction.indicator(grid, Cube((0,), 2))
+    f = indicator(grid, Cube((0,), 2))
     prof = wq_profile(kernel, f, Cube((8,), 4))
     assert prof["degenerate"] and prof["psi"] == [0.0] * 8
 
@@ -570,7 +581,7 @@ def test_t1_probe_full_subset_matches_direct():
     cube = Cube((4,), 8)
     probe = t1_testing_probe(kernel, grid, cube, seed=0)
     full = next(s for s in probe.samples if s["subset"] == "full")
-    ind = GridFunction.indicator(grid, cube)
+    ind = indicator(grid, cube)
     vals = apply_restricted(transpose_kernel(kernel), ind, targets=cube).values
     direct = np.sum(np.abs(vals[4:12])) * grid.cell_measure / cube.measure(grid)
     assert full["stat"] == pytest.approx(direct, rel=1e-12)
@@ -586,7 +597,7 @@ def probe_one_transform_per_indicator(kernel, grid, cube, seed,
     masks = [np.zeros(grid.shape, dtype=bool), base]
     masks += [(gen.random(grid.shape) < prob) & base
               for prob in probs for _ in range(draws)]
-    targets = CellSet.from_window_mask(grid, base)
+    targets = CellSet(grid, grid.window_cube(), base)
     stats = []
     for mask in masks:
         vals = apply_restricted(transpose_kernel(kernel),
@@ -663,10 +674,10 @@ def test_sharp_vs_maximal_zero_input_raises():
     grid = Grid(1, 16)
     kernel = make_kernel("hilbert", grid)
     with pytest.raises(UndefinedRatioError):
-        sharp_vs_maximal(kernel, GridFunction.zero(grid))
+        sharp_vs_maximal(kernel, zero_input(grid))
 
 
 def test_sharp_vs_maximal_zero_kernel_is_zero():
     grid = Grid(1, 16)
-    f = GridFunction.indicator(grid, Cube((4,), 4))
+    f = indicator(grid, Cube((4,), 4))
     assert sharp_vs_maximal(make_kernel("zero", grid), f) == 0.0
