@@ -3,7 +3,8 @@
 Subcommands:
 
     run           build one sparse domination, verify it, write artifacts
-    sweep         repeat the run across one swept parameter, emit one CSV
+    sweep         repeat the run across one swept parameter, point after
+                  point in this process, emit one CSV
     kernel-stats  modulus integral and annulus-variation statistics
     t1-probe      testing-condition probe on random indicator subsets
     verify        re-check a previously written family file
@@ -28,7 +29,6 @@ import os
 import sys
 import textwrap
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from datetime import datetime, timezone
 from typing import Callable
@@ -758,11 +758,6 @@ def _cmd_t1_probe(args) -> int:
     return 0
 
 
-_SWEEP_COLUMNS = ["axis", "value", "n_entries", "constant", "eta",
-                  "min_witness_ratio", "max_overlap", "sparsity_passed",
-                  "domination_passed", "worst_margin", "lp_ratio"]
-
-
 # the config field each sweep axis sets
 _AXIS_FIELDS = {"N": ("grid", "cells_per_side"), "alpha": ("pipeline", "alpha"),
                 "s": ("pipeline", "s"), "max_depth": ("pipeline", "max_depth"),
@@ -778,8 +773,8 @@ def _apply_axis(cfg: dict, axis: str, value) -> dict:
     return _validated(cfg, f"sweep value {value} of {axis}: config")
 
 
-def _sweep_worker(payload) -> dict:
-    cfg, axis, value = payload
+def _sweep_row(cfg: dict, axis: str, value) -> dict:
+    """One point of a sweep, as a row of ``sweep.csv`` in column order."""
     _, report, _ = _run_once(cfg)
     spar = report["sparsity"]
     dom = report["domination"]
@@ -800,27 +795,20 @@ def _sweep_worker(payload) -> dict:
 
 
 def _cmd_sweep(args) -> int:
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = _seeded(load_config(args.config), "input", args.seed)
     if "sweep" not in cfg:
         raise ConfigError("sweep command needs a 'sweep' section in the config")
     axis = cfg["sweep"]["axis"]
     values = cfg["sweep"]["values"]
-    # every point is checked before any runs
-    payloads = [(_apply_axis(cfg, axis, v), axis, v) for v in values]
+    # every point is checked before any runs; they run one after another in
+    # this process, so each passes the memory preflight on its own
+    points = [_apply_axis(cfg, axis, v) for v in values]
     out = _out_dir(args)
     t0 = time.perf_counter()
-    # no more workers than values: a fork pool starts all of them at once
-    workers = min(args.jobs, len(payloads))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_worker, payloads))
-    else:
-        rows = [_sweep_worker(p) for p in payloads]
+    rows = [_sweep_row(c, axis, v) for c, v in zip(points, values)]
     timings = {"sweep_s": time.perf_counter() - t0}
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=_SWEEP_COLUMNS, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=rows[0], lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
     _write_outputs(args, out, cfg, timings, lambda: {
@@ -859,10 +847,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("sweep", help="run the pipeline across one parameter")
+    p = sub.add_parser("sweep", help="run the pipeline across one parameter, "
+                                      "one point after another")
     common(p)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel worker processes (default 1)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("kernel-stats",

@@ -19,7 +19,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -309,16 +309,6 @@ class CellSet:
     def from_cube(cls, grid: Grid, cube: Cube) -> "CellSet":
         return cls(grid, cube, np.ones((cube.side,) * grid.dim, dtype=bool))
 
-    @classmethod
-    def cube_minus_cubes(cls, grid: Grid, cube: Cube, holes: Sequence[Cube]) -> "CellSet":
-        """All cells of ``cube`` not covered by any cube in ``holes``."""
-        out = cls.from_cube(grid, cube)
-        for hole in holes:
-            clip = cube.clip(hole)
-            if clip is not None:
-                out.mask[_box_slices(clip, cube.anchor)] = False
-        return out
-
     # -- queries ------------------------------------------------------
 
     @property
@@ -351,12 +341,6 @@ class CellSet:
             return np.zeros((0, self.grid.dim), dtype=np.intp)
         return (np.argwhere(self.mask[_box_slices(clip, self.box.anchor)])
                 + [lo for lo, _ in clip])
-
-    def intersects(self, other: "CellSet") -> bool:
-        clip = self.box.clip(other.box)
-        return clip is not None and bool(np.any(
-            self.mask[_box_slices(clip, self.box.anchor)]
-            & other.mask[_box_slices(clip, other.box.anchor)]))
 
 
 # ---------------------------------------------------------------------------

@@ -468,26 +468,18 @@ class LatticeTransform:
                                                    cells, src)
             return out.reshape(grid.shape)
         size, axes = (2 * n,) * dim, tuple(range(dim))
-        k = np.arange(1 - n, n) % (2 * n)
-        seg = np.zeros(size)
-        seg[np.ix_(*[k] * dim)] = self._lat
-        seg *= grid.cell_measure
-        spec = self._fft(seg, size, axes)
-        del seg
+        spec = self._spectrum(n, 2 * n)
         spec *= self._fft(self._values, size, axes)
         return self._ifft(spec, size, axes)[(slice(0, n),) * dim].copy()
 
-    def _spectrum(self, side: int) -> np.ndarray:
-        """Spectrum of the kernel segment ``K(k h) h**dim``, ``|k| <=
-        (shift + 1) side - 1``, laid out circularly on ``(alpha + 1) side``
-        points per axis."""
+    def _spectrum(self, reach: int, size: int) -> np.ndarray:
+        """Spectrum of the kernel segment ``K(k h) h**dim``, ``|k| < reach
+        <= n``, laid out circularly on ``size`` points per axis."""
         grid = self.grid
         n, dim = grid.cells_per_side, grid.dim
-        reach = min((self._shift + 1) * side, n)
-        size = (self.alpha + 1) * side
-        k = np.arange(1 - reach, reach)
+        k = np.arange(1 - reach, reach) % size
         seg = np.zeros((size,) * dim)
-        seg[np.ix_(*[k % size] * dim)] = self._lat[np.ix_(*[k + n - 1] * dim)]
+        seg[np.ix_(*[k] * dim)] = self._lat[(slice(n - reach, n - 1 + reach),) * dim]
         seg *= grid.cell_measure
         return self._fft(seg, seg.shape, tuple(range(dim)))
 
@@ -512,20 +504,18 @@ class LatticeTransform:
         return w.reshape(side**dim, width**dim)
 
     def dilate_transforms(self, start, count, side: int,
-                          out: np.ndarray | None = None) -> np.ndarray:
+                          out: np.ndarray) -> np.ndarray:
         """``T(f char_{P+})`` on the window cells of every cube P of a block.
 
         The cubes have side ``side`` and anchors ``start[d] + side k`` for
         ``k < count[d]`` on every axis, so they tile a box; P+ is P dilated
         by ``alpha``.  Returns the box's window cells, as a box-shaped array
         in window order, each holding the transform of its own cube's
-        dilate; written into ``out`` where given.
+        dilate, written into ``out``, an array of that shape.
         """
         n, dim = self.grid.cells_per_side, self.grid.dim
         width = self.alpha * side
         clip = [(max(lo, 0), min(lo + side * c, n)) for lo, c in zip(start, count)]
-        if out is None:
-            out = np.empty([max(0, hi - lo) for lo, hi in clip], self._values.dtype)
         if self._lat is None:
             return self._direct_transforms(start, count, side, clip, out)
         # the kernel segment the cubes are summed against, as a weight block
@@ -535,7 +525,7 @@ class LatticeTransform:
             segment = self._weight_block(side)
         else:
             cubes, per_cube = self._convolved, (width + side) ** dim
-            segment = self._spectrum(side)
+            segment = self._spectrum(min((self._shift + 1) * side, n), width + side)
         origin = [lo for lo, _ in clip]
         for at, sub in _slabs(count, per_cube, _SLAB_CELLS):
             corner = [lo + side * a for lo, a in zip(start, at)]

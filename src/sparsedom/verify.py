@@ -215,15 +215,22 @@ def _decisive_cells(tf: np.ndarray, stack: np.ndarray, bound: np.ndarray,
 
 def _domination_bytes(grid: Grid, is_complex: bool) -> int:
     """Bytes :func:`check_domination` allocates at its peak for a kernel
-    with a lattice: the lattice and the reversed copy its pair view reads,
-    the FFT over the window as :func:`sparsedom.sparse._build_bytes` counts
-    it, and the direct re-sum's block of whole groups of ``_SUM_GROUP``
-    targets against every cell (real also for a complex input)."""
+    with a lattice.  It holds the lattice, the painted stack and bound,
+    and the FFT's values of ``T f`` with their moduli throughout; on top,
+    the larger of its two phases, since the FFT's arrays are freed before
+    the re-sum starts: the FFT over the window as
+    :func:`sparsedom.sparse._build_bytes` counts it, or the direct
+    re-sum's reversed lattice copy, its block of whole groups of
+    ``_SUM_GROUP`` targets against every cell (real also for a complex
+    input), and the window's cell list with f on it and the targets' rows
+    and cells, at most every cell."""
     n, dim, cells = grid.cells_per_side, grid.dim, grid.n_cells
     item = 16 if is_complex else 8
+    lattice = (2 * n - 1) ** dim * 8
     pair_rows = min(cells, max(1, _PAIR_CHUNK // cells // _SUM_GROUP) * _SUM_GROUP)
-    return (2 * (2 * n - 1) ** dim * 8 + (8 + 3 * item) * (2 * n) ** dim
-            + pair_rows * cells * 8)
+    fft = (8 + 3 * item) * (2 * n) ** dim
+    resum = lattice + pair_rows * cells * 8 + (16 * dim + 8 + item) * cells
+    return lattice + (24 + item) * cells + max(fft, resum)
 
 
 def _window_magnitudes(kernel: Kernel, f: GridFunction, lat: np.ndarray,

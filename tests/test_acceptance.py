@@ -210,8 +210,9 @@ def _random_half_sparse_family(grid, gen):
         if cube.side > 1 and gen.random() < 0.7:
             kids = dyadic_children(cube)
             child = kids[int(gen.integers(len(kids)))]
-        witness = (CellSet.from_cube(grid, cube) if child is None
-                   else CellSet.cube_minus_cubes(grid, cube, [child]))
+        witness = CellSet.from_cube(grid, cube)
+        if child is not None:
+            witness.mask &= ~CellSet.from_cube(grid, child).mask_on(cube)
         entries.append(SparseEntry(cube=cube, witness=witness, coefficient=0.0,
                                    base_cube=cube, depth=depth))
         if child is not None:

@@ -715,10 +715,14 @@ def test_sweep_csv_layout_and_determinism(tmp_path):
     cfg = write_config(tmp_path, sweep={"axis": "N", "values": [32, 64]})
     a, b = tmp_path / "a", tmp_path / "b"
     assert cli.main(["sweep", "--config", cfg, "--out", str(a)]) == 0
-    assert cli.main(["sweep", "--config", cfg, "--out", str(b), "--jobs", "2"]) == 0
-    assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
+    assert cli.main(["sweep", "--config", cfg, "--out", str(b)]) == 0
+    for name in ("sweep.csv", "sweep.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
     lines = (a / "sweep.csv").read_text().splitlines()
-    assert lines[0].split(",") == cli._SWEEP_COLUMNS
+    assert lines[0].split(",") == [
+        "axis", "value", "n_entries", "constant", "eta", "min_witness_ratio",
+        "max_overlap", "sparsity_passed", "domination_passed", "worst_margin",
+        "lp_ratio"]
     assert len(lines) == 3
     rows = read_json(a / "sweep.json")["rows"]
     assert [r["value"] for r in rows] == [32, 64]
@@ -732,43 +736,25 @@ def test_sweep_over_seed_axis(tmp_path):
     assert len({r["constant"] for r in rows}) > 1
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_sweep_rejects_jobs_below_one(tmp_path, capsys, jobs):
-    cfg = write_config(tmp_path, sweep={"axis": "seed", "values": [1]})
-    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"),
-                     "--jobs", jobs]) == 2
+# a sweep runs its points in this process; the worker-pool flag is gone
+def test_sweep_jobs_flag_is_unrecognized(tmp_path, capsys):
+    cfg = write_config(tmp_path, sweep={"axis": "seed", "values": [1, 2]})
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"),
+                  "--jobs", "2"])
+    assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "--jobs" in err and "Traceback" not in err
+    assert "unrecognized arguments: --jobs 2" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
-def test_sweep_starts_no_more_workers_than_values(tmp_path, monkeypatch):
-    started = []
-
-    class SerialPool:
-        """Records its size and maps in this process: a fork pool would
-        start every worker at the first submit."""
-
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-    for values, jobs, want in (([1, 2], "64", [2]), ([1, 2, 3], "2", [2]),
-                               ([1], "8", [])):
-        started.clear()
-        cfg = write_config(tmp_path, sweep={"axis": "seed", "values": values})
-        assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"),
-                         "--jobs", jobs]) == 0
-        assert started == want
-        assert len(read_json(tmp_path / "o" / "sweep.json")["rows"]) == len(values)
+def test_cli_import_starts_no_process_machinery(tmp_path):
+    code = ("import sys, sparsedom.cli; print(sorted(m for m in sys.modules if "
+            "m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_child_env(), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_sweep_requires_section(tmp_path):
@@ -1212,16 +1198,20 @@ def test_exit_code_mapping():
         cli._exit_code_for(KeyError("boom"))
 
 
+def _child_env() -> dict:
+    """The environment of a child process that imports the same package as
+    this one, wherever pytest found it (PYTHONPATH or the pythonpath
+    setting in pyproject.toml)."""
+    src = os.path.dirname(os.path.dirname(sparsedom.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_console_script_runs(tmp_path):
     cfg = write_config(tmp_path, grid={"dim": 1, "cells_per_side": 32})
-    # the child imports the same package as this process, wherever pytest
-    # found it (PYTHONPATH or the pythonpath setting in pyproject.toml)
-    src = os.path.dirname(os.path.dirname(sparsedom.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-m", "sparsedom.cli", "run", "--config", cfg,
          "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert "domination: PASS" in proc.stdout

@@ -226,9 +226,13 @@ def test_cellset_extends_beyond_window():
 
 
 def test_cube_minus_cubes():
+    # a cube with holes cut through the holes' masks on it
     g = grid1d(8)
-    w = CellSet.cube_minus_cubes(g, Cube((0,), 8), [Cube((2,), 2), Cube((6,), 1)])
-    assert w.count == 5
+    w = CellSet.from_cube(g, Cube((0,), 8))
+    for hole in (Cube((2,), 2), Cube((6,), 1), Cube((7,), 4)):
+        w.mask &= ~CellSet.from_cube(g, hole).mask_on(w.box)
+    assert w.mask.tolist() == [True, True, False, False, True, True, False, False]
+    assert w.count == 4
     assert w.count_in(Cube((2,), 2)) == 0
     assert w.count_in(Cube((0,), 8)) == w.count
 
@@ -238,8 +242,10 @@ def test_cellset_disjointness():
     a = CellSet.from_cube(g, Cube((0,), 3))
     b = CellSet.from_cube(g, Cube((3,), 2))
     c = CellSet.from_cube(g, Cube((2,), 2))
-    assert not a.intersects(b)
-    assert a.intersects(c)
+    # two sets share a cell where one's mask on the other's box meets it
+    assert not (a.mask_on(b.box) & b.mask).any()
+    assert (a.mask_on(c.box) & c.mask).any()
+    assert (c.mask_on(a.box) & a.mask).any()
 
 
 # ---------------------------------------------------------------------------

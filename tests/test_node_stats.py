@@ -358,7 +358,8 @@ def test_cover_transforms_from_the_window_match_each_cubes_own(dim, n, name, whe
             if clip is None:
                 continue
             got = levels.transforms[0][sparse._box_slices(clip, levels.origin)]
-            own = rt.dilate_transforms(cube.anchor, (1,) * dim, side)
+            own = rt.dilate_transforms(cube.anchor, (1,) * dim, side,
+                                       np.empty([hi - lo for lo, hi in clip], vals.dtype))
             assert got.dtype == own.dtype and got.shape == own.shape
             assert np.abs(got - own).max() <= delta, (cube, np.abs(got - own).max(), delta)
             if not lattice:

@@ -50,6 +50,19 @@ def supported_noise(grid, seed, lo, hi):
     return GridFunction(grid, vals)
 
 
+def cube_minus_cubes(grid, cube, holes):
+    """The cells of ``cube`` that no cube of ``holes`` covers."""
+    mask = np.ones((cube.side,) * grid.dim, dtype=bool)
+    for hole in holes:
+        mask &= ~CellSet.from_cube(grid, hole).mask_on(cube)
+    return CellSet(grid, cube, mask)
+
+
+def intersects(a, b):
+    """Whether the cell sets ``a`` and ``b`` share a cell."""
+    return bool((a.mask_on(b.box) & b.mask).any())
+
+
 def sparse_sum(family):
     out = np.zeros(family.grid.shape)
     for e in family.entries:
@@ -475,7 +488,7 @@ def test_local_family_witnesses_partition_root():
         assert 2 * e.witness.count >= e.base_cube.cell_count
     for i, a in enumerate(entries):
         for b in entries[i + 1:]:
-            assert not a.witness.intersects(b.witness)
+            assert not intersects(a.witness, b.witness)
 
 
 def test_local_family_depth_halving():
@@ -983,13 +996,13 @@ def reference_build_node(levels, f, q, depth, cfg, entries, records):
             children = [Cube(tuple(a), side) for a, side
                         in zip((cells + q.anchor).tolist(), sides.tolist())]
             flags.extend(st_flags)
-    witness = CellSet.cube_minus_cubes(grid, q, children)
+    witness = cube_minus_cubes(grid, q, children)
     if cfg.mode == "quantile":
         cells = q.cell_count
         selected = sum(c.cell_count for c in children)
         assert exc.omega.count * 2 ** (grid.dim + 2) <= cells
         assert 2 * selected <= cells and 2 * witness.count >= cells
-    if witness.intersects(exc.omega):
+    if intersects(witness, exc.omega):
         flags.append("witness_overlaps_exceptional")
     a_eff = 0.0
     if exc.transform is not None:
