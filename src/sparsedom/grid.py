@@ -208,9 +208,12 @@ def _box_slices(clip, origin=None) -> tuple[slice, ...]:
 # ---------------------------------------------------------------------------
 # summed-area tables
 
-def _build_sat(values: np.ndarray) -> np.ndarray:
-    """Prefix-sum table with a zero border, one entry longer per axis."""
-    sat = np.zeros(tuple(k + 1 for k in values.shape), dtype=values.dtype)
+def _power_sat(f: GridFunction, s: float) -> np.ndarray:
+    """Prefix-sum table of ``|f|**s`` over the window, with a zero border,
+    one entry longer per axis.  Each sweep that reads it builds its own,
+    so no table outlives its reader."""
+    values = np.abs(f.values) ** float(s)
+    sat = np.zeros(tuple(k + 1 for k in values.shape))
     inner = sat[(slice(1, None),) * values.ndim]
     inner[...] = values
     for axis in range(values.ndim):
@@ -247,10 +250,7 @@ def _sat_box_sums(sat: np.ndarray, lo, hi) -> np.ndarray:
 class GridFunction:
     """Cell-constant function on the window; zero outside.
 
-    Values may be real or complex.  Instances are treated as immutable:
-    prefix-sum tables of ``|f|**p`` are cached per exponent and reused by
-    every sweep, so mutating ``values`` after construction is not
-    supported.
+    Values may be real or complex; they are a read-only copy of the input.
     """
 
     def __init__(self, grid: Grid, values: np.ndarray):
@@ -266,18 +266,10 @@ class GridFunction:
         values.setflags(write=False)
         self.grid = grid
         self.values = values
-        self._power_sats: dict[float, np.ndarray] = {}
 
     @property
     def is_complex(self) -> bool:
         return np.iscomplexobj(self.values)
-
-    def power_sat(self, p: float) -> np.ndarray:
-        """Cached prefix-sum table of ``|f|**p`` over the window."""
-        key = float(p)
-        if key not in self._power_sats:
-            self._power_sats[key] = _build_sat(np.abs(self.values) ** key)
-        return self._power_sats[key]
 
     def norm_lp(self, p: float) -> float:
         return float(
@@ -353,7 +345,7 @@ def cube_integral(f: GridFunction, cube: Cube, p: float = 1.0) -> float:
     prefix sums: a difference loses the digits of a small cube after large
     cells, and where ``f`` vanishes it leaves rounding instead of 0.  Every
     coefficient of a family is an :func:`avg_p`, so the certificate reads
-    only these sums; the prefix tables (``GridFunction.power_sat``) serve
+    only these sums; the prefix tables (:func:`_power_sat`) serve
     the maximal sweeps and the builder's node statistics, which only cut
     exceptional sets.
     """

@@ -46,9 +46,8 @@ import numbers
 import numpy as np
 
 from .errors import ParameterError
-from .grid import Grid, GridFunction, _corner_sums, _sat_box_sums
-from .operators import (Kernel, RestrictedTransform, _refuse_beyond_memory,
-                        _stratified_indices)
+from .grid import Grid, GridFunction, _corner_sums, _power_sat, _sat_box_sums
+from .operators import Kernel, RestrictedTransform, _refuse_beyond_memory
 
 __all__ = [
     "hl_maximal",
@@ -162,7 +161,7 @@ def _power_average_sweep(f: GridFunction, s: float) -> np.ndarray:
     n, dim = grid.cells_per_side, grid.dim
     _refuse_beyond_memory(f"the power-average sweep of a {dim}D grid with "
                           f"{n} cells per side", _sweep_bytes(grid))
-    sat = f.power_sat(s)
+    sat = _power_sat(f, s)
     table = np.zeros((_doubling_levels(n),) * dim + grid.shape)
     sides = np.arange(1, n + 1)[:, None]
     # up to 8192 cubes a batch: four times the table pass's, as no
@@ -480,13 +479,50 @@ def hl_maximal(f: GridFunction, s: float = 1.0) -> GridFunction:
     return GridFunction(f.grid, _power_average_sweep(f, s))
 
 
+def _diameter_candidates(v: np.ndarray) -> np.ndarray:
+    """The complex values that can end a diameter of the set ``v``.
+
+    Along the 16 directions pi j / 16, the widths w_j = max - min of
+    Re(z e^{-i pi j / 16}) bracket the diameter D: the direction of a
+    farthest pair a - b is within pi / 32 of one of them, whose width is at
+    least D cos(pi / 32), so w <= D <= w / cos(pi / 32), w the largest
+    width, and only a direction of width at least w cos(pi / 32) can be
+    that one.  Every value lies in the disc of radius D about b, so along
+    it a is within D (1 - cos(pi / 32)) <= w (1 / cos(pi / 32) - 1) of the
+    largest projection, and b of the smallest.  The values kept are those
+    within that slack of an end of such a direction, the slack and the
+    widths widened by a few ulps of max |z| for the rounding of the
+    projections, which keeps every pair that rounds to the diameter.  A
+    value compared with nan is kept, so a set that is not finite keeps them
+    all; a set of one repeated value keeps one.
+    """
+    if not (v != v[0]).any():
+        return v[:1]
+    turns = [(math.cos(math.pi * j / 16), math.sin(math.pi * j / 16)) for j in range(16)]
+    ends = []
+    for c, s in turns:
+        proj = c * v.real + s * v.imag
+        ends.append((proj.max(), proj.min()))
+    width = max(top - bottom for top, bottom in ends)
+    ulps = 64 * np.finfo(float).eps * np.abs(v).max()
+    near = math.cos(math.pi / 32)
+    slack = width * (1 / near - 1) + ulps
+    inner = np.ones(v.size, dtype=bool)
+    for (c, s), (top, bottom) in zip(turns, ends):
+        if not top - bottom < width * near - ulps:
+            proj = c * v.real + s * v.imag
+            inner &= (proj < top - slack) & (proj > bottom + slack)
+    return v[~inner]
+
+
 def oscillation(values: np.ndarray) -> float:
     """Diameter of a value set: max - min for real data, max pairwise
     distance for complex data.
 
-    The complex diameter is exact up to 4096 values; beyond that a
-    deterministic 64-element stratified subset is used, which can only
-    under-report.
+    The complex diameter is the max of ``|a - b|`` over every pair, taken
+    in blocks of at most 2^21 differences; above 4096 values, over the
+    pairs of :func:`_diameter_candidates` only, which hold every pair that
+    attains it, so the value is the same.
     """
     v = np.asarray(values).ravel()
     if v.size <= 1:
@@ -494,10 +530,11 @@ def oscillation(values: np.ndarray) -> float:
     if not np.iscomplexobj(v):
         return float(v.max() - v.min())
     if v.size > 4096:
-        v = v[_stratified_indices(v.size, 64)]
+        v = _diameter_candidates(v)
+    rows = min(512, max(1, (1 << 21) // v.size))
     best = 0.0
-    for start in range(0, v.size, 512):
-        block = v[start:start + 512]
+    for start in range(0, v.size, rows):
+        block = v[start:start + rows]
         best = max(best, float(np.abs(block[:, None] - v[None, :]).max()))
     return best
 

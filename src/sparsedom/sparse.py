@@ -22,8 +22,8 @@ meet: their own transforms as a box of T f from one FFT over the window
 alpha R``, so T(f char_{R+}) is T f there), one
 ``dilate_transforms(start, count, side)`` call of
 :class:`~sparsedom.operators.LatticeTransform` per level, and the power
-averages of every level cube as differences of the prefix table
-``GridFunction.power_sat``, folded into one running maximum per side.
+averages of every level cube as differences of the build's prefix table
+of ``|f|**s``, folded into one running maximum per side.
 Every node below reads boxes of these: its power-average statistic is a
 box of its side's running maximum, and :func:`_node_stats` takes the
 oscillations in one pass per level above single cells, O(m log m) cells
@@ -101,6 +101,7 @@ from .grid import (
     GridFunction,
     _box_slices,
     _levels,
+    _power_sat,
     _sat_box_sums,
     avg_p,
     dilate,
@@ -281,8 +282,8 @@ class _SideLevels(NamedTuple):
     maxima: np.ndarray
 
 
-def _side_levels(rt: LatticeTransform, f: GridFunction, cubes: list[Cube],
-                 s: float) -> _SideLevels | None:
+def _side_levels(rt: LatticeTransform, f: GridFunction, sat: np.ndarray,
+                 cubes: list[Cube], s: float) -> _SideLevels | None:
     """The level data of cover cubes of one side, or None where none of
     them has window cells; the builder passes those with a nonzero average.
 
@@ -294,8 +295,8 @@ def _side_levels(rt: LatticeTransform, f: GridFunction, cubes: list[Cube],
     window transform (``LatticeTransform.full``).  One
     ``dilate_transforms`` call per level, over the window cells of the
     cubes with a transform, gives every other transform these nodes read;
-    the power averages of each level's cubes, as differences of the prefix
-    table ``GridFunction.power_sat``, are spread to their cells and folded
+    the power averages of each level's cubes, as differences of ``sat``,
+    the prefix table of ``|f|**s``, are spread to their cells and folded
     into the running maxima ``MS_q = max(averages of level p, MS_p)``, p
     the first level below q.
     """
@@ -311,7 +312,6 @@ def _side_levels(rt: LatticeTransform, f: GridFunction, cubes: list[Cube],
     sides = (cubes[0].side, *_levels(cubes[0].side))
     # before the level data, so that the FFT's arrays and theirs do not meet
     window = rt.full()
-    sat = f.power_sat(s)
     shape = tuple(hi - lo for lo, hi in box)
     transforms = np.empty((len(sides),) + shape, f.values.dtype)
     maxima = np.empty((len(sides) - 1,) + shape)
@@ -739,7 +739,7 @@ def _node_batch(levels: _SideLevels, grid: Grid, nodes: list[_Node],
             for j, (child, i) in enumerate(zip(children, owner.tolist()))]
 
 
-def _side_pass(rt: LatticeTransform, f: GridFunction, roots: list[Cube],
+def _side_pass(rt: LatticeTransform, f: GridFunction, sat: np.ndarray, roots: list[Cube],
                cfg: PipelineConfig) -> tuple[list[SparseEntry], list[NodeRecord]]:
     """The entries and records of the recursion trees below the cover cubes
     of one side, ``roots``, reading every node's statistics from the level
@@ -756,7 +756,8 @@ def _side_pass(rt: LatticeTransform, f: GridFunction, roots: list[Cube],
     """
     grid = f.grid
     averages = [avg_p(f, dilate(root, cfg.alpha), cfg.s) for root in roots]
-    levels = _side_levels(rt, f, [r for r, a in zip(roots, averages) if a != 0.0], cfg.s)
+    levels = _side_levels(rt, f, sat, [r for r, a in zip(roots, averages) if a != 0.0],
+                          cfg.s)
     done: list = []
     frontier = [_Node(root, (i,), None) for i, root in enumerate(roots)]
     depth = 0
@@ -869,9 +870,10 @@ def _build_bytes(kernel: Kernel, f: GridFunction, alpha: int, max_side: int) -> 
     truncations, or the parents' transforms) and eight words per cell (flat
     indices, maxima, oscillations and their spread, magnitudes, a partition
     copy, the masks), and for complex f the pairwise block of
-    ``maximal.oscillation`` on the largest level cube of at most 4096 cells
-    (512 rows, or as many as the cube has cells, of complex differences
-    and their moduli)."""
+    ``maximal.oscillation`` on the largest level cube (512 rows, or as many
+    as the cube has cells, of complex differences and their moduli, at
+    most 2^21) and, above 4096 cells, eight words a cell for the copy of
+    its values, their projections and the candidates they keep."""
     n, dim = f.grid.cells_per_side, f.grid.dim
     item = 16 if f.is_complex else 8
     levels = list(_levels(max_side))
@@ -882,8 +884,8 @@ def _build_bytes(kernel: Kernel, f: GridFunction, alpha: int, max_side: int) -> 
     slab = 6 * max(((alpha + 1) * first) ** dim, _SLAB_CELLS) * item
     batch = (2 * item + 64) * min(max(max_side**dim, _SLAB_CELLS), (3 * max_side) ** dim)
     if f.is_complex:
-        cells = min(first**dim, 4096)
-        batch += 24 * min(cells, 512) * cells
+        cells = first**dim
+        batch += 24 * min(cells, 512) * min(cells, 4096) + (64 * cells if cells > 4096 else 0)
     kept = ((len(levels) + 1) * item + len(levels) * 8) * min(3 * max_side, n) ** dim
     return (kernel_bytes + (n + 1) ** dim * 8
             + max(window, kept + max(n**dim * item, slab, batch)))
@@ -926,11 +928,13 @@ def build_sparse_domination(kernel: Kernel, f: GridFunction,
         f"the build on a {grid.dim}D grid with {grid.cells_per_side} cells per side",
         _build_bytes(kernel, f, cfg.alpha, max(c.side for c in cover)))
     rt = LatticeTransform(kernel, f, cfg.alpha)
+    # every side reads this table, and it goes with the build
+    sat = _power_sat(f, cfg.s)
     entries: list[SparseEntry] = []
     records: list[NodeRecord] = []
     # the cover cubes of one side come in a run and share their level data
     for _, roots in itertools.groupby(cover, key=lambda c: c.side):
-        side_entries, side_records = _side_pass(rt, f, list(roots), cfg)
+        side_entries, side_records = _side_pass(rt, f, sat, list(roots), cfg)
         entries += side_entries
         records += side_records
 

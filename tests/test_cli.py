@@ -313,11 +313,25 @@ def test_run_refuses_input_beyond_memory(tmp_path, capsys, monkeypatch):
 
 
 def test_out_dir_from_environment(tmp_path, monkeypatch):
+    # --out first, then $SPARSEDOM_OUT, then ./sparsedom-out
     cfg = write_config(tmp_path)
     target = tmp_path / "env-out"
     monkeypatch.setenv(cli.OUT_ENV_VAR, str(target))
     assert cli.main(["run", "--config", cfg]) == 0
     assert (target / "family.json").exists()
+    given = tmp_path / "given"
+    assert cli.main(["run", "--config", cfg, "--out", str(given)]) == 0
+    assert (given / "family.json").exists()
+    assert sorted(os.listdir(target)) == sorted(os.listdir(given))
+    assert (target / "family.json").read_bytes() == (given / "family.json").read_bytes()
+    monkeypatch.delenv(cli.OUT_ENV_VAR)
+    here = tmp_path / "here"
+    here.mkdir()
+    monkeypatch.chdir(here)
+    assert cli.main(["run", "--config", cfg]) == 0
+    assert os.listdir(here) == ["sparsedom-out"]
+    assert (here / "sparsedom-out" / "family.json").read_bytes() == (
+        given / "family.json").read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from sparsedom import (
     sharp_truncated,
 )
 from sparsedom import maximal, operators
+from sparsedom.grid import _power_sat
 from sparsedom.inputs import INPUT_KINDS, make_input
 from sparsedom.maximal import _power_average_sweep
 from sparsedom.operators import RestrictedTransform
@@ -210,15 +211,77 @@ def test_oscillation_real_and_complex():
     assert oscillation(vals) == pytest.approx(2.0, abs=1e-14)
 
 
+def pairwise_diameter(vals):
+    """Every pairwise distance, 200 rows at a time."""
+    return max(float(np.abs(vals[i:i + 200, None] - vals).max())
+               for i in range(0, vals.size, 200))
+
+
 def test_oscillation_complex_subsets_beyond_cap():
     g = rng(0)
     vals = g.normal(size=5000) + 1j * g.normal(size=5000)
-    approx = oscillation(vals)
-    # every pairwise distance, 200 rows at a time
-    exact = max(float(np.abs(vals[i:i + 200, None] - vals).max())
-                for i in range(0, vals.size, 200))
-    assert approx <= exact + 1e-12
-    assert approx >= 0.5 * exact  # stratified subset keeps the spread
+    assert oscillation(vals) == pairwise_diameter(vals)
+
+
+def test_oscillation_keeps_a_far_pair_no_sample_holds():
+    # a 64-value sample of 5000 missed indices 1 and 2 and read 0.0
+    vals = np.zeros(5000, dtype=complex)
+    vals[1], vals[2] = 5.0, -5.0
+    assert oscillation(vals) == pairwise_diameter(vals) == 10.0
+
+
+def test_oscillation_on_a_circle_keeps_every_point():
+    # every point is a directional extreme's neighbour: all are candidates
+    vals = np.exp(2j * np.pi * np.arange(5000) / 5000)
+    assert maximal._diameter_candidates(vals).size == vals.size
+    assert oscillation(vals) == pairwise_diameter(vals)
+
+
+@pytest.mark.parametrize("shape", ["ring", "sliver", "ties", "far", "constant"])
+def test_oscillation_is_the_pairwise_diameter_above_4096_values(shape):
+    g = rng(3)
+    k = 6000
+    vals = {
+        "ring": lambda: (g.random(k) + 0.25) * np.exp(2j * np.pi * g.random(k)),
+        # a thin rotated strip: the directions across it are narrower than
+        # the bracket's slack, and only those along it may pick candidates
+        "sliver": lambda: (3 * g.random(k) + 1e-3j * g.random(k)) * np.exp(0.7j),
+        "ties": lambda: np.round(4 * g.normal(size=k)) + 1j * np.round(4 * g.normal(size=k)),
+        # a small spread far from 0, where the ulps of |z| dominate
+        "far": lambda: 1e6 + 1e-6 * (g.normal(size=k) + 1j * g.normal(size=k)),
+        "constant": lambda: np.full(k, 2.0 - 1.0j),
+    }[shape]()
+    kept = maximal._diameter_candidates(vals)
+    assert kept.size <= (1 if shape == "constant" else 100)
+    assert oscillation(vals) == pairwise_diameter(vals)
+
+
+@pytest.mark.parametrize("shape", ["ring", "circle"])
+def test_oscillation_above_4096_values_stays_in_the_build_estimate(shape):
+    # sparse._build_bytes counts, for a level cube of more than 4096 cells,
+    # a pairwise block of at most 2**21 differences and eight words a
+    # cell; on a circle every value is a candidate
+    g = rng(5)
+    angles = np.exp(2j * np.pi * g.random((192, 192)))
+    z = angles if shape == "circle" else (g.random(angles.shape) + 0.25) * angles
+    cube = z[::2, ::2]      # strided, as a node's level cube is
+    tracemalloc.start()
+    try:
+        got = oscillation(cube)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == pairwise_diameter(cube.ravel())
+    assert peak <= 24 * 2**21 + 64 * cube.size
+
+
+@pytest.mark.parametrize("size", [2, 3, 511, 512, 513, 4096])
+def test_oscillation_up_to_4096_values_takes_every_pair(size):
+    g = rng(size)
+    vals = g.normal(size=size) + 1j * g.normal(size=size)
+    want = max(float(np.abs(vals[i:i + 512, None] - vals[None, :]).max())
+               for i in range(0, size, 512))
+    assert np.float64(oscillation(vals)).tobytes() == np.float64(want).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +365,7 @@ def reference_box_avgs(f, s, m):
     a = _anchor_range(n, m)
     lo = np.clip(a, 0, n)
     hi = np.clip(a + m, 0, n)
-    sat = f.power_sat(s)
+    sat = _power_sat(f, s)
     if grid.dim == 1:
         sums = sat[hi] - sat[lo]
     else:
@@ -592,7 +655,6 @@ def test_hl_maximal_refused_before_anything_window_sized(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < grid.n_cells
-    assert not f._power_sats
 
 
 def test_2d_complex_maximal_functions_match_gather_reference():

@@ -44,6 +44,7 @@ from sparsedom import (
     make_kernel,
 )
 from sparsedom import maximal, operators, sparse
+from sparsedom.grid import _power_sat
 from sparsedom.inputs import INPUT_KINDS, make_input
 from sparsedom.maximal import oscillation
 from sparsedom.operators import RestrictedTransform
@@ -94,7 +95,7 @@ def reference_stats(kernel, f, cube, qs, s, outer=None):
     shape = tuple(hi - lo for lo, hi in clip)
     if outer is None:
         outer = apply_restricted(kernel, f, targets=cube, source=qs).values
-    sat = f.power_sat(s)
+    sat = _power_sat(f, s)
     ms = np.zeros(shape)
     osc = np.zeros(shape)
     for p, cubes in selectable_cubes(grid, cube):
@@ -137,10 +138,10 @@ def compare_every_node(monkeypatch, kernel, f, cfg):
         cover = sparse.partition_cover(f.grid, sparse.support_box(f), cfg.alpha)
         whole = apply_restricted(run_kernel, f).values
 
-        def on_path(rt, f_, roots, s):
+        def on_path(rt, f_, sat, roots, s):
             assert (rt._lat is None) == (path == "direct")
             assert rt.alpha == cfg.alpha and s == cfg.s
-            return side_levels(rt, f_, roots, s)
+            return side_levels(rt, f_, sat, roots, s)
 
         def checked(levels, grid, cubes):
             got = fast(levels, grid, cubes)
@@ -269,12 +270,13 @@ def assert_side_data_is_each_cubes_own(kernel, f, cfg):
     grid = f.grid
     cover = sparse.partition_cover(grid, sparse.support_box(f), cfg.alpha)
     rt = operators.LatticeTransform(kernel, f, cfg.alpha)
+    sat = _power_sat(f, cfg.s)
     sides = []
     for side, group in itertools.groupby(cover, key=lambda c: c.side):
         group = list(group)
-        shared = sparse._side_levels(rt, f, group, cfg.s)
+        shared = sparse._side_levels(rt, f, sat, group, cfg.s)
         for cube in group:
-            own = sparse._side_levels(rt, f, [cube], cfg.s)
+            own = sparse._side_levels(rt, f, sat, [cube], cfg.s)
             if own is None:
                 continue
             on = sparse._box_slices(cube.window_clip(grid), shared.origin)
@@ -349,7 +351,7 @@ def test_cover_transforms_from_the_window_match_each_cubes_own(dim, n, name, whe
     checked = []
     for side, group in itertools.groupby(cover, key=lambda c: c.side):
         group = list(group)
-        levels = sparse._side_levels(rt, f, group, 1.0)
+        levels = sparse._side_levels(rt, f, _power_sat(f, 1.0), group, 1.0)
         points = max(2 * n, 4 * side) ** dim
         delta = (2 * 16 * np.finfo(float).eps * math.log2(points) * np.abs(lat).sum()
                  * grid.cell_measure * np.abs(vals).max())

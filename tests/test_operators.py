@@ -868,6 +868,13 @@ def test_lattice_run_estimate_counts_padding_batch_lattice_and_pairs():
     assert build_bytes(Grid(2, 128), 64, True, riesz) == (
         (255**2 + 129**2 + 6 * 128**2) * 8 + 7 * 128**2 * 16
         + 96 * 192**2 + 24 * 512 * 32**2)
+    # a complex f at 2D n = 512, nodes of side 256: level cubes of 128**2
+    # cells, above 4096, so the pairwise block is at its cap of 2**21
+    # differences, next to eight words a cell for the copy of the cube's
+    # values, its projections and the candidates they keep
+    assert build_bytes(Grid(2, 512), 256, True, riesz) == (
+        (1023**2 + 513**2) * 8 + (9 * 16 + 8 * 8) * 512**2
+        + 96 * 2**16 + 24 * 2**21 + 64 * 128**2)
     # one cell in the corner of 2D n = 1024: the ring sides are odd (up to
     # 729), so a side keeps 2 transforms and 1 maximum and its levels are
     # single cells; the window transform, the kernel segment and 3 arrays

@@ -1,6 +1,7 @@
 """Exceptional sets, stopping time, cover, and the sparse pipeline."""
 
 import dataclasses
+import gc
 import itertools
 import json
 import tracemalloc
@@ -27,6 +28,7 @@ from sparsedom import (
     check_domination,
     constant_from_records,
     dilate,
+    hl_maximal,
     local_cz_decomposition,
     make_kernel,
     partition_cover,
@@ -34,6 +36,7 @@ from sparsedom import (
 )
 from sparsedom import operators, sparse
 from sparsedom.cli import family_from_dict, family_to_json
+from sparsedom.grid import _power_sat
 from sparsedom.inputs import INPUT_KINDS, make_input
 from sparsedom.maximal import oscillation
 from sparsedom.operators import LatticeTransform
@@ -104,8 +107,8 @@ def node_exceptional(kernel, f, cube, root=None, **config):
     rt = builder_transform(kernel, g, cfg)
     avg = avg_p(g, dilate(cube, cfg.alpha), cfg.s)
     assert avg > 0 and cube.window_clip(f.grid) is not None
-    exc = sparse._exceptional(sparse._side_levels(rt, g, [root], cfg.s), f.grid,
-                              [cube], np.array([avg]), cfg)
+    levels = sparse._side_levels(rt, g, _power_sat(g, cfg.s), [root], cfg.s)
+    exc = sparse._exceptional(levels, f.grid, [cube], np.array([avg]), cfg)
     tau_t, tau_ms, tau_osc = exc.thresholds[:, 0].tolist()
     return SimpleNamespace(
         omega=CellSet(f.grid, cube, exc.omega[0]), avg=avg, tau_t=tau_t,
@@ -125,7 +128,7 @@ def local_family(kernel, f, root, config=PipelineConfig()):
     one root cube, built on f char_{alpha root} (as :func:`on_dilate`)."""
     g = on_dilate(f, root, config.alpha)
     rt = builder_transform(kernel, g, config)
-    return sparse._side_pass(rt, g, [root], config)
+    return sparse._side_pass(rt, g, _power_sat(g, config.s), [root], config)
 
 
 def witness_canvas(family):
@@ -196,6 +199,33 @@ def test_builder_memory_is_linear_without_a_lattice():
     finally:
         tracemalloc.stop()
     assert peak < operators._table_bytes(grid, False, True)
+
+
+@pytest.mark.parametrize("reader", ["build", "hl_maximal"])
+def test_no_power_table_outlives_its_reader(reader):
+    # the prefix table of |f|**s, 8 (n + 1)**dim bytes, is built by the
+    # call that reads it: once the result is gone, nothing the call
+    # allocated stays reachable, from f or anywhere else
+    grid = Grid(2, 128)
+    k = make_kernel("riesz2d", grid)
+    values = make_input(grid, "random", seed=7).values
+    call = {"build": lambda f: build_sparse_domination(k, f, PipelineConfig(s=2.0)),
+            "hl_maximal": lambda f: hl_maximal(f, 2.0)}[reader]
+    # a first call of its own, for what numpy and the package set up once
+    call(GridFunction(grid, values))
+    f = GridFunction(grid, values)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call(f)
+        del result
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 8 * (grid.cells_per_side + 1) ** grid.dim
+    assert vars(f).keys() == {"grid", "values"}
 
 
 def _modulated(grid):
@@ -1031,11 +1061,13 @@ def reference_build(kernel, f, cfg):
     grid = f.grid
     cover = partition_cover(grid, support_box(f), cfg.alpha)
     rt = builder_transform(kernel, f, cfg)
+    sat = _power_sat(f, cfg.s)
     entries, records = [], []
     for _, roots in itertools.groupby(cover, key=lambda c: c.side):
         roots = list(roots)
         levels = sparse._side_levels(
-            rt, f, [r for r in roots if avg_p(f, dilate(r, cfg.alpha), cfg.s) != 0.0], cfg.s)
+            rt, f, sat, [r for r in roots if avg_p(f, dilate(r, cfg.alpha), cfg.s) != 0.0],
+            cfg.s)
         for root in roots:
             reference_build_node(levels, f, root, 0, cfg, entries, records)
     return entries, records
