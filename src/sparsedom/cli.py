@@ -54,10 +54,12 @@ from .sparse import (
     build_sparse_domination,
 )
 from .verify import (
-    audit_coefficients,
+    _build_exponent,
+    _coefficient_gap,
+    _entry_averages,
+    _norm_ratio,
     check_domination,
     check_sparsity,
-    sparse_lp_ratio,
     t1_testing_probe,
 )
 
@@ -618,11 +620,17 @@ def _verification_report(kernel, f, family, cfg) -> tuple[dict, dict]:
         sparsity = check_sparsity(family, eta)
     with _timed(timings, "domination_s"):
         domination = check_domination(kernel, f, family, tol=tol)
+    # each entry's average is taken once per exponent: the audit's at the
+    # family's s, and the norm ratio's at r only where r is another
+    s = _build_exponent(family)
     with _timed(timings, "audit_s"):
-        audit = audit_coefficients(family, f)
+        averages = _entry_averages(family, f, s)
+        audit = _coefficient_gap(family, averages)
     with _timed(timings, "lp_ratio_s"):
+        if r != s:
+            averages = _entry_averages(family, f, r)
         try:
-            ratio = sparse_lp_ratio(family, f, r=r, p=p)
+            ratio = _norm_ratio(family, f, averages, p)
         except UndefinedRatioError:
             ratio = None
     passed = sparsity.passed and domination.passed and audit <= 1e-9

@@ -272,6 +272,9 @@ class GridFunction:
         return np.iscomplexobj(self.values)
 
     def norm_lp(self, p: float) -> float:
+        """The midpoint L^p norm, for a finite ``p > 0``."""
+        if not (0 < p < math.inf):
+            raise ParameterError(f"norm exponent must be finite and positive, got {p}")
         return float(
             (np.sum(np.abs(self.values) ** p) * self.grid.cell_measure) ** (1.0 / p)
         )

@@ -10,11 +10,13 @@ with cell centers ``x_c, y_c``; the diagonal cell ``y = x`` is always
 skipped.  Three evaluators share the kernel sampling below:
 
 * ``apply_restricted`` sums each chunk of target rows directly, with
-  matrix products over fixed groups of targets.  It is the reference the
-  tests compare against, and the domination check's path for a kernel
-  without a lattice; for one with a lattice the check of
-  :mod:`sparsedom.verify` has its own FFT over the window and re-sums the
-  cells that decide its report through the same ``_restricted_sums``.
+  matrix products over fixed groups of targets, from the source cells
+  inside the box of f's nonzero cells (``_live_sources``, the one rule of
+  every direct sum of f).  It is the reference the tests compare against,
+  and the domination check's path for a kernel without a lattice; for
+  one with a lattice the check of :mod:`sparsedom.verify` has its own FFT
+  over the window and re-sums the cells that decide its report through
+  the same ``_restricted_sums`` and sources.
 * ``LatticeTransform`` serves the sparse construction of
   :mod:`sparsedom.sparse` for every kernel.  ``full()`` gives ``T f`` on
   the window, which the cover cubes read, and ``dilate_transforms(start,
@@ -183,39 +185,85 @@ def _lattice_weights(lat: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def _kernel_block(kernel: Kernel, grid: Grid, pairs: np.ndarray | None,
-                  t_cells: np.ndarray, s_cells: np.ndarray) -> np.ndarray:
+                  t_cells: np.ndarray, sources) -> np.ndarray:
     """``K(x_c, y_c)`` for target cells x (rows) and source cells y, zero
     where ``x = y``: read from the lattice's pair view ``pairs``
-    (``_lattice_weights``), or evaluated densely when there is none.
-    Sources are distinct window cells in window order, as
-    ``CellSet.window_cells`` lists them.  A dense evaluation raises
+    (``_lattice_weights``), or evaluated densely when there is none.  The
+    sources are distinct window cells in window order, as
+    ``CellSet.window_cells`` lists them, or the bounds of a box, which
+    stands for its cells in that order.  A box is sliced out of the pair
+    view, which copies only the target rows, the window being one such
+    box; other cells are gathered from it.  A dense evaluation raises
     NumericError at a non-finite value; a lattice is finite already."""
+    if isinstance(sources, tuple):
+        if pairs is not None:
+            rows = pairs[(slice(None),) * grid.dim + _box_slices(sources)]
+            return rows[tuple(t_cells.T)].reshape(len(t_cells), -1)
+        lo, hi = np.transpose(sources)
+        sources = np.argwhere(np.ones(hi - lo, dtype=bool)) + lo
     if pairs is not None:
-        if len(s_cells) == grid.n_cells:
-            # every window cell in window order: whole target rows of the
-            # pair view, copied window by window
-            return pairs[tuple(t_cells.T)].reshape(len(t_cells), -1)
         # gathered from the pair view, with no index array per pair
         return pairs[tuple(t[:, None] for t in t_cells.T)
-                     + tuple(s[None, :] for s in s_cells.T)]
+                     + tuple(s[None, :] for s in sources.T)]
     with np.errstate(divide="ignore", invalid="ignore"):
         block = np.asarray(
             kernel.fn(_cell_center_coords(grid, t_cells)[:, None, :],
-                      _cell_center_coords(grid, s_cells)[None, :, :]),
+                      _cell_center_coords(grid, sources)[None, :, :]),
             dtype=np.float64)
-    shape = (len(t_cells), len(s_cells))
+    shape = (len(t_cells), len(sources))
     if block.shape != shape or not block.flags.writeable:
         block = np.broadcast_to(block, shape).copy()
     # zero the diagonal in place: no second pair-sized array
-    if t_cells is s_cells:
+    if t_cells is sources:
         np.fill_diagonal(block, 0.0)
     else:
-        block[np.all(t_cells[:, None, :] == s_cells[None, :, :], axis=-1)] = 0.0
+        block[np.all(t_cells[:, None, :] == sources[None, :, :], axis=-1)] = 0.0
     bad = ~np.isfinite(block)
     if bad.any():
         i, j = np.argwhere(bad)[0]
-        _raise_nonfinite(kernel.name, grid, t_cells[i], s_cells[j])
+        _raise_nonfinite(kernel.name, grid, t_cells[i], sources[j])
     return block
+
+
+def _support_bounds(values: np.ndarray):
+    """Half-open bounds per axis of the smallest box holding every nonzero
+    cell of ``values``, or None where every cell is 0."""
+    nonzero = values != 0
+    bounds = []
+    for d in range(values.ndim):
+        hit = np.flatnonzero(nonzero.any(axis=tuple(a for a in range(values.ndim) if a != d)))
+        if hit.size == 0:
+            return None
+        bounds.append((int(hit[0]), int(hit[-1]) + 1))
+    return tuple(bounds)
+
+
+def _live_sources(grid: Grid, values: np.ndarray, source: CellSet | Cube, support):
+    """The sources of every direct sum of f, and f on them: the window
+    cells of ``source`` inside ``support``, the bounds of the box of f's
+    nonzero cells (``_support_bounds``), since off it every term is an
+    exact 0.  Every sum that reads f takes its sources here, so two sums
+    of one target over one source set add the same terms in the same
+    order and agree bit for bit.  The sources are a box's bounds where the
+    source set fills a box (a cube always does), or else its cells, as
+    ``_kernel_block`` reads them; f's values follow in window order."""
+    box = source if isinstance(source, Cube) else source.box
+    clip = None if support is None else box.window_clip(grid)
+    if clip is not None:
+        clip = tuple((max(lo, a), min(hi, b)) for (lo, hi), (a, b) in zip(clip, support))
+    if clip is None or any(lo >= hi for lo, hi in clip):
+        return np.zeros((0, grid.dim), dtype=np.intp), values.ravel()[:0]
+    if isinstance(source, Cube) or source.mask.all():
+        return clip, values[_box_slices(clip)].ravel()
+    lo, hi = np.transpose(clip)
+    cells = source.window_cells()
+    cells = cells[np.all((cells >= lo) & (cells < hi), axis=1)]
+    return cells, values[tuple(cells.T)]
+
+
+def _source_count(sources) -> int:
+    """Cells of a source list or box as ``_kernel_block`` takes them."""
+    return math.prod(hi - lo for lo, hi in sources) if isinstance(sources, tuple) else len(sources)
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +276,12 @@ _SUM_GROUP = 4
 
 
 def _restricted_sums(kernel: Kernel, grid: Grid, t_cells: np.ndarray,
-                     s_cells: np.ndarray, f_src: np.ndarray,
+                     sources, f_src: np.ndarray,
                      lat: np.ndarray | None = None) -> np.ndarray:
     """``h**dim sum_y K(x_c, y_c) f_src[y]`` at every target cell x, for
-    source values ``f_src`` of shape ``(sources,)`` or ``(sources, k)``
-    (k columns summed at once, one matrix product per chunk).  The kernel
+    sources as ``_kernel_block`` takes them (cells or a box) and source
+    values ``f_src`` of shape ``(sources,)`` or ``(sources, k)`` (k
+    columns summed at once, one matrix product per chunk).  The kernel
     is read from ``lat`` when the caller has sampled the difference
     lattice, and sampled once otherwise; targets go in chunks of at most
     ``_PAIR_CHUNK`` pairs.
@@ -241,19 +290,23 @@ def _restricted_sums(kernel: Kernel, grid: Grid, t_cells: np.ndarray,
     ``_SUM_GROUP`` consecutive targets of ``t_cells``: BLAS may round a
     target's sum differently depending on which targets share its
     product, so the groups are fixed, and re-summing whole groups
-    reproduces the sums of a larger call bit for bit."""
+    reproduces the sums of a larger call bit for bit.  No sources give
+    +0.0 at every target."""
+    count = _source_count(sources)
+    out = np.zeros((len(t_cells),) + f_src.shape[1:],
+                   dtype=np.result_type(f_src, np.float64))
+    if count == 0:
+        return out
     if lat is None:
         lat = _offset_lattice(kernel, grid)
     # the pair view once, for every chunk
     pairs = None if lat is None else _lattice_weights(lat, grid)
     # whole groups per chunk
-    chunk = max(1, _PAIR_CHUNK // max(1, len(s_cells)) // _SUM_GROUP) * _SUM_GROUP
-    out = np.empty((len(t_cells),) + f_src.shape[1:],
-                   dtype=np.result_type(f_src, np.float64))
+    chunk = max(1, _PAIR_CHUNK // count // _SUM_GROUP) * _SUM_GROUP
     for start in range(0, len(t_cells), chunk):
         sl = slice(start, min(start + chunk, len(t_cells)))
         out[sl] = _block_sums(
-            _kernel_block(kernel, grid, pairs, t_cells[sl], s_cells), f_src)
+            _kernel_block(kernel, grid, pairs, t_cells[sl], sources), f_src)
     out *= grid.cell_measure
     return out
 
@@ -261,9 +314,11 @@ def _restricted_sums(kernel: Kernel, grid: Grid, t_cells: np.ndarray,
 def _block_sums(block: np.ndarray, f_src: np.ndarray) -> np.ndarray:
     """``block @ f_src``; for one column, the whole groups of
     ``_SUM_GROUP`` rows go as a stack of matrix-vector products, one per
-    group, then the tail.  A complex ``f_src`` goes as its real and
-    imaginary parts, two real products, so that the real block is never
-    copied to complex."""
+    group, then the tail as a group of its own padded with zero rows, so
+    that every row is summed by a product of ``_SUM_GROUP`` rows, a tail
+    row as it would be in a whole group.  A complex ``f_src`` goes as its
+    real and imaginary parts, two real products, so that the real block
+    is never copied to complex."""
     if np.iscomplexobj(f_src):
         out = np.empty(block.shape[:1] + f_src.shape[1:], dtype=np.complex128)
         out.real = _block_sums(block, np.ascontiguousarray(f_src.real))
@@ -272,10 +327,14 @@ def _block_sums(block: np.ndarray, f_src: np.ndarray) -> np.ndarray:
     if f_src.ndim > 1:
         return block @ f_src
     g = _SUM_GROUP
-    whole = len(block) // g * g
-    return np.concatenate([
-        (block[:whole].reshape(-1, g, block.shape[1]) @ f_src).reshape(-1),
-        block[whole:] @ f_src])
+    rows, whole = len(block), len(block) // g * g
+    out = np.empty(rows)
+    out[:whole] = (block[:whole].reshape(-1, g, block.shape[1]) @ f_src).reshape(-1)
+    if whole < rows:
+        tail = np.zeros((1, g, block.shape[1]))
+        tail[0, :rows - whole] = block[whole:]
+        out[whole:] = (tail @ f_src).reshape(-1)[:rows - whole]
+    return out
 
 
 def apply_restricted(kernel: Kernel, f: GridFunction,
@@ -285,9 +344,11 @@ def apply_restricted(kernel: Kernel, f: GridFunction,
 
     Returns a grid function that is zero off the target cells.  Targets
     and sources outside the window are ignored (f vanishes there and no
-    output cells exist there).  Each chunk of targets is summed directly
-    with matrix products (see ``_restricted_sums``); only the kernel
-    sampling is shared with the table and the FFT transforms.
+    output cells exist there), and so are sources outside the box of f's
+    nonzero cells (``_live_sources``), whose terms are exact zeros.  Each
+    chunk of targets is summed directly with matrix products (see
+    ``_restricted_sums``); only the kernel sampling is shared with the
+    table and the FFT transforms.
     """
     grid = f.grid
     _check_dims(kernel, grid)
@@ -297,17 +358,14 @@ def apply_restricted(kernel: Kernel, f: GridFunction,
         source = grid.window_cube()
     if isinstance(targets, Cube):
         targets = CellSet.from_cube(grid, targets)
-    if isinstance(source, Cube):
-        source = CellSet.from_cube(grid, source)
 
     t_cells = targets.window_cells()
-    s_cells = source.window_cells()
+    sources, f_src = _live_sources(grid, f.values, source, _support_bounds(f.values))
     out = np.zeros(grid.shape, dtype=np.complex128 if f.is_complex else np.float64)
-    if len(t_cells) == 0 or len(s_cells) == 0:
+    if len(t_cells) == 0:
         return GridFunction(grid, out)
 
-    out[tuple(t_cells.T)] = _restricted_sums(kernel, grid, t_cells, s_cells,
-                                             f.values[tuple(s_cells.T)])
+    out[tuple(t_cells.T)] = _restricted_sums(kernel, grid, t_cells, sources, f_src)
     return GridFunction(grid, out)
 
 
@@ -420,14 +478,18 @@ class LatticeTransform:
       on P, convolve the side's kernel segment with each cube's source.
 
     Offsets past ``n - 1`` pair window cells only with cells outside the
-    window, where f vanishes, and are left out.  Either way each cube is
+    window, where f vanishes, and are left out.  A cube whose dilate
+    misses the box of f's nonzero cells, so that its source is all 0, is
+    neither summed nor convolved: its transform is +0.0.  Either way each
+    cube is
     summed on its own, in an order that does not depend on the others, so
     it gets the same bits from a call of its own as in a slab or a block
     of any size; the values agree with the prefix table to rounding.  The
     weight block and the segment's spectrum are made once per call.
     Without a lattice each cube is summed directly by
-    ``_restricted_sums``, from P's window cells to P+'s: bit for bit
-    ``apply_restricted(kernel, f, targets=P, source=P+)``.
+    ``_restricted_sums``, from P+'s sources (``_live_sources``) to P's
+    window cells: bit for bit ``apply_restricted(kernel, f, targets=P,
+    source=P+)``.
 
     Memory is linear in the cell count; the builder checks its estimate
     against physical memory before it builds this
@@ -442,6 +504,7 @@ class LatticeTransform:
         self.alpha = alpha
         self._shift = (alpha - 1) // 2
         self._values = f.values
+        self._support = _support_bounds(f.values)
         self._lat = _offset_lattice(kernel, grid)
         self._fft, self._ifft = ((np.fft.fftn, np.fft.ifftn) if f.is_complex
                                  else (np.fft.rfftn, np.fft.irfftn))
@@ -453,19 +516,19 @@ class LatticeTransform:
         halves for real f): the window's offsets satisfy ``|k| <= n - 1``,
         so no two wrap onto one point and the circular convolution is the
         linear one on the window.  Without one, the direct sums of
-        ``_restricted_sums`` over the window, in slabs of whole groups of
-        targets with about ``_SLAB_CELLS`` pairs each, bit for bit
-        ``apply_restricted(kernel, f)``."""
+        ``_restricted_sums`` from the window's sources (``_live_sources``),
+        in slabs of whole groups of targets with about ``_SLAB_CELLS``
+        pairs each, bit for bit ``apply_restricted(kernel, f)``."""
         grid = self.grid
         n, dim = grid.cells_per_side, grid.dim
         if self._lat is None:
             cells = np.argwhere(np.ones(grid.shape, dtype=bool))
-            src = self._values.ravel()
-            out = np.empty(src.shape, src.dtype)
-            rows = max(1, _SLAB_CELLS // len(cells) // _SUM_GROUP) * _SUM_GROUP
+            sources, src = _live_sources(grid, self._values, grid.window_cube(), self._support)
+            out = np.empty(len(cells), self._values.dtype)
+            rows = max(1, _SLAB_CELLS // max(1, _source_count(sources)) // _SUM_GROUP) * _SUM_GROUP
             for i in range(0, len(cells), rows):
                 out[i:i + rows] = _restricted_sums(self.kernel, grid, cells[i:i + rows],
-                                                   cells, src)
+                                                   sources, src)
             return out.reshape(grid.shape)
         size, axes = (2 * n,) * dim, tuple(range(dim))
         spec = self._spectrum(n, 2 * n)
@@ -533,12 +596,31 @@ class LatticeTransform:
                    for c, k, (lo, hi) in zip(corner, sub, clip)]
             if any(lo >= hi for lo, hi in box):
                 continue
-            vals = cubes(segment, self._sources(corner, sub, side), side)
+            live = self._live_cubes(corner, sub, side)
+            if live == [(0, k) for k in sub]:
+                vals = cubes(segment, self._sources(corner, sub, side), side)
+            else:
+                # the cubes whose dilate misses f's nonzero cells get +0.0
+                vals = np.zeros(tuple(sub) + (side,) * dim, self._values.dtype)
+                if all(lo < hi for lo, hi in live):
+                    at = tuple(slice(lo, hi) for lo, hi in live)
+                    vals[at] = cubes(segment, self._sources(corner, sub, side)[at], side)
             if dim > 1:
                 vals = vals.transpose([i for d in range(dim) for i in (d, dim + d)])
             vals = vals.reshape([k * side for k in sub])
             out[_box_slices(box, origin)] = vals[_box_slices(box, corner)]
         return out
+
+    def _live_cubes(self, corner, count, side: int) -> list:
+        """Per axis, the range ``[lo, hi)`` of the cubes ``corner + side
+        k``, ``k < count``, whose dilates meet the box of f's nonzero cells
+        (empty where f vanishes): the only ones whose sources hold a
+        nonzero value."""
+        if self._support is None:
+            return [(0, 0)] * len(count)
+        reach = self._shift * side
+        return [(max(0, (a - reach - c) // side), min(k, -((c - b - reach) // side)))
+                for c, k, (a, b) in zip(corner, count, self._support)]
 
     def _sources(self, corner, count, side: int) -> np.ndarray:
         """Every cube's source window, strided with no copy from the box of
@@ -589,17 +671,19 @@ class LatticeTransform:
     def _direct_transforms(self, start, count, side: int, clip,
                            out: np.ndarray) -> np.ndarray:
         """``dilate_transforms`` without a lattice, into ``out``, the block's
-        window ``clip``: each cube of the block summed from its window cells
-        to its dilate's, in the cell order of ``CellSet.window_cells``."""
+        window ``clip``: each cube of the block summed from its dilate's
+        sources (``_live_sources``) to its window cells, in the cell order
+        of ``CellSet.window_cells``."""
         grid = self.grid
         for k in itertools.product(*map(range, count)):
             cube = Cube(tuple(lo + side * i for lo, i in zip(start, k)), side)
             cells = cube.window_clip(grid)
             if cells is not None:
-                src = CellSet.from_cube(grid, dilate(cube, self.alpha)).window_cells()
+                sources, src = _live_sources(grid, self._values, dilate(cube, self.alpha),
+                                             self._support)
                 sums = _restricted_sums(self.kernel, grid,
                                         CellSet.from_cube(grid, cube).window_cells(),
-                                        src, self._values[tuple(src.T)])
+                                        sources, src)
                 out[_box_slices(cells, [lo for lo, _ in clip])] = sums.reshape(
                     [hi - lo for lo, hi in cells])
         return out

@@ -108,7 +108,7 @@ from .grid import (
 )
 from .maximal import oscillation
 from .operators import (_PAIR_CHUNK, _SLAB_CELLS, _SUM_GROUP, Kernel, LatticeTransform,
-                        _check_dims, _refuse_beyond_memory)
+                        _check_dims, _refuse_beyond_memory, _support_bounds)
 
 __all__ = [
     "PipelineConfig",
@@ -836,11 +836,10 @@ def partition_cover(grid: Grid, support: Cube, alpha: int) -> list[Cube]:
 def support_box(f: GridFunction) -> Cube | None:
     """Smallest power-of-two-side cube inside the window holding every
     nonzero cell, or None when f vanishes identically."""
-    nz = np.argwhere(np.abs(f.values) > 0)
-    if len(nz) == 0:
+    bounds = _support_bounds(f.values)
+    if bounds is None:
         return None
-    lo = nz.min(axis=0)
-    hi = nz.max(axis=0) + 1
+    lo, hi = np.transpose(bounds)
     side = 1 << int(np.ceil(np.log2(max(1, int((hi - lo).max())))))
     n = f.grid.cells_per_side
     anchor = tuple(int(min(l, n - side)) for l in lo)

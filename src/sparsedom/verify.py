@@ -11,6 +11,10 @@ The domination check has its own transform, shared with no builder
 code: for a kernel with a difference lattice, one FFT convolution over
 the whole window, with every cell whose value can decide the report
 re-summed directly; for any other kernel, the direct sum on every cell.
+Either direct sum reads f only on the box of its nonzero cells, as
+:func:`sparsedom.operators.apply_restricted` does, off which every term is
+an exact 0.  The coefficient audit and the norm ratio re-average every
+entry; the CLI takes each exponent's averages once for both.
 """
 
 from __future__ import annotations
@@ -28,10 +32,12 @@ from .operators import (
     _SUM_GROUP,
     Kernel,
     _check_dims,
+    _live_sources,
     _offset_lattice,
     _refuse_beyond_memory,
     _restricted_sums,
     _stratified_indices,
+    _support_bounds,
     apply_restricted,
     transpose_kernel,
 )
@@ -144,16 +150,31 @@ def sparse_operator(family: SparseFamily, f: GridFunction,
 
     Averages are recomputed from ``f``; stored coefficients are not used.
     """
-    coeffs = [avg_p(f, e.cube, r) for e in family.entries]
-    return GridFunction(family.grid, _paint_coefficients(family, coeffs))
+    return GridFunction(family.grid,
+                        _paint_coefficients(family, _entry_averages(family, f, r)))
+
+
+def _entry_averages(family: SparseFamily, f: GridFunction, r: float) -> list:
+    """The r-power average of ``f`` over every entry's cube, in entry order."""
+    return [avg_p(f, e.cube, r) for e in family.entries]
+
+
+def _build_exponent(family: SparseFamily) -> float:
+    """The exponent s the family states it was built with, 1 where it
+    states none."""
+    return float(family.meta.get("s", 1.0))
 
 
 def audit_coefficients(family: SparseFamily, f: GridFunction) -> float:
     """Largest absolute gap between stored coefficients and freshly
     recomputed s-power averages of ``f``, s the family's build exponent (1
     where it states none); inf where a gap is NaN."""
-    s = float(family.meta.get("s", 1.0))
-    gaps = [abs(e.coefficient - avg_p(f, e.cube, s)) for e in family.entries]
+    return _coefficient_gap(family, _entry_averages(family, f, _build_exponent(family)))
+
+
+def _coefficient_gap(family: SparseFamily, averages: list) -> float:
+    """``audit_coefficients`` given the s-power ``averages`` of the entries."""
+    gaps = [abs(e.coefficient - a) for e, a in zip(family.entries, averages)]
     # max would drop a NaN
     return math.inf if any(map(math.isnan, gaps)) else max(gaps, default=0.0)
 
@@ -215,22 +236,23 @@ def _decisive_cells(tf: np.ndarray, stack: np.ndarray, bound: np.ndarray,
 
 def _domination_bytes(grid: Grid, is_complex: bool) -> int:
     """Bytes :func:`check_domination` allocates at its peak for a kernel
-    with a lattice.  It holds the lattice, the painted stack and bound,
-    and the FFT's values of ``T f`` with their moduli throughout; on top,
-    the larger of its two phases, since the FFT's arrays are freed before
-    the re-sum starts: the FFT over the window as
-    :func:`sparsedom.sparse._build_bytes` counts it, or the direct
-    re-sum's reversed lattice copy, its block of whole groups of
-    ``_SUM_GROUP`` targets against every cell (real also for a complex
-    input), and the window's cell list with f on it and the targets' rows
-    and cells, at most every cell."""
+    with a lattice, for any support of f.  It holds the lattice and the
+    painted stack and bound throughout; on top, the larger of its two
+    phases.  First the FFT over the window: three arrays of ``(2n)**dim``
+    points at the entry size (``rfftn`` half-spectra for a real input)
+    and the window values of ``T f`` it returns.  Then, with those values
+    and their moduli, the direct re-sum: its reversed lattice copy, its
+    block of whole groups of ``_SUM_GROUP`` targets against every source
+    (real also for a complex input), and f on the sources with the
+    targets' rows, cells and sums, at most every cell each; the sources
+    are the box of f's nonzero cells, at most the window."""
     n, dim, cells = grid.cells_per_side, grid.dim, grid.n_cells
     item = 16 if is_complex else 8
     lattice = (2 * n - 1) ** dim * 8
     pair_rows = min(cells, max(1, _PAIR_CHUNK // cells // _SUM_GROUP) * _SUM_GROUP)
-    fft = (8 + 3 * item) * (2 * n) ** dim
-    resum = lattice + pair_rows * cells * 8 + (16 * dim + 8 + item) * cells
-    return lattice + (24 + item) * cells + max(fft, resum)
+    fft = 3 * item * (2 * n) ** dim + item * cells
+    resum = lattice + pair_rows * cells * 8 + (8 * dim + 16 + 3 * item) * cells
+    return lattice + 16 * cells + max(fft, resum)
 
 
 def _window_magnitudes(kernel: Kernel, f: GridFunction, lat: np.ndarray,
@@ -242,9 +264,10 @@ def _window_magnitudes(kernel: Kernel, f: GridFunction, lat: np.ndarray,
     The FFT is trusted to ``delta = 16 eps log2(P) ||K h**dim||_1
     max|f|`` with ``P = (2n)**dim`` points.  Every cell of
     ``_decisive_cells`` is re-summed directly in whole groups of
-    ``_restricted_sums``, so its value is bit for bit that of
-    ``apply_restricted`` on the window, and a direct value that differs
-    from the FFT by more than ``delta`` raises NumericError.
+    ``_restricted_sums``, from the sources ``apply_restricted`` takes on
+    the window, the box of f's nonzero cells, so its value is bit for bit
+    that of ``apply_restricted``; a direct value that differs from the
+    FFT by more than ``delta`` raises NumericError.
     """
     grid = f.grid
     fast = _lattice_transform(lat, f).ravel()
@@ -257,15 +280,16 @@ def _window_magnitudes(kernel: Kernel, f: GridFunction, lat: np.ndarray,
     g = _SUM_GROUP
     rows = (np.unique(picked // g)[:, None] * g + np.arange(g)).ravel()
     rows = rows[rows < tf.size]
-    cells = CellSet.from_cube(grid, grid.window_cube()).window_cells()
-    direct = _restricted_sums(kernel, grid, cells[rows], cells,
-                              f.values[tuple(cells.T)], lat)
+    targets = np.stack(np.unravel_index(rows, grid.shape), axis=1)
+    sources, f_src = _live_sources(grid, f.values, grid.window_cube(),
+                                   _support_bounds(f.values))
+    direct = _restricted_sums(kernel, grid, targets, sources, f_src, lat)
     dev = np.abs(direct - fast[rows])
     worst = int(np.argmax(dev))
     if not dev[worst] <= delta:
         raise NumericError(
             f"the verifier's FFT of T f is off the direct sum by "
-            f"{dev[worst]:.3e} at cell {tuple(int(v) for v in cells[rows[worst]])}, "
+            f"{dev[worst]:.3e} at cell {tuple(int(v) for v in targets[worst])}, "
             f"beyond its rounding bound {delta:.3e}")
     tf[rows] = np.abs(direct)
     return tf.reshape(grid.shape)
@@ -329,13 +353,21 @@ def check_domination(kernel: Kernel, f: GridFunction, family: SparseFamily,
 
 def sparse_lp_ratio(family: SparseFamily, f: GridFunction, r: float = 1.0,
                     p: float = 2.0) -> float:
-    """Operator-to-input norm ratio ``||A_{S,r} f||_p / ||f||_p``."""
+    """Operator-to-input norm ratio ``||A_{S,r} f||_p / ||f||_p``, for a
+    finite ``p >= 1``."""
+    return _norm_ratio(family, f, _entry_averages(family, f, r), p)
+
+
+def _norm_ratio(family: SparseFamily, f: GridFunction, averages: list,
+                p: float) -> float:
+    """``sparse_lp_ratio`` given the r-power ``averages`` of the entries."""
     if not (p >= 1):
         raise ParameterError(f"norm exponent p must be >= 1, got {p}")
     denom = f.norm_lp(p)
     if denom == 0.0:
         raise UndefinedRatioError("input function vanishes; ratio undefined")
-    return sparse_operator(family, f, r).norm_lp(p) / denom
+    painted = _paint_coefficients(family, averages)
+    return GridFunction(family.grid, painted).norm_lp(p) / denom
 
 
 def wq_profile(kernel: Kernel, f: GridFunction, cube: Cube, q: float = 1.0,
@@ -398,7 +430,7 @@ def t1_testing_probe(kernel: Kernel, grid: Grid, cube: Cube | None = None,
     # sources as well as the targets
     cells = np.argwhere(base)
     cols = np.stack([mask[base] for _, mask in masks], axis=1).astype(np.float64)
-    sums = np.abs(_restricted_sums(kt, grid, cells, cells, cols)).sum(axis=0)
+    sums = np.abs(_restricted_sums(kt, grid, cells, cube.window_clip(grid), cols)).sum(axis=0)
     samples = []
     best = 0.0
     for (label, mask), total in zip(masks, sums):

@@ -345,6 +345,35 @@ def test_verify_accepts_fresh_run(tmp_path):
     assert (out / "verify_report.json").exists()
 
 
+@pytest.mark.parametrize("ratio_r,passes", [(None, 1), (1, 1), (1.0, 1), (2.0, 2)])
+def test_verification_report_averages_each_entry_once_per_exponent(monkeypatch, ratio_r,
+                                                                   passes):
+    # the audit's averages at the family's s = 1 serve the norm ratio too
+    # where its r is the same number; another r takes a pass of its own
+    cfg = {"grid": {"dim": 1, "cells_per_side": 64}, "kernel": {"name": "hilbert"},
+           "input": {"kind": "random", "seed": 7}, "pipeline": {"alpha": 3, "s": 1.0}}
+    if ratio_r is not None:
+        cfg["verify"] = {"ratio_r": ratio_r}
+    grid = cli._grid_from(cfg)
+    kernel, f = cli._kernel_from(cfg, grid), cli._input_from(cfg, grid)
+    family = build_sparse_domination(kernel, f, cli._pipeline_from(cfg)).family
+    want, _ = cli._verification_report(kernel, f, family, cfg)
+    exponents = []
+    avg_p = verify.avg_p
+
+    def counted(f_, cube, p):
+        exponents.append(float(p))
+        return avg_p(f_, cube, p)
+
+    monkeypatch.setattr(verify, "avg_p", counted)
+    report, _ = cli._verification_report(kernel, f, family, cfg)
+    assert report == want
+    assert len(exponents) == passes * len(family.entries)
+    assert sorted(set(exponents)) == sorted({1.0, float(ratio_r or 1.0)})
+    assert report["coefficient_audit_max_dev"] == verify.audit_coefficients(family, f)
+    assert report["lp_ratio"]["value"] == verify.sparse_lp_ratio(family, f, r=ratio_r or 1.0)
+
+
 def test_verify_catches_tampered_coefficients(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"

@@ -1,5 +1,7 @@
 """Geometry layer: cubes, integrals, averages, gauges."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -212,6 +214,15 @@ def test_avg_rejects_nonpositive_exponent():
     f = GridFunction(g, np.ones(4))
     with pytest.raises(ParameterError):
         avg_p(f, Cube((0,), 2), 0.0)
+
+
+@pytest.mark.parametrize("p", [math.inf, 0.0, math.nan, -1.0])
+def test_norm_rejects_an_exponent_that_is_not_finite_and_positive(p):
+    # the sum of |f|**inf is inf, and its 1/inf-th power 1, whatever max|f|
+    f = make_input(Grid(1, 64, 1.0), "random", seed=1)
+    assert np.abs(f.values).max() > 1.0
+    with pytest.raises(ParameterError, match="finite and positive"):
+        f.norm_lp(p)
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,52 @@ def test_restricted_sums_of_whole_groups_repeat_the_full_sums(dim, n, kname):
         assert np.array_equal(sums, full[rows])
 
 
+@pytest.mark.parametrize("complex_values", [False, True])
+@pytest.mark.parametrize("dim,n,kname", [(1, 64, "hilbert"), (2, 16, "riesz2d")])
+def test_restricted_sums_over_a_box_equal_the_gathered_cells(dim, n, kname,
+                                                             complex_values):
+    # a box's block is sliced from the pair view, any other cell list's
+    # gathered from it; over the same cells the two sum alike, bit for bit:
+    # the window, the centred half, a corner, one cell and no cell
+    grid = Grid(dim, n)
+    k = make_kernel(kname, grid)
+    lat = operators._offset_lattice(k, grid)
+    g = rng(5)
+    vals = g.normal(size=grid.shape)
+    if complex_values:
+        vals = vals + 1j * g.normal(size=grid.shape)
+    targets = np.argwhere(np.ones(grid.shape, dtype=bool))
+    boxes = [((0, n),) * dim, ((n // 4, 3 * n // 4),) * dim,
+             ((n - 3, n),) + ((0, 5),) * (dim - 1), ((7, 8),) * dim, ((2, 2),) * dim]
+    for box in boxes:
+        lo, hi = np.transpose(box)
+        cells = np.array(list(itertools.product(*map(range, lo, hi))),
+                         dtype=np.intp).reshape(-1, dim)
+        src = vals[tuple(cells.T)]
+        for kernel, weights in ((k, lat), (_dense(k), None)):
+            got = operators._restricted_sums(kernel, grid, targets, box, src, weights)
+            want = operators._restricted_sums(kernel, grid, targets, cells, src, weights)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), box
+        if src.size == 0:
+            assert got.tobytes() == np.zeros_like(got).tobytes()
+
+
+@pytest.mark.parametrize("dim,n,kname", [(1, 64, "hilbert"), (2, 16, "riesz2d")])
+def test_restricted_sums_of_a_tail_repeat_the_full_sums(dim, n, kname):
+    # the targets past the last whole group are summed as a group padded
+    # with zero rows: a call on the first k cells of the window has the
+    # bits of the window's sums, for every k
+    grid = Grid(dim, n)
+    k = make_kernel(kname, grid)
+    f = GridFunction(grid, rng(6).normal(size=grid.shape))
+    full = apply_restricted(k, f).values.ravel()
+    cells = np.argwhere(np.ones(grid.shape, dtype=bool))
+    for count in range(1, 4 * operators._SUM_GROUP):
+        sums = operators._restricted_sums(k, grid, cells[:count], ((0, n),) * dim,
+                                          f.values.ravel())
+        assert sums.tobytes() == full[:count].tobytes(), count
+
+
 # ---------------------------------------------------------------------------
 # transpose
 
@@ -744,6 +790,55 @@ def test_batched_dilate_transforms_equal_single_cube_calls(dim, n, name,
             assert got.dtype == one.dtype and got.tobytes() == one.tobytes(), cube
 
 
+@pytest.mark.parametrize("complex_values", [False, True])
+@pytest.mark.parametrize("where", ["centred", "corner"])
+@pytest.mark.parametrize("dim,n,name", [(1, 256, "hilbert"), (2, 32, "riesz2d")])
+def test_zero_source_cubes_are_skipped(monkeypatch, dim, n, name, where, complex_values):
+    # a cube whose dilate meets no nonzero value of f is summed neither
+    # directly nor by FFT: it gets +0.0, bit for bit, and every other cube
+    # the bits of a call of its own, on sides summed directly and by FFT
+    grid = Grid(dim, n)
+    g = rng(41)
+    vals = np.zeros(grid.shape)
+    box = ((slice(n // 4, 3 * n // 4),) if where == "centred" else (slice(0, n // 8),)) * dim
+    vals[box] = g.random(vals[box].shape) + 0.25
+    if complex_values:
+        vals = vals * np.exp(2j * np.pi * g.random(grid.shape))
+    fft = LatticeTransform(make_kernel(name, grid), GridFunction(grid, vals), 3)
+    methods = set()
+    for method in ("_convolved", "_summed"):
+        def recorded(self, segment, src, side, _call=getattr(LatticeTransform, method),
+                     _name=method):
+            # every source handed on holds a nonzero value
+            assert src.reshape(-1, (3 * side) ** dim).any(axis=1).all()
+            methods.add(_name)
+            return _call(self, segment, src, side)
+
+        monkeypatch.setattr(LatticeTransform, method, recorded)
+    skipped = 0
+    for side, start in ((1, 0), (2, 0), (4, -2), (8, 4), (n // 4, 0), (n // 2, -n // 2)):
+        count = (n - start + side - 1) // side
+        block = _dilate_transforms(fft, (start,) * dim, (count,) * dim, side)
+        origin = (max(start, 0),) * dim
+        for kk in itertools.product(range(count), repeat=dim):
+            cube = Cube(tuple(start + side * i for i in kk), side)
+            clip = cube.window_clip(grid)
+            if clip is None:
+                continue
+            got = block[sparse._box_slices(clip, origin)]
+            if not vals[sparse._box_slices(dilate(cube, 3).window_clip(grid))].any():
+                skipped += 1
+                assert got.tobytes() == np.zeros_like(got).tobytes(), cube
+                continue
+            one = _dilate_transforms(fft, cube.anchor, (1,) * dim, side)
+            assert got.dtype == one.dtype and got.tobytes() == one.tobytes(), cube
+            # and it was summed: the direct sum over its dilate, to rounding
+            want = apply_restricted(fft.kernel, GridFunction(grid, vals), targets=cube,
+                                    source=dilate(cube, 3)).values[sparse._box_slices(clip)]
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), cube
+    assert skipped > 0 and methods == {"_convolved", "_summed"}
+
+
 # ---------------------------------------------------------------------------
 # memory preflight
 
@@ -881,25 +976,30 @@ def test_lattice_run_estimate_counts_padding_batch_lattice_and_pairs():
     # of 2048**2 points, is the largest phase
     assert build_bytes(Grid(2, 1024), 729, kernel=riesz) == (
         (2047**2 + 1025**2) * 8 + (8 + 3 * 8) * 2048**2)
-    # the domination check's: the lattice, the stack and bound, and the
-    # FFT's values and moduli throughout, then the larger phase: its FFT of
-    # 2n points per axis at the real kernel segment and 3 arrays at the
-    # entry size (rfftn half-spectra for a real input), or the re-sum's
+    # the domination check's: the lattice, the stack and bound throughout,
+    # then the larger phase: its FFT, 3 arrays of 2n points per axis at the
+    # entry size (rfftn half-spectra for a real input) and the window values
+    # it returns, or the re-sum with those values and their moduli, its
     # reversed lattice copy, its block of all N**2 pairs (real also for a
-    # complex input, whose parts it multiplies in turn) and the cell lists
-    # with f, 2 * 8 * dim + 8 + the entry size a cell; in 1D the re-sum is
-    # the larger phase
+    # complex input, whose parts it multiplies in turn), and f on the
+    # sources with the targets' rows, cells and sums, 8 * dim + 8 + 2 times
+    # the entry size a cell; in 1D the re-sum is the larger phase
     assert verify._domination_bytes(Grid(1, 64), False) == (
-        127 * 8 + 32 * 64 + 127 * 8 + 64 * 64 * 8 + 32 * 64)
+        127 * 8 + 16 * 64 + 127 * 8 + 64 * 64 * 8 + 48 * 64)
     assert verify._domination_bytes(Grid(1, 64), True) == (
-        127 * 8 + 40 * 64 + 127 * 8 + 64 * 64 * 8 + 40 * 64)
+        127 * 8 + 16 * 64 + 127 * 8 + 64 * 64 * 8 + 72 * 64)
     # at 2D n = 128 the re-sum's block of 256 rows, 2**22 pairs
     assert verify._domination_bytes(Grid(2, 128), False) == (
-        255**2 * 8 + 32 * 128**2 + 255**2 * 8 + 2**22 * 8 + 48 * 128**2)
-    # at 2D n = 2048 a whole group of 4 rows against all 2**22 cells is
-    # below the FFT
+        255**2 * 8 + 16 * 128**2 + 255**2 * 8 + 2**22 * 8 + 56 * 128**2)
+    # at 2D n = 1024 the FFT's 3 arrays of 2048**2 points are the larger
+    # phase for a complex input, its re-sum for a real one
+    assert verify._domination_bytes(Grid(2, 1024), True) == (
+        2047**2 * 8 + 16 * 1024**2 + 3 * 16 * 2048**2 + 16 * 1024**2)
+    assert verify._domination_bytes(Grid(2, 1024), False) == (
+        2047**2 * 8 + 16 * 1024**2 + 2047**2 * 8 + 2**22 * 8 + 56 * 1024**2)
+    # at 2D n = 2048 a whole group of 4 rows against all 2**22 cells
     assert verify._domination_bytes(Grid(2, 2048), False) == (
-        4095**2 * 8 + 32 * 2048**2 + (8 + 3 * 8) * 4096**2)
+        4095**2 * 8 + 16 * 2048**2 + 4095**2 * 8 + 4 * 2048**2 * 8 + 56 * 2048**2)
     # a node of side n, the largest call, stays inside the slab term
     grid = Grid(2, 16)
     f = GridFunction(grid, rng(2).normal(size=grid.shape))
@@ -959,8 +1059,8 @@ def test_domination_estimate_is_tight_for_a_real_input():
     # 2D riesz2d, random f: the check holds its FFT's arrays and its
     # re-sum's at different times, and its estimate counts only the larger
     # of the two phases on top of what it holds throughout; the traced peak
-    # (63 and 152 MiB for a real f at n = 512 and 1024) stays at or below
-    # the estimate (68 and 192 MiB), within 1.3 times it for a real f.  A
+    # (57 and 144 MiB for a real f at n = 512 and 1024) stays at or below
+    # the estimate (66 and 168 MiB), within 1.3 times it for a real f.  A
     # complex f with the same values takes the complex FFT and re-sums its
     # two parts, and stays at or below its own estimate
     for n in (512, 1024):

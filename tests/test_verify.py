@@ -7,6 +7,7 @@ here by direct summation, independent of the prefix-sum machinery.
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -193,6 +194,10 @@ def test_sparse_lp_ratio_rejects_bad_exponent():
     f = indicator(grid, Cube((0,), 4))
     with pytest.raises(ParameterError):
         sparse_lp_ratio(fam, f, r=1.0, p=0.5)
+    # no finite norm to divide by: ||f||_inf is no limit of the sums
+    for p in (math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            sparse_lp_ratio(fam, f, r=1.0, p=p)
 
 
 def test_audit_coefficients_tight_on_pipeline_output():
@@ -387,6 +392,35 @@ def test_check_domination_report_equals_direct_sum(kname, dim, n):
                 failing += not want["passed"]
     if kname != "zero":
         assert failing > 0
+
+
+@pytest.mark.parametrize("kname,dim,n", [("hilbert", 1, 256), ("riesz2d", 2, 32)])
+@pytest.mark.parametrize("support", ["corner", "one cell", "none"])
+def test_check_domination_equals_direct_sum_off_the_centre(kname, dim, n, support):
+    # the direct sums read f on the box of its nonzero cells only: a box
+    # in a corner, a single cell, and no cell at all (f = 0, where every
+    # re-summed value is +0.0); every field is what the direct sum on every
+    # cell gives, at the family's constant and at ones that make cells fail
+    grid = Grid(dim, n)
+    kernel = make_kernel(kname, grid)
+    gen = np.random.Generator(np.random.Philox(23))
+    vals = np.zeros(grid.shape)
+    if support == "corner":
+        box = (slice(n - n // 8, n),) + (slice(0, n // 8),) * (dim - 1)
+        vals[box] = gen.random(vals[box].shape) + 0.25
+    elif support == "one cell":
+        vals[(n // 3,) * dim] = 1.5
+    for f in (GridFunction(grid, vals), GridFunction(grid, vals * np.exp(0.7j))):
+        fam = build_sparse_domination(kernel, f).family
+        for scale in (1.0, 0.3, 0.02):
+            c = fam.constant * scale
+            want = direct_domination(kernel, f, fam, c)
+            scaled = dataclasses.replace(fam, constant=c)
+            assert dataclasses.asdict(check_domination(kernel, f, scaled)) == want
+            if support == "none":
+                assert want["passed"] and want["worst_margin"] == 0.0
+            elif scale == 0.02:
+                assert not want["passed"]
 
 
 def test_check_domination_exact_at_the_tolerance():
