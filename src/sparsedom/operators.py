@@ -984,9 +984,12 @@ def _log_wiggle(a: np.ndarray) -> np.ndarray:
 def _make_dini_stress_fn(scale: float):
     def fn(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         u = x[..., 0] - y[..., 0]
+        # the pattern depends on |u| only: its 40 sines are taken once per
+        # distinct |u| (a lattice repeats each twice, a block of pairs more)
+        dist, at = np.unique(np.abs(u).ravel(), return_inverse=True)
         with np.errstate(divide="ignore"):
-            a = np.log(scale / np.abs(u))
-        pattern = 1.0 + 0.5 * _log_wiggle(a)
+            a = np.log(scale / dist)
+        pattern = (1.0 + 0.5 * _log_wiggle(a))[at].reshape(u.shape)
         return pattern / u
     return fn
 

@@ -55,16 +55,20 @@ so a node's bookkeeping costs O(m**dim) cells, not a window-shaped array.
 
 The trees below the cover cubes of one side grow a depth at a time
 (:func:`_side_pass`).  The nodes of a depth with a nonzero average and
-window cells are grouped by side and by where their window cells sit in
-the cube, and each group is grown in batches of at most ``_SLAB_CELLS``
-cube cells (or one node) by :func:`_node_batch`: its statistics are boxes
-of the level data stacked along a first axis, its thresholds one
-``np.partition`` per statistic, its stopping time one scan of the stacked
-masks a level of subcubes at a time by reshape-sums, and its witnesses,
-invariants and coefficients reductions over the stack.  Each node's path
-of child indices from its cover cube puts the records and entries in the
-depth-first preorder of the recursion, each node's edges in the order the
-stopping time selects its children.
+window cells are grouped by side, and each group is grown in batches of
+at most ``_SLAB_CELLS`` cube cells (or one node) by :func:`_node_batch`.
+A batch reads every node on one box, the union of its nodes' window cells
+as offsets from each anchor, so cover cubes that stick out of the window
+in different ways share a batch; a node's cells of the box outside the
+window are masked out of its thresholds, exceptional set and node
+coefficient (a one-node batch's box is its own window cells).  A batch's
+statistics are boxes of the level data stacked along a first axis, its
+thresholds one ``np.partition`` per statistic, its stopping time one scan
+of the stacked masks a level of subcubes at a time by reshape-sums, and
+its witnesses, invariants and coefficients reductions over the stack.
+Each node's path of child indices from its cover cube puts the records
+and entries in the depth-first preorder of the recursion, each node's
+edges in the order the stopping time selects its children.
 
 Every coefficient is read from the level data, in units of the node
 average: a node's is the largest ``|T(f char_{Q+})|`` on its witness, an
@@ -249,10 +253,10 @@ def _level_runs(lo: int, hi: int, anchor: int, p: int):
 @functools.lru_cache(maxsize=4096)
 def _node_runs(offset: int, length: int, p: int):
     """Where the cubes of side ``p`` anchored at a node's anchor start their
-    runs of the node's window cells on one axis, counted from the first of
-    them, and how many cells each holds, for window cells that start
-    ``offset`` cells past the anchor and number ``length``; read-only, and
-    cached, since the nodes of a build repeat a few of these."""
+    runs of the cells of a batch's box on one axis, counted from the first
+    of them, and how many cells each holds, for a box that starts
+    ``offset`` cells past the anchor and holds ``length``; read-only, and
+    cached, since the batches of a build repeat a few of these."""
     _, starts, counts = _level_runs(offset, offset + length, 0, p)
     starts.flags.writeable = counts.flags.writeable = False
     return starts, counts
@@ -344,29 +348,49 @@ def _side_levels(rt: LatticeTransform, f: GridFunction, sat: np.ndarray,
     return _SideLevels(tuple(lo for lo, _ in box), sides, transforms, maxima)
 
 
-def _box_cells(levels: _SideLevels, cubes: list[Cube], clip) -> np.ndarray:
+def _batch_box(grid: Grid, cubes: list[Cube]) -> tuple[tuple[int, int], ...]:
+    """The box of a batch of node cubes of one side, each with window
+    cells: per axis, the offsets from a cube's anchor where the union of
+    their window cells starts and ends."""
+    n, side = grid.cells_per_side, cubes[0].side
+    return tuple((max(0, -max(a)), min(side, n - min(a)))
+                 for a in zip(*(c.anchor for c in cubes)))
+
+
+def _box_cells(levels: _SideLevels, grid: Grid, cubes: list[Cube], box):
     """Flat indices into one level of a side's level data (``transforms``
-    or ``maxima`` of :class:`_SideLevels`) of the window cells of a batch of
-    cubes, box-shaped per cube and stacked along a first axis; ``clip`` is
-    the first cube's window cells, and every cube's sit alike in it."""
-    dim = len(clip)
+    or ``maxima`` of :class:`_SideLevels`) of the cells of a batch of
+    cubes on their box (:func:`_batch_box`), box-shaped per cube and
+    stacked along a first axis, and where those cells lie outside the
+    window (None where none does).
+
+    A cell outside the window takes the index of the window cell nearest it
+    on each axis.  That cell lies in every cube that holds the first and
+    meets the window, so on a level cube of the node the copies change no
+    maximum or minimum over its window cells."""
+    n, dim, k = grid.cells_per_side, len(box), len(cubes)
     # the level box is C-contiguous: a cell's index steps by these per axis
     steps = [math.prod(levels.transforms.shape[2 + d:]) for d in range(dim)]
-    box = 0
-    for d, ((lo, hi), step) in enumerate(zip(clip, steps)):
-        box = box + np.arange(0, (hi - lo) * step, step).reshape((-1,) + (1,) * (dim - 1 - d))
-    # each cube's first window cell: the first cube's, moved as its anchor
-    first = sum((lo - o) * step for (lo, _), o, step in zip(clip, levels.origin, steps))
-    moved = [sum((a - b) * step for a, b, step in zip(c.anchor, cubes[0].anchor, steps))
-             for c in cubes]
-    return (np.array(moved) + first).reshape((-1,) + (1,) * dim) + box
+    anchors = np.array([c.anchor for c in cubes])
+    cells, inside = 0, True
+    for d, ((lo, hi), o, step) in enumerate(zip(box, levels.origin, steps)):
+        x = (anchors[:, d, None] + np.arange(lo, hi)).reshape(
+            (k,) + (1,) * d + (-1,) + (1,) * (dim - 1 - d))
+        if x.min() < 0 or x.max() >= n:
+            inside = inside & (x >= 0) & (x < n)
+            x = np.clip(x, 0, n - 1)
+        cells = cells + (x - o) * step
+    return cells, None if inside is True else ~np.broadcast_to(inside, cells.shape)
 
 
-def _node_stats(levels: _SideLevels, grid: Grid, cubes: list[Cube]):
-    """On the window cells of a batch of node cubes of one side, all with
-    the same offsets of their window cells in the cube, stacked along a
-    first axis: T(f char_{Q+}) (signed, box-shaped) and, flattened per
-    node, the two dyadic maximal functions of f char_{Q+}.
+def _node_stats(levels: _SideLevels, grid: Grid, cubes: list[Cube], box):
+    """On the cells of a batch of node cubes of one side on their box
+    (:func:`_batch_box`), stacked along a first axis: T(f char_{Q+})
+    (signed, box-shaped), and, flattened per node, the two dyadic maximal
+    functions of f char_{Q+}, -inf outside the window; and where the box's
+    cells lie outside the window (None where none does).  On a cell outside
+    the window the transform is a copy of a window cell's
+    (:func:`_box_cells`).
 
     At a cell x, each is the largest over the cubes P the stopping time can
     select below Q with x in P (one per level of :func:`_levels`) of the
@@ -376,33 +400,36 @@ def _node_stats(levels: _SideLevels, grid: Grid, cubes: list[Cube]):
     is f on P+.  The level cubes tile Q, so a cell takes its cube's value
     on each level; the averages are boxes of the side's running maximum,
     and a single cell, the last level, has no oscillation.  The nodes'
-    level cubes cut their window cells alike, so each level's oscillations
-    are one ``reduceat`` per axis over the stack (and for complex values a
-    diameter per level cube).
+    level cubes cut the box alike, so each level's oscillations are one
+    ``reduceat`` per axis over the stack (and for complex values a
+    diameter per level cube over each node's window cells).
     """
     q, k = cubes[0], len(cubes)
-    clip = q.window_clip(grid)
-    shape = tuple(hi - lo for lo, hi in clip)
-    cells = _box_cells(levels, cubes, clip)
+    shape = tuple(hi - lo for lo, hi in box)
+    cells, outside = _box_cells(levels, grid, cubes, box)
     at = levels.sides.index(q.side)
     t_on = levels.transforms[at].take(cells)
     osc = np.zeros(t_on.shape)
     if q.side == 1:
-        return t_on, np.zeros((k, osc[0].size)), osc.reshape(k, -1)
+        return t_on, np.zeros((k, osc[0].size)), osc.reshape(k, -1), outside
+    if t_on.dtype.kind == "c":
+        # each node's window cells on each axis, counted from the box's start
+        own = [[(max(0, -a) - lo, min(q.side, grid.cells_per_side - a) - lo)
+                for a, (lo, _) in zip(c.anchor, box)] for c in cubes]
     for i, p in enumerate(levels.sides[at + 1:], at + 1):
         if p == 1:
             break
         # per axis: where each of a node's level cubes starts its run of
-        # the node's window cells, and the run's length
-        runs, counts = zip(*(_node_runs(lo - a, hi - lo, p)
-                             for (lo, hi), a in zip(clip, q.anchor)))
+        # the box's cells, and the run's length
+        runs, counts = zip(*(_node_runs(lo, hi - lo, p) for lo, hi in box))
         trunc = levels.transforms[i].take(cells)
         np.subtract(t_on, trunc, out=trunc)
         if trunc.dtype.kind == "c":
             bounds = [list(zip(b, np.append(b[1:], shape[d]))) for d, b in enumerate(runs)]
             stat = np.array([
-                oscillation(node[tuple(slice(b0, b1) for b0, b1 in block)])
-                for node in trunc for block in itertools.product(*bounds)
+                oscillation(node[tuple(slice(max(b0, o0), min(b1, o1))
+                                       for (b0, b1), (o0, o1) in zip(block, mine))])
+                for node, mine in zip(trunc, own) for block in itertools.product(*bounds)
             ]).reshape((k, *(len(b) for b in runs)))
         else:
             top, bottom = trunc, trunc
@@ -412,7 +439,9 @@ def _node_stats(levels: _SideLevels, grid: Grid, cubes: list[Cube]):
             stat = top - bottom
         np.maximum(osc, _repeat(stat, counts), out=osc)
     ms = levels.maxima[at].take(cells)
-    return t_on, ms.reshape(k, -1), osc.reshape(k, -1)
+    if outside is not None:
+        ms[outside] = osc[outside] = -np.inf
+    return t_on, ms.reshape(k, -1), osc.reshape(k, -1), outside
 
 
 def _repeat(vals: np.ndarray, counts) -> np.ndarray:
@@ -437,12 +466,12 @@ def _order_threshold(vals: np.ndarray, k: int) -> np.ndarray:
 
 class _Exceptional(NamedTuple):
     """The exceptional sets of a batch of nodes (:func:`_node_stats`) and
-    what cut them: ``transform`` T(f char_{Q+}) on their window cells,
-    box-shaped, and ``magnitude`` its modulus flattened per node; the
-    ``thresholds`` and the ``exceed_counts``, the cells each statistic
-    (transform, power average, oscillation) made exceptional, each of shape
-    (3, k); ``omega``, each node's exceptional cells on its cube's own
-    cells."""
+    what cut them: ``transform`` T(f char_{Q+}) on their box, box-shaped,
+    and ``magnitude`` its modulus flattened per node, -inf outside the
+    window; the ``thresholds`` and the ``exceed_counts``, the cells each
+    statistic (transform, power average, oscillation) made exceptional,
+    each of shape (3, k); ``omega``, each node's exceptional cells on its
+    cube's own cells."""
 
     transform: np.ndarray
     magnitude: np.ndarray
@@ -451,9 +480,9 @@ class _Exceptional(NamedTuple):
     omega: np.ndarray
 
 
-def _exceptional(levels: _SideLevels, grid: Grid, cubes: list[Cube],
+def _exceptional(levels: _SideLevels, grid: Grid, cubes: list[Cube], box,
                  avg: np.ndarray, cfg: PipelineConfig) -> _Exceptional:
-    """Exceptional cells of a batch of node cubes (as for
+    """Exceptional cells of a batch of node cubes on their box (as for
     :func:`_node_stats`) whose averages ``avg`` are not 0.
 
     A window cell of a cube is exceptional when its transform value, dyadic
@@ -462,23 +491,32 @@ def _exceptional(levels: _SideLevels, grid: Grid, cubes: list[Cube],
     :func:`_node_stats`) strictly exceeds the corresponding threshold.  In
     quantile mode the thresholds are per-statistic order statistics sized
     so the exceptional set covers at most ``1/2**(dim+2)`` of the cube's
-    cells; in fixed mode they are ``c_fixed`` (power average) and
-    ``a_fixed`` (transform and oscillation) times the node average.  The
+    cells, taken over each node's window cells alone; in fixed mode they
+    are ``c_fixed`` (power average) and ``a_fixed`` (transform and
+    oscillation) times the node average.  The
     thresholds only cut the exceptional set; no coefficient is read from
     them.  ``levels`` are those of the cover cubes the nodes grow from.
     """
     q, k = cubes[0], len(cubes)
-    t_on, ms, osc = _node_stats(levels, grid, cubes)
+    t_on, ms, osc, outside = _node_stats(levels, grid, cubes, box)
     magnitude = np.abs(t_on).reshape(k, -1)
+    if outside is not None:
+        outside = outside.reshape(k, -1)
+        magnitude[outside] = -np.inf
     stats = (magnitude, ms, osc)
     if cfg.mode == "quantile":
         allowed = q.cell_count // (3 * 2 ** (grid.dim + 2))
         thresholds = np.array([_order_threshold(v, allowed) for v in stats])
+        if outside is not None:
+            # a node with at most ``allowed`` window cells takes their max
+            few = outside.shape[1] - outside.sum(axis=1) <= allowed
+            if few.any():
+                thresholds[:, few] = [v[few].max(axis=1) for v in stats]
     else:
         thresholds = np.array([cfg.a_fixed * avg, cfg.c_fixed * avg, cfg.a_fixed * avg])
     exceed = [v > tau[:, None] for v, tau in zip(stats, thresholds)]
     omega = np.zeros((k,) + (q.side,) * grid.dim, dtype=bool)
-    omega[(slice(None), *_box_slices(q.window_clip(grid), q.anchor))] = (
+    omega[(slice(None), *_box_slices(box))] = (
         (exceed[0] | exceed[1] | exceed[2]).reshape(t_on.shape))
     return _Exceptional(t_on, magnitude, thresholds,
                         np.array([e.sum(axis=1) for e in exceed]), omega)
@@ -656,10 +694,10 @@ def _skipped_node(levels: _SideLevels | None, f: GridFunction, node: _Node,
 
 def _node_batch(levels: _SideLevels, grid: Grid, nodes: list[_Node],
                 avg: list[float], depth: int, cfg: PipelineConfig, done: list):
-    """Grow a batch of nodes of one depth (as for :func:`_node_stats`) with
-    averages ``avg``, none 0: append (path, entry, record) of each to
-    ``done``, fill each node's edge from its parent, and return the
-    children.
+    """Grow a batch of nodes of one side and depth, each with window cells,
+    with averages ``avg``, none 0, on their box (:func:`_batch_box`):
+    append (path, entry, record) of each to ``done``, fill each node's edge
+    from its parent, and return the children.
 
     The exceptional sets, stopping time, witnesses (the cube minus the
     selected children), invariants, node coefficients (the largest
@@ -669,7 +707,8 @@ def _node_batch(levels: _SideLevels, grid: Grid, nodes: list[_Node],
     cubes = [node.cube for node in nodes]
     q, k, dim = cubes[0], len(nodes), grid.dim
     avg = np.array(avg)
-    exc = _exceptional(levels, grid, cubes, avg, cfg)
+    box = _batch_box(grid, cubes)
+    exc = _exceptional(levels, grid, cubes, box, avg, cfg)
     axes = tuple(range(1, dim + 1))
     omega_count = exc.omega.sum(axis=axes)
     flags = [[] for _ in nodes]
@@ -699,15 +738,15 @@ def _node_batch(levels: _SideLevels, grid: Grid, nodes: list[_Node],
         selected = np.bincount(owner, sides**dim, k).astype(np.int64)
         _check_invariants(cubes, omega_count, selected, witness.sum(axis=axes), dim)
     overlaps = (exc.omega & witness).any(axis=axes)
-    clip = q.window_clip(grid)
     # a node without witness cells in the window gets 0
-    in_witness = witness[(slice(None), *_box_slices(clip, q.anchor))].reshape(k, -1)
+    in_witness = witness[(slice(None), *_box_slices(box))].reshape(k, -1)
     a_eff = np.where(in_witness, exc.magnitude, 0.0).max(axis=1) / avg
     if depth:
-        # T(f char_{Q+}) of each node's parent, minus its own, on its cells
+        # T(f char_{Q+}) of each node's parent, minus its own, on its box,
+        # where a cell outside the window copies a window cell's difference
         parents = [node.parent for node in nodes]
         at = np.array([levels.sides.index(p.cube.side) for p in parents])
-        resid = levels.transforms.take(_box_cells(levels, cubes, clip)
+        resid = levels.transforms.take(_box_cells(levels, grid, cubes, box)[0]
                                        + (at * levels.transforms[0].size).reshape(
                                            (k,) + (1,) * dim))
         np.subtract(resid, exc.transform, out=resid)
@@ -748,9 +787,8 @@ def _side_pass(rt: LatticeTransform, f: GridFunction, sat: np.ndarray, roots: li
 
     The trees grow a depth at a time.  Each node's coefficient is an
     :func:`avg_p`, a direct sum; the nodes of one depth with a nonzero
-    average and window cells are grouped by side and by the offsets of
-    their window cells in the cube, and each group is grown in batches of
-    at most ``_SLAB_CELLS`` cube cells (or one node) by
+    average and window cells are grouped by side, and each group is grown
+    in batches of at most ``_SLAB_CELLS`` cube cells (or one node) by
     :func:`_node_batch`.  A node's path of child indices from its root
     gives the preorder.
     """
@@ -770,12 +808,11 @@ def _side_pass(rt: LatticeTransform, f: GridFunction, sat: np.ndarray, roots: li
                 entry, record = _skipped_node(levels, f, node, avg, depth, cfg)
                 done.append((node.path, entry, record))
                 continue
-            key = (q.side, tuple((lo - a, hi - lo) for (lo, hi), a in zip(clip, q.anchor)))
-            group = groups.setdefault(key, ([], []))
+            group = groups.setdefault(q.side, ([], []))
             group[0].append(node)
             group[1].append(avg)
         frontier = []
-        for (side, _), (nodes, avgs) in groups.items():
+        for side, (nodes, avgs) in groups.items():
             per = max(1, _SLAB_CELLS // side**grid.dim)
             for j in range(0, len(nodes), per):
                 frontier += _node_batch(levels, grid, nodes[j:j + per], avgs[j:j + per],

@@ -261,8 +261,10 @@ def _window_magnitudes(kernel: Kernel, f: GridFunction, lat: np.ndarray,
     """``|T f|`` on the window for :func:`check_domination`: exact wherever
     it can decide the report, from the FFT elsewhere.
 
-    The FFT is trusted to ``delta = 16 eps log2(P) ||K h**dim||_1
-    max|f|`` with ``P = (2n)**dim`` points.  Every cell of
+    The FFT is trusted to ``delta = 16 log2(P) (eps ||K h**dim||_1
+    max|f| + P 2**-1074)`` with ``P = (2n)**dim`` points, the second term
+    for rounding at the subnormal spacing, which the first underflows
+    below; delta is 0 where K or f vanishes.  Every cell of
     ``_decisive_cells`` is re-summed directly in whole groups of
     ``_restricted_sums``, from the sources ``apply_restricted`` takes on
     the window, the box of f's nonzero cells, so its value is bit for bit
@@ -273,9 +275,10 @@ def _window_magnitudes(kernel: Kernel, f: GridFunction, lat: np.ndarray,
     fast = _lattice_transform(lat, f).ravel()
     tf = np.abs(fast)
     points = (2 * grid.cells_per_side) ** grid.dim
-    delta = (16 * np.finfo(np.float64).eps * math.log2(points)
-             * float(np.abs(lat).sum()) * grid.cell_measure
-             * float(np.abs(f.values).max()))
+    weight, top = float(np.abs(lat).sum()), float(np.abs(f.values).max())
+    delta = (16 * np.finfo(np.float64).eps * math.log2(points) * weight
+             * grid.cell_measure * top
+             + 16 * math.log2(points) * points * 2.0**-1074) if weight and top else 0.0
     picked = _decisive_cells(tf, stack, bound, tol, delta)
     g = _SUM_GROUP
     rows = (np.unique(picked // g)[:, None] * g + np.arange(g)).ravel()

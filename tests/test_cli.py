@@ -1232,6 +1232,36 @@ def test_run_exits_three_where_an_average_underflows(tmp_path, capsys, amplitude
     assert list(out.iterdir()) == []
 
 
+SUBNORMAL_GRIDS = {"hilbert": {"dim": 1, "cells_per_side": 32},
+                   "riesz2d": {"dim": 2, "cells_per_side": 16}}
+
+
+@pytest.mark.parametrize("amplitude", [1e-315, 1e-320])
+@pytest.mark.parametrize("kernel", sorted(SUBNORMAL_GRIDS))
+def test_run_passes_on_subnormal_input(tmp_path, capsys, kernel, amplitude):
+    # the verifier's FFT rounding bound, relative to max |f|, underflowed
+    # to 0 on a subnormal f, and a direct sum one subnormal step off the
+    # FFT made run exit 3; the bound now has a term at that spacing
+    cfg = write_config(tmp_path, grid=SUBNORMAL_GRIDS[kernel], kernel={"name": kernel},
+                       input={"kind": "random", "seed": 1, "amplitude": amplitude})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert "domination: PASS" in capsys.readouterr().out
+    assert read_json(out / "report.json")["passed"] is True
+
+
+@pytest.mark.parametrize("kernel", sorted(SUBNORMAL_GRIDS))
+def test_run_exits_three_on_the_smallest_subnormal_input(tmp_path, capsys, kernel):
+    # at amplitude 5e-324 the average over a node's dilate underflows to 0
+    cfg = write_config(tmp_path, grid=SUBNORMAL_GRIDS[kernel], kernel={"name": kernel},
+                       input={"kind": "random", "seed": 1, "amplitude": 5e-324})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "underflows to 0" in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
 def test_exit_code_mapping():
     assert cli._exit_code_for(NumericError("x")) == 3
     assert cli._exit_code_for(UndefinedRatioError("x")) == 3

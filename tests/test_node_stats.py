@@ -120,6 +120,33 @@ def reference_stats(kernel, f, cube, qs, s, outer=None):
 # pipeline runs that compare every visited node
 
 
+def own_cells(grid, cube, box):
+    """The slices of a node's window cells in its batch's box."""
+    return tuple(slice(lo - a - b, hi - a - b)
+                 for (lo, hi), a, (b, _) in zip(cube.window_clip(grid), cube.anchor, box))
+
+
+def own_rows(got, grid, cubes, box):
+    """Each node's rows of a batch's statistics (:func:`sparse._node_stats`)
+    on its own window cells: the transform box-shaped, the maximal functions
+    flattened; the cells of the box outside the window must be flagged, and
+    the maximal functions -inf there."""
+    outer, ms, osc, outside = got
+    shape = tuple(hi - lo for lo, hi in box)
+    assert outer.shape == (len(cubes), *shape)
+    assert ms.shape == osc.shape == (len(cubes), math.prod(shape))
+    for i, cube in enumerate(cubes):
+        own = own_cells(grid, cube, box)
+        mine = np.ones(shape, dtype=bool)
+        mine[own] = False
+        assert np.array_equal(mine, np.zeros(shape, dtype=bool) if outside is None
+                              else outside[i]), cube
+        stats = [s[i].reshape(shape) for s in (ms, osc)]
+        for stat in stats:
+            assert np.all(stat[mine] == -np.inf), cube
+        yield outer[i][own], *(stat[own].ravel() for stat in stats)
+
+
 def compare_every_node(monkeypatch, kernel, f, cfg):
     """Run the pipeline on each path of its transform with each node's
     statistics checked against the reference; return the node cubes
@@ -143,17 +170,16 @@ def compare_every_node(monkeypatch, kernel, f, cfg):
             assert rt.alpha == cfg.alpha and s == cfg.s
             return side_levels(rt, f_, sat, roots, s)
 
-        def checked(levels, grid, cubes):
-            got = fast(levels, grid, cubes)
-            # one row of each stack per node of the batch
-            assert all(len(g) == len(cubes) for g in got)
-            for i, cube in enumerate(cubes):
+        def checked(levels, grid, cubes, box):
+            assert box == sparse._batch_box(grid, cubes)
+            got = fast(levels, grid, cubes, box)
+            # one row of each stack per node of the batch, cut to its cells
+            for cube, mine in zip(cubes, own_rows(got, grid, cubes, box), strict=True):
                 qs = dilate(cube, cfg.alpha)
                 want = reference_stats(run_kernel, f, cube, qs, cfg.s,
                                        whole if cube in cover else None)
-                for label, g, w in zip(("outer", "ms", "osc"), got, want, strict=True):
+                for label, g, w in zip(("outer", "ms", "osc"), mine, want, strict=True):
                     where = (path, cube, label)
-                    g = g[i]
                     assert g.dtype == w.dtype and g.shape == w.shape, where
                     if path == "direct":
                         assert np.array_equal(g, w), where
@@ -237,24 +263,23 @@ def test_side_levels_are_read_only_and_node_stacks_copy_them(monkeypatch, dim, n
     node_stats = sparse._node_stats
     seen = []
 
-    def checked(levels, grid_, cubes):
-        got = node_stats(levels, grid_, cubes)
+    def checked(levels, grid_, cubes, box):
+        got = node_stats(levels, grid_, cubes, box)
         assert levels.transforms.shape[0] == len(levels.sides)
         assert levels.maxima.shape[0] == len(levels.sides) - 1
         assert not levels.transforms.flags.writeable
         assert not levels.maxima.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             levels.transforms[...] = 0.0
-        outer, ms, _ = got
         # each node's rows are the bits of the side's data on its cells,
         # copied out of it
-        assert not np.shares_memory(outer, levels.transforms)
+        assert not np.shares_memory(got[0], levels.transforms)
         at = levels.sides.index(cubes[0].side)
-        for i, cube in enumerate(cubes):
+        for cube, (outer, ms, _) in zip(cubes, own_rows(got, grid_, cubes, box)):
             on = sparse._box_slices(cube.window_clip(grid_), levels.origin)
-            assert outer[i].tobytes() == levels.transforms[at][on].tobytes()
+            assert outer.tobytes() == levels.transforms[at][on].tobytes()
             if cube.side > 1:
-                assert ms[i].tobytes() == levels.maxima[at][on].tobytes()
+                assert ms.tobytes() == levels.maxima[at][on].ravel().tobytes()
             seen.append(cube.side)
         return got
 

@@ -379,6 +379,33 @@ def test_dini_stress_modulus_dominates():
     _modulus_holds_1d(k, us, [0.5, 0.25, 0.1, 0.01, 0.001])
 
 
+def _dini_stress_every_offset(scale):
+    """The dini_stress kernel with its pattern taken at every offset."""
+    def fn(x, y):
+        u = x[..., 0] - y[..., 0]
+        with np.errstate(divide="ignore"):
+            a = np.log(scale / np.abs(u))
+        return (1.0 + 0.5 * operators._log_wiggle(a)) / u
+    return fn
+
+
+@pytest.mark.parametrize("phys_side", [1.0, 0.1, math.pi])
+def test_dini_stress_pattern_per_distinct_offset_is_bitwise_the_same(phys_side):
+    # the catalog kernel takes its pattern once per distinct |u|; on every
+    # lattice and on a dense block of cell pairs (the diagonal's NaN
+    # included) it is bit for bit the pattern taken at every offset
+    for n in (16, 64, 256, 1024):
+        grid = Grid(1, n, phys_side=phys_side)
+        k = make_kernel("dini_stress", grid)
+        every = dataclasses.replace(k, fn=_dini_stress_every_offset(4.0 * phys_side))
+        assert (operators._offset_lattice(k, grid).tobytes()
+                == operators._offset_lattice(every, grid).tobytes()), n
+    x = ((np.arange(256) + 0.5) * (phys_side / 256)).reshape(-1, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got, want = k.fn(x[:, None], x[None, :]), every.fn(x[:, None], x[None, :])
+    assert got.shape == (256, 256) and got.tobytes() == want.tobytes()
+
+
 def test_riesz2d_modulus_dominates():
     k = make_kernel("riesz2d")
     dirs = [np.array([np.cos(a), np.sin(a)]) for a in np.linspace(0, 2 * np.pi, 9)[:-1]]
@@ -1037,10 +1064,10 @@ def test_lattice_run_estimate_holds_for_a_corner_support(monkeypatch):
     assert build_peak <= sparse._build_bytes(k, f, 3, side)
     report, check_peak = _traced_peak(lambda: check_domination(k, f, res.family))
     assert report.passed and check_peak <= verify._domination_bytes(grid, f.is_complex)
-    # spikes on the default support: each of the nine cover cubes is a
-    # batch of its own, and the largest group of the node pass, 13 nodes of
-    # side 8, comes at depth 1 (as large as any later, in nodes); the build
-    # stays inside its estimate
+    # spikes on the default support: the nine cover cubes grow as one
+    # batch on their box, the whole cube, and the largest batch of the node
+    # pass, 13 nodes of side 8, comes at depth 1 (as large as any later, in
+    # nodes); the build stays inside its estimate
     f = make_input(grid, "spikes", seed=15)
     node_batch, batches = sparse._node_batch, []
 
@@ -1051,6 +1078,7 @@ def test_lattice_run_estimate_holds_for_a_corner_support(monkeypatch):
     monkeypatch.setattr(sparse, "_node_batch", recorded)
     side = max(c.side for c in sparse.partition_cover(grid, sparse.support_box(f), 3))
     _, build_peak = _traced_peak(lambda: sparse.build_sparse_domination(k, f))
+    assert (9, 0, 32) in batches
     assert max(nodes for nodes, _, _ in batches) == 13 and (13, 1, 8) in batches
     assert build_peak <= sparse._build_bytes(k, f, 3, side)
 

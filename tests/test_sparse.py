@@ -108,7 +108,8 @@ def node_exceptional(kernel, f, cube, root=None, **config):
     avg = avg_p(g, dilate(cube, cfg.alpha), cfg.s)
     assert avg > 0 and cube.window_clip(f.grid) is not None
     levels = sparse._side_levels(rt, g, _power_sat(g, cfg.s), [root], cfg.s)
-    exc = sparse._exceptional(levels, f.grid, [cube], np.array([avg]), cfg)
+    exc = sparse._exceptional(levels, f.grid, [cube], sparse._batch_box(f.grid, [cube]),
+                              np.array([avg]), cfg)
     tau_t, tau_ms, tau_osc = exc.thresholds[:, 0].tolist()
     return SimpleNamespace(
         omega=CellSet(f.grid, cube, exc.omega[0]), avg=avg, tau_t=tau_t,
@@ -249,10 +250,13 @@ def test_non_convolution_kernel_end_to_end(monkeypatch, dim, n):
     transforms = []
     stats = sparse._node_stats
 
-    def recorded(levels, grid_, cubes):
-        out = stats(levels, grid_, cubes)
-        transforms.extend((cube, dilate(cube, PipelineConfig().alpha), t)
-                          for cube, t in zip(cubes, out[0], strict=True))
+    def recorded(levels, grid_, cubes, box):
+        out = stats(levels, grid_, cubes, box)
+        # each node's transform on its window cells, cut from the batch's box
+        for cube, t in zip(cubes, out[0], strict=True):
+            own = tuple(slice(lo - a - b, hi - a - b) for (lo, hi), a, (b, _)
+                        in zip(cube.window_clip(grid_), cube.anchor, box))
+            transforms.append((cube, dilate(cube, PipelineConfig().alpha), t[own]))
         return out
 
     monkeypatch.setattr(sparse, "_node_stats", recorded)
@@ -1150,3 +1154,107 @@ def test_node_pass_matches_the_recursion_without_a_lattice(dim, n):
     for kind in ("random", "spikes"):
         assert_same_as_reference(_modulated(grid), make_input(grid, kind, seed=17),
                                  PipelineConfig(alpha=3))
+
+
+# ---------------------------------------------------------------------------
+# batches of the node pass
+
+def _corner_cell():
+    grid = Grid(2, 64)
+    vals = np.zeros(grid.shape)
+    vals[0, 0] = 1.0
+    return GridFunction(grid, vals)
+
+
+def _complex_ring_input():
+    grid = Grid(2, 16)
+    g = rng(29)
+    vals = np.zeros((16, 16), dtype=complex)
+    vals[10:14, 2:6] = g.normal(size=(4, 4)) + 1j * g.normal(size=(4, 4))
+    return GridFunction(grid, vals)
+
+
+BATCH_CASES = {
+    "riesz2d-64-random": ("riesz2d", lambda: make_input(Grid(2, 64), "random", seed=1), {}),
+    "hilbert-128-off-centre-a3": ("hilbert", lambda: make_input(
+        Grid(1, 128), "random", seed=3, support=Cube((100,), 8)), {"alpha": 3}),
+    "hilbert-128-off-centre-a7": ("hilbert", lambda: make_input(
+        Grid(1, 128), "random", seed=3, support=Cube((100,), 8)), {"alpha": 7}),
+    # a ring cube of side 32 with one window cell, no more than the one
+    # cell its quantile thresholds may leave above them
+    "hilbert-128-one-cell-ring": ("hilbert", lambda: make_input(
+        Grid(1, 128), "random", seed=3, support=Cube((95,), 32)), {}),
+    "riesz2d-64-corner-cell": ("riesz2d", _corner_cell, {}),
+    "riesz2d-16-complex": ("riesz2d", _complex_ring_input, {"alpha": 5}),
+    "riesz2d-64-random-fixed": ("riesz2d", lambda: make_input(Grid(2, 64), "random", seed=1),
+                                MODES["fixed"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_batch_size_does_not_change_a_build(monkeypatch, case):
+    # with room for one cube cell per batch every node is a batch of its
+    # own, on its own window cells; the default batches share a box, and
+    # mask each node's cells outside the window; a complex level cube's
+    # diameter is taken over the node's window cells either way
+    name, make_f, config = BATCH_CASES[case]
+    f = make_f()
+    k = make_kernel(name, f.grid)
+    cfg = PipelineConfig(**config)
+    diameters = []
+
+    def counted(values):
+        if values.size:
+            diameters.append(values.size)
+        return oscillation(values)
+
+    monkeypatch.setattr(sparse, "oscillation", counted)
+    batched = build_sparse_domination(k, f, cfg)
+    batched_diameters = sorted(diameters)
+    diameters.clear()
+    node_batch, sizes = sparse._node_batch, []
+
+    def recorded(levels, grid_, nodes, *args):
+        sizes.append(len(nodes))
+        return node_batch(levels, grid_, nodes, *args)
+
+    monkeypatch.setattr(sparse, "_SLAB_CELLS", 1)
+    monkeypatch.setattr(sparse, "_node_batch", recorded)
+    alone = build_sparse_domination(k, f, cfg)
+    assert set(sizes) == {1} and len(sizes) > 1
+    assert sorted(diameters) == batched_diameters
+    assert bool(diameters) == f.is_complex
+    assert family_to_json(alone.family) == family_to_json(batched.family)
+    assert [repr(r) for r in alone.records] == [repr(r) for r in batched.records]
+    assert repr(alone.ledger) == repr(batched.ledger)
+
+
+def test_ring_cubes_of_the_half_window_support_grow_as_one_batch(monkeypatch):
+    # 2D riesz2d n = 64, random f on the centred half window: the support
+    # box and the eight ring cubes around it, all of side 32, grow depth 0
+    # as one batch on the whole cube, and the ring cubes' cells outside the
+    # window are masked
+    grid = Grid(2, 64)
+    f = make_input(grid, "random", seed=1)
+    node_batch, node_stats, batches, outside = sparse._node_batch, sparse._node_stats, [], []
+
+    def recorded(levels, grid_, nodes, avg, depth, *args):
+        batches.append((depth, [node.cube for node in nodes]))
+        return node_batch(levels, grid_, nodes, avg, depth, *args)
+
+    def masked(levels, grid_, cubes, box):
+        got = node_stats(levels, grid_, cubes, box)
+        outside.append((box, None if got[3] is None else got[3].reshape(len(cubes), -1).sum(1)))
+        return got
+
+    monkeypatch.setattr(sparse, "_node_batch", recorded)
+    monkeypatch.setattr(sparse, "_node_stats", masked)
+    build_sparse_domination(make_kernel("riesz2d", grid), f)
+    cover = partition_cover(grid, support_box(f), 3)
+    assert len(cover) == 9 and {c.side for c in cover} == {32}
+    assert [cubes for depth, cubes in batches if depth == 0] == [cover]
+    box, counts = outside[0]
+    # the support box has no cell outside the window, a side ring cube
+    # half of its cells, a corner ring cube three quarters
+    assert box == ((0, 32), (0, 32))
+    assert sorted(counts.tolist()) == [0] + [512] * 4 + [768] * 4
