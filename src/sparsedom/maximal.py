@@ -28,7 +28,27 @@ That is O(2^dim) per cube and O(n^dim log^dim n) in all.
   each axis are cut into runs, and each block, a product of runs, is a
   set of strided views of the prefix table
   (``RestrictedTransform.prefix_windows``), with no gather per query and
-  no copy of the table.
+  no copy of the table.  Their oscillations are painted a batch of blocks
+  at a time, at most ``_BLOCK_CELLS >> 8`` cubes a ``_paint``.
+
+  Neither pass reads a cube whose dilate, clipped to the window, holds
+  the box of f's nonzero cells (``RestrictedTransform.support``): its
+  value is exactly 0.  A prefix-table column at or below the box's low
+  bound on an axis sums only signed zeros there, and one at or above its
+  high bound differs from column n only by added signed zeros, which
+  change no nonzero float.  So the cube's box sum is ``T f`` itself up to
+  the sign of a zero, ``T f`` minus it is a signed zero at each of its
+  cells, and so is its oscillation, which painted into a table of +0.0
+  changes nothing (``np.maximum`` keeps +0.0 on a tie).  The sweep stays
+  the exact all-cubes maximal function, bit for bit.  In the table pass
+  such a cube is one whose free columns all hold the box: in 1D those
+  columns are left out, and in 2D a chunk of held first-axis columns
+  reads only the second axis' other columns.  In the block pass the
+  anchors whose dilate holds the box on an axis are a range, which cuts
+  that axis' runs, and a block held on every axis is skipped; a side is
+  cut there only if the blocks skipped would cost more to read than the
+  blocks the cuts add (``_BLOCK_COST``).  Where f vanishes, every cube is
+  skipped.
 
 ``sharp_truncated`` is the only user of that table, so it alone holds
 memory quadratic in the cell count.  The sparse construction does not
@@ -59,6 +79,10 @@ __all__ = [
 # cells per block of cubes that the oscillation sweep reads at once; the
 # table pass and the batches of cubes are sized from it too
 _BLOCK_CELLS = 1 << 21
+# the fixed cost of reading a block, in cells read: about 40 us against
+# 6 ns a cell (1D N = 1024, 2D n = 32); a complex cube adds an eighth of
+# it, its own ``oscillation`` call
+_BLOCK_COST = 1 << 12
 
 
 def _doubling_levels(n: int) -> int:
@@ -90,6 +114,34 @@ def _paint(table: np.ndarray, cover, vals: np.ndarray) -> None:
     flat, cells = table.reshape(-1), table[(0,) * (table.ndim // 2)].size
     for c in corners:
         np.maximum.at(flat, level * cells + c, vals)
+
+
+def _paint_blocks(table: np.ndarray, blocks, cap: int) -> None:
+    """Paint (``_paint``) the values of blocks of cubes, given as ``(side,
+    block, vals)`` with ``block`` as in ``_truncated`` and ``vals`` in
+    row-major order of its anchors.  Blocks are gathered until they hold
+    ``cap`` cubes (or the blocks run out), and each such batch is painted
+    at most ``cap`` cubes a call."""
+    n, dim = table.shape[-1], table.ndim // 2
+    pending, size = [], 0
+    for part in itertools.chain(blocks, [None]):
+        if part is not None:
+            pending.append(part)
+            size += part[2].size
+        if not (size >= cap or part is None and size):
+            continue
+        side = np.array([p[0] for p in pending])
+        runs = np.array([p[1] for p in pending]).reshape(len(pending), dim, 2, 1)
+        anchors, block = [], np.arange(len(pending))
+        for d in range(dim):
+            anchors, block = _grow(anchors, block, runs[:, d, 0], runs[:, d, 1])
+        lo = [np.maximum(a, 0) for a in anchors]
+        hi = [np.minimum(a + side[block], n) for a in anchors]
+        vals = np.concatenate([p[2].ravel() for p in pending])
+        for i in range(0, size, cap):
+            cut = slice(i, i + cap)
+            _paint(table, _cover([l[cut] for l in lo], [h[cut] for h in hi], n), vals[cut])
+        pending, size = [], 0
 
 
 def _push_down(table: np.ndarray) -> np.ndarray:
@@ -192,21 +244,38 @@ def _power_average_sweep(f: GridFunction, s: float) -> np.ndarray:
     return _push_down(table)
 
 
-def _anchor_runs(n: int, side: int, shift: int) -> list[tuple[int, int]]:
+def _anchor_runs(n: int, side: int, shift: int, held) -> list[tuple[int, int]]:
     """Cut the anchors of one axis into runs, as (first anchor, count), on
     which the table windows of ``_truncated`` are strided views.
 
     Cuts go where a bound column starts or stops clipping (at column 0 or
-    n) and where the windows start or stop sticking out of the grid, so in
-    each run each bound is clipped at every anchor or at none.  They
-    depend on n, the side and the shift only, so every axis has the same
-    runs.
+    n), where the windows start or stop sticking out of the grid and at
+    the ends of ``held``, a range of anchors, so in each run each bound is
+    clipped at every anchor or at none, and every anchor is in ``held`` or
+    none is.
     """
     a0, d_lo, d_hi = 1 - side, -shift * side, (shift + 1) * side
     cuts = sorted({a0, n} | {c for c in (0, n - side + 1, 1 - d_lo, n - d_lo,
-                                         1 - d_hi, n - d_hi)
+                                         1 - d_hi, n - d_hi, *held)
                              if a0 < c < n})
     return [(p0, p1 - p0) for p0, p1 in zip(cuts[:-1], cuts[1:])]
+
+
+def _side_blocks(n: int, side: int, shift: int, held, real: bool) -> list:
+    """The blocks of the side-``side`` cubes that the block pass reads:
+    products of ``_anchor_runs`` per axis, cut at the ends of ``held``, a
+    range of anchors per axis, and those of the first axis split so that
+    no block holds more than ``_BLOCK_CELLS`` cells.  Left out are the
+    blocks in ``held`` on every axis and, for real values, those whose
+    dilate is clipped on every axis, which the table pass reads."""
+    dim = len(held)
+    per = max(1, _BLOCK_CELLS // ((n + side - 1) ** (dim - 1) * side**dim))
+    runs = [_anchor_runs(n, side, shift, h) for h in held]
+    split = [(b + c, min(per, k - c)) for b, k in runs[0] for c in range(0, k, per)]
+    free = (shift * side + 1, n - (shift + 1) * side)
+    return [block for block in itertools.product(split, *runs[1:])
+            if not (real and all(not free[0] <= b < free[1] for b, _ in block)
+                    or all(h0 <= b and b + k <= h1 for (b, k), (h0, h1) in zip(block, held)))]
 
 
 def _truncated(rt: RestrictedTransform, outer: np.ndarray, block, side: int,
@@ -261,6 +330,11 @@ def _window_oscillation(vals: np.ndarray, lo, hi) -> np.ndarray:
                          for i, c in zip(itertools.product(*map(range, lead)),
                                          itertools.product(*own))]
                         ).reshape(lead)
+    cells = tuple(range(dim, 2 * dim))
+    if not any(l.any() for l in lo) and all((h == vals.shape[d]).all()
+                                            for h, d in zip(hi, cells)):
+        # every cell is an own cell
+        return vals.max(axis=cells) - vals.min(axis=cells)
     # one flat reduceat per cell axis, the last first, over the values in
     # row-major order: even segments are the own cells, odd ones span the
     # gaps between them
@@ -285,9 +359,12 @@ def _clipped_runs(n: int, shift: int, high: bool, lengths, cols):
     - 1``; and whose free bound column (the high one, clipped at n, or with
     ``high`` the low one) is in ``[cols[0], cols[1])``.  Three runs per
     side, for the cubes sticking out low, inside the window and sticking
-    out high: first anchors and counts, arrays of shape (n, 3)."""
+    out high: first anchors and counts, arrays of shape (n, 3), or with
+    lengths given as arrays of shape L, one such per length range, shape
+    L + (n, 3)."""
     m = np.arange(1, n + 1)[:, None]
-    (w0, w1), (c0, c1) = lengths, cols
+    c0, c1 = cols
+    w0, w1 = (np.asarray(w)[..., None, None] for w in lengths)
     if high:
         first = np.maximum(np.maximum(shift * m + 1, n - (shift + 1) * m), c0 + shift * m)
         last = np.minimum(n - 1, c1 - 1 + shift * m)
@@ -298,10 +375,10 @@ def _clipped_runs(n: int, shift: int, high: bool, lengths, cols):
             last = np.minimum(last, c1 - 1 - (shift + 1) * m)
     # own cells: a + m sticking out low, m inside, n - a sticking out high
     inside = (w0 <= m) & (m < w1)
-    first = np.maximum(first, np.hstack([w0 - m, np.where(inside, 0, n),
-                                         np.maximum(n - w1 + 1, n - m + 1)]))
-    last = np.minimum(last, np.hstack([np.minimum(w1 - 1 - m, -1), n - m,
-                                       np.full_like(m, n - w0)]))
+    first = np.maximum(first, np.concatenate(np.broadcast_arrays(
+        w0 - m, np.where(inside, 0, n), np.maximum(n - w1 + 1, n - m + 1)), axis=-1))
+    last = np.minimum(last, np.concatenate(np.broadcast_arrays(
+        np.minimum(w1 - 1 - m, -1), n - m, n - w0), axis=-1))
     return first, np.maximum(last - first + 1, 0)
 
 
@@ -340,6 +417,13 @@ def _clipped_oscillations(rt: RestrictedTransform, outer: np.ndarray, shift: int
     cubes are generated from their runs of anchors per axis
     (``_clipped_runs``) a batch of sides at a time, at most as many reads
     per end as ``_BLOCK_CELLS >> 10`` cubes of side n make.
+
+    A cube whose box holds f's support box (``rt.support``) on every axis
+    is left out (its value is a signed zero, see the module docstring).
+    In 1D the free columns that hold it are left out.  In 2D a chunk whose
+    first-axis columns all hold it reads, and builds ``G`` on, only the
+    second axis' columns that do not; a chunk with both kinds of first
+    columns drops the held cubes from each batch.  f must not vanish.
     """
     n, dim = rt.grid.cells_per_side, rt.grid.dim
     slab = n**dim * (n + 1) ** (dim - 1)    # cells per column of the first axis
@@ -355,18 +439,36 @@ def _clipped_oscillations(rt: RestrictedTransform, outer: np.ndarray, shift: int
         return rt.prefix_windows((0,) * dim, (0,) * dim, cols, col_steps, counts,
                                  n).transpose(*range(dim, 2 * dim), *range(dim))
 
+    support = rt.support
+    levels = 1 << np.arange(_doubling_levels(n))
     for edges in itertools.product((False, True), repeat=dim):   # True: high
-        rest = [_clipped_runs(n, shift, e, (1, n + 1), (0, n + 1)) for e in edges[1:]]
-        for c0 in range(0, n + 1, width):
-            c1 = min(c0 + width, n + 1)
-            runs = [_clipped_runs(n, shift, edges[0], (1 << k, 2 << k), (c0, c1))
-                    for k in range(_doubling_levels(n))]
-            if not any(count.any() for _, count in runs):
+        # per axis, the free columns whose box holds the support's [lo, hi)
+        # there, [c, n) for c <= lo and [0, c) for c >= hi, and the others;
+        # in 1D the held ones are left out
+        held = [(0, lo + 1) if e else (hi, n + 1) for (lo, hi), e in zip(support, edges)]
+        unheld = [(lo + 1, n + 1) if e else (0, hi) for (lo, hi), e in zip(support, edges)]
+        span = unheld[0] if dim == 1 else (0, n + 1)
+        # the other axes' columns and runs: all, or the unheld ones only
+        others = {inside: (spans, [_clipped_runs(n, shift, e, (1, n + 1), c)
+                                   for e, c in zip(edges[1:], spans)])
+                  for inside, spans in ((False, [(0, n + 1)] * (dim - 1)),
+                                        (True, unheld[1:]))}
+        for c0 in range(span[0], span[1], width):
+            c1 = min(c0 + width, span[1])
+            # a chunk of held first columns reads the other axis' unheld
+            # columns only; one with both kinds drops the held cubes from
+            # each batch
+            inside = held[0][0] <= c0 and c1 <= held[0][1]
+            mixed = dim > 1 and not inside and held[0][0] < c1 and c0 < held[0][1]
+            other_cols, rest = others[inside]
+            spans = [(c0, c1), *other_cols]
+            runs = _clipped_runs(n, shift, edges[0], (levels, 2 * levels), (c0, c1))
+            if not (runs[1].any() and all(count.any() for _, count in rest)):
                 continue
             # the rows a box of the chunk can hold: below its last column,
             # or from its first one if high
             r0, r1 = (c0, n) if edges[0] else (0, c1 - 1)
-            free = [(c0, 1, c1 - c0)] + [(0, 1, n + 1)] * (dim - 1)
+            free = [(c, 1, d - c) for c, d in spans]
             g = _corner_sums(lambda corner: read(corner)[r0:r1],
                              [f if e else (0, 0, 1) for f, e in zip(free, edges)],
                              [(n, 0, 1) if e else f for f, e in zip(free, edges)])
@@ -375,7 +477,7 @@ def _clipped_oscillations(rt: RestrictedTransform, outer: np.ndarray, shift: int
             small = g.reshape(r1 - r0, -1)
             big = small.copy()
             cols = g[(0,) * dim].size
-            for k, run in enumerate(runs):
+            for k, run in enumerate(zip(*runs)):
                 if k:
                     _double(np.maximum, big, 1 << (k - 1))
                     _double(np.minimum, small, 1 << (k - 1))
@@ -386,12 +488,21 @@ def _clipped_oscillations(rt: RestrictedTransform, outer: np.ndarray, shift: int
                     for first, count in per:
                         anchors, side = _grow(anchors, side, first[j0:j1], count[j0:j1])
                     m = sides[j0 + side]
+                    bounds = [a - shift * m if e else np.minimum(a + (shift + 1) * m, n)
+                              for a, e in zip(anchors, edges)]
+                    if mixed:
+                        keep = ~np.logical_and.reduce([
+                            c <= s0 if e else c >= s1
+                            for c, e, (s0, s1) in zip(bounds, edges, support)])
+                        if not keep.any():
+                            continue
+                        anchors, bounds, m = ([a[keep] for a in anchors],
+                                              [c[keep] for c in bounds], m[keep])
                     lo = [np.maximum(a, 0) for a in anchors]
                     hi = [np.minimum(a + m, n) for a in anchors]
                     at = 0
-                    for d, (a, e) in enumerate(zip(anchors, edges)):
-                        c = a - shift * m if e else np.minimum(a + (shift + 1) * m, n)
-                        at = at * g.shape[dim + d] + (c - c0 if d == 0 else c)
+                    for d, c in enumerate(bounds):
+                        at = at * g.shape[dim + d] + c - spans[d][0]
                     ends = (lo[0] - r0, hi[0] - r0 - (1 << k))
                     if dim > 1:
                         # each own cell past the first axis, cube by cube
@@ -425,44 +536,52 @@ def _oscillation_sweep(rt: RestrictedTransform, shift: int) -> np.ndarray:
     every axis, which takes in every cube of a side above ``(n - 2) / (2
     shift + 1)``.  The other cubes, and for complex values (which have no
     extremes to tabulate) every cube, are read per side a block at a time:
-    the anchors are a product of per-axis runs (``_anchor_runs``), the runs
+    the anchors are a product of per-axis runs (``_side_blocks``), the runs
     of the first axis split so that no block holds more than
     ``_BLOCK_CELLS`` cells, and each block is a set of strided views of the
-    table (``_truncated``), at O(m^dim) per cube.  Each oscillation is
-    painted onto its cube's own cells (``_paint``), and one push-down at
-    the end reads the cells off.
+    table (``_truncated``), at O(m^dim) per cube.  Neither pass reads a
+    cube whose clipped dilate holds f's support box, whose value is
+    exactly 0 (see the module docstring).  Each oscillation is painted
+    onto its cube's own cells (``_paint_blocks``, ``_paint``), and one
+    push-down at the end reads the cells off.
     """
     grid = rt.grid
     n, dim = grid.cells_per_side, grid.dim
+    if rt.support is None:
+        # f = 0: every truncated transform is 0
+        return np.zeros(grid.shape)
     outer = rt.full()
     real = outer.dtype.kind != "c"
     table = np.zeros((_doubling_levels(n),) * dim + grid.shape)
     if real:
         _clipped_oscillations(rt, outer, shift, table)
-    # for real values, only the sides with an anchor whose dilate has both
-    # bounds free on an axis, shift side < a < n - (shift + 1) side
-    for side in range(1, (n - 2) // (2 * shift + 1) + 1 if real else n + 1):
-        a = np.arange(1 - side, n)
-        # each anchor's own cells, counted from the first of its table rows
-        # (its cells, or the side cells at the edge its cells stick out of)
-        own_lo, own_hi = np.maximum(a - (n - side), 0), np.minimum(a, 0) + side
-        stat = np.zeros((len(a),) * dim)
-        read = np.zeros(stat.shape, dtype=bool)
-        runs = _anchor_runs(n, side, shift)
-        per = max(1, _BLOCK_CELLS // (len(a) ** (dim - 1) * side**dim))
-        split = [(b + c, min(per, k - c)) for b, k in runs for c in range(0, k, per)]
-        for block in itertools.product(split, *[runs] * (dim - 1)):
-            if real and all(b <= shift * side or b >= n - (shift + 1) * side
-                            for b, _ in block):
-                continue
-            at = tuple(slice(b + side - 1, b + side - 1 + k) for b, k in block)
-            stat[at] = _window_oscillation(_truncated(rt, outer, block, side, shift),
-                                           [own_lo[i] for i in at],
-                                           [own_hi[i] for i in at])
-            read[at] = True
-        cells = [np.broadcast_to(x.reshape((-1,) + (1,) * (dim - 1 - d)), stat.shape)[read]
-                 for x in (np.maximum(a, 0), np.minimum(a + side, n)) for d in range(dim)]
-        _paint(table, _cover(cells[:dim], cells[dim:], n), stat[read])
+
+    def blocks():
+        # for real values, only the sides with an anchor whose dilate has
+        # both bounds free on an axis, shift side < a < n - (shift + 1) side
+        for side in range(1, (n - 2) // (2 * shift + 1) + 1 if real else n + 1):
+            a = np.arange(1 - side, n)
+            # each anchor's own cells, counted from the first of its table
+            # rows (its cells, or the side cells at the edge its cells
+            # stick out of)
+            own_lo, own_hi = np.maximum(a - (n - side), 0), np.minimum(a, 0) + side
+            # per axis, the anchors whose dilate holds the support there;
+            # the runs are cut there only if the blocks this skips cost
+            # more to read than the blocks it adds (an empty range holds
+            # no anchor and cuts no run)
+            held = [(max(hi - (shift + 1) * side, 1 - side), min(lo + shift * side, n - 1) + 1)
+                    for lo, hi in rt.support]
+            weight = side**dim + (0 if real else _BLOCK_COST >> 3)
+            for block in min(_side_blocks(n, side, shift, [(0, 0)] * dim, real),
+                             _side_blocks(n, side, shift, held, real),
+                             key=lambda read: sum(_BLOCK_COST + weight * math.prod(
+                                 k for _, k in b) for b in read)):
+                at = [slice(b + side - 1, b + side - 1 + k) for b, k in block]
+                yield side, block, _window_oscillation(
+                    _truncated(rt, outer, block, side, shift),
+                    [own_lo[i] for i in at], [own_hi[i] for i in at])
+
+    _paint_blocks(table, blocks(), max(1, _BLOCK_CELLS >> 8))
     return _push_down(table)
 
 

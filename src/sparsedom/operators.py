@@ -711,6 +711,12 @@ class RestrictedTransform:
     kernel without a lattice the dense weights.  That estimate is checked
     against physical memory before anything is allocated, and a grid that
     cannot fit raises ParameterError.
+
+    ``support`` holds the bounds of the box of f's nonzero cells
+    (``_support_bounds``, None where f vanishes): every table column at or
+    below its low bound on an axis sums only signed zeros there, and every
+    one at or above its high bound differs from column n only by added
+    signed zeros.
     """
 
     def __init__(self, kernel: Kernel, f: GridFunction):
@@ -721,6 +727,7 @@ class RestrictedTransform:
             f"{grid.cells_per_side} cells per side",
             _table_bytes(grid, f.is_complex, not kernel.translation_invariant))
         self.grid = grid
+        self.support = _support_bounds(f.values)
         n, dim = grid.cells_per_side, grid.dim
         lat = _offset_lattice(kernel, grid)
         if lat is None:

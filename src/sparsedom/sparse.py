@@ -655,12 +655,14 @@ def _check_invariants(cubes: list[Cube], omega_count: np.ndarray, selected: np.n
 class _Node(NamedTuple):
     """A node of the pass: its cube, the indices of the children that lead
     to it from its cover cube (a cover cube's index among those of its
-    side, then one child index per depth), and the record of its parent
-    (None for a cover cube), whose edge to it it fills."""
+    side, then one child index per depth), the record of its parent (None
+    for a cover cube), whose edge to it it fills, and its dilate, built
+    once for its average and its entry."""
 
     cube: Cube
     path: tuple[int, ...]
     parent: NodeRecord | None
+    plus: Cube
 
 
 def _skipped_node(levels: _SideLevels | None, f: GridFunction, node: _Node,
@@ -672,7 +674,7 @@ def _skipped_node(levels: _SideLevels | None, f: GridFunction, node: _Node,
     one that underflowed to 0 over a nonzero f raises NumericError."""
     q, grid = node.cube, f.grid
     if avg == 0.0:
-        plus = dilate(q, cfg.alpha).window_clip(grid)
+        plus = node.plus.window_clip(grid)
         if plus is not None and f.values[_box_slices(plus)].any():
             raise NumericError(f"the s = {cfg.s} average of f over the dilate of node {q} "
                                "underflows to 0, though f does not vanish there")
@@ -686,7 +688,7 @@ def _skipped_node(levels: _SideLevels | None, f: GridFunction, node: _Node,
             "child": q,
             "coefficient": float(np.abs(parent[_box_slices(clip, levels.origin)]).max())
                            / node.parent.avg}
-    return (SparseEntry(cube=dilate(q, cfg.alpha), witness=CellSet.from_cube(grid, q),
+    return (SparseEntry(cube=node.plus, witness=CellSet.from_cube(grid, q),
                         coefficient=avg, base_cube=q, depth=depth, flags=flags),
             NodeRecord(cube=q, depth=depth, avg=avg, c_ratio=0.0, a_effective=0.0,
                        omega_count=0, exceed_counts=(0, 0, 0), flags=flags))
@@ -762,8 +764,7 @@ def _node_batch(levels: _SideLevels, grid: Grid, nodes: list[_Node],
             omega_count.tolist(), exc.exceed_counts.T.tolist(), overlaps.tolist())):
         if overlap:
             flags[i].append("witness_overlaps_exceptional")
-        entry = SparseEntry(cube=dilate(node.cube, cfg.alpha),
-                            witness=CellSet(grid, node.cube, witness[i]),
+        entry = SparseEntry(cube=node.plus, witness=CellSet(grid, node.cube, witness[i]),
                             coefficient=a, base_cube=node.cube, depth=depth,
                             flags=tuple(flags[i]))
         record = NodeRecord(cube=node.cube, depth=depth, avg=a, c_ratio=c_ratio,
@@ -774,7 +775,7 @@ def _node_batch(levels: _SideLevels, grid: Grid, nodes: list[_Node],
         done.append((node.path, entry, record))
         if depth:
             node.parent.edges[node.path[-1]] = {"child": node.cube, "coefficient": edge[i]}
-    return [_Node(child, nodes[i].path + (j - first[i],), records[i])
+    return [_Node(child, nodes[i].path + (j - first[i],), records[i], dilate(child, cfg.alpha))
             for j, (child, i) in enumerate(zip(children, owner.tolist()))]
 
 
@@ -793,11 +794,11 @@ def _side_pass(rt: LatticeTransform, f: GridFunction, sat: np.ndarray, roots: li
     gives the preorder.
     """
     grid = f.grid
-    averages = [avg_p(f, dilate(root, cfg.alpha), cfg.s) for root in roots]
+    frontier = [_Node(root, (i,), None, dilate(root, cfg.alpha)) for i, root in enumerate(roots)]
+    averages = [avg_p(f, node.plus, cfg.s) for node in frontier]
     levels = _side_levels(rt, f, sat, [r for r, a in zip(roots, averages) if a != 0.0],
                           cfg.s)
     done: list = []
-    frontier = [_Node(root, (i,), None) for i, root in enumerate(roots)]
     depth = 0
     while frontier:
         groups: dict = {}
@@ -817,7 +818,7 @@ def _side_pass(rt: LatticeTransform, f: GridFunction, sat: np.ndarray, roots: li
             for j in range(0, len(nodes), per):
                 frontier += _node_batch(levels, grid, nodes[j:j + per], avgs[j:j + per],
                                         depth, cfg, done)
-        averages = [avg_p(f, dilate(node.cube, cfg.alpha), cfg.s) for node in frontier]
+        averages = [avg_p(f, node.plus, cfg.s) for node in frontier]
         depth += 1
     done.sort(key=lambda item: item[0])
     return [entry for _, entry, _ in done], [record for _, _, record in done]

@@ -1,7 +1,9 @@
 """Cube-sweep maximal functions against brute-force and gather-based
 references."""
 
+import itertools
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,10 +25,12 @@ from sparsedom import (
     sharp_truncated,
 )
 from sparsedom import maximal, operators
+from sparsedom.errors import UndefinedRatioError
 from sparsedom.grid import _power_sat
 from sparsedom.inputs import INPUT_KINDS, make_input
 from sparsedom.maximal import _power_average_sweep
 from sparsedom.operators import RestrictedTransform
+from sparsedom.verify import sharp_vs_maximal
 
 
 def rng(seed):
@@ -579,6 +583,138 @@ def test_clipped_cubes_skip_the_block_path(monkeypatch, grid, name):
     free_blocks.clear()
     sharp_truncated(k, GridFunction(grid, f.values * (1 + 1j)), alpha=2 * shift + 1)
     assert not all(free_blocks)
+
+
+# boxes of f's nonzero cells, as slices per axis of an n-cell grid: the
+# centred half window, a corner box, a one-cell strip along the last edge of
+# the first axis (the edge cell in 1D), one inner cell, the whole window
+SUPPORTS = {
+    "centred": lambda n, dim: (slice(n // 4, n // 4 + n // 2),) * dim,
+    "corner": lambda n, dim: (slice(0, n // 4 + 1),) * dim,
+    "strip": lambda n, dim: (slice(n - 1, n),) + (slice(0, n),) * (dim - 1),
+    "cell": lambda n, dim: (slice(n // 3, n // 3 + 1),) * dim,
+    "full": lambda n, dim: (slice(0, n),) * dim,
+}
+
+
+def supported_input(grid, support, values, seed):
+    """f on a box of SUPPORTS: normal values there, and 0 elsewhere; for
+    ``values`` "complex" with a normal imaginary part, for "negzero" real
+    with -0.0 off the box."""
+    g = rng(seed)
+    box = SUPPORTS[support](grid.cells_per_side, grid.dim)
+    vals = np.full(grid.shape, -0.0 if values == "negzero" else 0.0,
+                   dtype=complex if values == "complex" else float)
+    vals[box] = g.normal(size=vals[box].shape)
+    if values == "complex":
+        vals[box] += 1j * g.normal(size=vals[box].shape)
+    return GridFunction(grid, vals)
+
+
+def sorted_cubes(n, dim, box, shift):
+    """The cubes meeting the window, as counts of their cells' bounds per
+    axis, keyed by (held, clipped): whether the dilate, clipped to the
+    window, holds the box (slices per axis), and whether it is clipped on
+    every axis (the table pass's cubes for real values)."""
+    out = {key: Counter() for key in itertools.product((False, True), repeat=2)}
+    for m in range(1, n + 1):
+        for anchor in itertools.product(range(1 - m, n), repeat=dim):
+            held = all(a - shift * m <= b.start and a + (shift + 1) * m >= b.stop
+                       for a, b in zip(anchor, box))
+            clipped = all(a - shift * m <= 0 or a + (shift + 1) * m >= n for a in anchor)
+            out[held, clipped][tuple((max(a, 0), min(a + m, n)) for a in anchor)] += 1
+    return out
+
+
+def painted_cubes(monkeypatch, run):
+    """The cells' bounds of every cube that ``run()`` paints, counted."""
+    cover, painted = maximal._cover, Counter()
+
+    def recorded(lo, hi, n):
+        painted.update(zip(*(zip(l.tolist(), h.tolist()) for l, h in zip(lo, hi))))
+        return cover(lo, hi, n)
+
+    with monkeypatch.context() as m:
+        m.setattr(maximal, "_cover", recorded)
+        run()
+    return painted
+
+
+@pytest.mark.parametrize("alpha", [1, 3, 5])
+@pytest.mark.parametrize("support", sorted(SUPPORTS))
+@pytest.mark.parametrize("grid,name", [
+    (Grid(1, 32), "hilbert"), (Grid(1, 64), "dini_stress"),
+    (Grid(2, 8), "riesz2d"), (Grid(2, 16), "riesz2d"),
+], ids=["1d-32", "1d-64", "2d-8", "2d-16"])
+def test_sharp_skip_of_held_cubes_is_bit_identical(monkeypatch, grid, name, support, alpha):
+    # the sweep skips every cube whose clipped dilate holds the box of f's
+    # nonzero cells; against a support widened to the whole window, which
+    # skips only the cubes whose dilate covers the window, the maximal
+    # function is the same to the bit
+    kernel = make_kernel(name, grid)
+    for seed, values in enumerate(("real", "complex", "negzero")):
+        f = supported_input(grid, support, values, seed)
+        got = sharp_truncated(kernel, f, alpha=alpha).values
+        with monkeypatch.context() as m:
+            m.setattr(operators, "_support_bounds",
+                      lambda v: tuple((0, k) for k in v.shape))
+            want = sharp_truncated(kernel, f, alpha=alpha).values
+        assert got.tobytes() == want.tobytes(), values
+
+
+@pytest.mark.parametrize("alpha", [1, 3, 5])
+@pytest.mark.parametrize("grid,name", [
+    (Grid(1, 32), "hilbert"), (Grid(1, 64), "dini_stress"),
+    (Grid(2, 8), "riesz2d"), (Grid(2, 16), "riesz2d"),
+], ids=["1d-32", "1d-64", "2d-8", "2d-16"])
+def test_sharp_paints_every_cube_not_held_once(monkeypatch, grid, name, alpha):
+    # centred support: every cube whose clipped dilate misses part of it is
+    # painted once; for real values the table pass paints exactly those of
+    # its cubes, and the block pass those of its own plus the held ones of
+    # the blocks it does not skip; complex values go through the block pass.
+    # The block pass skips held cubes for complex values and in 1D (in 2D
+    # the cuts can cost more blocks than they save)
+    n, dim, shift = grid.cells_per_side, grid.dim, (alpha - 1) // 2
+    kernel = make_kernel(name, grid)
+    cubes = sorted_cubes(n, dim, SUPPORTS["centred"](n, dim), shift)
+    for seed, values in enumerate(("real", "complex")):
+        f = supported_input(grid, "centred", values, seed)
+        painted = painted_cubes(monkeypatch, lambda: sharp_truncated(kernel, f, alpha=alpha))
+        if values == "real":
+            table = painted_cubes(monkeypatch, lambda: table_pass(kernel, f, alpha))
+            assert table == cubes[False, True]
+            with monkeypatch.context() as m:
+                # chunks of one column, all of whose boxes hold the support
+                # on the first axis or none
+                m.setattr(maximal, "_BLOCK_CELLS", 1)
+                assert painted_cubes(monkeypatch, lambda: table_pass(kernel, f, alpha)) == table
+            painted -= table
+            must, may = cubes[False, False], cubes[True, False]
+        else:
+            must = cubes[False, False] + cubes[False, True]
+            may = cubes[True, False] + cubes[True, True]
+        assert not must - painted and not painted - must - may, values
+        if values == "complex" or dim == 1:
+            assert painted.total() < (must + may).total(), values
+
+
+@pytest.mark.parametrize("grid,name", [(Grid(1, 32), "hilbert"), (Grid(2, 8), "riesz2d")])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_sharp_of_zero_f_skips_every_cube(monkeypatch, grid, name, dtype):
+    # f = 0 has no support box, so every cube holds it: nothing is read or
+    # painted, and the maximal function is +0.0 everywhere
+    def refuse(*args):
+        raise AssertionError("a cube was read or painted")
+
+    f = GridFunction(grid, np.zeros(grid.shape, dtype=dtype))
+    kernel = make_kernel(name, grid)
+    with monkeypatch.context() as m:
+        for helper in ("_truncated", "_paint"):
+            m.setattr(maximal, helper, refuse)
+        got = sharp_truncated(kernel, f, alpha=3).values
+    assert got.shape == grid.shape and not got.any() and not np.signbit(got).any()
+    with pytest.raises(UndefinedRatioError, match="power maximal function vanishes everywhere"):
+        sharp_vs_maximal(kernel, f)
 
 
 @pytest.mark.parametrize("grid,name,bound", [

@@ -452,7 +452,7 @@ def test_builder_sweeps_no_lattice_cube(monkeypatch):
     for name in ("_power_average_sweep", "_oscillation_sweep", "_anchor_runs",
                  "_truncated", "_window_oscillation", "_clipped_oscillations",
                  "_clipped_runs", "_double", "_grow", "_expand", "_side_groups",
-                 "_cover", "_paint", "_push_down"):
+                 "_side_blocks", "_cover", "_paint", "_paint_blocks", "_push_down"):
         monkeypatch.setattr(maximal, name, refuse)
     for grid, kname in ((Grid(1, 128), "hilbert"), (Grid(2, 16), "riesz2d")):
         f = make_input(grid, "random", seed=13)
