@@ -31,24 +31,21 @@ That is O(2^dim) per cube and O(n^dim log^dim n) in all.
   no copy of the table.  Their oscillations are painted a batch of blocks
   at a time, at most ``_BLOCK_CELLS >> 8`` cubes a ``_paint``.
 
-  Neither pass reads a cube whose dilate, clipped to the window, holds
-  the box of f's nonzero cells (``RestrictedTransform.support``): its
-  value is exactly 0.  A prefix-table column at or below the box's low
-  bound on an axis sums only signed zeros there, and one at or above its
-  high bound differs from column n only by added signed zeros, which
-  change no nonzero float.  So the cube's box sum is ``T f`` itself up to
-  the sign of a zero, ``T f`` minus it is a signed zero at each of its
-  cells, and so is its oscillation, which painted into a table of +0.0
-  changes nothing (``np.maximum`` keeps +0.0 on a tie).  The sweep stays
-  the exact all-cubes maximal function, bit for bit.  In the table pass
-  such a cube is one whose free columns all hold the box: in 1D those
-  columns are left out, and in 2D a chunk of held first-axis columns
-  reads only the second axis' other columns.  In the block pass the
-  anchors whose dilate holds the box on an axis are a range, which cuts
-  that axis' runs, and a block held on every axis is skipped; a side is
-  cut there only if the blocks skipped would cost more to read than the
-  blocks the cuts add (``_BLOCK_COST``).  Where f vanishes, every cube is
-  skipped.
+  A cube whose dilate, clipped to the window, holds the box of f's
+  nonzero cells (``RestrictedTransform.support``) has the value 0
+  exactly.  A prefix-table column at or below the box's low bound on an
+  axis sums only signed zeros there, and one at or above its high bound
+  differs from column n only by added signed zeros, which change no
+  nonzero float.  So the cube's box sum is ``T f`` itself up to the sign
+  of a zero, ``T f`` minus it is a signed zero at each of its cells, and
+  so is its oscillation, which painted into a table of +0.0 changes
+  nothing (``np.maximum`` keeps +0.0 on a tie).  Such cubes are skipped,
+  and the sweep stays the exact all-cubes maximal function, bit for bit.
+  The 1D table pass leaves out the free columns whose box holds the
+  support box (the 2D one reads every cube).  In the block pass the
+  anchors whose dilate holds the box on an axis are a range; a side's
+  runs are cut at its ends where that leaves out a block held on every
+  axis, which is skipped.  Where f vanishes, every cube is skipped.
 
 ``sharp_truncated`` is the only user of that table, so it alone holds
 memory quadratic in the cell count.  The sparse construction does not
@@ -79,10 +76,6 @@ __all__ = [
 # cells per block of cubes that the oscillation sweep reads at once; the
 # table pass and the batches of cubes are sized from it too
 _BLOCK_CELLS = 1 << 21
-# the fixed cost of reading a block, in cells read: about 40 us against
-# 6 ns a cell (1D N = 1024, 2D n = 32); a complex cube adds an eighth of
-# it, its own ``oscillation`` call
-_BLOCK_COST = 1 << 12
 
 
 def _doubling_levels(n: int) -> int:
@@ -244,15 +237,15 @@ def _power_average_sweep(f: GridFunction, s: float) -> np.ndarray:
     return _push_down(table)
 
 
-def _anchor_runs(n: int, side: int, shift: int, held) -> list[tuple[int, int]]:
+def _anchor_runs(n: int, side: int, shift: int, held=()) -> list[tuple[int, int]]:
     """Cut the anchors of one axis into runs, as (first anchor, count), on
     which the table windows of ``_truncated`` are strided views.
 
     Cuts go where a bound column starts or stops clipping (at column 0 or
     n), where the windows start or stop sticking out of the grid and at
-    the ends of ``held``, a range of anchors, so in each run each bound is
-    clipped at every anchor or at none, and every anchor is in ``held`` or
-    none is.
+    the ends of ``held``, a range of anchors if given, so in each run each
+    bound is clipped at every anchor or at none, and every anchor is in
+    ``held`` or none is.
     """
     a0, d_lo, d_hi = 1 - side, -shift * side, (shift + 1) * side
     cuts = sorted({a0, n} | {c for c in (0, n - side + 1, 1 - d_lo, n - d_lo,
@@ -263,19 +256,26 @@ def _anchor_runs(n: int, side: int, shift: int, held) -> list[tuple[int, int]]:
 
 def _side_blocks(n: int, side: int, shift: int, held, real: bool) -> list:
     """The blocks of the side-``side`` cubes that the block pass reads:
-    products of ``_anchor_runs`` per axis, cut at the ends of ``held``, a
-    range of anchors per axis, and those of the first axis split so that
-    no block holds more than ``_BLOCK_CELLS`` cells.  Left out are the
-    blocks in ``held`` on every axis and, for real values, those whose
-    dilate is clipped on every axis, which the table pass reads."""
+    products of ``_anchor_runs`` per axis, those of the first axis split so
+    that no block holds more than ``_BLOCK_CELLS`` cells.  Left out are,
+    for real values, the blocks whose dilate is clipped on every axis,
+    which the table pass reads, and the blocks in ``held``, a range of
+    anchors per axis, on every axis.  The runs are cut at the ends of
+    ``held`` only if that leaves a block out."""
     dim = len(held)
     per = max(1, _BLOCK_CELLS // ((n + side - 1) ** (dim - 1) * side**dim))
-    runs = [_anchor_runs(n, side, shift, h) for h in held]
-    split = [(b + c, min(per, k - c)) for b, k in runs[0] for c in range(0, k, per)]
     free = (shift * side + 1, n - (shift + 1) * side)
-    return [block for block in itertools.product(split, *runs[1:])
-            if not (real and all(not free[0] <= b < free[1] for b, _ in block)
-                    or all(h0 <= b and b + k <= h1 for (b, k), (h0, h1) in zip(block, held)))]
+
+    def blocks(cut):
+        runs = [_anchor_runs(n, side, shift, h) for h in cut]
+        split = [(b + c, min(per, k - c)) for b, k in runs[0] for c in range(0, k, per)]
+        return [block for block in itertools.product(split, *runs[1:])
+                if not (real and all(not free[0] <= b < free[1] for b, _ in block))]
+
+    cut = blocks(held)
+    read = [block for block in cut
+            if not all(h0 <= b and b + k <= h1 for (b, k), (h0, h1) in zip(block, held))]
+    return read if len(read) < len(cut) else blocks([()] * dim)
 
 
 def _truncated(rt: RestrictedTransform, outer: np.ndarray, block, side: int,
@@ -330,11 +330,6 @@ def _window_oscillation(vals: np.ndarray, lo, hi) -> np.ndarray:
                          for i, c in zip(itertools.product(*map(range, lead)),
                                          itertools.product(*own))]
                         ).reshape(lead)
-    cells = tuple(range(dim, 2 * dim))
-    if not any(l.any() for l in lo) and all((h == vals.shape[d]).all()
-                                            for h, d in zip(hi, cells)):
-        # every cell is an own cell
-        return vals.max(axis=cells) - vals.min(axis=cells)
     # one flat reduceat per cell axis, the last first, over the values in
     # row-major order: even segments are the own cells, odd ones span the
     # gaps between them
@@ -359,12 +354,9 @@ def _clipped_runs(n: int, shift: int, high: bool, lengths, cols):
     - 1``; and whose free bound column (the high one, clipped at n, or with
     ``high`` the low one) is in ``[cols[0], cols[1])``.  Three runs per
     side, for the cubes sticking out low, inside the window and sticking
-    out high: first anchors and counts, arrays of shape (n, 3), or with
-    lengths given as arrays of shape L, one such per length range, shape
-    L + (n, 3)."""
+    out high: first anchors and counts, arrays of shape (n, 3)."""
     m = np.arange(1, n + 1)[:, None]
-    c0, c1 = cols
-    w0, w1 = (np.asarray(w)[..., None, None] for w in lengths)
+    (w0, w1), (c0, c1) = lengths, cols
     if high:
         first = np.maximum(np.maximum(shift * m + 1, n - (shift + 1) * m), c0 + shift * m)
         last = np.minimum(n - 1, c1 - 1 + shift * m)
@@ -375,10 +367,10 @@ def _clipped_runs(n: int, shift: int, high: bool, lengths, cols):
             last = np.minimum(last, c1 - 1 - (shift + 1) * m)
     # own cells: a + m sticking out low, m inside, n - a sticking out high
     inside = (w0 <= m) & (m < w1)
-    first = np.maximum(first, np.concatenate(np.broadcast_arrays(
-        w0 - m, np.where(inside, 0, n), np.maximum(n - w1 + 1, n - m + 1)), axis=-1))
-    last = np.minimum(last, np.concatenate(np.broadcast_arrays(
-        np.minimum(w1 - 1 - m, -1), n - m, n - w0), axis=-1))
+    first = np.maximum(first, np.hstack([w0 - m, np.where(inside, 0, n),
+                                         np.maximum(n - w1 + 1, n - m + 1)]))
+    last = np.minimum(last, np.hstack([np.minimum(w1 - 1 - m, -1), n - m,
+                                       np.full_like(m, n - w0)]))
     return first, np.maximum(last - first + 1, 0)
 
 
@@ -418,12 +410,9 @@ def _clipped_oscillations(rt: RestrictedTransform, outer: np.ndarray, shift: int
     (``_clipped_runs``) a batch of sides at a time, at most as many reads
     per end as ``_BLOCK_CELLS >> 10`` cubes of side n make.
 
-    A cube whose box holds f's support box (``rt.support``) on every axis
-    is left out (its value is a signed zero, see the module docstring).
-    In 1D the free columns that hold it are left out.  In 2D a chunk whose
-    first-axis columns all hold it reads, and builds ``G`` on, only the
-    second axis' columns that do not; a chunk with both kinds of first
-    columns drops the held cubes from each batch.  f must not vanish.
+    In 1D a free column whose box holds f's support box (``rt.support``)
+    is left out: its cubes' values are signed zeros (see the module
+    docstring).  f must not vanish.
     """
     n, dim = rt.grid.cells_per_side, rt.grid.dim
     slab = n**dim * (n + 1) ** (dim - 1)    # cells per column of the first axis
@@ -439,36 +428,24 @@ def _clipped_oscillations(rt: RestrictedTransform, outer: np.ndarray, shift: int
         return rt.prefix_windows((0,) * dim, (0,) * dim, cols, col_steps, counts,
                                  n).transpose(*range(dim, 2 * dim), *range(dim))
 
-    support = rt.support
-    levels = 1 << np.arange(_doubling_levels(n))
     for edges in itertools.product((False, True), repeat=dim):   # True: high
-        # per axis, the free columns whose box holds the support's [lo, hi)
-        # there, [c, n) for c <= lo and [0, c) for c >= hi, and the others;
-        # in 1D the held ones are left out
-        held = [(0, lo + 1) if e else (hi, n + 1) for (lo, hi), e in zip(support, edges)]
-        unheld = [(lo + 1, n + 1) if e else (0, hi) for (lo, hi), e in zip(support, edges)]
-        span = unheld[0] if dim == 1 else (0, n + 1)
-        # the other axes' columns and runs: all, or the unheld ones only
-        others = {inside: (spans, [_clipped_runs(n, shift, e, (1, n + 1), c)
-                                   for e, c in zip(edges[1:], spans)])
-                  for inside, spans in ((False, [(0, n + 1)] * (dim - 1)),
-                                        (True, unheld[1:]))}
-        for c0 in range(span[0], span[1], width):
+        span = (0, n + 1)
+        if dim == 1:
+            # only the free columns whose box does not hold f's support
+            # box [s0, s1): c < s1 at the low corner, c > s0 at the high one
+            (s0, s1), = rt.support
+            span = (s0 + 1, n + 1) if edges[0] else (0, s1)
+        rest = [_clipped_runs(n, shift, e, (1, n + 1), (0, n + 1)) for e in edges[1:]]
+        for c0 in range(*span, width):
             c1 = min(c0 + width, span[1])
-            # a chunk of held first columns reads the other axis' unheld
-            # columns only; one with both kinds drops the held cubes from
-            # each batch
-            inside = held[0][0] <= c0 and c1 <= held[0][1]
-            mixed = dim > 1 and not inside and held[0][0] < c1 and c0 < held[0][1]
-            other_cols, rest = others[inside]
-            spans = [(c0, c1), *other_cols]
-            runs = _clipped_runs(n, shift, edges[0], (levels, 2 * levels), (c0, c1))
-            if not (runs[1].any() and all(count.any() for _, count in rest)):
+            runs = [_clipped_runs(n, shift, edges[0], (1 << k, 2 << k), (c0, c1))
+                    for k in range(_doubling_levels(n))]
+            if not any(count.any() for _, count in runs):
                 continue
             # the rows a box of the chunk can hold: below its last column,
             # or from its first one if high
             r0, r1 = (c0, n) if edges[0] else (0, c1 - 1)
-            free = [(c, 1, d - c) for c, d in spans]
+            free = [(c0, 1, c1 - c0)] + [(0, 1, n + 1)] * (dim - 1)
             g = _corner_sums(lambda corner: read(corner)[r0:r1],
                              [f if e else (0, 0, 1) for f, e in zip(free, edges)],
                              [(n, 0, 1) if e else f for f, e in zip(free, edges)])
@@ -477,7 +454,7 @@ def _clipped_oscillations(rt: RestrictedTransform, outer: np.ndarray, shift: int
             small = g.reshape(r1 - r0, -1)
             big = small.copy()
             cols = g[(0,) * dim].size
-            for k, run in enumerate(zip(*runs)):
+            for k, run in enumerate(runs):
                 if k:
                     _double(np.maximum, big, 1 << (k - 1))
                     _double(np.minimum, small, 1 << (k - 1))
@@ -488,21 +465,12 @@ def _clipped_oscillations(rt: RestrictedTransform, outer: np.ndarray, shift: int
                     for first, count in per:
                         anchors, side = _grow(anchors, side, first[j0:j1], count[j0:j1])
                     m = sides[j0 + side]
-                    bounds = [a - shift * m if e else np.minimum(a + (shift + 1) * m, n)
-                              for a, e in zip(anchors, edges)]
-                    if mixed:
-                        keep = ~np.logical_and.reduce([
-                            c <= s0 if e else c >= s1
-                            for c, e, (s0, s1) in zip(bounds, edges, support)])
-                        if not keep.any():
-                            continue
-                        anchors, bounds, m = ([a[keep] for a in anchors],
-                                              [c[keep] for c in bounds], m[keep])
                     lo = [np.maximum(a, 0) for a in anchors]
                     hi = [np.minimum(a + m, n) for a in anchors]
                     at = 0
-                    for d, c in enumerate(bounds):
-                        at = at * g.shape[dim + d] + c - spans[d][0]
+                    for d, (a, e) in enumerate(zip(anchors, edges)):
+                        c = a - shift * m if e else np.minimum(a + (shift + 1) * m, n)
+                        at = at * g.shape[dim + d] + (c - c0 if d == 0 else c)
                     ends = (lo[0] - r0, hi[0] - r0 - (1 << k))
                     if dim > 1:
                         # each own cell past the first axis, cube by cube
@@ -539,11 +507,11 @@ def _oscillation_sweep(rt: RestrictedTransform, shift: int) -> np.ndarray:
     the anchors are a product of per-axis runs (``_side_blocks``), the runs
     of the first axis split so that no block holds more than
     ``_BLOCK_CELLS`` cells, and each block is a set of strided views of the
-    table (``_truncated``), at O(m^dim) per cube.  Neither pass reads a
-    cube whose clipped dilate holds f's support box, whose value is
-    exactly 0 (see the module docstring).  Each oscillation is painted
-    onto its cube's own cells (``_paint_blocks``, ``_paint``), and one
-    push-down at the end reads the cells off.
+    table (``_truncated``), at O(m^dim) per cube.  Many cubes whose
+    clipped dilate holds f's support box, whose value is exactly 0, are
+    skipped (see the module docstring).  Each oscillation is painted onto
+    its cube's own cells (``_paint_blocks``, ``_paint``), and one push-down
+    at the end reads the cells off.
     """
     grid = rt.grid
     n, dim = grid.cells_per_side, grid.dim
@@ -565,17 +533,10 @@ def _oscillation_sweep(rt: RestrictedTransform, shift: int) -> np.ndarray:
             # rows (its cells, or the side cells at the edge its cells
             # stick out of)
             own_lo, own_hi = np.maximum(a - (n - side), 0), np.minimum(a, 0) + side
-            # per axis, the anchors whose dilate holds the support there;
-            # the runs are cut there only if the blocks this skips cost
-            # more to read than the blocks it adds (an empty range holds
-            # no anchor and cuts no run)
+            # per axis, the anchors whose dilate holds the support there
             held = [(max(hi - (shift + 1) * side, 1 - side), min(lo + shift * side, n - 1) + 1)
                     for lo, hi in rt.support]
-            weight = side**dim + (0 if real else _BLOCK_COST >> 3)
-            for block in min(_side_blocks(n, side, shift, [(0, 0)] * dim, real),
-                             _side_blocks(n, side, shift, held, real),
-                             key=lambda read: sum(_BLOCK_COST + weight * math.prod(
-                                 k for _, k in b) for b in read)):
+            for block in _side_blocks(n, side, shift, held, real):
                 at = [slice(b + side - 1, b + side - 1 + k) for b, k in block]
                 yield side, block, _window_oscillation(
                     _truncated(rt, outer, block, side, shift),
