@@ -58,6 +58,7 @@ from .verify import (
     _coefficient_gap,
     _entry_averages,
     _norm_ratio,
+    _paint_coefficients,
     check_domination,
     check_sparsity,
     t1_testing_probe,
@@ -618,8 +619,11 @@ def _verification_report(kernel, f, family, cfg) -> tuple[dict, dict]:
     timings = {}
     with _timed(timings, "sparsity_s"):
         sparsity = check_sparsity(family, eta)
+    # the stored coefficients, painted once for the domination check and,
+    # where the norm ratio's averages equal them, for its operator
     with _timed(timings, "domination_s"):
-        domination = check_domination(kernel, f, family, tol=tol)
+        stack = _paint_coefficients(family, [e.coefficient for e in family.entries])
+        domination = check_domination(kernel, f, family, tol=tol, _stack=stack)
     # each entry's average is taken once per exponent: the audit's at the
     # family's s, and the norm ratio's at r only where r is another
     s = _build_exponent(family)
@@ -630,7 +634,7 @@ def _verification_report(kernel, f, family, cfg) -> tuple[dict, dict]:
         if r != s:
             averages = _entry_averages(family, f, r)
         try:
-            ratio = _norm_ratio(family, f, averages, p)
+            ratio = _norm_ratio(family, f, averages, p, stack)
         except UndefinedRatioError:
             ratio = None
     passed = sparsity.passed and domination.passed and audit <= 1e-9

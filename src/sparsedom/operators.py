@@ -55,7 +55,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -96,6 +96,11 @@ class Kernel:
     differences round exactly to ``k h`` the two agree bit for bit.  A
     kernel that breaks the promise gets wrong transforms, so leave the
     flag off when in doubt.
+
+    The lattice is sampled on first use and kept on the kernel for the
+    last grid it was sampled on, so every operator on that grid reads one
+    array, which goes with the kernel; a copy made by
+    ``dataclasses.replace``, or a transpose, samples its own.
     """
 
     name: str
@@ -104,6 +109,8 @@ class Kernel:
     modulus: Callable[[np.ndarray], np.ndarray] | None = None
     hormander_r: float | None = None
     translation_invariant: bool = False
+    # grid -> difference lattice, at most one entry (``_offset_lattice``)
+    _lattices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def transpose_kernel(kernel: Kernel) -> Kernel:
@@ -153,10 +160,15 @@ def _offset_lattice(kernel: Kernel, grid: Grid) -> np.ndarray | None:
     translation invariance.  It is filled from first-axis slabs of at most
     ``_SLAB_CELLS`` offsets (or one row), so the kernel's temporaries are
     slab-sized.  A non-finite value raises NumericError, named by a cell
-    pair with its offset, so every lattice handed out is finite.
+    pair with its offset, so every lattice handed out is finite.  The
+    lattice is kept on the kernel in place of the one of another grid,
+    and handed out again for this grid without calling ``fn``.
     """
     if not kernel.translation_invariant:
         return None
+    held = kernel._lattices.get(grid)
+    if held is not None:
+        return held
     n, dim = grid.cells_per_side, grid.dim
     axis = np.arange(-(n - 1), n) * grid.cell_width
     lat = np.empty((2 * n - 1,) * dim)
@@ -171,6 +183,8 @@ def _offset_lattice(kernel: Kernel, grid: Grid) -> np.ndarray | None:
             k = np.argwhere(~np.isfinite(lat[:i + rows]))[0] - (n - 1)
             _raise_nonfinite(kernel.name, grid, np.maximum(k, 0), np.maximum(-k, 0))
     lat.flags.writeable = False
+    kernel._lattices.clear()
+    kernel._lattices[grid] = lat
     return lat
 
 

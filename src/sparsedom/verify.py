@@ -7,14 +7,22 @@ on every window cell, coefficients by re-averaging.  The checks return
 small report objects with a ``passed`` flag and enough detail to locate
 a failure; they never repair anything.
 
-The domination check has its own transform, shared with no builder
-code: for a kernel with a difference lattice, one FFT convolution over
-the whole window, with every cell whose value can decide the report
+What the checks share with the builder is the kernel's sampled
+difference lattice, which the kernel keeps per grid
+(:func:`sparsedom.operators._offset_lattice`): those values are the
+operator's definition, so reading the builder's samples re-derives
+nothing.  The rest is the verifier's own.  The domination check has its
+own transform: for a kernel with a lattice, one FFT convolution over the
+whole window, with every cell whose value can decide the report
 re-summed directly; for any other kernel, the direct sum on every cell.
 Either direct sum reads f only on the box of its nonzero cells, as
 :func:`sparsedom.operators.apply_restricted` does, off which every term is
 an exact 0.  The coefficient audit and the norm ratio re-average every
-entry; the CLI takes each exponent's averages once for both.
+entry, the entries of one window-clip shape in one stack, bit for bit
+:func:`sparsedom.grid.avg_p`; the sparsity canvas is one ``np.bincount``
+of the witness cells.  The CLI takes each exponent's averages once for
+both, and paints the stored coefficients once for the domination check
+and the norm ratio.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from .grid import CellSet, Cube, Grid, GridFunction, _box_slices, avg_p
 from .maximal import hl_maximal, sharp_truncated
 from .operators import (
     _PAIR_CHUNK,
+    _SLAB_CELLS,
     _SUM_GROUP,
     Kernel,
     _check_dims,
@@ -91,55 +100,142 @@ class ProbeResult:
     samples: list
 
 
+def _cube_table(cubes) -> np.ndarray:
+    """One row ``(*anchor, side)`` per cube, as an array on which the sum
+    or difference of two entries is exact: int64 where every value lies
+    within 2**62 of 0, Python ints (dtype object) otherwise."""
+    rows = [(*c.anchor, c.side) for c in cubes]
+    table = np.array(rows)
+    if table.dtype == object or not -2**62 < table.min() <= table.max() < 2**62:
+        return np.array(rows, dtype=object)
+    return table
+
+
+def _groups(keys: np.ndarray) -> list:
+    """The indices of ``keys`` grouped by value, each group in index order."""
+    order = np.argsort(keys, kind="stable")
+    cuts = [0, *(np.flatnonzero(np.diff(keys[order])) + 1).tolist(), keys.size]
+    return [order[a:b] for a, b in zip(cuts, cuts[1:]) if a < b]
+
+
+def _box_index(corners: np.ndarray, shape) -> tuple:
+    """Index arrays, one per axis, that pick the box of ``shape`` at every
+    row of ``corners``: they broadcast to ``(len(corners), *shape)``."""
+    dim = len(shape)
+    return tuple(corners[:, d].reshape((-1,) + (1,) * dim)
+                 + np.arange(shape[d]).reshape((1,) * (d + 1) + (-1,) + (1,) * (dim - 1 - d))
+                 for d in range(dim))
+
+
 def check_sparsity(family: SparseFamily, eta: float | None = None) -> SparsityReport:
     """Witness disjointness, containment and witness-to-cube measure ratios.
 
     Paints every witness cell (window or not) onto one integer canvas;
     any cell painted twice breaks disjointness.  Each witness must lie in
     its dilated cube and hold at least ``eta`` (default: the family's
-    declared value) of the cube's full geometric cell count.  A canvas
-    larger than physical memory raises ParameterError before it is
-    allocated.
+    declared value) of the cube's full geometric cell count.  The failures
+    come entry by entry, a ratio failure before an outside-cube one, and
+    an overlap, named by its first cell in C order, last.
+
+    The witness masks are stacked per box side, in chunks of at most half
+    the canvas' cells (or one box), which give every entry's count and the
+    flat canvas index of every member cell; one ``np.bincount`` of those
+    indices is the canvas.  Counts are integers, so the canvas and the
+    counts are exact in any order.  A box inside its cube holds its
+    witness; any other is checked by ``CellSet.count_in``.  The stacks (a
+    byte a box cell), the indices (at most 8 bytes a box cell), the
+    offsets of one box's cells, and the larger of the canvas (8 bytes a
+    cell) and a chunk's index arrays are checked against physical memory
+    before they are allocated, raising ParameterError where they exceed
+    it.
     """
     eta = family.eta if eta is None else eta
     entries = family.entries
     if not entries:
         return SparsityReport(True, eta, 1.0, 0, 0)
     dim = family.grid.dim
-    los = [min(e.witness.box.anchor[d] for e in entries) for d in range(dim)]
-    his = [max(e.witness.box.anchor[d] + e.witness.box.side for e in entries)
-           for d in range(dim)]
-    shape = [h - l for h, l in zip(his, los)]
-    _refuse_beyond_memory(f"the sparsity canvas of {shape} cells",
-                          4 * math.prod(shape))
-    canvas = np.zeros(shape, dtype=np.int32)
+    boxes = _cube_table([e.witness.box for e in entries])
+    cubes = _cube_table([e.cube for e in entries])
+    box_lo, sides = boxes[:, :dim], boxes[:, dim]
+    box_hi = box_lo + boxes[:, dim:]
+    los = box_lo.min(axis=0)
+    shape = tuple(int(v) for v in box_hi.max(axis=0) - los)
+    size, largest = math.prod(shape), int(sides.max()) ** dim
+    _refuse_beyond_memory(f"the sparsity canvas of {list(shape)} cells",
+                          9 * int((sides**dim).sum()) + 8 * largest
+                          + 8 * max(size, 2 * largest))
+    # the canvas fits, so every box's offset from its corner is a machine
+    # integer
+    base = np.ravel_multi_index((box_lo - los).astype(np.intp).T, shape)
+    sides = sides.astype(np.intp)
+    counts = np.empty(len(entries), dtype=np.int64)
+    stacks = {}
+    for same in _groups(sides):
+        side = int(sides[same[0]])
+        per = max(1, size // 2 // side**dim)
+        for start in range(0, len(same), per):
+            idx = same[start:start + per]
+            masks = np.array([entries[i].witness.mask for i in idx]).reshape(len(idx), -1)
+            counts[idx] = masks.sum(axis=1)
+            stacks.setdefault(side, []).append((idx, masks))
+    flat = np.empty(int(counts.sum()), dtype=np.intp)
+    pos = 0
+    for side, chunks in stacks.items():
+        # the canvas offset of every cell of a box from its corner's
+        rel = np.ravel_multi_index(
+            _box_index(np.zeros((1, dim), dtype=np.intp), (side,) * dim), shape).ravel()
+        for idx, masks in chunks:
+            picked = (base[idx, None] + rel)[masks]
+            flat[pos:pos + picked.size] = picked
+            pos += picked.size
+    del stacks
+    canvas = np.bincount(flat, minlength=size)
+    del flat
+    # Python ints: a cube's cell count may pass 64 bits
+    ratios = np.array([c / k**dim for c, k in zip(counts.tolist(), cubes[:, dim].tolist())])
+    cube_lo = cubes[:, :dim]
+    inside = ((cube_lo <= box_lo) & (box_hi <= cube_lo + cubes[:, dim:])).all(axis=1)
+    thin = set(np.flatnonzero(ratios < eta - 1e-12).tolist())
+    outside = {i for i in np.flatnonzero(~inside).tolist()
+               if entries[i].witness.count_in(entries[i].cube) != counts[i]}
     failures = []
-    min_ratio = math.inf
-    for i, e in enumerate(entries):
-        canvas[_box_slices(e.witness.box.bounds(), los)] += e.witness.mask
-        ratio = e.witness.count / e.cube.cell_count
-        min_ratio = min(min_ratio, ratio)
-        if ratio < eta - 1e-12:
-            failures.append({"entry": i, "kind": "ratio", "ratio": ratio})
-        if not (e.cube.contains(e.witness.box)
-                or e.witness.count_in(e.cube) == e.witness.count):
+    for i in sorted(thin | outside):
+        if i in thin:
+            failures.append({"entry": i, "kind": "ratio", "ratio": float(ratios[i])})
+        if i in outside:
             failures.append({"entry": i, "kind": "outside_cube"})
-    max_overlap = int(canvas.max())
+    top = int(np.argmax(canvas))
+    max_overlap = int(canvas[top])
     if max_overlap > 1:
-        spot = np.argwhere(canvas == max_overlap)[0]
+        spot = np.unravel_index(top, shape)
         failures.append({"kind": "overlap",
                          "cell": [int(v + l) for v, l in zip(spot, los)],
                          "count": max_overlap})
-    return SparsityReport(not failures, eta, float(min_ratio), max_overlap,
+    return SparsityReport(not failures, eta, float(ratios.min()), max_overlap,
                           len(entries), failures)
 
 
+def _window_clips(family: SparseFamily, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The low and high bounds on the window of ``grid`` of every entry's
+    cube, one row per entry: ``Cube.window_clip`` as arrays, with
+    ``lo == hi`` on an axis where the cube misses the window."""
+    dim, n = grid.dim, grid.cells_per_side
+    cubes = _cube_table([e.cube for e in family.entries])
+    lo = np.minimum(np.maximum(cubes[:, :dim], 0), n)
+    hi = np.minimum(np.maximum(cubes[:, :dim] + cubes[:, dim:], 0), n)
+    return lo.astype(np.intp), hi.astype(np.intp)
+
+
 def _paint_coefficients(family: SparseFamily, coeffs) -> np.ndarray:
+    """``coeffs``, one per entry, added onto the window clip of each
+    entry's cube in entry order."""
     out = np.zeros(family.grid.shape)
-    for e, c in zip(family.entries, coeffs):
-        clip = e.cube.window_clip(family.grid)
-        if clip is not None:
-            out[_box_slices(clip)] += c
+    if family.entries:
+        lo, hi = _window_clips(family, family.grid)
+        hit = (hi > lo).all(axis=1)
+        for c, a, b, h in zip(coeffs, lo.tolist(), hi.tolist(), hit.tolist()):
+            if h:
+                out[tuple(map(slice, a, b))] += c
     return out
 
 
@@ -155,8 +251,35 @@ def sparse_operator(family: SparseFamily, f: GridFunction,
 
 
 def _entry_averages(family: SparseFamily, f: GridFunction, r: float) -> list:
-    """The r-power average of ``f`` over every entry's cube, in entry order."""
-    return [avg_p(f, e.cube, r) for e in family.entries]
+    """The r-power average of ``f`` over every entry's cube, in entry order,
+    bit for bit :func:`sparsedom.grid.avg_p`.
+
+    The entries go in groups of one window-clip shape, each gathered as
+    one C-contiguous stack of at most ``_SLAB_CELLS`` cells (or one clip)
+    and summed as ``|.|**r`` over all axes but the first: each row is
+    then the pairwise sum ``np.sum`` takes of one clip.  Each cube's
+    scaling, division and root stay in Python floats, as in ``avg_p``.
+    """
+    if not (r > 0):
+        raise ParameterError(f"exponent must be positive, got {r}")
+    grid, dim, n = f.grid, f.grid.dim, f.grid.cells_per_side
+    entries = family.entries
+    sums = np.zeros(len(entries))
+    if entries:
+        lo, hi = _window_clips(family, grid)
+        shapes = hi - lo
+        hit = np.flatnonzero((shapes > 0).all(axis=1))
+        for same in _groups(shapes[hit] @ (n + 1) ** np.arange(dim)):
+            same = hit[same]
+            shape = tuple(shapes[same[0]].tolist())
+            per = max(1, _SLAB_CELLS // math.prod(shape))
+            for start in range(0, len(same), per):
+                idx = same[start:start + per]
+                stack = f.values[_box_index(lo[idx], shape)]
+                sums[idx] = (np.abs(stack) ** r).sum(axis=tuple(range(1, dim + 1)))
+    cm = grid.cell_measure
+    return [(t * cm / e.cube.measure(grid)) ** (1.0 / r)
+            for t, e in zip(sums.tolist(), entries)]
 
 
 def _build_exponent(family: SparseFamily) -> float:
@@ -234,10 +357,11 @@ def _decisive_cells(tf: np.ndarray, stack: np.ndarray, bound: np.ndarray,
     return np.unique(np.concatenate(picks))
 
 
-def _domination_bytes(grid: Grid, is_complex: bool) -> int:
+def _domination_bytes(grid: Grid, is_complex: bool, sample_lattice: bool = True) -> int:
     """Bytes :func:`check_domination` allocates at its peak for a kernel
-    with a lattice, for any support of f.  It holds the lattice and the
-    painted stack and bound throughout; on top, the larger of its two
+    with a lattice, for any support of f.  It holds the painted stack and
+    bound throughout, and the lattice where it samples it (where the
+    kernel holds none for the grid yet); on top, the larger of its two
     phases.  First the FFT over the window: three arrays of ``(2n)**dim``
     points at the entry size (``rfftn`` half-spectra for a real input)
     and the window values of ``T f`` it returns.  Then, with those values
@@ -252,7 +376,7 @@ def _domination_bytes(grid: Grid, is_complex: bool) -> int:
     pair_rows = min(cells, max(1, _PAIR_CHUNK // cells // _SUM_GROUP) * _SUM_GROUP)
     fft = 3 * item * (2 * n) ** dim + item * cells
     resum = lattice + pair_rows * cells * 8 + (8 * dim + 16 + 3 * item) * cells
-    return lattice + 16 * cells + max(fft, resum)
+    return sample_lattice * lattice + 16 * cells + max(fft, resum)
 
 
 def _window_magnitudes(kernel: Kernel, f: GridFunction, lat: np.ndarray,
@@ -299,7 +423,8 @@ def _window_magnitudes(kernel: Kernel, f: GridFunction, lat: np.ndarray,
 
 
 def check_domination(kernel: Kernel, f: GridFunction, family: SparseFamily,
-                     tol: float = 1e-10) -> DominationReport:
+                     tol: float = 1e-10, *, _stack: np.ndarray | None = None
+                     ) -> DominationReport:
     """Pointwise check ``|T f| <= constant * (stacked coefficients)`` on
     every window cell, using the family's stored constant and coefficients.
 
@@ -316,7 +441,11 @@ def check_domination(kernel: Kernel, f: GridFunction, family: SparseFamily,
     cell, which any other kernel gets.  An FFT value off the direct sum
     beyond its rounding bound raises NumericError.  Where the FFT and the
     re-sum, on top of what the process holds, would exceed physical
-    memory, ParameterError is raised before the kernel is sampled.
+    memory, ParameterError is raised before the kernel is sampled.  The
+    lattice is the kernel's own (``_offset_lattice``), sampled here only
+    where no operator on this grid has sampled it yet.  ``_stack`` is the
+    family's stored coefficients painted on the window, where the caller
+    has painted them already.
     """
     grid = f.grid
     _check_dims(kernel, grid)
@@ -324,8 +453,9 @@ def check_domination(kernel: Kernel, f: GridFunction, family: SparseFamily,
         _refuse_beyond_memory(
             f"the domination check of a {grid.dim}D grid with "
             f"{grid.cells_per_side} cells per side",
-            _domination_bytes(grid, f.is_complex))
-    stack = _paint_coefficients(family, [e.coefficient for e in family.entries])
+            _domination_bytes(grid, f.is_complex, grid not in kernel._lattices))
+    stack = (_paint_coefficients(family, [e.coefficient for e in family.entries])
+             if _stack is None else _stack)
     # constant * stack, but 0 where the stack is, also for an infinite constant
     bound = np.multiply(family.constant, stack, out=np.zeros_like(stack), where=stack != 0)
     lat = _offset_lattice(kernel, grid)
@@ -362,14 +492,19 @@ def sparse_lp_ratio(family: SparseFamily, f: GridFunction, r: float = 1.0,
 
 
 def _norm_ratio(family: SparseFamily, f: GridFunction, averages: list,
-                p: float) -> float:
-    """``sparse_lp_ratio`` given the r-power ``averages`` of the entries."""
+                p: float, stack: np.ndarray | None = None) -> float:
+    """``sparse_lp_ratio`` given the r-power ``averages`` of the entries;
+    ``stack``, the stored coefficients painted, serves as the operator
+    where the averages equal the coefficients element for element."""
     if not (p >= 1):
         raise ParameterError(f"norm exponent p must be >= 1, got {p}")
     denom = f.norm_lp(p)
     if denom == 0.0:
         raise UndefinedRatioError("input function vanishes; ratio undefined")
-    painted = _paint_coefficients(family, averages)
+    if stack is not None and averages == [e.coefficient for e in family.entries]:
+        painted = stack
+    else:
+        painted = _paint_coefficients(family, averages)
     return GridFunction(family.grid, painted).norm_lp(p) / denom
 
 

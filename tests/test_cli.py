@@ -6,6 +6,7 @@ subprocess.  File outputs are held to byte-level determinism.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import io
 import json
@@ -359,17 +360,17 @@ def test_verification_report_averages_each_entry_once_per_exponent(monkeypatch, 
     family = build_sparse_domination(kernel, f, cli._pipeline_from(cfg)).family
     want, _ = cli._verification_report(kernel, f, family, cfg)
     exponents = []
-    avg_p = verify.avg_p
+    entry_averages = verify._entry_averages
 
-    def counted(f_, cube, p):
-        exponents.append(float(p))
-        return avg_p(f_, cube, p)
+    def counted(family_, f_, r):
+        exponents.append(float(r))
+        return entry_averages(family_, f_, r)
 
-    monkeypatch.setattr(verify, "avg_p", counted)
+    monkeypatch.setattr(cli, "_entry_averages", counted)
     report, _ = cli._verification_report(kernel, f, family, cfg)
     assert report == want
-    assert len(exponents) == passes * len(family.entries)
-    assert sorted(set(exponents)) == sorted({1.0, float(ratio_r or 1.0)})
+    # one batch at s = 1, then one at r only where r is another number
+    assert exponents == [1.0, float(ratio_r or 1.0)][:passes]
     assert report["coefficient_audit_max_dev"] == verify.audit_coefficients(family, f)
     assert report["lp_ratio"]["value"] == verify.sparse_lp_ratio(family, f, r=ratio_r or 1.0)
 
@@ -603,6 +604,30 @@ def test_verify_rejects_a_witness_count_off_its_runs(tmp_path, capsys):
     assert _verify_edited_family(tmp_path, recount) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: witness run data inconsistent with stored count")
+
+
+@pytest.mark.parametrize("dim,n,kernel", [(1, 64, "dini_stress"), (2, 16, "riesz2d")])
+def test_run_samples_one_lattice(tmp_path, monkeypatch, dim, n, kernel):
+    # the build, the domination check and every other reader of the
+    # kernel on the run's grid share the one lattice the kernel keeps
+    seen = []
+    kernel_from = cli._kernel_from
+
+    def counting(cfg, grid):
+        k = kernel_from(cfg, grid)
+
+        def fn(x, y):
+            out = k.fn(x, y)
+            seen.append(np.size(out))
+            return out
+
+        return dataclasses.replace(k, fn=fn)
+
+    monkeypatch.setattr(cli, "_kernel_from", counting)
+    cfg = write_config(tmp_path, grid={"dim": dim, "cells_per_side": n},
+                       kernel={"name": kernel})
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert seen == [(2 * n - 1) ** dim]
 
 
 def test_verify_refuses_a_domination_check_beyond_memory(tmp_path, capsys, monkeypatch):

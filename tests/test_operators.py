@@ -6,6 +6,7 @@ import math
 import os
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -690,9 +691,10 @@ def test_lattice_never_evaluates_all_pairs(dim, n, name):
     fft = LatticeTransform(k, f, 3)
     for side in (n, n // 2, 1):
         _dilate_transforms(fft, (0,) * dim, (n // side,) * dim, side)
-    # one lattice per use: the table, the direct transform, its transpose,
-    # the FFT transform over all its calls
-    assert seen == [(2 * n - 1) ** dim] * 4
+    # one lattice per kernel and grid: the table, the direct transform and
+    # the FFT transform over all its calls share the kernel's; the
+    # transpose, another kernel, samples its own
+    assert seen == [(2 * n - 1) ** dim] * 2
     # a window whose center differences round off the lattice samples it
     # too; only a kernel without the flag is evaluated at every pair
     inexact = Grid(dim, n, 0.1)
@@ -702,6 +704,23 @@ def test_lattice_never_evaluates_all_pairs(dim, n, name):
     k, seen = _counting(_dense(make_kernel(name, grid)))
     RestrictedTransform(k, f)
     assert seen == [n ** (2 * dim)]
+
+
+def test_lattice_goes_with_its_kernel():
+    # the kernel keeps one lattice, for the last grid it was sampled on, and
+    # frees it with itself; a copy of the kernel keeps none of it
+    grid, other = Grid(2, 16), Grid(2, 8)
+    k, seen = _counting(make_kernel("riesz2d", grid))
+    lat = operators._offset_lattice(k, grid)
+    assert operators._offset_lattice(k, grid) is lat and len(seen) == 1
+    assert not dataclasses.replace(k)._lattices
+    assert operators._offset_lattice(k, other).shape == (15, 15)
+    assert list(k._lattices) == [other] and len(seen) == 2
+    gone = weakref.ref(operators._offset_lattice(k, grid))
+    del lat
+    assert gone() is not None
+    del k
+    assert gone() is None
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -1089,19 +1108,24 @@ def test_domination_estimate_is_tight_for_a_real_input():
     # of the two phases on top of what it holds throughout; the traced peak
     # (57 and 144 MiB for a real f at n = 512 and 1024) stays at or below
     # the estimate (66 and 168 MiB), within 1.3 times it for a real f.  A
-    # complex f with the same values takes the complex FFT and re-sums its
-    # two parts, and stays at or below its own estimate
+    # kernel that holds its lattice already spares the check the lattice:
+    # 49 and 112 MiB traced, 58 and 136 MiB estimated.  A complex f with
+    # the same values takes the complex FFT and re-sums its two parts, and
+    # stays at or below its own estimate
     for n in (512, 1024):
         grid = Grid(2, n)
         k = make_kernel("riesz2d", grid)
         f = make_input(grid, "random", seed=7)
         fam = sparse.build_sparse_domination(k, f).family
-        report, peak = _traced_peak(lambda: check_domination(k, f, fam))
-        need = verify._domination_bytes(grid, False)
-        assert report.passed and peak <= need <= 1.3 * peak, (n, peak, need)
+        # the build's kernel holds its lattice for the check; a fresh one
+        # has the check sample it
+        for kernel, sample in ((k, False), (make_kernel("riesz2d", grid), True)):
+            report, peak = _traced_peak(lambda: check_domination(kernel, f, fam))
+            need = verify._domination_bytes(grid, False, sample)
+            assert report.passed and peak <= need <= 1.3 * peak, (n, sample, peak, need)
         g = GridFunction(grid, f.values * (1 + 0j))
         report, peak = _traced_peak(lambda: check_domination(k, g, fam))
-        assert report.passed and peak <= verify._domination_bytes(grid, True), (n, peak)
+        assert report.passed and peak <= verify._domination_bytes(grid, True, False), (n, peak)
 
 
 @pytest.mark.parametrize("dim,n,name", [(1, 4096, "hilbert"), (2, 64, "riesz2d"),

@@ -6,6 +6,7 @@ here by direct summation, independent of the prefix-sum machinery.
 """
 
 import dataclasses
+import itertools
 import json
 import math
 
@@ -38,6 +39,7 @@ from sparsedom import (
 )
 from sparsedom import cli, operators, verify
 from sparsedom.inputs import INPUT_KINDS, make_input
+from sparsedom.grid import avg_p
 from sparsedom.operators import _offset_lattice, _stratified_indices
 
 
@@ -140,6 +142,112 @@ def test_check_sparsity_counts_offwindow_cells():
     assert rep.passed and rep.min_ratio == 1.0
 
 
+def _sparsity_reference(family, eta=None):
+    """``check_sparsity`` entry by entry: each witness painted onto an int32
+    canvas in turn, its ratio and containment checked as it comes."""
+    eta = family.eta if eta is None else eta
+    entries = family.entries
+    if not entries:
+        return verify.SparsityReport(True, eta, 1.0, 0, 0)
+    dim = family.grid.dim
+    los = [min(e.witness.box.anchor[d] for e in entries) for d in range(dim)]
+    his = [max(e.witness.box.anchor[d] + e.witness.box.side for e in entries)
+           for d in range(dim)]
+    canvas = np.zeros([h - l for h, l in zip(his, los)], dtype=np.int32)
+    failures = []
+    min_ratio = math.inf
+    for i, e in enumerate(entries):
+        canvas[tuple(slice(lo - l, hi - l) for (lo, hi), l
+                     in zip(e.witness.box.bounds(), los))] += e.witness.mask
+        ratio = e.witness.count / e.cube.cell_count
+        min_ratio = min(min_ratio, ratio)
+        if ratio < eta - 1e-12:
+            failures.append({"entry": i, "kind": "ratio", "ratio": ratio})
+        if not (e.cube.contains(e.witness.box)
+                or e.witness.count_in(e.cube) == e.witness.count):
+            failures.append({"entry": i, "kind": "outside_cube"})
+    max_overlap = int(canvas.max())
+    if max_overlap > 1:
+        spot = np.argwhere(canvas == max_overlap)[0]
+        failures.append({"kind": "overlap",
+                         "cell": [int(v + l) for v, l in zip(spot, los)],
+                         "count": max_overlap})
+    return verify.SparsityReport(not failures, eta, float(min_ratio), max_overlap,
+                                 len(entries), failures)
+
+
+def _built_family(dim, n, kernel, kind):
+    grid = Grid(dim, n)
+    return build_sparse_domination(make_kernel(kernel, grid),
+                                   make_input(grid, kind, seed=5)).family
+
+
+def _with_entry(family, i, **changes):
+    entries = list(family.entries)
+    entries[i] = dataclasses.replace(entries[i], **changes)
+    return dataclasses.replace(family, entries=entries)
+
+
+def _crafted(family):
+    """Copies of a built family: with an overlap, a thin witness, a
+    witness off its cube, one both thin and off, and a box that leaves its
+    cube while its cells stay in it; and a family of quarter-window cubes
+    tiling the window, more box cells of one side than a chunk takes."""
+    grid, last = family.grid, len(family.entries) - 1
+    first, e = family.entries[0].witness, family.entries[last]
+    # its first member cell alone
+    thin = np.zeros_like(first.mask)
+    thin.flat[np.flatnonzero(first.mask)[0]] = True
+    far = Cube(tuple(a + 10**4 for a in first.box.anchor), first.box.side)
+    box = e.witness.box
+    # the box grown by one cell past its cube on every axis, its cells kept
+    grown = CellSet(grid, Cube(box.anchor, box.side + 1),
+                    np.pad(e.witness.mask, [(0, 1)] * grid.dim))
+    side = grid.cells_per_side // 4
+    tiles = [SparseEntry(cube=c, witness=CellSet.from_cube(grid, c), coefficient=1.0,
+                         base_cube=c, depth=0)
+             for c in (Cube(tuple(side * a for a in at), side)
+                       for at in itertools.product(range(4), repeat=grid.dim))]
+    return {
+        "overlap": dataclasses.replace(family, entries=family.entries + [family.entries[0]]),
+        "thin": _with_entry(family, 0, witness=CellSet(grid, first.box, thin)),
+        "outside": _with_entry(family, 0, witness=CellSet(grid, far, first.mask)),
+        "thin_outside": _with_entry(family, 0, witness=CellSet(grid, far, thin)),
+        "box_past_cube": _with_entry(family, last, cube=Cube(box.anchor, box.side),
+                                     witness=grown),
+        "tiles": dataclasses.replace(family, entries=tiles),
+        "tiles_overlap": dataclasses.replace(family, entries=tiles + tiles[-1:]),
+    }
+
+
+@pytest.mark.parametrize("dim,n,kernel,kind", [(1, 64, "hilbert", "random"),
+                                               (1, 128, "dini_stress", "spikes"),
+                                               (2, 16, "riesz2d", "random"),
+                                               (2, 32, "riesz2d", "spikes")])
+def test_check_sparsity_matches_the_per_entry_reference(dim, n, kernel, kind):
+    family = _built_family(dim, n, kernel, kind)
+    reports = {}
+    for name, fam in {"built": family, **_crafted(family)}.items():
+        for eta in (None, 0.75):
+            got, want = check_sparsity(fam, eta), _sparsity_reference(fam, eta)
+            assert dataclasses.asdict(got) == dataclasses.asdict(want), (name, eta)
+            assert (np.float64(got.min_ratio).tobytes()
+                    == np.float64(want.min_ratio).tobytes()), (name, eta)
+            reports[name, eta] = got
+    assert reports["built", None].passed and reports["built", None].max_overlap == 1
+    first = family.entries[0].witness
+    cell = [int(v) for v in np.argwhere(first.mask)[0] + first.box.anchor]
+    assert reports["overlap", None].failures == [{"kind": "overlap", "cell": cell, "count": 2}]
+    assert [f["kind"] for f in reports["thin", None].failures] == ["ratio"]
+    assert reports["outside", None].failures == [{"entry": 0, "kind": "outside_cube"}]
+    assert [(f["entry"], f["kind"]) for f in reports["thin_outside", None].failures] == [
+        (0, "ratio"), (0, "outside_cube")]
+    assert reports["box_past_cube", None].passed and reports["tiles", None].passed
+    side = n // 4
+    assert reports["tiles_overlap", None].failures == [
+        {"kind": "overlap", "cell": [3 * side] * dim, "count": 2}]
+
+
 def test_sparsity_report_is_json_ready():
     grid = Grid(1, 16)
     fam = one_cube_family(grid, Cube((4,), 4))
@@ -149,6 +257,54 @@ def test_sparsity_report_is_json_ready():
 
 # ---------------------------------------------------------------------------
 # sparse averaging operator and norm ratios
+
+def _cube_kinds(grid, cubes):
+    """How many of the cubes lie inside the window, straddle its edge, or
+    miss it."""
+    n = grid.cells_per_side
+    kinds = [("outside" if c.window_clip(grid) is None
+              else "inside" if all(0 <= a and a + c.side <= n for a in c.anchor)
+              else "straddling") for c in cubes]
+    return {k: kinds.count(k) for k in ("inside", "straddling", "outside")}
+
+
+@pytest.mark.parametrize("slab", [operators._SLAB_CELLS, 5])
+@pytest.mark.parametrize("s", [1.0, 2.0, 0.5])
+@pytest.mark.parametrize("complex_values", [False, True])
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)])
+def test_entry_averages_are_avg_p_bit_for_bit(monkeypatch, dim, n, complex_values, s, slab):
+    # values over nine decades with a third of the cells zero, on cubes
+    # inside the window, across its edge and off it, one chunk per clip
+    # shape or many: every average has the bits of avg_p
+    monkeypatch.setattr(verify, "_SLAB_CELLS", slab)
+    grid = Grid(dim, n, 0.1)
+    g = np.random.default_rng(11)
+    vals = g.normal(size=grid.shape) * 10.0 ** g.integers(-4, 5, size=grid.shape)
+    if complex_values:
+        vals = vals + 1j * g.normal(size=grid.shape)
+    vals[g.random(grid.shape) < 1 / 3] = 0.0
+    f = GridFunction(grid, vals)
+    cubes = []
+    for _ in range(100):
+        side = int(g.integers(2, n + 1))
+        inside = g.integers(0, n - side + 1, size=dim)
+        across = inside.copy()
+        across[0] = -g.integers(1, side)
+        cubes += [Cube(tuple(int(a) for a in anchor), side)
+                  for anchor in (inside, across, inside + n, inside - n)]
+    cubes += [Cube((0,) * dim, n), Cube((-n,) * dim, 3 * n), Cube((3,) * dim, 1)]
+    assert min(_cube_kinds(grid, cubes).values()) >= 100
+    fam = SparseFamily(grid, 0.5, [SparseEntry(cube=c, witness=CellSet.from_cube(grid, c),
+                                               coefficient=0.0, base_cube=c, depth=0)
+                                   for c in cubes], 1.0)
+    got = verify._entry_averages(fam, f, s)
+    want = [avg_p(f, c, s) for c in cubes]
+    assert all(type(v) is float for v in got)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    # and on an f that vanishes
+    zero = zero_input(grid)
+    assert verify._entry_averages(fam, zero, s) == [avg_p(zero, c, s) for c in cubes]
+
 
 def test_sparse_operator_single_cube_is_exact():
     grid = Grid(1, 16)
